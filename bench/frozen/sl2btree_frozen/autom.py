@@ -1,0 +1,676 @@
+"""Invertible 2x2 matrices over F_q((pi)) acting on the tree.
+
+A matrix acts on vertices through its action on lattice classes and on the
+boundary through the induced projective map; scalar multiples act
+identically, and all predicates here are projective. The central dichotomy
+for a type-preserving element (even valuation of the determinant) is read
+off valuations alone:
+
+    twice the trace valuation >= determinant valuation  => elliptic
+                                                           (fixes a vertex)
+    twice the trace valuation <  determinant valuation  => hyperbolic
+          (translates a line by  det valuation - 2 * trace valuation)
+
+Elliptic elements come with a certified fixed vertex (the midpoint of a
+displacement geodesic, which the element is checked to fix). Hyperbolic
+elements come with their translation length, an axis vertex, and their
+attracting/repelling ends: exact rational ends for triangular matrices,
+and for full matrices a truncated end certified to the requested depth by
+an explicit subtree-trapping test (the candidate branch is mapped into
+itself strictly, which pins every computed digit of the attracting end).
+
+Also here: the depth to which an element fixes the subtree below a vertex,
+detection of quasi-unipotent elements with their fixed end and a certified
+horoball-type witness, conjugation-contraction depth sequences, the
+expansion count of a hyperbolic element across its horospheres, and the
+diagonal-times-translation-times-shear factorization of an end stabilizer.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import (
+    DoesNotFixEnd,
+    InsufficientPrecision,
+    InvalidInputError,
+    NonterminationGuard,
+    NotFixingError,
+    NotOnAxisError,
+    NotTypePreserving,
+)
+from .field import Field
+from .polys import xgcd_t
+from .series import INFINITY, LaurentSeries
+from .tree import (
+    End,
+    RationalEnd,
+    Tree,
+    TruncatedEnd,
+    UpEnd,
+    Vertex,
+    end_from_vector,
+)
+
+_ITERATION_CAP = 512
+
+
+def _divide_available(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
+    """num/den to the precision the operands support (at least one inexact)."""
+    budget = INFINITY
+    if den.prec is not INFINITY:
+        budget = min(budget, den.prec - den.valuation())
+    if num.prec is not INFINITY:
+        budget = min(budget, num.prec - num.valuation_lower_bound())
+    if budget is INFINITY:
+        raise InvalidInputError("unbounded exact division has no term budget")
+    if budget < 1:
+        raise InsufficientPrecision("no determined digits survive the division")
+    return num * den.inverse(budget)
+
+
+def _ratio_mod(num: LaurentSeries, den: LaurentSeries, n: int) -> LaurentSeries:
+    """The exact truncation (num/den) mod pi^n."""
+    zero = LaurentSeries.zero(num.field)
+    if num.is_exact_zero():
+        return zero
+    vd = den.valuation()
+    if not num.has_terms():
+        # num vanishes to its precision; the ratio vanishes mod pi^(prec - vd)
+        if num.prec - vd >= n:
+            return zero
+        raise InsufficientPrecision(
+            f"ratio needed mod pi^{n}, numerator only vanishes mod pi^{num.prec}",
+            needed=n + vd,
+        )
+    v = num.valuation()
+    if v - vd >= n:
+        return zero
+    return (num * den.inverse(n - v + vd)).truncate(n)
+
+
+@dataclass
+class Classification:
+    """Outcome of the elliptic/hyperbolic dichotomy.
+
+    Hyperbolic results carry the translation length; the attracting and
+    repelling ends are filled in on request (`TreeAutomorphism.classify`
+    with `ends_depth`). Elliptic results carry a checked fixed vertex.
+    """
+
+    kind: str  # "elliptic" | "hyperbolic"
+    length: int | None = None
+    fixed_vertex: Vertex | None = None
+    attracting: End | None = None
+    repelling: End | None = None
+
+
+@dataclass
+class UnipotentInfo:
+    """Certified local data for the quasi-unipotent dichotomy.
+
+    kind "good": the element fixes its end's horoballs to unbounded depth,
+    witnessed by a fixed vertex whose eccentricity-1/3 horoellipse is
+    checked (to `checked_depth`) to be carried into itself. kind
+    "not_unipotent" reports that the element has no square-zero shift at
+    all; it carries no witness. The kinds "ugly" and "anisotropic" are
+    reserved for base fields where unipotent fixed sets behave badly; over
+    F_q((pi)) with the canonical uniformizer they cannot arise and are
+    never returned.
+    """
+
+    kind: str
+    fixed_end: End | None = None
+    witness: Vertex | None = None
+    checked_depth: int = 0
+    eccentricity: Fraction | None = None
+
+
+@dataclass
+class BorelDecomposition:
+    """g = conjugator^{-1} * (diagonal * step^power * shear) * conjugator.
+
+    `diagonal` has unit diagonal entries (elliptic), `step` is the standard
+    distance-2 translation toward the fixed end, and `shear` is a projective
+    representative of a unipotent fixing the end. The product of the three
+    parts equals the conjugated matrix up to a scalar.
+    """
+
+    diagonal: "TreeAutomorphism"
+    power: int
+    shear: "TreeAutomorphism"
+    conjugator: "TreeAutomorphism"
+
+
+class TreeAutomorphism:
+    """An element of GL2(F_q((pi))) together with its tree action."""
+
+    __slots__ = ("field", "a", "b", "c", "d", "_det")
+
+    def __init__(self, field: Field, a, b, c, d):
+        for entry in (a, b, c, d):
+            if not isinstance(entry, LaurentSeries) or entry.field is not field:
+                raise InvalidInputError("matrix entries must be series over the field")
+        self.field = field
+        self.a, self.b, self.c, self.d = a, b, c, d
+        self._det = None
+        if self.det().is_exact_zero():
+            raise InvalidInputError("matrix is singular")
+
+    # -- construction helpers -------------------------------------------------
+
+    @classmethod
+    def identity(cls, field: Field) -> "TreeAutomorphism":
+        one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
+        return cls(field, one, zero, zero, one)
+
+    @classmethod
+    def from_rows(cls, field: Field, rows) -> "TreeAutomorphism":
+        (a, b), (c, d) = rows
+        return cls(field, a, b, c, d)
+
+    @classmethod
+    def diagonal(cls, field: Field, top: LaurentSeries, bottom: LaurentSeries):
+        zero = LaurentSeries.zero(field)
+        return cls(field, top, zero, zero, bottom)
+
+    @classmethod
+    def standard_step(cls, field: Field) -> "TreeAutomorphism":
+        """diag(pi^{-1}, pi): translation by 2 toward the zero end."""
+        return cls.diagonal(
+            field,
+            LaurentSeries.pi_power(field, -1),
+            LaurentSeries.pi_power(field, 1),
+        )
+
+    @classmethod
+    def half_turn(cls, field: Field) -> "TreeAutomorphism":
+        """[[0,-1],[1,0]]: swaps the zero end and the up end."""
+        one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
+        return cls(field, zero, -one, one, zero)
+
+    def entries(self):
+        return (self.a, self.b, self.c, self.d)
+
+    def det(self) -> LaurentSeries:
+        if self._det is None:
+            self._det = self.a * self.d - self.b * self.c
+        return self._det
+
+    def trace(self) -> LaurentSeries:
+        return self.a + self.d
+
+    def adjugate(self) -> "TreeAutomorphism":
+        """[[d,-b],[-c,a]]; the projective inverse (exact inverse when det = 1)."""
+        return TreeAutomorphism(self.field, self.d, -self.b, -self.c, self.a)
+
+    def __mul__(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
+        if other.field is not self.field:
+            raise InvalidInputError("matrices over different fields")
+        return TreeAutomorphism(
+            self.field,
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def __pow__(self, k: int) -> "TreeAutomorphism":
+        if k < 0:
+            return self.adjugate() ** (-k)
+        out = TreeAutomorphism.identity(self.field)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def conjugate_by(self, c: "TreeAutomorphism") -> "TreeAutomorphism":
+        """c * self * c^{-1} up to a scalar (adjugate in place of the inverse)."""
+        return c * self * c.adjugate()
+
+    def scaled(self, s: LaurentSeries) -> "TreeAutomorphism":
+        return TreeAutomorphism(self.field, self.a * s, self.b * s, self.c * s, self.d * s)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TreeAutomorphism)
+            and other.field is self.field
+            and self.entries() == other.entries()
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.entries())
+
+    def proportional_to(self, other: "TreeAutomorphism") -> bool:
+        """Equality in the projective group (entries agree up to one scalar)."""
+        e1, e2 = self.entries(), other.entries()
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if not (e1[i] * e2[j] - e1[j] * e2[i]).is_exact_zero():
+                    return False
+        return True
+
+    def is_scalar(self) -> bool:
+        return self.proportional_to(TreeAutomorphism.identity(self.field))
+
+    def is_type_preserving(self) -> bool:
+        return self.det().valuation() % 2 == 0
+
+    def __str__(self) -> str:
+        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
+
+    def __repr__(self) -> str:
+        return f"TreeAutomorphism({self})"
+
+    # -- the action ------------------------------------------------------------
+
+    def act_vertex(self, v: Vertex) -> Vertex:
+        """Image of a vertex: column-reduce the transformed lattice basis.
+
+        The transformed basis has first row (g11 + g12*a, g12*pi^n); the
+        entry of smaller valuation is the pivot, the new level follows from
+        the determinant valuation, and the new residue is the ratio of the
+        pivot column's entries.
+        """
+        n, res = v.level, v.residue
+        A = self.a + self.b * res
+        B = self.b.shift(n)
+        C = self.c + self.d * res
+        D = self.d.shift(n)
+        det_val = self.det().valuation() + n
+
+        def visible_val(s):
+            return s.valuation() if s.has_terms() else None
+
+        vA, vB = visible_val(A), visible_val(B)
+        if vA is None and vB is None:
+            raise InsufficientPrecision(
+                "top row of the transformed basis has no visible pivot"
+            )
+        use_A = vB is None or (vA is not None and vA <= vB)
+        if use_A and not A.is_exact() and (vA is None or vA >= A.prec):
+            raise InsufficientPrecision("pivot valuation beyond stored precision")
+        if use_A and vB is None and not B.is_exact():
+            # B invisible but inexact: it could still undercut A.
+            if B.prec <= vA:
+                raise InsufficientPrecision("cannot compare pivot valuations")
+        if not use_A and vA is None and not A.is_exact():
+            if A.prec <= vB:
+                raise InsufficientPrecision("cannot compare pivot valuations")
+        if use_A:
+            new_level = det_val - 2 * vA
+            residue = _ratio_mod(C, A, new_level)
+        else:
+            new_level = det_val - 2 * vB
+            residue = _ratio_mod(D, B, new_level)
+        return Vertex(new_level, residue)
+
+    def act_end(self, end: End) -> End:
+        """Image of a boundary end under the projective action."""
+        F = self.field
+        exact = all(e.is_exact() for e in self.entries())
+        if isinstance(end, UpEnd):
+            if self.b.is_exact() and self.d.is_exact():
+                return end_from_vector(F, self.b, self.d)
+            return TruncatedEnd(F, _divide_available(self.d, self.b))
+        if isinstance(end, RationalEnd) and exact:
+            x = self.a * end.x + self.b * end.y
+            y = self.c * end.x + self.d * end.y
+            return end_from_vector(F, x, y)
+        if isinstance(end, TruncatedEnd):
+            w = end.coordinate
+        else:
+            # rational end, inexact matrix: the matrix precision caps the
+            # usable digits of the coordinate anyway
+            depth = min(e.prec for e in self.entries() if not e.is_exact())
+            w = end.coordinate_mod(depth)
+        num = self.c + self.d * w
+        den = self.a + self.b * w
+        return TruncatedEnd(F, _divide_available(num, den))
+
+    def fixes_vertex(self, v: Vertex) -> bool:
+        return self.act_vertex(v) == v
+
+    def fixes_end(self, end: End) -> bool:
+        """Exact test for exact data; truncated ends compare to their horizon."""
+        image = self.act_end(end)
+        if isinstance(end, TruncatedEnd) or isinstance(image, TruncatedEnd):
+            depth = min(end.known_depth(), image.known_depth())
+            return end.coordinate_mod(depth) == image.coordinate_mod(depth)
+        return image == end
+
+    # -- classification ----------------------------------------------------------
+
+    def translation_length(self) -> int:
+        """0 for elliptic elements, the axis step length for hyperbolic ones.
+
+        A visible trace term settles the comparison of 2 v(trace) with
+        v(det); a trace that merely vanishes to its precision settles it
+        only when the precision alone already forces the elliptic side.
+        """
+        det_val = self.det().valuation()
+        if det_val % 2:
+            raise NotTypePreserving(
+                "odd determinant valuation swaps the two vertex types"
+            )
+        tr = self.trace()
+        if tr.has_terms():
+            return max(0, det_val - 2 * tr.valuation())
+        if tr.is_exact() or 2 * tr.prec >= det_val:
+            return 0
+        raise InsufficientPrecision(
+            "trace valuation unresolved at this precision",
+            needed=(det_val + 1) // 2 + 1,
+        )
+
+    def classify(self, ends_depth: int | None = None) -> Classification:
+        """Elliptic/hyperbolic dichotomy with a checked witness.
+
+        With `ends_depth` set, a hyperbolic result also carries the
+        attracting and repelling ends (exact where the element is
+        triangular, truncated at that depth otherwise).
+        """
+        length = self.translation_length()
+        if length > 0:
+            result = Classification(kind="hyperbolic", length=length)
+            if ends_depth is not None:
+                result.attracting = self.attracting_end(depth=ends_depth)
+                result.repelling = self.repelling_end(depth=ends_depth)
+            return result
+        tree = Tree(self.field)
+        image = self.act_vertex(tree.base)
+        mid = tree.midpoint(tree.base, image)
+        if self.act_vertex(mid) != mid:
+            raise NonterminationGuard(
+                "displacement midpoint not fixed; classification is inconsistent"
+            )
+        return Classification(kind="elliptic", fixed_vertex=mid)
+
+    def axis_vertex(self) -> Vertex:
+        """A vertex on the translation axis of a hyperbolic element."""
+        if self.translation_length() == 0:
+            raise InvalidInputError("elliptic elements have no translation axis")
+        tree = Tree(self.field)
+        return tree.midpoint(tree.base, self.act_vertex(tree.base))
+
+    def _triangular_fixed_ends(self):
+        """(end, eigenvalue) pairs for an exactly triangular matrix, else None."""
+        F = self.field
+        exact = all(e.is_exact() for e in self.entries())
+        if not exact:
+            return None
+        if self.c.is_exact_zero():
+            first = (
+                RationalEnd(F, LaurentSeries.one(F), LaurentSeries.zero(F)),
+                self.a,
+            )
+            if self.b.is_exact_zero():
+                return [first, (UpEnd(F), self.d)]
+            return [first, (end_from_vector(F, self.b, self.d - self.a), self.d)]
+        if self.b.is_exact_zero():
+            return [
+                (UpEnd(F), self.d),
+                (end_from_vector(F, self.a - self.d, self.c), self.a),
+            ]
+        return None
+
+    def attracting_end(self, depth: int = 12) -> End:
+        """The forward end of a hyperbolic element.
+
+        Exact (rational or up) for triangular matrices. Otherwise a
+        truncated end to the requested depth, certified by mapping the
+        candidate subtree strictly into itself.
+        """
+        length = self.translation_length()
+        if length == 0:
+            raise InvalidInputError("elliptic elements have no attracting end")
+        pairs = self._triangular_fixed_ends()
+        if pairs is not None:
+            (e1, l1), (e2, l2) = pairs
+            return e1 if l1.valuation() < l2.valuation() else e2
+        return self._attracting_end_iterated(depth)
+
+    def repelling_end(self, depth: int = 12) -> End:
+        return self.adjugate().attracting_end(depth)
+
+    def _attracting_end_iterated(self, depth: int) -> End:
+        F = self.field
+        tree = Tree(F)
+        x = LaurentSeries.zero(F)
+        y = LaurentSeries.one(F)
+        for _ in range(_ITERATION_CAP):
+            x, y = self.a * x + self.b * y, self.c * x + self.d * y
+            if x.is_exact_zero():
+                continue
+            candidate = end_from_vector(F, x, y)
+            if isinstance(candidate, UpEnd):
+                continue
+            res = candidate.coordinate_mod(depth)
+            branch = Vertex(depth, res)
+            image = self.act_vertex(branch)
+            if not tree.is_descendant(image, branch):
+                continue
+            parent_image = self.act_vertex(tree.parent(branch))
+            if tree.distance(branch, parent_image) == tree.distance(branch, image) + 1:
+                # the branch is carried inward from the outside: wrong side
+                continue
+            return TruncatedEnd(F, res.reduce_precision(depth))
+        raise NonterminationGuard(
+            f"no certified attracting branch within {_ITERATION_CAP} iterations"
+        )
+
+    # -- fixing depth --------------------------------------------------------------
+
+    def fixing_depth(self, v: Vertex):
+        """How far below v the element fixes the subtree pointwise.
+
+        0 means v is fixed but some child moves; INFINITY means the element
+        is scalar. Raises NotFixingError when v itself moves.
+        """
+        if not self.fixes_vertex(v):
+            raise NotFixingError(f"element does not fix {v}")
+        F = self.field
+        one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
+        basis = TreeAutomorphism(
+            F, one, zero, v.residue, LaurentSeries.pi_power(F, v.level)
+        )
+        h = basis.adjugate() * self * basis
+        entries = h.entries()
+        visible = [e.valuation() for e in entries if e.has_terms()]
+        if not visible:
+            raise InsufficientPrecision("matrix has no visible entry in this basis")
+        shift = min(visible)
+        for e in entries:
+            if not e.has_terms() and not e.is_exact() and e.prec <= shift:
+                raise InsufficientPrecision(
+                    "an entry vanishes to its precision; depth is unresolved"
+                )
+        ha, hb, hc, hd = (e.shift(-shift) for e in entries)
+        probes = (hc, hb, ha - hd)
+        depths = []
+        for s in probes:
+            if s.has_terms():
+                depths.append(s.valuation())
+            elif not s.is_exact():
+                raise InsufficientPrecision(
+                    "fixing depth unresolved: an off-diagonal entry vanishes "
+                    "to its precision only"
+                )
+        if not depths:
+            return INFINITY
+        return min(depths)
+
+    # -- quasi-unipotent elements -----------------------------------------------
+
+    def quasi_unipotent_scalar(self) -> LaurentSeries | None:
+        """The scalar lam with (g - lam)^2 = 0, or None; needs exact entries."""
+        if not all(e.is_exact() for e in self.entries()):
+            raise InvalidInputError("unipotence certification needs exact entries")
+        if self.is_scalar():
+            return None
+        F = self.field
+        tr = self.trace()
+        det = self.det()
+        if F.p == 2:
+            if not tr.is_exact_zero():
+                return None
+            if any(deg % 2 for deg in det.coeffs):
+                return None
+            lam = LaurentSeries(
+                F, {deg // 2: c.sqrt() for deg, c in det.coeffs.items()}
+            )
+            return lam
+        half = F.element(2).inverse()
+        lam = tr.scale(half)
+        if (lam * lam - det).is_exact_zero():
+            return lam
+        return None
+
+    def unipotent_fixed_end(self) -> End:
+        """The unique fixed end of a nontrivial quasi-unipotent element."""
+        lam = self.quasi_unipotent_scalar()
+        if lam is None:
+            raise InvalidInputError("element is not a nontrivial quasi-unipotent")
+        F = self.field
+        if self.b.has_terms():
+            return end_from_vector(F, self.b, lam - self.a)
+        if self.c.has_terms():
+            return end_from_vector(F, lam - self.d, self.c)
+        raise InvalidInputError("element is scalar")  # unreachable after the check
+
+    def unipotent_class(self, check_depth: int = 6) -> UnipotentInfo:
+        """Certify the horoball-fixing behaviour of a quasi-unipotent element.
+
+        Returns kind "not_unipotent" when the element has no square-zero
+        shift. Otherwise walks down the ray toward the fixed end until a
+        fixed vertex is found whose eccentricity-1/3 horoellipse (listed to
+        `check_depth`) is carried into the same horoellipse, and returns it
+        as the witness of kind "good".
+        """
+        if self.quasi_unipotent_scalar() is None:
+            return UnipotentInfo(kind="not_unipotent")
+        end = self.unipotent_fixed_end()
+        tree = Tree(self.field)
+        x = tree.base
+        lam = Fraction(1, 3)
+        for _ in range(_ITERATION_CAP):
+            if self.fixes_vertex(x):
+                members = tree.horoellipse_vertices(end, x, lam, check_depth)
+                if all(
+                    tree.horoellipse_contains(end, x, lam, self.act_vertex(y))
+                    for y in members
+                ):
+                    return UnipotentInfo(
+                        kind="good",
+                        fixed_end=end,
+                        witness=x,
+                        checked_depth=check_depth,
+                        eccentricity=lam,
+                    )
+            x = tree.step_to_end(x, end)
+        raise NonterminationGuard(
+            "no certified horoellipse witness along the fixed-end ray"
+        )
+
+    # -- hyperbolic bookkeeping -----------------------------------------------------
+
+    def modular_expansion_count(self, x: Vertex) -> int:
+        """Count of same-horosphere vertices at axis distance from the image.
+
+        x must lie on the axis. Counts the vertices y with d(h x, y) equal to
+        the translation length that sit on the horosphere through x toward
+        the attracting end; the count is the expansion factor of the element
+        across horospheres.
+        """
+        length = self.translation_length()
+        if length == 0:
+            raise InvalidInputError("expansion counting needs a hyperbolic element")
+        tree = Tree(self.field)
+        image = self.act_vertex(x)
+        if tree.distance(x, image) != length:
+            raise NotOnAxisError(f"{x} is displaced by more than the axis length")
+        end = self.attracting_end(depth=abs(x.level) + 2 * length + 8)
+        return sum(
+            1
+            for y in tree.sphere(image, length)
+            if tree.busemann(x, y, end) == 0
+        )
+
+    def contraction_depths(self, shrink: "TreeAutomorphism", steps: int) -> list:
+        """Fixing depths of the conjugates shrink^i * self * shrink^{-i}.
+
+        self must be quasi-unipotent with fixed end equal to the repelling
+        end of the hyperbolic element `shrink`; the depths are measured at a
+        common fixed vertex and grow by the translation length per step.
+        """
+        end = self.unipotent_fixed_end()
+        if isinstance(end, TruncatedEnd):
+            raise InvalidInputError("fixed end must be exact")
+        inv = shrink.adjugate()
+        decomposition = decompose_end_stabilizer(inv, end)
+        if decomposition.power <= 0:
+            raise InvalidInputError(
+                "the contracting element must repel from the fixed end"
+            )
+        tree = Tree(self.field)
+        x = shrink.axis_vertex()
+        for _ in range(_ITERATION_CAP):
+            if self.fixes_vertex(x):
+                break
+            x = tree.step_to_end(x, end)
+        else:
+            raise NonterminationGuard("no common fixed vertex found along the axis")
+        out = []
+        g = self
+        for _ in range(steps + 1):
+            out.append(g.fixing_depth(x))
+            g = shrink * g * inv
+        return out
+
+
+def decompose_end_stabilizer(g: TreeAutomorphism, end: End) -> BorelDecomposition:
+    """Factor an element fixing an exact end into diagonal, step power, shear.
+
+    Conjugates the end to the zero end, checks the conjugate is upper
+    triangular (else DoesNotFixEnd), and splits it as
+    unit-diagonal * standard-step^power * unipotent-shear, all projectively.
+    """
+    F = g.field
+    if isinstance(end, TruncatedEnd):
+        raise InvalidInputError("decomposition needs an exact end")
+    one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
+    if isinstance(end, UpEnd):
+        conj = TreeAutomorphism.half_turn(F)
+    elif end.y.is_exact_zero():
+        conj = TreeAutomorphism.identity(F)
+    else:
+        _, u, v = xgcd_t(end.x, end.y)
+        conj = TreeAutomorphism(F, u, v, -end.y, end.x)
+    gp = conj * g * conj.adjugate()
+    if not gp.c.is_exact_zero():
+        raise DoesNotFixEnd(f"element does not fix the end {end}")
+    det_val = gp.det().valuation()
+    if det_val % 2:
+        raise NotTypePreserving("odd determinant valuation swaps the vertex types")
+    gp = gp.scaled(LaurentSeries.pi_power(F, -(det_val // 2)))
+    m = gp.d.valuation()
+    diag = TreeAutomorphism.diagonal(F, gp.a.shift(m), gp.d.shift(-m))
+    shear = TreeAutomorphism(F, gp.a, gp.b, zero, gp.a)
+    step = TreeAutomorphism.standard_step(F)
+    recomposed = diag * (step**m) * shear
+    if not recomposed.proportional_to(gp):
+        raise NonterminationGuard("decomposition failed to recompose projectively")
+    return BorelDecomposition(diagonal=diag, power=m, shear=shear, conjugator=conj)
+
+
+def drift_along_end(g: TreeAutomorphism, end: End) -> int:
+    """Signed distance the element translates along the given fixed end.
+
+    Positive values move toward the end; the map is additive on the end's
+    stabilizer and vanishes exactly on its elliptic part.
+    """
+    return 2 * decompose_end_stabilizer(g, end).power

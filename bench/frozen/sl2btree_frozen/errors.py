@@ -1,0 +1,65 @@
+"""Shared error types.
+
+Every failure mode of the exact-arithmetic layers is loud: nothing ever
+silently widens precision, guesses a valuation, or fabricates a coefficient.
+"""
+
+
+class Sl2BTreeError(Exception):
+    """Base class for all package errors."""
+
+
+class InvalidInputError(Sl2BTreeError, ValueError):
+    """Malformed literal, wrong field, or violated precondition on input."""
+
+
+class IndeterminateValuation(Sl2BTreeError, ArithmeticError):
+    """The valuation of a series is not determined by its known coefficients.
+
+    Raised for a term-free series of finite precision: every known
+    coefficient vanishes, so the valuation is only bounded below.
+    """
+
+
+class InsufficientPrecision(Sl2BTreeError, ArithmeticError):
+    """A coefficient or operation result lies beyond the stated precision."""
+
+    def __init__(self, message: str, needed: int | None = None):
+        super().__init__(message)
+        self.needed = needed
+
+
+class EndPrecisionExhausted(Sl2BTreeError):
+    """A truncated boundary end was queried beyond its hard horizon."""
+
+
+class EqualEndsError(Sl2BTreeError, ValueError):
+    """Two boundary ends expected to be distinct coincide."""
+
+
+class DoesNotFixEnd(Sl2BTreeError, ValueError):
+    """The automorphism does not fix the given boundary end."""
+
+
+class NotFixingError(Sl2BTreeError, ValueError):
+    """The automorphism does not fix the given vertex."""
+
+
+class NotOnAxisError(Sl2BTreeError, ValueError):
+    """The base vertex does not lie on the translation axis."""
+
+
+class NotTypePreserving(Sl2BTreeError, ValueError):
+    """The automorphism swaps vertex types (odd determinant valuation)."""
+
+
+class SizeGuardExceeded(Sl2BTreeError):
+    """A materialization or enumeration exceeds the configured bound."""
+
+
+class UncertifiedTail(Sl2BTreeError):
+    """A quotient ray tail is not certified, so the query has no exact answer."""
+
+
+class NonterminationGuard(Sl2BTreeError, RuntimeError):
+    """An iteration cap fired; must never happen on valid input."""

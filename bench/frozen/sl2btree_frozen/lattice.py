@@ -1,0 +1,721 @@
+"""Polynomial lattices acting on the tree.
+
+`NagaoLattice` is SL2 of the polynomial ring F_q[t] sitting inside the
+tree's automorphisms, with t the degree -1 monomial: every vertex is
+equivalent under it to exactly one vertex (n, 0) on the standard ray with
+n >= 0, and `reduce_vertex` computes that normal form together with a
+group element witnessing it. `CongruenceLattice` is the kernel of entrywise
+reduction modulo a nonconstant polynomial f; its global structure is
+driven by the finite matrix group over F_q[t]/(f), materialized in
+`CosetTable`.
+
+Vertex stabilizers come in closed form (constant matrices at the origin,
+upper-triangular matrices with bounded offset along the ray) and are
+conjugated to arbitrary vertices through the reduction witness;
+`stabilizer_bruteforce` recomputes them by direct enumeration for
+cross-checking. Boundary ends that are fixed by nontrivial translations
+of the lattice are recognized by `is_cuspidal`, which hands back the
+conjugator into standard position and the parameter module of the
+fixing translations.
+"""
+
+import itertools
+from dataclasses import dataclass
+
+from .autom import TreeAutomorphism
+from .errors import (
+    EndPrecisionExhausted,
+    InvalidInputError,
+    NonterminationGuard,
+    SizeGuardExceeded,
+)
+from .field import Field, field as make_field
+from .polys import (
+    ResidueRing,
+    all_t_polys,
+    from_t_coeffs,
+    gcd_t,
+    is_t_poly,
+    monic_t,
+    t_degree,
+    xgcd_t,
+)
+from .series import LaurentSeries
+from .tree import End, RationalEnd, Tree, TruncatedEnd, UpEnd, Vertex, end_from_vector
+
+_REDUCE_CAP_BASE = 64
+
+
+def _const(field: Field, value) -> LaurentSeries:
+    return LaurentSeries.exact(field, {0: field.element(value)})
+
+
+def _upper(field: Field, alpha, offset: LaurentSeries) -> TreeAutomorphism:
+    """[[alpha, offset], [0, alpha^{-1}]] for a unit constant alpha."""
+    zero = LaurentSeries.zero(field)
+    return TreeAutomorphism(
+        field, _const(field, alpha), offset, zero, _const(field, alpha.inverse())
+    )
+
+
+def _lower_shear(field: Field, c: LaurentSeries) -> TreeAutomorphism:
+    """[[1, 0], [c, 1]]: translates residues by c."""
+    one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
+    return TreeAutomorphism(field, one, zero, c, one)
+
+
+def _upper_shear(field: Field, b: LaurentSeries) -> TreeAutomorphism:
+    """[[1, b], [0, 1]]: fixes the zero end."""
+    one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
+    return TreeAutomorphism(field, one, b, zero, one)
+
+
+@dataclass
+class ReducedVertex:
+    """Normal form of a vertex under the polynomial lattice.
+
+    witness * original = (level, 0), with level >= 0.
+    """
+
+    level: int
+    witness: TreeAutomorphism
+    vertex: Vertex
+
+
+@dataclass
+class StabilizerGroup:
+    """A vertex stabilizer in closed form.
+
+    `conjugator` carries the vertex to its normal form (level, 0); the
+    group is the conjugate of the closed-form group there. `elements` is
+    populated only when the order is within the materialization bound.
+    """
+
+    vertex: Vertex
+    level: int
+    order: int
+    conjugator: TreeAutomorphism
+    description: str
+    elements: list[TreeAutomorphism] | None = None
+
+
+@dataclass
+class CuspData:
+    """A boundary end fixed by nontrivial translations of the lattice.
+
+    `conjugator` is a determinant-1 polynomial matrix carrying the end to
+    the zero end. The translations fixing the end are the conjugates of
+    [[1, b], [0, 1]] for b in parameter_multiple * F_q[t], sitting inside
+    the full end stabilizer with the given finite index.
+    """
+
+    end: End
+    conjugator: TreeAutomorphism
+    parameter_multiple: LaurentSeries
+    stabilizer_index: int
+
+
+@dataclass
+class UnknownCusp:
+    """Bounded evidence about a truncated end: no verdict is possible.
+
+    A branch known to finite depth never determines whether the ends in
+    it are rational, so the report carries the stabilizer orders of the
+    vertices along the branch as far as they are determined.
+    """
+
+    end: End
+    orders: list[int]
+    max_order: int
+    note: str = "end truncated; stabilizer orders along the known branch only"
+
+
+class NotCuspidal:
+    """Marker result for an end with no nontrivial fixing translations.
+
+    Every rational end of the polynomial lattices here is cuspidal, so
+    this value is never produced by them; it exists so callers can treat
+    the query as a proper three-way outcome.
+    """
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return "NotCuspidal()"
+
+
+class NagaoLattice:
+    """SL2(F_q[t]) acting on the (q+1)-regular tree."""
+
+    kind = "nagao"
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.tree = Tree(field)
+
+    @property
+    def q(self) -> int:
+        return self.field.q
+
+    def __repr__(self) -> str:
+        return f"NagaoLattice(q={self.q})"
+
+    def config(self) -> dict:
+        return {"kind": "nagao", "q": self.q}
+
+    # -- membership ---------------------------------------------------------
+
+    def contains(self, g: TreeAutomorphism) -> bool:
+        if not all(is_t_poly(e) for e in g.entries()):
+            return False
+        det = g.det()
+        return det.is_exact() and det == LaurentSeries.one(self.field)
+
+    def require_member(self, g: TreeAutomorphism) -> None:
+        if not self.contains(g):
+            raise InvalidInputError(f"{g} is not in {self!r}")
+
+    # -- vertex reduction ---------------------------------------------------
+
+    def reduce_vertex(self, v: Vertex) -> ReducedVertex:
+        """Carry a vertex to its unique normal form (n, 0), n >= 0.
+
+        Alternates translating away the polynomial part of the residue
+        (a lower shear) and inverting through the origin (the half turn),
+        which strictly lowers the level; the witness is verified before
+        returning.
+        """
+        F = self.field
+        tree = self.tree
+        g = TreeAutomorphism.identity(F)
+        cur = v
+        for _ in range(_REDUCE_CAP_BASE + 2 * abs(v.level)):
+            a = cur.residue
+            poly_part = {d: c for d, c in a.coeffs.items() if d <= 0}
+            if poly_part:
+                step = _lower_shear(F, -LaurentSeries.exact(F, poly_part))
+                cur = step.act_vertex(cur)
+                g = step * g
+                continue
+            if not a.has_terms():
+                if cur.level >= 0:
+                    break
+                step = TreeAutomorphism.half_turn(F)
+                cur = step.act_vertex(cur)
+                g = step * g
+                continue
+            # residue has terms, all of positive degree: invert
+            step = TreeAutomorphism.half_turn(F)
+            cur = step.act_vertex(cur)
+            g = step * g
+        else:
+            raise NonterminationGuard(f"vertex reduction did not settle for {v}")
+        if g.act_vertex(v) != cur:
+            raise NonterminationGuard(f"reduction witness failed to check for {v}")
+        return ReducedVertex(level=cur.level, witness=g, vertex=cur)
+
+    # -- stabilizers ---------------------------------------------------------
+
+    def base_order(self, n: int) -> int:
+        """Order of the stabilizer of the standard-ray vertex (n, 0)."""
+        q = self.q
+        if n < 0:
+            raise InvalidInputError("normal forms have level >= 0")
+        if n == 0:
+            return q**3 - q
+        return (q - 1) * q ** (n + 1)
+
+    def edge_order(self, n: int) -> int:
+        """Order of the common stabilizer of (n, 0) and (n+1, 0)."""
+        q = self.q
+        if n < 0:
+            raise InvalidInputError("standard-ray edges start at level 0")
+        if n == 0:
+            return q * (q - 1)
+        return self.base_order(n)
+
+    def base_stabilizer_elements(self, n: int):
+        """The closed-form stabilizer of (n, 0), deterministically ordered."""
+        F = self.field
+        if n == 0:
+            elems = list(F.elements())
+            for a, b, c, d in itertools.product(elems, repeat=4):
+                if a * d - b * c == F.one:
+                    yield TreeAutomorphism(
+                        F, _const(F, a), _const(F, b), _const(F, c), _const(F, d)
+                    )
+            return
+        for alpha in F.units():
+            for b in all_t_polys(F, n):
+                yield _upper(F, alpha, b)
+
+    def edge_stabilizer_elements(self, n: int):
+        """The closed-form common stabilizer of (n, 0) and (n+1, 0)."""
+        F = self.field
+        if n == 0:
+            for alpha in F.units():
+                for b in F.elements():
+                    yield _upper(F, alpha, _const(F, b))
+            return
+        yield from self.base_stabilizer_elements(n)
+
+    def _base_description(self, n: int) -> str:
+        if n == 0:
+            return "all constant matrices of determinant 1"
+        return (
+            "upper-triangular matrices with constant unit diagonal and "
+            f"offset of t-degree <= {n}"
+        )
+
+    def stabilizer_order(self, v: Vertex) -> int:
+        return self.base_order(self.reduce_vertex(v).level)
+
+    def stabilizer(self, v: Vertex, materialize_bound: int = 10_000) -> StabilizerGroup:
+        """The stabilizer of any vertex, conjugated from its normal form."""
+        red = self.reduce_vertex(v)
+        order = self.base_order(red.level)
+        conj = red.witness
+        desc = self._base_description(red.level)
+        if conj.is_scalar():
+            label = desc
+        else:
+            label = f"conjugate by the reduction witness of: {desc}"
+        elements = None
+        if order <= materialize_bound:
+            inv = conj.adjugate()
+            elements = [
+                inv * s * conj for s in self.base_stabilizer_elements(red.level)
+            ]
+        return StabilizerGroup(
+            vertex=v,
+            level=red.level,
+            order=order,
+            conjugator=conj,
+            description=label,
+            elements=elements,
+        )
+
+    # -- cusps ----------------------------------------------------------------
+
+    def unipotent_parameter_multiple(self) -> LaurentSeries:
+        """b runs over multiples of this in the standard cusp translations."""
+        return LaurentSeries.one(self.field)
+
+    def cusp_stabilizer_index(self) -> int:
+        """Index of the translation part inside a full end stabilizer."""
+        return self.q - 1
+
+    def end_conjugator(self, end: End) -> TreeAutomorphism:
+        """A member of the lattice carrying a non-truncated end to the zero end."""
+        F = self.field
+        if isinstance(end, UpEnd):
+            x, y = LaurentSeries.zero(F), LaurentSeries.one(F)
+        elif isinstance(end, RationalEnd):
+            x, y = end.x, end.y
+        else:
+            raise InvalidInputError("truncated ends have no exact conjugator")
+        g, u, w = xgcd_t(x, y)
+        if t_degree(g) != 0:
+            raise NonterminationGuard(
+                "end coordinates were not coprime; normalization is broken"
+            )
+        zero_end = self.tree.end_zero()
+        conj = TreeAutomorphism(F, u, w, -y, x)
+        if conj.act_end(end) != zero_end:
+            raise NonterminationGuard("end conjugator failed to check")
+        return conj
+
+    def is_cuspidal(self, end: End, probe_depth: int = 9):
+        """CuspData for a rational or up end; bounded evidence if truncated.
+
+        For an end known only to finite depth no verdict is possible, so
+        the result is an `UnknownCusp` carrying the stabilizer orders of
+        the vertices along the branch (at most probe_depth of them).
+        """
+        if isinstance(end, TruncatedEnd):
+            orders = []
+            x = self.tree.base
+            for _ in range(min(probe_depth, max(end.known_depth(), 0)) + 1):
+                orders.append(self.stabilizer_order(x))
+                try:
+                    x = self.tree.step_to_end(x, end)
+                except EndPrecisionExhausted:
+                    break
+            return UnknownCusp(end=end, orders=orders, max_order=max(orders))
+        conj = self.end_conjugator(end)
+        return CuspData(
+            end=end,
+            conjugator=conj,
+            parameter_multiple=self.unipotent_parameter_multiple(),
+            stabilizer_index=self.cusp_stabilizer_index(),
+        )
+
+    def cusp_representatives(self) -> list[CuspData]:
+        """One CuspData per lattice orbit of cuspidal ends."""
+        return [self.is_cuspidal(self.tree.end_zero())]
+
+    def cusp_translations(self, cusp: CuspData, max_degree: int):
+        """The fixing translations at a cusp with bounded parameter degree."""
+        F = self.field
+        inv = cusp.conjugator.adjugate()
+        mult = cusp.parameter_multiple
+        bound = max(max_degree - t_degree(mult), -1)
+        for c in all_t_polys(F, bound):
+            if c.has_terms():
+                yield inv * _upper_shear(F, mult * c) * cusp.conjugator
+
+
+class CongruenceLattice(NagaoLattice):
+    """The kernel of entrywise reduction mod f inside SL2(F_q[t])."""
+
+    kind = "congruence"
+
+    def __init__(self, field: Field, level: LaurentSeries):
+        super().__init__(field)
+        if not is_t_poly(level) or t_degree(level) < 1:
+            raise InvalidInputError(
+                "congruence level must be a nonconstant polynomial in t"
+            )
+        self.level = monic_t(level)
+        self.level_degree = t_degree(self.level)
+        self._table = None
+
+    def __repr__(self) -> str:
+        return f"CongruenceLattice(q={self.q}, level={self.level})"
+
+    def config(self) -> dict:
+        return {"kind": "congruence", "q": self.q, "level": str(self.level)}
+
+    def contains(self, g: TreeAutomorphism) -> bool:
+        if not super().contains(g):
+            return False
+        one = LaurentSeries.one(self.field)
+        ring = self.coset_table().ring
+        return (
+            ring.reduce(g.a - one) == ring.zero
+            and ring.reduce(g.b) == ring.zero
+            and ring.reduce(g.c) == ring.zero
+            and ring.reduce(g.d - one) == ring.zero
+        )
+
+    def coset_table(self) -> "CosetTable":
+        if self._table is None:
+            self._table = CosetTable(self.field, self.level)
+        return self._table
+
+    def base_order(self, n: int) -> int:
+        if n < 0:
+            raise InvalidInputError("normal forms have level >= 0")
+        if n == 0:
+            return 1
+        return self.q ** max(0, n + 1 - self.level_degree)
+
+    def edge_order(self, n: int) -> int:
+        if n < 0:
+            raise InvalidInputError("standard-ray edges start at level 0")
+        if n == 0:
+            return 1
+        return self.base_order(n)
+
+    def base_stabilizer_elements(self, n: int):
+        F = self.field
+        if n == 0:
+            yield TreeAutomorphism.identity(F)
+            return
+        bound = max(n - self.level_degree, -1)
+        for c in all_t_polys(F, bound):
+            yield _upper_shear(F, self.level * c)
+
+    def edge_stabilizer_elements(self, n: int):
+        if n == 0:
+            yield TreeAutomorphism.identity(self.field)
+            return
+        yield from self.base_stabilizer_elements(n)
+
+    def _base_description(self, n: int) -> str:
+        if n == 0:
+            return "the trivial group"
+        return (
+            f"translations [[1, b], [0, 1]] with b a multiple of {self.level} "
+            f"of t-degree <= {n}"
+        )
+
+    def unipotent_parameter_multiple(self) -> LaurentSeries:
+        return self.level
+
+    def cusp_stabilizer_index(self) -> int:
+        return 1
+
+    def cusp_representatives(self) -> list[CuspData]:
+        """One cusp per orbit, via the finite residue group.
+
+        Orbits of ends correspond to cosets g*B in the residue group,
+        where B is the image of the full upper-triangular stabilizer of
+        the zero end; each representative is lifted to a determinant-1
+        polynomial matrix and applied to the zero end.
+        """
+        table = self.coset_table()
+        reps = table.coset_representatives(table.borel_image(self.level_degree))
+        out = []
+        for rep in reps:
+            carrier = table.lift(rep)
+            end = carrier.act_end(self.tree.end_zero())
+            out.append(self.is_cuspidal(end))
+        return out
+
+
+def lattice_from_config(config: dict) -> NagaoLattice:
+    """Build a lattice from its JSON-style description.
+
+    {"kind": "nagao", "q": 2} or
+    {"kind": "congruence", "q": 2, "level": "t^2+t"}.
+    """
+    if not isinstance(config, dict):
+        raise InvalidInputError("lattice description must be an object")
+    kind = config.get("kind")
+    q = config.get("q")
+    if not isinstance(q, int):
+        raise InvalidInputError("lattice description needs an integer q")
+    F = make_field(q)
+    if kind == "nagao":
+        return NagaoLattice(F)
+    if kind == "congruence":
+        level_text = config.get("level")
+        if not isinstance(level_text, str):
+            raise InvalidInputError("congruence lattice needs a level string")
+        from .literals import parse_series
+
+        return CongruenceLattice(F, parse_series(F, level_text))
+    raise InvalidInputError(f"unknown lattice kind {kind!r}")
+
+
+class CosetTable:
+    """The finite matrix group over F_q[t]/(f) with lifts back to F_q[t].
+
+    Materializes all determinant-1 matrices over the residue ring (the
+    image of the polynomial lattice, which reduction maps onto), provides
+    subgroup images of the standard stabilizers, deterministic coset
+    decompositions, and a constructive section: `lift` rebuilds a
+    determinant-1 polynomial matrix from any residue matrix by splitting
+    it into elementary shears.
+    """
+
+    def __init__(self, field: Field, modulus: LaurentSeries, max_candidates: int = 20_000):
+        self.field = field
+        self.ring = ResidueRing(field, modulus)
+        candidates = self.ring.size**4
+        if candidates > max_candidates:
+            raise SizeGuardExceeded(
+                f"residue group enumeration needs {candidates} candidates "
+                f"(bound {max_candidates})"
+            )
+        ring = self.ring
+        elems = list(ring.elements())
+        one = ring.one
+        members = []
+        for a, b in itertools.product(elems, repeat=2):
+            for c, d in itertools.product(elems, repeat=2):
+                if ring.sub(ring.mul(a, d), ring.mul(b, c)) == one:
+                    members.append((a, b, c, d))
+        self.elements = members
+        self.index = len(members)
+        self._positions = {m: i for i, m in enumerate(members)}
+
+    def __repr__(self) -> str:
+        return (
+            f"CosetTable(q={self.field.q}, modulus={self.ring.modulus}, "
+            f"size={self.index})"
+        )
+
+    # -- group operations on residue matrices --------------------------------
+
+    def matmul(self, m1, m2):
+        ring = self.ring
+        a1, b1, c1, d1 = m1
+        a2, b2, c2, d2 = m2
+        return (
+            ring.add(ring.mul(a1, a2), ring.mul(b1, c2)),
+            ring.add(ring.mul(a1, b2), ring.mul(b1, d2)),
+            ring.add(ring.mul(c1, a2), ring.mul(d1, c2)),
+            ring.add(ring.mul(c1, b2), ring.mul(d1, d2)),
+        )
+
+    def identity(self):
+        return (self.ring.one, self.ring.zero, self.ring.zero, self.ring.one)
+
+    def inverse(self, m):
+        a, b, c, d = m
+        ring = self.ring
+        return (d, ring.neg(b), ring.neg(c), a)
+
+    def reduce(self, g: TreeAutomorphism):
+        """Image of a polynomial matrix in the residue group."""
+        for entry in g.entries():
+            if not is_t_poly(entry):
+                raise InvalidInputError("only polynomial matrices reduce")
+        ring = self.ring
+        m = (ring.reduce(g.a), ring.reduce(g.b), ring.reduce(g.c), ring.reduce(g.d))
+        if m not in self._positions:
+            raise InvalidInputError("matrix does not have determinant 1 mod the level")
+        return m
+
+    # -- the constructive section ----------------------------------------------
+
+    def lift(self, m) -> TreeAutomorphism:
+        """A determinant-1 polynomial matrix reducing to m.
+
+        Shifts m by a lower shear until the bottom-left entry is a unit,
+        splits the result into three elementary shears, and lifts each
+        shear through the canonical polynomial representatives; the
+        product has determinant exactly 1.
+        """
+        ring = self.ring
+        F = self.field
+        a, b, c, d = m
+        shift = None
+        for r in ring.elements():
+            if ring.is_unit(ring.add(c, ring.mul(r, a))):
+                shift = r
+                break
+        if shift is None:
+            raise InvalidInputError("matrix rows are not unimodular mod the level")
+        c1 = ring.add(c, ring.mul(shift, a))
+        d1 = ring.add(d, ring.mul(shift, b))
+        inv_c1 = ring.inverse(c1)
+        u = ring.mul(ring.sub(a, ring.one), inv_c1)
+        w = ring.mul(ring.sub(d1, ring.one), inv_c1)
+        lifted = (
+            _lower_shear(F, -ring.lift(shift))
+            * _upper_shear(F, ring.lift(u))
+            * _lower_shear(F, ring.lift(c1))
+            * _upper_shear(F, ring.lift(w))
+        )
+        if self.reduce(lifted) != m:
+            raise NonterminationGuard("constructive lift failed to check")
+        return lifted
+
+    # -- images of the standard stabilizers -------------------------------------
+
+    def borel_image(self, n: int):
+        """Image of the upper-triangular stabilizer of (n, 0), n >= 1.
+
+        For n >= deg(f) - 1 this is the image of the full stabilizer of
+        the zero end and stops growing.
+        """
+        ring = self.ring
+        F = self.field
+        out = set()
+        for alpha in F.units():
+            a_bar = ring.reduce(_const(F, alpha))
+            ainv_bar = ring.reduce(_const(F, alpha.inverse()))
+            for b in all_t_polys(F, min(n, ring.degree - 1)):
+                out.add((a_bar, ring.reduce(b), ring.zero, ainv_bar))
+        return frozenset(out)
+
+    def constants_image(self):
+        """Image of the constant-matrix stabilizer of the origin."""
+        F = self.field
+        ring = self.ring
+        out = set()
+        elems = list(F.elements())
+        for a, b, c, d in itertools.product(elems, repeat=4):
+            if a * d - b * c == F.one:
+                out.add(
+                    (
+                        ring.reduce(_const(F, a)),
+                        ring.reduce(_const(F, b)),
+                        ring.reduce(_const(F, c)),
+                        ring.reduce(_const(F, d)),
+                    )
+                )
+        return frozenset(out)
+
+    def vertex_image(self, n: int):
+        """Image of the stabilizer of the standard-ray vertex (n, 0)."""
+        if n == 0:
+            return self.constants_image()
+        return self.borel_image(n)
+
+    def edge_image(self, n: int):
+        """Image of the common stabilizer of (n, 0) and (n+1, 0)."""
+        return self.borel_image(n) if n >= 1 else self.borel_image(0)
+
+    # -- coset bookkeeping -------------------------------------------------------
+
+    def _key(self, m):
+        return tuple(
+            coeff_int
+            for entry in m
+            for elem in entry
+            for coeff_int in elem.coeffs
+        )
+
+    def coset_partition(self, subgroup) -> list[list]:
+        """The cosets g * subgroup, each sorted, in a deterministic order.
+
+        Touches every group element exactly once, so the cost is one
+        multiplication per element.
+        """
+        seen = set()
+        cosets = []
+        for g in self.elements:
+            if g in seen:
+                continue
+            coset = sorted({self.matmul(g, s) for s in subgroup}, key=self._key)
+            seen.update(coset)
+            cosets.append(coset)
+        cosets.sort(key=lambda c: self._key(c[0]))
+        return cosets
+
+    def coset_key(self, g, subgroup) -> tuple:
+        """Deterministic identifier of the coset g * subgroup."""
+        return min(self._key(self.matmul(g, s)) for s in subgroup)
+
+    def coset_representatives(self, subgroup) -> list:
+        """One deterministic representative per coset g * subgroup."""
+        return [coset[0] for coset in self.coset_partition(subgroup)]
+
+
+def stabilizer_bruteforce(
+    lattice: NagaoLattice, v: Vertex, degree_bound: int
+) -> list[TreeAutomorphism]:
+    """All lattice members with entry t-degree <= degree_bound fixing v.
+
+    Independent of the closed forms: enumerates coprime first columns,
+    solves the determinant equation for the second column, and checks the
+    action literally. Exponential in the bound; keep it small.
+    """
+    if degree_bound > 6:
+        raise SizeGuardExceeded("brute-force stabilizers cap at degree 6")
+    F = lattice.field
+    polys = list(all_t_polys(F, degree_bound))
+    # images of v under the shear family, bucketed so each distinct image
+    # is pushed through a candidate only once
+    buckets: dict[Vertex, list[LaurentSeries]] = {}
+    for k in polys:
+        w = _upper_shear(F, k).act_vertex(v)
+        buckets.setdefault(w, []).append(k)
+    out = []
+    for a in polys:
+        for c in polys:
+            if not a.has_terms() and not c.has_terms():
+                continue
+            g, u, w = xgcd_t(a, c)
+            if t_degree(g) != 0:
+                continue
+            d0, b0 = u, -w
+            base = TreeAutomorphism(F, a, b0, c, d0)
+            for image, ks in buckets.items():
+                if base.act_vertex(image) != v:
+                    continue
+                for k in ks:
+                    b, d = b0 + k * a, d0 + k * c
+                    if t_degree(b) > degree_bound or t_degree(d) > degree_bound:
+                        continue
+                    cand = TreeAutomorphism(F, a, b, c, d)
+                    if not lattice.contains(cand):
+                        continue
+                    if cand.act_vertex(v) != v:
+                        raise NonterminationGuard(
+                            "shear bucketing disagreed with the literal action"
+                        )
+                    out.append(cand)
+    return out

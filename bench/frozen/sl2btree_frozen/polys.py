@@ -1,0 +1,189 @@
+"""Polynomials in t = pi^{-1} and their residue rings.
+
+The ring F_q[t] sits inside F_q((pi)) as the exact series supported in
+degrees <= 0. This module provides the Euclidean toolkit for that subring
+(division, gcd, extended gcd, deterministic enumeration) plus the finite
+quotient rings F_q[t]/(f) used for congruence-subgroup bookkeeping.
+
+Internally a t-polynomial is a list of coefficients indexed by t-degree;
+conversion to and from series just flips the sign of the exponent.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .errors import InvalidInputError
+from .field import Field, FieldElement
+from .series import LaurentSeries
+
+
+def is_t_poly(s: LaurentSeries) -> bool:
+    """Exact and supported in pi-degrees <= 0, i.e. an element of F_q[t]."""
+    return s.is_exact() and all(d <= 0 for d in s.coeffs)
+
+
+def t_coeffs(s: LaurentSeries) -> list[FieldElement]:
+    """Coefficients by ascending t-degree (empty for zero); input must be in F_q[t]."""
+    if not is_t_poly(s):
+        raise InvalidInputError(f"not a polynomial in t: {s}")
+    if not s.coeffs:
+        return []
+    deg = -min(s.coeffs)
+    F = s.field
+    return [s.coeffs.get(-k, F.zero) for k in range(deg + 1)]
+
+
+def from_t_coeffs(field: Field, coeffs) -> LaurentSeries:
+    return LaurentSeries(field, {-k: field.element(c) for k, c in enumerate(coeffs)})
+
+
+def t_degree(s: LaurentSeries) -> int:
+    """Degree in t; the zero polynomial gets -1 by convention."""
+    cs = t_coeffs(s)
+    return len(cs) - 1
+
+
+def divmod_t(a: LaurentSeries, b: LaurentSeries) -> tuple[LaurentSeries, LaurentSeries]:
+    """Euclidean division a = q*b + r in F_q[t] with deg r < deg b."""
+    F = a.field
+    bc = t_coeffs(b)
+    if not bc:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rc = t_coeffs(a)
+    inv_lead = bc[-1].inverse()
+    qc = [F.zero] * max(0, len(rc) - len(bc) + 1)
+    while len(rc) >= len(bc):
+        factor = rc[-1] * inv_lead
+        shift = len(rc) - len(bc)
+        qc[shift] = factor
+        for i, c in enumerate(bc):
+            rc[shift + i] = rc[shift + i] - factor * c
+        while rc and not rc[-1]:
+            rc.pop()
+    return from_t_coeffs(F, qc), from_t_coeffs(F, rc)
+
+
+def gcd_t(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """Monic gcd in F_q[t] (zero if both arguments are zero)."""
+    while b.has_terms():
+        a, b = b, divmod_t(a, b)[1]
+    return monic_t(a)
+
+
+def xgcd_t(a: LaurentSeries, b: LaurentSeries):
+    """(g, u, v) with u*a + v*b = g, g the monic gcd."""
+    F = a.field
+    one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
+    r0, r1 = a, b
+    u0, u1 = one, zero
+    v0, v1 = zero, one
+    while r1.has_terms():
+        q, r = divmod_t(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.has_terms():
+        lead = t_coeffs(r0)[-1]
+        c = lead.inverse()
+        r0, u0, v0 = r0.scale(c), u0.scale(c), v0.scale(c)
+    return r0, u0, v0
+
+
+def monic_t(a: LaurentSeries) -> LaurentSeries:
+    cs = t_coeffs(a)
+    if not cs:
+        return a
+    return a.scale(cs[-1].inverse())
+
+
+def mod_t(a: LaurentSeries, f: LaurentSeries) -> LaurentSeries:
+    return divmod_t(a, f)[1]
+
+
+def all_t_polys(field: Field, max_degree: int):
+    """Every polynomial of t-degree <= max_degree, deterministically ordered.
+
+    Yields q^(max_degree+1) polynomials, the zero polynomial first.
+    """
+    if max_degree < -1:
+        raise InvalidInputError("max_degree must be >= -1")
+    elems = list(field.elements())
+    for coeffs in itertools.product(elems, repeat=max_degree + 1):
+        yield from_t_coeffs(field, coeffs)
+
+
+def t_polys_with_degree(field: Field, degree: int):
+    """Every polynomial of t-degree exactly `degree` (deterministic order)."""
+    elems = list(field.elements())
+    for lower in itertools.product(elems, repeat=degree):
+        for lead in elems:
+            if lead:
+                yield from_t_coeffs(field, tuple(lower) + (lead,))
+
+
+def is_irreducible_t(f: LaurentSeries) -> bool:
+    """Trial division by all monic polynomials of degree <= deg(f)/2."""
+    d = t_degree(f)
+    if d < 1:
+        return False
+    for e in range(1, d // 2 + 1):
+        for g in t_polys_with_degree(f.field, e):
+            if not divmod_t(f, g)[1].has_terms():
+                return False
+    return True
+
+
+class ResidueRing:
+    """The finite ring R = F_q[t]/(f), elements as coefficient tuples.
+
+    Elements are tuples of length deg(f) of field coefficients (ascending
+    t-degree). The modulus is normalized to be monic; only its ideal
+    matters.
+    """
+
+    def __init__(self, field: Field, modulus: LaurentSeries):
+        d = t_degree(modulus)
+        if d < 1:
+            raise InvalidInputError("residue-ring modulus must have t-degree >= 1")
+        self.field = field
+        self.modulus = monic_t(modulus)
+        self.degree = d
+        self.zero = (field.zero,) * d
+        self.one = (field.one,) + (field.zero,) * (d - 1)
+        self.size = field.q**d
+
+    def reduce(self, s: LaurentSeries) -> tuple[FieldElement, ...]:
+        """Image of a polynomial in R."""
+        cs = t_coeffs(mod_t(s, self.modulus))
+        return tuple(cs) + (self.field.zero,) * (self.degree - len(cs))
+
+    def lift(self, elem: tuple[FieldElement, ...]) -> LaurentSeries:
+        """The canonical polynomial representative of degree < deg(f)."""
+        return from_t_coeffs(self.field, elem)
+
+    def elements(self):
+        for coeffs in itertools.product(list(self.field.elements()), repeat=self.degree):
+            yield coeffs
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        return self.reduce(self.lift(a) * self.lift(b))
+
+    def is_unit(self, a) -> bool:
+        g = gcd_t(self.lift(a), self.modulus)
+        return t_degree(g) == 0
+
+    def inverse(self, a):
+        g, u, _ = xgcd_t(self.lift(a), self.modulus)
+        if t_degree(g) != 0:
+            raise ZeroDivisionError("element is not a unit in the residue ring")
+        return self.reduce(u)

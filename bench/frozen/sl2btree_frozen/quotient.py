@@ -1,0 +1,958 @@
+"""Quotient graphs of groups, covolumes, and cusp geometry.
+
+`quotient_graph` materializes the quotient of the tree by a lattice down
+to a chosen depth: finitely many vertex and edge classes, each carrying
+the order of its stabilizer, plus the detected ray tails going off to
+infinity. Tails whose stabilizer towers are verified to grow by a factor
+of q for three consecutive nested steps are *certified*: beyond that the
+tower provably continues, which turns the infinite part of the covolume
+sum into the exact closed form q / (c (q - 1)).
+
+The rest of the module covers the cusp side: matching algebraic cusp
+representatives to geometric rays (`cusps_report`), probing stabilizer
+growth along an arbitrary end (`growth_probe`), certifying that a
+truncated horoball meets its lattice translates only through elements
+fixing the end (`certify_independent_horoball`), collapsing certified
+tails into symbolic cusp vertices (`contract`), and reading off a free
+product decomposition when all finite pieces are trivial
+(`free_product_report`).
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .autom import TreeAutomorphism
+from .errors import (
+    EndPrecisionExhausted,
+    InvalidInputError,
+    NonterminationGuard,
+    UncertifiedTail,
+)
+from .lattice import CongruenceLattice, CuspData, NagaoLattice, _upper
+from .series import LaurentSeries
+from .tree import End, Vertex
+
+
+@dataclass
+class QuotientVertex:
+    id: str
+    level: int
+    order: int | None  # None marks a symbolic cusp vertex (infinite order)
+    representative: Vertex | None
+    description: str
+    is_cusp: bool = False
+    cusp: CuspData | None = None
+
+
+@dataclass
+class QuotientEdge:
+    v_from: str  # lower level
+    v_to: str  # higher level (or a cusp vertex)
+    order: int
+
+
+@dataclass
+class RayTail:
+    """A certified-or-not chain of vertex classes heading to infinity."""
+
+    vertex_ids: list[str]
+    levels: list[int]
+    edge_indices: list[int]  # edges between consecutive chain vertices
+    base_level: int
+    step_index: int
+    certified: bool
+    cusp_index: int | None = None
+
+
+@dataclass
+class SymbolicCuspGroup:
+    """The infinite stabilizer carried by a contracted cusp vertex."""
+
+    parameter_multiple: LaurentSeries
+    stabilizer_index: int
+
+    def __str__(self) -> str:
+        core = f"translations with offset in ({self.parameter_multiple}) * F_q[t]"
+        if self.stabilizer_index == 1:
+            return core
+        return f"{core}, extended by diagonals of index {self.stabilizer_index}"
+
+
+@dataclass
+class CovolumeResult:
+    total: Fraction
+    core_part: Fraction
+    tail_parts: list[Fraction]
+
+    def __str__(self) -> str:
+        return f"{self.total.numerator}/{self.total.denominator}"
+
+
+@dataclass
+class GrowthProbe:
+    orders: list[int]
+    reduced_levels: list[int]
+    entry_radius: int | None
+    step_index: int
+    truncated_at: int | None = None
+
+
+@dataclass
+class CertifiedIndependent:
+    cusp: CuspData
+    radius_vertex: Vertex
+    truncation: int
+    vertices_checked: int
+    pairs_checked: int
+
+
+@dataclass
+class CounterexamplePair:
+    """Two horoball vertices carried to each other by a bad element."""
+
+    y: Vertex
+    y_prime: Vertex
+    gamma: TreeAutomorphism
+
+
+@dataclass
+class FamilyCertificate:
+    singles: list[CertifiedIndependent]
+    cross_pairs_checked: int
+
+
+@dataclass
+class CuspsReport:
+    algebraic: list[CuspData]
+    ray_count: int
+    matches: list[tuple[int, int]]  # (cusp index, ray index)
+    bijective: bool
+
+
+@dataclass
+class FreeProductReport:
+    applicable: bool
+    cusp_factor_count: int
+    free_rank: int
+    reason: str
+
+
+class GraphOfGroups:
+    """Finite quotient data with ray tails; see the module docstring."""
+
+    def __init__(self, lattice: NagaoLattice, depth: int):
+        self.lattice = lattice
+        self.field = lattice.field
+        self.depth = depth
+        self.vertices: dict[str, QuotientVertex] = {}
+        self.edges: list[QuotientEdge] = []
+        self.rays: list[RayTail] = []
+        self.contracted = False
+        self.covolume_total: Fraction | None = None
+        self._level_cosets: list[list[list]] | None = None
+
+    # -- serialization -----------------------------------------------------------
+
+    def to_json_dict(self) -> dict:
+        q = self.field.q
+        verts = sorted(
+            self.vertices.values(), key=lambda v: (v.is_cusp, v.level, v.id)
+        )
+        vertex_list = [
+            {
+                "id": v.id,
+                "level": v.level,
+                "order": v.order if v.order is not None else "infinite",
+                "q": q,
+            }
+            for v in verts
+        ]
+        edge_list = []
+        for e in sorted(self.edges, key=lambda e: (e.v_from, e.v_to, e.order)):
+            fro, to = self.vertices[e.v_from], self.vertices[e.v_to]
+            edge_list.append(
+                {
+                    "from": e.v_from,
+                    "to": e.v_to,
+                    "edge_order": e.order,
+                    "idx_from": (
+                        fro.order // e.order if fro.order is not None else "infinite"
+                    ),
+                    "idx_to": (
+                        to.order // e.order if to.order is not None else "infinite"
+                    ),
+                }
+            )
+        ray_list = [
+            {
+                "base": ray.vertex_ids[0],
+                "base_level": ray.base_level,
+                "step_index": ray.step_index,
+                "certified": ray.certified,
+                "cusp": ray.cusp_index,
+            }
+            for ray in self.rays
+        ]
+        out = {
+            "lattice": self.lattice.config(),
+            "depth": self.depth,
+            "contracted": self.contracted,
+            "vertices": vertex_list,
+            "edges": edge_list,
+            "rays": ray_list,
+        }
+        if self.covolume_total is not None:
+            out["covolume"] = (
+                f"{self.covolume_total.numerator}/{self.covolume_total.denominator}"
+            )
+        else:
+            out["covolume"] = None
+        return out
+
+    def to_dot(self) -> str:
+        lines = ["graph quotient {", "  node [shape=circle];"]
+        for v in sorted(self.vertices.values(), key=lambda v: (v.is_cusp, v.level, v.id)):
+            if v.is_cusp:
+                label = f"{v.id}\\ninfinite"
+                lines.append(f'  "{v.id}" [shape=doublecircle, label="{label}"];')
+            else:
+                lines.append(f'  "{v.id}" [label="{v.id}\\n{v.order}"];')
+        for e in sorted(self.edges, key=lambda e: (e.v_from, e.v_to, e.order)):
+            lines.append(f'  "{e.v_from}" -- "{e.v_to}" [label="{e.order}"];')
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+    def subdivided_view(self) -> dict:
+        """The barycentric picture: midpoints carry the edge groups.
+
+        Every edge is split at a formal midpoint of trivial ramification;
+        lengths halve, so sums over this view double. It exists for
+        inspection and is not used by the covolume computation.
+        """
+        verts = [
+            {"id": v.id, "order": v.order if v.order is not None else "infinite"}
+            for v in sorted(
+                self.vertices.values(), key=lambda v: (v.is_cusp, v.level, v.id)
+            )
+        ]
+        mids = []
+        half_edges = []
+        for i, e in enumerate(sorted(self.edges, key=lambda e: (e.v_from, e.v_to, e.order))):
+            mid_id = f"m{i}"
+            mids.append({"id": mid_id, "order": e.order, "ramification": 1})
+            half_edges.append({"from": e.v_from, "to": mid_id, "edge_order": e.order})
+            half_edges.append({"from": mid_id, "to": e.v_to, "edge_order": e.order})
+        return {
+            "vertices": verts,
+            "midpoints": mids,
+            "edges": half_edges,
+            "edge_length": "1/2",
+        }
+
+
+def _standard_vertex(lattice: NagaoLattice, n: int) -> Vertex:
+    return lattice.tree.vertex(n, LaurentSeries.zero(lattice.field))
+
+
+def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
+    """The quotient graph of groups down to the given level depth."""
+    if depth < 1:
+        raise InvalidInputError("quotient depth must be at least 1")
+    G = GraphOfGroups(lattice, depth)
+    if isinstance(lattice, CongruenceLattice):
+        _build_congruence(G, lattice, depth)
+    else:
+        _build_chain(G, lattice, depth)
+    _detect_rays(G)
+    return G
+
+
+def _build_chain(G: GraphOfGroups, lattice: NagaoLattice, depth: int) -> None:
+    for n in range(depth + 1):
+        vid = f"L{n}"
+        G.vertices[vid] = QuotientVertex(
+            id=vid,
+            level=n,
+            order=lattice.base_order(n),
+            representative=_standard_vertex(lattice, n),
+            description=lattice._base_description(n),
+        )
+    for n in range(depth):
+        G.edges.append(QuotientEdge(f"L{n}", f"L{n + 1}", lattice.edge_order(n)))
+
+
+def _build_congruence(G: GraphOfGroups, lattice: CongruenceLattice, depth: int) -> None:
+    table = lattice.coset_table()
+    level_cosets = []
+    lookups = []
+    for n in range(depth + 1):
+        part = table.coset_partition(table.vertex_image(n))
+        level_cosets.append(part)
+        lookups.append({m: k for k, coset in enumerate(part) for m in coset})
+        for k, coset in enumerate(part):
+            vid = f"L{n}C{k}"
+            carrier = table.lift(coset[0])
+            G.vertices[vid] = QuotientVertex(
+                id=vid,
+                level=n,
+                order=lattice.base_order(n),
+                representative=carrier.act_vertex(_standard_vertex(lattice, n)),
+                description=lattice._base_description(n),
+            )
+    for n in range(depth):
+        for coset in table.coset_partition(table.edge_image(n)):
+            m = coset[0]
+            G.edges.append(
+                QuotientEdge(
+                    f"L{n}C{lookups[n][m]}",
+                    f"L{n + 1}C{lookups[n + 1][m]}",
+                    lattice.edge_order(n),
+                )
+            )
+    G._level_cosets = level_cosets
+
+
+def _detect_rays(G: GraphOfGroups) -> None:
+    """Find the chains going to the top depth and certify their tails.
+
+    A chain is walked down from each deepest vertex while the edges are
+    one-to-one; the base then slides up until three consecutive steps
+    multiply the stabilizer order by exactly q with the edge group equal
+    to the lower vertex group (the nested index-q condition). Once those
+    three steps certify, the rest of the enumerated chain is required to
+    continue the pattern.
+    """
+    q = G.field.q
+    down_edges: dict[str, list[int]] = {}
+    up_edges: dict[str, list[int]] = {}
+    for i, e in enumerate(G.edges):
+        up_edges.setdefault(e.v_from, []).append(i)
+        down_edges.setdefault(e.v_to, []).append(i)
+    tops = sorted(
+        (v.id for v in G.vertices.values() if v.level == G.depth),
+    )
+    for top in tops:
+        chain = [top]
+        chain_edges: list[int] = []
+        cur = top
+        while True:
+            dn = down_edges.get(cur, [])
+            if len(dn) != 1:
+                break
+            edge = G.edges[dn[0]]
+            lower = edge.v_from
+            if len(up_edges.get(lower, [])) != 1:
+                chain.append(lower)
+                chain_edges.append(dn[0])
+                break
+            chain.append(lower)
+            chain_edges.append(dn[0])
+            cur = lower
+        chain.reverse()
+        chain_edges.reverse()
+        # If the walk stopped because of branching below, the branch point
+        # itself cannot be part of the tail.
+        if chain and len(up_edges.get(chain[0], [])) != 1:
+            chain = chain[1:]
+            chain_edges = chain_edges[1:]
+        if not chain:
+            continue
+
+        def step_ok(i: int) -> bool:
+            lo = G.vertices[chain[i]]
+            hi = G.vertices[chain[i + 1]]
+            e = G.edges[chain_edges[i]]
+            return hi.order == q * lo.order and e.order == lo.order
+
+        base_idx = 0
+        while base_idx + 3 <= len(chain) - 1 and not all(
+            step_ok(base_idx + j) for j in range(3)
+        ):
+            base_idx += 1
+        certified = base_idx + 3 <= len(chain) - 1 and all(
+            step_ok(base_idx + j) for j in range(3)
+        )
+        if certified:
+            for j in range(base_idx, len(chain) - 1):
+                if not step_ok(j):
+                    raise NonterminationGuard(
+                        "certified tail pattern broke inside the enumerated range"
+                    )
+            ids = chain[base_idx:]
+            eidx = chain_edges[base_idx:]
+        else:
+            ids = chain
+            eidx = chain_edges
+        G.rays.append(
+            RayTail(
+                vertex_ids=ids,
+                levels=[G.vertices[v].level for v in ids],
+                edge_indices=eidx,
+                base_level=G.vertices[ids[0]].level,
+                step_index=q,
+                certified=certified,
+            )
+        )
+
+
+# -- covolume ---------------------------------------------------------------------
+
+
+def covolume(G: GraphOfGroups) -> CovolumeResult:
+    """Exact covolume: finite edge sum plus certified geometric tails.
+
+    Every edge contributes 1/|edge group|; a certified tail contributes
+    the closed form q / (c (q - 1)) where c is the order at its first
+    edge. Raises UncertifiedTail when some ray is not certified at this
+    depth.
+    """
+    if G.contracted:
+        raise InvalidInputError("covolume is computed on the uncontracted graph")
+    q = G.field.q
+    tail_edge_set = set()
+    tails = []
+    for ray in G.rays:
+        if not ray.certified:
+            raise UncertifiedTail(
+                f"ray at {ray.vertex_ids[0]} lacks three nested index-q steps; "
+                f"increase the depth"
+            )
+        tail_edge_set.update(ray.edge_indices)
+        c = G.edges[ray.edge_indices[0]].order
+        tails.append(Fraction(q, c * (q - 1)))
+    core = sum(
+        (Fraction(1, e.order) for i, e in enumerate(G.edges) if i not in tail_edge_set),
+        Fraction(0),
+    )
+    total = core + sum(tails, Fraction(0))
+    G.covolume_total = total
+    return CovolumeResult(total=total, core_part=core, tail_parts=tails)
+
+
+def covolume_partial_with_tail(lattice: NagaoLattice, depth: int = 20) -> Fraction:
+    """Second route to the covolume: partial sums plus the exact remainder.
+
+    Sums the enumerated edge contributions of the depth-`depth` quotient
+    one by one, then adds the remainder of each certified ray computed
+    from its deepest enumerated edge (the next order up is q times the
+    last one).
+    """
+    G = quotient_graph(lattice, depth)
+    q = lattice.q
+    total = sum((Fraction(1, e.order) for e in G.edges), Fraction(0))
+    for ray in G.rays:
+        if not ray.certified:
+            raise UncertifiedTail("cannot bound the remainder of an uncertified ray")
+        last = G.edges[ray.edge_indices[-1]].order
+        # remaining edges have orders q*last, q^2*last, ...
+        total += Fraction(q, (q * last) * (q - 1))
+    return total
+
+
+# -- cusp reporting ------------------------------------------------------------------
+
+
+def _match_cusps_to_rays(G: GraphOfGroups) -> list[tuple[int, int]]:
+    lattice = G.lattice
+    cusps = lattice.cusp_representatives()
+    matches = []
+    if not isinstance(lattice, CongruenceLattice):
+        if len(cusps) == 1 and len(G.rays) == 1:
+            return [(0, 0)]
+        raise NonterminationGuard("chain quotient should have one cusp and one ray")
+    table = lattice.coset_table()
+    stable = lattice.level_degree - 1
+    for ci, cusp in enumerate(cusps):
+        carrier = cusp.conjugator.adjugate()
+        m = table.reduce(carrier)
+        hits = []
+        for ri, ray in enumerate(G.rays):
+            level = max(ray.base_level, stable, 1)
+            if level > G.depth:
+                continue
+            pos = ray.levels.index(level) if level in ray.levels else None
+            if pos is None:
+                continue
+            k = int(ray.vertex_ids[pos].split("C")[1])
+            if m in G._level_cosets[level][k]:
+                hits.append(ri)
+        if len(hits) == 1:
+            matches.append((ci, hits[0]))
+    return matches
+
+
+def cusps_report(lattice: NagaoLattice, depth: int) -> CuspsReport:
+    """Match the algebraic cusp list against the geometric ray tails."""
+    G = quotient_graph(lattice, depth)
+    cusps = lattice.cusp_representatives()
+    matches = _match_cusps_to_rays(G)
+    for ci, ri in matches:
+        G.rays[ri].cusp_index = ci
+    bijective = (
+        len(matches) == len(cusps) == len(G.rays)
+        and len({ci for ci, _ in matches}) == len(cusps)
+        and len({ri for _, ri in matches}) == len(G.rays)
+        and all(ray.certified for ray in G.rays)
+    )
+    return CuspsReport(
+        algebraic=cusps,
+        ray_count=len(G.rays),
+        matches=matches,
+        bijective=bijective,
+    )
+
+
+def growth_probe(lattice: NagaoLattice, end: End, depth: int) -> GrowthProbe:
+    """Stabilizer orders along the geodesic from the origin toward an end.
+
+    Walks k = 0..depth, recording the order and the reduced level of each
+    vertex; the entry radius is the first k from which three consecutive
+    steps multiply the order by exactly q while the reduced level climbs
+    by 1. For a truncated end the walk stops at its known depth.
+    """
+    tree = lattice.tree
+    orders: list[int] = []
+    levels: list[int] = []
+    truncated_at = None
+    x = tree.base
+    for k in range(depth + 1):
+        red = lattice.reduce_vertex(x)
+        orders.append(lattice.base_order(red.level))
+        levels.append(red.level)
+        if k == depth:
+            break
+        try:
+            x = tree.step_to_end(x, end)
+        except EndPrecisionExhausted:
+            truncated_at = k
+            break
+    entry = None
+    for k in range(len(orders) - 3):
+        if all(
+            orders[k + j + 1] == lattice.q * orders[k + j]
+            and levels[k + j + 1] == levels[k + j] + 1
+            for j in range(3)
+        ):
+            entry = k
+            break
+    return GrowthProbe(
+        orders=orders,
+        reduced_levels=levels,
+        entry_radius=entry,
+        step_index=lattice.q,
+        truncated_at=truncated_at,
+    )
+
+
+# -- horoball certification ------------------------------------------------------------
+
+
+def _horoball_members(lattice, cusp, radius_vertex, truncation):
+    tree = lattice.tree
+    return [
+        y
+        for y in tree.ball(radius_vertex, truncation)
+        if tree.horoball_contains(cusp.end, radius_vertex, y)
+    ]
+
+
+class _TransporterAlgebra:
+    """Shared closed-form machinery for transporter cosets.
+
+    For vertices y, y' with the same normal form (n, 0), the lattice
+    elements carrying y to y' form the coset w'^{-1} S w where S is the
+    stabilizer of (n, 0) and w, w' are the reduction witnesses. Whether
+    every member fixes the cusp end reduces, for n >= 1, to linear
+    conditions on three series A, B, C built from the witnesses and the
+    end conjugator.
+    """
+
+    def __init__(self, lattice: NagaoLattice, cusp: CuspData):
+        self.lattice = lattice
+        self.F = lattice.field
+        self.cusp = cusp
+        self.conj = cusp.conjugator
+        self.conj_inv = cusp.conjugator.adjugate()
+        self.congruence = isinstance(lattice, CongruenceLattice)
+        if self.congruence:
+            self.table = lattice.coset_table()
+            self.ring = self.table.ring
+            self._const_table = None
+        self._n0_members = None
+
+    def _constants(self):
+        """Residue image -> the unique constant lattice element, lazily."""
+        if self._const_table is None:
+            table = self.table
+            mapping = {}
+            for g in NagaoLattice(self.F).base_stabilizer_elements(0):
+                mapping[table.reduce(g)] = g
+            self._const_table = mapping
+        return self._const_table
+
+    def _level0_members(self):
+        if self._n0_members is None:
+            self._n0_members = list(
+                NagaoLattice(self.F).base_stabilizer_elements(0)
+            )
+        return self._n0_members
+
+    def transporter_fixes_end(self, y, red_y, yp, red_yp):
+        """(certified, counterexample gamma or None) for one vertex pair."""
+        n = red_y.level
+        P = self.conj * red_yp.witness.adjugate()
+        Q = red_y.witness * self.conj_inv
+        if n == 0:
+            return self._level0_check(y, red_y, yp, red_yp, P, Q)
+        A = P.c * Q.a
+        B = P.c * Q.c
+        C = P.d * Q.c
+        if not self.congruence:
+            return self._nagao_check(y, red_y, yp, red_yp, n, A, B, C)
+        return self._congruence_check(y, red_y, yp, red_yp, n, A, B, C)
+
+    def transporter_exists(self, red_y, red_yp):
+        """Whether the lattice carries y to y' at all (same normal form)."""
+        n = red_y.level
+        if not self.congruence:
+            return True
+        table = self.table
+        h0 = table.matmul(
+            table.reduce(red_yp.witness), table.inverse(table.reduce(red_y.witness))
+        )
+        if n == 0:
+            return h0 in self._constants()
+        return self._upper_family(h0, n) is not None
+
+    def transporter_member(self, red_y, red_yp):
+        """Some lattice element carrying y to y', if one exists."""
+        n = red_y.level
+        if not self.congruence:
+            if n == 0:
+                u = TreeAutomorphism.identity(self.F)
+            else:
+                u = _upper(self.F, self.F.one, LaurentSeries.zero(self.F))
+            return red_yp.witness.adjugate() * u * red_y.witness
+        table = self.table
+        h0 = table.matmul(
+            table.reduce(red_yp.witness), table.inverse(table.reduce(red_y.witness))
+        )
+        if n == 0:
+            u = self._constants().get(h0)
+        else:
+            family = self._upper_family(h0, n)
+            if family is None:
+                u = None
+            else:
+                alpha0, b0, _ = family
+                u = _upper(self.F, alpha0, b0)
+        if u is None:
+            return None
+        return red_yp.witness.adjugate() * u * red_y.witness
+
+    # -- internals ------------------------------------------------------------
+
+    def _finish(self, y, red_y, yp, red_yp, u):
+        gamma = red_yp.witness.adjugate() * u * red_y.witness
+        if gamma.act_vertex(y) != yp:
+            raise NonterminationGuard("transporter algebra produced a non-transporter")
+        if gamma.fixes_end(self.cusp.end):
+            raise NonterminationGuard("counterexample construction fixed the end")
+        if not self.lattice.contains(gamma):
+            raise NonterminationGuard("counterexample fell outside the lattice")
+        return False, gamma
+
+    def _level0_check(self, y, red_y, yp, red_yp, P, Q):
+        if self.congruence:
+            table = self.table
+            h0 = table.matmul(
+                table.reduce(red_yp.witness),
+                table.inverse(table.reduce(red_y.witness)),
+            )
+            u = self._constants().get(h0)
+            if u is None:
+                return True, None
+            members = [u]
+        else:
+            members = self._level0_members()
+        for u in members:
+            m21 = (P * u * Q).c
+            if m21.has_terms():
+                return self._finish(y, red_y, yp, red_yp, u)
+        return True, None
+
+    def _nagao_check(self, y, red_y, yp, red_yp, n, A, B, C):
+        F = self.F
+        one = LaurentSeries.one(F)
+        zero = LaurentSeries.zero(F)
+        if B.has_terms():
+            # entry is alpha*A + b*B + alpha^{-1}*C: linear in b, so one of
+            # b = 0, 1 must expose it
+            for b in (zero, one):
+                if (A + b * B + C).has_terms():
+                    return self._finish(y, red_y, yp, red_yp, _upper(F, F.one, b))
+            raise NonterminationGuard("linear-in-b search found no witness")
+        for alpha in F.units():
+            val = A.scale(alpha) + C.scale(alpha.inverse())
+            if val.has_terms():
+                return self._finish(y, red_y, yp, red_yp, _upper(F, alpha, zero))
+        return True, None
+
+    def _upper_family(self, h0, n):
+        """(alpha0, b0, free_degree) for coset members over the level, or None.
+
+        Members of the stabilizer of (n, 0) inside the residue coset h0
+        have the fixed diagonal alpha0 and offsets b0 + f*c with
+        deg(f*c) <= n; free_degree is the degree bound on c (-1 means b0
+        alone).
+        """
+        ring = self.ring
+        F = self.F
+        a_bar, b_bar, c_bar, d_bar = h0
+        if c_bar != ring.zero:
+            return None
+        alpha0 = None
+        for alpha in F.units():
+            if ring.reduce(LaurentSeries.exact(F, {0: alpha})) == a_bar:
+                alpha0 = alpha
+                break
+        if alpha0 is None:
+            return None
+        if ring.reduce(LaurentSeries.exact(F, {0: alpha0.inverse()})) != d_bar:
+            return None
+        b0 = ring.lift(b_bar)
+        from .polys import t_degree
+
+        if t_degree(b0) > n:
+            return None
+        free_degree = n - self.lattice.level_degree
+        return alpha0, b0, free_degree
+
+    def _congruence_check(self, y, red_y, yp, red_yp, n, A, B, C):
+        F = self.F
+        table = self.table
+        h0 = table.matmul(
+            table.reduce(red_yp.witness), table.inverse(table.reduce(red_y.witness))
+        )
+        family = self._upper_family(h0, n)
+        if family is None:
+            return True, None
+        alpha0, b0, free_degree = family
+        f = self.lattice.level
+        base = A.scale(alpha0) + b0 * B + C.scale(alpha0.inverse())
+        if base.has_terms():
+            return self._finish(y, red_y, yp, red_yp, _upper(F, alpha0, b0))
+        if free_degree >= 0 and B.has_terms():
+            # base + f*c*B with c = 1 exposes it unless f*B vanishes
+            cand = b0 + f
+            if (base + f * B).has_terms():
+                return self._finish(y, red_y, yp, red_yp, _upper(F, alpha0, cand))
+        return True, None
+
+
+def certify_independent_horoball(
+    lattice: NagaoLattice,
+    cusp: CuspData,
+    radius_vertex: Vertex,
+    truncation: int,
+):
+    """Check a truncated horoball against all lattice transporters.
+
+    Enumerates the horoball at the cusp end through `radius_vertex` out
+    to the truncation distance, and for every ordered pair of members
+    with the same normal form requires that every lattice element
+    carrying one to the other fixes the end. Returns a certificate or
+    the first explicit violating pair.
+    """
+    members = _horoball_members(lattice, cusp, radius_vertex, truncation)
+    by_level: dict[int, list] = {}
+    for y in members:
+        red = lattice.reduce_vertex(y)
+        by_level.setdefault(red.level, []).append((y, red))
+    algebra = _TransporterAlgebra(lattice, cusp)
+    pairs = 0
+    for level_group in by_level.values():
+        for y, red_y in level_group:
+            for yp, red_yp in level_group:
+                pairs += 1
+                ok, gamma = algebra.transporter_fixes_end(y, red_y, yp, red_yp)
+                if not ok:
+                    return CounterexamplePair(y=y, y_prime=yp, gamma=gamma)
+    return CertifiedIndependent(
+        cusp=cusp,
+        radius_vertex=radius_vertex,
+        truncation=truncation,
+        vertices_checked=len(members),
+        pairs_checked=pairs,
+    )
+
+
+def certify_independent_family(
+    lattice: NagaoLattice,
+    cusps: list[CuspData],
+    radius_vertices: list[Vertex],
+    truncation: int,
+):
+    """Certify each cusp's horoball and their pairwise disjointness.
+
+    On top of the per-cusp check, distinct horoballs must not meet under
+    the lattice: any member carrying a vertex of one truncated horoball
+    to a vertex of another is a violation.
+    """
+    if len(cusps) != len(radius_vertices):
+        raise InvalidInputError("one radius vertex per cusp is required")
+    singles = []
+    for cusp, x in zip(cusps, radius_vertices):
+        result = certify_independent_horoball(lattice, cusp, x, truncation)
+        if isinstance(result, CounterexamplePair):
+            return result
+        singles.append(result)
+    cross = 0
+    balls = []
+    for cusp, x in zip(cusps, radius_vertices):
+        balls.append(
+            [
+                (y, lattice.reduce_vertex(y))
+                for y in _horoball_members(lattice, cusp, x, truncation)
+            ]
+        )
+    for i in range(len(cusps)):
+        algebra = _TransporterAlgebra(lattice, cusps[i])
+        for j in range(len(cusps)):
+            if i == j:
+                continue
+            for y, red_y in balls[i]:
+                for yp, red_yp in balls[j]:
+                    if red_y.level != red_yp.level:
+                        continue
+                    cross += 1
+                    if algebra.transporter_exists(red_y, red_yp):
+                        gamma = algebra.transporter_member(red_y, red_yp)
+                        if gamma is None:
+                            raise NonterminationGuard(
+                                "existence and construction disagreed"
+                            )
+                        if gamma.act_vertex(y) != yp:
+                            raise NonterminationGuard(
+                                "cross transporter failed to check"
+                            )
+                        return CounterexamplePair(y=y, y_prime=yp, gamma=gamma)
+    return FamilyCertificate(singles=singles, cross_pairs_checked=cross)
+
+
+# -- contraction and the free product ---------------------------------------------------
+
+
+def contract(G: GraphOfGroups, bases: dict[int, int] | None = None) -> GraphOfGroups:
+    """Collapse certified ray tails into symbolic cusp vertices.
+
+    `bases` maps ray indices to the level at which each tail is cut; by
+    default every certified ray is cut at its base. The tail must sit at
+    or beyond the certified base (and, for the result to be a faithful
+    picture, at or beyond a certified independent horoball boundary).
+    Contracting nothing returns an identical copy.
+    """
+    matches = dict()
+    try:
+        for ci, ri in _match_cusps_to_rays(G):
+            matches[ri] = ci
+    except NonterminationGuard:
+        pass
+    cusps = G.lattice.cusp_representatives()
+    chosen: dict[int, int] = {}
+    if bases is None:
+        for i, ray in enumerate(G.rays):
+            if ray.certified:
+                chosen[i] = ray.base_level
+    else:
+        for i, cut in bases.items():
+            ray = G.rays[i]
+            if not ray.certified:
+                raise UncertifiedTail("cannot contract an uncertified ray")
+            if cut < ray.base_level or cut >= G.depth:
+                raise InvalidInputError(
+                    f"cut level {cut} outside the certified tail "
+                    f"[{ray.base_level}, {G.depth - 1}]"
+                )
+            chosen[i] = cut
+    out = GraphOfGroups(G.lattice, G.depth)
+    out.contracted = True
+    out.covolume_total = G.covolume_total
+    ray_of: dict[str, int] = {}  # absorbed vertex -> its ray
+    for i, cut in chosen.items():
+        ray = G.rays[i]
+        pos = ray.levels.index(cut)
+        for vid in ray.vertex_ids[pos:]:
+            ray_of[vid] = i
+    for vid, v in G.vertices.items():
+        if vid not in ray_of:
+            out.vertices[vid] = QuotientVertex(
+                id=v.id,
+                level=v.level,
+                order=v.order,
+                representative=v.representative,
+                description=v.description,
+            )
+    for i, cut in sorted(chosen.items()):
+        cusp_id = f"cusp{i}"
+        group = SymbolicCuspGroup(
+            parameter_multiple=G.lattice.unipotent_parameter_multiple(),
+            stabilizer_index=G.lattice.cusp_stabilizer_index(),
+        )
+        out.vertices[cusp_id] = QuotientVertex(
+            id=cusp_id,
+            level=cut,
+            order=None,
+            representative=None,
+            description=str(group),
+            is_cusp=True,
+            cusp=cusps[matches[i]] if i in matches else None,
+        )
+    # every edge crossing into an absorbed tail is rerouted to its cusp;
+    # edges inside a tail disappear with it
+    for e in G.edges:
+        fa = e.v_from in ray_of
+        ta = e.v_to in ray_of
+        if fa and ta:
+            continue
+        if not fa and not ta:
+            out.edges.append(QuotientEdge(e.v_from, e.v_to, e.order))
+        elif ta:
+            out.edges.append(QuotientEdge(e.v_from, f"cusp{ray_of[e.v_to]}", e.order))
+        else:
+            out.edges.append(QuotientEdge(e.v_to, f"cusp{ray_of[e.v_from]}", e.order))
+    # rays that were not contracted survive
+    for i, ray in enumerate(G.rays):
+        if i not in chosen:
+            out.rays.append(ray)
+    return out
+
+
+def free_product_report(G: GraphOfGroups) -> FreeProductReport:
+    """Whether the contracted graph exhibits a free product of cusp groups.
+
+    Applicable exactly when every finite vertex group and every edge
+    group is trivial; then the fundamental group is the free product of
+    the cusp factors with a free group of rank |E| - |V| + 1.
+    """
+    cusp_count = sum(1 for v in G.vertices.values() if v.is_cusp)
+    blockers = []
+    for v in sorted(G.vertices.values(), key=lambda v: v.id):
+        if not v.is_cusp and v.order != 1:
+            blockers.append(f"vertex {v.id} has order {v.order}")
+    for e in G.edges:
+        if e.order != 1:
+            blockers.append(f"edge {e.v_from}--{e.v_to} has order {e.order}")
+    applicable = not blockers
+    rank = len(G.edges) - len(G.vertices) + 1
+    reason = (
+        "all finite vertex and edge groups are trivial"
+        if applicable
+        else "; ".join(blockers[:4])
+    )
+    return FreeProductReport(
+        applicable=applicable,
+        cusp_factor_count=cusp_count,
+        free_rank=rank,
+        reason=reason,
+    )

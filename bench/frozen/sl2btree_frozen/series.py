@@ -1,0 +1,346 @@
+"""Laurent series over F_q in the uniformizer pi, with explicit precision.
+
+A series is a finite dict {degree: nonzero coefficient} plus a precision
+mark: either exact (the dict is the whole series) or "known modulo pi^N"
+(every coefficient of degree < N is stored, nothing is known from degree N
+on). All arithmetic tracks how far the result is determined by the inputs
+and never invents coefficients:
+
+* adding two series known mod pi^M and pi^N yields a series known mod
+  min(M, N);
+* multiplying by a series of valuation >= v shifts the reliable window by v,
+  so the product of (a mod pi^M) with b is known mod M + v(b) at best;
+* asking for a coefficient at or beyond the precision raises
+  InsufficientPrecision rather than returning a guessed zero;
+* a term-free inexact series ("0 mod pi^N") has no determined valuation --
+  the true valuation is only bounded below by N -- so valuation() raises
+  IndeterminateValuation for it. The exact zero series has valuation
+  INFINITY.
+
+Inversion is the one operation that introduces genuinely infinite tails: it
+takes an explicit term budget and returns a series known to exactly that
+many coefficients (exact only when the input is a monomial, whose inverse
+terminates).
+
+Negative degrees are first-class: the coordinate t = pi^{-1} gives the
+polynomial ring F_q[t] inside F_q((pi)) as the exact series supported in
+degrees <= 0.
+"""
+
+from __future__ import annotations
+
+from .errors import IndeterminateValuation, InsufficientPrecision, InvalidInputError
+from .field import Field, FieldElement
+
+
+class _InfinityType:
+    """Positive infinity for valuations and precisions (no floats anywhere)."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __gt__(self, other):
+        return other is not self
+
+    def __ge__(self, other):
+        return True
+
+    def __lt__(self, other):
+        return False
+
+    def __le__(self, other):
+        return other is self
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        raise ArithmeticError("negative infinity is never needed here")
+
+    def __repr__(self):
+        return "INFINITY"
+
+
+INFINITY = _InfinityType()
+
+
+class LaurentSeries:
+    """Element of F_q((pi)), exact or known modulo pi^prec."""
+
+    __slots__ = ("field", "coeffs", "prec", "_hash")
+
+    def __init__(self, field: Field, coeffs: dict[int, FieldElement], prec=INFINITY):
+        clean = {}
+        for deg, c in coeffs.items():
+            if not isinstance(c, FieldElement) or c.field is not field:
+                raise InvalidInputError("coefficient from the wrong field")
+            if c and (prec is INFINITY or deg < prec):
+                clean[deg] = c
+        self.field = field
+        self.coeffs = clean
+        self.prec = prec
+        self._hash = None
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def exact(cls, field: Field, coeffs: dict[int, object]) -> "LaurentSeries":
+        return cls(field, {d: field.element(c) for d, c in coeffs.items()})
+
+    @classmethod
+    def inexact(cls, field: Field, coeffs: dict[int, object], prec: int) -> "LaurentSeries":
+        return cls(field, {d: field.element(c) for d, c in coeffs.items()}, prec)
+
+    @classmethod
+    def monomial(cls, field: Field, coeff, degree: int) -> "LaurentSeries":
+        return cls(field, {degree: field.element(coeff)})
+
+    @classmethod
+    def zero(cls, field: Field) -> "LaurentSeries":
+        return cls(field, {})
+
+    @classmethod
+    def one(cls, field: Field) -> "LaurentSeries":
+        return cls(field, {0: field.one})
+
+    @classmethod
+    def pi_power(cls, field: Field, k: int) -> "LaurentSeries":
+        return cls(field, {k: field.one})
+
+    # -- structure queries -------------------------------------------------
+
+    def is_exact(self) -> bool:
+        return self.prec is INFINITY
+
+    def is_exact_zero(self) -> bool:
+        return self.prec is INFINITY and not self.coeffs
+
+    def has_terms(self) -> bool:
+        return bool(self.coeffs)
+
+    def __bool__(self):
+        raise TypeError(
+            "truth value of a Laurent series is ambiguous under truncation; "
+            "use is_exact_zero() or has_terms()"
+        )
+
+    def valuation(self):
+        """pi-adic valuation; INFINITY for exact zero.
+
+        For an inexact series with no visible terms the valuation is not a
+        number the known coefficients determine, so this raises.
+        """
+        if self.coeffs:
+            return min(self.coeffs)
+        if self.prec is INFINITY:
+            return INFINITY
+        raise IndeterminateValuation(
+            f"series vanishes mod pi^{self.prec}; valuation only bounded below"
+        )
+
+    def valuation_lower_bound(self):
+        """A degree v with series = 0 below v: valuation if visible, else prec."""
+        if self.coeffs:
+            return min(self.coeffs)
+        return self.prec  # INFINITY for exact zero
+
+    def coefficient(self, degree: int) -> FieldElement:
+        if self.prec is not INFINITY and degree >= self.prec:
+            raise InsufficientPrecision(
+                f"coefficient at degree {degree} of a series known mod pi^{self.prec}",
+                needed=degree + 1,
+            )
+        return self.coeffs.get(degree, self.field.zero)
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def _same_field(self, other: "LaurentSeries") -> None:
+        if not isinstance(other, LaurentSeries) or other.field is not self.field:
+            raise InvalidInputError("series over different fields")
+
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        self._same_field(other)
+        prec = min(self.prec, other.prec)
+        out = dict(self.coeffs)
+        for d, c in other.coeffs.items():
+            s = out.get(d, self.field.zero) + c
+            if s:
+                out[d] = s
+            else:
+                out.pop(d, None)
+        return LaurentSeries(self.field, out, prec)
+
+    def __neg__(self) -> "LaurentSeries":
+        return LaurentSeries(self.field, {d: -c for d, c in self.coeffs.items()}, self.prec)
+
+    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self + (-other)
+
+    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        self._same_field(other)
+        if self.is_exact_zero() or other.is_exact_zero():
+            return LaurentSeries.zero(self.field)
+        prec = INFINITY
+        if self.prec is not INFINITY:
+            prec = min(prec, self.prec + other.valuation_lower_bound())
+        if other.prec is not INFINITY:
+            prec = min(prec, other.prec + self.valuation_lower_bound())
+        out: dict[int, FieldElement] = {}
+        for d1, c1 in self.coeffs.items():
+            for d2, c2 in other.coeffs.items():
+                d = d1 + d2
+                if prec is not INFINITY and d >= prec:
+                    continue
+                p = c1 * c2
+                s = out.get(d, self.field.zero) + p
+                if s:
+                    out[d] = s
+                else:
+                    out.pop(d, None)
+        return LaurentSeries(self.field, out, prec)
+
+    def scale(self, coeff) -> "LaurentSeries":
+        """Multiply by a field element (exact scalar)."""
+        c = self.field.element(coeff)
+        if not c:
+            return LaurentSeries.zero(self.field)
+        return LaurentSeries(self.field, {d: a * c for d, a in self.coeffs.items()}, self.prec)
+
+    def shift(self, k: int) -> "LaurentSeries":
+        """Multiply by pi^k (degree shift)."""
+        prec = self.prec if self.prec is INFINITY else self.prec + k
+        return LaurentSeries(self.field, {d + k: c for d, c in self.coeffs.items()}, prec)
+
+    def truncate(self, n: int) -> "LaurentSeries":
+        """The exact series of the terms of degree < n.
+
+        Requires every coefficient below n to be determined, i.e. prec >= n.
+        """
+        if self.prec is not INFINITY and self.prec < n:
+            raise InsufficientPrecision(
+                f"truncation at pi^{n} of a series known only mod pi^{self.prec}",
+                needed=n,
+            )
+        return LaurentSeries(self.field, {d: c for d, c in self.coeffs.items() if d < n})
+
+    def reduce_precision(self, n: int) -> "LaurentSeries":
+        """The same series viewed only modulo pi^n (precision can only drop)."""
+        if self.prec is not INFINITY and self.prec < n:
+            raise InsufficientPrecision(
+                f"cannot view mod pi^{n} a series known only mod pi^{self.prec}",
+                needed=n,
+            )
+        return LaurentSeries(self.field, self.coeffs, n)
+
+    def agrees_mod(self, other: "LaurentSeries", n: int) -> bool:
+        """Whether the two series have identical coefficients below degree n."""
+        return self.truncate(n).coeffs == other.truncate(n).coeffs
+
+    def inverse(self, terms: int) -> "LaurentSeries":
+        """Multiplicative inverse, determined to `terms` coefficients.
+
+        The input must have a visible leading term (valuation v) and be known
+        at least mod pi^{v+terms}; the result is then correct mod
+        pi^{terms-v}. A monomial inverts exactly.
+        """
+        if terms < 1:
+            raise InvalidInputError("term budget must be positive")
+        if not self.coeffs:
+            if self.prec is INFINITY:
+                raise ZeroDivisionError("inverse of the zero series")
+            raise IndeterminateValuation(
+                f"cannot invert a series that vanishes mod pi^{self.prec}"
+            )
+        v = min(self.coeffs)
+        if self.prec is not INFINITY and self.prec < v + terms:
+            raise InsufficientPrecision(
+                f"inverse to {terms} terms needs the input mod pi^{v + terms}, "
+                f"have mod pi^{self.prec}",
+                needed=v + terms,
+            )
+        if len(self.coeffs) == 1 and self.prec is INFINITY:
+            c = self.coeffs[v]
+            return LaurentSeries(self.field, {-v: c.inverse()})
+        # Unit part u = pi^{-v} * self; invert by the convolution recurrence.
+        u = {d - v: c for d, c in self.coeffs.items() if d - v < terms}
+        inv0 = u[0].inverse()
+        b: dict[int, FieldElement] = {0: inv0}
+        for k in range(1, terms):
+            acc = self.field.zero
+            for j, uj in u.items():
+                if 1 <= j <= k and (k - j) in b:
+                    acc = acc + uj * b[k - j]
+            ck = -(inv0 * acc)
+            if ck:
+                b[k] = ck
+        return LaurentSeries(self.field, {d - v: c for d, c in b.items()}, terms - v)
+
+    # -- comparison / hashing ------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, LaurentSeries)
+            and self.field is other.field
+            and self.prec == other.prec
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            key = (id(self.field), self.prec if self.prec is INFINITY else int(self.prec))
+            self._hash = hash((key, tuple(sorted((d, c.coeffs) for d, c in self.coeffs.items()))))
+        return self._hash
+
+    # -- printing ------------------------------------------------------------
+
+    def _term_str(self, degree: int, coeff: FieldElement) -> str:
+        if degree == 0:
+            var = ""
+        elif degree < 0:
+            var = "t" if degree == -1 else f"t^{-degree}"
+        else:
+            var = "p" if degree == 1 else f"p^{degree}"
+        if self.field.e == 1:
+            c = coeff.coeffs[0]
+            if not var:
+                return str(c)
+            return var if c == 1 else f"{c}*{var}"
+        cs = _element_str(coeff)
+        if not var:
+            return f"[{cs}]" if len(coeff.coeffs) > 1 and any(coeff.coeffs[1:]) else cs
+        if coeff == self.field.one:
+            return var
+        return f"[{cs}]*{var}"
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            body = "0"
+        else:
+            body = "+".join(self._term_str(d, self.coeffs[d]) for d in sorted(self.coeffs))
+        if self.prec is INFINITY:
+            return body
+        return f"{body} mod p^{self.prec}"
+
+    def __repr__(self) -> str:
+        return f"LaurentSeries({self})"
+
+
+def _element_str(c: FieldElement) -> str:
+    """Polynomial-in-x notation for an extension-field coefficient."""
+    terms = []
+    for i, a in enumerate(c.coeffs):
+        if not a:
+            continue
+        if i == 0:
+            terms.append(str(a))
+        elif i == 1:
+            terms.append("x" if a == 1 else f"{a}*x")
+        else:
+            terms.append(f"x^{i}" if a == 1 else f"{a}*x^{i}")
+    return "+".join(terms) if terms else "0"

@@ -1,0 +1,421 @@
+"""The (q+1)-regular tree of lattice classes over F_q((pi)), exactly.
+
+Vertices are pairs (level n, residue a) with a an exact series taken modulo
+pi^n; the vertex one level up forgets the top residue digit, and the q
+children refine it. Level is unbounded in both directions, so the tree is
+homogeneous of degree q+1.
+
+Boundary ends come in three flavours:
+
+* the single "up" end reached by passing to coarser and coarser residues;
+* rational ends, stored as a projective pair (x, y) of coprime polynomials
+  in t = pi^{-1} with boundary coordinate w = y/x (the zero end w = 0 is
+  (1, 0));
+* truncated ends, a branch specified by w modulo pi^N only. Any geometry
+  that would need digits of w beyond N raises EndPrecisionExhausted instead
+  of guessing.
+
+On top of the vertex combinatorics this module provides distances, geodesic
+paths, balls and spheres, the step-toward-an-end map, two-ended lines,
+Busemann relative position, and the horoellipse/horoball/horosphere
+membership tests. Everything is decided by exact arithmetic on the stored
+coefficients; nothing is sampled or approximated.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import (
+    EndPrecisionExhausted,
+    EqualEndsError,
+    InvalidInputError,
+)
+from .field import Field
+from .polys import gcd_t, divmod_t, t_coeffs
+from .series import INFINITY, LaurentSeries
+
+
+@dataclass(frozen=True)
+class Vertex:
+    """Lattice class at depth `level` with residue a mod pi^level."""
+
+    level: int
+    residue: LaurentSeries
+
+    def __str__(self) -> str:
+        return f"({self.level}; {self.residue})"
+
+
+class End:
+    """Common base for boundary ends; see the module docstring."""
+
+    field: Field
+
+    def coordinate_mod(self, n: int) -> LaurentSeries:
+        raise NotImplementedError
+
+    def known_depth(self):
+        """Horizon up to which the boundary coordinate is determined."""
+        return INFINITY
+
+
+class UpEnd(End):
+    """The unique end in the direction of coarser lattices (w = infinity)."""
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, UpEnd) and other.field is self.field
+
+    def __hash__(self) -> int:
+        return hash(("up", id(self.field)))
+
+    def coordinate_mod(self, n: int) -> LaurentSeries:
+        raise InvalidInputError("the up end has no finite boundary coordinate")
+
+    def __str__(self) -> str:
+        return "up"
+
+
+class RationalEnd(End):
+    """End with coordinate w = y/x for coprime polynomials x, y in t.
+
+    The pair is normalized (coprime, first nonzero entry monic) so equality
+    and hashing are structural. x must be nonzero; w = infinity is UpEnd.
+    """
+
+    def __init__(self, field: Field, x: LaurentSeries, y: LaurentSeries):
+        if not (x.is_exact() and y.is_exact()):
+            raise InvalidInputError("rational ends need exact coordinates")
+        if x.is_exact_zero() and y.is_exact_zero():
+            raise InvalidInputError("(0, 0) is not a projective point")
+        if x.is_exact_zero():
+            raise InvalidInputError("w = infinity is the up end, not a rational end")
+        shift = 0
+        for s in (x, y):
+            if s.coeffs:
+                shift = max(shift, max(s.coeffs))
+        x, y = x.shift(-shift), y.shift(-shift)
+        if y.has_terms():
+            g = gcd_t(x, y)
+            x, _ = divmod_t(x, g)
+            y, _ = divmod_t(y, g)
+        else:
+            x = LaurentSeries.one(field)
+        lead = t_coeffs(x)[-1]
+        inv = lead.inverse()
+        self.field = field
+        self.x = x.scale(inv)
+        self.y = y.scale(inv)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RationalEnd)
+            and other.field is self.field
+            and other.x == self.x
+            and other.y == self.y
+        )
+
+    def __hash__(self) -> int:
+        return hash(("rat", self.x, self.y))
+
+    def valuation(self):
+        """v(w); INFINITY for the zero end."""
+        return self.y.valuation() - self.x.valuation() if self.y.has_terms() else INFINITY
+
+    def coordinate_mod(self, n: int) -> LaurentSeries:
+        if not self.y.has_terms():
+            return LaurentSeries.zero(self.field)
+        v = self.y.valuation() - self.x.valuation()
+        if v >= n:
+            return LaurentSeries.zero(self.field)
+        terms = n - self.y.valuation() + self.x.valuation()
+        return (self.y * self.x.inverse(terms)).truncate(n)
+
+    def __str__(self) -> str:
+        # numerator first: this is the end with coordinate w = y/x
+        return f"rat({self.y}, {self.x})"
+
+
+class TruncatedEnd(End):
+    """A branch of ends: the boundary coordinate known modulo pi^N only."""
+
+    def __init__(self, field: Field, coordinate: LaurentSeries):
+        if coordinate.prec is INFINITY:
+            raise InvalidInputError(
+                "a truncated end needs a finite-precision coordinate; "
+                "exact coordinates define a rational end"
+            )
+        self.field = field
+        self.coordinate = coordinate
+
+    @property
+    def horizon(self) -> int:
+        return self.coordinate.prec
+
+    def known_depth(self):
+        return self.coordinate.prec
+
+    def coordinate_mod(self, n: int) -> LaurentSeries:
+        if n > self.coordinate.prec:
+            raise EndPrecisionExhausted(
+                f"end known mod pi^{self.coordinate.prec}, digit at pi^{n - 1} requested"
+            )
+        return self.coordinate.truncate(n)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TruncatedEnd)
+            and other.field is self.field
+            and other.coordinate == self.coordinate
+        )
+
+    def __hash__(self) -> int:
+        return hash(("trunc", self.coordinate))
+
+    def __str__(self) -> str:
+        return f"trunc({self.coordinate.truncate(self.coordinate.prec)}, {self.coordinate.prec})"
+
+
+def end_from_vector(field: Field, x: LaurentSeries, y: LaurentSeries) -> End:
+    """The end of the projective vector (x, y), w = y/x; UpEnd when x = 0."""
+    if x.is_exact_zero():
+        return UpEnd(field)
+    return RationalEnd(field, x, y)
+
+
+def end_difference_valuation(e1: End, e2: End) -> int:
+    """v(w1 - w2) for two non-up ends.
+
+    Raises EqualEndsError when the ends provably coincide and
+    EndPrecisionExhausted when they agree up to every digit both know.
+    """
+    if isinstance(e1, UpEnd) or isinstance(e2, UpEnd):
+        raise InvalidInputError("difference valuation needs two finite-coordinate ends")
+    if isinstance(e1, RationalEnd) and isinstance(e2, RationalEnd):
+        cross = e1.y * e2.x - e2.y * e1.x
+        if cross.is_exact_zero():
+            raise EqualEndsError("the two rational ends coincide")
+        return cross.valuation() - e1.x.valuation() - e2.x.valuation()
+    m = min(e1.known_depth(), e2.known_depth())
+    diff = e1.coordinate_mod(m) - e2.coordinate_mod(m)
+    if diff.has_terms():
+        return diff.valuation()
+    raise EndPrecisionExhausted(
+        f"ends agree modulo pi^{m}, the shared horizon; cannot separate them"
+    )
+
+
+class Line:
+    """The two-ended geodesic between distinct ends.
+
+    ``at(i)`` walks toward the second end as i grows; ``at(0)`` is the apex,
+    the vertex of minimal level (in the up-end case, the level-0 vertex).
+    """
+
+    def __init__(self, tree: "Tree", end_neg: End, end_pos: End):
+        if isinstance(end_neg, UpEnd) and isinstance(end_pos, UpEnd):
+            raise EqualEndsError("both ends are the up end")
+        self.tree = tree
+        self.end_neg = end_neg
+        self.end_pos = end_pos
+        if isinstance(end_neg, UpEnd) or isinstance(end_pos, UpEnd):
+            self.apex_level = 0
+        else:
+            self.apex_level = end_difference_valuation(end_neg, end_pos)
+
+    def at(self, i: int) -> Vertex:
+        if isinstance(self.end_neg, UpEnd):
+            n = i
+            return self.tree.vertex(n, self.end_pos.coordinate_mod(n))
+        if isinstance(self.end_pos, UpEnd):
+            n = -i
+            return self.tree.vertex(n, self.end_neg.coordinate_mod(n))
+        n = self.apex_level + abs(i)
+        side = self.end_pos if i >= 0 else self.end_neg
+        return self.tree.vertex(n, side.coordinate_mod(n))
+
+    def apex(self) -> Vertex:
+        return self.at(0)
+
+
+class Tree:
+    """The Bruhat-Tits tree over F_q((pi)); all geometry routes through here."""
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.q = field.q
+        self.base = Vertex(0, LaurentSeries.zero(field))
+
+    # -- vertex bookkeeping --------------------------------------------------
+
+    def vertex(self, level: int, residue: LaurentSeries) -> Vertex:
+        """Canonical vertex: the residue is truncated to degrees < level."""
+        if residue.field is not self.field:
+            raise InvalidInputError("residue over the wrong field")
+        return Vertex(level, residue.truncate(level))
+
+    def end_up(self) -> UpEnd:
+        return UpEnd(self.field)
+
+    def end_zero(self) -> RationalEnd:
+        """The end with boundary coordinate w = 0."""
+        return RationalEnd(self.field, LaurentSeries.one(self.field), LaurentSeries.zero(self.field))
+
+    def parent(self, v: Vertex) -> Vertex:
+        return Vertex(v.level - 1, v.residue.truncate(v.level - 1))
+
+    def children(self, v: Vertex) -> list[Vertex]:
+        pi_n = LaurentSeries.pi_power(self.field, v.level)
+        return [Vertex(v.level + 1, v.residue + pi_n.scale(c)) for c in self.field.elements()]
+
+    def neighbors(self, v: Vertex) -> list[Vertex]:
+        return [self.parent(v)] + self.children(v)
+
+    def is_descendant(self, y: Vertex, x: Vertex) -> bool:
+        """Whether y lies in the subtree hanging below x (y = x counts)."""
+        return y.level >= x.level and y.residue.truncate(x.level) == x.residue
+
+    # -- metric ---------------------------------------------------------------
+
+    def meeting_level(self, x: Vertex, y: Vertex) -> int:
+        """Level of the highest common ancestor."""
+        w = min(x.level, y.level)
+        diff = x.residue - y.residue
+        if diff.has_terms():
+            w = min(w, diff.valuation())
+        return w
+
+    def distance(self, x: Vertex, y: Vertex) -> int:
+        w = self.meeting_level(x, y)
+        return (x.level - w) + (y.level - w)
+
+    def path(self, x: Vertex, y: Vertex) -> list[Vertex]:
+        """The geodesic from x to y, inclusive."""
+        w = self.meeting_level(x, y)
+        up = [Vertex(n, x.residue.truncate(n)) for n in range(x.level, w - 1, -1)]
+        down = [Vertex(n, y.residue.truncate(n)) for n in range(w + 1, y.level + 1)]
+        return up + down
+
+    def midpoint(self, x: Vertex, y: Vertex) -> Vertex:
+        d = self.distance(x, y)
+        if d % 2:
+            raise InvalidInputError("midpoint of an odd-length geodesic is an edge")
+        return self.path(x, y)[d // 2]
+
+    def ball(self, x: Vertex, radius: int) -> list[Vertex]:
+        """All vertices within the given distance, BFS order."""
+        seen = {x}
+        out = [x]
+        frontier = [x]
+        for _ in range(radius):
+            nxt = []
+            for v in frontier:
+                for u in self.neighbors(v):
+                    if u not in seen:
+                        seen.add(u)
+                        out.append(u)
+                        nxt.append(u)
+            frontier = nxt
+        return out
+
+    def sphere(self, x: Vertex, radius: int) -> list[Vertex]:
+        """All vertices at distance exactly `radius`."""
+        if radius == 0:
+            return [x]
+        seen = {x}
+        frontier = [x]
+        for _ in range(radius):
+            nxt = []
+            for v in frontier:
+                for u in self.neighbors(v):
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            frontier = nxt
+        return frontier
+
+    # -- ends and rays ---------------------------------------------------------
+
+    def step_to_end(self, x: Vertex, end: End) -> Vertex:
+        """The neighbor of x one step along the geodesic toward the end."""
+        if isinstance(end, UpEnd):
+            return self.parent(x)
+        n = x.level
+        limit = end.known_depth()
+        if limit < n:
+            visible = end.coordinate_mod(limit)
+            if visible != x.residue.truncate(limit):
+                return self.parent(x)
+            raise EndPrecisionExhausted(
+                f"end known mod pi^{limit} cannot steer below a level-{n} vertex "
+                f"it agrees with"
+            )
+        if end.coordinate_mod(n) != x.residue:
+            return self.parent(x)
+        return self.vertex(n + 1, end.coordinate_mod(n + 1))
+
+    def walk_to_end(self, x: Vertex, end: End, steps: int) -> Vertex:
+        for _ in range(steps):
+            x = self.step_to_end(x, end)
+        return x
+
+    def ray(self, x: Vertex, end: End, steps: int) -> list[Vertex]:
+        """x and its first `steps` successors toward the end."""
+        out = [x]
+        for _ in range(steps):
+            out.append(self.step_to_end(out[-1], end))
+        return out
+
+    def line(self, end_neg: End, end_pos: End) -> Line:
+        return Line(self, end_neg, end_pos)
+
+    # -- relative position and horoellipses -------------------------------------
+
+    def busemann(self, x: Vertex, y: Vertex, end: End) -> int:
+        """Signed overlap of [x, end) with the position of y.
+
+        Equals d(x, y) when y lies on the ray from x to the end, is negated
+        when the ray to y points away, and interpolates additively: moving y
+        one step toward the end raises the value by one. Vanishes exactly on
+        the horosphere through x.
+        """
+        k = self.distance(x, y)
+        z = self.walk_to_end(x, end, k)
+        return k - self.distance(y, z)
+
+    def horoellipse_contains(
+        self, end: End, x: Vertex, lam: Fraction, y: Vertex
+    ) -> bool:
+        """Membership in the eccentricity-lam horoellipse through x toward the end.
+
+        lam = 0 gives the ray [x, end), lam = 1 the full horoball; between the
+        two, y is admitted when its drift off the ray is at most lam times its
+        progress along it.
+        """
+        lam = Fraction(lam)
+        if not 0 <= lam <= 1:
+            raise InvalidInputError("horoellipse eccentricity must lie in [0, 1]")
+        b = self.busemann(x, y, end)
+        d = self.distance(x, y)
+        return lam.denominator * (d - b) <= lam.numerator * (d + b)
+
+    def horoball_contains(self, end: End, x: Vertex, y: Vertex) -> bool:
+        return self.busemann(x, y, end) >= 0
+
+    def horosphere_contains(self, end: End, x: Vertex, y: Vertex) -> bool:
+        return self.busemann(x, y, end) == 0
+
+    def horoellipse_vertices(
+        self, end: End, x: Vertex, lam: Fraction, depth: int
+    ) -> list[Vertex]:
+        """Members of the horoellipse within distance `depth` of x (BFS order)."""
+        return [
+            y for y in self.ball(x, depth) if self.horoellipse_contains(end, x, lam, y)
+        ]
+
+    def horosphere_vertices(self, end: End, x: Vertex, depth: int) -> list[Vertex]:
+        return [y for y in self.ball(x, depth) if self.horosphere_contains(end, x, y)]

@@ -1,0 +1,470 @@
+"""Seeded self-verification suites.
+
+Each suite samples structured random data (vertices, ends, matrices) and
+checks an identity that the rest of the package relies on: the Busemann
+cocycle relation, equivariance of horospheres, additivity of the drift
+homomorphism, simple transitivity of the shear group on ends and on
+horospheres, compatibility of the vertex and boundary actions, and the
+agreement of closed-form distances with breadth-first search. A failure
+reports the offending sample; sampling is deterministic in the seed.
+"""
+
+import random
+from dataclasses import dataclass
+
+from .autom import TreeAutomorphism, drift_along_end
+from .errors import EqualEndsError, Sl2BTreeError
+from .series import LaurentSeries
+from .tree import Tree, TruncatedEnd, UpEnd, end_difference_valuation, end_from_vector
+
+
+@dataclass
+class SuiteResult:
+    name: str
+    checks: int
+    failures: list[str]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def __str__(self) -> str:
+        state = "ok" if self.passed else f"FAILED ({len(self.failures)})"
+        return f"{self.name}: {self.checks} checks, {state}"
+
+
+# -- samplers -------------------------------------------------------------------------
+
+
+def _rand_element(rng, F):
+    return rng.choice(list(F.elements()))
+
+
+def _rand_unit(rng, F):
+    return rng.choice(list(F.units()))
+
+
+def _rand_poly(rng, F, max_deg, nonzero=False):
+    """A random polynomial in t, i.e. an exact series in degrees <= 0."""
+    while True:
+        deg = rng.randrange(-1, max_deg + 1)
+        if deg < 0:
+            s = LaurentSeries.zero(F)
+        else:
+            coeffs = {-i: _rand_element(rng, F) for i in range(deg)}
+            coeffs[-deg] = _rand_unit(rng, F)
+            s = LaurentSeries.exact(F, coeffs)
+        if not nonzero or s.has_terms():
+            return s
+
+
+def _rand_vertex(rng, F, tree, lo=-3, hi=4):
+    n = rng.randrange(lo, hi + 1)
+    coeffs = {}
+    for d in range(max(n - 4, -4), n):
+        if rng.random() < 0.6:
+            coeffs[d] = _rand_element(rng, F)
+    return tree.vertex(n, LaurentSeries.exact(F, coeffs))
+
+
+def _rand_rational_end(rng, F, coordinates=False):
+    """A random exact boundary end; with `coordinates`, one with both
+    vector entries nonzero (so neither the zero end nor the one above)."""
+    while True:
+        x = _rand_poly(rng, F, 3)
+        y = _rand_poly(rng, F, 3)
+        if not (x.has_terms() or y.has_terms()):
+            continue
+        if coordinates and not (x.has_terms() and y.has_terms()):
+            continue
+        return end_from_vector(F, x, y)
+
+
+def _rand_truncated_end(rng, F, precision=14):
+    coeffs = {}
+    for d in range(1, precision):
+        if rng.random() < 0.5:
+            coeffs[d] = _rand_element(rng, F)
+    body = LaurentSeries.exact(F, coeffs)
+    return TruncatedEnd(F, body.truncate(precision).reduce_precision(precision))
+
+
+def _upper_shear(F, b):
+    one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
+    return TreeAutomorphism(F, one, b, zero, one)
+
+
+def _lower_shear(F, c):
+    one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
+    return TreeAutomorphism(F, one, zero, c, one)
+
+
+def _rand_lattice_element(rng, F):
+    g = TreeAutomorphism.identity(F)
+    for _ in range(rng.randrange(2, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            g = g * _upper_shear(F, _rand_poly(rng, F, 2))
+        elif kind == 1:
+            g = g * _lower_shear(F, _rand_poly(rng, F, 2))
+        else:
+            g = g * TreeAutomorphism.half_turn(F)
+    return g
+
+
+def _rand_automorphism(rng, F):
+    """A random invertible matrix, sometimes non-type-preserving."""
+    g = _rand_lattice_element(rng, F)
+    k = rng.randrange(-1, 2)
+    if k:
+        g = g * TreeAutomorphism.diagonal(
+            F, LaurentSeries.pi_power(F, -k), LaurentSeries.pi_power(F, k)
+        )
+    if rng.random() < 0.25:
+        g = g * TreeAutomorphism.standard_step(F)
+    return g
+
+
+# -- suites ---------------------------------------------------------------------------
+
+
+def _suite_busemann_cocycle(F, rng):
+    tree = Tree(F)
+    checks, fails = 0, []
+    ends = [tree.end_zero(), tree.end_up()]
+    ends += [_rand_rational_end(rng, F) for _ in range(3)]
+    ends.append(_rand_truncated_end(rng, F, precision=16))
+    for end in ends:
+        for _ in range(6):
+            x = _rand_vertex(rng, F, tree, -2, 3)
+            y = _rand_vertex(rng, F, tree, -2, 3)
+            z = _rand_vertex(rng, F, tree, -2, 3)
+            checks += 1
+            try:
+                lhs = tree.busemann(x, y, end) + tree.busemann(y, z, end)
+                rhs = tree.busemann(x, z, end)
+            except Sl2BTreeError as exc:
+                fails.append(f"cocycle raised {exc!r} at {x}, {y}, {z}, {end}")
+                continue
+            if lhs != rhs:
+                fails.append(f"cocycle {lhs} != {rhs} at {x}, {y}, {z}, {end}")
+    return checks, fails
+
+
+def _suite_horosphere_equivariance(F, rng):
+    tree = Tree(F)
+    checks, fails = 0, []
+    for _ in range(6):
+        g = _rand_automorphism(rng, F)
+        end = rng.choice(
+            [tree.end_zero(), tree.end_up(), _rand_rational_end(rng, F)]
+        )
+        x = _rand_vertex(rng, F, tree, -2, 3)
+        gx = g.act_vertex(x)
+        gend = g.act_end(end)
+        samples = [x]
+        for r in (1, 2, 3):
+            sphere = tree.sphere(x, r)
+            samples += rng.sample(sphere, min(3, len(sphere)))
+        for y in samples:
+            gy = g.act_vertex(y)
+            checks += 1
+            if tree.horosphere_contains(end, x, y) != tree.horosphere_contains(
+                gend, gx, gy
+            ):
+                fails.append(f"horosphere not equivariant: g={g}, end={end}, y={y}")
+            if tree.horoball_contains(end, x, y) != tree.horoball_contains(
+                gend, gx, gy
+            ):
+                fails.append(f"horoball not equivariant: g={g}, end={end}, y={y}")
+    return checks, fails
+
+
+def _suite_drift_additivity(F, rng):
+    tree = Tree(F)
+    checks, fails = 0, []
+    end = tree.end_zero()
+
+    def rand_fixing(k_range=2):
+        k = rng.randrange(-k_range, k_range + 1)
+        alpha = _rand_unit(rng, F)
+        b = _rand_poly(rng, F, 2)
+        diag = TreeAutomorphism.diagonal(
+            F,
+            LaurentSeries.exact(F, {0: alpha}),
+            LaurentSeries.exact(F, {0: alpha.inverse()}),
+        )
+        return diag * TreeAutomorphism.standard_step(F) ** k * _upper_shear(F, b)
+
+    for _ in range(12):
+        g, h = rand_fixing(), rand_fixing()
+        checks += 1
+        if drift_along_end(g * h, end) != drift_along_end(g, end) + drift_along_end(
+            h, end
+        ):
+            fails.append(f"drift not additive on {g}, {h}")
+        d = drift_along_end(g, end)
+        cls = g.classify()
+        if d == 0 and cls.kind != "elliptic":
+            fails.append(f"zero drift but {cls.kind}: {g}")
+        if d != 0 and (cls.kind != "hyperbolic" or cls.length != abs(d)):
+            fails.append(f"drift {d} but classified {cls}: {g}")
+    # under conjugation the drift follows the end
+    for _ in range(4):
+        g = rand_fixing()
+        c = _rand_automorphism(rng, F)
+        checks += 1
+        moved = c * g * c.adjugate()  # inverse up to the determinant scalar
+        if drift_along_end(moved, c.act_end(end)) != drift_along_end(g, end):
+            fails.append(f"drift not conjugation-invariant for {g} by {c}")
+    return checks, fails
+
+
+def _suite_unipotent_transitivity(F, rng):
+    """The shear group moves any non-fixed end to any other, uniquely."""
+    tree = Tree(F)
+    checks, fails = 0, []
+    # exact construction: w2 = shear(b) . w1 must invert to b
+    for _ in range(5):
+        w1 = _rand_rational_end(rng, F, coordinates=True)
+        b = _rand_poly(rng, F, 3)
+        w2 = _upper_shear(F, b).act_end(w1)
+        # solve back: the shear carrying w1 to w2 has offset
+        # (x2 y1 - x1 y2) / (y1 y2), which here must be exactly b
+        x2, y2 = _end_vector(F, w2)
+        num = x2 * w1.y - w1.x * y2
+        den = w1.y * y2
+        checks += 1
+        if num != b * den:
+            fails.append(f"exact shear solve failed: w1={w1}, b={b}")
+    # truncated construction between independent random ends
+    for _ in range(5):
+        w1 = _rand_rational_end(rng, F, coordinates=True)
+        w2 = _rand_rational_end(rng, F, coordinates=True)
+        if w1 == w2:
+            continue
+        num = w2.x * w1.y - w1.x * w2.y
+        den = w1.y * w2.y
+        if num.has_terms():
+            shift = num.valuation() - den.valuation()
+            b = (num * den.inverse(14)).truncate(shift + 14)
+        else:
+            b = LaurentSeries.zero(F)
+        moved = _upper_shear(F, b).act_end(w1)
+        checks += 1
+        if _agreement(moved, w2) < 8:
+            fails.append(f"truncated shear only matched to depth {_agreement(moved, w2)}")
+        delta = _rand_poly(rng, F, 2, nonzero=True)
+        spoiled = _upper_shear(F, b + delta).act_end(w1)
+        if _agreement(spoiled, w2) >= 8:
+            fails.append(f"uniqueness violated: offset {delta} also matches")
+    return checks, fails
+
+
+def _agreement(e1, e2) -> int:
+    """Depth to which two ends agree; exact coincidence counts as huge."""
+    try:
+        return end_difference_valuation(e1, e2)
+    except EqualEndsError:
+        return 10**9
+
+
+def _end_vector(F, end):
+    """Projective coordinates of an exact end; the one above is (0, 1)."""
+    if isinstance(end, UpEnd):
+        return LaurentSeries.zero(F), LaurentSeries.one(F)
+    return end.x, end.y
+
+
+def _suite_horosphere_transitivity(F, rng):
+    """Shears fixing the zero end sweep out each of its horospheres."""
+    tree = Tree(F)
+    checks, fails = 0, []
+    x0 = tree.vertex(3, LaurentSeries.zero(F))
+    end = tree.end_zero()
+    members = tree.horosphere_vertices(end, x0, 6)
+    expected = {x0}
+    for j in (4, 5, 6):
+        # vertices (2j-3, r) with r of valuation exactly j
+        m = 2 * j - 3
+        for r in _all_series_supported(F, j, m):
+            expected.add(tree.vertex(m, r))
+    if set(members) != expected:
+        fails.append(
+            f"horosphere enumeration mismatch: {len(members)} found, "
+            f"{len(expected)} expected"
+        )
+    checks += 1
+    for y in sorted(members, key=str):
+        checks += 1
+        if y == x0:
+            continue
+        r = y.residue
+        j = r.valuation()
+        b = r.inverse(3 * j).truncate(2 * j)
+        img = _upper_shear(F, b).act_vertex(x0)
+        if img != y:
+            fails.append(f"shear with offset {b} sent {x0} to {img}, wanted {y}")
+    return checks, fails
+
+
+def _all_series_supported(F, val, mod):
+    """All residues mod pi^mod with valuation exactly val."""
+    out = []
+    units = list(F.units())
+    elems = list(F.elements())
+    spots = list(range(val + 1, mod))
+
+    def rec(i, coeffs):
+        if i == len(spots):
+            out.append(LaurentSeries.exact(F, dict(coeffs)))
+            return
+        for c in elems:
+            if c == F.zero:
+                rec(i + 1, coeffs)
+            else:
+                rec(i + 1, coeffs + [(spots[i], c)])
+
+    for lead in units:
+        rec(0, [(val, lead)])
+    return out
+
+
+def _suite_action_compatibility(F, rng):
+    """Vertex and boundary actions agree through Busemann functions and steps."""
+    tree = Tree(F)
+    checks, fails = 0, []
+    for _ in range(8):
+        g = _rand_automorphism(rng, F)
+        end = rng.choice([tree.end_zero(), tree.end_up(), _rand_rational_end(rng, F)])
+        x = _rand_vertex(rng, F, tree, -2, 3)
+        y = _rand_vertex(rng, F, tree, -2, 3)
+        gend = g.act_end(end)
+        checks += 1
+        if tree.busemann(g.act_vertex(x), g.act_vertex(y), gend) != tree.busemann(
+            x, y, end
+        ):
+            fails.append(f"busemann not equivariant: g={g}, end={end}")
+        stepped = tree.step_to_end(x, end)
+        if g.act_vertex(stepped) != tree.step_to_end(g.act_vertex(x), gend):
+            fails.append(f"step toward end not equivariant: g={g}, end={end}")
+    return checks, fails
+
+
+def _suite_unipotents_elliptic(F, rng):
+    checks, fails = 0, []
+    for _ in range(10):
+        b = _rand_poly(rng, F, 4)
+        u = _upper_shear(F, b) if rng.random() < 0.5 else _lower_shear(F, b)
+        c = _rand_lattice_element(rng, F)
+        g = c * u * c.adjugate()
+        checks += 1
+        if g.translation_length() != 0:
+            fails.append(f"shear conjugate {g} is not elliptic")
+            continue
+        cls = g.classify()
+        if cls.kind != "elliptic" or not g.fixes_vertex(cls.fixed_vertex):
+            fails.append(f"classification broken for {g}: {cls}")
+    return checks, fails
+
+
+def _suite_distance_bfs(F, rng):
+    tree = Tree(F)
+    checks, fails = 0, []
+    for _ in range(10):
+        x = _rand_vertex(rng, F, tree, -2, 3)
+        y = _rand_vertex(rng, F, tree, -2, 3)
+        d = tree.distance(x, y)
+        # breadth-first search in the abstract graph
+        frontier, seen, steps = [x], {x}, 0
+        found = x == y
+        while not found and steps < 14:
+            steps += 1
+            nxt = []
+            for v in frontier:
+                for w in tree.neighbors(v):
+                    if w in seen:
+                        continue
+                    if w == y:
+                        found = True
+                    seen.add(w)
+                    nxt.append(w)
+            frontier = nxt
+        checks += 1
+        if not found or steps != d:
+            fails.append(f"distance({x}, {y}) = {d}, search said {steps}")
+    return checks, fails
+
+
+def _suite_busemann_stabilization(F, rng):
+    """Walking toward an end eventually gains height one per step."""
+    tree = Tree(F)
+    checks, fails = 0, []
+    for _ in range(8):
+        end = rng.choice([tree.end_zero(), _rand_rational_end(rng, F)])
+        x = _rand_vertex(rng, F, tree, -2, 2)
+        walk = tree.ray(x, end, 12)
+        values = [tree.busemann(x, v, end) for v in walk]
+        increments = [b - a for a, b in zip(values, values[1:])]
+        checks += 1
+        if any(i not in (-1, 1) for i in increments):
+            fails.append(f"increment outside +-1 along walk from {x} to {end}")
+            continue
+        if increments and increments[-1] != 1:
+            fails.append(f"walk from {x} to {end} does not end climbing")
+            continue
+        seen_up = False
+        for i in increments:
+            if i == 1:
+                seen_up = True
+            elif seen_up:
+                fails.append(f"walk from {x} to {end} climbed then fell")
+                break
+    return checks, fails
+
+
+def _suite_horoball_union(F, rng):
+    """A horoball is the union of balls of radius k at the k-th ray vertices."""
+    tree = Tree(F)
+    checks, fails = 0, []
+    for _ in range(3):
+        end = rng.choice([tree.end_zero(), _rand_rational_end(rng, F)])
+        x = _rand_vertex(rng, F, tree, -1, 2)
+        walk = tree.ray(x, end, 8)
+        for y in tree.ball(x, 5):
+            checks += 1
+            direct = tree.horoball_contains(end, x, y)
+            union = any(tree.distance(walk[k], y) <= k for k in range(len(walk)))
+            if direct != union:
+                fails.append(
+                    f"horoball disagreement at y={y} (end={end}, x={x}): "
+                    f"membership {direct}, union {union}"
+                )
+    return checks, fails
+
+
+SUITES = {
+    "busemann-cocycle": _suite_busemann_cocycle,
+    "horosphere-equivariance": _suite_horosphere_equivariance,
+    "drift-additivity": _suite_drift_additivity,
+    "unipotent-transitivity": _suite_unipotent_transitivity,
+    "horosphere-transitivity": _suite_horosphere_transitivity,
+    "action-compatibility": _suite_action_compatibility,
+    "unipotents-elliptic": _suite_unipotents_elliptic,
+    "distance-bfs": _suite_distance_bfs,
+    "busemann-stabilization": _suite_busemann_stabilization,
+    "horoball-union": _suite_horoball_union,
+}
+
+
+def run_suite(field, name: str, seed: int = 0) -> SuiteResult:
+    if name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}")
+    rng = random.Random(f"{seed}:{name}")
+    checks, fails = SUITES[name](field, rng)
+    return SuiteResult(name=name, checks=checks, failures=fails)
+
+
+def run_all(field, seed: int = 0, names=None) -> list[SuiteResult]:
+    chosen = list(SUITES) if names is None else list(names)
+    return [run_suite(field, name, seed) for name in chosen]
