@@ -374,6 +374,8 @@ class TreeAutomorphism:
         attracting and repelling ends (exact where the element is
         triangular, truncated at that depth otherwise).
         """
+        if ends_depth is not None and ends_depth < 1:
+            raise InvalidInputError("end depth must be >= 1")
         length = self.translation_length()
         if length > 0:
             result = Classification(kind="hyperbolic", length=length)
@@ -425,6 +427,8 @@ class TreeAutomorphism:
         truncated end to the requested depth, certified by mapping the
         candidate subtree strictly into itself.
         """
+        if depth < 1:
+            raise InvalidInputError("end depth must be >= 1")
         length = self.translation_length()
         if length == 0:
             raise InvalidInputError("elliptic elements have no attracting end")

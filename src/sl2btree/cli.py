@@ -12,8 +12,8 @@ Seven subcommands over the lattice/quotient machinery:
 
 Exit codes: 0 success, 1 verification failure (uncertified tail, failed
 suite, counterexample, exceeded bound), 2 precision exhausted,
-3 invalid input, 4 size guard tripped. All output is deterministic for
-fixed arguments.
+3 invalid input, 4 size guard tripped, 5 internal self-check failed. All
+output is deterministic for fixed arguments.
 """
 
 import argparse
@@ -27,6 +27,7 @@ from .errors import (
     IndeterminateValuation,
     InsufficientPrecision,
     InvalidInputError,
+    NonterminationGuard,
     NotFixingError,
     NotOnAxisError,
     NotTypePreserving,
@@ -153,10 +154,9 @@ def _cmd_cusps(args):
     code = 0
     if args.truncation is not None:
         entry = {ci: ri for ci, ri in report.matches}
-        G = quotient_graph(lattice, args.depth)
         radii = []
         for i, cusp in enumerate(report.algebraic):
-            base = G.rays[entry[i]].base_level if i in entry else 1
+            base = report.graph.rays[entry[i]].base_level if i in entry else 1
             carrier = cusp.conjugator.adjugate()
             radii.append(
                 carrier.act_vertex(
@@ -352,6 +352,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except NonterminationGuard as exc:
+        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
+        return 5
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

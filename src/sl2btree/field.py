@@ -1,9 +1,10 @@
 """Finite fields F_q, q = p^e, as explicit quotients F_p[x]/(m(x)).
 
 Elements are coefficient vectors of length e over F_p, multiplied modulo a
-monic irreducible m of degree e. Irreducibility is verified at construction
-by trial division, so an invalid modulus fails loudly instead of producing a
-ring with zero divisors. For the small extension sizes used on the tree
+monic irreducible m of degree e. Construction looks for an element of
+multiplicative order q - 1, which exists exactly when m is irreducible, so
+an invalid modulus fails loudly instead of producing a ring with zero
+divisors. For the small extension sizes used on the tree
 (q = 4, 8, 9) canonical default moduli are provided:
 
     F_4 = F_2[x]/(x^2 + x + 1)
@@ -11,7 +12,9 @@ ring with zero divisors. For the small extension sizes used on the tree
     F_9 = F_3[x]/(x^2 + 1)
 
 Prime fields take e = 1 with modulus x. Everything is immutable and
-hashable; arithmetic is exact integer arithmetic mod p throughout.
+hashable. Each field holds its q elements once; sums, products and
+inverses are looked up in log/antilog tables of O(q) entries built at
+construction, so no arithmetic allocates.
 """
 
 from __future__ import annotations
@@ -39,101 +42,98 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mod(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of num by den over F_p (dense ascending coefficients)."""
-    num = list(num)
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    while len(num) - 1 >= dd and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dd:
-            break
-        shift = len(num) - 1 - dd
-        factor = (num[-1] * inv_lead) % p
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
-    while num and num[-1] == 0:
-        num.pop()
-    return tuple(num)
+def _mul_mod(
+    a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int
+) -> tuple[int, ...]:
+    """a * b for coefficient vectors, modulo the monic modulus over F_p."""
+    out = (0,) * len(a)
+    for c in b:
+        out = tuple((o + c * y) % p for o, y in zip(out, a))
+        # a *= x: shift up, then cancel the x^e term with the modulus
+        a = tuple((y - a[-1] * m) % p for y, m in zip((0,) + a[:-1], modulus))
+    return out
 
 
-def _check_irreducible(modulus: tuple[int, ...], p: int) -> None:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    e = len(modulus) - 1
-    if e < 1:
-        raise InvalidInputError("modulus must have degree >= 1")
-    if modulus[-1] % p != 1:
-        raise InvalidInputError("modulus must be monic")
-    for d in range(1, e // 2 + 1):
-        for lower in itertools.product(range(p), repeat=d):
-            trial = tuple(lower) + (1,)
-            if not _poly_mod(modulus, trial, p):
-                raise InvalidInputError(
-                    f"modulus is reducible: divisible by {trial} over F_{p}"
-                )
+def _primitive_powers(
+    vectors: list[tuple[int, ...]], modulus: tuple[int, ...], p: int
+) -> list[tuple[int, ...]]:
+    """g^0, ..., g^(q-2) for the first g in `vectors` of multiplicative order q - 1.
+
+    `vectors` lists all q coefficient vectors in lexicographic order. Such
+    a g exists exactly when the quotient ring is a field, that is when the
+    modulus is irreducible.
+    """
+    one = vectors[len(vectors) // p]
+    for g in vectors[1:]:
+        powers = [one]
+        for _ in range(len(vectors) - 2):
+            powers.append(_mul_mod(powers[-1], g, modulus, p))
+        if len(set(powers)) == len(powers) and _mul_mod(powers[-1], g, modulus, p) == one:
+            return powers
+    raise InvalidInputError(f"modulus {modulus} is reducible over F_{p}")
 
 
 class FieldElement:
-    """An element of F_q, stored as a coefficient tuple of length e."""
+    """An element of F_q, stored as a coefficient tuple of length e.
 
-    __slots__ = ("field", "coeffs")
+    Every field owns exactly one instance per element (see `Field`):
+    `index` is its position in `Field.elements()`; `_log` is its discrete
+    logarithm to the field's primitive element (None for zero). Arithmetic
+    returns those shared instances by table lookup.
+    """
 
-    def __init__(self, field: "Field", coeffs: tuple[int, ...]):
+    __slots__ = ("field", "coeffs", "index", "_log", "_hash")
+
+    def __init__(self, field: "Field", coeffs: tuple[int, ...], index: int, log: int | None):
         self.field = field
         self.coeffs = coeffs
+        self.index = index
+        self._log = log
+        self._hash = hash((id(field), coeffs))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.index != 0
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
+        return self is other
 
     def __hash__(self) -> int:
-        return hash((id(self.field), self.coeffs))
+        return self._hash
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
+        m = self._log
+        if m is None:
+            return other
+        n = other._log
+        if n is None:
+            return self
+        # g^m + g^n = g^m (1 + g^(n-m)); a negative n - m wraps mod q - 1
         f = self.field
-        return FieldElement(
-            f, tuple((a + b) % f.p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        z = f._zech[n - m]
+        return f.zero if z is None else f._exp[m + z]
 
     def __neg__(self) -> "FieldElement":
-        f = self.field
-        return FieldElement(f, tuple((-a) % f.p for a in self.coeffs))
+        m = self._log
+        if m is None:
+            return self
+        return self.field._exp[m + self.field._minus_one_log]
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        f = self.field
-        if f.e == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % f.p,))
-        prod = [0] * (2 * f.e - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % f.p
-        rem = _poly_mod(tuple(prod), f.modulus, f.p)
-        return FieldElement(f, rem + (0,) * (f.e - len(rem)))
+        m = self._log
+        n = other._log
+        if m is None or n is None:
+            return self.field.zero
+        return self.field._exp[m + n]
 
     def inverse(self) -> "FieldElement":
-        if not self:
+        m = self._log
+        if m is None:
             raise ZeroDivisionError("inverse of zero field element")
-        # a^(q-2); q is tiny here, square-and-multiply is plenty
-        result = self.field.one
-        base = self
-        n = self.field.q - 2
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # _exp holds two periods, so index -m is g^(2(q-1) - m) = g^-m
+        return self.field._exp[-m]
 
     def sqrt(self) -> "FieldElement":
         """Square root; unique in characteristic 2, checked otherwise."""
@@ -157,7 +157,13 @@ class FieldElement:
 
 
 class Field:
-    """F_q with explicit modulus; use the ``field(q)`` factory to share instances."""
+    """F_q with explicit modulus; use the ``field(q)`` factory to share instances.
+
+    The q elements are built once, in lexicographic order of their
+    coefficient tuples. Multiplication and inversion look up the antilog
+    table of a primitive element g; addition looks up its Zech logarithms
+    (1 + g^k = g^zech[k]). Both tables have O(q) entries.
+    """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
         if not _is_prime(p):
@@ -176,15 +182,29 @@ class Field:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) - 1 != e:
             raise InvalidInputError("modulus degree must equal the extension degree")
-        if e > 1:
-            _check_irreducible(modulus, p)
+        if modulus[-1] != 1:
+            raise InvalidInputError("modulus must be monic")
         self.p = p
         self.e = e
-        self.q = p**e
+        self.q = q = p**e
         self.modulus = modulus
-        self.zero = FieldElement(self, (0,) * e)
-        self.one = FieldElement(self, (1,) + (0,) * (e - 1))
-        self.gen = FieldElement(self, ((0, 1) + (0,) * (e - 2)) if e > 1 else (1,))
+        vectors = list(itertools.product(range(p), repeat=e))
+        powers = _primitive_powers(vectors, modulus, p)
+        log = {v: k for k, v in enumerate(powers)}
+        self._elements = [FieldElement(self, v, i, log.get(v)) for i, v in enumerate(vectors)]
+        self.zero = self._elements[0]
+        self.one = self._elements[q // p]
+        self.gen = self.element((0, 1)) if e > 1 else self.one
+        # two periods, so that log sums and -log index without reduction
+        self._exp = [self._elements[self._position(v)] for v in powers] * 2
+        self._zech = [log.get(((v[0] + 1) % p,) + v[1:]) for v in powers]
+        self._minus_one_log = 0 if p == 2 else (q - 1) // 2
+
+    def _position(self, coeffs: tuple[int, ...]) -> int:
+        index = 0
+        for c in coeffs:
+            index = index * self.p + c
+        return index
 
     def element(self, value) -> FieldElement:
         """Coerce an int (mod p) or coefficient sequence into the field."""
@@ -193,21 +213,18 @@ class Field:
                 raise InvalidInputError("element from a different field")
             return value
         if isinstance(value, int):
-            return FieldElement(self, (value % self.p,) + (0,) * (self.e - 1))
+            return self._elements[(value % self.p) * (self.q // self.p)]
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) > self.e:
             raise InvalidInputError("too many coefficients for this field")
-        return FieldElement(self, coeffs + (0,) * (self.e - len(coeffs)))
+        return self._elements[self._position(coeffs + (0,) * (self.e - len(coeffs)))]
 
     def elements(self):
         """All q elements, in deterministic lexicographic order."""
-        for coeffs in itertools.product(range(self.p), repeat=self.e):
-            yield FieldElement(self, coeffs)
+        return iter(self._elements)
 
     def units(self):
-        for x in self.elements():
-            if x:
-                yield x
+        return iter(self._elements[1:])
 
     def __repr__(self) -> str:
         return f"Field(q={self.q})"

@@ -496,28 +496,52 @@ class CosetTable:
     decompositions, and a constructive section: `lift` rebuilds a
     determinant-1 polynomial matrix from any residue matrix by splitting
     it into elementary shears.
+
+    Residue matrices are 4-tuples (a, b, c, d) of ring elements, which are
+    integers (see `ResidueRing`); tuple order is the lexicographic order of
+    their coefficients, and `elements` is sorted in it.
     """
 
     def __init__(self, field: Field, modulus: LaurentSeries, max_candidates: int = 20_000):
         self.field = field
-        self.ring = ResidueRing(field, modulus)
-        candidates = self.ring.size**4
-        if candidates > max_candidates:
+        q, d = field.q, t_degree(modulus)
+        # |SL2(F_q[t]/(f))| = q^(3d) prod_{P | f} (1 - q^(-2 deg P)), and the
+        # product over all primes P is 1/zeta(2) = 1 - 1/q: refuse before
+        # building the ring's |R|^2 tables when even that bound is too big.
+        at_least = (q - 1) * q ** (3 * d - 1) if d >= 1 else 0
+        if at_least > max_candidates:
             raise SizeGuardExceeded(
-                f"residue group enumeration needs {candidates} candidates "
+                f"residue group SL2(R) has at least {at_least} elements "
                 f"(bound {max_candidates})"
             )
-        ring = self.ring
-        elems = list(ring.elements())
-        one = ring.one
+        self.ring = ring = ResidueRing(field, modulus)
+        n = ring.size
+        add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+        self._add, self._mul, self._neg = add, mul, neg
+        # first rows (a, b) with a solution a*d0 - b*c0 = 1: from the least r
+        # making u = a + r*b a unit, (c0, d0) = (-r*u^-1, u^-1)
+        rows = []
+        for a in range(n):
+            for b in range(n):
+                r = ring.unit_shift(a, b)
+                if r is not None:
+                    u = ring.inverse(add[a][mul[r][b]])
+                    rows.append((a, b, neg[mul[r][u]], u))
+        size = len(rows) * n
+        if size > max_candidates:
+            raise SizeGuardExceeded(
+                f"residue group SL2(R) has {size} elements (bound {max_candidates})"
+            )
+        # the second rows of a first row (a, b) are (c0, d0) + s*(a, b), s in R
         members = []
-        for a, b in itertools.product(elems, repeat=2):
-            for c, d in itertools.product(elems, repeat=2):
-                if ring.sub(ring.mul(a, d), ring.mul(b, c)) == one:
-                    members.append((a, b, c, d))
+        for a, b, c0, d0 in rows:
+            ra, rb = add[c0], add[d0]
+            members.extend(sorted((a, b, ra[mul[s][a]], rb[mul[s][b]]) for s in range(n)))
         self.elements = members
         self.index = len(members)
-        self._positions = {m: i for i, m in enumerate(members)}
+        self._borel = {}
+        self._constants = None
+        self._partitions = {}
 
     def __repr__(self) -> str:
         return (
@@ -528,14 +552,15 @@ class CosetTable:
     # -- group operations on residue matrices --------------------------------
 
     def matmul(self, m1, m2):
-        ring = self.ring
+        add, mul = self._add, self._mul
         a1, b1, c1, d1 = m1
         a2, b2, c2, d2 = m2
+        ra, rb, rc, rd = mul[a1], mul[b1], mul[c1], mul[d1]
         return (
-            ring.add(ring.mul(a1, a2), ring.mul(b1, c2)),
-            ring.add(ring.mul(a1, b2), ring.mul(b1, d2)),
-            ring.add(ring.mul(c1, a2), ring.mul(d1, c2)),
-            ring.add(ring.mul(c1, b2), ring.mul(d1, d2)),
+            add[ra[a2]][rb[c2]],
+            add[ra[b2]][rb[d2]],
+            add[rc[a2]][rd[c2]],
+            add[rc[b2]][rd[d2]],
         )
 
     def identity(self):
@@ -543,8 +568,7 @@ class CosetTable:
 
     def inverse(self, m):
         a, b, c, d = m
-        ring = self.ring
-        return (d, ring.neg(b), ring.neg(c), a)
+        return (d, self._neg[b], self._neg[c], a)
 
     def reduce(self, g: TreeAutomorphism):
         """Image of a polynomial matrix in the residue group."""
@@ -552,10 +576,10 @@ class CosetTable:
             if not is_t_poly(entry):
                 raise InvalidInputError("only polynomial matrices reduce")
         ring = self.ring
-        m = (ring.reduce(g.a), ring.reduce(g.b), ring.reduce(g.c), ring.reduce(g.d))
-        if m not in self._positions:
+        a, b, c, d = (ring.reduce(entry) for entry in g.entries())
+        if ring.sub(ring.mul(a, d), ring.mul(b, c)) != ring.one:
             raise InvalidInputError("matrix does not have determinant 1 mod the level")
-        return m
+        return (a, b, c, d)
 
     # -- the constructive section ----------------------------------------------
 
@@ -570,11 +594,7 @@ class CosetTable:
         ring = self.ring
         F = self.field
         a, b, c, d = m
-        shift = None
-        for r in ring.elements():
-            if ring.is_unit(ring.add(c, ring.mul(r, a))):
-                shift = r
-                break
+        shift = ring.unit_shift(c, a)
         if shift is None:
             raise InvalidInputError("matrix rows are not unimodular mod the level")
         c1 = ring.add(c, ring.mul(shift, a))
@@ -601,32 +621,27 @@ class CosetTable:
         the zero end and stops growing.
         """
         ring = self.ring
-        F = self.field
-        out = set()
-        for alpha in F.units():
-            a_bar = ring.reduce(_const(F, alpha))
-            ainv_bar = ring.reduce(_const(F, alpha.inverse()))
-            for b in all_t_polys(F, min(n, ring.degree - 1)):
-                out.add((a_bar, ring.reduce(b), ring.zero, ainv_bar))
-        return frozenset(out)
+        k = min(n, ring.degree - 1)
+        if k not in self._borel:
+            self._borel[k] = frozenset(
+                (ring.constant(alpha), b, ring.zero, ring.constant(alpha.inverse()))
+                for alpha in self.field.units()
+                for b in ring.low_degree(k)
+            )
+        return self._borel[k]
 
     def constants_image(self):
         """Image of the constant-matrix stabilizer of the origin."""
-        F = self.field
-        ring = self.ring
-        out = set()
-        elems = list(F.elements())
-        for a, b, c, d in itertools.product(elems, repeat=4):
-            if a * d - b * c == F.one:
-                out.add(
-                    (
-                        ring.reduce(_const(F, a)),
-                        ring.reduce(_const(F, b)),
-                        ring.reduce(_const(F, c)),
-                        ring.reduce(_const(F, d)),
-                    )
-                )
-        return frozenset(out)
+        if self._constants is None:
+            F = self.field
+            c = self.ring.constant
+            elems = list(F.elements())
+            self._constants = frozenset(
+                (c(a), c(b), c(cc), c(d))
+                for a, b, cc, d in itertools.product(elems, repeat=4)
+                if a * d - b * cc == F.one
+            )
+        return self._constants
 
     def vertex_image(self, n: int):
         """Image of the stabilizer of the standard-ray vertex (n, 0)."""
@@ -640,34 +655,26 @@ class CosetTable:
 
     # -- coset bookkeeping -------------------------------------------------------
 
-    def _key(self, m):
-        return tuple(
-            coeff_int
-            for entry in m
-            for elem in entry
-            for coeff_int in elem.coeffs
-        )
-
     def coset_partition(self, subgroup) -> list[list]:
-        """The cosets g * subgroup, each sorted, in a deterministic order.
+        """The cosets g * subgroup, each sorted, in increasing order of least member.
 
-        Touches every group element exactly once, so the cost is one
-        multiplication per element.
+        `subgroup` is a frozenset such as `vertex_image(n)`. The partition
+        is computed once per subgroup; callers share the returned lists and
+        must not modify them. `elements` is sorted, so the first member
+        not yet covered is the least member of its coset.
         """
-        seen = set()
-        cosets = []
-        for g in self.elements:
-            if g in seen:
-                continue
-            coset = sorted({self.matmul(g, s) for s in subgroup}, key=self._key)
-            seen.update(coset)
-            cosets.append(coset)
-        cosets.sort(key=lambda c: self._key(c[0]))
-        return cosets
-
-    def coset_key(self, g, subgroup) -> tuple:
-        """Deterministic identifier of the coset g * subgroup."""
-        return min(self._key(self.matmul(g, s)) for s in subgroup)
+        part = self._partitions.get(subgroup)
+        if part is None:
+            seen = set()
+            part = []
+            for g in self.elements:
+                if g in seen:
+                    continue
+                coset = sorted({self.matmul(g, s) for s in subgroup})
+                seen.update(coset)
+                part.append(coset)
+            self._partitions[subgroup] = part
+        return part
 
     def coset_representatives(self, subgroup) -> list:
         """One deterministic representative per coset g * subgroup."""

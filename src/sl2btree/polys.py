@@ -12,6 +12,7 @@ conversion to and from series just flips the sign of the exponent.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import InvalidInputError
 from .field import Field, FieldElement
@@ -135,11 +136,17 @@ def is_irreducible_t(f: LaurentSeries) -> bool:
 
 
 class ResidueRing:
-    """The finite ring R = F_q[t]/(f), elements as coefficient tuples.
+    """The finite ring R = F_q[t]/(f), elements encoded as integers.
 
-    Elements are tuples of length deg(f) of field coefficients (ascending
-    t-degree). The modulus is normalized to be monic; only its ideal
-    matters.
+    With d = deg(f), the residue c_0 + c_1 t + ... + c_{d-1} t^{d-1} is the
+    integer 0 <= x < q^d whose base-q digits, most significant first, are
+    the positions of c_0, ..., c_{d-1} in `Field.elements()`. Integer order
+    is then the lexicographic order of the coefficient tuples, and
+    `elements()` is range(q^d). Sums, products, negatives and inverses are
+    looked up in tables built at construction (|R|^2 entries for sums and
+    products), so the ring is meant for the small moduli whose matrix
+    groups get materialized. The modulus is normalized to be monic; only
+    its ideal matters.
     """
 
     def __init__(self, field: Field, modulus: LaurentSeries):
@@ -149,41 +156,95 @@ class ResidueRing:
         self.field = field
         self.modulus = monic_t(modulus)
         self.degree = d
-        self.zero = (field.zero,) * d
-        self.one = (field.one,) + (field.zero,) * (d - 1)
-        self.size = field.q**d
+        q = field.q
+        self.size = n = q**d
+        self._unit_place = q ** (d - 1)  # weight of the t^0 digit
+        self.zero = 0
+        self.one = self.constant(field.one)
+        elems = list(field.elements())
+        coeffs = self._coeffs = list(itertools.product(elems, repeat=d))
+        index = {c: x for x, c in enumerate(coeffs)}
+        add = [[index[tuple(map(operator.add, a, b))] for b in coeffs] for a in coeffs]
+        # scaled[i][x]: the field element of position i times x
+        scaled = [[index[tuple(map(c.__mul__, a))] for a in coeffs] for c in elems]
+        # t * x drops the t^{d-1} digit (x % q) and adds that digit times
+        # t^d = -(f - t^d) mod f
+        top = index[tuple(map(operator.neg, t_coeffs(self.modulus)[:d]))]
 
-    def reduce(self, s: LaurentSeries) -> tuple[FieldElement, ...]:
+        def times_t(x):
+            return add[x // q][scaled[x % q][top]]
+
+        mul = [[0] * n for _ in range(n)]
+        for y in range(n):
+            shifts = [y]
+            for _ in range(d - 1):
+                shifts.append(times_t(shifts[-1]))
+            for x, cs in enumerate(coeffs):
+                acc = 0
+                for c, s in zip(cs, shifts):
+                    acc = add[acc][scaled[c.index][s]]
+                mul[x][y] = acc
+        self.add_table = add
+        self.mul_table = mul
+        self.neg_table = [index[tuple(map(operator.neg, a))] for a in coeffs]
+        one = self.one
+        self.inverse_table = [row.index(one) if one in row else None for row in mul]
+        self._scaled = scaled
+        self._times_t = times_t
+        self._t_powers = [one]  # t^k mod f, extended on demand
+
+    def constant(self, c: FieldElement) -> int:
+        """Image of a constant polynomial."""
+        return c.index * self._unit_place
+
+    def low_degree(self, k: int) -> range:
+        """The residues of the polynomials of t-degree <= k, for 0 <= k < deg(f)."""
+        return range(0, self.size, self.field.q ** (self.degree - 1 - k))
+
+    def reduce(self, s: LaurentSeries) -> int:
         """Image of a polynomial in R."""
-        cs = t_coeffs(mod_t(s, self.modulus))
-        return tuple(cs) + (self.field.zero,) * (self.degree - len(cs))
+        if not is_t_poly(s):
+            raise InvalidInputError(f"not a polynomial in t: {s}")
+        add, scaled, powers = self.add_table, self._scaled, self._t_powers
+        acc = 0
+        for deg, c in s.coeffs.items():
+            while len(powers) <= -deg:
+                powers.append(self._times_t(powers[-1]))
+            acc = add[acc][scaled[c.index][powers[-deg]]]
+        return acc
 
-    def lift(self, elem: tuple[FieldElement, ...]) -> LaurentSeries:
+    def lift(self, elem: int) -> LaurentSeries:
         """The canonical polynomial representative of degree < deg(f)."""
-        return from_t_coeffs(self.field, elem)
+        return from_t_coeffs(self.field, self._coeffs[elem])
 
     def elements(self):
-        for coeffs in itertools.product(list(self.field.elements()), repeat=self.degree):
-            yield coeffs
+        return range(self.size)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return self.add_table[a][b]
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return self.neg_table[a]
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return self.add_table[a][self.neg_table[b]]
 
     def mul(self, a, b):
-        return self.reduce(self.lift(a) * self.lift(b))
+        return self.mul_table[a][b]
 
     def is_unit(self, a) -> bool:
-        g = gcd_t(self.lift(a), self.modulus)
-        return t_degree(g) == 0
+        return self.inverse_table[a] is not None
 
     def inverse(self, a):
-        g, u, _ = xgcd_t(self.lift(a), self.modulus)
-        if t_degree(g) != 0:
+        inv = self.inverse_table[a]
+        if inv is None:
             raise ZeroDivisionError("element is not a unit in the residue ring")
-        return self.reduce(u)
+        return inv
+
+    def unit_shift(self, a, b):
+        """The least r with a + r*b a unit, or None when (a, b) is not unimodular."""
+        add, row, inverse = self.add_table[a], self.mul_table[b], self.inverse_table
+        for r in range(self.size):
+            if inverse[add[row[r]]] is not None:
+                return r
+        return None

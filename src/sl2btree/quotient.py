@@ -127,6 +127,7 @@ class CuspsReport:
     ray_count: int
     matches: list[tuple[int, int]]  # (cusp index, ray index)
     bijective: bool
+    graph: "GraphOfGroups"  # the quotient graph the rays were read from
 
 
 @dataclass
@@ -285,10 +286,14 @@ def _build_congruence(G: GraphOfGroups, lattice: CongruenceLattice, depth: int) 
     table = lattice.coset_table()
     level_cosets = []
     lookups = []
+    numbering = {}  # subgroup -> {member: coset number}, shared by the levels
     for n in range(depth + 1):
-        part = table.coset_partition(table.vertex_image(n))
+        image = table.vertex_image(n)
+        part = table.coset_partition(image)
+        if image not in numbering:
+            numbering[image] = {m: k for k, coset in enumerate(part) for m in coset}
         level_cosets.append(part)
-        lookups.append({m: k for k, coset in enumerate(part) for m in coset})
+        lookups.append(numbering[image])
         for k, coset in enumerate(part):
             vid = f"L{n}C{k}"
             carrier = table.lift(coset[0])
@@ -499,6 +504,7 @@ def cusps_report(lattice: NagaoLattice, depth: int) -> CuspsReport:
         ray_count=len(G.rays),
         matches=matches,
         bijective=bijective,
+        graph=G,
     )
 
 
@@ -510,6 +516,8 @@ def growth_probe(lattice: NagaoLattice, end: End, depth: int) -> GrowthProbe:
     steps multiply the order by exactly q while the reduced level climbs
     by 1. For a truncated end the walk stops at its known depth.
     """
+    if depth < 0:
+        raise InvalidInputError("probe depth must be >= 0")
     tree = lattice.tree
     orders: list[int] = []
     levels: list[int] = []
@@ -578,6 +586,8 @@ class _TransporterAlgebra:
             self.table = lattice.coset_table()
             self.ring = self.table.ring
             self._const_table = None
+            # residue image of each constant unit alpha -> alpha
+            self._unit_constants = {self.ring.constant(a): a for a in self.F.units()}
         self._n0_members = None
 
     def _constants(self):
@@ -707,18 +717,13 @@ class _TransporterAlgebra:
         alone).
         """
         ring = self.ring
-        F = self.F
         a_bar, b_bar, c_bar, d_bar = h0
         if c_bar != ring.zero:
             return None
-        alpha0 = None
-        for alpha in F.units():
-            if ring.reduce(LaurentSeries.exact(F, {0: alpha})) == a_bar:
-                alpha0 = alpha
-                break
+        alpha0 = self._unit_constants.get(a_bar)
         if alpha0 is None:
             return None
-        if ring.reduce(LaurentSeries.exact(F, {0: alpha0.inverse()})) != d_bar:
+        if ring.constant(alpha0.inverse()) != d_bar:
             return None
         b0 = ring.lift(b_bar)
         from .polys import t_degree

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sl2btree import cli
-from sl2btree.errors import InsufficientPrecision
+from sl2btree.errors import InsufficientPrecision, NonterminationGuard
 
 
 def run(capsys, argv):
@@ -176,10 +176,10 @@ def test_uncertified_tail_exit(capsys):
 
 def test_size_guard_exit(capsys):
     rc, _, err = run(
-        capsys, ["cusps", "--lattice", "congruence", "--level", "t^4"]
+        capsys, ["cusps", "--lattice", "congruence", "--level", "t^5"]
     )
     assert rc == 4
-    assert "65536 candidates" in err
+    assert "SL2(R) has 24576 elements (bound 20000)" in err
 
 
 def test_bad_field_exits_3(capsys):
@@ -208,6 +208,32 @@ def test_precision_failures_exit_2(monkeypatch, capsys):
     rc, out, err = run(capsys, ["covolume"])
     assert rc == 2
     assert "series digits were exhausted" in err
+
+
+def test_self_check_failure_exits_5(monkeypatch, capsys):
+    def boom(args):
+        raise NonterminationGuard("constructive lift failed to check")
+
+    monkeypatch.setattr(cli, "_cmd_covolume", boom)
+    rc, out, err = run(capsys, ["covolume"])
+    assert (rc, out) == (5, "")
+    assert "internal self-check failed: constructive lift failed to check" in err
+
+
+def test_negative_probe_depth_exits_3(capsys):
+    rc, out, err = run(capsys, ["probe", "up", "--depth", "-1"])
+    assert (rc, out) == (3, "")
+    assert "depth" in err
+
+
+def test_nonpositive_end_depth_exits_3(capsys):
+    # -2 used to loop without returning; 0 printed trunc(0, 0), which
+    # parse_end rejects
+    for ends in ("-2", "0"):
+        for matrix in ("[[t,1],[1,0]]", "[[1,t],[0,1]]"):
+            rc, out, err = run(capsys, ["classify", matrix, "--ends", ends])
+            assert (rc, out) == (3, "")
+            assert "end depth must be >= 1" in err
 
 
 def test_out_writes_a_file(tmp_path, capsys):

@@ -92,3 +92,39 @@ def test_hash_consistency():
     seen = {a: str(a) for a in F.elements()}
     assert len(seen) == 4
     assert F.element((1, 1)) in seen
+
+
+def _mulmod_p(a, b, modulus, p):
+    """Schoolbook product of two coefficient vectors mod a monic modulus over F_p."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    e = len(modulus) - 1
+    for k in range(len(prod) - 1, e - 1, -1):
+        c = prod[k]
+        for i, m in enumerate(modulus):
+            prod[k - e + i] = (prod[k - e + i] - c * m) % p
+    return tuple(prod[:e])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_tables_match_the_defining_polynomial_product(q):
+    F = field(q)
+    p, e = F.p, F.e
+    elems = list(F.elements())
+    # lexicographic order of coefficient tuples, each element its own index
+    assert [a.coeffs for a in elems] == sorted(a.coeffs for a in elems)
+    assert len({a.coeffs for a in elems}) == q
+    assert all(a.index == i for i, a in enumerate(elems))
+    one = (1,) + (0,) * (e - 1)
+    for a in elems:
+        assert (-a).coeffs == tuple((-x) % p for x in a.coeffs)
+        for b in elems:
+            assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
+            assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
+            assert (a * b).coeffs == _mulmod_p(a.coeffs, b.coeffs, F.modulus, p)
+        if a:
+            assert _mulmod_p(a.coeffs, a.inverse().coeffs, F.modulus, p) == one
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()

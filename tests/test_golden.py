@@ -1,0 +1,45 @@
+"""Golden corpus: stdout digests and exit codes of fixed CLI commands.
+
+The digests were recorded before integer-encoded residue rings and
+table-driven field arithmetic replaced series-based arithmetic in
+F_q[t]/(f); any change to the bytes printed by these commands fails here.
+Commands cover quotient (JSON and DOT), contract, covolume and cusps,
+with and without --truncation, over F_2, F_3, F_4 and F_9.
+"""
+
+import hashlib
+
+import pytest
+
+from sl2btree import cli
+
+GOLDEN = [
+    # (arguments, exit code, sha256 of stdout)
+    ("quotient --depth 8", 0, "3801e26ffbd0263ca2f8f0974487260e3456669869e99190d5e79cc5847b8885"),
+    ("quotient --q 3 --depth 6 --format dot", 0, "594f01a28034c81ac4430d5f852592a55b3da62b11a7f2c01ceb6cfc4da1bef6"),
+    ("quotient --lattice congruence --level t^2 --depth 7", 0, "98c01eeaedffad3779ace02eca0beff64da0a4b340bd8dae95a2bc5d4477ebee"),
+    ("quotient --lattice congruence --level t^2+t --depth 6 --format dot", 0, "d3feef527783cb67fbad01439264b734f4f4f6a03fe09499502de66e116a249e"),
+    ("quotient --q 3 --lattice congruence --level t --depth 6", 0, "271a228b06b4e7840f305b137f92309ce6f78b146141f5895c4648574ade57bd"),
+    ("quotient --q 4 --lattice congruence --level t+[x] --depth 6 --format dot", 0, "402ea8f4aca1e93e6c35177001d17ceb2d60746d12a66ad1da1397609184030c"),
+    ("quotient --q 9 --lattice congruence --level t --depth 4", 0, "1b063b449f59443f87e1dcc1410302ac1a31837ba99f4662ccb3774dd7e9e7ee"),
+    ("contract --lattice congruence --level t^2 --depth 8", 0, "fdd5d025c8775b0d0452dea7f53072a153e7887447f1b6430e97c6fa7409d9d4"),
+    ("contract --q 3 --lattice congruence --level t --depth 6 --format dot", 0, "0a2c16723e818c78b04ff663d2076f05ecd1adb29ee7ec75d050b927c39a14e6"),
+    ("contract --q 4 --depth 8", 0, "b2d5f1bf5aa7a88122799be0abad06ff5f7514b9fb3aff07521d53c3a549abf8"),
+    ("covolume --lattice congruence --level t^3 --depth 8", 0, "ada3b10d1e947cee885b3e13b94c568c0a9efef4ca26a7ccb4f3211ea9ea5731"),
+    ("covolume --q 3 --lattice congruence --level t^2+1 --depth 6", 0, "3034baf2d0fb7c44cf989d62b1c11a50626aea7a688a8d427aef139e1d5b5bdf"),
+    ("covolume --q 9 --depth 8", 0, "335e9670b6b8cb80ca9a624292d14ee7e1e3d6899111cd11f593d63afd996d00"),
+    ("covolume --lattice congruence --level t^2 --depth 2", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cusps --lattice congruence --level t^2 --depth 8", 0, "812da3b59091070a08c63d310435ced02e617bf698cc073edf8fa3d029f63d40"),
+    ("cusps --lattice congruence --level t --depth 8 --truncation 4", 0, "a074bbdf3f11769638a00b00776e77f8a4cad47c06f0dd7e14887548ed8e3e65"),
+    ("cusps --q 3 --lattice congruence --level t --depth 6 --truncation 3", 0, "894f76071ba8fed4d55d0be5aefc5dd21436586b5ed08e367f114ae7af4d40a7"),
+    ("cusps --q 4 --lattice congruence --level t+1 --depth 6", 0, "d7831d427eb428f625f9f412f95e150580d80fa194f7a78caaace75b6a57a704"),
+    ("cusps --lattice congruence --level t^2+t --depth 7 --truncation 3", 0, "16eb3c4df7ef72f93bb7a946b63625fff31e641a630125213546439490b98d40"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_golden_output(capsys, command, code, digest):
+    rc = cli.main(command.split())
+    out = capsys.readouterr().out
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from sl2btree.autom import TreeAutomorphism
@@ -5,6 +8,7 @@ from sl2btree.errors import InvalidInputError, SizeGuardExceeded
 from sl2btree.field import field
 from sl2btree.lattice import (
     CongruenceLattice,
+    CosetTable,
     CuspData,
     NagaoLattice,
     UnknownCusp,
@@ -157,6 +161,52 @@ def test_coset_table_indices():
     assert CongruenceLattice(F, parse_series(F, "t")).coset_table().index == 6
     assert CongruenceLattice(F, parse_series(F, "t^2")).coset_table().index == 48
     assert CongruenceLattice(F, parse_series(F, "t^2+t")).coset_table().index == 36
+
+
+@pytest.mark.parametrize(
+    "q,level,prime_degrees",
+    [
+        (2, "t^4", [1]),
+        (2, "t^4+t+1", [4]),  # irreducible
+        (2, "t^4+t^2", [1, 1]),  # t^2 (t+1)^2
+        (3, "t^3", [1]),
+    ],
+)
+def test_coset_table_index_closed_form(q, level, prime_degrees):
+    # |SL2(F_q[t]/(f))| = q^(3d) prod over the distinct primes P | f of (1 - q^(-2 deg P))
+    Fq = field(q)
+    f = parse_series(Fq, level)
+    expected = Fraction(q) ** (3 * t_degree(f))
+    for k in prime_degrees:
+        expected *= 1 - Fraction(1, q ** (2 * k))
+    table = CosetTable(Fq, f)
+    assert table.index == expected
+    assert len(set(table.elements)) == table.index
+    assert table.elements == sorted(table.elements)
+
+
+@pytest.mark.parametrize("q,level", [(2, "t^2"), (2, "t^2+t"), (3, "t"), (3, "t^2"), (4, "t")])
+def test_coset_table_members_match_a_full_scan(q, level):
+    # the row-by-row enumeration against the scan of all |R|^4 matrices
+    Fq = field(q)
+    table = CosetTable(Fq, parse_series(Fq, level))
+    ring = table.ring
+    scan = [
+        (a, b, c, d)
+        for a, b, c, d in itertools.product(ring.elements(), repeat=4)
+        if ring.sub(ring.mul(a, d), ring.mul(b, c)) == ring.one
+    ]
+    assert table.elements == scan
+
+
+def test_coset_table_size_guard_counts_the_group():
+    # 24576 members at t^5 over F_2; the bound sits on either side of it
+    f = parse_series(F, "t^5")
+    assert CosetTable(F, f, max_candidates=24_576).index == 24_576
+    with pytest.raises(SizeGuardExceeded, match="has 24576 elements"):
+        CosetTable(F, f, max_candidates=24_575)
+    with pytest.raises(SizeGuardExceeded, match="at least 1048576 elements"):
+        CosetTable(F, parse_series(F, "t^7"))
 
 
 def test_coset_table_reduce_lift_roundtrip():

@@ -248,3 +248,9 @@ def test_subdivided_view():
 def test_quotient_graph_rejects_bad_depth():
     with pytest.raises(InvalidInputError):
         quotient_graph(nagao2, 0)
+
+
+def test_quartic_level_covolume():
+    # index 3072 of Gamma(t^4) in SL2(F_2[t]), whose covolume is 1
+    lat = CongruenceLattice(F2, parse_series(F2, "t^4"))
+    assert covolume(quotient_graph(lat, 8)).total == 3072
