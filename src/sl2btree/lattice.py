@@ -5,9 +5,10 @@ tree's automorphisms, with t the degree -1 monomial: every vertex is
 equivalent under it to exactly one vertex (n, 0) on the standard ray with
 n >= 0, and `reduce_vertex` computes that normal form together with a
 group element witnessing it. `CongruenceLattice` is the kernel of entrywise
-reduction modulo a nonconstant polynomial f; its global structure is
-driven by the finite matrix group over F_q[t]/(f), materialized in
-`CosetTable`.
+reduction modulo a nonconstant polynomial f. The global structure of
+either is driven by the finite matrix group over F_q[t]/(f), materialized
+in `CosetTable`: the full lattice is the level f = 1 case, whose residue
+ring F_q[t]/(1) is the zero ring and whose residue group is trivial.
 
 Vertex stabilizers come in closed form (constant matrices at the origin,
 upper-triangular matrices with bounded offset along the ray) and are
@@ -19,7 +20,9 @@ conjugator into standard position and the parameter module of the
 fixing translations.
 """
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .autom import TreeAutomorphism
@@ -33,15 +36,14 @@ from .field import Field, field as make_field
 from .polys import (
     ResidueRing,
     all_t_polys,
-    from_t_coeffs,
-    gcd_t,
     is_t_poly,
+    mod_t,
     monic_t,
     t_degree,
     xgcd_t,
 )
 from .series import LaurentSeries
-from .tree import End, RationalEnd, Tree, TruncatedEnd, UpEnd, Vertex, end_from_vector
+from .tree import End, RationalEnd, Tree, TruncatedEnd, UpEnd, Vertex
 
 _REDUCE_CAP_BASE = 64
 
@@ -130,26 +132,17 @@ class UnknownCusp:
     note: str = "end truncated; stabilizer orders along the known branch only"
 
 
-class NotCuspidal:
-    """Marker result for an end with no nontrivial fixing translations.
-
-    Every rational end of the polynomial lattices here is cuspidal, so
-    this value is never produced by them; it exists so callers can treat
-    the query as a proper three-way outcome.
-    """
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "NotCuspidal()"
-
-
 class NagaoLattice:
-    """SL2(F_q[t]) acting on the (q+1)-regular tree."""
+    """SL2(F_q[t]) on the (q+1)-regular tree: the congruence lattice of level 1."""
 
     kind = "nagao"
 
     def __init__(self, field: Field):
         self.field = field
         self.tree = Tree(field)
+        self.level = LaurentSeries.one(field)
+        self.level_degree = 0
+        self._table = None
 
     @property
     def q(self) -> int:
@@ -164,10 +157,21 @@ class NagaoLattice:
     # -- membership ---------------------------------------------------------
 
     def contains(self, g: TreeAutomorphism) -> bool:
+        """Polynomial entries, determinant 1, and g = I entrywise mod the level."""
         if not all(is_t_poly(e) for e in g.entries()):
             return False
+        one = LaurentSeries.one(self.field)
         det = g.det()
-        return det.is_exact() and det == LaurentSeries.one(self.field)
+        if not (det.is_exact() and det == one):
+            return False
+        return not any(
+            mod_t(e, self.level).has_terms() for e in (g.a - one, g.b, g.c, g.d - one)
+        )
+
+    def coset_table(self) -> "CosetTable":
+        if self._table is None:
+            self._table = CosetTable(self.field, self.level)
+        return self._table
 
     def require_member(self, g: TreeAutomorphism) -> None:
         if not self.contains(g):
@@ -297,7 +301,7 @@ class NagaoLattice:
 
     def unipotent_parameter_multiple(self) -> LaurentSeries:
         """b runs over multiples of this in the standard cusp translations."""
-        return LaurentSeries.one(self.field)
+        return self.level
 
     def cusp_stabilizer_index(self) -> int:
         """Index of the translation part inside a full end stabilizer."""
@@ -349,8 +353,17 @@ class NagaoLattice:
         )
 
     def cusp_representatives(self) -> list[CuspData]:
-        """One CuspData per lattice orbit of cuspidal ends."""
-        return [self.is_cuspidal(self.tree.end_zero())]
+        """One cusp per orbit, via the finite residue group.
+
+        Orbits of ends correspond to cosets g*B in the residue group,
+        where B is the image of the full upper-triangular stabilizer of
+        the zero end; each representative is lifted to a determinant-1
+        polynomial matrix and applied to the zero end.
+        """
+        table = self.coset_table()
+        reps = table.coset_representatives(table.borel_image(self.level_degree))
+        zero_end = self.tree.end_zero()
+        return [self.is_cuspidal(table.lift(rep).act_end(zero_end)) for rep in reps]
 
     def cusp_translations(self, cusp: CuspData, max_degree: int):
         """The fixing translations at a cusp with bounded parameter degree."""
@@ -376,30 +389,12 @@ class CongruenceLattice(NagaoLattice):
             )
         self.level = monic_t(level)
         self.level_degree = t_degree(self.level)
-        self._table = None
 
     def __repr__(self) -> str:
         return f"CongruenceLattice(q={self.q}, level={self.level})"
 
     def config(self) -> dict:
         return {"kind": "congruence", "q": self.q, "level": str(self.level)}
-
-    def contains(self, g: TreeAutomorphism) -> bool:
-        if not super().contains(g):
-            return False
-        one = LaurentSeries.one(self.field)
-        ring = self.coset_table().ring
-        return (
-            ring.reduce(g.a - one) == ring.zero
-            and ring.reduce(g.b) == ring.zero
-            and ring.reduce(g.c) == ring.zero
-            and ring.reduce(g.d - one) == ring.zero
-        )
-
-    def coset_table(self) -> "CosetTable":
-        if self._table is None:
-            self._table = CosetTable(self.field, self.level)
-        return self._table
 
     def base_order(self, n: int) -> int:
         if n < 0:
@@ -438,28 +433,8 @@ class CongruenceLattice(NagaoLattice):
             f"of t-degree <= {n}"
         )
 
-    def unipotent_parameter_multiple(self) -> LaurentSeries:
-        return self.level
-
     def cusp_stabilizer_index(self) -> int:
         return 1
-
-    def cusp_representatives(self) -> list[CuspData]:
-        """One cusp per orbit, via the finite residue group.
-
-        Orbits of ends correspond to cosets g*B in the residue group,
-        where B is the image of the full upper-triangular stabilizer of
-        the zero end; each representative is lifted to a determinant-1
-        polynomial matrix and applied to the zero end.
-        """
-        table = self.coset_table()
-        reps = table.coset_representatives(table.borel_image(self.level_degree))
-        out = []
-        for rep in reps:
-            carrier = table.lift(rep)
-            end = carrier.act_end(self.tree.end_zero())
-            out.append(self.is_cuspidal(end))
-        return out
 
 
 def lattice_from_config(config: dict) -> NagaoLattice:
@@ -589,7 +564,8 @@ class CosetTable:
         Shifts m by a lower shear until the bottom-left entry is a unit,
         splits the result into three elementary shears, and lifts each
         shear through the canonical polynomial representatives; the
-        product has determinant exactly 1.
+        product has determinant exactly 1. Shears by 0 are left out, so
+        the identity of the zero ring lifts to the identity at no cost.
         """
         ring = self.ring
         F = self.field
@@ -602,11 +578,20 @@ class CosetTable:
         inv_c1 = ring.inverse(c1)
         u = ring.mul(ring.sub(a, ring.one), inv_c1)
         w = ring.mul(ring.sub(d1, ring.one), inv_c1)
+        factors = [
+            shear(F, ring.lift(x))
+            for shear, x in (
+                (_lower_shear, ring.neg(shift)),
+                (_upper_shear, u),
+                (_lower_shear, c1),
+                (_upper_shear, w),
+            )
+            if x != ring.zero
+        ]
         lifted = (
-            _lower_shear(F, -ring.lift(shift))
-            * _upper_shear(F, ring.lift(u))
-            * _lower_shear(F, ring.lift(c1))
-            * _upper_shear(F, ring.lift(w))
+            functools.reduce(operator.mul, factors)
+            if factors
+            else TreeAutomorphism.identity(F)
         )
         if self.reduce(lifted) != m:
             raise NonterminationGuard("constructive lift failed to check")
@@ -615,10 +600,11 @@ class CosetTable:
     # -- images of the standard stabilizers -------------------------------------
 
     def borel_image(self, n: int):
-        """Image of the upper-triangular stabilizer of (n, 0), n >= 1.
+        """Image of the upper-triangular stabilizer of (n, 0).
 
-        For n >= deg(f) - 1 this is the image of the full stabilizer of
-        the zero end and stops growing.
+        At n = 0 that is the common stabilizer of (0, 0) and (1, 0). For
+        n >= deg(f) - 1 this is the image of the full stabilizer of the
+        zero end and stops growing.
         """
         ring = self.ring
         k = min(n, ring.degree - 1)
@@ -631,15 +617,16 @@ class CosetTable:
         return self._borel[k]
 
     def constants_image(self):
-        """Image of the constant-matrix stabilizer of the origin."""
+        """Image of the constant-matrix stabilizer of the origin.
+
+        These are the members whose four entries are images of constants:
+        the constants embed in R (or all map to 0 in the zero ring), so the
+        determinant condition is the one over F_q.
+        """
         if self._constants is None:
-            F = self.field
-            c = self.ring.constant
-            elems = list(F.elements())
+            consts = {self.ring.constant(c) for c in self.field.elements()}
             self._constants = frozenset(
-                (c(a), c(b), c(cc), c(d))
-                for a, b, cc, d in itertools.product(elems, repeat=4)
-                if a * d - b * cc == F.one
+                m for m in self.elements if all(x in consts for x in m)
             )
         return self._constants
 

@@ -146,19 +146,20 @@ class ResidueRing:
     looked up in tables built at construction (|R|^2 entries for sums and
     products), so the ring is meant for the small moduli whose matrix
     groups get materialized. The modulus is normalized to be monic; only
-    its ideal matters.
+    its ideal matters. A constant modulus gives the zero ring, whose only
+    element 0 is both its zero and its one.
     """
 
     def __init__(self, field: Field, modulus: LaurentSeries):
         d = t_degree(modulus)
-        if d < 1:
-            raise InvalidInputError("residue-ring modulus must have t-degree >= 1")
+        if d < 0:
+            raise InvalidInputError("residue-ring modulus must be a nonzero polynomial")
         self.field = field
         self.modulus = monic_t(modulus)
         self.degree = d
         q = field.q
         self.size = n = q**d
-        self._unit_place = q ** (d - 1)  # weight of the t^0 digit
+        self._unit_place = n // q  # weight of the t^0 digit; 0 in the zero ring
         self.zero = 0
         self.one = self.constant(field.one)
         elems = list(field.elements())
@@ -198,7 +199,7 @@ class ResidueRing:
         return c.index * self._unit_place
 
     def low_degree(self, k: int) -> range:
-        """The residues of the polynomials of t-degree <= k, for 0 <= k < deg(f)."""
+        """The residues of the polynomials of t-degree <= k, for -1 <= k < deg(f)."""
         return range(0, self.size, self.field.q ** (self.degree - 1 - k))
 
     def reduce(self, s: LaurentSeries) -> int:

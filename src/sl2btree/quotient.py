@@ -18,7 +18,7 @@ product decomposition when all finite pieces are trivial
 (`free_product_report`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .autom import TreeAutomorphism
@@ -28,7 +28,8 @@ from .errors import (
     NonterminationGuard,
     UncertifiedTail,
 )
-from .lattice import CongruenceLattice, CuspData, NagaoLattice, _upper
+from .lattice import CuspData, NagaoLattice, ReducedVertex, _upper
+from .polys import t_degree
 from .series import LaurentSeries
 from .tree import End, Vertex
 
@@ -37,6 +38,7 @@ from .tree import End, Vertex
 class QuotientVertex:
     id: str
     level: int
+    coset: int | None  # coset number in the level's partition; None for a cusp vertex
     order: int | None  # None marks a symbolic cusp vertex (infinite order)
     representative: Vertex | None
     description: str
@@ -104,6 +106,7 @@ class CertifiedIndependent:
     truncation: int
     vertices_checked: int
     pairs_checked: int
+    members: list[tuple[Vertex, ReducedVertex]]  # the horoball vertices, reduced
 
 
 @dataclass
@@ -150,7 +153,6 @@ class GraphOfGroups:
         self.rays: list[RayTail] = []
         self.contracted = False
         self.covolume_total: Fraction | None = None
-        self._level_cosets: list[list[list]] | None = None
 
     # -- serialization -----------------------------------------------------------
 
@@ -255,36 +257,23 @@ def _standard_vertex(lattice: NagaoLattice, n: int) -> Vertex:
     return lattice.tree.vertex(n, LaurentSeries.zero(lattice.field))
 
 
+def _vertex_id(lattice: NagaoLattice, n: int, k: int) -> str:
+    # the full lattice has one vertex class per level, named by the level alone
+    return f"L{n}" if lattice.level_degree == 0 else f"L{n}C{k}"
+
+
 def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
-    """The quotient graph of groups down to the given level depth."""
+    """The quotient graph of groups down to the given level depth.
+
+    The vertex classes at level n are the cosets of the residue image of
+    the stabilizer of (n, 0), and the edge classes below them the cosets
+    of the edge stabilizer's image; each class is represented by the
+    standard vertex moved by the lift of its coset's least member.
+    """
     if depth < 1:
         raise InvalidInputError("quotient depth must be at least 1")
     G = GraphOfGroups(lattice, depth)
-    if isinstance(lattice, CongruenceLattice):
-        _build_congruence(G, lattice, depth)
-    else:
-        _build_chain(G, lattice, depth)
-    _detect_rays(G)
-    return G
-
-
-def _build_chain(G: GraphOfGroups, lattice: NagaoLattice, depth: int) -> None:
-    for n in range(depth + 1):
-        vid = f"L{n}"
-        G.vertices[vid] = QuotientVertex(
-            id=vid,
-            level=n,
-            order=lattice.base_order(n),
-            representative=_standard_vertex(lattice, n),
-            description=lattice._base_description(n),
-        )
-    for n in range(depth):
-        G.edges.append(QuotientEdge(f"L{n}", f"L{n + 1}", lattice.edge_order(n)))
-
-
-def _build_congruence(G: GraphOfGroups, lattice: CongruenceLattice, depth: int) -> None:
     table = lattice.coset_table()
-    level_cosets = []
     lookups = []
     numbering = {}  # subgroup -> {member: coset number}, shared by the levels
     for n in range(depth + 1):
@@ -292,16 +281,18 @@ def _build_congruence(G: GraphOfGroups, lattice: CongruenceLattice, depth: int) 
         part = table.coset_partition(image)
         if image not in numbering:
             numbering[image] = {m: k for k, coset in enumerate(part) for m in coset}
-        level_cosets.append(part)
+            # levels sharing a subgroup are consecutive: lift its cosets once
+            carriers = [table.lift(coset[0]) for coset in part]
         lookups.append(numbering[image])
-        for k, coset in enumerate(part):
-            vid = f"L{n}C{k}"
-            carrier = table.lift(coset[0])
+        standard = _standard_vertex(lattice, n)
+        for k, carrier in enumerate(carriers):
+            vid = _vertex_id(lattice, n, k)
             G.vertices[vid] = QuotientVertex(
                 id=vid,
                 level=n,
+                coset=k,
                 order=lattice.base_order(n),
-                representative=carrier.act_vertex(_standard_vertex(lattice, n)),
+                representative=carrier.act_vertex(standard),
                 description=lattice._base_description(n),
             )
     for n in range(depth):
@@ -309,12 +300,13 @@ def _build_congruence(G: GraphOfGroups, lattice: CongruenceLattice, depth: int) 
             m = coset[0]
             G.edges.append(
                 QuotientEdge(
-                    f"L{n}C{lookups[n][m]}",
-                    f"L{n + 1}C{lookups[n + 1][m]}",
+                    _vertex_id(lattice, n, lookups[n][m]),
+                    _vertex_id(lattice, n + 1, lookups[n + 1][m]),
                     lattice.edge_order(n),
                 )
             )
-    G._level_cosets = level_cosets
+    _detect_rays(G)
+    return G
 
 
 def _detect_rays(G: GraphOfGroups) -> None:
@@ -457,29 +449,27 @@ def covolume_partial_with_tail(lattice: NagaoLattice, depth: int = 20) -> Fracti
 # -- cusp reporting ------------------------------------------------------------------
 
 
-def _match_cusps_to_rays(G: GraphOfGroups) -> list[tuple[int, int]]:
-    lattice = G.lattice
-    cusps = lattice.cusp_representatives()
+def _match_cusps_to_rays(
+    G: GraphOfGroups, cusps: list[CuspData]
+) -> list[tuple[int, int]]:
+    """(cusp index, ray index) for each cusp whose carrier lands in exactly one ray.
+
+    A ray is read at the first level where the vertex partition is the
+    one of the end stabilizer; the cusp belongs to the ray whose vertex
+    coset there holds the residue of the cusp's carrier.
+    """
+    table = G.lattice.coset_table()
+    stable = G.lattice.level_degree - 1
     matches = []
-    if not isinstance(lattice, CongruenceLattice):
-        if len(cusps) == 1 and len(G.rays) == 1:
-            return [(0, 0)]
-        raise NonterminationGuard("chain quotient should have one cusp and one ray")
-    table = lattice.coset_table()
-    stable = lattice.level_degree - 1
     for ci, cusp in enumerate(cusps):
-        carrier = cusp.conjugator.adjugate()
-        m = table.reduce(carrier)
+        m = table.reduce(cusp.conjugator.adjugate())
         hits = []
         for ri, ray in enumerate(G.rays):
             level = max(ray.base_level, stable, 1)
-            if level > G.depth:
+            if level not in ray.levels:
                 continue
-            pos = ray.levels.index(level) if level in ray.levels else None
-            if pos is None:
-                continue
-            k = int(ray.vertex_ids[pos].split("C")[1])
-            if m in G._level_cosets[level][k]:
+            vertex = G.vertices[ray.vertex_ids[ray.levels.index(level)]]
+            if m in table.coset_partition(table.vertex_image(level))[vertex.coset]:
                 hits.append(ri)
         if len(hits) == 1:
             matches.append((ci, hits[0]))
@@ -490,7 +480,7 @@ def cusps_report(lattice: NagaoLattice, depth: int) -> CuspsReport:
     """Match the algebraic cusp list against the geometric ray tails."""
     G = quotient_graph(lattice, depth)
     cusps = lattice.cusp_representatives()
-    matches = _match_cusps_to_rays(G)
+    matches = _match_cusps_to_rays(G, cusps)
     for ci, ri in matches:
         G.rays[ri].cusp_index = ci
     bijective = (
@@ -555,24 +545,17 @@ def growth_probe(lattice: NagaoLattice, end: End, depth: int) -> GrowthProbe:
 # -- horoball certification ------------------------------------------------------------
 
 
-def _horoball_members(lattice, cusp, radius_vertex, truncation):
-    tree = lattice.tree
-    return [
-        y
-        for y in tree.ball(radius_vertex, truncation)
-        if tree.horoball_contains(cusp.end, radius_vertex, y)
-    ]
-
-
 class _TransporterAlgebra:
     """Shared closed-form machinery for transporter cosets.
 
     For vertices y, y' with the same normal form (n, 0), the lattice
     elements carrying y to y' form the coset w'^{-1} S w where S is the
-    stabilizer of (n, 0) and w, w' are the reduction witnesses. Whether
-    every member fixes the cusp end reduces, for n >= 1, to linear
-    conditions on three series A, B, C built from the witnesses and the
-    end conjugator.
+    stabilizer of (n, 0) and w, w' are the reduction witnesses. The
+    residue h0 of w' w^{-1} picks out the members of the full stabilizer
+    of (n, 0) that can occur in S; over the zero ring (the full lattice)
+    all of them can. Whether every member fixes the cusp end reduces, for
+    n >= 1, to linear conditions on three series A, B, C built from the
+    witnesses and the end conjugator.
     """
 
     def __init__(self, lattice: NagaoLattice, cusp: CuspData):
@@ -581,83 +564,67 @@ class _TransporterAlgebra:
         self.cusp = cusp
         self.conj = cusp.conjugator
         self.conj_inv = cusp.conjugator.adjugate()
-        self.congruence = isinstance(lattice, CongruenceLattice)
-        if self.congruence:
-            self.table = lattice.coset_table()
-            self.ring = self.table.ring
-            self._const_table = None
-            # residue image of each constant unit alpha -> alpha
-            self._unit_constants = {self.ring.constant(a): a for a in self.F.units()}
-        self._n0_members = None
+        self.table = lattice.coset_table()
+        self.ring = self.table.ring
+        self._const_table = None
 
     def _constants(self):
-        """Residue image -> the unique constant lattice element, lazily."""
+        """Residue image -> the constant lattice elements with that image, lazily."""
         if self._const_table is None:
-            table = self.table
             mapping = {}
             for g in NagaoLattice(self.F).base_stabilizer_elements(0):
-                mapping[table.reduce(g)] = g
+                mapping.setdefault(self.table.reduce(g), []).append(g)
             self._const_table = mapping
         return self._const_table
 
-    def _level0_members(self):
-        if self._n0_members is None:
-            self._n0_members = list(
-                NagaoLattice(self.F).base_stabilizer_elements(0)
-            )
-        return self._n0_members
+    def _family(self, red_y, red_yp):
+        """The members of S that can occur over the residue h0 of w' w^{-1}, or None.
+
+        At level 0 the list of constant matrices with image h0, above it
+        the `_upper_family` of h0.
+        """
+        table = self.table
+        h0 = table.matmul(
+            table.reduce(red_yp.witness), table.inverse(table.reduce(red_y.witness))
+        )
+        n = red_y.level
+        return self._constants().get(h0) if n == 0 else self._upper_family(h0, n)
 
     def transporter_fixes_end(self, y, red_y, yp, red_yp):
         """(certified, counterexample gamma or None) for one vertex pair."""
-        n = red_y.level
+        family = self._family(red_y, red_yp)
+        if family is None:
+            return True, None
         P = self.conj * red_yp.witness.adjugate()
         Q = red_y.witness * self.conj_inv
-        if n == 0:
-            return self._level0_check(y, red_y, yp, red_yp, P, Q)
+        if red_y.level == 0:
+            for u in family:
+                if (P * u * Q).c.has_terms():
+                    return self._finish(y, red_y, yp, red_yp, u)
+            return True, None
+        # the bottom-left entry of P u Q for u = [[alpha, b], [0, alpha^-1]]
+        # is alpha*A + b*B + alpha^{-1}*C, linear in b: if some b = b0 + f*c
+        # exposes it, b0 or b0 + f does
         A = P.c * Q.a
         B = P.c * Q.c
         C = P.d * Q.c
-        if not self.congruence:
-            return self._nagao_check(y, red_y, yp, red_yp, n, A, B, C)
-        return self._congruence_check(y, red_y, yp, red_yp, n, A, B, C)
-
-    def transporter_exists(self, red_y, red_yp):
-        """Whether the lattice carries y to y' at all (same normal form)."""
-        n = red_y.level
-        if not self.congruence:
-            return True
-        table = self.table
-        h0 = table.matmul(
-            table.reduce(red_yp.witness), table.inverse(table.reduce(red_y.witness))
-        )
-        if n == 0:
-            return h0 in self._constants()
-        return self._upper_family(h0, n) is not None
+        alphas, offsets = family
+        for alpha in alphas:
+            for b in offsets:
+                if (A.scale(alpha) + b * B + C.scale(alpha.inverse())).has_terms():
+                    return self._finish(y, red_y, yp, red_yp, _upper(self.F, alpha, b))
+        return True, None
 
     def transporter_member(self, red_y, red_yp):
         """Some lattice element carrying y to y', if one exists."""
-        n = red_y.level
-        if not self.congruence:
-            if n == 0:
-                u = TreeAutomorphism.identity(self.F)
-            else:
-                u = _upper(self.F, self.F.one, LaurentSeries.zero(self.F))
-            return red_yp.witness.adjugate() * u * red_y.witness
-        table = self.table
-        h0 = table.matmul(
-            table.reduce(red_yp.witness), table.inverse(table.reduce(red_y.witness))
-        )
-        if n == 0:
-            u = self._constants().get(h0)
-        else:
-            family = self._upper_family(h0, n)
-            if family is None:
-                u = None
-            else:
-                alpha0, b0, _ = family
-                u = _upper(self.F, alpha0, b0)
-        if u is None:
+        family = self._family(red_y, red_yp)
+        if family is None:
             return None
+        if red_y.level == 0:
+            u = family[0]
+        else:
+            (alpha, *_), (b, *_) = family
+            u = _upper(self.F, alpha, b)
         return red_yp.witness.adjugate() * u * red_y.witness
 
     # -- internals ------------------------------------------------------------
@@ -672,87 +639,29 @@ class _TransporterAlgebra:
             raise NonterminationGuard("counterexample fell outside the lattice")
         return False, gamma
 
-    def _level0_check(self, y, red_y, yp, red_yp, P, Q):
-        if self.congruence:
-            table = self.table
-            h0 = table.matmul(
-                table.reduce(red_yp.witness),
-                table.inverse(table.reduce(red_y.witness)),
-            )
-            u = self._constants().get(h0)
-            if u is None:
-                return True, None
-            members = [u]
-        else:
-            members = self._level0_members()
-        for u in members:
-            m21 = (P * u * Q).c
-            if m21.has_terms():
-                return self._finish(y, red_y, yp, red_yp, u)
-        return True, None
-
-    def _nagao_check(self, y, red_y, yp, red_yp, n, A, B, C):
-        F = self.F
-        one = LaurentSeries.one(F)
-        zero = LaurentSeries.zero(F)
-        if B.has_terms():
-            # entry is alpha*A + b*B + alpha^{-1}*C: linear in b, so one of
-            # b = 0, 1 must expose it
-            for b in (zero, one):
-                if (A + b * B + C).has_terms():
-                    return self._finish(y, red_y, yp, red_yp, _upper(F, F.one, b))
-            raise NonterminationGuard("linear-in-b search found no witness")
-        for alpha in F.units():
-            val = A.scale(alpha) + C.scale(alpha.inverse())
-            if val.has_terms():
-                return self._finish(y, red_y, yp, red_yp, _upper(F, alpha, zero))
-        return True, None
-
     def _upper_family(self, h0, n):
-        """(alpha0, b0, free_degree) for coset members over the level, or None.
+        """(diagonals, offsets) of the stabilizer of (n, 0) over h0, or None.
 
-        Members of the stabilizer of (n, 0) inside the residue coset h0
-        have the fixed diagonal alpha0 and offsets b0 + f*c with
-        deg(f*c) <= n; free_degree is the degree bound on c (-1 means b0
-        alone).
+        The members of the stabilizer of (n, 0) inside the residue coset h0
+        are [[alpha, b0 + f*c], [0, alpha^-1]] with the constant units alpha
+        listed (one of them unless R is the zero ring, where all q - 1 are)
+        and deg(b0 + f*c) <= n. The offsets are b0, and b0 + f when n >= deg f.
         """
         ring = self.ring
         a_bar, b_bar, c_bar, d_bar = h0
         if c_bar != ring.zero:
             return None
-        alpha0 = self._unit_constants.get(a_bar)
-        if alpha0 is None:
-            return None
-        if ring.constant(alpha0.inverse()) != d_bar:
-            return None
+        alphas = [
+            a
+            for a in self.F.units()
+            if ring.constant(a) == a_bar and ring.constant(a.inverse()) == d_bar
+        ]
         b0 = ring.lift(b_bar)
-        from .polys import t_degree
-
-        if t_degree(b0) > n:
+        if not alphas or t_degree(b0) > n:
             return None
-        free_degree = n - self.lattice.level_degree
-        return alpha0, b0, free_degree
-
-    def _congruence_check(self, y, red_y, yp, red_yp, n, A, B, C):
-        F = self.F
-        table = self.table
-        h0 = table.matmul(
-            table.reduce(red_yp.witness), table.inverse(table.reduce(red_y.witness))
-        )
-        family = self._upper_family(h0, n)
-        if family is None:
-            return True, None
-        alpha0, b0, free_degree = family
-        f = self.lattice.level
-        base = A.scale(alpha0) + b0 * B + C.scale(alpha0.inverse())
-        if base.has_terms():
-            return self._finish(y, red_y, yp, red_yp, _upper(F, alpha0, b0))
-        if free_degree >= 0 and B.has_terms():
-            # base + f*c*B with c = 1 exposes it unless f*B vanishes
-            cand = b0 + f
-            if (base + f * B).has_terms():
-                return self._finish(y, red_y, yp, red_yp, _upper(F, alpha0, cand))
-        return True, None
+        if n < self.lattice.level_degree:
+            return alphas, (b0,)
+        return alphas, (b0, b0 + self.lattice.level)
 
 
 def certify_independent_horoball(
@@ -769,10 +678,14 @@ def certify_independent_horoball(
     carrying one to the other fixes the end. Returns a certificate or
     the first explicit violating pair.
     """
-    members = _horoball_members(lattice, cusp, radius_vertex, truncation)
+    tree = lattice.tree
+    members = [
+        (y, lattice.reduce_vertex(y))
+        for y in tree.ball(radius_vertex, truncation)
+        if tree.horoball_contains(cusp.end, radius_vertex, y)
+    ]
     by_level: dict[int, list] = {}
-    for y in members:
-        red = lattice.reduce_vertex(y)
+    for y, red in members:
         by_level.setdefault(red.level, []).append((y, red))
     algebra = _TransporterAlgebra(lattice, cusp)
     pairs = 0
@@ -789,6 +702,7 @@ def certify_independent_horoball(
         truncation=truncation,
         vertices_checked=len(members),
         pairs_checked=pairs,
+        members=members,
     )
 
 
@@ -802,7 +716,8 @@ def certify_independent_family(
 
     On top of the per-cusp check, distinct horoballs must not meet under
     the lattice: any member carrying a vertex of one truncated horoball
-    to a vertex of another is a violation.
+    to a vertex of another is a violation. The cross check reuses the
+    horoball members each single certificate enumerated.
     """
     if len(cusps) != len(radius_vertices):
         raise InvalidInputError("one radius vertex per cusp is required")
@@ -813,30 +728,18 @@ def certify_independent_family(
             return result
         singles.append(result)
     cross = 0
-    balls = []
-    for cusp, x in zip(cusps, radius_vertices):
-        balls.append(
-            [
-                (y, lattice.reduce_vertex(y))
-                for y in _horoball_members(lattice, cusp, x, truncation)
-            ]
-        )
-    for i in range(len(cusps)):
-        algebra = _TransporterAlgebra(lattice, cusps[i])
-        for j in range(len(cusps)):
+    for i, single in enumerate(singles):
+        algebra = _TransporterAlgebra(lattice, single.cusp)
+        for j, other in enumerate(singles):
             if i == j:
                 continue
-            for y, red_y in balls[i]:
-                for yp, red_yp in balls[j]:
+            for y, red_y in single.members:
+                for yp, red_yp in other.members:
                     if red_y.level != red_yp.level:
                         continue
                     cross += 1
-                    if algebra.transporter_exists(red_y, red_yp):
-                        gamma = algebra.transporter_member(red_y, red_yp)
-                        if gamma is None:
-                            raise NonterminationGuard(
-                                "existence and construction disagreed"
-                            )
+                    gamma = algebra.transporter_member(red_y, red_yp)
+                    if gamma is not None:
                         if gamma.act_vertex(y) != yp:
                             raise NonterminationGuard(
                                 "cross transporter failed to check"
@@ -857,13 +760,8 @@ def contract(G: GraphOfGroups, bases: dict[int, int] | None = None) -> GraphOfGr
     picture, at or beyond a certified independent horoball boundary).
     Contracting nothing returns an identical copy.
     """
-    matches = dict()
-    try:
-        for ci, ri in _match_cusps_to_rays(G):
-            matches[ri] = ci
-    except NonterminationGuard:
-        pass
     cusps = G.lattice.cusp_representatives()
+    matches = {ri: ci for ci, ri in _match_cusps_to_rays(G, cusps)}
     chosen: dict[int, int] = {}
     if bases is None:
         for i, ray in enumerate(G.rays):
@@ -891,13 +789,7 @@ def contract(G: GraphOfGroups, bases: dict[int, int] | None = None) -> GraphOfGr
             ray_of[vid] = i
     for vid, v in G.vertices.items():
         if vid not in ray_of:
-            out.vertices[vid] = QuotientVertex(
-                id=v.id,
-                level=v.level,
-                order=v.order,
-                representative=v.representative,
-                description=v.description,
-            )
+            out.vertices[vid] = replace(v)
     for i, cut in sorted(chosen.items()):
         cusp_id = f"cusp{i}"
         group = SymbolicCuspGroup(
@@ -907,6 +799,7 @@ def contract(G: GraphOfGroups, bases: dict[int, int] | None = None) -> GraphOfGr
         out.vertices[cusp_id] = QuotientVertex(
             id=cusp_id,
             level=cut,
+            coset=None,
             order=None,
             representative=None,
             description=str(group),

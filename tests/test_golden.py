@@ -4,7 +4,8 @@ The digests were recorded before integer-encoded residue rings and
 table-driven field arithmetic replaced series-based arithmetic in
 F_q[t]/(f); any change to the bytes printed by these commands fails here.
 Commands cover quotient (JSON and DOT), contract, covolume and cusps,
-with and without --truncation, over F_2, F_3, F_4 and F_9.
+with and without --truncation, over F_2, F_3, F_4 and F_9, for the full
+lattice and for congruence subgroups.
 """
 
 import hashlib
@@ -34,6 +35,14 @@ GOLDEN = [
     ("cusps --q 3 --lattice congruence --level t --depth 6 --truncation 3", 0, "894f76071ba8fed4d55d0be5aefc5dd21436586b5ed08e367f114ae7af4d40a7"),
     ("cusps --q 4 --lattice congruence --level t+1 --depth 6", 0, "d7831d427eb428f625f9f412f95e150580d80fa194f7a78caaace75b6a57a704"),
     ("cusps --lattice congruence --level t^2+t --depth 7 --truncation 3", 0, "16eb3c4df7ef72f93bb7a946b63625fff31e641a630125213546439490b98d40"),
+    # full-lattice cusps and horoball certification, recorded before the
+    # full lattice became the level-1 case of the residue-table code path
+    ("cusps --depth 8", 0, "56f9949fb091140a1c16c9ef691a2fa0875ec41104a73758bb865a26bb7bf6a2"),
+    ("cusps --depth 8 --truncation 5", 0, "3752cd12df2e78f659a080c679caaa2f5e77d598d91217e787fea4b5f18b08f2"),
+    ("cusps --q 3 --depth 8 --truncation 5", 0, "2144d35427dd934fb5c078bd66ed7a7336672f242605155b4994b4ce46ef1971"),
+    ("cusps --q 4 --modulus 1,1,1 --depth 8 --truncation 5", 0, "772d34961d90496689469d00f8f1d9cdd6eedff350670b6ecf4df26b9a8b291a"),
+    ("cusps --q 9 --depth 6 --truncation 3", 0, "4b0aa4c92d1e57f99ad6131e33f264b3c3283f03da854670a84eefb7da75e12c"),
+    ("contract --q 3 --depth 6 --format dot", 0, "e6e45ff1da6796bf6444fc0845eeb9d208a549688a47123566da9aff04daad7a"),
 ]
 
 

@@ -334,3 +334,29 @@ def test_config_roundtrip():
     assert repr(back) == "CongruenceLattice(q=2, level=t^2)"
     with pytest.raises(InvalidInputError):
         lattice_from_config({"kind": "mystery", "q": 2})
+
+
+def test_contains_needs_no_coset_table():
+    # Gamma(t^5) over F_2: SL2(F_2[t]/(t^5)) has 24576 elements, past the
+    # table's size guard, but membership only reduces entries mod t^5
+    lat = CongruenceLattice(F, parse_series(F, "t^5"))
+    assert lat.contains(TreeAutomorphism.identity(F))
+    assert lat.contains(parse_matrix(F, "[[1, t^5], [0, 1]]"))
+    assert not lat.contains(parse_matrix(F, "[[1, t^4], [0, 1]]"))
+    assert not lat.contains(parse_matrix(F, "[[1, 0], [t^4, 1]]"))
+    assert lat._table is None
+    with pytest.raises(SizeGuardExceeded):
+        lat.coset_table()
+
+
+def test_full_lattice_is_the_level_one_case():
+    # the residue ring F_q[t]/(1) is the zero ring, its matrix group trivial
+    for q in (2, 3, 4):
+        lat = NagaoLattice(field(q))
+        table = lat.coset_table()
+        assert table.ring.size == 1
+        assert table.elements == [(0, 0, 0, 0)]
+        assert table.lift(table.elements[0]) == TreeAutomorphism.identity(lat.field)
+        assert table.constants_image() == table.borel_image(1) == {(0, 0, 0, 0)}
+        assert format_series(lat.unipotent_parameter_multiple()) == "1"
+        assert lat.contains(parse_matrix(lat.field, "[[1, t], [0, 1]]"))

@@ -1,5 +1,6 @@
 import pytest
 
+from sl2btree.errors import InvalidInputError
 from sl2btree.field import field
 from sl2btree.literals import parse_series
 from sl2btree.polys import (
@@ -209,3 +210,16 @@ def test_residue_ring_against_schoolbook_products(q, f):
         for y, ry in enumerate(residues):
             assert decode(ring.add(x, y)) == add(rx, ry)
             assert decode(ring.mul(x, y)) == mul(rx, ry)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_residue_ring_of_a_constant_modulus_is_the_zero_ring(q):
+    F = field(q)
+    ring = ResidueRing(F, LaurentSeries.exact(F, {0: list(F.units())[-1]}))
+    assert ring.size == 1 and list(ring.elements()) == [0]
+    assert ring.zero == ring.one == 0 and ring.is_unit(0)
+    assert all(ring.constant(c) == 0 for c in F.elements())
+    assert ring.reduce(parse_series(F, "t^3+t+1")) == 0
+    assert not ring.lift(0).has_terms()
+    with pytest.raises(InvalidInputError):
+        ResidueRing(F, LaurentSeries.zero(F))

@@ -21,6 +21,7 @@ from sl2btree.quotient import (
     growth_probe,
     quotient_graph,
 )
+from sl2btree.tree import Tree
 
 
 F2 = field(2)
@@ -254,3 +255,54 @@ def test_quartic_level_covolume():
     # index 3072 of Gamma(t^4) in SL2(F_2[t]), whose covolume is 1
     lat = CongruenceLattice(F2, parse_series(F2, "t^4"))
     assert covolume(quotient_graph(lat, 8)).total == 3072
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "lattice", [nagao2, CongruenceLattice(F2, parse_series(F2, "t^2"))]
+)
+def test_cusp_representatives_computed_once_per_report_and_contraction(
+    monkeypatch, lattice
+):
+    calls = _count_calls(monkeypatch, NagaoLattice, "cusp_representatives")
+    report = cusps_report(lattice, 8)
+    assert len(calls) == 1
+    assert report.bijective
+    contracted = contract(report.graph)
+    assert len(calls) == 2
+    assert all(v.cusp is not None for v in contracted.vertices.values() if v.is_cusp)
+
+
+def test_family_certification_enumerates_each_horoball_once(monkeypatch):
+    lat = CongruenceLattice(F2, parse_series(F2, "t^2"))
+    report = cusps_report(lat, 8)
+    entry = dict(report.matches)
+    radii = [
+        c.conjugator.adjugate().act_vertex(
+            parse_vertex(F2, f"({report.graph.rays[entry[i]].base_level}; 0)")
+        )
+        for i, c in enumerate(report.algebraic)
+    ]
+    balls = _count_calls(monkeypatch, Tree, "ball")
+    fam = certify_independent_family(lat, report.algebraic, radii, 4)
+    assert isinstance(fam, FamilyCertificate)
+    assert len(fam.singles) == 12
+    assert len(balls) == 12
+
+
+def test_quotient_vertices_carry_their_coset():
+    G = quotient_graph(CongruenceLattice(F2, parse_series(F2, "t^2")), 4)
+    for vid, v in G.vertices.items():
+        assert vid == f"L{v.level}C{v.coset}"
+    assert all(v.coset == 0 for v in quotient_graph(nagao2, 4).vertices.values())
