@@ -114,10 +114,7 @@ class UnipotentInfo:
     witnessed by a fixed vertex whose eccentricity-1/3 horoellipse is
     checked (to `checked_depth`) to be carried into itself. kind
     "not_unipotent" reports that the element has no square-zero shift at
-    all; it carries no witness. The kinds "ugly" and "anisotropic" are
-    reserved for base fields where unipotent fixed sets behave badly; over
-    F_q((pi)) with the canonical uniformizer they cannot arise and are
-    never returned.
+    all; it carries no witness.
     """
 
     kind: str
@@ -174,6 +171,18 @@ class TreeAutomorphism:
     def diagonal(cls, field: Field, top: LaurentSeries, bottom: LaurentSeries):
         zero = LaurentSeries.zero(field)
         return cls(field, top, zero, zero, bottom)
+
+    @classmethod
+    def upper_shear(cls, field: Field, b: LaurentSeries) -> "TreeAutomorphism":
+        """[[1, b], [0, 1]]: fixes the zero end."""
+        one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
+        return cls(field, one, b, zero, one)
+
+    @classmethod
+    def lower_shear(cls, field: Field, c: LaurentSeries) -> "TreeAutomorphism":
+        """[[1, 0], [c, 1]]: translates residues by c."""
+        one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
+        return cls(field, one, zero, c, one)
 
     @classmethod
     def standard_step(cls, field: Field) -> "TreeAutomorphism":

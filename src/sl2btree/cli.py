@@ -94,10 +94,20 @@ def _lattice_from_args(args):
     return NagaoLattice(F)
 
 
-def _graph_text(graph, fmt: str) -> str:
+def _covolume_or_none(graph):
+    """The covolume, or None when some ray is not certified at this depth."""
+    try:
+        return covolume(graph)
+    except UncertifiedTail:
+        return None
+
+
+def _graph_text(graph, fmt: str, cov) -> str:
     if fmt == "dot":
         return graph.to_dot()
-    return json.dumps(graph.to_json_dict(), indent=2) + "\n"
+    out = graph.to_json_dict()
+    out["covolume"] = None if cov is None else str(cov)
+    return json.dumps(out, indent=2) + "\n"
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -106,11 +116,7 @@ def _graph_text(graph, fmt: str) -> str:
 def _cmd_quotient(args):
     lattice = _lattice_from_args(args)
     G = quotient_graph(lattice, args.depth)
-    try:
-        covolume(G)
-    except UncertifiedTail:
-        pass  # serialized covolume stays null at this depth
-    return 0, _graph_text(G, args.format)
+    return 0, _graph_text(G, args.format, _covolume_or_none(G))
 
 
 def _cmd_covolume(args):
@@ -184,12 +190,8 @@ def _cmd_cusps(args):
 def _cmd_contract(args):
     lattice = _lattice_from_args(args)
     G = quotient_graph(lattice, args.depth)
-    try:
-        covolume(G)
-    except UncertifiedTail:
-        pass
-    contracted = contract(G)
-    return 0, _graph_text(contracted, args.format)
+    cov = _covolume_or_none(G)
+    return 0, _graph_text(contract(G), args.format, cov)
 
 
 def _cmd_probe(args):

@@ -60,18 +60,6 @@ def _upper(field: Field, alpha, offset: LaurentSeries) -> TreeAutomorphism:
     )
 
 
-def _lower_shear(field: Field, c: LaurentSeries) -> TreeAutomorphism:
-    """[[1, 0], [c, 1]]: translates residues by c."""
-    one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
-    return TreeAutomorphism(field, one, zero, c, one)
-
-
-def _upper_shear(field: Field, b: LaurentSeries) -> TreeAutomorphism:
-    """[[1, b], [0, 1]]: fixes the zero end."""
-    one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
-    return TreeAutomorphism(field, one, b, zero, one)
-
-
 @dataclass
 class ReducedVertex:
     """Normal form of a vertex under the polynomial lattice.
@@ -195,7 +183,9 @@ class NagaoLattice:
             a = cur.residue
             poly_part = {d: c for d, c in a.coeffs.items() if d <= 0}
             if poly_part:
-                step = _lower_shear(F, -LaurentSeries.exact(F, poly_part))
+                step = TreeAutomorphism.lower_shear(
+                    F, -LaurentSeries.exact(F, poly_part)
+                )
                 cur = step.act_vertex(cur)
                 g = step * g
                 continue
@@ -373,7 +363,7 @@ class NagaoLattice:
         bound = max(max_degree - t_degree(mult), -1)
         for c in all_t_polys(F, bound):
             if c.has_terms():
-                yield inv * _upper_shear(F, mult * c) * cusp.conjugator
+                yield inv * TreeAutomorphism.upper_shear(F, mult * c) * cusp.conjugator
 
 
 class CongruenceLattice(NagaoLattice):
@@ -417,7 +407,7 @@ class CongruenceLattice(NagaoLattice):
             return
         bound = max(n - self.level_degree, -1)
         for c in all_t_polys(F, bound):
-            yield _upper_shear(F, self.level * c)
+            yield TreeAutomorphism.upper_shear(F, self.level * c)
 
     def edge_stabilizer_elements(self, n: int):
         if n == 0:
@@ -581,10 +571,10 @@ class CosetTable:
         factors = [
             shear(F, ring.lift(x))
             for shear, x in (
-                (_lower_shear, ring.neg(shift)),
-                (_upper_shear, u),
-                (_lower_shear, c1),
-                (_upper_shear, w),
+                (TreeAutomorphism.lower_shear, ring.neg(shift)),
+                (TreeAutomorphism.upper_shear, u),
+                (TreeAutomorphism.lower_shear, c1),
+                (TreeAutomorphism.upper_shear, w),
             )
             if x != ring.zero
         ]
@@ -685,7 +675,7 @@ def stabilizer_bruteforce(
     # is pushed through a candidate only once
     buckets: dict[Vertex, list[LaurentSeries]] = {}
     for k in polys:
-        w = _upper_shear(F, k).act_vertex(v)
+        w = TreeAutomorphism.upper_shear(F, k).act_vertex(v)
         buckets.setdefault(w, []).append(k)
     out = []
     for a in polys:

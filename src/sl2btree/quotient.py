@@ -30,7 +30,6 @@ from .errors import (
 )
 from .lattice import CuspData, NagaoLattice, ReducedVertex, _upper
 from .polys import t_degree
-from .series import LaurentSeries
 from .tree import End, Vertex
 
 
@@ -40,8 +39,6 @@ class QuotientVertex:
     level: int
     coset: int | None  # coset number in the level's partition; None for a cusp vertex
     order: int | None  # None marks a symbolic cusp vertex (infinite order)
-    representative: Vertex | None
-    description: str
     is_cusp: bool = False
     cusp: CuspData | None = None
 
@@ -64,20 +61,6 @@ class RayTail:
     step_index: int
     certified: bool
     cusp_index: int | None = None
-
-
-@dataclass
-class SymbolicCuspGroup:
-    """The infinite stabilizer carried by a contracted cusp vertex."""
-
-    parameter_multiple: LaurentSeries
-    stabilizer_index: int
-
-    def __str__(self) -> str:
-        core = f"translations with offset in ({self.parameter_multiple}) * F_q[t]"
-        if self.stabilizer_index == 1:
-            return core
-        return f"{core}, extended by diagonals of index {self.stabilizer_index}"
 
 
 @dataclass
@@ -152,7 +135,6 @@ class GraphOfGroups:
         self.edges: list[QuotientEdge] = []
         self.rays: list[RayTail] = []
         self.contracted = False
-        self.covolume_total: Fraction | None = None
 
     # -- serialization -----------------------------------------------------------
 
@@ -196,7 +178,7 @@ class GraphOfGroups:
             }
             for ray in self.rays
         ]
-        out = {
+        return {
             "lattice": self.lattice.config(),
             "depth": self.depth,
             "contracted": self.contracted,
@@ -204,13 +186,6 @@ class GraphOfGroups:
             "edges": edge_list,
             "rays": ray_list,
         }
-        if self.covolume_total is not None:
-            out["covolume"] = (
-                f"{self.covolume_total.numerator}/{self.covolume_total.denominator}"
-            )
-        else:
-            out["covolume"] = None
-        return out
 
     def to_dot(self) -> str:
         lines = ["graph quotient {", "  node [shape=circle];"]
@@ -253,10 +228,6 @@ class GraphOfGroups:
         }
 
 
-def _standard_vertex(lattice: NagaoLattice, n: int) -> Vertex:
-    return lattice.tree.vertex(n, LaurentSeries.zero(lattice.field))
-
-
 def _vertex_id(lattice: NagaoLattice, n: int, k: int) -> str:
     # the full lattice has one vertex class per level, named by the level alone
     return f"L{n}" if lattice.level_degree == 0 else f"L{n}C{k}"
@@ -267,8 +238,8 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
 
     The vertex classes at level n are the cosets of the residue image of
     the stabilizer of (n, 0), and the edge classes below them the cosets
-    of the edge stabilizer's image; each class is represented by the
-    standard vertex moved by the lift of its coset's least member.
+    of the edge stabilizer's image; an edge joins the classes holding its
+    coset's least member.
     """
     if depth < 1:
         raise InvalidInputError("quotient depth must be at least 1")
@@ -281,19 +252,11 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
         part = table.coset_partition(image)
         if image not in numbering:
             numbering[image] = {m: k for k, coset in enumerate(part) for m in coset}
-            # levels sharing a subgroup are consecutive: lift its cosets once
-            carriers = [table.lift(coset[0]) for coset in part]
         lookups.append(numbering[image])
-        standard = _standard_vertex(lattice, n)
-        for k, carrier in enumerate(carriers):
+        for k in range(len(part)):
             vid = _vertex_id(lattice, n, k)
             G.vertices[vid] = QuotientVertex(
-                id=vid,
-                level=n,
-                coset=k,
-                order=lattice.base_order(n),
-                representative=carrier.act_vertex(standard),
-                description=lattice._base_description(n),
+                id=vid, level=n, coset=k, order=lattice.base_order(n)
             )
     for n in range(depth):
         for coset in table.coset_partition(table.edge_image(n)):
@@ -422,7 +385,6 @@ def covolume(G: GraphOfGroups) -> CovolumeResult:
         Fraction(0),
     )
     total = core + sum(tails, Fraction(0))
-    G.covolume_total = total
     return CovolumeResult(total=total, core_part=core, tail_parts=tails)
 
 
@@ -604,15 +566,14 @@ class _TransporterAlgebra:
             return True, None
         # the bottom-left entry of P u Q for u = [[alpha, b], [0, alpha^-1]]
         # is alpha*A + b*B + alpha^{-1}*C, linear in b: if some b = b0 + f*c
-        # exposes it, b0 or b0 + f does
+        # exposes it, b0 or b0 + f does, with the unit `_upper_family` picks
         A = P.c * Q.a
         B = P.c * Q.c
         C = P.d * Q.c
-        alphas, offsets = family
-        for alpha in alphas:
-            for b in offsets:
-                if (A.scale(alpha) + b * B + C.scale(alpha.inverse())).has_terms():
-                    return self._finish(y, red_y, yp, red_yp, _upper(self.F, alpha, b))
+        alpha, offsets = family
+        for b in offsets:
+            if (A.scale(alpha) + b * B + C.scale(alpha.inverse())).has_terms():
+                return self._finish(y, red_y, yp, red_yp, _upper(self.F, alpha, b))
         return True, None
 
     def transporter_member(self, red_y, red_yp):
@@ -623,7 +584,7 @@ class _TransporterAlgebra:
         if red_y.level == 0:
             u = family[0]
         else:
-            (alpha, *_), (b, *_) = family
+            alpha, (b, *_) = family
             u = _upper(self.F, alpha, b)
         return red_yp.witness.adjugate() * u * red_y.witness
 
@@ -640,28 +601,33 @@ class _TransporterAlgebra:
         return False, gamma
 
     def _upper_family(self, h0, n):
-        """(diagonals, offsets) of the stabilizer of (n, 0) over h0, or None.
+        """(alpha, offsets) for the stabilizer of (n, 0) over h0, or None.
 
         The members of the stabilizer of (n, 0) inside the residue coset h0
-        are [[alpha, b0 + f*c], [0, alpha^-1]] with the constant units alpha
-        listed (one of them unless R is the zero ring, where all q - 1 are)
-        and deg(b0 + f*c) <= n. The offsets are b0, and b0 + f when n >= deg f.
+        are [[alpha, b0 + f*c], [0, alpha^-1]] with alpha a constant unit of
+        matching image and deg(b0 + f*c) <= n. The offsets are b0, and
+        b0 + f when n >= deg f. Only the first matching unit is returned:
+        over the zero ring all q - 1 match, but if the bottom-left entry
+        vanishes at both offsets for one alpha then B = 0, which forces
+        A = 0 or C = 0, and the entry vanishes for every alpha; with one
+        offset (n < deg f) constants inject into R and one alpha matches.
         """
         ring = self.ring
         a_bar, b_bar, c_bar, d_bar = h0
         if c_bar != ring.zero:
             return None
-        alphas = [
+        units = (
             a
             for a in self.F.units()
             if ring.constant(a) == a_bar and ring.constant(a.inverse()) == d_bar
-        ]
+        )
+        alpha = next(units, None)
         b0 = ring.lift(b_bar)
-        if not alphas or t_degree(b0) > n:
+        if alpha is None or t_degree(b0) > n:
             return None
         if n < self.lattice.level_degree:
-            return alphas, (b0,)
-        return alphas, (b0, b0 + self.lattice.level)
+            return alpha, (b0,)
+        return alpha, (b0, b0 + self.lattice.level)
 
 
 def certify_independent_horoball(
@@ -780,7 +746,6 @@ def contract(G: GraphOfGroups, bases: dict[int, int] | None = None) -> GraphOfGr
             chosen[i] = cut
     out = GraphOfGroups(G.lattice, G.depth)
     out.contracted = True
-    out.covolume_total = G.covolume_total
     ray_of: dict[str, int] = {}  # absorbed vertex -> its ray
     for i, cut in chosen.items():
         ray = G.rays[i]
@@ -792,17 +757,11 @@ def contract(G: GraphOfGroups, bases: dict[int, int] | None = None) -> GraphOfGr
             out.vertices[vid] = replace(v)
     for i, cut in sorted(chosen.items()):
         cusp_id = f"cusp{i}"
-        group = SymbolicCuspGroup(
-            parameter_multiple=G.lattice.unipotent_parameter_multiple(),
-            stabilizer_index=G.lattice.cusp_stabilizer_index(),
-        )
         out.vertices[cusp_id] = QuotientVertex(
             id=cusp_id,
             level=cut,
             coset=None,
             order=None,
-            representative=None,
-            description=str(group),
             is_cusp=True,
             cusp=cusps[matches[i]] if i in matches else None,
         )

@@ -89,24 +89,14 @@ def _rand_truncated_end(rng, F, precision=14):
     return TruncatedEnd(F, body.truncate(precision).reduce_precision(precision))
 
 
-def _upper_shear(F, b):
-    one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
-    return TreeAutomorphism(F, one, b, zero, one)
-
-
-def _lower_shear(F, c):
-    one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
-    return TreeAutomorphism(F, one, zero, c, one)
-
-
 def _rand_lattice_element(rng, F):
     g = TreeAutomorphism.identity(F)
     for _ in range(rng.randrange(2, 5)):
         kind = rng.randrange(3)
         if kind == 0:
-            g = g * _upper_shear(F, _rand_poly(rng, F, 2))
+            g = g * TreeAutomorphism.upper_shear(F, _rand_poly(rng, F, 2))
         elif kind == 1:
-            g = g * _lower_shear(F, _rand_poly(rng, F, 2))
+            g = g * TreeAutomorphism.lower_shear(F, _rand_poly(rng, F, 2))
         else:
             g = g * TreeAutomorphism.half_turn(F)
     return g
@@ -194,7 +184,8 @@ def _suite_drift_additivity(F, rng):
             LaurentSeries.exact(F, {0: alpha}),
             LaurentSeries.exact(F, {0: alpha.inverse()}),
         )
-        return diag * TreeAutomorphism.standard_step(F) ** k * _upper_shear(F, b)
+        step = TreeAutomorphism.standard_step(F)
+        return diag * step**k * TreeAutomorphism.upper_shear(F, b)
 
     for _ in range(12):
         g, h = rand_fixing(), rand_fixing()
@@ -228,7 +219,7 @@ def _suite_unipotent_transitivity(F, rng):
     for _ in range(5):
         w1 = _rand_rational_end(rng, F, coordinates=True)
         b = _rand_poly(rng, F, 3)
-        w2 = _upper_shear(F, b).act_end(w1)
+        w2 = TreeAutomorphism.upper_shear(F, b).act_end(w1)
         # solve back: the shear carrying w1 to w2 has offset
         # (x2 y1 - x1 y2) / (y1 y2), which here must be exactly b
         x2, y2 = _end_vector(F, w2)
@@ -250,12 +241,12 @@ def _suite_unipotent_transitivity(F, rng):
             b = (num * den.inverse(14)).truncate(shift + 14)
         else:
             b = LaurentSeries.zero(F)
-        moved = _upper_shear(F, b).act_end(w1)
+        moved = TreeAutomorphism.upper_shear(F, b).act_end(w1)
         checks += 1
         if _agreement(moved, w2) < 8:
             fails.append(f"truncated shear only matched to depth {_agreement(moved, w2)}")
         delta = _rand_poly(rng, F, 2, nonzero=True)
-        spoiled = _upper_shear(F, b + delta).act_end(w1)
+        spoiled = TreeAutomorphism.upper_shear(F, b + delta).act_end(w1)
         if _agreement(spoiled, w2) >= 8:
             fails.append(f"uniqueness violated: offset {delta} also matches")
     return checks, fails
@@ -302,7 +293,7 @@ def _suite_horosphere_transitivity(F, rng):
         r = y.residue
         j = r.valuation()
         b = r.inverse(3 * j).truncate(2 * j)
-        img = _upper_shear(F, b).act_vertex(x0)
+        img = TreeAutomorphism.upper_shear(F, b).act_vertex(x0)
         if img != y:
             fails.append(f"shear with offset {b} sent {x0} to {img}, wanted {y}")
     return checks, fails
@@ -355,7 +346,10 @@ def _suite_unipotents_elliptic(F, rng):
     checks, fails = 0, []
     for _ in range(10):
         b = _rand_poly(rng, F, 4)
-        u = _upper_shear(F, b) if rng.random() < 0.5 else _lower_shear(F, b)
+        if rng.random() < 0.5:
+            u = TreeAutomorphism.upper_shear(F, b)
+        else:
+            u = TreeAutomorphism.lower_shear(F, b)
         c = _rand_lattice_element(rng, F)
         g = c * u * c.adjugate()
         checks += 1

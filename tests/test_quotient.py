@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from sl2btree import cli
+from sl2btree.autom import TreeAutomorphism
 from sl2btree.errors import InvalidInputError, UncertifiedTail
 from sl2btree.field import field
-from sl2btree.lattice import CongruenceLattice, NagaoLattice
+from sl2btree.lattice import CongruenceLattice, CosetTable, NagaoLattice
 from sl2btree.literals import parse_end, parse_series, parse_vertex
 from sl2btree.quotient import (
     CertifiedIndependent,
     CounterexamplePair,
     FamilyCertificate,
+    _TransporterAlgebra,
     certify_independent_family,
     certify_independent_horoball,
     contract,
@@ -168,9 +171,13 @@ def test_family_certification():
     assert all(isinstance(s, CertifiedIndependent) for s in fam.singles)
 
 
-def test_contract_nagao_to_one_cusp():
+def _cli_json(capsys, argv):
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_contract_nagao_to_one_cusp(capsys):
     G = quotient_graph(nagao2, 8)
-    covolume(G)  # cache the total so the contraction can carry it over
     C = contract(G)
     assert C.contracted
     assert sorted(C.vertices) == ["L0", "cusp0"]
@@ -178,17 +185,19 @@ def test_contract_nagao_to_one_cusp():
     assert C.vertices["cusp0"].order is None and C.vertices["cusp0"].is_cusp
     assert C.vertices["cusp0"].cusp is not None
     assert len(C.edges) == 1 and C.edges[0].order == 2
-    assert C.covolume_total == Fraction(1)
+    assert covolume(G).total == Fraction(1)
+    assert _cli_json(capsys, ["contract", "--depth", "8"])["covolume"] == "1/1"
 
 
-def test_contract_tripod_to_a_star():
+def test_contract_tripod_to_a_star(capsys):
     G = quotient_graph(CongruenceLattice(F2, parse_series(F2, "t")), 8)
-    covolume(G)
     C = contract(G)
     assert sorted(C.vertices) == ["L0C0", "cusp0", "cusp1", "cusp2"]
     assert C.vertices["L0C0"].order == 1
     assert len(C.edges) == 3 and all(e.order == 1 for e in C.edges)
-    assert C.covolume_total == Fraction(6)
+    assert covolume(G).total == Fraction(6)
+    argv = ["contract", "--lattice", "congruence", "--level", "t", "--depth", "8"]
+    assert _cli_json(capsys, argv)["covolume"] == "6/1"
 
 
 def test_contract_with_explicit_bases():
@@ -217,12 +226,16 @@ def test_free_product_reports():
     assert fpT2.free_rank == 24 - (8 + 12) + 1
 
 
-def test_json_and_dot_serialization():
+def test_json_and_dot_serialization(capsys):
     G = quotient_graph(nagao2, 8)
-    covolume(G)
+    state = dict(vars(G))
+    assert covolume(G).total == Fraction(1)
+    assert vars(G) == state  # covolume is a query: it leaves the graph alone
     j = G.to_json_dict()
     assert j["lattice"] == {"kind": "nagao", "q": 2}
-    assert j["covolume"] == "1/1"
+    out = _cli_json(capsys, ["quotient", "--depth", "8"])
+    assert list(out)[-1] == "covolume" and out["covolume"] == "1/1"
+    assert _cli_json(capsys, ["quotient", "--depth", "2"])["covolume"] is None
     assert j["vertices"][0] == {"id": "L0", "level": 0, "order": 6, "q": 2}
     assert j["edges"][0]["edge_order"] == 2
     assert j["edges"][0]["idx_from"] == 3 and j["edges"][0]["idx_to"] == 2
@@ -306,3 +319,83 @@ def test_quotient_vertices_carry_their_coset():
     for vid, v in G.vertices.items():
         assert vid == f"L{v.level}C{v.coset}"
     assert all(v.coset == 0 for v in quotient_graph(nagao2, 4).vertices.values())
+
+
+@pytest.mark.parametrize(
+    "lattice", [nagao2, CongruenceLattice(F2, parse_series(F2, "t^2"))]
+)
+def test_quotient_graph_lifts_no_coset_and_moves_no_vertex(monkeypatch, lattice):
+    lifts = _count_calls(monkeypatch, CosetTable, "lift")
+    moves = _count_calls(monkeypatch, TreeAutomorphism, "act_vertex")
+    quotient_graph(lattice, 8)
+    assert lifts == [] and moves == []
+
+
+@pytest.mark.parametrize(
+    "lattice", [nagao2, CongruenceLattice(F2, parse_series(F2, "t^2"))]
+)
+def test_cusps_report_lifts_once_per_cusp(monkeypatch, lattice):
+    lifts = _count_calls(monkeypatch, CosetTable, "lift")
+    report = cusps_report(lattice, 8)
+    assert len(lifts) == len(report.algebraic)
+
+
+def _transporters_fix_end(lattice, end, y, red_y, yp, red_yp):
+    """Brute force: do all lattice elements carrying y to y' fix the end?
+
+    Every such element is w'^-1 s w with s in the full stabilizer of the
+    common normal form (n, 0) and w, w' the reduction witnesses.
+    """
+    inv = red_yp.witness.adjugate()
+    fixes = True
+    for s in NagaoLattice(lattice.field).base_stabilizer_elements(red_y.level):
+        gamma = inv * s * red_y.witness
+        assert gamma.act_vertex(y) == yp
+        if lattice.contains(gamma) and not gamma.fixes_end(end):
+            fixes = False
+    return fixes
+
+
+@pytest.mark.parametrize(
+    "lat,radius,truncation",
+    [
+        (nagao2, "(0; 0)", 3),
+        (NagaoLattice(F3), "(0; 0)", 2),
+        (CongruenceLattice(F2, parse_series(F2, "t")), "(2; p^-1)", 3),
+        (CongruenceLattice(F2, parse_series(F2, "t^2+t")), "(2; p^-1)", 3),
+        (CongruenceLattice(F3, parse_series(F3, "t")), "(2; p^-1)", 2),
+    ],
+)
+def test_transporter_algebra_matches_brute_force_on_horoballs(lat, radius, truncation):
+    F = lat.field
+    cusp = lat.cusp_representatives()[0]
+    x = parse_vertex(F, radius)
+    tree = lat.tree
+    members = [
+        (y, lat.reduce_vertex(y))
+        for y in tree.ball(x, truncation)
+        if tree.horoball_contains(cusp.end, x, y)
+    ]
+    algebra = _TransporterAlgebra(lat, cusp)
+    verdicts = set()
+    for y, red_y in members:
+        for yp, red_yp in members:
+            if red_y.level != red_yp.level:
+                continue
+            ok, gamma = algebra.transporter_fixes_end(y, red_y, yp, red_yp)
+            assert ok == _transporters_fix_end(lat, cusp.end, y, red_y, yp, red_yp)
+            assert ok == (gamma is None)
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("y", ["(-1; 0)", "(1; p^-1)", "(-2; 0)"])
+def test_transporter_algebra_matches_the_stabilizer(q, y):
+    F = field(q)
+    lat = NagaoLattice(F)
+    cusp = lat.cusp_representatives()[0]
+    v = parse_vertex(F, y)
+    red = lat.reduce_vertex(v)
+    ok, _ = _TransporterAlgebra(lat, cusp).transporter_fixes_end(v, red, v, red)
+    assert ok == all(s.fixes_end(cusp.end) for s in lat.stabilizer(v).elements)
