@@ -269,8 +269,16 @@ class Tree:
         return Vertex(v.level - 1, v.residue.truncate(v.level - 1))
 
     def children(self, v: Vertex) -> list[Vertex]:
-        pi_n = LaurentSeries.pi_power(self.field, v.level)
-        return [Vertex(v.level + 1, v.residue + pi_n.scale(c)) for c in self.field.elements()]
+        """The q vertices below v, one per digit c at pi^level.
+
+        A vertex residue has no digit at or above its level, so each child's
+        residue is v's coefficients with c added at degree `level`.
+        """
+        n, coeffs = v.level, v.residue.coeffs
+        return [
+            Vertex(n + 1, LaurentSeries(self.field, {**coeffs, n: c}))
+            for c in self.field.elements()
+        ]
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
         return [self.parent(v)] + self.children(v)
@@ -282,11 +290,18 @@ class Tree:
     # -- metric ---------------------------------------------------------------
 
     def meeting_level(self, x: Vertex, y: Vertex) -> int:
-        """Level of the highest common ancestor."""
+        """Level of the highest common ancestor.
+
+        The lower of the two levels, or the lowest degree at which the
+        residues differ if that comes first. Vertex residues are exact and
+        field elements canonical, so the coefficient dicts are compared digit
+        by digit (a missing digit is zero).
+        """
         w = min(x.level, y.level)
-        diff = x.residue - y.residue
-        if diff.has_terms():
-            w = min(w, diff.valuation())
+        a, b = x.residue.coeffs, y.residue.coeffs
+        for d in a.keys() | b.keys():
+            if d < w and a.get(d) != b.get(d):
+                w = d
         return w
 
     def distance(self, x: Vertex, y: Vertex) -> int:

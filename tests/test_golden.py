@@ -5,7 +5,8 @@ table-driven field arithmetic replaced series-based arithmetic in
 F_q[t]/(f); any change to the bytes printed by these commands fails here.
 Commands cover quotient (JSON and DOT), contract, covolume and cusps,
 with and without --truncation, over F_2, F_3, F_4 and F_9, for the full
-lattice and for congruence subgroups.
+lattice and for congruence subgroups, and verify suites over F_2, F_3
+and F_4.
 """
 
 import hashlib
@@ -43,6 +44,22 @@ GOLDEN = [
     ("cusps --q 4 --modulus 1,1,1 --depth 8 --truncation 5", 0, "772d34961d90496689469d00f8f1d9cdd6eedff350670b6ecf4df26b9a8b291a"),
     ("cusps --q 9 --depth 6 --truncation 3", 0, "4b0aa4c92d1e57f99ad6131e33f264b3c3283f03da854670a84eefb7da75e12c"),
     ("contract --q 3 --depth 6 --format dot", 0, "e6e45ff1da6796bf6444fc0845eeb9d208a549688a47123566da9aff04daad7a"),
+    # verify runs, recorded before the distance-bfs oracle became a
+    # bidirectional search and meeting_level a digit comparison. The parent's
+    # one-sided search could not finish F_4 at seed 0 within memory (a pair at
+    # distance 11 holds about 7 million vertices); every passing distance-bfs
+    # run prints the same line, so that case carries the digest recorded at
+    # F_4, seed 1.
+    ("verify --q 2 --suites distance-bfs --seed 0", 0, "73e1252f292568b65f852d6991d6fb741828e6b2212ee8857cef416b1344f91a"),
+    ("verify --q 2 --suites distance-bfs --seed 1", 0, "73e1252f292568b65f852d6991d6fb741828e6b2212ee8857cef416b1344f91a"),
+    ("verify --q 3 --suites distance-bfs --seed 0", 0, "73e1252f292568b65f852d6991d6fb741828e6b2212ee8857cef416b1344f91a"),
+    ("verify --q 3 --suites distance-bfs --seed 1", 0, "73e1252f292568b65f852d6991d6fb741828e6b2212ee8857cef416b1344f91a"),
+    ("verify --q 4 --suites distance-bfs --seed 0", 0, "73e1252f292568b65f852d6991d6fb741828e6b2212ee8857cef416b1344f91a"),
+    ("verify --q 4 --suites distance-bfs --seed 1", 0, "73e1252f292568b65f852d6991d6fb741828e6b2212ee8857cef416b1344f91a"),
+    ("verify --q 2 --suites horoball-union,horosphere-transitivity,busemann-cocycle", 0, "feed048f6116ef8ee3fcfeef6a1508bc6e1fbd3b3c8feff359f308c22c1ba860"),
+    ("verify --q 3 --suites horoball-union,horosphere-transitivity,busemann-cocycle", 0, "1b19b65097cdeec7cb64e3d3b5db9324ea6710776014503795be2c6d713035c7"),
+    ("verify --q 4 --suites horoball-union,horosphere-transitivity,busemann-cocycle", 0, "9b8d48fb74b3578f2a79cf22b2a2185c6681e94c581aee98c4987eee70cab1b0"),
+    ("verify --q 2", 0, "e959033c697d6052183e129b274bed733d9f6bb307ce15d2aead97bc92d76eb2"),
 ]
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from sl2btree.literals import parse_end, parse_series, parse_vertex
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import (
     Tree,
+    Vertex,
     end_difference_valuation,
     end_from_vector,
 )
@@ -59,6 +61,75 @@ def test_distance_hand_values():
     assert tree.distance(v("(2; 1)"), v("(2; p)")) == 4
     assert tree.distance(v("(-2; 0)"), v("(2; 0)")) == 4
     assert tree.distance(v("(4; p^2)"), v0) == 4
+
+
+def _meeting_level_by_walking(t, x, y):
+    """Highest common ancestor found with `parent` alone: bring both vertices
+    to the lower level, then climb together until they coincide."""
+    while x.level > y.level:
+        x = t.parent(x)
+    while y.level > x.level:
+        y = t.parent(y)
+    while x != y:
+        x, y = t.parent(x), t.parent(y)
+    return x.level
+
+
+def _random_vertex(rng, t, lo, hi):
+    n = rng.randrange(lo, hi + 1)
+    elems = list(t.field.elements())
+    coeffs = {d: rng.choice(elems) for d in range(n - 6, n) if rng.random() < 0.7}
+    return t.vertex(n, LaurentSeries(t.field, coeffs))
+
+
+def _meeting_level_cases(t, rng):
+    """Pairs at negative levels, equal pairs, ancestor/descendant pairs and
+    pairs whose residues differ only in their top digit."""
+    elems = list(t.field.elements())
+    for _ in range(12):
+        x = _random_vertex(rng, t, -6, -1)
+        yield x, _random_vertex(rng, t, -6, 3)
+        yield x, x
+        yield x, t.vertex(x.level, LaurentSeries(t.field, dict(x.residue.coeffs)))
+        y = x
+        for _ in range(rng.randrange(1, 6)):
+            y = rng.choice(t.children(y))
+        yield x, y
+        yield y, x
+        z = _random_vertex(rng, t, -3, 4)
+        top = z.level - 1
+        digit = z.residue.coefficient(top)
+        flipped = dict(z.residue.coeffs)
+        flipped[top] = rng.choice([c for c in elems if c is not digit])
+        w = t.vertex(z.level, LaurentSeries(t.field, flipped))
+        assert w != z and w.residue.truncate(top) == z.residue.truncate(top)
+        yield z, w
+        yield z, rng.choice(t.children(w))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_meeting_level_matches_walking_up(q):
+    t = Tree(field(q))
+    rng = random.Random(q)
+    for x, y in _meeting_level_cases(t, rng):
+        expected = _meeting_level_by_walking(t, x, y)
+        assert t.meeting_level(x, y) == expected, (x, y)
+        assert t.meeting_level(y, x) == expected, (y, x)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_children_add_the_digit_at_the_vertex_level(q):
+    F = field(q)
+    t = Tree(F)
+    rng = random.Random(q)
+    for _ in range(20):
+        x = _random_vertex(rng, t, -4, 4)
+        pi_n = LaurentSeries.pi_power(F, x.level)
+        summed = [Vertex(x.level + 1, x.residue + pi_n.scale(c)) for c in F.elements()]
+        children = t.children(x)
+        assert children == summed
+        assert [str(c) for c in children] == [str(c) for c in summed]
+        assert all(t.parent(c) == x for c in children)
 
 
 def test_distance_is_symmetric_and_triangular():
