@@ -163,11 +163,6 @@ class TreeAutomorphism:
         return cls(field, one, zero, zero, one)
 
     @classmethod
-    def from_rows(cls, field: Field, rows) -> "TreeAutomorphism":
-        (a, b), (c, d) = rows
-        return cls(field, a, b, c, d)
-
-    @classmethod
     def diagonal(cls, field: Field, top: LaurentSeries, bottom: LaurentSeries):
         zero = LaurentSeries.zero(field)
         return cls(field, top, zero, zero, bottom)
@@ -237,10 +232,6 @@ class TreeAutomorphism:
             k >>= 1
         return out
 
-    def conjugate_by(self, c: "TreeAutomorphism") -> "TreeAutomorphism":
-        """c * self * c^{-1} up to a scalar (adjugate in place of the inverse)."""
-        return c * self * c.adjugate()
-
     def scaled(self, s: LaurentSeries) -> "TreeAutomorphism":
         return TreeAutomorphism(self.field, self.a * s, self.b * s, self.c * s, self.d * s)
 
@@ -265,9 +256,6 @@ class TreeAutomorphism:
 
     def is_scalar(self) -> bool:
         return self.proportional_to(TreeAutomorphism.identity(self.field))
-
-    def is_type_preserving(self) -> bool:
-        return self.det().valuation() % 2 == 0
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"

@@ -10,16 +10,26 @@ Boundary ends come in three flavours:
 * the single "up" end reached by passing to coarser and coarser residues;
 * rational ends, stored as a projective pair (x, y) of coprime polynomials
   in t = pi^{-1} with boundary coordinate w = y/x (the zero end w = 0 is
-  (1, 0));
+  (1, 0)). The digits of w are expanded once and the expansion is doubled
+  only when a deeper digit is asked for;
 * truncated ends, a branch specified by w modulo pi^N only. Any geometry
   that would need digits of w beyond N raises EndPrecisionExhausted instead
   of guessing.
 
+A finite end w is reached from the up end along the line of vertices
+(n; w mod pi^n). A vertex v leaves that line at level m(v), the lowest
+degree below its level at which its residue differs from w (its level if
+there is none), so its height toward the end is h(v) = level - 2 m(v); for
+the up end h(v) = level. The Busemann function is busemann(x, y) =
+h(x) - h(y), read off digits without walking. Horospheres are built from
+the ray: the members at distance 2j from x branch off the ray from x at its
+j-th vertex.
+
 On top of the vertex combinatorics this module provides distances, geodesic
-paths, balls and spheres, the step-toward-an-end map, two-ended lines,
-Busemann relative position, and the horoellipse/horoball/horosphere
-membership tests. Everything is decided by exact arithmetic on the stored
-coefficients; nothing is sampled or approximated.
+paths, balls and spheres, the step-toward-an-end map, Busemann relative
+position, and the horoellipse/horoball/horosphere membership tests.
+Everything is decided by exact arithmetic on the stored coefficients;
+nothing is sampled or approximated.
 """
 
 from __future__ import annotations
@@ -53,8 +63,17 @@ class End:
 
     field: Field
 
-    def coordinate_mod(self, n: int) -> LaurentSeries:
+    def digits(self, n: int) -> dict:
+        """The digits of w below degree n, as a {degree: coefficient} dict.
+
+        The dict may also hold deeper digits; callers read degrees < n only.
+        """
         raise NotImplementedError
+
+    def coordinate_mod(self, n: int) -> LaurentSeries:
+        return LaurentSeries(
+            self.field, {d: c for d, c in self.digits(n).items() if d < n}
+        )
 
     def known_depth(self):
         """Horizon up to which the boundary coordinate is determined."""
@@ -73,7 +92,7 @@ class UpEnd(End):
     def __hash__(self) -> int:
         return hash(("up", id(self.field)))
 
-    def coordinate_mod(self, n: int) -> LaurentSeries:
+    def digits(self, n: int) -> dict:
         raise InvalidInputError("the up end has no finite boundary coordinate")
 
     def __str__(self) -> str:
@@ -110,6 +129,9 @@ class RationalEnd(End):
         self.field = field
         self.x = x.scale(inv)
         self.y = y.scale(inv)
+        # w is known mod pi^_depth: every digit below v(w) is zero
+        self._depth = self.valuation()
+        self._digits = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -126,18 +148,31 @@ class RationalEnd(End):
         """v(w); INFINITY for the zero end."""
         return self.y.valuation() - self.x.valuation() if self.y.has_terms() else INFINITY
 
-    def coordinate_mod(self, n: int) -> LaurentSeries:
-        if not self.y.has_terms():
-            return LaurentSeries.zero(self.field)
-        v = self.y.valuation() - self.x.valuation()
-        if v >= n:
-            return LaurentSeries.zero(self.field)
-        terms = n - self.y.valuation() + self.x.valuation()
-        return (self.y * self.x.inverse(terms)).truncate(n)
+    def digits(self, n: int) -> dict:
+        """The cached expansion of w, deepened by doubling its term count."""
+        if n > self._depth:
+            v = self.valuation()
+            terms = max(n - v, 2 * (self._depth - v))
+            self._digits = (self.y * self.x.inverse(terms)).truncate(v + terms).coeffs
+            self._depth = v + terms
+        return self._digits
 
     def __str__(self) -> str:
         # numerator first: this is the end with coordinate w = y/x
         return f"rat({self.y}, {self.x})"
+
+
+def _steer_error(horizon: int, level: int) -> EndPrecisionExhausted:
+    return EndPrecisionExhausted(
+        f"end known mod pi^{horizon} cannot steer below a level-{level} vertex "
+        f"it agrees with"
+    )
+
+
+def _digit_error(horizon: int, degree: int) -> EndPrecisionExhausted:
+    return EndPrecisionExhausted(
+        f"end known mod pi^{horizon}, digit at pi^{degree} requested"
+    )
 
 
 class TruncatedEnd(End):
@@ -159,12 +194,10 @@ class TruncatedEnd(End):
     def known_depth(self):
         return self.coordinate.prec
 
-    def coordinate_mod(self, n: int) -> LaurentSeries:
+    def digits(self, n: int) -> dict:
         if n > self.coordinate.prec:
-            raise EndPrecisionExhausted(
-                f"end known mod pi^{self.coordinate.prec}, digit at pi^{n - 1} requested"
-            )
-        return self.coordinate.truncate(n)
+            raise _digit_error(self.coordinate.prec, n - 1)
+        return self.coordinate.coeffs
 
     def __eq__(self, other) -> bool:
         return (
@@ -178,6 +211,35 @@ class TruncatedEnd(End):
 
     def __str__(self) -> str:
         return f"trunc({self.coordinate.truncate(self.coordinate.prec)}, {self.coordinate.prec})"
+
+
+def _first_difference(a: dict, b: dict, bound: int) -> int:
+    """Lowest degree below `bound` at which two digit dicts differ, else `bound`.
+
+    Field elements are canonical, so digits compare by value; a missing
+    digit is zero.
+    """
+    w = bound
+    for d in a.keys() | b.keys():
+        if d < w and a.get(d) != b.get(d):
+            w = d
+    return w
+
+
+def _guard_walk(x: Vertex, mx: int, horizon: int, steps: int) -> None:
+    """Raise where `steps` >= 1 calls of step_to_end from x would.
+
+    x meets the line of an end known mod pi^horizon at level mx. The
+    walk climbs to level mx and descends the line to the horizon; one
+    step further needs an unknown digit. When x agrees with the end
+    as far as it is known, not even the first step is determined.
+    """
+    if mx == horizon:
+        if x.level > horizon:
+            raise _steer_error(horizon, x.level)
+        raise _digit_error(horizon, horizon)
+    if steps > x.level + horizon - 2 * mx:
+        raise _digit_error(horizon, horizon)
 
 
 def end_from_vector(field: Field, x: LaurentSeries, y: LaurentSeries) -> End:
@@ -207,39 +269,6 @@ def end_difference_valuation(e1: End, e2: End) -> int:
     raise EndPrecisionExhausted(
         f"ends agree modulo pi^{m}, the shared horizon; cannot separate them"
     )
-
-
-class Line:
-    """The two-ended geodesic between distinct ends.
-
-    ``at(i)`` walks toward the second end as i grows; ``at(0)`` is the apex,
-    the vertex of minimal level (in the up-end case, the level-0 vertex).
-    """
-
-    def __init__(self, tree: "Tree", end_neg: End, end_pos: End):
-        if isinstance(end_neg, UpEnd) and isinstance(end_pos, UpEnd):
-            raise EqualEndsError("both ends are the up end")
-        self.tree = tree
-        self.end_neg = end_neg
-        self.end_pos = end_pos
-        if isinstance(end_neg, UpEnd) or isinstance(end_pos, UpEnd):
-            self.apex_level = 0
-        else:
-            self.apex_level = end_difference_valuation(end_neg, end_pos)
-
-    def at(self, i: int) -> Vertex:
-        if isinstance(self.end_neg, UpEnd):
-            n = i
-            return self.tree.vertex(n, self.end_pos.coordinate_mod(n))
-        if isinstance(self.end_pos, UpEnd):
-            n = -i
-            return self.tree.vertex(n, self.end_neg.coordinate_mod(n))
-        n = self.apex_level + abs(i)
-        side = self.end_pos if i >= 0 else self.end_neg
-        return self.tree.vertex(n, side.coordinate_mod(n))
-
-    def apex(self) -> Vertex:
-        return self.at(0)
 
 
 class Tree:
@@ -293,16 +322,11 @@ class Tree:
         """Level of the highest common ancestor.
 
         The lower of the two levels, or the lowest degree at which the
-        residues differ if that comes first. Vertex residues are exact and
-        field elements canonical, so the coefficient dicts are compared digit
-        by digit (a missing digit is zero).
+        residues differ if that comes first.
         """
-        w = min(x.level, y.level)
-        a, b = x.residue.coeffs, y.residue.coeffs
-        for d in a.keys() | b.keys():
-            if d < w and a.get(d) != b.get(d):
-                w = d
-        return w
+        return _first_difference(
+            x.residue.coeffs, y.residue.coeffs, min(x.level, y.level)
+        )
 
     def distance(self, x: Vertex, y: Vertex) -> int:
         w = self.meeting_level(x, y)
@@ -361,22 +385,13 @@ class Tree:
             return self.parent(x)
         n = x.level
         limit = end.known_depth()
-        if limit < n:
-            visible = end.coordinate_mod(limit)
-            if visible != x.residue.truncate(limit):
-                return self.parent(x)
-            raise EndPrecisionExhausted(
-                f"end known mod pi^{limit} cannot steer below a level-{n} vertex "
-                f"it agrees with"
-            )
-        if end.coordinate_mod(n) != x.residue:
+        bound = min(n, limit)
+        if _first_difference(x.residue.coeffs, end.digits(bound), bound) < bound:
             return self.parent(x)
-        return self.vertex(n + 1, end.coordinate_mod(n + 1))
-
-    def walk_to_end(self, x: Vertex, end: End, steps: int) -> Vertex:
-        for _ in range(steps):
-            x = self.step_to_end(x, end)
-        return x
+        if limit < n:
+            raise _steer_error(limit, n)
+        c = end.digits(n + 1).get(n, self.field.zero)
+        return Vertex(n + 1, LaurentSeries(self.field, {**x.residue.coeffs, n: c}))
 
     def ray(self, x: Vertex, end: End, steps: int) -> list[Vertex]:
         """x and its first `steps` successors toward the end."""
@@ -385,22 +400,38 @@ class Tree:
             out.append(self.step_to_end(out[-1], end))
         return out
 
-    def line(self, end_neg: End, end_pos: End) -> Line:
-        return Line(self, end_neg, end_pos)
-
     # -- relative position and horoellipses -------------------------------------
 
+    def _end_meeting(self, v: Vertex, end: End) -> int:
+        """m(v): the level at which v's path up meets the line of the end.
+
+        The lowest degree below v's level at which its residue differs from
+        the end's coordinate, else the level. A truncated end caps this at
+        its horizon.
+        """
+        bound = min(v.level, end.known_depth())
+        return _first_difference(v.residue.coeffs, end.digits(bound), bound)
+
     def busemann(self, x: Vertex, y: Vertex, end: End) -> int:
-        """Signed overlap of [x, end) with the position of y.
+        """Signed overlap of [x, end) with the position of y: h(x) - h(y).
 
         Equals d(x, y) when y lies on the ray from x to the end, is negated
         when the ray to y points away, and interpolates additively: moving y
         one step toward the end raises the value by one. Vanishes exactly on
-        the horosphere through x.
+        the horosphere through x. For a truncated end this raises exactly
+        where walking d(x, y) steps from x toward it would; otherwise every
+        completion of the end gives the same value, so the height of y reads
+        only the known digits.
         """
-        k = self.distance(x, y)
-        z = self.walk_to_end(x, end, k)
-        return k - self.distance(y, z)
+        if x == y:
+            return 0
+        if isinstance(end, UpEnd):
+            return x.level - y.level
+        mx = self._end_meeting(x, end)
+        if isinstance(end, TruncatedEnd):
+            _guard_walk(x, mx, end.horizon, self.distance(x, y))
+        my = self._end_meeting(y, end)
+        return (x.level - 2 * mx) - (y.level - 2 * my)
 
     def horoellipse_contains(
         self, end: End, x: Vertex, lam: Fraction, y: Vertex
@@ -433,4 +464,22 @@ class Tree:
         ]
 
     def horosphere_vertices(self, end: End, x: Vertex, depth: int) -> list[Vertex]:
-        return [y for y in self.ball(x, depth) if self.horosphere_contains(end, x, y)]
+        """Members of the horosphere within distance `depth` of x (BFS order).
+
+        The members at distance 2j branch off the ray from x at its j-th
+        vertex r_j and lie j steps from it. Expanding neighbors in order
+        lists them as a breadth-first search from x meets them. A truncated
+        end raises exactly when some vertex of the ball would.
+        """
+        if depth >= 1 and isinstance(end, TruncatedEnd):
+            _guard_walk(x, self._end_meeting(x, end), end.horizon, depth)
+        half = depth // 2
+        ray = self.ray(x, end, half + 1) if half else [x]
+        out = [x]
+        for j in range(1, half + 1):
+            on_ray = (ray[j - 1], ray[j + 1])
+            layer = [(u, ray[j]) for u in self.neighbors(ray[j]) if u not in on_ray]
+            for _ in range(j - 1):
+                layer = [(w, u) for u, came in layer for w in self.neighbors(u) if w != came]
+            out += [u for u, _ in layer]
+        return out

@@ -6,8 +6,9 @@ cocycle relation, equivariance of horospheres, additivity of the drift
 homomorphism, simple transitivity of the shear group on ends and on
 horospheres, compatibility of the vertex and boundary actions, and the
 agreement of closed-form distances with a bidirectional breadth-first
-search. A failure reports the offending sample; sampling is deterministic
-in the seed.
+search and of closed-form Busemann values with a walk toward the end. A
+failure reports the offending sample; sampling is deterministic in the
+seed.
 """
 
 import random
@@ -119,6 +120,30 @@ def _rand_automorphism(rng, F):
 # -- suites ---------------------------------------------------------------------------
 
 
+def _walking_busemann(tree, x, y, end):
+    """The Busemann function by its definition, the oracle for the closed form.
+
+    Sees the tree only through `step_to_end` and `distance`: walk d(x, y)
+    steps from x toward the end, to a vertex z past the point where the
+    rays from x and y merge; the value is d(x, y) - d(y, z).
+    """
+    k = tree.distance(x, y)
+    z = x
+    for _ in range(k):
+        z = tree.step_to_end(z, end)
+    return k - tree.distance(y, z)
+
+
+def _closed_form_mismatches(tree, pairs, values, end):
+    """A failure line for each closed-form value the walk disagrees with."""
+    out = []
+    for (x, y), value in zip(pairs, values):
+        walked = _walking_busemann(tree, x, y, end)
+        if walked != value:
+            out.append(f"busemann({x}, {y}) = {value}, walk said {walked} ({end})")
+    return out
+
+
 def _suite_busemann_cocycle(F, rng):
     tree = Tree(F)
     checks, fails = 0, []
@@ -131,14 +156,15 @@ def _suite_busemann_cocycle(F, rng):
             y = _rand_vertex(rng, F, tree, -2, 3)
             z = _rand_vertex(rng, F, tree, -2, 3)
             checks += 1
+            pairs = [(x, y), (y, z), (x, z)]
             try:
-                lhs = tree.busemann(x, y, end) + tree.busemann(y, z, end)
-                rhs = tree.busemann(x, z, end)
+                bxy, byz, bxz = values = [tree.busemann(a, b, end) for a, b in pairs]
+                fails += _closed_form_mismatches(tree, pairs, values, end)
             except Sl2BTreeError as exc:
                 fails.append(f"cocycle raised {exc!r} at {x}, {y}, {z}, {end}")
                 continue
-            if lhs != rhs:
-                fails.append(f"cocycle {lhs} != {rhs} at {x}, {y}, {z}, {end}")
+            if bxy + byz != bxz:
+                fails.append(f"cocycle {bxy + byz} != {bxz} at {x}, {y}, {z}, {end}")
     return checks, fails
 
 
@@ -212,6 +238,9 @@ def _suite_drift_additivity(F, rng):
     return checks, fails
 
 
+_SHEAR_DIGITS = 8
+
+
 def _suite_unipotent_transitivity(F, rng):
     """The shear group moves any non-fixed end to any other, uniquely."""
     tree = Tree(F)
@@ -237,24 +266,34 @@ def _suite_unipotent_transitivity(F, rng):
             continue
         num = w2.x * w1.y - w1.x * w2.y
         den = w1.y * w2.y
+        # the offset num/den = 1/w2 - 1/w1; cut off at degree N it moves w1
+        # to the end with 1/w = 1/w2 + e, v(e) >= N, which agrees with w2 to
+        # N + 2 v(w2) digits
+        digits = _SHEAR_DIGITS - 2 * w2.valuation()
         if num.has_terms():
             shift = num.valuation() - den.valuation()
-            b = (num * den.inverse(14)).truncate(shift + 14)
+            b = (num * den.inverse(max(digits - shift, 1))).truncate(digits)
         else:
             b = LaurentSeries.zero(F)
         moved = TreeAutomorphism.upper_shear(F, b).act_end(w1)
         checks += 1
-        if _agreement(moved, w2) < 8:
+        if _agreement(moved, w2) < _SHEAR_DIGITS:
             fails.append(f"truncated shear only matched to depth {_agreement(moved, w2)}")
         delta = _rand_poly(rng, F, 2, nonzero=True)
         spoiled = TreeAutomorphism.upper_shear(F, b + delta).act_end(w1)
-        if _agreement(spoiled, w2) >= 8:
+        if _agreement(spoiled, w2) >= _SHEAR_DIGITS:
             fails.append(f"uniqueness violated: offset {delta} also matches")
     return checks, fails
 
 
 def _agreement(e1, e2) -> int:
-    """Depth to which two ends agree; exact coincidence counts as huge."""
+    """Depth to which two ends agree; exact coincidence counts as huge.
+
+    The up end (w = infinity) agrees with itself exactly and with a finite
+    end at no depth.
+    """
+    if isinstance(e1, UpEnd) or isinstance(e2, UpEnd):
+        return 10**9 if e1 == e2 else -(10**9)
     try:
         return end_difference_valuation(e1, e2)
     except EqualEndsError:
@@ -424,6 +463,10 @@ def _suite_busemann_stabilization(F, rng):
         values = [tree.busemann(x, v, end) for v in walk]
         increments = [b - a for a, b in zip(values, values[1:])]
         checks += 1
+        mismatches = _closed_form_mismatches(tree, [(x, v) for v in walk], values, end)
+        if mismatches:
+            fails += mismatches
+            continue
         if any(i not in (-1, 1) for i in increments):
             fails.append(f"increment outside +-1 along walk from {x} to {end}")
             continue

@@ -60,6 +60,9 @@ GOLDEN = [
     ("verify --q 3 --suites horoball-union,horosphere-transitivity,busemann-cocycle", 0, "1b19b65097cdeec7cb64e3d3b5db9324ea6710776014503795be2c6d713035c7"),
     ("verify --q 4 --suites horoball-union,horosphere-transitivity,busemann-cocycle", 0, "9b8d48fb74b3578f2a79cf22b2a2185c6681e94c581aee98c4987eee70cab1b0"),
     ("verify --q 2", 0, "e959033c697d6052183e129b274bed733d9f6bb307ce15d2aead97bc92d76eb2"),
+    # recorded while horospheres were still a filtered radius-6 ball (664 301
+    # vertices at F_9), before they were built from the ray
+    ("verify --q 9 --suites horosphere-transitivity --seed 0", 0, "07eb99d2315b84dd1ba921559e3a766c4db62cc18a49cb1bb3bd17615bfaed48"),
 ]
 
 
