@@ -85,7 +85,6 @@ class StabilizerGroup:
     level: int
     order: int
     conjugator: TreeAutomorphism
-    description: str
     elements: list[TreeAutomorphism] | None = None
 
 
@@ -172,36 +171,31 @@ class NagaoLattice:
 
         Alternates translating away the polynomial part of the residue
         (a lower shear) and inverting through the origin (the half turn),
-        which strictly lowers the level; the witness is verified before
-        returning.
+        which strictly lowers the level. The witness is the product of
+        those steps, kept as row operations on its four entries: a lower
+        shear by s adds s times the first row to the second, the half turn
+        maps rows (r1, r2) to (-r2, r1). It is verified before returning.
         """
         F = self.field
-        tree = self.tree
-        g = TreeAutomorphism.identity(F)
+        one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
+        a, b, c, d = one, zero, zero, one
+        half_turn = TreeAutomorphism.half_turn(F)
         cur = v
         for _ in range(_REDUCE_CAP_BASE + 2 * abs(v.level)):
-            a = cur.residue
-            poly_part = {d: c for d, c in a.coeffs.items() if d <= 0}
+            poly_part = {k: x for k, x in cur.residue.coeffs.items() if k <= 0}
             if poly_part:
-                step = TreeAutomorphism.lower_shear(
-                    F, -LaurentSeries.exact(F, poly_part)
-                )
-                cur = step.act_vertex(cur)
-                g = step * g
+                s = -LaurentSeries.exact(F, poly_part)
+                cur = TreeAutomorphism.lower_shear(F, s).act_vertex(cur)
+                c, d = c + s * a, d + s * b
                 continue
-            if not a.has_terms():
-                if cur.level >= 0:
-                    break
-                step = TreeAutomorphism.half_turn(F)
-                cur = step.act_vertex(cur)
-                g = step * g
-                continue
-            # residue has terms, all of positive degree: invert
-            step = TreeAutomorphism.half_turn(F)
-            cur = step.act_vertex(cur)
-            g = step * g
+            if not cur.residue.has_terms() and cur.level >= 0:
+                break
+            # residue zero above the origin, or all of positive degree: invert
+            cur = half_turn.act_vertex(cur)
+            a, b, c, d = -c, -d, a, b
         else:
             raise NonterminationGuard(f"vertex reduction did not settle for {v}")
+        g = TreeAutomorphism(F, a, b, c, d)
         if g.act_vertex(v) != cur:
             raise NonterminationGuard(f"reduction witness failed to check for {v}")
         return ReducedVertex(level=cur.level, witness=g, vertex=cur)
@@ -241,24 +235,6 @@ class NagaoLattice:
             for b in all_t_polys(F, n):
                 yield _upper(F, alpha, b)
 
-    def edge_stabilizer_elements(self, n: int):
-        """The closed-form common stabilizer of (n, 0) and (n+1, 0)."""
-        F = self.field
-        if n == 0:
-            for alpha in F.units():
-                for b in F.elements():
-                    yield _upper(F, alpha, _const(F, b))
-            return
-        yield from self.base_stabilizer_elements(n)
-
-    def _base_description(self, n: int) -> str:
-        if n == 0:
-            return "all constant matrices of determinant 1"
-        return (
-            "upper-triangular matrices with constant unit diagonal and "
-            f"offset of t-degree <= {n}"
-        )
-
     def stabilizer_order(self, v: Vertex) -> int:
         return self.base_order(self.reduce_vertex(v).level)
 
@@ -267,11 +243,6 @@ class NagaoLattice:
         red = self.reduce_vertex(v)
         order = self.base_order(red.level)
         conj = red.witness
-        desc = self._base_description(red.level)
-        if conj.is_scalar():
-            label = desc
-        else:
-            label = f"conjugate by the reduction witness of: {desc}"
         elements = None
         if order <= materialize_bound:
             inv = conj.adjugate()
@@ -283,7 +254,6 @@ class NagaoLattice:
             level=red.level,
             order=order,
             conjugator=conj,
-            description=label,
             elements=elements,
         )
 
@@ -409,20 +379,6 @@ class CongruenceLattice(NagaoLattice):
         for c in all_t_polys(F, bound):
             yield TreeAutomorphism.upper_shear(F, self.level * c)
 
-    def edge_stabilizer_elements(self, n: int):
-        if n == 0:
-            yield TreeAutomorphism.identity(self.field)
-            return
-        yield from self.base_stabilizer_elements(n)
-
-    def _base_description(self, n: int) -> str:
-        if n == 0:
-            return "the trivial group"
-        return (
-            f"translations [[1, b], [0, 1]] with b a multiple of {self.level} "
-            f"of t-degree <= {n}"
-        )
-
     def cusp_stabilizer_index(self) -> int:
         return 1
 
@@ -506,6 +462,7 @@ class CosetTable:
         self.index = len(members)
         self._borel = {}
         self._constants = None
+        self._constant_lifts = None
         self._partitions = {}
 
     def __repr__(self) -> str:
@@ -619,6 +576,20 @@ class CosetTable:
                 m for m in self.elements if all(x in consts for x in m)
             )
         return self._constants
+
+    def constant_lifts(self) -> dict:
+        """Residue matrix -> the constant lattice members reducing to it.
+
+        The members are the stabilizer of the origin in SL2(F_q[t]), each
+        list in the order of `NagaoLattice.base_stabilizer_elements(0)`;
+        the map is built once per table.
+        """
+        if self._constant_lifts is None:
+            mapping = {}
+            for g in NagaoLattice(self.field).base_stabilizer_elements(0):
+                mapping.setdefault(self.reduce(g), []).append(g)
+            self._constant_lifts = mapping
+        return self._constant_lifts
 
     def vertex_image(self, n: int):
         """Image of the stabilizer of the standard-ray vertex (n, 0)."""

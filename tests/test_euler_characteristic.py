@@ -36,6 +36,7 @@ CASES = [
     (2, None, 0, [], 8),
     (3, None, 0, [], 6),
     (4, None, 0, [], 6),
+    (2, "t", 1, [1], 8),
     (2, "t^2", 2, [1], 7),
     (2, "t^2+t", 2, [1, 1], 7),
     (2, "t^3", 3, [1], 8),

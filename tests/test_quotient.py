@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,18 +19,23 @@ from sl2btree.quotient import (
     certify_independent_horoball,
     contract,
     covolume,
-    covolume_partial_with_tail,
     cusps_report,
     free_product_report,
     growth_probe,
     quotient_graph,
 )
 from sl2btree.tree import Tree
+from test_euler_characteristic import _index
 
 
 F2 = field(2)
 F3 = field(3)
 nagao2 = NagaoLattice(F2)
+
+
+def _closed_form_covolume(q, degree, prime_degrees):
+    """|SL2(F_q[t]/(f))| / (q - 1)^2, from the degrees of f and of its primes."""
+    return _index(q, degree, prime_degrees) / (q - 1) ** 2
 
 
 def test_nagao_quotient_is_a_half_line():
@@ -50,11 +56,11 @@ def test_nagao_covolume_both_routes():
     assert str(cov) == "1/1"
     assert cov.core_part == Fraction(1, 2)
     assert cov.tail_parts == [Fraction(1, 2)]
-    assert covolume_partial_with_tail(nagao2, 20) == Fraction(1)
+    assert cov.total == _closed_form_covolume(2, 0, [])
 
     lat3 = NagaoLattice(F3)
-    assert covolume(quotient_graph(lat3, 8)).total == Fraction(1, 4)
-    assert covolume_partial_with_tail(lat3, 20) == Fraction(1, 4)
+    cov3 = covolume(quotient_graph(lat3, 8)).total
+    assert cov3 == Fraction(1, 4) == _closed_form_covolume(3, 0, [])
 
 
 def test_uncertified_tail_at_shallow_depth():
@@ -75,8 +81,7 @@ def test_level_t_quotient_is_a_tripod():
     assert len(G.rays) == 3
     assert all(r.certified and r.base_level == 1 for r in G.rays)
     cov = covolume(G)
-    assert cov.total == Fraction(6)
-    assert covolume_partial_with_tail(lat, 20) == Fraction(6)
+    assert cov.total == Fraction(6) == _closed_form_covolume(2, 1, [1])
 
 
 def test_level_t_squared_quotient():
@@ -91,8 +96,7 @@ def test_level_t_squared_quotient():
     bottom = [e for e in G.edges if e.v_from.startswith("L0")]
     assert len(bottom) == 24 and all(e.order == 1 for e in bottom)
     assert len(G.rays) == 12
-    assert covolume(G).total == Fraction(48)
-    assert covolume_partial_with_tail(lat, 12) == Fraction(48)
+    assert covolume(G).total == Fraction(48) == _closed_form_covolume(2, 2, [1])
 
 
 def test_reducible_level_covolume():
@@ -169,6 +173,40 @@ def test_family_certification():
     assert isinstance(fam, FamilyCertificate)
     assert len(fam.singles) == 3
     assert all(isinstance(s, CertifiedIndependent) for s in fam.singles)
+    # every ordered pair of same-level vertices from two distinct horoballs
+    tree = lat.tree
+    levels = [
+        Counter(
+            lat.reduce_vertex(y).level
+            for y in tree.ball(x, 5)
+            if tree.horoball_contains(c.end, x, y)
+        )
+        for c, x in zip(cusps, radii)
+    ]
+    assert fam.cross_pairs_checked == sum(
+        mine[n] * theirs[n]
+        for i, mine in enumerate(levels)
+        for j, theirs in enumerate(levels)
+        if i != j
+        for n in mine
+    )
+
+
+def test_family_certification_pays_per_member(monkeypatch):
+    """Residues and conjugated witnesses are computed once per horoball
+    member, not once per pair (here 42 members, 126 + 252 pairs)."""
+    lat = CongruenceLattice(F2, parse_series(F2, "t"))
+    cusps = lat.cusp_representatives()
+    radii = [
+        c.conjugator.adjugate().act_vertex(parse_vertex(F2, "(1; 0)")) for c in cusps
+    ]
+    reductions = _count_calls(monkeypatch, CosetTable, "reduce")
+    products = _count_calls(monkeypatch, TreeAutomorphism, "__mul__")
+    fam = certify_independent_family(lat, cusps, radii, 5)
+    members = sum(s.vertices_checked for s in fam.singles)
+    constants = 2**3 - 2  # the constants map reduces each member of SL2(F_2) once
+    assert len(reductions) <= members + constants
+    assert len(products) <= 3 * members
 
 
 def _cli_json(capsys, argv):
@@ -250,13 +288,6 @@ def test_json_and_dot_serialization(capsys):
     dot = C.to_dot()
     assert "doublecircle" in dot
     assert '"L0" -- "cusp0" [label="2"]' in dot
-
-
-def test_subdivided_view():
-    G = quotient_graph(nagao2, 8)
-    sub = G.subdivided_view()
-    assert len(sub["midpoints"]) == len(G.edges)
-    assert sub["edge_length"] == "1/2"
 
 
 def test_quotient_graph_rejects_bad_depth():
@@ -371,20 +402,26 @@ def test_transporter_algebra_matches_brute_force_on_horoballs(lat, radius, trunc
     cusp = lat.cusp_representatives()[0]
     x = parse_vertex(F, radius)
     tree = lat.tree
+    algebra = _TransporterAlgebra(lat)
     members = [
-        (y, lat.reduce_vertex(y))
+        algebra.member(y)
         for y in tree.ball(x, truncation)
         if tree.horoball_contains(cusp.end, x, y)
     ]
-    algebra = _TransporterAlgebra(lat, cusp)
+    halves = algebra.conjugated(members, cusp)
     verdicts = set()
-    for y, red_y in members:
-        for yp, red_yp in members:
-            if red_y.level != red_yp.level:
+    for y, (_, Q) in zip(members, halves):
+        for yp, (P, _) in zip(members, halves):
+            if y.reduced.level != yp.reduced.level:
                 continue
-            ok, gamma = algebra.transporter_fixes_end(y, red_y, yp, red_yp)
-            assert ok == _transporters_fix_end(lat, cusp.end, y, red_y, yp, red_yp)
-            assert ok == (gamma is None)
+            gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
+            ok = gamma is None
+            assert ok == _transporters_fix_end(
+                lat, cusp.end, y.vertex, y.reduced, yp.vertex, yp.reduced
+            )
+            if gamma is not None:
+                assert gamma.act_vertex(y.vertex) == yp.vertex
+                assert not gamma.fixes_end(cusp.end)
             verdicts.add(ok)
     assert verdicts == {True, False}
 
@@ -395,7 +432,54 @@ def test_transporter_algebra_matches_the_stabilizer(q, y):
     F = field(q)
     lat = NagaoLattice(F)
     cusp = lat.cusp_representatives()[0]
-    v = parse_vertex(F, y)
-    red = lat.reduce_vertex(v)
-    ok, _ = _TransporterAlgebra(lat, cusp).transporter_fixes_end(v, red, v, red)
-    assert ok == all(s.fixes_end(cusp.end) for s in lat.stabilizer(v).elements)
+    algebra = _TransporterAlgebra(lat)
+    m = algebra.member(parse_vertex(F, y))
+    [(P, Q)] = algebra.conjugated([m], cusp)
+    ok = algebra.moving_transporter(cusp.end, m, Q, m, P) is None
+    assert ok == all(s.fixes_end(cusp.end) for s in lat.stabilizer(m.vertex).elements)
+
+
+def _transporter_exists(lattice, red_y, red_yp):
+    """Brute force: is some w'^-1 s w in the lattice, s in the full stabilizer
+    of the common normal form (n, 0)?"""
+    inv = red_yp.witness.adjugate()
+    return any(
+        lattice.contains(inv * s * red_y.witness)
+        for s in NagaoLattice(lattice.field).base_stabilizer_elements(red_y.level)
+    )
+
+
+@pytest.mark.parametrize("q,level", [(2, "t"), (2, "t^2+t"), (3, "t")])
+def test_cross_transporters_match_brute_force(q, level):
+    # horoballs through the carried origins overlap, so both outcomes occur
+    F = field(q)
+    lat = CongruenceLattice(F, parse_series(F, level))
+    tree = lat.tree
+    algebra = _TransporterAlgebra(lat)
+    horoballs = []
+    for c in lat.cusp_representatives():
+        x = c.conjugator.adjugate().act_vertex(tree.base)
+        horoballs.append(
+            [
+                algebra.member(y)
+                for y in tree.ball(x, 2)
+                if tree.horoball_contains(c.end, x, y)
+            ]
+        )
+    outcomes = set()
+    for i, mine in enumerate(horoballs):
+        for j, theirs in enumerate(horoballs):
+            if i == j:
+                continue
+            for y in mine:
+                for yp in theirs:
+                    if y.reduced.level != yp.reduced.level:
+                        continue
+                    gamma = algebra.transporter(y, yp)
+                    exists = _transporter_exists(lat, y.reduced, yp.reduced)
+                    assert (gamma is not None) == exists
+                    if gamma is not None:
+                        assert gamma.act_vertex(y.vertex) == yp.vertex
+                        assert lat.contains(gamma)
+                    outcomes.add(exists)
+    assert outcomes == {True, False}
