@@ -171,7 +171,10 @@ class NagaoLattice:
 
         Alternates translating away the polynomial part of the residue
         (a lower shear) and inverting through the origin (the half turn),
-        which strictly lowers the level. The witness is the product of
+        which strictly lowers the level. Both steps act on (level, residue)
+        directly: the shear drops the polynomial part, the half turn maps
+        (n; 0) to (-n; 0) and (n; r) with v(r) = m >= 1 to
+        (n - 2m; -r^{-1} mod pi^{n-2m}). The witness is the product of
         those steps, kept as row operations on its four entries: a lower
         shear by s adds s times the first row to the second, the half turn
         maps rows (r1, r2) to (-r2, r1). It is verified before returning.
@@ -179,19 +182,23 @@ class NagaoLattice:
         F = self.field
         one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
         a, b, c, d = one, zero, zero, one
-        half_turn = TreeAutomorphism.half_turn(F)
         cur = v
         for _ in range(_REDUCE_CAP_BASE + 2 * abs(v.level)):
-            poly_part = {k: x for k, x in cur.residue.coeffs.items() if k <= 0}
+            n, res = cur.level, cur.residue
+            poly_part = {k: x for k, x in res.coeffs.items() if k <= 0}
             if poly_part:
                 s = -LaurentSeries.exact(F, poly_part)
-                cur = TreeAutomorphism.lower_shear(F, s).act_vertex(cur)
+                cur = Vertex(n, res + s)
                 c, d = c + s * a, d + s * b
                 continue
-            if not cur.residue.has_terms() and cur.level >= 0:
+            if not res.has_terms() and n >= 0:
                 break
             # residue zero above the origin, or all of positive degree: invert
-            cur = half_turn.act_vertex(cur)
+            if res.has_terms():
+                m = res.valuation()
+                cur = Vertex(n - 2 * m, -res.inverse(n - m).truncate(n - 2 * m))
+            else:
+                cur = Vertex(-n, res)
             a, b, c, d = -c, -d, a, b
         else:
             raise NonterminationGuard(f"vertex reduction did not settle for {v}")

@@ -492,9 +492,10 @@ class _TransporterAlgebra:
 
     Everything that depends on one vertex is computed once per vertex:
     `member` reduces it and takes its residue and the residue's inverse,
-    `conjugated` multiplies its witness with the end conjugator. A pair then
-    costs one product in the residue group, and three series products
-    when the residue admits a transporter.
+    `conjugated` takes the four entries of its witness times the end
+    conjugator that a pair reads. A pair then costs one product in the
+    residue group, and a few series products when the residue admits a
+    transporter.
     """
 
     def __init__(self, lattice: NagaoLattice):
@@ -509,37 +510,44 @@ class _TransporterAlgebra:
         return HoroballMember(y, red, residue, self.table.inverse(residue))
 
     def conjugated(self, members: list[HoroballMember], cusp: CuspData):
-        """(P, Q) = (conj w^{-1}, w conj^{-1}) for each member's witness w.
+        """((P.c, P.d), (Q.a, Q.c)) for P = conj w^{-1}, Q = w conj^{-1}.
 
-        conj is the cusp's end conjugator. In a pair, P is read from the
+        w is each member's witness and conj the cusp's end conjugator; a
+        pair reads no other entry of P or Q. In a pair, P is read from the
         target y' and Q from the source y.
         """
-        conj = cusp.conjugator
-        conj_inv = conj.adjugate()
-        return [
-            (conj * m.reduced.witness.adjugate(), m.reduced.witness * conj_inv)
-            for m in members
-        ]
+        g = cusp.conjugator
+        out = []
+        for m in members:
+            w = m.reduced.witness
+            P = (g.c * w.d - g.d * w.c, g.d * w.a - g.c * w.b)
+            Q = (w.a * g.d - w.b * g.c, w.c * g.d - w.d * g.c)
+            out.append((P, Q))
+        return out
 
     def moving_transporter(self, end: End, y, Q, yp, P):
         """A transporter from y to y' that moves the end, or None if all fix it.
 
-        Q is the source's and P the target's half of `conjugated`.
+        Q is the source's and P the target's half of `conjugated`. A
+        transporter w'^{-1} u w moves the end exactly when the bottom-left
+        entry of P u Q, P.c (u.a Q.a + u.b Q.c) + P.d (u.c Q.a + u.d Q.c),
+        is nonzero.
         """
         family = self._family(y, yp)
         if family is None:
             return None
+        (Pc, Pd), (Qa, Qc) = P, Q
         if y.reduced.level == 0:
             for u in family:
-                if (P * u * Q).c.has_terms():
+                if (Pc * (u.a * Qa + u.b * Qc) + Pd * (u.c * Qa + u.d * Qc)).has_terms():
                     return self._finish(end, y, yp, u)
             return None
-        # the bottom-left entry of P u Q for u = [[alpha, b], [0, alpha^-1]]
-        # is alpha*A + b*B + alpha^{-1}*C, linear in b: if some b = b0 + f*c
+        # for u = [[alpha, b], [0, alpha^-1]] the entry is
+        # alpha*A + b*B + alpha^{-1}*C, linear in b: if some b = b0 + f*c
         # exposes it, b0 or b0 + f does, with the unit `_upper_family` picks
-        A = P.c * Q.a
-        B = P.c * Q.c
-        C = P.d * Q.c
+        A = Pc * Qa
+        B = Pc * Qc
+        C = Pd * Qc
         alpha, offsets = family
         for b in offsets:
             if (A.scale(alpha) + b * B + C.scale(alpha.inverse())).has_terms():
@@ -638,11 +646,9 @@ def certify_independent_horoball(
     """
     tree = lattice.tree
     algebra = _TransporterAlgebra(lattice)
-    members = [
-        algebra.member(y)
-        for y in tree.ball(radius_vertex, truncation)
-        if tree.horoball_contains(cusp.end, radius_vertex, y)
-    ]
+    # the horoellipse of eccentricity 1 is the horoball, busemann >= 0
+    horoball = tree.horoellipse_vertices(cusp.end, radius_vertex, Fraction(1), truncation)
+    members = [algebra.member(y) for y in horoball]
     pairs = 0
     for group in _by_level(members).values():
         halves = algebra.conjugated(group, cusp)

@@ -21,9 +21,10 @@ A finite end w is reached from the up end along the line of vertices
 degree below its level at which its residue differs from w (its level if
 there is none), so its height toward the end is h(v) = level - 2 m(v); for
 the up end h(v) = level. The Busemann function is busemann(x, y) =
-h(x) - h(y), read off digits without walking. Horospheres are built from
-the ray: the members at distance 2j from x branch off the ray from x at its
-j-th vertex.
+h(x) - h(y), read off digits without walking. Horospheres and
+horoellipses are built from the ray: a vertex that leaves the ray from x at
+its j-th vertex and goes k steps off it has busemann j - k; the horosphere
+members at distance 2j have k = j.
 
 On top of the vertex combinatorics this module provides distances, geodesic
 paths, balls and spheres, the step-toward-an-end map, Busemann relative
@@ -458,10 +459,41 @@ class Tree:
     def horoellipse_vertices(
         self, end: End, x: Vertex, lam: Fraction, depth: int
     ) -> list[Vertex]:
-        """Members of the horoellipse within distance `depth` of x (BFS order)."""
-        return [
-            y for y in self.ball(x, depth) if self.horoellipse_contains(end, x, lam, y)
-        ]
+        """Members of the horoellipse within distance `depth` of x (BFS order).
+
+        A vertex j steps along the ray from x and then k steps off it has
+        busemann j - k and distance j + k, so it is a member exactly when
+        lam.den * k <= lam.num * j. The search from x expands members only;
+        they are closed under stepping back toward x, so it lists them in
+        the order a breadth-first search of the ball meets them. The ray
+        is always a member, so for a truncated end walking it `depth` steps
+        raises exactly when some vertex of the ball would.
+        """
+        lam = Fraction(lam)
+        if not 0 <= lam <= 1:
+            raise InvalidInputError("horoellipse eccentricity must lie in [0, 1]")
+        num, den = lam.numerator, lam.denominator
+        ray = self.ray(x, end, depth)
+        out = [x]
+        # (vertex, its predecessor toward x, j, k)
+        frontier = [(x, None, 0, 0)]
+        for _ in range(depth):
+            nxt = []
+            for v, back, j, k in frontier:
+                ahead = ray[j + 1] if k == 0 else None
+                if den * (k + 1) > num * j:
+                    # no neighbor further off the ray is a member
+                    if ahead is not None:
+                        nxt.append((ahead, v, j + 1, 0))
+                    continue
+                for u in self.neighbors(v):
+                    if u == ahead:
+                        nxt.append((u, v, j + 1, 0))
+                    elif u != back:
+                        nxt.append((u, v, j, k + 1))
+            out += [v for v, *_ in nxt]
+            frontier = nxt
+        return out
 
     def horosphere_vertices(self, end: End, x: Vertex, depth: int) -> list[Vertex]:
         """Members of the horosphere within distance `depth` of x (BFS order).

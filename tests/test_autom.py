@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2btree.autom import (
     TreeAutomorphism,
@@ -18,7 +19,7 @@ from sl2btree.errors import (
 from sl2btree.field import field
 from sl2btree.literals import format_end, parse_end, parse_matrix, parse_vertex
 from sl2btree.series import INFINITY, LaurentSeries
-from sl2btree.tree import Tree, TruncatedEnd
+from sl2btree.tree import Tree, TruncatedEnd, UpEnd, Vertex
 
 
 F = field(2)
@@ -68,6 +69,21 @@ def test_action_is_compatible_with_composition():
         h = _random_matrix(rng, F)
         x = v(f"({rng.randrange(-2, 4)}; 0)")
         assert (g * h).act_vertex(x) == g.act_vertex(h.act_vertex(x))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_action_composes_over_every_field(q, rng):
+    """(g h) v = g (h v) on vertices and on exact ends."""
+    Fq = field(q)
+    g, h = _random_matrix(rng, Fq), _random_matrix(rng, Fq)
+    n = rng.randrange(-4, 7)
+    x = Vertex(n, LaurentSeries.exact(Fq, {d: rng.randrange(q) for d in range(n - 6, n)}))
+    assert (g * h).act_vertex(x) == g.act_vertex(h.act_vertex(x))
+    # images of the up end: the up end itself and rational ends
+    end = _random_matrix(rng, Fq).act_end(UpEnd(Fq))
+    assert (g * h).act_end(end) == g.act_end(h.act_end(end))
 
 
 def test_action_preserves_distances():
@@ -218,6 +234,15 @@ def test_unipotent_class_in_odd_characteristic():
     lam = u3.quasi_unipotent_scalar()
     assert lam == LaurentSeries.one(F3)
     assert u3.unipotent_class().kind == "good"
+
+
+def test_unipotent_class_over_f9_needs_no_ball(monkeypatch):
+    # a radius-6 ball over F_9 has 664 301 vertices; the horoellipse is
+    # built from the ray instead
+    monkeypatch.setattr(Tree, "ball", None)
+    F9 = field(9)
+    info = TreeAutomorphism.upper_shear(F9, LaurentSeries.one(F9)).unipotent_class()
+    assert info.kind == "good" and info.checked_depth == 6
 
 
 def test_decompose_end_stabilizer():

@@ -63,6 +63,11 @@ GOLDEN = [
     # recorded while horospheres were still a filtered radius-6 ball (664 301
     # vertices at F_9), before they were built from the ray
     ("verify --q 9 --suites horosphere-transitivity --seed 0", 0, "07eb99d2315b84dd1ba921559e3a766c4db62cc18a49cb1bb3bd17615bfaed48"),
+    # recorded while certified horoballs were still a filtered ball and
+    # vertex reduction stepped through general matrix actions; the exit-1
+    # run prints the first violating pair, so it pins the member order
+    ("cusps --q 9 --depth 6 --truncation 5", 0, "d3a65e90b18d41890ada68fde1f50a42da29096f30608d03c77050666cf81d19"),
+    ("cusps --q 3 --depth 2 --truncation 4", 1, "a49b45dc6a15ce49883aae2f057b1c447a8eb0ded17a1cffb8946fefa8749348"),
 ]
 
 

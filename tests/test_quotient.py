@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2btree import cli
 from sl2btree.autom import TreeAutomorphism
@@ -24,7 +25,8 @@ from sl2btree.quotient import (
     growth_probe,
     quotient_graph,
 )
-from sl2btree.tree import Tree
+from sl2btree.series import LaurentSeries
+from sl2btree.tree import Tree, Vertex
 from test_euler_characteristic import _index
 
 
@@ -338,11 +340,14 @@ def test_family_certification_enumerates_each_horoball_once(monkeypatch):
         )
         for i, c in enumerate(report.algebraic)
     ]
+    horoballs = _count_calls(monkeypatch, Tree, "horoellipse_vertices")
     balls = _count_calls(monkeypatch, Tree, "ball")
     fam = certify_independent_family(lat, report.algebraic, radii, 4)
     assert isinstance(fam, FamilyCertificate)
     assert len(fam.singles) == 12
-    assert len(balls) == 12
+    assert len(horoballs) == 12
+    # horoballs are built from the ray, not filtered out of a ball
+    assert balls == []
 
 
 def test_quotient_vertices_carry_their_coset():
@@ -427,6 +432,29 @@ def test_transporter_algebra_matches_brute_force_on_horoballs(lat, radius, trunc
 
 
 @pytest.mark.parametrize("q", [2, 3])
+def test_level_zero_transporters_match_brute_force(q):
+    # away from the full lattice the constant family over h0 is a coset
+    # of SL2(F_q), not closed under transposition, so this pins which
+    # entries of u the bottom-left entry of P u Q reads
+    F = field(q)
+    lat = CongruenceLattice(F, parse_series(F, "t"))
+    algebra = _TransporterAlgebra(lat)
+    members = [algebra.member(y) for y in lat.tree.ball(lat.tree.base, 2)]
+    origin = [m for m in members if m.reduced.level == 0]
+    verdicts = set()
+    for cusp in lat.cusp_representatives()[:2]:
+        halves = algebra.conjugated(origin, cusp)
+        for y, (_, Q) in zip(origin, halves):
+            for yp, (P, _) in zip(origin, halves):
+                ok = algebra.moving_transporter(cusp.end, y, Q, yp, P) is None
+                assert ok == _transporters_fix_end(
+                    lat, cusp.end, y.vertex, y.reduced, yp.vertex, yp.reduced
+                )
+                verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("y", ["(-1; 0)", "(1; p^-1)", "(-2; 0)"])
 def test_transporter_algebra_matches_the_stabilizer(q, y):
     F = field(q)
@@ -437,6 +465,29 @@ def test_transporter_algebra_matches_the_stabilizer(q, y):
     [(P, Q)] = algebra.conjugated([m], cusp)
     ok = algebra.moving_transporter(cusp.end, m, Q, m, P) is None
     assert ok == all(s.fixes_end(cusp.end) for s in lat.stabilizer(m.vertex).elements)
+
+
+CONJUGATION_LATTICES = {
+    q: CongruenceLattice(field(q), parse_series(field(q), "t")) for q in (2, 3, 4, 9)
+}
+
+
+@pytest.mark.parametrize("q", sorted(CONJUGATION_LATTICES))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_conjugated_entries_are_those_of_the_full_products(q, data):
+    lat = CONJUGATION_LATTICES[q]
+    Fq = lat.field
+    cusp = data.draw(st.sampled_from(lat.cusp_representatives()))
+    n = data.draw(st.integers(-3, 6))
+    digits = data.draw(st.lists(st.sampled_from(list(Fq.elements())), min_size=6, max_size=6))
+    algebra = _TransporterAlgebra(lat)
+    m = algebra.member(Vertex(n, LaurentSeries(Fq, dict(zip(range(n - 6, n), digits)))))
+    [(P, Q)] = algebra.conjugated([m], cusp)
+    w, conj = m.reduced.witness, cusp.conjugator
+    full_P, full_Q = conj * w.adjugate(), w * conj.adjugate()
+    assert P == (full_P.c, full_P.d)
+    assert Q == (full_Q.a, full_Q.c)
 
 
 def _transporter_exists(lattice, red_y, red_yp):

@@ -226,9 +226,15 @@ def test_horoellipse_interpolates():
     assert ray_only == tree.ray(v0, zero_end, 6)
     ball_like = tree.horoellipse_vertices(zero_end, v0, Fraction(1), 4)
     horoball = [y for y in tree.ball(v0, 4) if tree.horoball_contains(zero_end, v0, y)]
-    assert sorted(ball_like, key=str) == sorted(horoball, key=str)
+    assert ball_like == horoball
     with pytest.raises(InvalidInputError):
         tree.horoellipse_contains(zero_end, v0, Fraction(3, 2), v0)
+    # the eccentricity is checked first, before any depth or horizon
+    short = parse_end(F, "trunc(p, 1)")
+    for lam in (Fraction(3, 2), Fraction(-1, 3)):
+        for end, depth in ((zero_end, 0), (zero_end, 4), (short, 6)):
+            with pytest.raises(InvalidInputError):
+                tree.horoellipse_vertices(end, v0, lam, depth)
 
 
 def test_end_difference_valuation():

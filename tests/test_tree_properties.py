@@ -1,11 +1,14 @@
 """Property tests: the closed-form tree geometry against definitions that walk.
 
 The closed-form Busemann function is checked against `verify`'s walking
-definition, horospheres built from the ray against a filtered ball, and
-`meeting_level` against a climb with `Tree.parent`, on vertices drawn near
-the ends so that every way of leaving an end's line, and every way of
-running past a truncated end's horizon, is reached.
+definition, horospheres and horoellipses built from the ray against a
+ball filtered with that walk, and `meeting_level` against a climb with
+`Tree.parent`, on vertices drawn near the ends so that every way of
+leaving an end's line, and every way of running past a truncated end's
+horizon, is reached.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,8 @@ from test_tree import _meeting_level_by_walking
 QS = [2, 3, 4, 9]
 # ball radii that keep a filtered ball small: q^depth stays under about 10^3
 HORO_DEPTH = {2: 6, 3: 5, 4: 4, 9: 3}
+
+ECCENTRICITIES = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -141,6 +146,29 @@ def test_horosphere_from_the_ray_is_the_filtered_ball(q, data):
         return [y for y in tree.ball(x, depth) if _walking_busemann(tree, x, y, end) == 0]
 
     assert _outcome(tree.horosphere_vertices, end, x, depth) == _outcome(filtered)
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_horoellipse_from_the_ray_is_the_filtered_ball(q, data):
+    """Same members, same order, same error for a truncated end."""
+    tree = TREES[q]
+    end = data.draw(ends(tree))
+    x = data.draw(vertices_near(tree, end))
+    lam = data.draw(st.sampled_from(ECCENTRICITIES))
+    depth = data.draw(st.integers(0, HORO_DEPTH[q]))
+
+    def filtered():
+        out = []
+        for y in tree.ball(x, depth):
+            b = _walking_busemann(_StepsOnly(tree), x, y, end)
+            d = tree.distance(x, y)
+            if lam.denominator * (d - b) <= lam.numerator * (d + b):
+                out.append(y)
+        return out
+
+    assert _outcome(tree.horoellipse_vertices, end, x, lam, depth) == _outcome(filtered)
 
 
 @pytest.mark.parametrize("q", QS)
