@@ -218,8 +218,12 @@ def _cmd_probe(args):
 def _cmd_verify(args):
     F = _field_from_args(args)
     names = None
-    if args.suites:
+    if args.suites is not None:
         names = [s.strip() for s in args.suites.split(",") if s.strip()]
+        if not names:
+            raise InvalidInputError(
+                f"--suites names no suite; known: {', '.join(SUITES)}"
+            )
         unknown = [n for n in names if n not in SUITES]
         if unknown:
             raise InvalidInputError(

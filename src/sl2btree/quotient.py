@@ -644,6 +644,8 @@ def certify_independent_horoball(
     carrying one to the other fixes the end. Returns a certificate or
     the first explicit violating pair.
     """
+    if truncation < 0:
+        raise InvalidInputError(f"horoball truncation must be >= 0, got {truncation}")
     tree = lattice.tree
     algebra = _TransporterAlgebra(lattice)
     # the horoellipse of eccentricity 1 is the horoball, busemann >= 0

@@ -90,6 +90,23 @@ class LaurentSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, field: Field, coeffs: dict[int, FieldElement], prec=INFINITY):
+        """A series from a dict that is already canonical, without checks.
+
+        Every coefficient must be a nonzero element of `field` and every
+        degree below `prec`: what `__init__` would keep of it unchanged.
+        The dict is taken over, not copied. For the series' own arithmetic
+        and the tree's digit appends; input from outside goes through
+        `__init__`.
+        """
+        s = object.__new__(cls)
+        s.field = field
+        s.coeffs = coeffs
+        s.prec = prec
+        s._hash = None
+        return s
+
+    @classmethod
     def exact(cls, field: Field, coeffs: dict[int, object]) -> "LaurentSeries":
         return cls(field, {d: field.element(c) for d, c in coeffs.items()})
 
@@ -174,10 +191,15 @@ class LaurentSeries:
                 out[d] = s
             else:
                 out.pop(d, None)
-        return LaurentSeries(self.field, out, prec)
+        if self.prec != other.prec:
+            # the more precise operand's terms at or past prec are unknown
+            out = {d: c for d, c in out.items() if d < prec}
+        return LaurentSeries._canonical(self.field, out, prec)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.field, {d: -c for d, c in self.coeffs.items()}, self.prec)
+        return LaurentSeries._canonical(
+            self.field, {d: -c for d, c in self.coeffs.items()}, self.prec
+        )
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -185,7 +207,7 @@ class LaurentSeries:
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._same_field(other)
         if self.is_exact_zero() or other.is_exact_zero():
-            return LaurentSeries.zero(self.field)
+            return LaurentSeries._canonical(self.field, {})
         prec = INFINITY
         if self.prec is not INFINITY:
             prec = min(prec, self.prec + other.valuation_lower_bound())
@@ -203,19 +225,23 @@ class LaurentSeries:
                     out[d] = s
                 else:
                     out.pop(d, None)
-        return LaurentSeries(self.field, out, prec)
+        return LaurentSeries._canonical(self.field, out, prec)
 
     def scale(self, coeff) -> "LaurentSeries":
         """Multiply by a field element (exact scalar)."""
         c = self.field.element(coeff)
         if not c:
-            return LaurentSeries.zero(self.field)
-        return LaurentSeries(self.field, {d: a * c for d, a in self.coeffs.items()}, self.prec)
+            return LaurentSeries._canonical(self.field, {})
+        return LaurentSeries._canonical(
+            self.field, {d: a * c for d, a in self.coeffs.items()}, self.prec
+        )
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by pi^k (degree shift)."""
         prec = self.prec if self.prec is INFINITY else self.prec + k
-        return LaurentSeries(self.field, {d + k: c for d, c in self.coeffs.items()}, prec)
+        return LaurentSeries._canonical(
+            self.field, {d + k: c for d, c in self.coeffs.items()}, prec
+        )
 
     def truncate(self, n: int) -> "LaurentSeries":
         """The exact series of the terms of degree < n.
@@ -227,7 +253,9 @@ class LaurentSeries:
                 f"truncation at pi^{n} of a series known only mod pi^{self.prec}",
                 needed=n,
             )
-        return LaurentSeries(self.field, {d: c for d, c in self.coeffs.items() if d < n})
+        return LaurentSeries._canonical(
+            self.field, {d: c for d, c in self.coeffs.items() if d < n}
+        )
 
     def reduce_precision(self, n: int) -> "LaurentSeries":
         """The same series viewed only modulo pi^n (precision can only drop)."""
@@ -266,7 +294,7 @@ class LaurentSeries:
             )
         if len(self.coeffs) == 1 and self.prec is INFINITY:
             c = self.coeffs[v]
-            return LaurentSeries(self.field, {-v: c.inverse()})
+            return LaurentSeries._canonical(self.field, {-v: c.inverse()})
         # Unit part u = pi^{-v} * self; invert by the convolution recurrence.
         u = {d - v: c for d, c in self.coeffs.items() if d - v < terms}
         inv0 = u[0].inverse()
@@ -279,7 +307,9 @@ class LaurentSeries:
             ck = -(inv0 * acc)
             if ck:
                 b[k] = ck
-        return LaurentSeries(self.field, {d - v: c for d, c in b.items()}, terms - v)
+        return LaurentSeries._canonical(
+            self.field, {d - v: c for d, c in b.items()}, terms - v
+        )
 
     # -- comparison / hashing ------------------------------------------------
 

@@ -227,6 +227,18 @@ def _first_difference(a: dict, b: dict, bound: int) -> int:
     return w
 
 
+def _child(v: Vertex, c) -> Vertex:
+    """The child of v with digit c at pi^level; None or zero is the zero digit.
+
+    v's residue is canonical with every degree below its level, so appending
+    a nonzero digit keeps it canonical. A zero digit adds nothing, and the
+    child shares v's dict: no series changes its dict after construction.
+    """
+    residue = v.residue
+    coeffs = {**residue.coeffs, v.level: c} if c else residue.coeffs
+    return Vertex(v.level + 1, LaurentSeries._canonical(residue.field, coeffs))
+
+
 def _guard_walk(x: Vertex, mx: int, horizon: int, steps: int) -> None:
     """Raise where `steps` >= 1 calls of step_to_end from x would.
 
@@ -302,13 +314,10 @@ class Tree:
         """The q vertices below v, one per digit c at pi^level.
 
         A vertex residue has no digit at or above its level, so each child's
-        residue is v's coefficients with c added at degree `level`.
+        residue is v's coefficients with c added at degree `level`; the zero
+        digit adds nothing.
         """
-        n, coeffs = v.level, v.residue.coeffs
-        return [
-            Vertex(n + 1, LaurentSeries(self.field, {**coeffs, n: c}))
-            for c in self.field.elements()
-        ]
+        return [_child(v, c) for c in self.field.elements()]
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
         return [self.parent(v)] + self.children(v)
@@ -391,8 +400,7 @@ class Tree:
             return self.parent(x)
         if limit < n:
             raise _steer_error(limit, n)
-        c = end.digits(n + 1).get(n, self.field.zero)
-        return Vertex(n + 1, LaurentSeries(self.field, {**x.residue.coeffs, n: c}))
+        return _child(x, end.digits(n + 1).get(n))
 
     def ray(self, x: Vertex, end: End, steps: int) -> list[Vertex]:
         """x and its first `steps` successors toward the end."""

@@ -6,7 +6,8 @@ cocycle relation, equivariance of horospheres, additivity of the drift
 homomorphism, simple transitivity of the shear group on ends and on
 horospheres, compatibility of the vertex and boundary actions, and the
 agreement of closed-form distances with a bidirectional breadth-first
-search and of closed-form Busemann values with a walk toward the end. A
+search, of closed-form Busemann values with a walk toward the end and of
+horoball membership with a union of balls along a ray. A
 failure reports the offending sample; sampling is deterministic in the
 seed.
 """
@@ -483,6 +484,37 @@ def _suite_busemann_stabilization(F, rng):
     return checks, fails
 
 
+def _union_of_balls(tree, x, walk, radius):
+    """Each vertex within `radius` of x, with whether it lies in some B(walk[k], k).
+
+    `walk` is a ray of at least `radius` steps from x = walk[0]. A
+    breadth-first search from x that sees the tree only through
+    `tree.neighbors`, the walk and vertex equality; in a tree the neighbors
+    of a vertex other than its predecessor are new, so it meets the
+    vertices in `Tree.ball`'s order. Each vertex y
+    carries s(y) = max_k (k - d(walk[k], y)) and is in the union exactly
+    when s(y) >= 0. The walk vertex walk[j] has s = j. Any other vertex is
+    one step farther than its predecessor from every walk vertex, since the
+    walk, a geodesic from x, cannot run past it; its s is its predecessor's
+    s - 1.
+    """
+    yield x, True
+    # (vertex, its predecessor, s, whether it is walk[s])
+    frontier = [(x, None, 0, True)]
+    for _ in range(radius):
+        nxt = []
+        for v, back, s, on_walk in frontier:
+            ahead = walk[s + 1] if on_walk else None
+            for u in tree.neighbors(v):
+                if u == ahead:
+                    nxt.append((u, v, s + 1, True))
+                elif u != back:
+                    nxt.append((u, v, s - 1, False))
+        for u, _, s, _ in nxt:
+            yield u, s >= 0
+        frontier = nxt
+
+
 def _suite_horoball_union(F, rng):
     """A horoball is the union of balls of radius k at the k-th ray vertices."""
     tree = Tree(F)
@@ -491,10 +523,9 @@ def _suite_horoball_union(F, rng):
         end = rng.choice([tree.end_zero(), _rand_rational_end(rng, F)])
         x = _rand_vertex(rng, F, tree, -1, 2)
         walk = tree.ray(x, end, 8)
-        for y in tree.ball(x, 5):
+        for y, union in _union_of_balls(tree, x, walk, 5):
             checks += 1
             direct = tree.horoball_contains(end, x, y)
-            union = any(tree.distance(walk[k], y) <= k for k in range(len(walk)))
             if direct != union:
                 fails.append(
                     f"horoball disagreement at y={y} (end={end}, x={x}): "

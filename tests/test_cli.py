@@ -82,6 +82,20 @@ def test_cusps_with_certification(capsys):
     assert data["cross_pairs_checked"] == 0
 
 
+def test_cusps_rejects_a_negative_truncation(capsys):
+    rc, out, err = run(capsys, ["cusps", "--q", "2", "--truncation", "-2"])
+    assert (rc, out) == (3, "")
+    assert err == "error: horoball truncation must be >= 0, got -2\n"
+
+
+def test_cusps_with_truncation_zero(capsys):
+    rc, out, _ = run(capsys, ["cusps", "--q", "2", "--truncation", "0"])
+    assert rc == 0
+    data = json.loads(out)
+    assert data["certified"] is True
+    assert data["pairs_checked"] == 1
+
+
 def test_verify_selected_suites(capsys):
     rc, out, _ = run(
         capsys, ["verify", "--suites", "busemann-cocycle,distance-bfs"]
@@ -94,6 +108,14 @@ def test_verify_unknown_suite(capsys):
     rc, _, err = run(capsys, ["verify", "--suites", "nope"])
     assert rc == 3
     assert "unknown suites" in err
+
+
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_verify_suites_naming_no_suite(capsys, value):
+    rc, out, err = run(capsys, ["verify", "--suites", value])
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: --suites names no suite; known: busemann-cocycle, ")
+    assert err.endswith(", horoball-union\n")
 
 
 def test_probe_json_shape(capsys):

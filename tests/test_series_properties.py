@@ -1,0 +1,119 @@
+"""Property tests: the precision laws of Laurent series arithmetic.
+
+The arithmetic and the tree's digit appends build their results without
+validation, from dicts they hold to be canonical. Each result here is
+compared with a copy made by the validating constructor, which drops zero
+coefficients and coefficients at or past the precision and rejects
+elements of another field: the two must agree on an identical dict. The
+precision of each result is checked against the laws of the module
+docstring, over F_2, F_3, F_4 and F_9, on exact and inexact operands.
+"""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from sl2btree.errors import IndeterminateValuation, InsufficientPrecision
+from sl2btree.series import INFINITY, LaurentSeries
+from sl2btree.tree import UpEnd
+from test_tree_properties import PROPERTY, QS, TREES, rational_ends, vertices_near
+
+
+@st.composite
+def series(draw, F):
+    """Digits at a few consecutive degrees, zeros included; exact or not,
+    with the precision anywhere from below the digits to past them."""
+    lo = draw(st.integers(-4, 4))
+    width = draw(st.integers(0, 6))
+    elems = list(F.elements())
+    coeffs = {d: draw(st.sampled_from(elems)) for d in range(lo, lo + width)}
+    if draw(st.booleans()):
+        return LaurentSeries(F, coeffs)
+    return LaurentSeries(F, coeffs, draw(st.integers(lo - 1, lo + width + 2)))
+
+
+def _canonical(s):
+    """s, after checking that validating its dict again changes nothing."""
+    copy = LaurentSeries(s.field, dict(s.coeffs), s.prec)
+    assert copy == s
+    assert list(copy.coeffs.items()) == list(s.coeffs.items())
+    return s
+
+
+def _lower_bound(s):
+    """The valuation if a term is visible, else the precision."""
+    return min(s.coeffs) if s.coeffs else s.prec
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_sums_and_products_keep_the_stated_precision(q, data):
+    F = TREES[q].field
+    a, b = data.draw(series(F)), data.draw(series(F))
+    M, N = a.prec, b.prec
+    assert _canonical(a + b).prec == min(M, N)
+    assert _canonical(a - b).prec == min(M, N)
+    assert _canonical(-a).prec == M
+    product = _canonical(a * b)
+    if a.is_exact_zero() or b.is_exact_zero():
+        assert product.is_exact_zero()
+    else:
+        assert product.prec == min(M + _lower_bound(b), N + _lower_bound(a))
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_unary_operations_keep_the_stated_precision(q, data):
+    F = TREES[q].field
+    a = data.draw(series(F))
+    M = a.prec
+    c = data.draw(st.sampled_from(list(F.elements())))
+    scaled = _canonical(a.scale(c))
+    assert (scaled.prec == M) if c else scaled.is_exact_zero()
+    k = data.draw(st.integers(-3, 3))
+    assert _canonical(a.shift(k)).prec == M + k
+    n = data.draw(st.integers(-6, 12))
+    if M is INFINITY or M >= n:
+        cut = _canonical(a.truncate(n))
+        assert cut.is_exact() and all(d < n for d in cut.coeffs)
+    else:
+        with pytest.raises(InsufficientPrecision):
+            a.truncate(n)
+    terms = data.draw(st.integers(1, 6))
+    try:
+        inverse = _canonical(a.inverse(terms))
+    except (ZeroDivisionError, IndeterminateValuation, InsufficientPrecision):
+        return
+    v = a.valuation()
+    if M is INFINITY and len(a.coeffs) == 1:
+        assert inverse.is_exact()
+    else:
+        assert inverse.prec == terms - v
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_tree_steps_build_the_validated_vertices(q, data):
+    tree = TREES[q]
+    F = tree.field
+    end = data.draw(
+        st.one_of(st.just(tree.end_up()), st.just(tree.end_zero()), rational_ends(tree))
+    )
+    v = data.draw(vertices_near(tree, end))
+    n, coeffs = v.level, v.residue.coeffs
+    _canonical(v.residue)
+    children = tree.children(v)
+    assert children == [
+        tree.vertex(n + 1, LaurentSeries(F, {**coeffs, n: c})) for c in F.elements()
+    ]
+    parent = tree.parent(v)
+    assert parent == tree.vertex(n - 1, LaurentSeries(F, dict(coeffs)))
+    step = tree.step_to_end(v, end)
+    if isinstance(end, UpEnd) or v != tree.vertex(n, end.coordinate_mod(n)):
+        assert step == parent
+    else:
+        assert step == tree.vertex(n + 1, end.coordinate_mod(n + 1))
+    for u in children + [parent, step]:
+        assert all(d < u.level for d in _canonical(u.residue).coeffs)

@@ -9,8 +9,10 @@ from sl2btree.tree import Tree
 from sl2btree.verify import (
     SUITES,
     _agreement,
+    _rand_rational_end,
     _rand_vertex,
     _search_distance,
+    _union_of_balls,
     run_all,
     run_suite,
 )
@@ -139,14 +141,15 @@ def test_distance_bfs_reports_a_wrong_closed_form(monkeypatch):
     assert all("search said" in f for f in result.failures)
 
 
-# Every suite over F_3, F_4 and F_9 but two that are left out at F_9 for
-# their cost at seed 0, measured on one 2-vCPU machine where each F_9 run
-# here takes 0.1 s or less: distance-bfs (about 14 s and 440 MB: two half
-# balls of up to 73 811 vertices per check) and horoball-union (about 8 s:
-# up to nine distances for each of the 73 811 vertices of a radius-5 ball,
-# three times). horosphere-transitivity builds its horosphere from the ray;
-# its F_9 output is also in the golden corpus.
-F9_TOO_COSTLY = ("distance-bfs", "horoball-union")
+# Every suite over F_3, F_4 and F_9 but distance-bfs at F_9, left out for
+# its cost at seed 0 (about 14 s and 440 MB on one 2-vCPU machine: two half
+# balls of up to 73 811 vertices per check). Of the F_9 runs here
+# horoball-union is the slowest, at about 3 s on that machine: one search
+# of a radius-5 ball of 73 811 vertices and a Busemann value per vertex,
+# three times; every other one takes 0.1 s or less. horosphere-transitivity
+# builds its horosphere from the ray; its F_9 output is also in the golden
+# corpus.
+F9_TOO_COSTLY = ("distance-bfs",)
 
 
 @pytest.mark.parametrize(
@@ -157,6 +160,54 @@ def test_every_suite_over_larger_fields(q, name):
     r = run_suite(field(q), name, seed=0)
     assert r.checks > 0
     assert r.passed, f"{name} failed: {r.failures}"
+
+
+def _horoball_union_cases(q, count):
+    """(x, walk) pairs with walks toward the zero end, the up end and random
+    rational ends, from vertices drawn as the suite draws them."""
+    F = field(q)
+    tree = Tree(F)
+    rng = random.Random(f"union:{q}")
+    ends = [tree.end_zero(), tree.end_up()]
+    ends += [_rand_rational_end(rng, F) for _ in range(count - 2)]
+    for end in ends:
+        x = _rand_vertex(rng, F, tree, -1, 2)
+        yield tree, x, tree.ray(x, end, 8)
+
+
+@pytest.mark.parametrize("q,radius", [(2, 5), (3, 5), (4, 5), (9, 3)])
+def test_union_of_balls_matches_the_distances_to_the_walk(q, radius):
+    for tree, x, walk in _horoball_union_cases(q, 5):
+        found = list(_union_of_balls(_NeighborsOnly(tree), x, walk, radius))
+        assert [y for y, _ in found] == tree.ball(x, radius)
+        for y, union in found:
+            literal = any(tree.distance(walk[k], y) <= k for k in range(len(walk)))
+            assert union == literal, (x, walk[-1], y)
+
+
+def test_horoball_union_searches_once_per_ray(monkeypatch):
+    distance_calls = _count_calls(monkeypatch, Tree, "distance")
+    meeting_calls = _count_calls(monkeypatch, Tree, "meeting_level")
+    ball_calls = _count_calls(monkeypatch, Tree, "ball")
+    contains_calls = _count_calls(monkeypatch, Tree, "horoball_contains")
+    result = run_suite(field(3), "horoball-union", seed=1)
+    assert result.passed
+    assert (len(distance_calls), len(meeting_calls), len(ball_calls)) == (0, 0, 0)
+    assert len(contains_calls) == result.checks == 3 * _ball_size(3, 5)
+
+
+def test_horoball_union_reports_an_off_by_one_busemann(monkeypatch):
+    original = Tree.busemann
+
+    def off_by_one(self, x, y, end):
+        b = original(self, x, y, end)
+        return -1 if b == 0 and y != x else b
+
+    monkeypatch.setattr(Tree, "busemann", off_by_one)
+    result = run_suite(field(2), "horoball-union", seed=0)
+    assert not result.passed
+    assert all("horoball disagreement" in f for f in result.failures)
+    assert all(f.endswith("membership False, union True") for f in result.failures)
 
 
 BUSEMANN_SUITES = ["busemann-cocycle", "busemann-stabilization"]
