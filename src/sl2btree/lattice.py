@@ -32,7 +32,7 @@ from .errors import (
     NonterminationGuard,
     SizeGuardExceeded,
 )
-from .field import Field, field as make_field
+from .field import Field
 from .polys import (
     ResidueRing,
     all_t_polys,
@@ -328,7 +328,7 @@ class NagaoLattice:
         polynomial matrix and applied to the zero end.
         """
         table = self.coset_table()
-        reps = table.coset_representatives(table.borel_image(self.level_degree))
+        _, reps = table.coset_partition(table.borel_image(self.level_degree))
         zero_end = self.tree.end_zero()
         return [self.is_cuspidal(table.lift(rep).act_end(zero_end)) for rep in reps]
 
@@ -388,31 +388,6 @@ class CongruenceLattice(NagaoLattice):
 
     def cusp_stabilizer_index(self) -> int:
         return 1
-
-
-def lattice_from_config(config: dict) -> NagaoLattice:
-    """Build a lattice from its JSON-style description.
-
-    {"kind": "nagao", "q": 2} or
-    {"kind": "congruence", "q": 2, "level": "t^2+t"}.
-    """
-    if not isinstance(config, dict):
-        raise InvalidInputError("lattice description must be an object")
-    kind = config.get("kind")
-    q = config.get("q")
-    if not isinstance(q, int):
-        raise InvalidInputError("lattice description needs an integer q")
-    F = make_field(q)
-    if kind == "nagao":
-        return NagaoLattice(F)
-    if kind == "congruence":
-        level_text = config.get("level")
-        if not isinstance(level_text, str):
-            raise InvalidInputError("congruence lattice needs a level string")
-        from .literals import parse_series
-
-        return CongruenceLattice(F, parse_series(F, level_text))
-    raise InvalidInputError(f"unknown lattice kind {kind!r}")
 
 
 class CosetTable:
@@ -610,30 +585,26 @@ class CosetTable:
 
     # -- coset bookkeeping -------------------------------------------------------
 
-    def coset_partition(self, subgroup) -> list[list]:
-        """The cosets g * subgroup, each sorted, in increasing order of least member.
+    def coset_partition(self, subgroup):
+        """The cosets g * subgroup as ({member: coset number}, least members).
 
-        `subgroup` is a frozenset such as `vertex_image(n)`. The partition
-        is computed once per subgroup; callers share the returned lists and
-        must not modify them. `elements` is sorted, so the first member
-        not yet covered is the least member of its coset.
+        Cosets are numbered in increasing order of least member. `subgroup`
+        is a frozenset such as `vertex_image(n)`. The partition is computed
+        once per subgroup; callers share the returned dict and list and must
+        not modify them. `elements` is sorted, so the first member not yet
+        numbered is the least member of its coset.
         """
         part = self._partitions.get(subgroup)
         if part is None:
-            seen = set()
-            part = []
+            coset_of, least = {}, []
             for g in self.elements:
-                if g in seen:
+                if g in coset_of:
                     continue
-                coset = sorted({self.matmul(g, s) for s in subgroup})
-                seen.update(coset)
-                part.append(coset)
-            self._partitions[subgroup] = part
+                for s in subgroup:
+                    coset_of[self.matmul(g, s)] = len(least)
+                least.append(g)
+            part = self._partitions[subgroup] = (coset_of, least)
         return part
-
-    def coset_representatives(self, subgroup) -> list:
-        """One deterministic representative per coset g * subgroup."""
-        return [coset[0] for coset in self.coset_partition(subgroup)]
 
 
 def stabilizer_bruteforce(

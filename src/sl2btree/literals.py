@@ -3,7 +3,8 @@
 The same little grammar is shared by the command line, the JSON reports,
 and the test fixtures:
 
-* series     ``1+t+t^3``, ``p^-2+1``, ``2*t^2``, ``[x+1]*t^2``, ``0``
+* series     ``1+t+t^3``, ``p^-2+1``, ``2*t^2``, ``[x+1]*t^2``, ``0``,
+  and a series known mod pi^N: ``1+p mod p^3``
 * vertex     ``(n; series)``
 * end        ``up`` | ``rat(num, den)`` | ``trunc(series, N)``
 * matrix     ``[[a,b],[c,d]]`` with series entries
@@ -21,11 +22,12 @@ import re
 from .autom import TreeAutomorphism
 from .errors import InvalidInputError
 from .field import Field
-from .series import LaurentSeries
+from .series import INFINITY, LaurentSeries
 from .tree import End, Tree, TruncatedEnd, UpEnd, Vertex, end_from_vector
 
 _VAR_RE = re.compile(r"^(t|p)\s*(?:\^\s*(-?\d+))?$")
 _INT_RE = re.compile(r"^-?\d+$")
+_MOD_RE = re.compile(r"^(.*\S)\s+mod\s+p\s*\^\s*(-?\d+)$")
 _XTERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?x\s*(?:\^\s*(\d+))?$|^(\d+)$")
 
 
@@ -119,11 +121,16 @@ def _split_star(text: str):
 
 
 def parse_series(field: Field, text: str) -> LaurentSeries:
-    """Parse an exact series literal like ``1+t+t^3`` or ``[x+1]*t^2+p``."""
+    """Parse a series literal like ``1+t+t^3``, ``[x+1]*t^2+p`` or ``1+p mod p^3``."""
     if not isinstance(text, str):
         raise InvalidInputError("series literal must be a string")
+    text = text.strip()
+    known = _MOD_RE.match(text)
+    prec = INFINITY
+    if known is not None:
+        text, prec = known.group(1), int(known.group(2))
     coeffs: dict[int, object] = {}
-    for sign, chunk in _split_on_signs(text.strip(), "series literal"):
+    for sign, chunk in _split_on_signs(text, "series literal"):
         split = _split_star(chunk)
         if split is not None:
             coeff_text, power_text = split
@@ -150,7 +157,7 @@ def parse_series(field: Field, text: str) -> LaurentSeries:
             coeffs[degree] = total
         else:
             coeffs.pop(degree, None)
-    return LaurentSeries.exact(field, coeffs)
+    return LaurentSeries(field, coeffs, prec)
 
 
 def format_series(s: LaurentSeries) -> str:

@@ -114,27 +114,6 @@ def all_t_polys(field: Field, max_degree: int):
         yield from_t_coeffs(field, coeffs)
 
 
-def t_polys_with_degree(field: Field, degree: int):
-    """Every polynomial of t-degree exactly `degree` (deterministic order)."""
-    elems = list(field.elements())
-    for lower in itertools.product(elems, repeat=degree):
-        for lead in elems:
-            if lead:
-                yield from_t_coeffs(field, tuple(lower) + (lead,))
-
-
-def is_irreducible_t(f: LaurentSeries) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(f)/2."""
-    d = t_degree(f)
-    if d < 1:
-        return False
-    for e in range(1, d // 2 + 1):
-        for g in t_polys_with_degree(f.field, e):
-            if not divmod_t(f, g)[1].has_terms():
-                return False
-    return True
-
-
 class ResidueRing:
     """The finite ring R = F_q[t]/(f), elements encoded as integers.
 

@@ -18,6 +18,7 @@ product decomposition when all finite pieces are trivial
 (`free_product_report`).
 """
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -82,21 +83,21 @@ class GrowthProbe:
     truncated_at: int | None = None
 
 
+@dataclass(slots=True, eq=False)
 class HoroballMember:
-    """A horoball vertex with its normal form and the residue of its witness.
+    """A horoball vertex with its normal form, witness residue and quotient vertex.
 
-    `residue` is the image of `reduced.witness` in the residue group.
+    `residue` is the image r of `reduced.witness` in the residue group.
+    `quotient_vertex` is (n, k) for the vertex L{n}C{k} of the quotient
+    graph that the vertex maps to: n is its reduced level and k the coset
+    number of r^{-1} in the partition of `vertex_image(n)`.
     """
 
-    __slots__ = ("vertex", "reduced", "residue", "residue_inverse")
-
-    def __init__(
-        self, vertex: Vertex, reduced: ReducedVertex, residue, residue_inverse
-    ):
-        self.vertex = vertex
-        self.reduced = reduced
-        self.residue = residue
-        self.residue_inverse = residue_inverse
+    vertex: Vertex
+    reduced: ReducedVertex
+    residue: tuple
+    residue_inverse: tuple
+    quotient_vertex: tuple[int, int]
 
 
 @dataclass
@@ -235,26 +236,22 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
         raise InvalidInputError("quotient depth must be at least 1")
     G = GraphOfGroups(lattice, depth)
     table = lattice.coset_table()
-    lookups = []
-    numbering = {}  # subgroup -> {member: coset number}, shared by the levels
+    coset_of = []  # per level, {member: coset number}
     for n in range(depth + 1):
-        image = table.vertex_image(n)
-        part = table.coset_partition(image)
-        if image not in numbering:
-            numbering[image] = {m: k for k, coset in enumerate(part) for m in coset}
-        lookups.append(numbering[image])
-        for k in range(len(part)):
+        numbering, least = table.coset_partition(table.vertex_image(n))
+        coset_of.append(numbering)
+        for k in range(len(least)):
             vid = _vertex_id(lattice, n, k)
             G.vertices[vid] = QuotientVertex(
                 id=vid, level=n, coset=k, order=lattice.base_order(n)
             )
     for n in range(depth):
-        for coset in table.coset_partition(table.edge_image(n)):
-            m = coset[0]
+        _, least = table.coset_partition(table.edge_image(n))
+        for m in least:
             G.edges.append(
                 QuotientEdge(
-                    _vertex_id(lattice, n, lookups[n][m]),
-                    _vertex_id(lattice, n + 1, lookups[n + 1][m]),
+                    _vertex_id(lattice, n, coset_of[n][m]),
+                    _vertex_id(lattice, n + 1, coset_of[n + 1][m]),
                     lattice.edge_order(n),
                 )
             )
@@ -401,7 +398,8 @@ def _match_cusps_to_rays(
             if level not in ray.levels:
                 continue
             vertex = G.vertices[ray.vertex_ids[ray.levels.index(level)]]
-            if m in table.coset_partition(table.vertex_image(level))[vertex.coset]:
+            coset_of, _ = table.coset_partition(table.vertex_image(level))
+            if coset_of[m] == vertex.coset:
                 hits.append(ri)
         if len(hits) == 1:
             matches.append((ci, hits[0]))
@@ -486,16 +484,19 @@ class _TransporterAlgebra:
     residue h0 = r' r^{-1} of w' w^{-1}, with r, r' the residues of the
     witnesses, picks out the members of the full stabilizer of (n, 0) that
     can occur in S; over the zero ring (the full lattice) all of them can.
-    Whether every member fixes a cusp end reduces, for n >= 1, to linear
-    conditions on three series A, B, C built from the witnesses and the
-    end conjugator.
+    Some member occurs exactly when h0 lies in the image V of that
+    stabilizer, that is when r^{-1} V = r'^{-1} V: y and y' share a vertex
+    of the quotient graph. Whether every member fixes a cusp end reduces,
+    for n >= 1, to linear conditions on three series A, B, C built from
+    the witnesses and the end conjugator.
 
     Everything that depends on one vertex is computed once per vertex:
-    `member` reduces it and takes its residue and the residue's inverse,
-    `conjugated` takes the four entries of its witness times the end
-    conjugator that a pair reads. A pair then costs one product in the
-    residue group, and a few series products when the residue admits a
-    transporter.
+    `member` reduces it and takes its residue, the residue's inverse and
+    its quotient vertex, `conjugated` takes the four entries of its
+    witness times the end conjugator that a pair reads. A pair within a
+    quotient vertex then costs one product in the residue group and a few
+    series products; a pair across two quotient vertices has no
+    transporter and costs nothing.
     """
 
     def __init__(self, lattice: NagaoLattice):
@@ -507,7 +508,9 @@ class _TransporterAlgebra:
     def member(self, y: Vertex) -> HoroballMember:
         red = self.lattice.reduce_vertex(y)
         residue = self.table.reduce(red.witness)
-        return HoroballMember(y, red, residue, self.table.inverse(residue))
+        inverse = self.table.inverse(residue)
+        coset_of, _ = self.table.coset_partition(self.table.vertex_image(red.level))
+        return HoroballMember(y, red, residue, inverse, (red.level, coset_of[inverse]))
 
     def conjugated(self, members: list[HoroballMember], cusp: CuspData):
         """((P.c, P.d), (Q.a, Q.c)) for P = conj w^{-1}, Q = w conj^{-1}.
@@ -623,10 +626,11 @@ class _TransporterAlgebra:
         return alpha, (b0, b0 + self.lattice.level)
 
 
-def _by_level(members: list[HoroballMember]) -> dict[int, list[HoroballMember]]:
-    groups: dict[int, list[HoroballMember]] = {}
-    for m in members:
-        groups.setdefault(m.reduced.level, []).append(m)
+def _grouped(items, key) -> dict:
+    """Items by key, each group in the items' order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
     return groups
 
 
@@ -641,8 +645,10 @@ def certify_independent_horoball(
     Enumerates the horoball at the cusp end through `radius_vertex` out
     to the truncation distance, and for every ordered pair of members
     with the same normal form requires that every lattice element
-    carrying one to the other fixes the end. Returns a certificate or
-    the first explicit violating pair.
+    carrying one to the other fixes the end. Such an element exists only
+    within a quotient vertex, so only those pairs are examined; every
+    same-level pair counts as checked. Returns a certificate or the first
+    explicit violating pair.
     """
     if truncation < 0:
         raise InvalidInputError(f"horoball truncation must be >= 0, got {truncation}")
@@ -651,12 +657,12 @@ def certify_independent_horoball(
     # the horoellipse of eccentricity 1 is the horoball, busemann >= 0
     horoball = tree.horoellipse_vertices(cusp.end, radius_vertex, Fraction(1), truncation)
     members = [algebra.member(y) for y in horoball]
-    pairs = 0
-    for group in _by_level(members).values():
-        halves = algebra.conjugated(group, cusp)
-        for y, (_, Q) in zip(group, halves):
-            for yp, (P, _) in zip(group, halves):
-                pairs += 1
+    entries = list(zip(members, algebra.conjugated(members, cusp)))
+    levels = _grouped(entries, lambda e: e[0].reduced.level)
+    classes = _grouped(entries, lambda e: e[0].quotient_vertex)
+    for group in levels.values():
+        for y, (_, Q) in group:
+            for yp, (P, _) in classes[y.quotient_vertex]:
                 gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
                 if gamma is not None:
                     return CounterexamplePair(
@@ -667,7 +673,7 @@ def certify_independent_horoball(
         radius_vertex=radius_vertex,
         truncation=truncation,
         vertices_checked=len(members),
-        pairs_checked=pairs,
+        pairs_checked=sum(len(group) ** 2 for group in levels.values()),
         members=members,
     )
 
@@ -682,9 +688,11 @@ def certify_independent_family(
 
     On top of the per-cusp check, distinct horoballs must not meet under
     the lattice: any member carrying a vertex of one truncated horoball
-    to a vertex of another is a violation. The cross check reuses the
-    horoball members each single certificate enumerated and reduced;
-    whether a transporter exists does not depend on the cusp.
+    to a vertex of another is a violation. Such a member exists exactly
+    when the two vertices share a quotient vertex, so the cross check
+    looks each member up among the quotient vertices of the other
+    horoballs, and builds a transporter only for the first hit. Every
+    ordered same-level pair across two horoballs counts as checked.
     """
     if len(cusps) != len(radius_vertices):
         raise InvalidInputError("one radius vertex per cusp is required")
@@ -694,25 +702,29 @@ def certify_independent_family(
         if isinstance(result, CounterexamplePair):
             return result
         singles.append(result)
-    algebra = _TransporterAlgebra(lattice)
-    grouped = [_by_level(single.members) for single in singles]
-    cross = 0
+    firsts = []  # per horoball, quotient vertex -> its first member there
+    for single in singles:
+        first = {}
+        for m in single.members:
+            first.setdefault(m.quotient_vertex, m)
+        firsts.append(first)
     for i, single in enumerate(singles):
-        for j, other in enumerate(grouped):
+        for j, first in enumerate(firsts):
             if i == j:
                 continue
             for y in single.members:
-                for yp in other.get(y.reduced.level, ()):
-                    cross += 1
-                    gamma = algebra.transporter(y, yp)
-                    if gamma is not None:
-                        if gamma.act_vertex(y.vertex) != yp.vertex:
-                            raise NonterminationGuard(
-                                "cross transporter failed to check"
-                            )
-                        return CounterexamplePair(
-                            y=y.vertex, y_prime=yp.vertex, gamma=gamma
-                        )
+                yp = first.get(y.quotient_vertex)
+                if yp is None:
+                    continue
+                gamma = _TransporterAlgebra(lattice).transporter(y, yp)
+                if gamma is None or gamma.act_vertex(y.vertex) != yp.vertex:
+                    raise NonterminationGuard("cross transporter failed to check")
+                return CounterexamplePair(y=y.vertex, y_prime=yp.vertex, gamma=gamma)
+    counts = [Counter(m.reduced.level for m in single.members) for single in singles]
+    same_level = sum(counts, Counter())
+    cross = sum(c * c for c in same_level.values()) - sum(
+        c * c for count in counts for c in count.values()
+    )
     return FamilyCertificate(singles=singles, cross_pairs_checked=cross)
 
 

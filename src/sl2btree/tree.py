@@ -255,6 +255,11 @@ def _guard_walk(x: Vertex, mx: int, horizon: int, steps: int) -> None:
         raise _digit_error(horizon, horizon)
 
 
+def _require_nonnegative(what: str, value: int) -> None:
+    if value < 0:
+        raise InvalidInputError(f"{what} must be >= 0, got {value}")
+
+
 def end_from_vector(field: Field, x: LaurentSeries, y: LaurentSeries) -> End:
     """The end of the projective vector (x, y), w = y/x; UpEnd when x = 0."""
     if x.is_exact_zero():
@@ -357,6 +362,7 @@ class Tree:
 
     def ball(self, x: Vertex, radius: int) -> list[Vertex]:
         """All vertices within the given distance, BFS order."""
+        _require_nonnegative("ball radius", radius)
         seen = {x}
         out = [x]
         frontier = [x]
@@ -373,6 +379,7 @@ class Tree:
 
     def sphere(self, x: Vertex, radius: int) -> list[Vertex]:
         """All vertices at distance exactly `radius`."""
+        _require_nonnegative("sphere radius", radius)
         if radius == 0:
             return [x]
         seen = {x}
@@ -480,6 +487,7 @@ class Tree:
         lam = Fraction(lam)
         if not 0 <= lam <= 1:
             raise InvalidInputError("horoellipse eccentricity must lie in [0, 1]")
+        _require_nonnegative("horoellipse depth", depth)
         num, den = lam.numerator, lam.denominator
         ray = self.ray(x, end, depth)
         out = [x]
@@ -511,6 +519,7 @@ class Tree:
         lists them as a breadth-first search from x meets them. A truncated
         end raises exactly when some vertex of the ball would.
         """
+        _require_nonnegative("horosphere depth", depth)
         if depth >= 1 and isinstance(end, TruncatedEnd):
             _guard_walk(x, self._end_meeting(x, end), end.horizon, depth)
         half = depth // 2

@@ -12,6 +12,10 @@ past the enumerated depth each ray continues with vertex orders
 tail contributes exactly -1/|Gamma_top|. The index comes from the closed
 form q^(3d) prod_{P | f} (1 - q^(-2 deg P)), not from any residue table.
 Nothing here shares code with the graph builder beyond reading its output.
+
+The same index |SL2(F_q[t]/(f))| gives the cusp count of Gamma(f),
+|SL2(R)| / ((q - 1) q^(deg f)) (one cusp for the full lattice), and the
+covolume |SL2(R)| / (q - 1)^2, both checked at every lattice below.
 """
 
 from fractions import Fraction
@@ -21,7 +25,7 @@ import pytest
 from sl2btree.field import field
 from sl2btree.lattice import CongruenceLattice, NagaoLattice
 from sl2btree.literals import parse_series
-from sl2btree.quotient import quotient_graph
+from sl2btree.quotient import covolume, cusps_report, quotient_graph
 
 
 def _index(q, degree, prime_degrees):
@@ -47,21 +51,36 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize(
+BY_CASE = pytest.mark.parametrize(
     "q,level,degree,prime_degrees,depth",
     CASES,
     ids=[f"F{q}-{level or 'full'}" for q, level, *_ in CASES],
 )
-def test_euler_characteristic_matches_gauss_bonnet(q, level, degree, prime_degrees, depth):
+
+
+def _lattice(q, level):
     F = field(q)
     if level is None:
-        lattice = NagaoLattice(F)
-    else:
-        lattice = CongruenceLattice(F, parse_series(F, level))
-    G = quotient_graph(lattice, depth)
+        return NagaoLattice(F)
+    return CongruenceLattice(F, parse_series(F, level))
+
+
+@BY_CASE
+def test_euler_characteristic_matches_gauss_bonnet(q, level, degree, prime_degrees, depth):
+    G = quotient_graph(_lattice(q, level), depth)
     assert G.rays and all(ray.certified for ray in G.rays)
     tops = [G.vertices[ray.vertex_ids[-1]] for ray in G.rays]
     chi = sum((Fraction(1, v.order) for v in G.vertices.values()), Fraction(0))
     chi -= sum((Fraction(1, e.order) for e in G.edges), Fraction(0))
     chi -= sum((Fraction(1, top.order) for top in tops), Fraction(0))
     assert chi == _index(q, degree, prime_degrees) / (1 - q**2)
+
+
+@BY_CASE
+def test_cusp_count_and_covolume_closed_forms(q, level, degree, prime_degrees, depth):
+    report = cusps_report(_lattice(q, level), depth)
+    group = _index(q, degree, prime_degrees)
+    cusps = 1 if level is None else group / ((q - 1) * q**degree)
+    assert len(report.algebraic) == report.ray_count == cusps
+    assert report.bijective
+    assert covolume(report.graph).total == group / (q - 1) ** 2

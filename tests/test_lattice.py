@@ -13,7 +13,6 @@ from sl2btree.lattice import (
     CuspData,
     NagaoLattice,
     UnknownCusp,
-    lattice_from_config,
     stabilizer_bruteforce,
 )
 from sl2btree.literals import (
@@ -260,8 +259,25 @@ def test_coset_table_subgroup_images():
     assert table.index // len(table.vertex_image(0)) == 8
     assert len(table.borel_image(1)) == 4
     assert table.index // len(table.borel_image(1)) == 12
-    reps = table.coset_representatives(table.vertex_image(0))
-    assert len(reps) == 8
+    _, least = table.coset_partition(table.vertex_image(0))
+    assert len(least) == 8
+
+
+@pytest.mark.parametrize("q,level", [(2, "t^2"), (2, "t^2+t"), (3, "t")])
+def test_coset_partition_numbers_cosets_by_least_member(q, level):
+    Fq = field(q)
+    table = CongruenceLattice(Fq, parse_series(Fq, level)).coset_table()
+    for n in (0, 1, 2):
+        subgroup = table.vertex_image(n)
+        coset_of, least = table.coset_partition(subgroup)
+        assert set(coset_of) == set(table.elements)
+        cosets = {}
+        for g in table.elements:
+            cosets.setdefault(frozenset(table.matmul(g, s) for s in subgroup), g)
+        # least members in increasing order, one per coset g * subgroup
+        assert least == sorted(cosets.values())
+        for k, g in enumerate(least):
+            assert all(coset_of[table.matmul(g, s)] == k for s in subgroup)
 
 
 def test_cusp_representatives_counts():
@@ -353,17 +369,12 @@ def test_bounded_orbit_along_an_irrational_direction():
 
 def test_config_roundtrip():
     assert nagao.config() == {"kind": "nagao", "q": 2}
-    back = lattice_from_config(nagao.config())
-    assert isinstance(back, NagaoLattice) and back.q == 2
+    assert repr(nagao) == "NagaoLattice(q=2)"
 
     lat = CongruenceLattice(F, parse_series(F, "t^2"))
     assert lat.config() == {"kind": "congruence", "q": 2, "level": "t^2"}
-    back = lattice_from_config(lat.config())
-    assert isinstance(back, CongruenceLattice)
-    assert format_series(back.level) == "t^2"
-    assert repr(back) == "CongruenceLattice(q=2, level=t^2)"
-    with pytest.raises(InvalidInputError):
-        lattice_from_config({"kind": "mystery", "q": 2})
+    assert format_series(lat.level) == "t^2"
+    assert repr(lat) == "CongruenceLattice(q=2, level=t^2)"
 
 
 def test_contains_needs_no_coset_table():

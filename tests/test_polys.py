@@ -9,13 +9,11 @@ from sl2btree.polys import (
     divmod_t,
     from_t_coeffs,
     gcd_t,
-    is_irreducible_t,
     is_t_poly,
     mod_t,
     monic_t,
     t_coeffs,
     t_degree,
-    t_polys_with_degree,
     xgcd_t,
 )
 from sl2btree.series import LaurentSeries
@@ -89,20 +87,6 @@ def test_poly_enumeration_counts():
     assert len(list(all_t_polys(F2, 2))) == 8
     assert len(list(all_t_polys(F3, 1))) == 9
     assert len(list(all_t_polys(F2, -1))) == 1  # just zero
-    assert len(list(t_polys_with_degree(F2, 2))) == 4
-    assert len(list(t_polys_with_degree(F3, 2))) == 18
-    for p in t_polys_with_degree(F2, 3):
-        assert t_degree(p) == 3
-
-
-def test_irreducibility():
-    assert is_irreducible_t(parse_series(F2, "t^2+t+1"))
-    assert not is_irreducible_t(parse_series(F2, "t^2+1"))
-    assert is_irreducible_t(parse_series(F3, "t^2+1"))
-    assert not is_irreducible_t(parse_series(F3, "t^2+2"))
-    assert is_irreducible_t(parse_series(F2, "t"))
-    assert is_irreducible_t(parse_series(F2, "t^3+t+1"))
-
 
 
 # Oracle for ResidueRing: residues decoded by the documented encoding

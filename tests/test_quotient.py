@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl2btree import cli
+from sl2btree import cli, quotient
 from sl2btree.autom import TreeAutomorphism
 from sl2btree.errors import InvalidInputError, UncertifiedTail
 from sl2btree.field import field
@@ -211,6 +211,60 @@ def test_family_certification_pays_per_member(monkeypatch):
     assert len(products) <= 3 * members
 
 
+@pytest.mark.parametrize("q,level", [(2, "t"), (3, "t"), (2, "t^2")])
+def test_family_counterexample_where_horoballs_meet(q, level):
+    # horoballs through the carried origins all hold the origin, so each
+    # single certificate passes and the cross check finds the first meeting
+    F = field(q)
+    lat = CongruenceLattice(F, parse_series(F, level))
+    cusps = lat.cusp_representatives()
+    radii = [c.conjugator.adjugate().act_vertex(lat.tree.base) for c in cusps]
+    for c, x in zip(cusps, radii):
+        assert isinstance(
+            certify_independent_horoball(lat, c, x, 2), CertifiedIndependent
+        )
+    res = certify_independent_family(lat, cusps, radii, 2)
+    assert isinstance(res, CounterexamplePair)
+    assert res.y == res.y_prime == parse_vertex(F, "(0; 0)")
+    assert res.gamma == TreeAutomorphism.identity(F)
+
+
+def _base_level_radii(report):
+    entry = dict(report.matches)
+    F = report.graph.field
+    return [
+        c.conjugator.adjugate().act_vertex(
+            parse_vertex(F, f"({report.graph.rays[entry[i]].base_level}; 0)")
+        )
+        for i, c in enumerate(report.algebraic)
+    ]
+
+
+def test_family_cross_check_reads_quotient_vertices(monkeypatch):
+    """The cross check looks members up by quotient vertex: no residue
+    product and no transporter when the horoballs never meet."""
+    import sl2btree.quotient as quotient
+
+    lat = CongruenceLattice(F2, parse_series(F2, "t^2"))
+    report = cusps_report(lat, 8)
+    products = _count_calls(monkeypatch, CosetTable, "matmul")
+    transporters = _count_calls(monkeypatch, _TransporterAlgebra, "transporter")
+    single = quotient.certify_independent_horoball
+
+    def certify_then_reset(*args):
+        # only the calls made after the last single certificate remain
+        result = single(*args)
+        products.clear()
+        transporters.clear()
+        return result
+
+    monkeypatch.setattr(quotient, "certify_independent_horoball", certify_then_reset)
+    fam = certify_independent_family(lat, report.algebraic, _base_level_radii(report), 4)
+    assert isinstance(fam, FamilyCertificate)
+    assert fam.cross_pairs_checked == 3432
+    assert products == [] and transporters == []
+
+
 def _cli_json(capsys, argv):
     assert cli.main(argv) == 0
     return json.loads(capsys.readouterr().out)
@@ -333,13 +387,7 @@ def test_cusp_representatives_computed_once_per_report_and_contraction(
 def test_family_certification_enumerates_each_horoball_once(monkeypatch):
     lat = CongruenceLattice(F2, parse_series(F2, "t^2"))
     report = cusps_report(lat, 8)
-    entry = dict(report.matches)
-    radii = [
-        c.conjugator.adjugate().act_vertex(
-            parse_vertex(F2, f"({report.graph.rays[entry[i]].base_level}; 0)")
-        )
-        for i, c in enumerate(report.algebraic)
-    ]
+    radii = _base_level_radii(report)
     horoballs = _count_calls(monkeypatch, Tree, "horoellipse_vertices")
     balls = _count_calls(monkeypatch, Tree, "ball")
     fam = certify_independent_family(lat, report.algebraic, radii, 4)
@@ -529,6 +577,7 @@ def test_cross_transporters_match_brute_force(q, level):
                     gamma = algebra.transporter(y, yp)
                     exists = _transporter_exists(lat, y.reduced, yp.reduced)
                     assert (gamma is not None) == exists
+                    assert (y.quotient_vertex == yp.quotient_vertex) == exists
                     if gamma is not None:
                         assert gamma.act_vertex(y.vertex) == yp.vertex
                         assert lat.contains(gamma)

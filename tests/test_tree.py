@@ -149,6 +149,39 @@ def test_ball_and_sphere_sizes():
     assert len(t3.sphere(t3.base, 2)) == 4 * 3
 
 
+def _walks_no_ray(monkeypatch):
+    """A tree whose `step_to_end` fails the test if it is ever called."""
+    fresh = Tree(F)
+
+    def step_to_end(x, end):
+        raise AssertionError("walked toward an end")
+
+    monkeypatch.setattr(fresh, "step_to_end", step_to_end)
+    return fresh
+
+
+def test_ball_rejects_a_negative_radius():
+    with pytest.raises(InvalidInputError):
+        tree.ball(v0, -1)
+
+
+def test_sphere_rejects_a_negative_radius():
+    with pytest.raises(InvalidInputError):
+        tree.sphere(v0, -2)
+
+
+def test_horoellipse_rejects_a_negative_depth(monkeypatch):
+    fresh = _walks_no_ray(monkeypatch)
+    with pytest.raises(InvalidInputError):
+        fresh.horoellipse_vertices(zero_end, v0, Fraction(1), -3)
+
+
+def test_horosphere_rejects_a_negative_depth(monkeypatch):
+    fresh = _walks_no_ray(monkeypatch)
+    with pytest.raises(InvalidInputError):
+        fresh.horosphere_vertices(zero_end, v0, -4)
+
+
 def test_midpoint():
     assert tree.midpoint(v0, v("(4; p^2)")) == v("(2; 0)")
     assert tree.midpoint(v0, v0) == v0
