@@ -17,6 +17,7 @@ output is deterministic for fixed arguments.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -273,13 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--depth", type=int, default=8, help="levels to enumerate")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(handler=_cmd_quotient)
 
     p = sub.add_parser(
         "covolume", parents=[common, lat], help="exact covolume as num/den"
     )
     p.add_argument("--depth", type=int, default=8)
-    p.set_defaults(handler=_cmd_covolume)
 
     p = sub.add_parser(
         "classify", parents=[common], help="classify one matrix on the tree"
@@ -292,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DEPTH",
         help="for hyperbolic elements, include axis ends to this depth",
     )
-    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser(
         "cusps", parents=[common, lat], help="cusp representatives and ray matching"
@@ -305,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="T",
         help="also certify independent horoballs out to this radius",
     )
-    p.set_defaults(handler=_cmd_cusps)
 
     p = sub.add_parser(
         "contract",
@@ -314,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(handler=_cmd_contract)
 
     p = sub.add_parser(
         "probe", parents=[common, lat], help="stabilizer growth along an end"
@@ -327,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fail (exit 1) if any order along the walk exceeds this",
     )
-    p.set_defaults(handler=_cmd_probe)
 
     p = sub.add_parser(
         "verify", parents=[common], help="run the seeded identity suites"
@@ -336,16 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suites", help="comma-separated suite names (default: all of them)"
     )
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call rather than at import, then shared by every
+    # later call in the process: parsing leaves the parser unchanged.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a handler replaced after the parser was built
+    # is the one that runs
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        code, text = args.handler(args)
+        code, text = handler(args)
     except UncertifiedTail as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

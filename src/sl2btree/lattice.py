@@ -332,16 +332,6 @@ class NagaoLattice:
         zero_end = self.tree.end_zero()
         return [self.is_cuspidal(table.lift(rep).act_end(zero_end)) for rep in reps]
 
-    def cusp_translations(self, cusp: CuspData, max_degree: int):
-        """The fixing translations at a cusp with bounded parameter degree."""
-        F = self.field
-        inv = cusp.conjugator.adjugate()
-        mult = cusp.parameter_multiple
-        bound = max(max_degree - t_degree(mult), -1)
-        for c in all_t_polys(F, bound):
-            if c.has_terms():
-                yield inv * TreeAutomorphism.upper_shear(F, mult * c) * cusp.conjugator
-
 
 class CongruenceLattice(NagaoLattice):
     """The kernel of entrywise reduction mod f inside SL2(F_q[t])."""

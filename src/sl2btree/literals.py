@@ -222,8 +222,6 @@ def parse_end(field: Field, text: str) -> End:
         if not _INT_RE.match(depth_text):
             raise InvalidInputError(f"bad truncation depth {depth_text!r}")
         depth = int(depth_text)
-        if depth < 1:
-            raise InvalidInputError("truncation depth must be at least 1")
         body = parse_series(field, series_text)
         return TruncatedEnd(field, body.truncate(depth).reduce_precision(depth))
     raise InvalidInputError(

@@ -236,25 +236,21 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
         raise InvalidInputError("quotient depth must be at least 1")
     G = GraphOfGroups(lattice, depth)
     table = lattice.coset_table()
-    coset_of = []  # per level, {member: coset number}
+    levels = []  # per level, ({member: coset number}, [vertex id by coset number])
     for n in range(depth + 1):
         numbering, least = table.coset_partition(table.vertex_image(n))
-        coset_of.append(numbering)
-        for k in range(len(least)):
-            vid = _vertex_id(lattice, n, k)
-            G.vertices[vid] = QuotientVertex(
-                id=vid, level=n, coset=k, order=lattice.base_order(n)
-            )
+        ids = [_vertex_id(lattice, n, k) for k in range(len(least))]
+        levels.append((numbering, ids))
+        order = lattice.base_order(n)
+        for k, vid in enumerate(ids):
+            G.vertices[vid] = QuotientVertex(id=vid, level=n, coset=k, order=order)
     for n in range(depth):
         _, least = table.coset_partition(table.edge_image(n))
-        for m in least:
-            G.edges.append(
-                QuotientEdge(
-                    _vertex_id(lattice, n, coset_of[n][m]),
-                    _vertex_id(lattice, n + 1, coset_of[n + 1][m]),
-                    lattice.edge_order(n),
-                )
-            )
+        (lower, lower_ids), (upper, upper_ids) = levels[n], levels[n + 1]
+        order = lattice.edge_order(n)
+        G.edges.extend(
+            QuotientEdge(lower_ids[lower[m]], upper_ids[upper[m]], order) for m in least
+        )
     _detect_rays(G)
     return G
 
@@ -367,9 +363,12 @@ def covolume(G: GraphOfGroups) -> CovolumeResult:
         tail_edge_set.update(ray.edge_indices)
         c = G.edges[ray.edge_indices[0]].order
         tails.append(Fraction(q, c * (q - 1)))
+    # one term per distinct edge order: count/order sums the same 1/order terms
+    per_order = Counter(
+        e.order for i, e in enumerate(G.edges) if i not in tail_edge_set
+    )
     core = sum(
-        (Fraction(1, e.order) for i, e in enumerate(G.edges) if i not in tail_edge_set),
-        Fraction(0),
+        (Fraction(count, order) for order, count in per_order.items()), Fraction(0)
     )
     total = core + sum(tails, Fraction(0))
     return CovolumeResult(total=total, core_part=core, tail_parts=tails)

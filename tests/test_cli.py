@@ -222,6 +222,36 @@ def test_usage_errors_exit_3():
     assert info.value.code == 3
 
 
+def test_main_builds_the_parser_at_most_once(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(20):
+        assert run(capsys, ["covolume"]) == (0, "1/1\n", "")
+    assert len(builds) <= 1
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["covolume", "--depth", "x"], 3), (["--help"], 0), (["covolume", "--help"], 0)],
+)
+def test_reused_parser_reports_as_a_fresh_one(capsys, argv, code):
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(argv)
+    assert fresh.value.code == code
+    expected = capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == code
+        assert capsys.readouterr() == expected
+
+
 def test_precision_failures_exit_2(monkeypatch, capsys):
     def boom(args):
         raise InsufficientPrecision("series digits were exhausted")
@@ -249,8 +279,7 @@ def test_negative_probe_depth_exits_3(capsys):
 
 
 def test_nonpositive_end_depth_exits_3(capsys):
-    # -2 used to loop without returning; 0 printed trunc(0, 0), which
-    # parse_end rejects
+    # -2 used to loop without returning; 0 asks for no digit of either end
     for ends in ("-2", "0"):
         for matrix in ("[[t,1],[1,0]]", "[[1,t],[0,1]]"):
             rc, out, err = run(capsys, ["classify", matrix, "--ends", ends])

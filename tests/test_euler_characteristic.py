@@ -84,3 +84,18 @@ def test_cusp_count_and_covolume_closed_forms(q, level, degree, prime_degrees, d
     assert len(report.algebraic) == report.ray_count == cusps
     assert report.bijective
     assert covolume(report.graph).total == group / (q - 1) ** 2
+
+
+@BY_CASE
+def test_covolume_equals_the_edge_by_edge_sum(q, level, degree, prime_degrees, depth):
+    G = quotient_graph(_lattice(q, level), depth)
+    tail_edges = {i for ray in G.rays for i in ray.edge_indices}
+    core = Fraction(0)
+    for i, e in enumerate(G.edges):
+        if i not in tail_edges:
+            core += Fraction(1, e.order)
+    tails = [Fraction(q, G.edges[ray.edge_indices[0]].order * (q - 1)) for ray in G.rays]
+    result = covolume(G)
+    assert result.core_part == core
+    assert result.tail_parts == tails
+    assert result.total == core + sum(tails)

@@ -317,22 +317,6 @@ def test_end_conjugator():
         nagao.end_conjugator(parse_end(F, "trunc(p, 3)"))
 
 
-def test_cusp_translations():
-    cusp = nagao.cusp_representatives()[0]
-    members = list(nagao.cusp_translations(cusp, 2))
-    assert len(members) == 7  # nonzero polynomials of degree <= 2
-    for g in members:
-        assert nagao.contains(g)
-        assert g.fixes_end(cusp.end)
-
-    lat = CongruenceLattice(F, parse_series(F, "t^2"))
-    cusp = lat.cusp_representatives()[0]
-    members = list(lat.cusp_translations(cusp, 3))
-    assert len(members) == 3  # nonzero multiples of t^2 with degree <= 3
-    for g in members:
-        assert lat.contains(g)
-
-
 def test_is_cuspidal_on_rational_ends():
     verdict = nagao.is_cuspidal(parse_end(F, "rat(1, t^2+t+1)"))
     assert not isinstance(verdict, UnknownCusp)

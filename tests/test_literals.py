@@ -93,10 +93,21 @@ def test_end_normalization():
     assert isinstance(parse_end(F, "rat(1, 0)"), UpEnd)
     with pytest.raises(InvalidInputError):
         parse_end(F, "rat(0, 0)")
-    with pytest.raises(InvalidInputError):
-        parse_end(F, "trunc(1, 0)")
+    # the constant 1 has no digit below pi^0
+    assert parse_end(F, "trunc(1, 0)") == parse_end(F, "trunc(0, 0)")
     with pytest.raises(InvalidInputError):
         parse_end(F, "sideways")
+
+
+def test_end_literals_below_horizon_one():
+    # the action builds such ends: diag(pi, 1/pi) lowers the horizon by two
+    g = parse_matrix(F, "[[p,0],[0,p^-1]]")
+    end = g.act_end(g.act_end(g.act_end(parse_end(F, "trunc(1+p^3, 5)"))))
+    assert (format_end(end), end.horizon) == ("trunc(t^6+t^3, -1)", -1)
+    assert parse_end(F, format_end(end)) == end
+    end = TruncatedEnd(F, LaurentSeries(F, {-3: F.one}, 0))
+    assert format_end(end) == "trunc(t^3, 0)"
+    assert parse_end(F, "trunc(t^3, 0)") == end
 
 
 def test_matrix_literals():

@@ -3,8 +3,8 @@
 Series (exact, and known only mod p^N), vertices, ends (up, rational and
 truncated) and matrices are drawn over F_2, F_3, F_4 and F_9, formatted,
 and parsed again; the result must equal the original, precision included.
-Truncated ends are drawn with horizon N >= 1, the range ``trunc(series, N)``
-accepts.
+Truncated ends are drawn with horizons N from -8 to 8: the action builds
+ends known only modulo pi^N with N <= 0 too.
 """
 
 import pytest
@@ -36,7 +36,7 @@ def literal_ends(draw, tree):
         return tree.end_up()
     if kind == "rational":
         return draw(rational_ends(tree))
-    horizon = draw(st.integers(1, 8))
+    horizon = draw(st.integers(-8, 8))
     return TruncatedEnd(F, LaurentSeries(F, _series(draw, F, horizon - 8, horizon), horizon))
 
 

@@ -398,6 +398,31 @@ def test_family_certification_enumerates_each_horoball_once(monkeypatch):
     assert balls == []
 
 
+def test_quotient_graph_reads_orders_once_per_level(monkeypatch):
+    lat = CongruenceLattice(F2, parse_series(F2, "t^3"))
+    calls, active = Counter(), []
+
+    def counting(name, method):
+        def wrapper(n):
+            if not active:  # edge_order reads base_order itself
+                calls[name, n] += 1
+            active.append(name)
+            try:
+                return method(n)
+            finally:
+                active.pop()
+
+        return wrapper
+
+    for name in ("base_order", "edge_order"):
+        monkeypatch.setattr(lat, name, counting(name, getattr(lat, name)))
+    G = quotient_graph(lat, 8)
+    assert len(G.vertices) > 9 and len(G.edges) > 8
+    expected = Counter({("base_order", n): 1 for n in range(9)})
+    expected.update({("edge_order", n): 1 for n in range(8)})
+    assert calls == expected
+
+
 def test_quotient_vertices_carry_their_coset():
     G = quotient_graph(CongruenceLattice(F2, parse_series(F2, "t^2")), 4)
     for vid, v in G.vertices.items():
