@@ -155,6 +155,13 @@ class TreeAutomorphism:
         if self.det().is_exact_zero():
             raise InvalidInputError("matrix is singular")
 
+    @classmethod
+    def _product(cls, field: Field, a, b, c, d) -> "TreeAutomorphism":
+        """A product of exact matrices, unchecked: det(gh) = det(g) det(h) != 0."""
+        g = object.__new__(cls)
+        g.field, g.a, g.b, g.c, g.d, g._det = field, a, b, c, d, None
+        return g
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -212,7 +219,8 @@ class TreeAutomorphism:
     def __mul__(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
         if other.field is not self.field:
             raise InvalidInputError("matrices over different fields")
-        return TreeAutomorphism(
+        exact = all(e.prec is INFINITY for e in (*self.entries(), *other.entries()))
+        return (TreeAutomorphism._product if exact else TreeAutomorphism)(
             self.field,
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -643,7 +651,6 @@ def decompose_end_stabilizer(g: TreeAutomorphism, end: End) -> BorelDecompositio
     F = g.field
     if isinstance(end, TruncatedEnd):
         raise InvalidInputError("decomposition needs an exact end")
-    one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
     if isinstance(end, UpEnd):
         conj = TreeAutomorphism.half_turn(F)
     elif end.y.is_exact_zero():
@@ -660,9 +667,9 @@ def decompose_end_stabilizer(g: TreeAutomorphism, end: End) -> BorelDecompositio
     gp = gp.scaled(LaurentSeries.pi_power(F, -(det_val // 2)))
     m = gp.d.valuation()
     diag = TreeAutomorphism.diagonal(F, gp.a.shift(m), gp.d.shift(-m))
-    shear = TreeAutomorphism(F, gp.a, gp.b, zero, gp.a)
-    step = TreeAutomorphism.standard_step(F)
-    recomposed = diag * (step**m) * shear
+    shear = TreeAutomorphism(F, gp.a, gp.b, LaurentSeries.zero(F), gp.a)
+    pi = LaurentSeries.pi_power  # standard_step(F)**m is diag(pi^-m, pi^m)
+    recomposed = diag * TreeAutomorphism.diagonal(F, pi(F, -m), pi(F, m)) * shear
     if not recomposed.proportional_to(gp):
         raise NonterminationGuard("decomposition failed to recompose projectively")
     return BorelDecomposition(diagonal=diag, power=m, shear=shear, conjugator=conj)

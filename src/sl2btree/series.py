@@ -177,63 +177,88 @@ class LaurentSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _same_field(self, other: "LaurentSeries") -> None:
-        if not isinstance(other, LaurentSeries) or other.field is not self.field:
+    def _combine(self, other: "LaurentSeries", neg: int) -> "LaurentSeries":
+        """self + other, or self - other when `neg` is the log of -1, on logs:
+        g^m + g^n = g^(m + zech[n - m]), and no zech entry means they cancel."""
+        F = self.field
+        if not isinstance(other, LaurentSeries) or other.field is not F:
             raise InvalidInputError("series over different fields")
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._same_field(other)
         prec = min(self.prec, other.prec)
+        exp, zech, period = F._exp, F._zech, F.q - 1
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            s = out.get(d, self.field.zero) + c
-            if s:
-                out[d] = s
+            n = c._log + neg
+            s = out.get(d)
+            if s is None:
+                out[d] = exp[n]
+                continue
+            z = zech[(n - s._log) % period]
+            if z is None:
+                del out[d]
             else:
-                out.pop(d, None)
+                out[d] = exp[s._log + z]
         if self.prec != other.prec:
             # the more precise operand's terms at or past prec are unknown
             out = {d: c for d, c in out.items() if d < prec}
-        return LaurentSeries._canonical(self.field, out, prec)
+        return LaurentSeries._canonical(F, out, prec)
 
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries._canonical(
-            self.field, {d: -c for d, c in self.coeffs.items()}, self.prec
-        )
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self._combine(other, 0)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        return self._combine(other, self.field._minus_one_log)
+
+    def __neg__(self) -> "LaurentSeries":
+        return self.scale(self.field._exp[self.field._minus_one_log])
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._same_field(other)
-        if self.is_exact_zero() or other.is_exact_zero():
-            return LaurentSeries._canonical(self.field, {})
+        F = self.field
+        if not isinstance(other, LaurentSeries) or other.field is not F:
+            raise InvalidInputError("series over different fields")
+        x, y = self.coeffs, other.coeffs
+        if (not x and self.prec is INFINITY) or (not y and other.prec is INFINITY):
+            return LaurentSeries._canonical(F, {})
         prec = INFINITY
         if self.prec is not INFINITY:
             prec = min(prec, self.prec + other.valuation_lower_bound())
         if other.prec is not INFINITY:
             prec = min(prec, other.prec + self.valuation_lower_bound())
-        out: dict[int, FieldElement] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
+        cap = None if prec is INFINITY else prec
+        exp, zech, period = F._exp, F._zech, F.q - 1
+        if len(y) == 1:
+            x, y = y, x
+        if len(x) == 1:  # a one-term factor: no two products share a degree
+            ((d1, c1),) = x.items()
+            out = {
+                d1 + d: exp[c1._log + c._log] for d, c in y.items() if cap is None or d1 + d < cap
+            }
+            return LaurentSeries._canonical(F, out, prec)
+        out = {}
+        for d1, c1 in x.items():
+            for d2, c2 in y.items():
                 d = d1 + d2
-                if prec is not INFINITY and d >= prec:
+                if cap is not None and d >= cap:
                     continue
-                p = c1 * c2
-                s = out.get(d, self.field.zero) + p
-                if s:
-                    out[d] = s
+                n = c1._log + c2._log
+                s = out.get(d)
+                if s is None:
+                    out[d] = exp[n]
+                    continue
+                z = zech[(n - s._log) % period]
+                if z is None:
+                    del out[d]
                 else:
-                    out.pop(d, None)
-        return LaurentSeries._canonical(self.field, out, prec)
+                    out[d] = exp[s._log + z]
+        return LaurentSeries._canonical(F, out, prec)
 
     def scale(self, coeff) -> "LaurentSeries":
         """Multiply by a field element (exact scalar)."""
         c = self.field.element(coeff)
         if not c:
             return LaurentSeries._canonical(self.field, {})
+        m, exp = c._log, self.field._exp
         return LaurentSeries._canonical(
-            self.field, {d: a * c for d, a in self.coeffs.items()}, self.prec
+            self.field, {d: exp[a._log + m] for d, a in self.coeffs.items()}, self.prec
         )
 
     def shift(self, k: int) -> "LaurentSeries":

@@ -217,12 +217,15 @@ class TruncatedEnd(End):
 def _first_difference(a: dict, b: dict, bound: int) -> int:
     """Lowest degree below `bound` at which two digit dicts differ, else `bound`.
 
-    Field elements are canonical, so digits compare by value; a missing
+    Field elements are canonical, so digits compare by identity; a missing
     digit is zero.
     """
     w = bound
-    for d in a.keys() | b.keys():
-        if d < w and a.get(d) != b.get(d):
+    for d, c in a.items():
+        if d < w and b.get(d) is not c:
+            w = d
+    for d in b:
+        if d < w and d not in a:
             w = d
     return w
 

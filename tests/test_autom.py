@@ -53,6 +53,12 @@ def _random_matrix(rng, Fq):
 def test_constructor_rejects_singular():
     with pytest.raises(InvalidInputError):
         m("[[1,1],[1,1]]")
+    for Fq in map(field, (2, 3, 4, 9)):
+        t = LaurentSeries.pi_power(Fq, -1)
+        one, zero = LaurentSeries.one(Fq), LaurentSeries.zero(Fq)
+        for entries in ((one, t, t, t * t), (zero, zero, one, t), (t, one, zero, zero)):
+            with pytest.raises(InvalidInputError, match="matrix is singular"):
+                TreeAutomorphism(Fq, *entries)
 
 
 def test_adjugate_inverts():
@@ -291,3 +297,64 @@ def test_contraction_depths():
     assert depths == [0, 2, 4, 6]
     with pytest.raises(InvalidInputError):
         u.contraction_depths(TreeAutomorphism.standard_step(F), 2)
+
+
+def _random_exact_matrix(rng, Fq):
+    """A nonsingular matrix of random exact entries (not of determinant 1)."""
+    while True:
+        entries = [
+            LaurentSeries.exact(Fq, {d: rng.randrange(Fq.q) for d in range(-2, 2)})
+            for _ in range(4)
+        ]
+        try:
+            return TreeAutomorphism(Fq, *entries)
+        except InvalidInputError:
+            continue
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_exact_products_have_the_product_determinant(q):
+    """A product of exact matrices is built unchecked; its determinant is
+    computed on request and equals det(g) det(h) and a*d - b*c."""
+    Fq = field(q)
+    rng = random.Random(f"autom:det:{q}")
+    for _ in range(20):
+        g, h = _random_exact_matrix(rng, Fq), _random_exact_matrix(rng, Fq)
+        gh = g * h
+        assert gh.det() == g.det() * h.det()
+        assert gh.det() == gh.a * gh.d - gh.b * gh.c
+        assert not gh.det().is_exact_zero()
+
+
+def test_products_with_an_inexact_factor_are_validated(monkeypatch):
+    """Only products of exact matrices skip the validating constructor."""
+    built = []
+    validating = TreeAutomorphism.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        validating(self, *args)
+
+    exact = m("[[1+t^2,t],[t,1]]")
+    one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
+    inexact = TreeAutomorphism(F, LaurentSeries.inexact(F, {0: 1, 2: 1}, 4), zero, zero, one)
+    monkeypatch.setattr(TreeAutomorphism, "__init__", counting)
+    exact * exact
+    assert built == []
+    for g, h in ((exact, inexact), (inexact, exact), (inexact, inexact)):
+        product = g * h
+        assert len(built) == 1 and product.entries() == built.pop()[1:]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_step_powers_in_closed_form(q):
+    """decompose_end_stabilizer builds standard_step(F)**m as diag(pi^-m, pi^m)."""
+    Fq = field(q)
+    step = TreeAutomorphism.standard_step(Fq)
+    zero_end = Tree(Fq).end_zero()
+    for k in range(-4, 5):
+        closed = TreeAutomorphism.diagonal(
+            Fq, LaurentSeries.pi_power(Fq, -k), LaurentSeries.pi_power(Fq, k)
+        )
+        assert step**k == closed
+        assert decompose_end_stabilizer(step**k, zero_end).power == k

@@ -143,3 +143,7 @@ def test_string_forms():
 def test_cross_field_arithmetic_rejected():
     with pytest.raises(InvalidInputError):
         s("1") + LaurentSeries.one(field(3))
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        for other in (LaurentSeries.one(field(3)), 1):
+            with pytest.raises(InvalidInputError, match="different fields"):
+                op(s("1+p"), other)

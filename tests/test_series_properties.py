@@ -7,6 +7,12 @@ coefficients and coefficients at or past the precision and rejects
 elements of another field: the two must agree on an identical dict. The
 precision of each result is checked against the laws of the module
 docstring, over F_2, F_3, F_4 and F_9, on exact and inexact operands.
+
+The coefficients of sums, differences, negatives, scalings and products
+are compared with an oracle that works on the coefficient tuples of the
+digits alone: componentwise sums modulo p and schoolbook products reduced
+by the field's monic modulus, written out here, not read from the field's
+tables.
 """
 
 import pytest
@@ -29,6 +35,72 @@ def series(draw, F):
     if draw(st.booleans()):
         return LaurentSeries(F, coeffs)
     return LaurentSeries(F, coeffs, draw(st.integers(lo - 1, lo + width + 2)))
+
+
+@st.composite
+def series_pairs(draw, F):
+    """Two series, the second often sharing digits with the first, so that
+    sums and differences cancel terms."""
+    a = draw(series(F))
+    b = draw(series(F))
+    if a.coeffs and draw(st.booleans()):
+        elems = list(F.elements())
+        shared = {
+            d: c if draw(st.booleans()) else draw(st.sampled_from(elems))
+            for d, c in a.coeffs.items()
+        }
+        b = LaurentSeries(F, {**b.coeffs, **shared}, b.prec)
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b
+
+
+# (p, monic modulus) of the fields under test, modulus constant term
+# first; prime fields take x, so that their digits are 1-tuples.
+FIELDS = {2: (2, (0, 1)), 3: (3, (0, 1)), 4: (2, (1, 1, 1)), 9: (3, (1, 0, 1))}
+
+
+def _digit_product(x, y, p, modulus):
+    """x * y for coefficient tuples: schoolbook product, then x^e reduced
+    to -(m_0 + ... + m_(e-1) x^(e-1)) from the top degree down."""
+    e = len(x)
+    prod = [0] * (2 * e - 1)
+    for i, u in enumerate(x):
+        for j, w in enumerate(y):
+            prod[i + j] = (prod[i + j] + u * w) % p
+    for k in range(2 * e - 2, e - 1, -1):
+        top, prod[k] = prod[k], 0
+        for i in range(e):
+            prod[k - e + i] = (prod[k - e + i] - top * modulus[i]) % p
+    return tuple(prod[:e])
+
+
+def _digits(s):
+    return {d: c.coeffs for d, c in s.coeffs.items()}
+
+
+def _oracle_sum(x, y, sign, p, modulus):
+    zero = (0,) * (len(modulus) - 1)
+    return {
+        d: tuple((u + sign * w) % p for u, w in zip(x.get(d, zero), y.get(d, zero)))
+        for d in set(x) | set(y)
+    }
+
+
+def _oracle_product(x, y, p, modulus):
+    out = {}
+    for d1, u in x.items():
+        for d2, w in y.items():
+            prod = _digit_product(u, w, p, modulus)
+            acc = out.get(d1 + d2, (0,) * len(u))
+            out[d1 + d2] = tuple((a + b) % p for a, b in zip(acc, prod))
+    return out
+
+
+def _known(digits, prec):
+    """The nonzero digits below the precision: what a series stores. The
+    precision itself is the result's, checked by the laws above."""
+    return {d: c for d, c in digits.items() if any(c) and (prec is INFINITY or d < prec)}
 
 
 def _canonical(s):
@@ -117,3 +189,23 @@ def test_tree_steps_build_the_validated_vertices(q, data):
         assert step == tree.vertex(n + 1, end.coordinate_mod(n + 1))
     for u in children + [parent, step]:
         assert all(d < u.level for d in _canonical(u.residue).coeffs)
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_arithmetic_values_match_the_digit_oracle(q, data):
+    F = TREES[q].field
+    field_def = FIELDS[q]
+    assert (F.p, F.modulus) == field_def
+    a, b = data.draw(series_pairs(F))
+    x, y = _digits(a), _digits(b)
+    total, difference, negative = a + b, a - b, -a
+    assert _digits(total) == _known(_oracle_sum(x, y, 1, *field_def), total.prec)
+    assert _digits(difference) == _known(_oracle_sum(x, y, -1, *field_def), difference.prec)
+    assert _digits(negative) == _known(_oracle_sum({}, x, -1, *field_def), negative.prec)
+    c = data.draw(st.sampled_from(list(F.elements())))
+    scaled = a.scale(c)
+    assert _digits(scaled) == _known(_oracle_product(x, {0: c.coeffs}, *field_def), scaled.prec)
+    product = a * b
+    assert _digits(product) == _known(_oracle_product(x, y, *field_def), product.prec)
