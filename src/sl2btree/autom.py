@@ -189,10 +189,13 @@ class TreeAutomorphism:
     @classmethod
     def standard_step(cls, field: Field) -> "TreeAutomorphism":
         """diag(pi^{-1}, pi): translation by 2 toward the zero end."""
+        return cls.standard_step_power(field, 1)
+
+    @classmethod
+    def standard_step_power(cls, field: Field, m: int) -> "TreeAutomorphism":
+        """standard_step(field)**m = diag(pi^{-m}, pi^m)."""
         return cls.diagonal(
-            field,
-            LaurentSeries.pi_power(field, -1),
-            LaurentSeries.pi_power(field, 1),
+            field, LaurentSeries.pi_power(field, -m), LaurentSeries.pi_power(field, m)
         )
 
     @classmethod
@@ -668,8 +671,7 @@ def decompose_end_stabilizer(g: TreeAutomorphism, end: End) -> BorelDecompositio
     m = gp.d.valuation()
     diag = TreeAutomorphism.diagonal(F, gp.a.shift(m), gp.d.shift(-m))
     shear = TreeAutomorphism(F, gp.a, gp.b, LaurentSeries.zero(F), gp.a)
-    pi = LaurentSeries.pi_power  # standard_step(F)**m is diag(pi^-m, pi^m)
-    recomposed = diag * TreeAutomorphism.diagonal(F, pi(F, -m), pi(F, m)) * shear
+    recomposed = diag * TreeAutomorphism.standard_step_power(F, m) * shear
     if not recomposed.proportional_to(gp):
         raise NonterminationGuard("decomposition failed to recompose projectively")
     return BorelDecomposition(diagonal=diag, power=m, shear=shear, conjugator=conj)

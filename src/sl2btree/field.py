@@ -200,6 +200,32 @@ class Field:
         self._zech = [log.get(((v[0] + 1) % p,) + v[1:]) for v in powers]
         self._minus_one_log = 0 if p == 2 else (q - 1) // 2
 
+    def _add_products(self, out: dict, x: dict, y: dict, cap) -> None:
+        """Add x[i] * y[j] into out[i + j] for every degree i + j below cap.
+
+        The dicts map degrees to nonzero elements, as series digits do; the
+        sums run on discrete logs: g^m + g^n = g^(m + zech[n - m]), and no
+        zech entry means the two cancel, so the degree is deleted. cap is
+        None for no bound.
+        """
+        exp, zech, period = self._exp, self._zech, self.q - 1
+        for d1, c1 in x.items():
+            m = c1._log
+            for d2, c2 in y.items():
+                d = d1 + d2
+                if cap is not None and d >= cap:
+                    continue
+                n = m + c2._log
+                s = out.get(d)
+                if s is None:
+                    out[d] = exp[n]
+                    continue
+                z = zech[(n - s._log) % period]
+                if z is None:
+                    del out[d]
+                else:
+                    out[d] = exp[s._log + z]
+
     def _position(self, coeffs: tuple[int, ...]) -> int:
         index = 0
         for c in coeffs:

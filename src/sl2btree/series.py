@@ -177,39 +177,29 @@ class LaurentSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _combine(self, other: "LaurentSeries", neg: int) -> "LaurentSeries":
-        """self + other, or self - other when `neg` is the log of -1, on logs:
-        g^m + g^n = g^(m + zech[n - m]), and no zech entry means they cancel."""
+    def _combine(self, other: "LaurentSeries", sign: FieldElement) -> "LaurentSeries":
+        """self + sign * other, for sign 1 or -1."""
         F = self.field
         if not isinstance(other, LaurentSeries) or other.field is not F:
             raise InvalidInputError("series over different fields")
         prec = min(self.prec, other.prec)
-        exp, zech, period = F._exp, F._zech, F.q - 1
         out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            n = c._log + neg
-            s = out.get(d)
-            if s is None:
-                out[d] = exp[n]
-                continue
-            z = zech[(n - s._log) % period]
-            if z is None:
-                del out[d]
-            else:
-                out[d] = exp[s._log + z]
+        F._add_products(out, {0: sign}, other.coeffs, None)
         if self.prec != other.prec:
             # the more precise operand's terms at or past prec are unknown
             out = {d: c for d, c in out.items() if d < prec}
         return LaurentSeries._canonical(F, out, prec)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self._combine(other, 0)
+        return self._combine(other, self.field.one)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self._combine(other, self.field._minus_one_log)
+        return self._combine(other, -self.field.one)
 
     def __neg__(self) -> "LaurentSeries":
-        return self.scale(self.field._exp[self.field._minus_one_log])
+        return LaurentSeries._canonical(
+            self.field, {d: -c for d, c in self.coeffs.items()}, self.prec
+        )
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         F = self.field
@@ -223,32 +213,8 @@ class LaurentSeries:
             prec = min(prec, self.prec + other.valuation_lower_bound())
         if other.prec is not INFINITY:
             prec = min(prec, other.prec + self.valuation_lower_bound())
-        cap = None if prec is INFINITY else prec
-        exp, zech, period = F._exp, F._zech, F.q - 1
-        if len(y) == 1:
-            x, y = y, x
-        if len(x) == 1:  # a one-term factor: no two products share a degree
-            ((d1, c1),) = x.items()
-            out = {
-                d1 + d: exp[c1._log + c._log] for d, c in y.items() if cap is None or d1 + d < cap
-            }
-            return LaurentSeries._canonical(F, out, prec)
         out = {}
-        for d1, c1 in x.items():
-            for d2, c2 in y.items():
-                d = d1 + d2
-                if cap is not None and d >= cap:
-                    continue
-                n = c1._log + c2._log
-                s = out.get(d)
-                if s is None:
-                    out[d] = exp[n]
-                    continue
-                z = zech[(n - s._log) % period]
-                if z is None:
-                    del out[d]
-                else:
-                    out[d] = exp[s._log + z]
+        F._add_products(out, x, y, None if prec is INFINITY else prec)
         return LaurentSeries._canonical(F, out, prec)
 
     def scale(self, coeff) -> "LaurentSeries":
@@ -256,10 +222,9 @@ class LaurentSeries:
         c = self.field.element(coeff)
         if not c:
             return LaurentSeries._canonical(self.field, {})
-        m, exp = c._log, self.field._exp
-        return LaurentSeries._canonical(
-            self.field, {d: exp[a._log + m] for d, a in self.coeffs.items()}, self.prec
-        )
+        out = {}
+        self.field._add_products(out, {0: c}, self.coeffs, None)
+        return LaurentSeries._canonical(self.field, out, self.prec)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by pi^k (degree shift)."""

@@ -348,13 +348,18 @@ def test_products_with_an_inexact_factor_are_validated(monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_step_powers_in_closed_form(q):
-    """decompose_end_stabilizer builds standard_step(F)**m as diag(pi^-m, pi^m)."""
+    """standard_step_power(F, m), which decompose_end_stabilizer recomposes
+    with, is standard_step(F)**m = diag(pi^-m, pi^m)."""
     Fq = field(q)
     step = TreeAutomorphism.standard_step(Fq)
     zero_end = Tree(Fq).end_zero()
     for k in range(-4, 5):
-        closed = TreeAutomorphism.diagonal(
-            Fq, LaurentSeries.pi_power(Fq, -k), LaurentSeries.pi_power(Fq, k)
-        )
+        closed = TreeAutomorphism.standard_step_power(Fq, k)
         assert step**k == closed
+        assert closed.entries() == (
+            LaurentSeries.pi_power(Fq, -k),
+            LaurentSeries.zero(Fq),
+            LaurentSeries.zero(Fq),
+            LaurentSeries.pi_power(Fq, k),
+        )
         assert decompose_end_stabilizer(step**k, zero_end).power == k

@@ -5,14 +5,13 @@ Times series `+`, `-`, `*` and the product of two matrices
 operands, and prints the minimum over repeats of the time per operation,
 in microseconds. Run from the root of a checkout:
 
-    PYTHONPATH=src python3 tools/microbench_arith.py [--repeat 7]
+    PYTHONPATH=src python3 tools/microbench_arith.py
 
 Series operands are exact, with nonzero digits at 1 to 4 of the degrees
 -3..3; the matrices are products of one upper and one lower shear by such
 series, so they are exact and of determinant 1.
 """
 
-import argparse
 import random
 import timeit
 
@@ -22,6 +21,7 @@ from sl2btree.series import LaurentSeries
 
 QS = (2, 3, 4, 9)
 PAIRS = 64
+REPEAT = 7  # timed runs per row; the fastest is kept
 
 
 def _series(rng, F):
@@ -35,19 +35,16 @@ def _matrix(rng, F):
     )
 
 
-def _per_op_us(op, pairs, repeat):
+def _per_op_us(op, pairs):
     def run():
         for x, y in pairs:
             op(x, y)
 
-    runs = timeit.repeat(run, number=20, repeat=repeat)
+    runs = timeit.repeat(run, number=20, repeat=REPEAT)
     return min(runs) / (20 * len(pairs)) * 1e6
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=7, help="timed repeats per row (min is kept)")
-    args = parser.parse_args()
     ops = {
         "series +": (_series, lambda x, y: x + y),
         "series -": (_series, lambda x, y: x - y),
@@ -61,7 +58,7 @@ def main():
             F = field(q)
             rng = random.Random(f"microbench:{name}:{q}")
             pairs = [(make(rng, F), make(rng, F)) for _ in range(PAIRS)]
-            row.append(_per_op_us(op, pairs, args.repeat))
+            row.append(_per_op_us(op, pairs))
         print(f"{name:<10}" + "".join(f"{t:8.2f}" for t in row))
 
 
