@@ -156,10 +156,11 @@ class TreeAutomorphism:
             raise InvalidInputError("matrix is singular")
 
     @classmethod
-    def _product(cls, field: Field, a, b, c, d) -> "TreeAutomorphism":
-        """A product of exact matrices, unchecked: det(gh) = det(g) det(h) != 0."""
+    def _product(cls, field: Field, a, b, c, d, det=None) -> "TreeAutomorphism":
+        """An invertible matrix, unchecked: a product of exact matrices,
+        det(gh) = det(g) det(h) != 0, or one whose nonzero `det` is known."""
         g = object.__new__(cls)
-        g.field, g.a, g.b, g.c, g.d, g._det = field, a, b, c, d, None
+        g.field, g.a, g.b, g.c, g.d, g._det = field, a, b, c, d, det
         return g
 
     # -- construction helpers -------------------------------------------------
@@ -167,12 +168,18 @@ class TreeAutomorphism:
     @classmethod
     def identity(cls, field: Field) -> "TreeAutomorphism":
         one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
-        return cls(field, one, zero, zero, one)
+        return cls._product(field, one, zero, zero, one, one)
 
     @classmethod
     def diagonal(cls, field: Field, top: LaurentSeries, bottom: LaurentSeries):
+        """diag(top, bottom), with determinant top * bottom."""
+        for entry in (top, bottom):
+            if not isinstance(entry, LaurentSeries) or entry.field is not field:
+                raise InvalidInputError("matrix entries must be series over the field")
+        if top.is_exact_zero() or bottom.is_exact_zero():
+            raise InvalidInputError("matrix is singular")
         zero = LaurentSeries.zero(field)
-        return cls(field, top, zero, zero, bottom)
+        return cls._product(field, top, zero, zero, bottom, top * bottom)
 
     @classmethod
     def upper_shear(cls, field: Field, b: LaurentSeries) -> "TreeAutomorphism":
@@ -217,7 +224,9 @@ class TreeAutomorphism:
 
     def adjugate(self) -> "TreeAutomorphism":
         """[[d,-b],[-c,a]]; the projective inverse (exact inverse when det = 1)."""
-        return TreeAutomorphism(self.field, self.d, -self.b, -self.c, self.a)
+        return TreeAutomorphism._product(
+            self.field, self.d, -self.b, -self.c, self.a, self.det()
+        )
 
     def __mul__(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
         if other.field is not self.field:
@@ -244,7 +253,11 @@ class TreeAutomorphism:
         return out
 
     def scaled(self, s: LaurentSeries) -> "TreeAutomorphism":
-        return TreeAutomorphism(self.field, self.a * s, self.b * s, self.c * s, self.d * s)
+        """s * self; an exact nonzero s scales the determinant by s^2."""
+        a, b, c, d = self.a * s, self.b * s, self.c * s, self.d * s
+        if s.prec is INFINITY and s.coeffs:
+            return TreeAutomorphism._product(self.field, a, b, c, d, s * s * self.det())
+        return TreeAutomorphism(self.field, a, b, c, d)
 
     def __eq__(self, other) -> bool:
         return (

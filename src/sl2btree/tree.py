@@ -35,7 +35,6 @@ nothing is sampled or approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -48,12 +47,36 @@ from .polys import gcd_t, divmod_t, t_coeffs
 from .series import INFINITY, LaurentSeries
 
 
-@dataclass(frozen=True)
 class Vertex:
-    """Lattice class at depth `level` with residue a mod pi^level."""
+    """Lattice class at depth `level` with residue a mod pi^level.
 
-    level: int
-    residue: LaurentSeries
+    An immutable value, equal to no tuple. The residue is exact with digits
+    below the level only, so neighbors share it where they can. The hash is
+    computed once; `_meet` keeps m(v) for the last end asked about.
+    """
+
+    __slots__ = ("level", "residue", "_hash", "_meet")
+
+    def __init__(self, level: int, residue: LaurentSeries):
+        self.level = level
+        self.residue = residue
+        self._hash = None
+        self._meet = None
+
+    def __eq__(self, other) -> bool:
+        return (
+            other.__class__ is Vertex
+            and self.level == other.level
+            and (self.residue is other.residue or self.residue == other.residue)
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.level, self.residue))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Vertex(level={self.level!r}, residue={self.residue!r})"
 
     def __str__(self) -> str:
         return f"({self.level}; {self.residue})"
@@ -235,11 +258,12 @@ def _child(v: Vertex, c) -> Vertex:
 
     v's residue is canonical with every degree below its level, so appending
     a nonzero digit keeps it canonical. A zero digit adds nothing, and the
-    child shares v's dict: no series changes its dict after construction.
+    child shares v's residue: no series changes after construction.
     """
     residue = v.residue
-    coeffs = {**residue.coeffs, v.level: c} if c else residue.coeffs
-    return Vertex(v.level + 1, LaurentSeries._canonical(residue.field, coeffs))
+    if c:
+        residue = LaurentSeries._canonical(residue.field, {**residue.coeffs, v.level: c})
+    return Vertex(v.level + 1, residue)
 
 
 def _guard_walk(x: Vertex, mx: int, horizon: int, steps: int) -> None:
@@ -316,7 +340,9 @@ class Tree:
         return RationalEnd(self.field, LaurentSeries.one(self.field), LaurentSeries.zero(self.field))
 
     def parent(self, v: Vertex) -> Vertex:
-        return Vertex(v.level - 1, v.residue.truncate(v.level - 1))
+        """v without its top digit; v's residue itself when that digit is zero."""
+        n, residue = v.level - 1, v.residue
+        return Vertex(n, residue.truncate(n) if n in residue.coeffs else residue)
 
     def children(self, v: Vertex) -> list[Vertex]:
         """The q vertices below v, one per digit c at pi^level.
@@ -426,10 +452,16 @@ class Tree:
 
         The lowest degree below v's level at which its residue differs from
         the end's coordinate, else the level. A truncated end caps this at
-        its horizon.
+        its horizon. The value for the last end asked about, compared by
+        identity, is kept on the vertex.
         """
+        meet = v._meet
+        if meet is not None and meet[0] is end:
+            return meet[1]
         bound = min(v.level, end.known_depth())
-        return _first_difference(v.residue.coeffs, end.digits(bound), bound)
+        m = _first_difference(v.residue.coeffs, end.digits(bound), bound)
+        v._meet = (end, m)
+        return m
 
     def busemann(self, x: Vertex, y: Vertex, end: End) -> int:
         """Signed overlap of [x, end) with the position of y: h(x) - h(y).

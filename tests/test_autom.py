@@ -363,3 +363,46 @@ def test_step_powers_in_closed_form(q):
             LaurentSeries.pi_power(Fq, k),
         )
         assert decompose_end_stabilizer(step**k, zero_end).power == k
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_known_determinants_are_a_d_minus_b_c(q):
+    """identity, diagonal, adjugate and scaled attach the determinant their
+    source gives (1, top*bottom, det g, s^2 det g) without computing it; it
+    equals a*d - b*c, for exact and inexact entries alike."""
+    Fq = field(q)
+    rng = random.Random(f"autom:known-det:{q}")
+
+    def recomputed(h):
+        return h.a * h.d - h.b * h.c
+
+    one = TreeAutomorphism.identity(Fq)
+    assert one.det() == recomputed(one) == LaurentSeries.one(Fq)
+    inexact = LaurentSeries.inexact(Fq, {0: 1, 2: rng.randrange(1, q)}, 4)
+    for _ in range(10):
+        g = _random_exact_matrix(rng, Fq)
+        top, bottom = g.a * g.b + LaurentSeries.one(Fq), g.d
+        if not top.is_exact_zero() and not bottom.is_exact_zero():
+            diag = TreeAutomorphism.diagonal(Fq, top, bottom)
+            assert diag.det() == recomputed(diag) == top * bottom
+        rough = TreeAutomorphism(Fq, g.a + inexact, g.b, g.c, g.d)
+        for h in (g, g * g, rough):
+            assert h.adjugate().det() == recomputed(h.adjugate()) == h.det()
+            k = rng.randrange(-3, 4)
+            for s in (LaurentSeries.pi_power(Fq, k), g.a + LaurentSeries.pi_power(Fq, k)):
+                if s.is_exact_zero():
+                    continue
+                scaled = h.scaled(s)
+                assert scaled.det() == recomputed(scaled) == s * s * h.det()
+        assert rough.scaled(inexact).det() == recomputed(rough.scaled(inexact))
+    zero = LaurentSeries.zero(Fq)
+    with pytest.raises(InvalidInputError, match="matrix is singular"):
+        TreeAutomorphism.diagonal(Fq, zero, LaurentSeries.one(Fq))
+    with pytest.raises(InvalidInputError, match="matrix is singular"):
+        TreeAutomorphism.diagonal(Fq, inexact, zero)
+    with pytest.raises(InvalidInputError, match="matrix entries must be series"):
+        TreeAutomorphism.diagonal(Fq, 1, LaurentSeries.one(Fq))
+    with pytest.raises(InvalidInputError, match="matrix entries must be series"):
+        TreeAutomorphism.diagonal(field(5), LaurentSeries.one(Fq), LaurentSeries.one(Fq))
+    with pytest.raises(InvalidInputError, match="matrix is singular"):
+        g.scaled(zero)

@@ -6,6 +6,10 @@ ball filtered with that walk, and `meeting_level` against a climb with
 `Tree.parent`, on vertices drawn near the ends so that every way of
 leaving an end's line, and every way of running past a truncated end's
 horizon, is reached.
+
+Vertices are values: the same vertex reached by different routes is equal
+and hashes equal, whichever residue object it shares, and the meeting level
+a vertex keeps for its last end never leaks into the answer for another.
 """
 
 from fractions import Fraction
@@ -13,8 +17,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sl2btree.autom import TreeAutomorphism
 from sl2btree.errors import EndPrecisionExhausted
 from sl2btree.field import field
+from sl2btree.lattice import NagaoLattice
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import Tree, TruncatedEnd, UpEnd, Vertex, end_from_vector
 from sl2btree.verify import _walking_busemann
@@ -129,8 +135,12 @@ def test_closed_form_busemann_is_the_walk(q, data):
     y = data.draw(vertices_near(tree, end))
     walked = _outcome(_walking_busemann, _StepsOnly(tree), x, y, end)
     assert _outcome(tree.busemann, x, y, end) == walked
-    if walked[0] == "value":
-        assert tree.busemann(y, x, end) == -walked[1]
+    # the walk from y may need digits of a truncated end that the walk
+    # from x does not, so antisymmetry holds where both walks answer
+    back = _outcome(_walking_busemann, _StepsOnly(tree), y, x, end)
+    assert _outcome(tree.busemann, y, x, end) == back
+    if walked[0] == back[0] == "value":
+        assert back[1] == -walked[1]
 
 
 @pytest.mark.parametrize("q", QS)
@@ -181,3 +191,106 @@ def test_meeting_level_is_a_climb_with_parent(q, data):
     y = data.draw(vertices_near(tree, end))
     expected = _meeting_level_by_walking(tree, x, y)
     assert tree.meeting_level(x, y) == tree.meeting_level(y, x) == expected
+
+
+def _fresh(v):
+    """An equal vertex that shares no object with v."""
+    r = v.residue
+    return Vertex(v.level, LaurentSeries(r.field, dict(r.coeffs)))
+
+
+def _assert_same_vertex(u, v):
+    assert u == v and v == u and hash(u) == hash(v)
+    for w in (u, v):
+        assert w.residue.is_exact() and all(d < w.level for d in w.residue.coeffs)
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_vertices_reached_by_different_routes_are_one_value(q, data):
+    """tree.vertex, children, parent, path, act_vertex and reduce_vertex
+    build equal vertices with equal hashes and residues below the level."""
+    tree = TREES[q]
+    F = tree.field
+    end = data.draw(ends(tree))
+    x = data.draw(vertices_near(tree, end))
+    y = data.draw(vertices_near(tree, end))
+    noise = LaurentSeries(F, _series(data.draw, F, x.level, x.level + 3))
+    _assert_same_vertex(tree.vertex(x.level, x.residue + noise), x)
+    _assert_same_vertex(_fresh(x), x)
+    for child in tree.children(x):
+        _assert_same_vertex(tree.parent(child), x)
+    up = tree.parent(x)
+    assert x in tree.children(up) and x in set(tree.children(up))
+    _assert_same_vertex(tree.parent(_fresh(x)), up)
+    path = tree.path(x, y)
+    back = tree.path(y, x)
+    _assert_same_vertex(path[0], x)
+    _assert_same_vertex(path[-1], y)
+    for u, w in zip(path, reversed(back)):
+        _assert_same_vertex(u, w)
+    for u, w in zip(path, path[1:]):
+        assert w in tree.neighbors(u) and u in tree.neighbors(w)
+    shift = LaurentSeries(F, _series(data.draw, F, -2, 1))
+    moved = TreeAutomorphism.lower_shear(F, shift).act_vertex(x)
+    _assert_same_vertex(moved, tree.vertex(x.level, x.residue + shift))
+    _assert_same_vertex(TreeAutomorphism.identity(F).act_vertex(x), x)
+    reduced = NagaoLattice(F).reduce_vertex(x)
+    _assert_same_vertex(reduced.vertex, Vertex(reduced.level, LaurentSeries.zero(F)))
+    _assert_same_vertex(reduced.witness.adjugate().act_vertex(reduced.vertex), x)
+    assert len({x, _fresh(x), up, *tree.children(x), *tree.children(up)}) == 2 * q + 1
+
+
+@pytest.mark.parametrize("q", QS)
+def test_a_vertex_is_not_a_tuple(q):
+    tree = TREES[q]
+    for v in [tree.base, *tree.neighbors(tree.base)]:
+        pair = (v.level, v.residue)
+        assert v != pair and pair != v and not v == pair
+        assert v not in {pair} and pair not in {v}
+        with pytest.raises(TypeError):
+            iter(v)
+        with pytest.raises(TypeError):
+            v[0]
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_busemann_over_one_base_and_two_ends(q, data):
+    """Alternating two ends over one base vertex gives the values (or the
+    precision errors) of fresh vertices, and a call that raises raises again."""
+    tree = TREES[q]
+    first = data.draw(ends(tree))
+    second = data.draw(ends(tree))
+    x = data.draw(vertices_near(tree, first))
+    ys = [data.draw(vertices_near(tree, end)) for end in (first, second, first)]
+    for _ in range(2):
+        for y in ys:
+            for end in (first, second):
+                expected = _outcome(tree.busemann, _fresh(x), _fresh(y), end)
+                assert _outcome(tree.busemann, x, y, end) == expected
+                assert _outcome(tree.horoball_contains, end, x, y) == (
+                    expected if expected[0] == "raised" else ("value", expected[1] >= 0)
+                )
+
+
+@pytest.mark.parametrize("q", QS)
+def test_a_truncated_end_that_raises_raises_again(q):
+    """The walk guard runs on every call, not only when m(x) is computed."""
+    tree = TREES[q]
+    F = tree.field
+    end = TruncatedEnd(F, LaurentSeries(F, {}, 2))
+    near, far = tree.vertex(3, LaurentSeries.zero(F)), tree.vertex(1, LaurentSeries.zero(F))
+    for x, y in ((near, tree.base), (far, tree.vertex(-6, LaurentSeries.zero(F)))):
+        with pytest.raises(EndPrecisionExhausted) as first:
+            tree.busemann(x, y, end)
+        for other in (None, tree.end_zero(), tree.end_up()):
+            if other is not None:
+                tree.busemann(x, tree.parent(x), other)
+            with pytest.raises(EndPrecisionExhausted) as again:
+                tree.busemann(x, y, end)
+            assert str(again.value) == str(first.value)
+    # one step from the level-1 vertex is still determined
+    assert tree.busemann(far, tree.base, end) == -1

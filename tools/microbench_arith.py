@@ -1,15 +1,24 @@
-"""Per-layer microbenchmark of the exact arithmetic under the tree.
+"""Per-layer microbenchmark of the exact arithmetic and the tree's vertices.
 
-Times series `+`, `-`, `*` and the product of two matrices
-(`TreeAutomorphism.__mul__`) over F_2, F_3, F_4 and F_9 on fixed seeded
-operands, and prints the minimum over repeats of the time per operation,
-in microseconds. Run from the root of a checkout:
+Times series `+`, `-`, `*`, the product of two matrices
+(`TreeAutomorphism.__mul__`) and the tree's vertex operations over F_2,
+F_3, F_4 and F_9 on fixed seeded operands, and prints the minimum over
+repeats of the time per operation, in microseconds. Run from the root of a
+checkout:
 
     PYTHONPATH=src python3 tools/microbench_arith.py
 
 Series operands are exact, with nonzero digits at 1 to 4 of the degrees
 -3..3; the matrices are products of one upper and one lower shear by such
-series, so they are exact and of determinant 1.
+series, so they are exact and of determinant 1. Vertices have a level in
+-3..5 and random digits at the four degrees below it; ends are y/x for
+random polynomials of degree at most 2 in t. The vertex rows are:
+construction from a level and a residue (`vertex new`); `==` between a
+vertex and an equal one built from a copy of its residue (`vertex ==`);
+`hash` of a vertex hashed before, as in a set that is probed again
+(`vertex hash`); `Tree.neighbors`; `Tree.step_to_end` toward an end; and
+`Tree.busemann` from one base vertex toward one end, to a vertex built
+afresh for each call, so that the row includes that construction.
 """
 
 import random
@@ -18,6 +27,7 @@ import timeit
 from sl2btree.autom import TreeAutomorphism
 from sl2btree.field import field
 from sl2btree.series import LaurentSeries
+from sl2btree.tree import Tree, Vertex, end_from_vector
 
 QS = (2, 3, 4, 9)
 PAIRS = 64
@@ -35,31 +45,77 @@ def _matrix(rng, F):
     )
 
 
-def _per_op_us(op, pairs):
+def _vertex(rng, F):
+    n = rng.randrange(-3, 6)
+    return Tree(F).vertex(n, LaurentSeries.exact(F, {d: rng.randrange(F.q) for d in range(n - 4, n)}))
+
+
+def _end(rng, F):
+    def poly():
+        return LaurentSeries.exact(F, {-d: rng.randrange(F.q) for d in range(3)})
+
+    x = poly()
+    return end_from_vector(F, x if x.has_terms() else LaurentSeries.one(F), poly())
+
+
+def _level_residue(rng, F):
+    v = _vertex(rng, F)
+    return v.level, v.residue
+
+
+def _twins(rng, F):
+    v = _vertex(rng, F)
+    return v, Vertex(v.level, LaurentSeries.exact(F, dict(v.residue.coeffs)))
+
+
+def _hashed(rng, F):
+    v = _vertex(rng, F)
+    hash(v)
+    return (v,)
+
+
+def _pair(make):
+    return lambda rng, F, shared: (make(rng, F), make(rng, F))
+
+
+def _per_op_us(op, operands):
     def run():
-        for x, y in pairs:
-            op(x, y)
+        for args in operands:
+            op(*args)
 
     runs = timeit.repeat(run, number=20, repeat=REPEAT)
-    return min(runs) / (20 * len(pairs)) * 1e6
+    return min(runs) / (20 * len(operands)) * 1e6
 
 
 def main():
+    # row -> (operands from (rng, F, shared), operation); shared is one
+    # tree, one end and one base vertex per field
     ops = {
-        "series +": (_series, lambda x, y: x + y),
-        "series -": (_series, lambda x, y: x - y),
-        "series *": (_series, lambda x, y: x * y),
-        "matrix *": (_matrix, lambda x, y: x * y),
+        "series +": (_pair(_series), lambda x, y: x + y),
+        "series -": (_pair(_series), lambda x, y: x - y),
+        "series *": (_pair(_series), lambda x, y: x * y),
+        "matrix *": (_pair(_matrix), lambda x, y: x * y),
+        "vertex new": (lambda r, F, T: _level_residue(r, F), Vertex),
+        "vertex ==": (lambda r, F, T: _twins(r, F), lambda x, y: x == y),
+        "vertex hash": (lambda r, F, T: _hashed(r, F), hash),
+        "neighbors": (lambda r, F, T: (T[0], _vertex(r, F)), Tree.neighbors),
+        "step_to_end": (lambda r, F, T: (T[0], _vertex(r, F), _end(r, F)), Tree.step_to_end),
+        "busemann": (
+            lambda r, F, T: (T[0], T[2], *_level_residue(r, F), T[1]),
+            lambda tree, x, n, residue, end: tree.busemann(x, Vertex(n, residue), end),
+        ),
     }
-    print(f"{'us/op':<10}" + "".join(f"{f'F_{q}':>8}" for q in QS))
+    print(f"{'us/op':<12}" + "".join(f"{f'F_{q}':>8}" for q in QS))
     for name, (make, op) in ops.items():
         row = []
         for q in QS:
             F = field(q)
             rng = random.Random(f"microbench:{name}:{q}")
-            pairs = [(make(rng, F), make(rng, F)) for _ in range(PAIRS)]
-            row.append(_per_op_us(op, pairs))
-        print(f"{name:<10}" + "".join(f"{t:8.2f}" for t in row))
+            fixed = random.Random(f"microbench:tree:{q}")
+            shared = (Tree(F), _end(fixed, F), _vertex(fixed, F))
+            operands = [make(rng, F, shared) for _ in range(PAIRS)]
+            row.append(_per_op_us(op, operands))
+        print(f"{name:<12}" + "".join(f"{t:8.2f}" for t in row))
 
 
 if __name__ == "__main__":
