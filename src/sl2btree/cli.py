@@ -92,6 +92,8 @@ def _lattice_from_args(args):
         if not args.level:
             raise InvalidInputError("--level is required for the congruence lattice")
         return CongruenceLattice(F, parse_series(F, args.level))
+    if args.level is not None:
+        raise InvalidInputError("--level applies only to --lattice congruence")
     return NagaoLattice(F)
 
 

@@ -496,6 +496,13 @@ class _TransporterAlgebra:
     quotient vertex then costs one product in the residue group and a few
     series products; a pair across two quotient vertices has no
     transporter and costs nothing.
+
+    Transporter sets compose: with T(y, y') the lattice elements carrying
+    y to y', T(y, y') = T(y1, y') T(y1, y)^{-1} for any y1 of the same
+    quotient vertex, and products and inverses of elements fixing the end
+    fix it. So every transporter within a quotient vertex fixes the end
+    exactly when every transporter from one of its members does, and a
+    quotient vertex is decided by one `moving_transporter` call per member.
     """
 
     def __init__(self, lattice: NagaoLattice):
@@ -645,9 +652,16 @@ def certify_independent_horoball(
     to the truncation distance, and for every ordered pair of members
     with the same normal form requires that every lattice element
     carrying one to the other fixes the end. Such an element exists only
-    within a quotient vertex, so only those pairs are examined; every
-    same-level pair counts as checked. Returns a certificate or the first
-    explicit violating pair.
+    within a quotient vertex. Within one, T(y, y') = T(y1, y') T(y1, y)^{-1}
+    for its first member y1, so all its pairs pass exactly when the star
+    of pairs (y1, y') does: one transporter check per member decides every
+    pair, and every same-level pair counts as checked.
+
+    Returns a certificate or the first violating pair in the order of the
+    pairs (y, y'): levels by first member, then members, then members of
+    y's quotient vertex. A member after y1 has a violating pair only if y1
+    has one, so the first violating pair is the first failure of the first
+    failing star, taken level by level and within a level by first member.
     """
     if truncation < 0:
         raise InvalidInputError(f"horoball truncation must be >= 0, got {truncation}")
@@ -658,10 +672,10 @@ def certify_independent_horoball(
     members = [algebra.member(y) for y in horoball]
     entries = list(zip(members, algebra.conjugated(members, cusp)))
     levels = _grouped(entries, lambda e: e[0].reduced.level)
-    classes = _grouped(entries, lambda e: e[0].quotient_vertex)
     for group in levels.values():
-        for y, (_, Q) in group:
-            for yp, (P, _) in classes[y.quotient_vertex]:
+        for cls in _grouped(group, lambda e: e[0].quotient_vertex).values():
+            y, (_, Q) = cls[0]
+            for yp, (P, _) in cls:
                 gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
                 if gamma is not None:
                     return CounterexamplePair(

@@ -299,3 +299,14 @@ def test_congruence_requires_a_level(capsys):
     rc, _, err = run(capsys, ["covolume", "--lattice", "congruence"])
     assert rc == 3
     assert "level" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["quotient"], ["covolume"], ["cusps"], ["contract"], ["probe", "rat(0, 1)"]]
+)
+@pytest.mark.parametrize("lattice", [[], ["--lattice", "nagao"]])
+def test_level_without_congruence_exits_3(capsys, command, lattice):
+    rc, out, err = run(capsys, [*command, *lattice, "--level", "t"])
+    assert rc == 3
+    assert out == ""
+    assert "--level" in err

@@ -68,6 +68,11 @@ GOLDEN = [
     # run prints the first violating pair, so it pins the member order
     ("cusps --q 9 --depth 6 --truncation 5", 0, "d3a65e90b18d41890ada68fde1f50a42da29096f30608d03c77050666cf81d19"),
     ("cusps --q 3 --depth 2 --truncation 4", 1, "a49b45dc6a15ce49883aae2f057b1c447a8eb0ded17a1cffb8946fefa8749348"),
+    # recorded while the horoball check still tested every pair of members
+    # of a quotient vertex, before one transporter check per member decided
+    # them; both print their first violating pair
+    ("cusps --depth 2 --truncation 3", 1, "5e8c4cc9677be82d622e971b1e5f6c2bfb6b9a76ef01f1d37a6ef42fdcbea881"),
+    ("cusps --q 4 --modulus 1,1,1 --depth 2 --truncation 4", 1, "30b3a3281177839665040cf748b619e9cfd72c1ece971c7ae3bb4ebf3eab24b2"),
 ]
 
 

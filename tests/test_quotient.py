@@ -195,8 +195,9 @@ def test_family_certification():
 
 
 def test_family_certification_pays_per_member(monkeypatch):
-    """Residues and conjugated witnesses are computed once per horoball
-    member, not once per pair (here 42 members, 126 + 252 pairs)."""
+    """Residues, conjugated witnesses and transporter checks are computed
+    once per horoball member, not once per pair (here 42 members,
+    126 + 252 pairs)."""
     lat = CongruenceLattice(F2, parse_series(F2, "t"))
     cusps = lat.cusp_representatives()
     radii = [
@@ -204,11 +205,14 @@ def test_family_certification_pays_per_member(monkeypatch):
     ]
     reductions = _count_calls(monkeypatch, CosetTable, "reduce")
     products = _count_calls(monkeypatch, TreeAutomorphism, "__mul__")
+    checks = _count_calls(monkeypatch, _TransporterAlgebra, "moving_transporter")
     fam = certify_independent_family(lat, cusps, radii, 5)
+    assert isinstance(fam, FamilyCertificate)
     members = sum(s.vertices_checked for s in fam.singles)
     constants = 2**3 - 2  # the constants map reduces each member of SL2(F_2) once
     assert len(reductions) <= members + constants
     assert len(products) <= 3 * members
+    assert len(checks) == members
 
 
 @pytest.mark.parametrize("q,level", [(2, "t"), (3, "t"), (2, "t^2")])
@@ -561,6 +565,49 @@ def test_conjugated_entries_are_those_of_the_full_products(q, data):
     full_P, full_Q = conj * w.adjugate(), w * conj.adjugate()
     assert P == (full_P.c, full_P.d)
     assert Q == (full_Q.a, full_Q.c)
+
+
+def _first_moving_pair(lattice, cusp, x, truncation):
+    """The horoball check pair by pair: every ordered pair of members at one
+    level, in member order, through `moving_transporter`. Returns the first
+    violating (y, y', str(gamma)), or the member count."""
+    algebra = _TransporterAlgebra(lattice)
+    horoball = lattice.tree.horoellipse_vertices(cusp.end, x, Fraction(1), truncation)
+    members = [algebra.member(y) for y in horoball]
+    levels = {}
+    for m, halves in zip(members, algebra.conjugated(members, cusp)):
+        levels.setdefault(m.reduced.level, []).append((m, halves))
+    for group in levels.values():
+        for y, (_, Q) in group:
+            for yp, (P, _) in group:
+                gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
+                if gamma is not None:
+                    return y.vertex, yp.vertex, str(gamma)
+    return len(members)
+
+
+@pytest.mark.parametrize(
+    "q,level",
+    [(2, None), (3, None), (4, None), (9, None), (2, "t"), (2, "t^2"), (3, "t")],
+)
+def test_star_check_matches_all_pairs(q, level):
+    F = field(q)
+    lat = NagaoLattice(F) if level is None else CongruenceLattice(F, parse_series(F, level))
+    one = parse_vertex(F, "(1; 0)")
+    verdicts = Counter()
+    for cusp in lat.cusp_representatives():
+        for x in (lat.tree.base, one, cusp.conjugator.adjugate().act_vertex(one)):
+            for truncation in range(1, 5):
+                expected = _first_moving_pair(lat, cusp, x, truncation)
+                got = certify_independent_horoball(lat, cusp, x, truncation)
+                if isinstance(expected, tuple):
+                    assert isinstance(got, CounterexamplePair)
+                    assert (got.y, got.y_prime, str(got.gamma)) == expected
+                else:
+                    assert isinstance(got, CertifiedIndependent)
+                    assert got.vertices_checked == expected
+                verdicts[type(got)] += 1
+    assert verdicts[CertifiedIndependent] > 0 and verdicts[CounterexamplePair] > 0
 
 
 def _transporter_exists(lattice, red_y, red_yp):

@@ -1,10 +1,11 @@
-"""Per-layer microbenchmark of the exact arithmetic and the tree's vertices.
+"""Per-layer microbenchmark of the exact arithmetic, the tree's vertices and
+horoball certification.
 
 Times series `+`, `-`, `*`, the product of two matrices
-(`TreeAutomorphism.__mul__`) and the tree's vertex operations over F_2,
-F_3, F_4 and F_9 on fixed seeded operands, and prints the minimum over
-repeats of the time per operation, in microseconds. Run from the root of a
-checkout:
+(`TreeAutomorphism.__mul__`), the tree's vertex operations and the
+certification of one horoball over F_2, F_3, F_4 and F_9 on fixed operands,
+and prints the minimum over repeats of the time per operation, in
+microseconds. Run from the root of a checkout:
 
     PYTHONPATH=src python3 tools/microbench_arith.py
 
@@ -19,6 +20,12 @@ vertex and an equal one built from a copy of its residue (`vertex ==`);
 (`vertex hash`); `Tree.neighbors`; `Tree.step_to_end` toward an end; and
 `Tree.busemann` from one base vertex toward one end, to a vertex built
 afresh for each call, so that the row includes that construction.
+
+The `horoball certify` row is `certify_independent_horoball` for the cusp
+of SL_2(F_q[t]) at the radius vertex (1; 0), out to truncation 5, per
+member of the horoball (14, 26, 42 and 182 members). Each timed run is one
+call on a lattice that has certified the same horoball once before, so its
+residue tables are built and the row measures the check itself.
 """
 
 import random
@@ -26,6 +33,9 @@ import timeit
 
 from sl2btree.autom import TreeAutomorphism
 from sl2btree.field import field
+from sl2btree.lattice import NagaoLattice
+from sl2btree.literals import parse_vertex
+from sl2btree.quotient import certify_independent_horoball
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import Tree, Vertex, end_from_vector
 
@@ -87,6 +97,14 @@ def _per_op_us(op, operands):
     return min(runs) / (20 * len(operands)) * 1e6
 
 
+def _horoball_us_per_member(q):
+    lattice = NagaoLattice(field(q))
+    args = (lattice, lattice.cusp_representatives()[0], parse_vertex(lattice.field, "(1; 0)"), 5)
+    members = certify_independent_horoball(*args).vertices_checked
+    runs = timeit.repeat(lambda: certify_independent_horoball(*args), number=1, repeat=REPEAT)
+    return min(runs) / members * 1e6
+
+
 def main():
     # row -> (operands from (rng, F, shared), operation); shared is one
     # tree, one end and one base vertex per field
@@ -105,7 +123,7 @@ def main():
             lambda tree, x, n, residue, end: tree.busemann(x, Vertex(n, residue), end),
         ),
     }
-    print(f"{'us/op':<12}" + "".join(f"{f'F_{q}':>8}" for q in QS))
+    print(f"{'us/op':<16}" + "".join(f"{f'F_{q}':>8}" for q in QS))
     for name, (make, op) in ops.items():
         row = []
         for q in QS:
@@ -115,7 +133,9 @@ def main():
             shared = (Tree(F), _end(fixed, F), _vertex(fixed, F))
             operands = [make(rng, F, shared) for _ in range(PAIRS)]
             row.append(_per_op_us(op, operands))
-        print(f"{name:<12}" + "".join(f"{t:8.2f}" for t in row))
+        print(f"{name:<16}" + "".join(f"{t:8.2f}" for t in row))
+    row = [_horoball_us_per_member(q) for q in QS]
+    print(f"{'horoball certify':<16}" + "".join(f"{t:8.2f}" for t in row))
 
 
 if __name__ == "__main__":
