@@ -97,6 +97,34 @@ def _lattice_from_args(args):
     return NagaoLattice(F)
 
 
+def _require_printable_orders(lattice, depth: int, command: str) -> None:
+    """Refuse a depth whose stabilizer orders have too many digits to print.
+
+    The orders printed down to `depth` are at most the order at level
+    depth, and Python converts an int of more than
+    sys.get_int_max_str_digits() decimal digits (0: no limit) to text only
+    by raising. The refusal names the deepest depth that prints.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or depth < 1:
+        return
+    top = 10**limit
+    if lattice.base_order(depth) < top:
+        return
+    # orders grow with the level: base_order(low) < top <= base_order(high)
+    low, high = 0, depth
+    while high - low > 1:
+        mid = (low + high) // 2
+        if lattice.base_order(mid) < top:
+            low = mid
+        else:
+            high = mid
+    raise SizeGuardExceeded(
+        f"{command} --depth {depth} can print stabilizer orders of more than "
+        f"{limit} digits (bound: depth {low})"
+    )
+
+
 def _covolume_or_none(graph):
     """The covolume, or None when some ray is not certified at this depth."""
     try:
@@ -118,6 +146,7 @@ def _graph_text(graph, fmt: str, cov) -> str:
 
 def _cmd_quotient(args):
     lattice = _lattice_from_args(args)
+    _require_printable_orders(lattice, args.depth, "quotient")
     G = quotient_graph(lattice, args.depth)
     return 0, _graph_text(G, args.format, _covolume_or_none(G))
 
@@ -201,6 +230,7 @@ def _cmd_probe(args):
     lattice = _lattice_from_args(args)
     F = lattice.field
     end = parse_end(F, args.end)
+    _require_printable_orders(lattice, args.depth, "probe")
     probe = growth_probe(lattice, end, args.depth)
     out = {
         "orders": probe.orders,

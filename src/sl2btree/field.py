@@ -226,6 +226,11 @@ class Field:
                 else:
                     out[d] = exp[s._log + z]
 
+    def _negated(self, x: dict) -> dict:
+        """-x for a dict of degrees to nonzero elements, through the antilog table."""
+        exp, half = self._exp, self._minus_one_log
+        return {d: exp[c._log + half] for d, c in x.items()}
+
     def _position(self, coeffs: tuple[int, ...]) -> int:
         index = 0
         for c in coeffs:

@@ -177,32 +177,37 @@ class NagaoLattice:
         (n - 2m; -r^{-1} mod pi^{n-2m}). The witness is the product of
         those steps, kept as row operations on its four entries: a lower
         shear by s adds s times the first row to the second, the half turn
-        maps rows (r1, r2) to (-r2, r1). It is verified before returning.
+        maps rows (r1, r2) to (-r2, r1). The residue and the entries are
+        digit dicts {degree: nonzero element} until the loop ends, so a
+        step builds no series but the half turn's inverse. The witness is
+        verified before returning.
         """
         F = self.field
-        one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
-        a, b, c, d = one, zero, zero, one
-        cur = v
+        a, b, c, d = {0: F.one}, {}, {}, {0: F.one}
+        n, res = v.level, v.residue.coeffs
         for _ in range(_REDUCE_CAP_BASE + 2 * abs(v.level)):
-            n, res = cur.level, cur.residue
-            poly_part = {k: x for k, x in res.coeffs.items() if k <= 0}
-            if poly_part:
-                s = -LaurentSeries.exact(F, poly_part)
-                cur = Vertex(n, res + s)
-                c, d = c + s * a, d + s * b
+            s = F._negated({k: x for k, x in res.items() if k <= 0})
+            if s:
+                # adding s leaves exactly the digits of positive degree
+                res = {k: x for k, x in res.items() if k >= 1}
+                F._add_products(c, s, a, None)
+                F._add_products(d, s, b, None)
                 continue
-            if not res.has_terms() and n >= 0:
+            if not res and n >= 0:
                 break
             # residue zero above the origin, or all of positive degree: invert
-            if res.has_terms():
-                m = res.valuation()
-                cur = Vertex(n - 2 * m, -res.inverse(n - m).truncate(n - 2 * m))
+            if res:
+                m = min(res)
+                inverse = LaurentSeries._canonical(F, res).inverse(n - m)
+                n -= 2 * m
+                res = F._negated({k: x for k, x in inverse.coeffs.items() if k < n})
             else:
-                cur = Vertex(-n, res)
-            a, b, c, d = -c, -d, a, b
+                n = -n
+            a, b, c, d = F._negated(c), F._negated(d), a, b
         else:
             raise NonterminationGuard(f"vertex reduction did not settle for {v}")
-        g = TreeAutomorphism(F, a, b, c, d)
+        cur = Vertex(n, LaurentSeries._canonical(F, res))
+        g = TreeAutomorphism(F, *(LaurentSeries._canonical(F, x) for x in (a, b, c, d)))
         if g.act_vertex(v) != cur:
             raise NonterminationGuard(f"reduction witness failed to check for {v}")
         return ReducedVertex(level=cur.level, witness=g, vertex=cur)

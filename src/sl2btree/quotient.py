@@ -491,8 +491,9 @@ class _TransporterAlgebra:
 
     Everything that depends on one vertex is computed once per vertex:
     `member` reduces it and takes its residue, the residue's inverse and
-    its quotient vertex, `conjugated` takes the four entries of its
-    witness times the end conjugator that a pair reads. A pair within a
+    its quotient vertex, `target_half` and `source_half` take the entries
+    of its witness times the end conjugator that a pair reads of its
+    target and of its source. A pair within a
     quotient vertex then costs one product in the residue group and a few
     series products; a pair across two quotient vertices has no
     transporter and costs nothing.
@@ -518,26 +519,26 @@ class _TransporterAlgebra:
         coset_of, _ = self.table.coset_partition(self.table.vertex_image(red.level))
         return HoroballMember(y, red, residue, inverse, (red.level, coset_of[inverse]))
 
-    def conjugated(self, members: list[HoroballMember], cusp: CuspData):
-        """((P.c, P.d), (Q.a, Q.c)) for P = conj w^{-1}, Q = w conj^{-1}.
+    def target_half(self, yp: HoroballMember, cusp: CuspData):
+        """(P.c, P.d) for P = conj w'^{-1}: the half a pair reads of its target.
 
-        w is each member's witness and conj the cusp's end conjugator; a
-        pair reads no other entry of P or Q. In a pair, P is read from the
-        target y' and Q from the source y.
+        w' is the target's witness and conj the cusp's end conjugator.
         """
-        g = cusp.conjugator
-        out = []
-        for m in members:
-            w = m.reduced.witness
-            P = (g.c * w.d - g.d * w.c, g.d * w.a - g.c * w.b)
-            Q = (w.a * g.d - w.b * g.c, w.c * g.d - w.d * g.c)
-            out.append((P, Q))
-        return out
+        g, w = cusp.conjugator, yp.reduced.witness
+        return g.c * w.d - g.d * w.c, g.d * w.a - g.c * w.b
+
+    def source_half(self, y: HoroballMember, cusp: CuspData):
+        """(Q.a, Q.c) for Q = w conj^{-1}: the half a pair reads of its source.
+
+        w is the source's witness; a pair reads no other entry of P or Q.
+        """
+        g, w = cusp.conjugator, y.reduced.witness
+        return w.a * g.d - w.b * g.c, w.c * g.d - w.d * g.c
 
     def moving_transporter(self, end: End, y, Q, yp, P):
         """A transporter from y to y' that moves the end, or None if all fix it.
 
-        Q is the source's and P the target's half of `conjugated`. A
+        Q is the source's half and P the target's half. A
         transporter w'^{-1} u w moves the end exactly when the bottom-left
         entry of P u Q, P.c (u.a Q.a + u.b Q.c) + P.d (u.c Q.a + u.d Q.c),
         is nonzero.
@@ -670,12 +671,14 @@ def certify_independent_horoball(
     # the horoellipse of eccentricity 1 is the horoball, busemann >= 0
     horoball = tree.horoellipse_vertices(cusp.end, radius_vertex, Fraction(1), truncation)
     members = [algebra.member(y) for y in horoball]
-    entries = list(zip(members, algebra.conjugated(members, cusp)))
-    levels = _grouped(entries, lambda e: e[0].reduced.level)
+    levels = _grouped(members, lambda m: m.reduced.level)
     for group in levels.values():
-        for cls in _grouped(group, lambda e: e[0].quotient_vertex).values():
-            y, (_, Q) = cls[0]
-            for yp, (P, _) in cls:
+        for cls in _grouped(group, lambda m: m.quotient_vertex).values():
+            # the star reads the source half of its root only
+            y = cls[0]
+            Q = algebra.source_half(y, cusp)
+            for yp in cls:
+                P = algebra.target_half(yp, cusp)
                 gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
                 if gamma is not None:
                     return CounterexamplePair(

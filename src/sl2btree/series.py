@@ -198,7 +198,7 @@ class LaurentSeries:
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries._canonical(
-            self.field, {d: -c for d, c in self.coeffs.items()}, self.prec
+            self.field, self.field._negated(self.coeffs), self.prec
         )
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":

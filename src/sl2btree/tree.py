@@ -41,10 +41,14 @@ from .errors import (
     EndPrecisionExhausted,
     EqualEndsError,
     InvalidInputError,
+    SizeGuardExceeded,
 )
 from .field import Field
 from .polys import gcd_t, divmod_t, t_coeffs
 from .series import INFINITY, LaurentSeries
+
+# the most members `Tree.horoellipse_vertices` lists before refusing
+_HOROELLIPSE_MEMBER_BOUND = 20_000
 
 
 class Vertex:
@@ -517,12 +521,27 @@ class Tree:
         they are closed under stepping back toward x, so it lists them in
         the order a breadth-first search of the ball meets them. The ray
         is always a member, so for a truncated end walking it `depth` steps
-        raises exactly when some vertex of the ball would.
+        raises exactly when some vertex of the ball would. More members
+        than `_HOROELLIPSE_MEMBER_BOUND` raise SizeGuardExceeded as soon as
+        they are listed; the ray alone has depth + 1, so a depth past the
+        bound is refused before the first step. The horoball's member count
+        grows like q^(depth/2).
         """
         lam = Fraction(lam)
         if not 0 <= lam <= 1:
             raise InvalidInputError("horoellipse eccentricity must lie in [0, 1]")
         _require_nonnegative("horoellipse depth", depth)
+
+        bound = _HOROELLIPSE_MEMBER_BOUND
+
+        def refuse(count):
+            return SizeGuardExceeded(
+                f"horoellipse within distance {depth} of {x} has at least "
+                f"{count} members (bound {bound})"
+            )
+
+        if depth + 1 > bound:
+            raise refuse(depth + 1)
         num, den = lam.numerator, lam.denominator
         ray = self.ray(x, end, depth)
         out = [x]
@@ -536,12 +555,14 @@ class Tree:
                     # no neighbor further off the ray is a member
                     if ahead is not None:
                         nxt.append((ahead, v, j + 1, 0))
-                    continue
-                for u in self.neighbors(v):
-                    if u == ahead:
-                        nxt.append((u, v, j + 1, 0))
-                    elif u != back:
-                        nxt.append((u, v, j, k + 1))
+                else:
+                    for u in self.neighbors(v):
+                        if u == ahead:
+                            nxt.append((u, v, j + 1, 0))
+                        elif u != back:
+                            nxt.append((u, v, j, k + 1))
+                if len(out) + len(nxt) > bound:
+                    raise refuse(len(out) + len(nxt))
             out += [v for v, *_ in nxt]
             frontier = nxt
         return out

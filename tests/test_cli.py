@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -202,6 +203,56 @@ def test_size_guard_exit(capsys):
     )
     assert rc == 4
     assert "SL2(R) has 24576 elements (bound 20000)" in err
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on the digits of an int printed as text."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        ("quotient --q 9 --depth 4600", "quotient --depth 4600"),
+        ("quotient --q 9 --depth 4600 --format dot", "quotient --depth 4600"),
+        ("probe up --q 9 --depth 4600", "probe --depth 4600"),
+        ("quotient --q 9 --depth 4505", "quotient --depth 4505"),
+    ],
+)
+def test_orders_past_the_printable_digits_exit_4(capsys, digit_limit, argv, named):
+    rc, out, err = run(capsys, argv.split())
+    assert (rc, out) == (4, "")
+    assert err == (
+        f"error: {named} can print stabilizer orders of more than 4300 digits "
+        "(bound: depth 4504)\n"
+    )
+
+
+def test_deep_quotients_answer_up_to_the_printable_bound(capsys, digit_limit):
+    # the order at level 4504 over F_9 is 8 * 9^4505, of 4300 digits
+    rc, out, _ = run(capsys, ["probe", "up", "--q", "9", "--depth", "4504"])
+    assert rc == 0
+    assert len(str(json.loads(out)["orders"][-1])) == 4300
+    # covolume and contract print no order of the deep levels
+    rc, out, _ = run(capsys, ["covolume", "--q", "9", "--depth", "4600"])
+    assert (rc, out) == (0, "1/64\n")
+    rc, out, _ = run(capsys, ["contract", "--q", "9", "--depth", "4600"])
+    assert rc == 0 and json.loads(out)["depth"] == 4600
+    rc, _, err = run(capsys, ["quotient", "--depth", "14284"])
+    assert (rc, err[-21:]) == (4, "(bound: depth 14283)\n")
+
+
+def test_unbounded_horoball_exits_4(capsys):
+    rc, out, err = run(capsys, ["cusps", "--truncation", "60"])
+    assert (rc, out) == (4, "")
+    assert err == (
+        "error: horoellipse within distance 60 of (1; 0) has at least 20002 "
+        "members (bound 20000)\n"
+    )
 
 
 def test_bad_field_exits_3(capsys):

@@ -148,8 +148,9 @@ def test_reduction_witness_is_the_product_of_its_steps(q, data):
     lattice = REDUCTION_LATTICES[q]
     Fq = lattice.field
     elems = list(Fq.elements())
-    n = data.draw(st.integers(-6, 8))
-    low = n - data.draw(st.integers(0, 8))
+    # horoball members of the workloads reach level 12
+    n = data.draw(st.integers(-8, 12))
+    low = n - data.draw(st.integers(0, 12))
     size = n - low
     digits = data.draw(st.lists(st.sampled_from(elems), min_size=size, max_size=size))
     x = Vertex(n, LaurentSeries(Fq, dict(zip(range(low, n), digits))))

@@ -195,9 +195,9 @@ def test_family_certification():
 
 
 def test_family_certification_pays_per_member(monkeypatch):
-    """Residues, conjugated witnesses and transporter checks are computed
-    once per horoball member, not once per pair (here 42 members,
-    126 + 252 pairs)."""
+    """Residues, target halves and transporter checks are computed once per
+    horoball member, not once per pair (here 42 members, 126 + 252 pairs),
+    and source halves once per quotient vertex of each horoball."""
     lat = CongruenceLattice(F2, parse_series(F2, "t"))
     cusps = lat.cusp_representatives()
     radii = [
@@ -206,9 +206,15 @@ def test_family_certification_pays_per_member(monkeypatch):
     reductions = _count_calls(monkeypatch, CosetTable, "reduce")
     products = _count_calls(monkeypatch, TreeAutomorphism, "__mul__")
     checks = _count_calls(monkeypatch, _TransporterAlgebra, "moving_transporter")
+    targets = _count_calls(monkeypatch, _TransporterAlgebra, "target_half")
+    sources = _count_calls(monkeypatch, _TransporterAlgebra, "source_half")
     fam = certify_independent_family(lat, cusps, radii, 5)
     assert isinstance(fam, FamilyCertificate)
     members = sum(s.vertices_checked for s in fam.singles)
+    roots = sum(len({m.quotient_vertex for m in s.members}) for s in fam.singles)
+    assert roots < members
+    assert len(sources) == roots
+    assert len(targets) == members
     constants = 2**3 - 2  # the constants map reduces each member of SL2(F_2) once
     assert len(reductions) <= members + constants
     assert len(products) <= 3 * members
@@ -490,12 +496,13 @@ def test_transporter_algebra_matches_brute_force_on_horoballs(lat, radius, trunc
         for y in tree.ball(x, truncation)
         if tree.horoball_contains(cusp.end, x, y)
     ]
-    halves = algebra.conjugated(members, cusp)
     verdicts = set()
-    for y, (_, Q) in zip(members, halves):
-        for yp, (P, _) in zip(members, halves):
+    for y in members:
+        Q = algebra.source_half(y, cusp)
+        for yp in members:
             if y.reduced.level != yp.reduced.level:
                 continue
+            P = algebra.target_half(yp, cusp)
             gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
             ok = gamma is None
             assert ok == _transporters_fix_end(
@@ -520,9 +527,10 @@ def test_level_zero_transporters_match_brute_force(q):
     origin = [m for m in members if m.reduced.level == 0]
     verdicts = set()
     for cusp in lat.cusp_representatives()[:2]:
-        halves = algebra.conjugated(origin, cusp)
-        for y, (_, Q) in zip(origin, halves):
-            for yp, (P, _) in zip(origin, halves):
+        for y in origin:
+            Q = algebra.source_half(y, cusp)
+            for yp in origin:
+                P = algebra.target_half(yp, cusp)
                 ok = algebra.moving_transporter(cusp.end, y, Q, yp, P) is None
                 assert ok == _transporters_fix_end(
                     lat, cusp.end, y.vertex, y.reduced, yp.vertex, yp.reduced
@@ -539,7 +547,7 @@ def test_transporter_algebra_matches_the_stabilizer(q, y):
     cusp = lat.cusp_representatives()[0]
     algebra = _TransporterAlgebra(lat)
     m = algebra.member(parse_vertex(F, y))
-    [(P, Q)] = algebra.conjugated([m], cusp)
+    P, Q = algebra.target_half(m, cusp), algebra.source_half(m, cusp)
     ok = algebra.moving_transporter(cusp.end, m, Q, m, P) is None
     assert ok == all(s.fixes_end(cusp.end) for s in lat.stabilizer(m.vertex).elements)
 
@@ -560,7 +568,7 @@ def test_conjugated_entries_are_those_of_the_full_products(q, data):
     digits = data.draw(st.lists(st.sampled_from(list(Fq.elements())), min_size=6, max_size=6))
     algebra = _TransporterAlgebra(lat)
     m = algebra.member(Vertex(n, LaurentSeries(Fq, dict(zip(range(n - 6, n), digits)))))
-    [(P, Q)] = algebra.conjugated([m], cusp)
+    P, Q = algebra.target_half(m, cusp), algebra.source_half(m, cusp)
     w, conj = m.reduced.witness, cusp.conjugator
     full_P, full_Q = conj * w.adjugate(), w * conj.adjugate()
     assert P == (full_P.c, full_P.d)
@@ -575,11 +583,13 @@ def _first_moving_pair(lattice, cusp, x, truncation):
     horoball = lattice.tree.horoellipse_vertices(cusp.end, x, Fraction(1), truncation)
     members = [algebra.member(y) for y in horoball]
     levels = {}
-    for m, halves in zip(members, algebra.conjugated(members, cusp)):
-        levels.setdefault(m.reduced.level, []).append((m, halves))
+    for m in members:
+        levels.setdefault(m.reduced.level, []).append(m)
     for group in levels.values():
-        for y, (_, Q) in group:
-            for yp, (P, _) in group:
+        for y in group:
+            Q = algebra.source_half(y, cusp)
+            for yp in group:
+                P = algebra.target_half(yp, cusp)
                 gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
                 if gamma is not None:
                     return y.vertex, yp.vertex, str(gamma)

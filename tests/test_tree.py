@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from sl2btree import tree as tree_module
 from sl2btree.errors import (
     EndPrecisionExhausted,
     EqualEndsError,
     InvalidInputError,
+    SizeGuardExceeded,
 )
 from sl2btree.field import field
 from sl2btree.literals import parse_end, parse_series, parse_vertex
@@ -268,6 +270,18 @@ def test_horoellipse_interpolates():
         for end, depth in ((zero_end, 0), (zero_end, 4), (short, 6)):
             with pytest.raises(InvalidInputError):
                 tree.horoellipse_vertices(end, v0, lam, depth)
+
+
+def test_horoellipse_member_bound(monkeypatch):
+    # 22 members within distance 6; the bound admits exactly that many
+    monkeypatch.setattr(tree_module, "_HOROELLIPSE_MEMBER_BOUND", 22)
+    assert len(tree.horoellipse_vertices(zero_end, v0, Fraction(1), 6)) == 22
+    monkeypatch.setattr(tree_module, "_HOROELLIPSE_MEMBER_BOUND", 21)
+    with pytest.raises(SizeGuardExceeded, match="at least 22 members \\(bound 21\\)"):
+        tree.horoellipse_vertices(zero_end, v0, Fraction(1), 6)
+    # the ray alone exceeds the bound: refused before walking it
+    with pytest.raises(SizeGuardExceeded, match="at least 10001 members"):
+        tree.horoellipse_vertices(zero_end, v0, Fraction(0), 10_000)
 
 
 def test_end_difference_valuation():

@@ -1,11 +1,11 @@
-"""Per-layer microbenchmark of the exact arithmetic, the tree's vertices and
-horoball certification.
+"""Per-layer microbenchmark of the exact arithmetic, the tree's vertices,
+vertex reduction and horoball certification.
 
 Times series `+`, `-`, `*`, the product of two matrices
-(`TreeAutomorphism.__mul__`), the tree's vertex operations and the
-certification of one horoball over F_2, F_3, F_4 and F_9 on fixed operands,
-and prints the minimum over repeats of the time per operation, in
-microseconds. Run from the root of a checkout:
+(`TreeAutomorphism.__mul__`), the tree's vertex operations, vertex
+reduction and the certification of one horoball over F_2, F_3, F_4 and F_9
+on fixed operands, and prints the minimum over repeats of the time per
+operation, in microseconds. Run from the root of a checkout:
 
     PYTHONPATH=src python3 tools/microbench_arith.py
 
@@ -20,6 +20,10 @@ vertex and an equal one built from a copy of its residue (`vertex ==`);
 (`vertex hash`); `Tree.neighbors`; `Tree.step_to_end` toward an end; and
 `Tree.busemann` from one base vertex toward one end, to a vertex built
 afresh for each call, so that the row includes that construction.
+
+The `reduce_vertex` row is `NagaoLattice.reduce_vertex` on vertices of
+level -3..12 with random digits (zero included) at 0 to 12 of the degrees
+just below the level, the range that horoball members reach.
 
 The `horoball certify` row is `certify_independent_horoball` for the cusp
 of SL_2(F_q[t]) at the radius vertex (1; 0), out to truncation 5, per
@@ -68,6 +72,12 @@ def _end(rng, F):
     return end_from_vector(F, x if x.has_terms() else LaurentSeries.one(F), poly())
 
 
+def _deep_vertex(rng, F):
+    n = rng.randrange(-3, 13)
+    digits = range(n - rng.randint(0, 12), n)
+    return Vertex(n, LaurentSeries.exact(F, {d: rng.randrange(F.q) for d in digits}))
+
+
 def _level_residue(rng, F):
     v = _vertex(rng, F)
     return v.level, v.residue
@@ -107,7 +117,7 @@ def _horoball_us_per_member(q):
 
 def main():
     # row -> (operands from (rng, F, shared), operation); shared is one
-    # tree, one end and one base vertex per field
+    # tree, one end, one base vertex and one lattice per field
     ops = {
         "series +": (_pair(_series), lambda x, y: x + y),
         "series -": (_pair(_series), lambda x, y: x - y),
@@ -122,6 +132,10 @@ def main():
             lambda r, F, T: (T[0], T[2], *_level_residue(r, F), T[1]),
             lambda tree, x, n, residue, end: tree.busemann(x, Vertex(n, residue), end),
         ),
+        "reduce_vertex": (
+            lambda r, F, T: (T[3], _deep_vertex(r, F)),
+            NagaoLattice.reduce_vertex,
+        ),
     }
     print(f"{'us/op':<16}" + "".join(f"{f'F_{q}':>8}" for q in QS))
     for name, (make, op) in ops.items():
@@ -130,7 +144,7 @@ def main():
             F = field(q)
             rng = random.Random(f"microbench:{name}:{q}")
             fixed = random.Random(f"microbench:tree:{q}")
-            shared = (Tree(F), _end(fixed, F), _vertex(fixed, F))
+            shared = (Tree(F), _end(fixed, F), _vertex(fixed, F), NagaoLattice(F))
             operands = [make(rng, F, shared) for _ in range(PAIRS)]
             row.append(_per_op_us(op, operands))
         print(f"{name:<16}" + "".join(f"{t:8.2f}" for t in row))
