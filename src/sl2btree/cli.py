@@ -22,16 +22,9 @@ import json
 import sys
 
 from .errors import (
-    DoesNotFixEnd,
-    EndPrecisionExhausted,
-    EqualEndsError,
-    IndeterminateValuation,
-    InsufficientPrecision,
     InvalidInputError,
     NonterminationGuard,
-    NotFixingError,
-    NotOnAxisError,
-    NotTypePreserving,
+    Sl2BTreeError,
     SizeGuardExceeded,
     UncertifiedTail,
 )
@@ -50,20 +43,6 @@ from .quotient import (
 from .tree import Vertex
 from .series import LaurentSeries
 from .verify import SUITES, run_all
-
-_PRECISION_ERRORS = (
-    InsufficientPrecision,
-    IndeterminateValuation,
-    EndPrecisionExhausted,
-)
-_INPUT_ERRORS = (
-    InvalidInputError,
-    EqualEndsError,
-    DoesNotFixEnd,
-    NotFixingError,
-    NotOnAxisError,
-    NotTypePreserving,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -381,21 +360,12 @@ def main(argv=None) -> int:
     handler = globals()[f"_cmd_{args.command}"]
     try:
         code, text = handler(args)
-    except UncertifiedTail as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _PRECISION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeGuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonterminationGuard as exc:
-        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
-        return 5
+    except Sl2BTreeError as exc:
+        if isinstance(exc, NonterminationGuard):
+            print(f"error: internal self-check failed: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -1,23 +1,24 @@
 """Polynomial lattices acting on the tree.
 
-`NagaoLattice` is SL2 of the polynomial ring F_q[t] sitting inside the
-tree's automorphisms, with t the degree -1 monomial: every vertex is
-equivalent under it to exactly one vertex (n, 0) on the standard ray with
-n >= 0, and `reduce_vertex` computes that normal form together with a
-group element witnessing it. `CongruenceLattice` is the kernel of entrywise
-reduction modulo a nonconstant polynomial f. The global structure of
-either is driven by the finite matrix group over F_q[t]/(f), materialized
-in `CosetTable`: the full lattice is the level f = 1 case, whose residue
-ring F_q[t]/(1) is the zero ring and whose residue group is trivial.
+`NagaoLattice` is the principal congruence subgroup of level f inside
+SL2(F_q[t]), the kernel of entrywise reduction modulo f, acting on the
+tree with t the degree -1 monomial. The full lattice is the level f = 1
+case, whose residue ring F_q[t]/(1) is the zero ring; `CongruenceLattice`
+only checks and names a nonconstant level. Every vertex is equivalent under
+SL2(F_q[t]) to exactly one vertex (n, 0) with n >= 0, and `reduce_vertex`
+computes that normal form together with a witnessing group element. The
+global structure is driven by the finite matrix group over F_q[t]/(f),
+materialized in `CosetTable`.
 
-Vertex stabilizers come in closed form (constant matrices at the origin,
-upper-triangular matrices with bounded offset along the ray) and are
+Vertex stabilizers come in one closed form in d = deg f and the scalar
+units, the constants alpha = 1 mod f (all of F_q^x when d = 0, else only
+1): constant matrices at the origin of the full lattice, [[alpha, f*c],
+[0, alpha^-1]] with bounded deg c everywhere else on the ray. They are
 conjugated to arbitrary vertices through the reduction witness;
-`stabilizer_bruteforce` recomputes them by direct enumeration for
-cross-checking. Boundary ends that are fixed by nontrivial translations
-of the lattice are recognized by `is_cuspidal`, which hands back the
-conjugator into standard position and the parameter module of the
-fixing translations.
+`stabilizer_bruteforce` recomputes them by direct enumeration. Ends fixed
+by nontrivial translations of the lattice are recognized by `is_cuspidal`,
+which hands back the conjugator into standard position and the parameter
+module of the fixing translations.
 """
 
 import functools
@@ -122,8 +123,6 @@ class UnknownCusp:
 class NagaoLattice:
     """SL2(F_q[t]) on the (q+1)-regular tree: the congruence lattice of level 1."""
 
-    kind = "nagao"
-
     def __init__(self, field: Field):
         self.field = field
         self.tree = Tree(field)
@@ -159,10 +158,6 @@ class NagaoLattice:
         if self._table is None:
             self._table = CosetTable(self.field, self.level)
         return self._table
-
-    def require_member(self, g: TreeAutomorphism) -> None:
-        if not self.contains(g):
-            raise InvalidInputError(f"{g} is not in {self!r}")
 
     # -- vertex reduction ---------------------------------------------------
 
@@ -214,28 +209,35 @@ class NagaoLattice:
 
     # -- stabilizers ---------------------------------------------------------
 
+    @functools.cached_property
+    def scalar_units(self) -> tuple:
+        """The constants alpha = 1 mod the level: F_q^x at level 1, else only 1."""
+        F = self.field
+        return tuple(F.units()) if self.level_degree == 0 else (F.one,)
+
     def base_order(self, n: int) -> int:
         """Order of the stabilizer of the standard-ray vertex (n, 0)."""
-        q = self.q
         if n < 0:
             raise InvalidInputError("normal forms have level >= 0")
-        if n == 0:
-            return q**3 - q
-        return (q - 1) * q ** (n + 1)
+        if n == 0 == self.level_degree:
+            return self.q**3 - self.q
+        return self.edge_order(n)
 
     def edge_order(self, n: int) -> int:
         """Order of the common stabilizer of (n, 0) and (n+1, 0)."""
-        q = self.q
         if n < 0:
             raise InvalidInputError("standard-ray edges start at level 0")
-        if n == 0:
-            return q * (q - 1)
-        return self.base_order(n)
+        return len(self.scalar_units) * self.q ** max(0, n + 1 - self.level_degree)
 
     def base_stabilizer_elements(self, n: int):
-        """The closed-form stabilizer of (n, 0), deterministically ordered."""
+        """The closed-form stabilizer of (n, 0), deterministically ordered.
+
+        SL2(F_q) at the origin of the full lattice; everywhere else the
+        matrices [[alpha, f*c], [0, alpha^-1]] with alpha a scalar unit and
+        deg c <= n - deg f.
+        """
         F = self.field
-        if n == 0:
+        if n == 0 == self.level_degree:
             elems = list(F.elements())
             for a, b, c, d in itertools.product(elems, repeat=4):
                 if a * d - b * c == F.one:
@@ -243,9 +245,9 @@ class NagaoLattice:
                         F, _const(F, a), _const(F, b), _const(F, c), _const(F, d)
                     )
             return
-        for alpha in F.units():
-            for b in all_t_polys(F, n):
-                yield _upper(F, alpha, b)
+        for alpha in self.scalar_units:
+            for c in all_t_polys(F, max(n - self.level_degree, -1)):
+                yield _upper(F, alpha, self.level * c)
 
     def stabilizer_order(self, v: Vertex) -> int:
         return self.base_order(self.reduce_vertex(v).level)
@@ -270,14 +272,6 @@ class NagaoLattice:
         )
 
     # -- cusps ----------------------------------------------------------------
-
-    def unipotent_parameter_multiple(self) -> LaurentSeries:
-        """b runs over multiples of this in the standard cusp translations."""
-        return self.level
-
-    def cusp_stabilizer_index(self) -> int:
-        """Index of the translation part inside a full end stabilizer."""
-        return self.q - 1
 
     def end_conjugator(self, end: End) -> TreeAutomorphism:
         """A member of the lattice carrying a non-truncated end to the zero end."""
@@ -320,8 +314,8 @@ class NagaoLattice:
         return CuspData(
             end=end,
             conjugator=conj,
-            parameter_multiple=self.unipotent_parameter_multiple(),
-            stabilizer_index=self.cusp_stabilizer_index(),
+            parameter_multiple=self.level,
+            stabilizer_index=len(self.scalar_units),
         )
 
     def cusp_representatives(self) -> list[CuspData]:
@@ -339,9 +333,7 @@ class NagaoLattice:
 
 
 class CongruenceLattice(NagaoLattice):
-    """The kernel of entrywise reduction mod f inside SL2(F_q[t])."""
-
-    kind = "congruence"
+    """The kernel of entrywise reduction mod a nonconstant f inside SL2(F_q[t])."""
 
     def __init__(self, field: Field, level: LaurentSeries):
         super().__init__(field)
@@ -357,32 +349,6 @@ class CongruenceLattice(NagaoLattice):
 
     def config(self) -> dict:
         return {"kind": "congruence", "q": self.q, "level": str(self.level)}
-
-    def base_order(self, n: int) -> int:
-        if n < 0:
-            raise InvalidInputError("normal forms have level >= 0")
-        if n == 0:
-            return 1
-        return self.q ** max(0, n + 1 - self.level_degree)
-
-    def edge_order(self, n: int) -> int:
-        if n < 0:
-            raise InvalidInputError("standard-ray edges start at level 0")
-        if n == 0:
-            return 1
-        return self.base_order(n)
-
-    def base_stabilizer_elements(self, n: int):
-        F = self.field
-        if n == 0:
-            yield TreeAutomorphism.identity(F)
-            return
-        bound = max(n - self.level_degree, -1)
-        for c in all_t_polys(F, bound):
-            yield TreeAutomorphism.upper_shear(F, self.level * c)
-
-    def cusp_stabilizer_index(self) -> int:
-        return 1
 
 
 class CosetTable:
@@ -573,10 +539,6 @@ class CosetTable:
         if n == 0:
             return self.constants_image()
         return self.borel_image(n)
-
-    def edge_image(self, n: int):
-        """Image of the common stabilizer of (n, 0) and (n+1, 0)."""
-        return self.borel_image(n) if n >= 1 else self.borel_image(0)
 
     # -- coset bookkeeping -------------------------------------------------------
 

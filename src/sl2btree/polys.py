@@ -212,9 +212,6 @@ class ResidueRing:
     def mul(self, a, b):
         return self.mul_table[a][b]
 
-    def is_unit(self, a) -> bool:
-        return self.inverse_table[a] is not None
-
     def inverse(self, a):
         inv = self.inverse_table[a]
         if inv is None:

@@ -245,7 +245,7 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
         for k, vid in enumerate(ids):
             G.vertices[vid] = QuotientVertex(id=vid, level=n, coset=k, order=order)
     for n in range(depth):
-        _, least = table.coset_partition(table.edge_image(n))
+        _, least = table.coset_partition(table.borel_image(n))
         (lower, lower_ids), (upper, upper_ids) = levels[n], levels[n + 1]
         order = lattice.edge_order(n)
         G.edges.extend(
@@ -253,6 +253,13 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
         )
     _detect_rays(G)
     return G
+
+
+def _first_three_steps(steps: int, step_ok) -> int | None:
+    """The least k with steps k, k + 1 and k + 2 all ok, among steps 0..steps-1."""
+    return next(
+        (k for k in range(steps - 2) if all(step_ok(k + j) for j in range(3))), None
+    )
 
 
 def _detect_rays(G: GraphOfGroups) -> None:
@@ -307,14 +314,8 @@ def _detect_rays(G: GraphOfGroups) -> None:
             e = G.edges[chain_edges[i]]
             return hi.order == q * lo.order and e.order == lo.order
 
-        base_idx = 0
-        while base_idx + 3 <= len(chain) - 1 and not all(
-            step_ok(base_idx + j) for j in range(3)
-        ):
-            base_idx += 1
-        certified = base_idx + 3 <= len(chain) - 1 and all(
-            step_ok(base_idx + j) for j in range(3)
-        )
+        base_idx = _first_three_steps(len(chain) - 1, step_ok)
+        certified = base_idx is not None
         if certified:
             for j in range(base_idx, len(chain) - 1):
                 if not step_ok(j):
@@ -453,15 +454,12 @@ def growth_probe(lattice: NagaoLattice, end: End, depth: int) -> GrowthProbe:
         except EndPrecisionExhausted:
             truncated_at = k
             break
-    entry = None
-    for k in range(len(orders) - 3):
-        if all(
-            orders[k + j + 1] == lattice.q * orders[k + j]
-            and levels[k + j + 1] == levels[k + j] + 1
-            for j in range(3)
-        ):
-            entry = k
-            break
+
+    def step_ok(k: int) -> bool:
+        q_step = orders[k + 1] == lattice.q * orders[k]
+        return q_step and levels[k + 1] == levels[k] + 1
+
+    entry = _first_three_steps(len(orders) - 1, step_ok)
     return GrowthProbe(
         orders=orders,
         reduced_levels=levels,

@@ -256,10 +256,6 @@ class LaurentSeries:
             )
         return LaurentSeries(self.field, self.coeffs, n)
 
-    def agrees_mod(self, other: "LaurentSeries", n: int) -> bool:
-        """Whether the two series have identical coefficients below degree n."""
-        return self.truncate(n).coeffs == other.truncate(n).coeffs
-
     def inverse(self, terms: int) -> "LaurentSeries":
         """Multiplicative inverse, determined to `terms` coefficients.
 

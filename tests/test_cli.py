@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from sl2btree import cli
+from sl2btree import cli, errors
 from sl2btree.errors import InsufficientPrecision, NonterminationGuard
 
 
@@ -321,6 +321,38 @@ def test_self_check_failure_exits_5(monkeypatch, capsys):
     rc, out, err = run(capsys, ["covolume"])
     assert (rc, out) == (5, "")
     assert "internal self-check failed: constructive lift failed to check" in err
+
+
+# the exit codes documented in the cli module docstring, per error class
+DOCUMENTED_EXIT_CODES = {
+    "UncertifiedTail": 1,
+    "InsufficientPrecision": 2,
+    "IndeterminateValuation": 2,
+    "EndPrecisionExhausted": 2,
+    "InvalidInputError": 3,
+    "EqualEndsError": 3,
+    "DoesNotFixEnd": 3,
+    "NotFixingError": 3,
+    "NotOnAxisError": 3,
+    "NotTypePreserving": 3,
+    "SizeGuardExceeded": 4,
+    "NonterminationGuard": 5,
+}
+
+
+def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
+    classes = errors.Sl2BTreeError.__subclasses__()
+    assert sorted(c.__name__ for c in classes) == sorted(DOCUMENTED_EXIT_CODES)
+    for cls in classes:
+
+        def boom(args):
+            raise cls("it broke")
+
+        monkeypatch.setattr(cli, "_cmd_covolume", boom)
+        rc, out, err = run(capsys, ["covolume"])
+        prefix = "internal self-check failed: " if cls is NonterminationGuard else ""
+        assert rc == DOCUMENTED_EXIT_CODES[cls.__name__]
+        assert (out, err) == ("", f"error: {prefix}it broke\n")
 
 
 def test_negative_probe_depth_exits_3(capsys):

@@ -45,9 +45,7 @@ def test_membership():
     assert nagao.contains(m("[[0,1],[1,0]]"))
     assert not nagao.contains(m("[[1,p],[0,1]]"))
     assert not nagao.contains(m("[[t,0],[0,1]]"))  # determinant t
-    nagao.require_member(m("[[1,t^3+t],[0,1]]"))
-    with pytest.raises(InvalidInputError):
-        nagao.require_member(m("[[1,p],[0,1]]"))
+    assert nagao.contains(m("[[1,t^3+t],[0,1]]"))
 
 
 def test_base_orders_match_closed_form():
@@ -103,6 +101,28 @@ def test_bruteforce_stabilizer_agrees():
     for n in range(4):
         x = v(f"({n}; 0)")
         assert len(stabilizer_bruteforce(nagao, x, max(n, 0))) == nagao.base_order(n)
+
+
+@pytest.mark.parametrize(
+    "q,level,top",
+    [
+        (2, None, 3), (2, "t", 3), (2, "t^2", 3), (2, "t^2+t", 3),
+        (3, None, 2), (3, "t", 2), (3, "t^2", 2), (3, "t^2+t", 2),
+        (4, "t", 1),
+    ],
+)
+def test_closed_forms_match_brute_force(q, level, top):
+    Fq = field(q)
+    lat = NagaoLattice(Fq)
+    if level is not None:
+        lat = CongruenceLattice(Fq, parse_series(Fq, level))
+    for n in range(top + 1):
+        x, above = v(f"({n}; 0)", Fq), v(f"({n + 1}; 0)", Fq)
+        listed = list(lat.base_stabilizer_elements(n))
+        elements = set(listed)
+        assert len(listed) == len(elements) == lat.base_order(n)
+        assert elements == set(stabilizer_bruteforce(lat, x, n))
+        assert lat.edge_order(n) == sum(g.act_vertex(above) == above for g in elements)
 
 
 def test_bruteforce_size_guard():
@@ -384,5 +404,6 @@ def test_full_lattice_is_the_level_one_case():
         assert table.elements == [(0, 0, 0, 0)]
         assert table.lift(table.elements[0]) == TreeAutomorphism.identity(lat.field)
         assert table.constants_image() == table.borel_image(1) == {(0, 0, 0, 0)}
-        assert format_series(lat.unipotent_parameter_multiple()) == "1"
+        assert format_series(lat.level) == "1"
+        assert lat.scalar_units == tuple(lat.field.units())
         assert lat.contains(parse_matrix(lat.field, "[[1, t], [0, 1]]"))
