@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .autom import TreeAutomorphism
 from .errors import (
-    EndPrecisionExhausted,
     InvalidInputError,
     NonterminationGuard,
     SizeGuardExceeded,
@@ -44,7 +43,7 @@ from .polys import (
     xgcd_t,
 )
 from .series import LaurentSeries
-from .tree import End, RationalEnd, Tree, TruncatedEnd, UpEnd, Vertex
+from .tree import End, RationalEnd, Tree, UpEnd, Vertex
 
 _REDUCE_CAP_BASE = 64
 
@@ -74,22 +73,6 @@ class ReducedVertex:
 
 
 @dataclass
-class StabilizerGroup:
-    """A vertex stabilizer in closed form.
-
-    `conjugator` carries the vertex to its normal form (level, 0); the
-    group is the conjugate of the closed-form group there. `elements` is
-    populated only when the order is within the materialization bound.
-    """
-
-    vertex: Vertex
-    level: int
-    order: int
-    conjugator: TreeAutomorphism
-    elements: list[TreeAutomorphism] | None = None
-
-
-@dataclass
 class CuspData:
     """A boundary end fixed by nontrivial translations of the lattice.
 
@@ -103,21 +86,6 @@ class CuspData:
     conjugator: TreeAutomorphism
     parameter_multiple: LaurentSeries
     stabilizer_index: int
-
-
-@dataclass
-class UnknownCusp:
-    """Bounded evidence about a truncated end: no verdict is possible.
-
-    A branch known to finite depth never determines whether the ends in
-    it are rational, so the report carries the stabilizer orders of the
-    vertices along the branch as far as they are determined.
-    """
-
-    end: End
-    orders: list[int]
-    max_order: int
-    note: str = "end truncated; stabilizer orders along the known branch only"
 
 
 class NagaoLattice:
@@ -249,28 +217,6 @@ class NagaoLattice:
             for c in all_t_polys(F, max(n - self.level_degree, -1)):
                 yield _upper(F, alpha, self.level * c)
 
-    def stabilizer_order(self, v: Vertex) -> int:
-        return self.base_order(self.reduce_vertex(v).level)
-
-    def stabilizer(self, v: Vertex, materialize_bound: int = 10_000) -> StabilizerGroup:
-        """The stabilizer of any vertex, conjugated from its normal form."""
-        red = self.reduce_vertex(v)
-        order = self.base_order(red.level)
-        conj = red.witness
-        elements = None
-        if order <= materialize_bound:
-            inv = conj.adjugate()
-            elements = [
-                inv * s * conj for s in self.base_stabilizer_elements(red.level)
-            ]
-        return StabilizerGroup(
-            vertex=v,
-            level=red.level,
-            order=order,
-            conjugator=conj,
-            elements=elements,
-        )
-
     # -- cusps ----------------------------------------------------------------
 
     def end_conjugator(self, end: End) -> TreeAutomorphism:
@@ -293,23 +239,13 @@ class NagaoLattice:
             raise NonterminationGuard("end conjugator failed to check")
         return conj
 
-    def is_cuspidal(self, end: End, probe_depth: int = 9):
-        """CuspData for a rational or up end; bounded evidence if truncated.
+    def is_cuspidal(self, end: End) -> CuspData:
+        """CuspData for a rational or up end; truncated ends are refused.
 
-        For an end known only to finite depth no verdict is possible, so
-        the result is an `UnknownCusp` carrying the stabilizer orders of
-        the vertices along the branch (at most probe_depth of them).
+        An end known only to finite depth never determines whether it is
+        rational: `quotient.growth_probe` reports the stabilizer orders
+        along its known branch instead.
         """
-        if isinstance(end, TruncatedEnd):
-            orders = []
-            x = self.tree.base
-            for _ in range(min(probe_depth, max(end.known_depth(), 0)) + 1):
-                orders.append(self.stabilizer_order(x))
-                try:
-                    x = self.tree.step_to_end(x, end)
-                except EndPrecisionExhausted:
-                    break
-            return UnknownCusp(end=end, orders=orders, max_order=max(orders))
         conj = self.end_conjugator(end)
         return CuspData(
             end=end,
@@ -428,18 +364,15 @@ class CosetTable:
             add[rc[b2]][rd[d2]],
         )
 
-    def identity(self):
-        return (self.ring.one, self.ring.zero, self.ring.zero, self.ring.one)
-
     def inverse(self, m):
         a, b, c, d = m
         return (d, self._neg[b], self._neg[c], a)
 
     def reduce(self, g: TreeAutomorphism):
-        """Image of a polynomial matrix in the residue group."""
-        for entry in g.entries():
-            if not is_t_poly(entry):
-                raise InvalidInputError("only polynomial matrices reduce")
+        """Image of a polynomial matrix in the residue group.
+
+        `ResidueRing.reduce` refuses an entry that is not a polynomial.
+        """
         ring = self.ring
         a, b, c, d = (ring.reduce(entry) for entry in g.entries())
         if ring.sub(ring.mul(a, d), ring.mul(b, c)) != ring.one:

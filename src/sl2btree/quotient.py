@@ -12,10 +12,8 @@ The rest of the module covers the cusp side: matching algebraic cusp
 representatives to geometric rays (`cusps_report`), probing stabilizer
 growth along an arbitrary end (`growth_probe`), certifying that a
 truncated horoball meets its lattice translates only through elements
-fixing the end (`certify_independent_horoball`), collapsing certified
-tails into symbolic cusp vertices (`contract`), and reading off a free
-product decomposition when all finite pieces are trivial
-(`free_product_report`).
+fixing the end (`certify_independent_horoball`), and collapsing certified
+tails into symbolic cusp vertices (`contract`).
 """
 
 from collections import Counter
@@ -41,7 +39,6 @@ class QuotientVertex:
     coset: int | None  # coset number in the level's partition; None for a cusp vertex
     order: int | None  # None marks a symbolic cusp vertex (infinite order)
     is_cusp: bool = False
-    cusp: CuspData | None = None
 
 
 @dataclass
@@ -132,14 +129,6 @@ class CuspsReport:
     matches: list[tuple[int, int]]  # (cusp index, ray index)
     bijective: bool
     graph: "GraphOfGroups"  # the quotient graph the rays were read from
-
-
-@dataclass
-class FreeProductReport:
-    applicable: bool
-    cusp_factor_count: int
-    free_rank: int
-    reason: str
 
 
 class GraphOfGroups:
@@ -742,56 +731,33 @@ def certify_independent_family(
     return FamilyCertificate(singles=singles, cross_pairs_checked=cross)
 
 
-# -- contraction and the free product ---------------------------------------------------
+# -- contraction ------------------------------------------------------------------------
 
 
-def contract(G: GraphOfGroups, bases: dict[int, int] | None = None) -> GraphOfGroups:
-    """Collapse certified ray tails into symbolic cusp vertices.
+def contract(G: GraphOfGroups) -> GraphOfGroups:
+    """Collapse every certified ray tail, from its base on, into a cusp vertex.
 
-    `bases` maps ray indices to the level at which each tail is cut; by
-    default every certified ray is cut at its base. The tail must sit at
-    or beyond the certified base (and, for the result to be a faithful
-    picture, at or beyond a certified independent horoball boundary).
-    Contracting nothing returns an identical copy.
+    Uncertified rays survive unchanged, so a graph without a certified
+    ray contracts to an identical copy.
     """
-    cusps = G.lattice.cusp_representatives()
-    matches = {ri: ci for ci, ri in _match_cusps_to_rays(G, cusps)}
-    chosen: dict[int, int] = {}
-    if bases is None:
-        for i, ray in enumerate(G.rays):
-            if ray.certified:
-                chosen[i] = ray.base_level
-    else:
-        for i, cut in bases.items():
-            ray = G.rays[i]
-            if not ray.certified:
-                raise UncertifiedTail("cannot contract an uncertified ray")
-            if cut < ray.base_level or cut >= G.depth:
-                raise InvalidInputError(
-                    f"cut level {cut} outside the certified tail "
-                    f"[{ray.base_level}, {G.depth - 1}]"
-                )
-            chosen[i] = cut
+    certified = [i for i, ray in enumerate(G.rays) if ray.certified]
     out = GraphOfGroups(G.lattice, G.depth)
     out.contracted = True
     ray_of: dict[str, int] = {}  # absorbed vertex -> its ray
-    for i, cut in chosen.items():
-        ray = G.rays[i]
-        pos = ray.levels.index(cut)
-        for vid in ray.vertex_ids[pos:]:
+    for i in certified:
+        for vid in G.rays[i].vertex_ids:
             ray_of[vid] = i
     for vid, v in G.vertices.items():
         if vid not in ray_of:
             out.vertices[vid] = replace(v)
-    for i, cut in sorted(chosen.items()):
+    for i in certified:
         cusp_id = f"cusp{i}"
         out.vertices[cusp_id] = QuotientVertex(
             id=cusp_id,
-            level=cut,
+            level=G.rays[i].base_level,
             coset=None,
             order=None,
             is_cusp=True,
-            cusp=cusps[matches[i]] if i in matches else None,
         )
     # every edge crossing into an absorbed tail is rerouted to its cusp;
     # edges inside a tail disappear with it
@@ -807,37 +773,5 @@ def contract(G: GraphOfGroups, bases: dict[int, int] | None = None) -> GraphOfGr
         else:
             out.edges.append(QuotientEdge(e.v_to, f"cusp{ray_of[e.v_from]}", e.order))
     # rays that were not contracted survive
-    for i, ray in enumerate(G.rays):
-        if i not in chosen:
-            out.rays.append(ray)
+    out.rays = [ray for ray in G.rays if not ray.certified]
     return out
-
-
-def free_product_report(G: GraphOfGroups) -> FreeProductReport:
-    """Whether the contracted graph exhibits a free product of cusp groups.
-
-    Applicable exactly when every finite vertex group and every edge
-    group is trivial; then the fundamental group is the free product of
-    the cusp factors with a free group of rank |E| - |V| + 1.
-    """
-    cusp_count = sum(1 for v in G.vertices.values() if v.is_cusp)
-    blockers = []
-    for v in sorted(G.vertices.values(), key=lambda v: v.id):
-        if not v.is_cusp and v.order != 1:
-            blockers.append(f"vertex {v.id} has order {v.order}")
-    for e in G.edges:
-        if e.order != 1:
-            blockers.append(f"edge {e.v_from}--{e.v_to} has order {e.order}")
-    applicable = not blockers
-    rank = len(G.edges) - len(G.vertices) + 1
-    reason = (
-        "all finite vertex and edge groups are trivial"
-        if applicable
-        else "; ".join(blockers[:4])
-    )
-    return FreeProductReport(
-        applicable=applicable,
-        cusp_factor_count=cusp_count,
-        free_rank=rank,
-        reason=reason,
-    )

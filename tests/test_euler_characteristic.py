@@ -16,6 +16,18 @@ Nothing here shares code with the graph builder beyond reading its output.
 The same index |SL2(F_q[t]/(f))| gives the cusp count of Gamma(f),
 |SL2(R)| / ((q - 1) q^(deg f)) (one cusp for the full lattice), and the
 covolume |SL2(R)| / (q - 1)^2, both checked at every lattice below.
+
+Three further checks read how the edges join the vertices (Serre I.4-5).
+Below the top level every vertex of the tree has q + 1 neighbours, so the
+star sum sum_e |Gamma_v|/|Gamma_e| over the edges at a quotient vertex is
+q + 1. The quotient is connected. For deg f = d >= 1, with N the index
+above, level n holds N / (q^3 - q) vertex classes at n = 0 and
+N / ((q - 1) q^(min(n, d - 1) + 1)) above it, and as many edge classes
+join it to level n + 1 as it holds vertex classes for n >= 1; from level
+d on both counts equal the cusp count. So E - V + 1 telescopes to the
+cycle rank b1 = 1 + N (q^d - q - 1) / (q^d (q^2 - 1)) at every depth >=
+d and for the contracted graph, where each tail is one vertex. The full
+lattice's quotient is a half-line, of rank 0.
 """
 
 from fractions import Fraction
@@ -25,7 +37,7 @@ import pytest
 from sl2btree.field import field
 from sl2btree.lattice import CongruenceLattice, NagaoLattice
 from sl2btree.literals import parse_series
-from sl2btree.quotient import covolume, cusps_report, quotient_graph
+from sl2btree.quotient import contract, covolume, cusps_report, quotient_graph
 
 
 def _index(q, degree, prime_degrees):
@@ -99,3 +111,56 @@ def test_covolume_equals_the_edge_by_edge_sum(q, level, degree, prime_degrees, d
     assert result.core_part == core
     assert result.tail_parts == tails
     assert result.total == core + sum(tails)
+
+
+# the shape checks also run on the full lattice over F_9
+SHAPE_CASES = CASES + [(9, None, 0, [], 6)]
+
+BY_SHAPE_CASE = pytest.mark.parametrize(
+    "q,level,degree,prime_degrees,depth",
+    SHAPE_CASES,
+    ids=[f"F{q}-{level or 'full'}" for q, level, *_ in SHAPE_CASES],
+)
+
+
+def _cycle_rank(G):
+    """E - V + 1 after checking, by union-find over the edges, that G is connected."""
+    parent = {vid: vid for vid in G.vertices}
+
+    def root(vid):
+        while parent[vid] != vid:
+            parent[vid] = parent[parent[vid]]
+            vid = parent[vid]
+        return vid
+
+    for e in G.edges:
+        parent[root(e.v_from)] = root(e.v_to)
+    assert len({root(vid) for vid in G.vertices}) == 1
+    return len(G.edges) - len(G.vertices) + 1
+
+
+@BY_SHAPE_CASE
+def test_star_sums_are_q_plus_one(q, level, degree, prime_degrees, depth):
+    G = quotient_graph(_lattice(q, level), depth)
+    star = {vid: Fraction(0) for vid in G.vertices}
+    for e in G.edges:
+        for vid in (e.v_from, e.v_to):
+            star[vid] += Fraction(G.vertices[vid].order, e.order)
+    bad = {
+        vid: total
+        for vid, total in star.items()
+        if G.vertices[vid].level < depth and total != q + 1
+    }
+    assert bad == {}
+
+
+@BY_SHAPE_CASE
+def test_cycle_rank_matches_the_closed_form(q, level, degree, prime_degrees, depth):
+    G = quotient_graph(_lattice(q, level), depth)
+    b1 = Fraction(0)
+    if degree >= 1:
+        N = _index(q, degree, prime_degrees)
+        b1 = 1 + N * (q**degree - q - 1) / (q**degree * (q**2 - 1))
+    assert b1.denominator == 1
+    assert _cycle_rank(G) == b1
+    assert _cycle_rank(contract(G)) == b1

@@ -73,6 +73,10 @@ GOLDEN = [
     # them; both print their first violating pair
     ("cusps --depth 2 --truncation 3", 1, "5e8c4cc9677be82d622e971b1e5f6c2bfb6b9a76ef01f1d37a6ef42fdcbea881"),
     ("cusps --q 4 --modulus 1,1,1 --depth 2 --truncation 4", 1, "30b3a3281177839665040cf748b619e9cfd72c1ece971c7ae3bb4ebf3eab24b2"),
+    # recorded while `contract` still matched every cusp to its ray; the
+    # first has no certified ray and contracts to a copy of the quotient
+    ("contract --lattice congruence --level t^3 --depth 4", 0, "e467b642b4d814ac0e16dec171d622a7a3bf3a66b5369efda385f72c317b7baa"),
+    ("contract --lattice congruence --level t^2+t --depth 7 --format dot", 0, "acd4724b500ef0284cc4c1535ba1fcda830d4e6e3352131130db206a3a794ea6"),
 ]
 
 

@@ -12,7 +12,6 @@ from sl2btree.lattice import (
     CosetTable,
     CuspData,
     NagaoLattice,
-    UnknownCusp,
     stabilizer_bruteforce,
 )
 from sl2btree.literals import (
@@ -24,6 +23,7 @@ from sl2btree.literals import (
     parse_vertex,
 )
 from sl2btree.polys import t_degree
+from sl2btree.quotient import growth_probe
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import Vertex
 
@@ -74,25 +74,35 @@ def test_base_stabilizer_elements_are_the_full_stabilizer():
         assert prod in set(elements)
 
 
+def _stabilizer(lattice, x):
+    """The closed-form stabilizer of the normal form, conjugated back to x."""
+    red = lattice.reduce_vertex(x)
+    inv, w = red.witness.adjugate(), red.witness
+    return [inv * s * w for s in lattice.base_stabilizer_elements(red.level)]
+
+
 def test_stabilizer_away_from_the_spine():
-    stab = nagao.stabilizer(v("(1; 1)"))
-    assert stab.order == 4
-    assert len(stab.elements) == 4
-    for g in stab.elements:
+    elements = _stabilizer(nagao, v("(1; 1)"))
+    assert nagao.base_order(nagao.reduce_vertex(v("(1; 1)")).level) == 4
+    assert len(elements) == 4
+    for g in elements:
         assert nagao.contains(g)
         assert g.act_vertex(v("(1; 1)")) == v("(1; 1)")
 
 
 def test_stabilizer_at_negative_levels():
     x = v("(-2; 0)")
-    stab = nagao.stabilizer(x)
-    assert stab.order == nagao.base_order(2)
-    assert all(g.act_vertex(x) == x for g in stab.elements)
+    assert nagao.reduce_vertex(x).level == 2
+    elements = _stabilizer(nagao, x)
+    assert len(elements) == nagao.base_order(2)
+    assert all(g.act_vertex(x) == x for g in elements)
 
 
 def test_stabilizer_order_shortcut():
     for n in range(5):
-        assert nagao.stabilizer_order(v(f"({n}; 0)")) == nagao.base_order(n)
+        x = v(f"({n}; 0)")
+        assert nagao.reduce_vertex(x).level == n
+        assert len(_stabilizer(nagao, x)) == nagao.base_order(n)
 
 
 def test_bruteforce_stabilizer_agrees():
@@ -269,7 +279,17 @@ def test_coset_table_reduce_lift_roundtrip():
     assert table.reduce(lifted) == image
     # lift lands in the same coset: g * lifted^{-1} is in the kernel
     assert lat.contains(g * lifted.adjugate())
-    assert table.reduce(TreeAutomorphism.identity(F)) == table.identity()
+    identity = (table.ring.one, table.ring.zero, table.ring.zero, table.ring.one)
+    assert table.reduce(TreeAutomorphism.identity(F)) == identity
+
+
+def test_coset_table_reduce_refuses_non_members():
+    table = CongruenceLattice(F, parse_series(F, "t^2")).coset_table()
+    with pytest.raises(InvalidInputError):
+        table.reduce(m("[[1,p],[0,1]]"))
+    # determinant 1 + t over F_2[t], which is not 1 mod t^2
+    with pytest.raises(InvalidInputError, match="determinant"):
+        table.reduce(m("[[1,t],[1,1]]"))
 
 
 def test_coset_table_subgroup_images():
@@ -340,24 +360,30 @@ def test_end_conjugator():
 
 def test_is_cuspidal_on_rational_ends():
     verdict = nagao.is_cuspidal(parse_end(F, "rat(1, t^2+t+1)"))
-    assert not isinstance(verdict, UnknownCusp)
+    assert isinstance(verdict, CuspData)
     assert verdict.end == parse_end(F, "rat(1, t^2+t+1)")
 
 
+def _probe_orders(end):
+    """Stabilizer orders along a truncated end as far as it is known, up to 9 steps."""
+    return growth_probe(nagao, end, min(9, end.known_depth())).orders
+
+
 def test_is_cuspidal_on_a_short_truncated_end():
-    verdict = nagao.is_cuspidal(parse_end(F, "trunc(p+p^3, 6)"))
-    assert isinstance(verdict, UnknownCusp)
-    assert verdict.orders == [6, 4, 6, 4, 6, 4, 6]
-    assert verdict.max_order == 6
+    end = parse_end(F, "trunc(p+p^3, 6)")
+    assert _probe_orders(end) == [6, 4, 6, 4, 6, 4, 6]
+    # a truncated end is never known to be rational: no verdict, a typed refusal
+    with pytest.raises(InvalidInputError):
+        nagao.is_cuspidal(end)
 
 
 def test_bounded_orbit_along_an_irrational_direction():
     # stabilizer orders along 1 + pi^3 + pi^8 stay bounded: the reduced
     # ray keeps returning toward the origin instead of escaping
     end = parse_end(F, "trunc(1+p^3+p^8, 10)")
-    verdict = nagao.is_cuspidal(end)
-    assert isinstance(verdict, UnknownCusp)
-    assert verdict.orders == [6, 4, 8, 16, 8, 4, 6, 4, 8, 4]
+    assert _probe_orders(end) == [6, 4, 8, 16, 8, 4, 6, 4, 8, 4]
+    with pytest.raises(InvalidInputError):
+        nagao.is_cuspidal(end)
     # cross-check the first few orders by brute force over the quotient map
     tree = nagao.tree
     levels = [0, 1, 2, 3, 2, 1]

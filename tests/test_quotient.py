@@ -21,7 +21,6 @@ from sl2btree.quotient import (
     contract,
     covolume,
     cusps_report,
-    free_product_report,
     growth_probe,
     quotient_graph,
 )
@@ -287,7 +286,7 @@ def test_contract_nagao_to_one_cusp(capsys):
     assert sorted(C.vertices) == ["L0", "cusp0"]
     assert C.vertices["L0"].order == 6
     assert C.vertices["cusp0"].order is None and C.vertices["cusp0"].is_cusp
-    assert C.vertices["cusp0"].cusp is not None
+    assert C.vertices["cusp0"].level == 1  # the certified base of the ray
     assert len(C.edges) == 1 and C.edges[0].order == 2
     assert covolume(G).total == Fraction(1)
     assert _cli_json(capsys, ["contract", "--depth", "8"])["covolume"] == "1/1"
@@ -304,30 +303,19 @@ def test_contract_tripod_to_a_star(capsys):
     assert _cli_json(capsys, argv)["covolume"] == "6/1"
 
 
-def test_contract_with_explicit_bases():
-    G = quotient_graph(nagao2, 8)
-    noop = contract(G, bases={})
-    assert sorted(noop.vertices) == sorted(G.vertices)
-    assert len(noop.edges) == len(G.edges)
-    assert len(noop.rays) == 1
-
-    deep = contract(G, bases={0: 3})
-    assert sorted(deep.vertices) == ["L0", "L1", "L2", "cusp0"]
-    assert [e.order for e in sorted(deep.edges, key=lambda e: e.v_from)] == [2, 4, 8]
-
-
-def test_free_product_reports():
-    GT = quotient_graph(CongruenceLattice(F2, parse_series(F2, "t")), 8)
-    fpT = free_product_report(contract(GT))
-    assert fpT.applicable and fpT.cusp_factor_count == 3 and fpT.free_rank == 0
-
-    fpN = free_product_report(contract(quotient_graph(nagao2, 8)))
-    assert not fpN.applicable and "order 6" in fpN.reason
-
-    GT2 = quotient_graph(CongruenceLattice(F2, parse_series(F2, "t^2")), 7)
-    fpT2 = free_product_report(contract(GT2))
-    assert fpT2.applicable and fpT2.cusp_factor_count == 12
-    assert fpT2.free_rank == 24 - (8 + 12) + 1
+def test_contracting_without_a_certified_ray_copies_the_graph():
+    graphs = [(nagao2, 2), (CongruenceLattice(F2, parse_series(F2, "t^3")), 4)]
+    for lattice, depth in graphs:
+        G = quotient_graph(lattice, depth)
+        assert G.rays and not any(ray.certified for ray in G.rays)
+        C = contract(G)
+        assert C.contracted and not G.contracted
+        assert C.vertices == G.vertices
+        assert all(C.vertices[vid] is not v for vid, v in G.vertices.items())
+        assert C.edges == G.edges
+        assert C.rays == G.rays
+        C.contracted = False
+        assert C.to_json_dict() == G.to_json_dict()
 
 
 def test_json_and_dot_serialization(capsys):
@@ -389,9 +377,30 @@ def test_cusp_representatives_computed_once_per_report_and_contraction(
     report = cusps_report(lattice, 8)
     assert len(calls) == 1
     assert report.bijective
-    contracted = contract(report.graph)
-    assert len(calls) == 2
-    assert all(v.cusp is not None for v in contracted.vertices.values() if v.is_cusp)
+    contract(report.graph)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "lattice,depth",
+    [
+        (nagao2, 8),
+        (CongruenceLattice(F2, parse_series(F2, "t^2")), 8),
+        (CongruenceLattice(F3, parse_series(F3, "t")), 6),
+    ],
+)
+def test_contract_reads_no_cusp_data(monkeypatch, lattice, depth):
+    G = quotient_graph(lattice, depth)
+    counted = [
+        (NagaoLattice, "cusp_representatives"),
+        (NagaoLattice, "end_conjugator"),
+        (CosetTable, "lift"),
+    ]
+    calls = [_count_calls(monkeypatch, cls, name) for cls, name in counted]
+    C = contract(G)
+    assert calls == [[], [], []]
+    cusps = {v.id for v in C.vertices.values() if v.is_cusp}
+    assert cusps == {f"cusp{i}" for i in range(len(G.rays))}
 
 
 def test_family_certification_enumerates_each_horoball_once(monkeypatch):
@@ -549,7 +558,12 @@ def test_transporter_algebra_matches_the_stabilizer(q, y):
     m = algebra.member(parse_vertex(F, y))
     P, Q = algebra.target_half(m, cusp), algebra.source_half(m, cusp)
     ok = algebra.moving_transporter(cusp.end, m, Q, m, P) is None
-    assert ok == all(s.fixes_end(cusp.end) for s in lat.stabilizer(m.vertex).elements)
+    w = m.reduced.witness
+    stabilizer = [
+        w.adjugate() * s * w for s in lat.base_stabilizer_elements(m.reduced.level)
+    ]
+    assert all(s.act_vertex(m.vertex) == m.vertex for s in stabilizer)
+    assert ok == all(s.fixes_end(cusp.end) for s in stabilizer)
 
 
 CONJUGATION_LATTICES = {
