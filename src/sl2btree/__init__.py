@@ -5,150 +5,102 @@ tree of lattice classes with its boundary, classification of tree
 automorphisms, the polynomial-entry lattices SL2(F_q[t]) and their principal
 congruence subgroups, quotient graphs of groups with exact covolumes, and
 cusp detection and contraction.
+
+Every public name is listed once, in `_EXPORTS` with the module that defines
+it, and is imported from there on first use (PEP 562), so importing the
+package loads none of its modules.
 """
 
-from .errors import (
-    DoesNotFixEnd,
-    EndPrecisionExhausted,
-    EqualEndsError,
-    IndeterminateValuation,
-    InsufficientPrecision,
-    InvalidInputError,
-    NonterminationGuard,
-    NotFixingError,
-    NotOnAxisError,
-    NotTypePreserving,
-    SizeGuardExceeded,
-    Sl2BTreeError,
-    UncertifiedTail,
-)
-from .field import Field, FieldElement, field
-from .series import INFINITY, LaurentSeries
-from .tree import (
-    End,
-    RationalEnd,
-    Tree,
-    TruncatedEnd,
-    UpEnd,
-    Vertex,
-    end_from_vector,
-)
-from .autom import (
-    BorelDecomposition,
-    Classification,
-    TreeAutomorphism,
-    UnipotentInfo,
-    decompose_end_stabilizer,
-    drift_along_end,
-)
-from .literals import (
-    format_end,
-    format_matrix,
-    format_series,
-    format_vertex,
-    parse_end,
-    parse_matrix,
-    parse_series,
-    parse_vertex,
-)
-from .lattice import (
-    CongruenceLattice,
-    CosetTable,
-    CuspData,
-    NagaoLattice,
-    ReducedVertex,
-    stabilizer_bruteforce,
-)
-from .quotient import (
-    CertifiedIndependent,
-    CounterexamplePair,
-    CovolumeResult,
-    CuspsReport,
-    FamilyCertificate,
-    GraphOfGroups,
-    GrowthProbe,
-    HoroballMember,
-    QuotientEdge,
-    QuotientVertex,
-    RayTail,
-    certify_independent_family,
-    certify_independent_horoball,
-    contract,
-    covolume,
-    cusps_report,
-    growth_probe,
-    quotient_graph,
-)
-from .verify import SUITES, SuiteResult, run_all, run_suite
+import importlib
+import sys
+import types
+
+_EXPORTS = {
+    "DoesNotFixEnd": "errors",
+    "EndPrecisionExhausted": "errors",
+    "EqualEndsError": "errors",
+    "IndeterminateValuation": "errors",
+    "InsufficientPrecision": "errors",
+    "InvalidInputError": "errors",
+    "NonterminationGuard": "errors",
+    "NotFixingError": "errors",
+    "NotOnAxisError": "errors",
+    "NotTypePreserving": "errors",
+    "SizeGuardExceeded": "errors",
+    "Sl2BTreeError": "errors",
+    "UncertifiedTail": "errors",
+    "Field": "field",
+    "FieldElement": "field",
+    "field": "field",
+    "INFINITY": "series",
+    "LaurentSeries": "series",
+    "End": "tree",
+    "RationalEnd": "tree",
+    "Tree": "tree",
+    "TruncatedEnd": "tree",
+    "UpEnd": "tree",
+    "Vertex": "tree",
+    "end_from_vector": "tree",
+    "BorelDecomposition": "autom",
+    "Classification": "autom",
+    "TreeAutomorphism": "autom",
+    "UnipotentInfo": "autom",
+    "decompose_end_stabilizer": "autom",
+    "drift_along_end": "autom",
+    "format_end": "literals",
+    "format_matrix": "literals",
+    "format_series": "literals",
+    "format_vertex": "literals",
+    "parse_end": "literals",
+    "parse_matrix": "literals",
+    "parse_series": "literals",
+    "parse_vertex": "literals",
+    "CongruenceLattice": "lattice",
+    "CosetTable": "lattice",
+    "CuspData": "lattice",
+    "NagaoLattice": "lattice",
+    "ReducedVertex": "lattice",
+    "stabilizer_bruteforce": "lattice",
+    "CertifiedIndependent": "quotient",
+    "CounterexamplePair": "quotient",
+    "CovolumeResult": "quotient",
+    "CuspsReport": "quotient",
+    "FamilyCertificate": "quotient",
+    "GraphOfGroups": "quotient",
+    "GrowthProbe": "quotient",
+    "HoroballMember": "quotient",
+    "QuotientEdge": "quotient",
+    "QuotientVertex": "quotient",
+    "RayTail": "quotient",
+    "certify_independent_family": "quotient",
+    "certify_independent_horoball": "quotient",
+    "contract": "quotient",
+    "covolume": "quotient",
+    "cusps_report": "quotient",
+    "growth_probe": "quotient",
+    "quotient_graph": "quotient",
+    "SUITES": "verify",
+    "SuiteResult": "verify",
+    "run_all": "verify",
+    "run_suite": "verify",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BorelDecomposition",
-    "CertifiedIndependent",
-    "Classification",
-    "CongruenceLattice",
-    "CosetTable",
-    "CounterexamplePair",
-    "CovolumeResult",
-    "CuspData",
-    "CuspsReport",
-    "DoesNotFixEnd",
-    "End",
-    "EndPrecisionExhausted",
-    "EqualEndsError",
-    "FamilyCertificate",
-    "Field",
-    "FieldElement",
-    "GraphOfGroups",
-    "GrowthProbe",
-    "HoroballMember",
-    "INFINITY",
-    "IndeterminateValuation",
-    "InsufficientPrecision",
-    "InvalidInputError",
-    "LaurentSeries",
-    "NagaoLattice",
-    "NonterminationGuard",
-    "NotFixingError",
-    "NotOnAxisError",
-    "NotTypePreserving",
-    "QuotientEdge",
-    "QuotientVertex",
-    "RationalEnd",
-    "RayTail",
-    "ReducedVertex",
-    "SUITES",
-    "SizeGuardExceeded",
-    "Sl2BTreeError",
-    "SuiteResult",
-    "Tree",
-    "TreeAutomorphism",
-    "TruncatedEnd",
-    "UnipotentInfo",
-    "UpEnd",
-    "UncertifiedTail",
-    "Vertex",
-    "certify_independent_family",
-    "certify_independent_horoball",
-    "contract",
-    "covolume",
-    "cusps_report",
-    "decompose_end_stabilizer",
-    "drift_along_end",
-    "end_from_vector",
-    "field",
-    "format_end",
-    "format_matrix",
-    "format_series",
-    "format_vertex",
-    "growth_probe",
-    "parse_end",
-    "parse_matrix",
-    "parse_series",
-    "parse_vertex",
-    "quotient_graph",
-    "run_all",
-    "run_suite",
-    "stabilizer_bruteforce",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # importing the submodule `field` binds it here; the function stays the export
+        if not (name in _EXPORTS and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -164,7 +164,7 @@ def _cmd_cusps(args):
             }
             for c in report.algebraic
         ],
-        "ray_count": report.ray_count,
+        "ray_count": len(report.graph.rays),
         "matches": [list(m) for m in report.matches],
         "bijective": report.bijective,
     }
@@ -215,7 +215,7 @@ def _cmd_probe(args):
         "orders": probe.orders,
         "reduced_levels": probe.reduced_levels,
         "entry_radius": probe.entry_radius,
-        "step_index": probe.step_index,
+        "step_index": lattice.q,
         "truncated_at": probe.truncated_at,
     }
     code = 0
@@ -367,8 +367,12 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return InvalidInputError.exit_code
     else:
         sys.stdout.write(text)
     return code

@@ -69,7 +69,6 @@ class ReducedVertex:
 
     level: int
     witness: TreeAutomorphism
-    vertex: Vertex
 
 
 @dataclass
@@ -173,7 +172,7 @@ class NagaoLattice:
         g = TreeAutomorphism(F, *(LaurentSeries._canonical(F, x) for x in (a, b, c, d)))
         if g.act_vertex(v) != cur:
             raise NonterminationGuard(f"reduction witness failed to check for {v}")
-        return ReducedVertex(level=cur.level, witness=g, vertex=cur)
+        return ReducedVertex(level=cur.level, witness=g)
 
     # -- stabilizers ---------------------------------------------------------
 

@@ -38,7 +38,6 @@ class QuotientVertex:
     level: int
     coset: int | None  # coset number in the level's partition; None for a cusp vertex
     order: int | None  # None marks a symbolic cusp vertex (infinite order)
-    is_cusp: bool = False
 
 
 @dataclass
@@ -52,11 +51,9 @@ class QuotientEdge:
 class RayTail:
     """A certified-or-not chain of vertex classes heading to infinity."""
 
-    vertex_ids: list[str]
-    levels: list[int]
+    vertex_ids: list[str]  # one per level, from base_level up
     edge_indices: list[int]  # edges between consecutive chain vertices
     base_level: int
-    step_index: int
     certified: bool
     cusp_index: int | None = None
 
@@ -76,7 +73,6 @@ class GrowthProbe:
     orders: list[int]
     reduced_levels: list[int]
     entry_radius: int | None
-    step_index: int
     truncated_at: int | None = None
 
 
@@ -99,10 +95,6 @@ class HoroballMember:
 
 @dataclass
 class CertifiedIndependent:
-    cusp: CuspData
-    radius_vertex: Vertex
-    truncation: int
-    vertices_checked: int
     pairs_checked: int
     members: list[HoroballMember]
 
@@ -125,7 +117,6 @@ class FamilyCertificate:
 @dataclass
 class CuspsReport:
     algebraic: list[CuspData]
-    ray_count: int
     matches: list[tuple[int, int]]  # (cusp index, ray index)
     bijective: bool
     graph: "GraphOfGroups"  # the quotient graph the rays were read from
@@ -136,7 +127,6 @@ class GraphOfGroups:
 
     def __init__(self, lattice: NagaoLattice, depth: int):
         self.lattice = lattice
-        self.field = lattice.field
         self.depth = depth
         self.vertices: dict[str, QuotientVertex] = {}
         self.edges: list[QuotientEdge] = []
@@ -146,9 +136,9 @@ class GraphOfGroups:
     # -- serialization -----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        q = self.field.q
+        q = self.lattice.q
         verts = sorted(
-            self.vertices.values(), key=lambda v: (v.is_cusp, v.level, v.id)
+            self.vertices.values(), key=lambda v: (v.order is None, v.level, v.id)
         )
         vertex_list = [
             {
@@ -179,7 +169,7 @@ class GraphOfGroups:
             {
                 "base": ray.vertex_ids[0],
                 "base_level": ray.base_level,
-                "step_index": ray.step_index,
+                "step_index": q,
                 "certified": ray.certified,
                 "cusp": ray.cusp_index,
             }
@@ -196,8 +186,8 @@ class GraphOfGroups:
 
     def to_dot(self) -> str:
         lines = ["graph quotient {", "  node [shape=circle];"]
-        for v in sorted(self.vertices.values(), key=lambda v: (v.is_cusp, v.level, v.id)):
-            if v.is_cusp:
+        for v in sorted(self.vertices.values(), key=lambda v: (v.order is None, v.level, v.id)):
+            if v.order is None:
                 label = f"{v.id}\\ninfinite"
                 lines.append(f'  "{v.id}" [shape=doublecircle, label="{label}"];')
             else:
@@ -261,7 +251,7 @@ def _detect_rays(G: GraphOfGroups) -> None:
     three steps certify, the rest of the enumerated chain is required to
     continue the pattern.
     """
-    q = G.field.q
+    q = G.lattice.q
     down_edges: dict[str, list[int]] = {}
     up_edges: dict[str, list[int]] = {}
     for i, e in enumerate(G.edges):
@@ -319,10 +309,8 @@ def _detect_rays(G: GraphOfGroups) -> None:
         G.rays.append(
             RayTail(
                 vertex_ids=ids,
-                levels=[G.vertices[v].level for v in ids],
                 edge_indices=eidx,
                 base_level=G.vertices[ids[0]].level,
-                step_index=q,
                 certified=certified,
             )
         )
@@ -341,7 +329,7 @@ def covolume(G: GraphOfGroups) -> CovolumeResult:
     """
     if G.contracted:
         raise InvalidInputError("covolume is computed on the uncontracted graph")
-    q = G.field.q
+    q = G.lattice.q
     tail_edge_set = set()
     tails = []
     for ray in G.rays:
@@ -384,9 +372,9 @@ def _match_cusps_to_rays(
         hits = []
         for ri, ray in enumerate(G.rays):
             level = max(ray.base_level, stable, 1)
-            if level not in ray.levels:
+            if level - ray.base_level >= len(ray.vertex_ids):
                 continue
-            vertex = G.vertices[ray.vertex_ids[ray.levels.index(level)]]
+            vertex = G.vertices[ray.vertex_ids[level - ray.base_level]]
             coset_of, _ = table.coset_partition(table.vertex_image(level))
             if coset_of[m] == vertex.coset:
                 hits.append(ri)
@@ -410,7 +398,6 @@ def cusps_report(lattice: NagaoLattice, depth: int) -> CuspsReport:
     )
     return CuspsReport(
         algebraic=cusps,
-        ray_count=len(G.rays),
         matches=matches,
         bijective=bijective,
         graph=G,
@@ -453,7 +440,6 @@ def growth_probe(lattice: NagaoLattice, end: End, depth: int) -> GrowthProbe:
         orders=orders,
         reduced_levels=levels,
         entry_radius=entry,
-        step_index=lattice.q,
         truncated_at=truncated_at,
     )
 
@@ -672,10 +658,6 @@ def certify_independent_horoball(
                         y=y.vertex, y_prime=yp.vertex, gamma=gamma
                     )
     return CertifiedIndependent(
-        cusp=cusp,
-        radius_vertex=radius_vertex,
-        truncation=truncation,
-        vertices_checked=len(members),
         pairs_checked=sum(len(group) ** 2 for group in levels.values()),
         members=members,
     )
@@ -757,7 +739,6 @@ def contract(G: GraphOfGroups) -> GraphOfGroups:
             level=G.rays[i].base_level,
             coset=None,
             order=None,
-            is_cusp=True,
         )
     # every edge crossing into an absorbed tail is rerouted to its cusp;
     # edges inside a tail disappear with it

@@ -215,10 +215,6 @@ class TruncatedEnd(End):
         self.field = field
         self.coordinate = coordinate
 
-    @property
-    def horizon(self) -> int:
-        return self.coordinate.prec
-
     def known_depth(self):
         return self.coordinate.prec
 
@@ -484,7 +480,7 @@ class Tree:
             return x.level - y.level
         mx = self._end_meeting(x, end)
         if isinstance(end, TruncatedEnd):
-            _guard_walk(x, mx, end.horizon, self.distance(x, y))
+            _guard_walk(x, mx, end.known_depth(), self.distance(x, y))
         my = self._end_meeting(y, end)
         return (x.level - 2 * mx) - (y.level - 2 * my)
 
@@ -577,7 +573,7 @@ class Tree:
         """
         _require_nonnegative("horosphere depth", depth)
         if depth >= 1 and isinstance(end, TruncatedEnd):
-            _guard_walk(x, self._end_meeting(x, end), end.horizon, depth)
+            _guard_walk(x, self._end_meeting(x, end), end.known_depth(), depth)
         half = depth // 2
         ray = self.ray(x, end, half + 1) if half else [x]
         out = [x]

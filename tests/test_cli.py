@@ -1,10 +1,12 @@
 import json
 import sys
+import time
 
 import pytest
 
 from sl2btree import cli, errors
 from sl2btree.errors import InsufficientPrecision, NonterminationGuard
+from sl2btree.field import MAX_Q
 
 
 def run(capsys, argv):
@@ -353,6 +355,21 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
         prefix = "internal self-check failed: " if cls is NonterminationGuard else ""
         assert rc == DOCUMENTED_EXIT_CODES[cls.__name__]
         assert (out, err) == ("", f"error: {prefix}it broke\n")
+
+
+def test_unwritable_out_exits_3(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        rc, out, err = run(capsys, ["covolume", "--out", str(target)])
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_huge_field_sizes_exit_4_at_once(capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["covolume", "--q", "2147483647"])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (4, "")
+    assert err == f"error: field size q = 2147483647 exceeds the bound {MAX_Q}\n"
 
 
 def test_negative_probe_depth_exits_3(capsys):

@@ -93,7 +93,7 @@ def test_cusp_count_and_covolume_closed_forms(q, level, degree, prime_degrees, d
     report = cusps_report(_lattice(q, level), depth)
     group = _index(q, degree, prime_degrees)
     cusps = 1 if level is None else group / ((q - 1) * q**degree)
-    assert len(report.algebraic) == report.ray_count == cusps
+    assert len(report.algebraic) == len(report.graph.rays) == cusps
     assert report.bijective
     assert covolume(report.graph).total == group / (q - 1) ** 2
 

@@ -1,7 +1,7 @@
 import pytest
 
-from sl2btree.errors import InvalidInputError
-from sl2btree.field import Field, field
+from sl2btree.errors import InvalidInputError, SizeGuardExceeded
+from sl2btree.field import MAX_Q, Field, field
 
 
 def test_prime_field_arithmetic():
@@ -77,8 +77,15 @@ def test_field_constructor_guards():
         field(6)
     with pytest.raises(InvalidInputError):
         field(1)
+    with pytest.raises(InvalidInputError, match="10403 is not a prime power"):
+        field(101 * 103)
     with pytest.raises(InvalidInputError):
         Field(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+
+
+def test_field_sizes_above_the_bound_are_refused():
+    with pytest.raises(SizeGuardExceeded, match=f"q = {MAX_Q + 1} exceeds the bound {MAX_Q}"):
+        field(MAX_Q + 1)
 
 
 def test_field_caching():

@@ -103,7 +103,7 @@ def test_end_literals_below_horizon_one():
     # the action builds such ends: diag(pi, 1/pi) lowers the horizon by two
     g = parse_matrix(F, "[[p,0],[0,p^-1]]")
     end = g.act_end(g.act_end(g.act_end(parse_end(F, "trunc(1+p^3, 5)"))))
-    assert (format_end(end), end.horizon) == ("trunc(t^6+t^3, -1)", -1)
+    assert (format_end(end), end.known_depth()) == ("trunc(t^6+t^3, -1)", -1)
     assert parse_end(F, format_end(end)) == end
     end = TruncatedEnd(F, LaurentSeries(F, {-3: F.one}, 0))
     assert format_end(end) == "trunc(t^3, 0)"

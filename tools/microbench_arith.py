@@ -110,7 +110,7 @@ def _per_op_us(op, operands):
 def _horoball_us_per_member(q):
     lattice = NagaoLattice(field(q))
     args = (lattice, lattice.cusp_representatives()[0], parse_vertex(lattice.field, "(1; 0)"), 5)
-    members = certify_independent_horoball(*args).vertices_checked
+    members = len(certify_independent_horoball(*args).members)
     runs = timeit.repeat(lambda: certify_independent_horoball(*args), number=1, repeat=REPEAT)
     return min(runs) / members * 1e6
 
