@@ -28,7 +28,6 @@ diagonal-times-translation-times-shear factorization of an end stabilizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -90,7 +89,6 @@ def _ratio_mod(num: LaurentSeries, den: LaurentSeries, n: int) -> LaurentSeries:
     return (num * den.inverse(n - v + vd)).truncate(n)
 
 
-@dataclass
 class Classification:
     """Outcome of the elliptic/hyperbolic dichotomy.
 
@@ -99,14 +97,22 @@ class Classification:
     with `ends_depth`). Elliptic results carry a checked fixed vertex.
     """
 
-    kind: str  # "elliptic" | "hyperbolic"
-    length: int | None = None
-    fixed_vertex: Vertex | None = None
-    attracting: End | None = None
-    repelling: End | None = None
+    __slots__ = ("kind", "length", "fixed_vertex", "attracting", "repelling")
+
+    def __init__(self, kind: str, length: int | None = None, fixed_vertex: Vertex | None = None,
+                 attracting: End | None = None, repelling: End | None = None):
+        self.kind = kind  # "elliptic" | "hyperbolic"
+        self.length = length
+        self.fixed_vertex = fixed_vertex
+        self.attracting = attracting
+        self.repelling = repelling
+
+    def __repr__(self) -> str:
+        # printed in the failure messages of the drift and classification suites
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Classification({fields})"
 
 
-@dataclass
 class UnipotentInfo:
     """Certified local data for the quasi-unipotent dichotomy.
 
@@ -117,14 +123,17 @@ class UnipotentInfo:
     all; it carries no witness.
     """
 
-    kind: str
-    fixed_end: End | None = None
-    witness: Vertex | None = None
-    checked_depth: int = 0
-    eccentricity: Fraction | None = None
+    __slots__ = ("kind", "fixed_end", "witness", "checked_depth", "eccentricity")
+
+    def __init__(self, kind: str, fixed_end: End | None = None, witness: Vertex | None = None,
+                 checked_depth: int = 0, eccentricity: Fraction | None = None):
+        self.kind = kind
+        self.fixed_end = fixed_end
+        self.witness = witness
+        self.checked_depth = checked_depth
+        self.eccentricity = eccentricity
 
 
-@dataclass
 class BorelDecomposition:
     """g = conjugator^{-1} * (diagonal * step^power * shear) * conjugator.
 
@@ -134,10 +143,14 @@ class BorelDecomposition:
     parts equals the conjugated matrix up to a scalar.
     """
 
-    diagonal: "TreeAutomorphism"
-    power: int
-    shear: "TreeAutomorphism"
-    conjugator: "TreeAutomorphism"
+    __slots__ = ("diagonal", "power", "shear", "conjugator")
+
+    def __init__(self, diagonal: "TreeAutomorphism", power: int, shear: "TreeAutomorphism",
+                 conjugator: "TreeAutomorphism"):
+        self.diagonal = diagonal
+        self.power = power
+        self.shear = shear
+        self.conjugator = conjugator
 
 
 class TreeAutomorphism:
@@ -589,13 +602,7 @@ class TreeAutomorphism:
                     tree.horoellipse_contains(end, x, lam, self.act_vertex(y))
                     for y in members
                 ):
-                    return UnipotentInfo(
-                        kind="good",
-                        fixed_end=end,
-                        witness=x,
-                        checked_depth=check_depth,
-                        eccentricity=lam,
-                    )
+                    return UnipotentInfo("good", end, x, check_depth, lam)
             x = tree.step_to_end(x, end)
         raise NonterminationGuard(
             "no certified horoellipse witness along the fixed-end ray"

@@ -24,7 +24,6 @@ module of the fixing translations.
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .autom import TreeAutomorphism
 from .errors import (
@@ -60,18 +59,19 @@ def _upper(field: Field, alpha, offset: LaurentSeries) -> TreeAutomorphism:
     )
 
 
-@dataclass
 class ReducedVertex:
     """Normal form of a vertex under the polynomial lattice.
 
     witness * original = (level, 0), with level >= 0.
     """
 
-    level: int
-    witness: TreeAutomorphism
+    __slots__ = ("level", "witness")
+
+    def __init__(self, level: int, witness: TreeAutomorphism):
+        self.level = level
+        self.witness = witness
 
 
-@dataclass
 class CuspData:
     """A boundary end fixed by nontrivial translations of the lattice.
 
@@ -81,10 +81,14 @@ class CuspData:
     the full end stabilizer with the given finite index.
     """
 
-    end: End
-    conjugator: TreeAutomorphism
-    parameter_multiple: LaurentSeries
-    stabilizer_index: int
+    __slots__ = ("end", "conjugator", "parameter_multiple", "stabilizer_index")
+
+    def __init__(self, end: End, conjugator: TreeAutomorphism, parameter_multiple: LaurentSeries,
+                 stabilizer_index: int):
+        self.end = end
+        self.conjugator = conjugator
+        self.parameter_multiple = parameter_multiple
+        self.stabilizer_index = stabilizer_index
 
 
 class NagaoLattice:

@@ -17,7 +17,6 @@ tails into symbolic cusp vertices (`contract`).
 """
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .autom import TreeAutomorphism
@@ -32,51 +31,73 @@ from .polys import t_degree
 from .tree import End, Vertex
 
 
-@dataclass
-class QuotientVertex:
-    id: str
-    level: int
-    coset: int | None  # coset number in the level's partition; None for a cusp vertex
-    order: int | None  # None marks a symbolic cusp vertex (infinite order)
+class _Compared:
+    """Equality field by field, for the records `contract` copies."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
 
 
-@dataclass
-class QuotientEdge:
-    v_from: str  # lower level
-    v_to: str  # higher level (or a cusp vertex)
-    order: int
+class QuotientVertex(_Compared):
+    __slots__ = ("id", "level", "coset", "order")
+
+    def __init__(self, id: str, level: int, coset: int | None, order: int | None):
+        self.id = id
+        self.level = level
+        self.coset = coset  # coset number in the level's partition; None for a cusp vertex
+        self.order = order  # None marks a symbolic cusp vertex (infinite order)
 
 
-@dataclass
+class QuotientEdge(_Compared):
+    __slots__ = ("v_from", "v_to", "order")
+
+    def __init__(self, v_from: str, v_to: str, order: int):
+        self.v_from = v_from  # lower level
+        self.v_to = v_to  # higher level (or a cusp vertex)
+        self.order = order
+
+
 class RayTail:
     """A certified-or-not chain of vertex classes heading to infinity."""
 
-    vertex_ids: list[str]  # one per level, from base_level up
-    edge_indices: list[int]  # edges between consecutive chain vertices
-    base_level: int
-    certified: bool
-    cusp_index: int | None = None
+    __slots__ = ("vertex_ids", "edge_indices", "base_level", "certified", "cusp_index")
+
+    def __init__(self, vertex_ids: list[str], edge_indices: list[int], base_level: int,
+                 certified: bool, cusp_index: int | None = None):
+        self.vertex_ids = vertex_ids  # one per level, from base_level up
+        self.edge_indices = edge_indices  # edges between consecutive chain vertices
+        self.base_level = base_level
+        self.certified = certified
+        self.cusp_index = cusp_index
 
 
-@dataclass
 class CovolumeResult:
-    total: Fraction
-    core_part: Fraction
-    tail_parts: list[Fraction]
+    __slots__ = ("total", "core_part", "tail_parts")
+
+    def __init__(self, total: Fraction, core_part: Fraction, tail_parts: list[Fraction]):
+        self.total = total
+        self.core_part = core_part
+        self.tail_parts = tail_parts
 
     def __str__(self) -> str:
         return f"{self.total.numerator}/{self.total.denominator}"
 
 
-@dataclass
 class GrowthProbe:
-    orders: list[int]
-    reduced_levels: list[int]
-    entry_radius: int | None
-    truncated_at: int | None = None
+    __slots__ = ("orders", "reduced_levels", "entry_radius", "truncated_at")
+
+    def __init__(self, orders: list[int], reduced_levels: list[int], entry_radius: int | None,
+                 truncated_at: int | None = None):
+        self.orders = orders
+        self.reduced_levels = reduced_levels
+        self.entry_radius = entry_radius
+        self.truncated_at = truncated_at
 
 
-@dataclass(slots=True, eq=False)
 class HoroballMember:
     """A horoball vertex with its normal form, witness residue and quotient vertex.
 
@@ -86,40 +107,53 @@ class HoroballMember:
     number of r^{-1} in the partition of `vertex_image(n)`.
     """
 
-    vertex: Vertex
-    reduced: ReducedVertex
-    residue: tuple
-    residue_inverse: tuple
-    quotient_vertex: tuple[int, int]
+    __slots__ = ("vertex", "reduced", "residue", "residue_inverse", "quotient_vertex")
+
+    def __init__(self, vertex: Vertex, reduced: ReducedVertex, residue: tuple,
+                 residue_inverse: tuple, quotient_vertex: tuple[int, int]):
+        self.vertex = vertex
+        self.reduced = reduced
+        self.residue = residue
+        self.residue_inverse = residue_inverse
+        self.quotient_vertex = quotient_vertex
 
 
-@dataclass
 class CertifiedIndependent:
-    pairs_checked: int
-    members: list[HoroballMember]
+    __slots__ = ("pairs_checked", "members")
+
+    def __init__(self, pairs_checked: int, members: list[HoroballMember]):
+        self.pairs_checked = pairs_checked
+        self.members = members
 
 
-@dataclass
 class CounterexamplePair:
     """Two horoball vertices carried to each other by a bad element."""
 
-    y: Vertex
-    y_prime: Vertex
-    gamma: TreeAutomorphism
+    __slots__ = ("y", "y_prime", "gamma")
+
+    def __init__(self, y: Vertex, y_prime: Vertex, gamma: TreeAutomorphism):
+        self.y = y
+        self.y_prime = y_prime
+        self.gamma = gamma
 
 
-@dataclass
 class FamilyCertificate:
-    singles: list[CertifiedIndependent]
-    cross_pairs_checked: int
+    __slots__ = ("singles", "cross_pairs_checked")
+
+    def __init__(self, singles: list[CertifiedIndependent], cross_pairs_checked: int):
+        self.singles = singles
+        self.cross_pairs_checked = cross_pairs_checked
 
 
-@dataclass
 class CuspsReport:
-    algebraic: list[CuspData]
-    matches: list[tuple[int, int]]  # (cusp index, ray index)
-    bijective: bool
-    graph: "GraphOfGroups"  # the quotient graph the rays were read from
+    __slots__ = ("algebraic", "matches", "bijective", "graph")
+
+    def __init__(self, algebraic: list[CuspData], matches: list[tuple[int, int]], bijective: bool,
+                 graph: "GraphOfGroups"):
+        self.algebraic = algebraic
+        self.matches = matches  # (cusp index, ray index)
+        self.bijective = bijective
+        self.graph = graph  # the quotient graph the rays were read from
 
 
 class GraphOfGroups:
@@ -306,14 +340,7 @@ def _detect_rays(G: GraphOfGroups) -> None:
         else:
             ids = chain
             eidx = chain_edges
-        G.rays.append(
-            RayTail(
-                vertex_ids=ids,
-                edge_indices=eidx,
-                base_level=G.vertices[ids[0]].level,
-                certified=certified,
-            )
-        )
+        G.rays.append(RayTail(ids, eidx, G.vertices[ids[0]].level, certified))
 
 
 # -- covolume ---------------------------------------------------------------------
@@ -396,12 +423,7 @@ def cusps_report(lattice: NagaoLattice, depth: int) -> CuspsReport:
         and len({ri for _, ri in matches}) == len(G.rays)
         and all(ray.certified for ray in G.rays)
     )
-    return CuspsReport(
-        algebraic=cusps,
-        matches=matches,
-        bijective=bijective,
-        graph=G,
-    )
+    return CuspsReport(algebraic=cusps, matches=matches, bijective=bijective, graph=G)
 
 
 def growth_probe(lattice: NagaoLattice, end: End, depth: int) -> GrowthProbe:
@@ -436,12 +458,7 @@ def growth_probe(lattice: NagaoLattice, end: End, depth: int) -> GrowthProbe:
         return q_step and levels[k + 1] == levels[k] + 1
 
     entry = _first_three_steps(len(orders) - 1, step_ok)
-    return GrowthProbe(
-        orders=orders,
-        reduced_levels=levels,
-        entry_radius=entry,
-        truncated_at=truncated_at,
-    )
+    return GrowthProbe(orders, levels, entry_radius=entry, truncated_at=truncated_at)
 
 
 # -- horoball certification ------------------------------------------------------------
@@ -487,7 +504,9 @@ class _TransporterAlgebra:
 
     def member(self, y: Vertex) -> HoroballMember:
         red = self.lattice.reduce_vertex(y)
-        residue = self.table.reduce(red.witness)
+        # the witness is a product of polynomial shears and half turns, so its
+        # determinant is 1 and `CosetTable.reduce` need not check it again
+        residue = tuple(map(self.ring.reduce, red.witness.entries()))
         inverse = self.table.inverse(residue)
         coset_of, _ = self.table.coset_partition(self.table.vertex_image(red.level))
         return HoroballMember(y, red, residue, inverse, (red.level, coset_of[inverse]))
@@ -654,9 +673,7 @@ def certify_independent_horoball(
                 P = algebra.target_half(yp, cusp)
                 gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
                 if gamma is not None:
-                    return CounterexamplePair(
-                        y=y.vertex, y_prime=yp.vertex, gamma=gamma
-                    )
+                    return CounterexamplePair(y=y.vertex, y_prime=yp.vertex, gamma=gamma)
     return CertifiedIndependent(
         pairs_checked=sum(len(group) ** 2 for group in levels.values()),
         members=members,
@@ -731,15 +748,10 @@ def contract(G: GraphOfGroups) -> GraphOfGroups:
             ray_of[vid] = i
     for vid, v in G.vertices.items():
         if vid not in ray_of:
-            out.vertices[vid] = replace(v)
+            out.vertices[vid] = QuotientVertex(v.id, v.level, v.coset, v.order)
     for i in certified:
         cusp_id = f"cusp{i}"
-        out.vertices[cusp_id] = QuotientVertex(
-            id=cusp_id,
-            level=G.rays[i].base_level,
-            coset=None,
-            order=None,
-        )
+        out.vertices[cusp_id] = QuotientVertex(cusp_id, G.rays[i].base_level, None, None)
     # every edge crossing into an absorbed tail is rerouted to its cusp;
     # edges inside a tail disappear with it
     for e in G.edges:

@@ -13,7 +13,6 @@ seed.
 """
 
 import random
-from dataclasses import dataclass
 
 from .autom import TreeAutomorphism, drift_along_end
 from .errors import EqualEndsError, Sl2BTreeError
@@ -21,11 +20,13 @@ from .series import LaurentSeries
 from .tree import Tree, TruncatedEnd, UpEnd, end_difference_valuation, end_from_vector
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int
-    failures: list[str]
+    __slots__ = ("name", "checks", "failures")
+
+    def __init__(self, name: str, checks: int, failures: list[str]):
+        self.name = name
+        self.checks = checks
+        self.failures = failures
 
     @property
     def passed(self) -> bool:

@@ -137,6 +137,18 @@ def test_classification_hand_cases():
     assert c.kind == "elliptic" and c.fixed_vertex == tree.base
 
 
+def test_classification_repr_is_pinned():
+    # the drift and classification suites print it in their failure messages
+    assert repr(m("[[1,t],[0,1]]").classify()) == (
+        "Classification(kind='elliptic', length=None, "
+        "fixed_vertex=Vertex(level=1, residue=LaurentSeries(0)), attracting=None, repelling=None)"
+    )
+    assert repr(m("[[t,1],[1,0]]").classify()) == (
+        "Classification(kind='hyperbolic', length=2, fixed_vertex=None, attracting=None, "
+        "repelling=None)"
+    )
+
+
 def test_translation_length_of_polynomial_products():
     g = m("[[1,t],[0,1]]") * m("[[1,0],[t,1]]")
     assert g.translation_length() == 4  # trace t^2 has valuation -2

@@ -372,6 +372,16 @@ def test_huge_field_sizes_exit_4_at_once(capsys):
     assert err == f"error: field size q = 2147483647 exceeds the bound {MAX_Q}\n"
 
 
+def test_reducible_modulus_exits_3_at_once(capsys):
+    # x^10 + 1 = (x^5 + 1)^2 over F_2; refused before any power of a candidate is built
+    modulus = (1,) + (0,) * 9 + (1,)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["covolume", "--q", "1024", "--modulus", ",".join(map(str, modulus))])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (3, "")
+    assert err == f"error: modulus {modulus} is reducible over F_2\n"
+
+
 def test_negative_probe_depth_exits_3(capsys):
     rc, out, err = run(capsys, ["probe", "up", "--depth", "-1"])
     assert (rc, out) == (3, "")

@@ -107,7 +107,34 @@ def test_deleted_names_are_gone(name):
 )
 def test_deleted_members_are_gone(cls, name):
     assert not hasattr(cls, name)
-    assert name not in getattr(cls, "__dataclass_fields__", {})
+    assert name not in getattr(cls, "__slots__", ())
+
+
+RECORDS = [autom.Classification, autom.UnipotentInfo, autom.BorelDecomposition]
+RECORDS += [lattice.ReducedVertex, lattice.CuspData, verify.SuiteResult]
+RECORDS += [quotient.QuotientVertex, quotient.QuotientEdge, quotient.RayTail]
+RECORDS += [quotient.CovolumeResult, quotient.GrowthProbe, quotient.HoroballMember]
+RECORDS += [quotient.CertifiedIndependent, quotient.CounterexamplePair]
+RECORDS += [quotient.FamilyCertificate, quotient.CuspsReport]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[c.__name__ for c in RECORDS])
+def test_records_are_plain_classes_with_slots(cls):
+    # so the `__slots__` check above sees every field a record has
+    assert "__slots__" in vars(cls) and not hasattr(cls, "__dataclass_fields__")
+    fields = inspect.signature(cls).parameters
+    assert list(fields) == list(cls.__slots__)
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # a cold start pays for `dataclasses` and the `inspect` it imports; site's modules do not count
+    code = """
+import sys
+before = set(sys.modules)
+import sl2btree.cli
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+"""
+    assert _run(code, ROOT / "src") == "[]\n"
 
 
 def test_cusp_questions_take_one_argument():

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 
 from sl2btree.errors import InvalidInputError, SizeGuardExceeded
@@ -86,6 +89,15 @@ def test_field_constructor_guards():
 def test_field_sizes_above_the_bound_are_refused():
     with pytest.raises(SizeGuardExceeded, match=f"q = {MAX_Q + 1} exceeds the bound {MAX_Q}"):
         field(MAX_Q + 1)
+    # the constructor is bounded too, before its primality test and its tables
+    with pytest.raises(SizeGuardExceeded, match=f"16411\\^1 exceeds the bound {MAX_Q}"):
+        Field(16411, 1)
+    with pytest.raises(SizeGuardExceeded):
+        Field(10**100, 1)  # not "not prime"
+    with pytest.raises(SizeGuardExceeded, match=f"2\\^{10**6} exceeds"):
+        Field(2, 10**6)  # not a message with all the digits of 2^e
+    with pytest.raises(SizeGuardExceeded):
+        Field(2, MAX_Q.bit_length())  # 2^15, the first e past the bound
 
 
 def test_field_caching():
@@ -135,3 +147,47 @@ def test_tables_match_the_defining_polynomial_product(q):
             assert _mulmod_p(a.coeffs, a.inverse().coeffs, F.modulus, p) == one
     with pytest.raises(ZeroDivisionError):
         F.zero.inverse()
+
+
+def _monic(p, d):
+    return [low + (1,) for low in itertools.product(range(p), repeat=d)]
+
+
+def _polymul_p(a, b, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return tuple(prod)
+
+
+def test_the_primitive_element_is_the_least_of_order_q_minus_1():
+    # every monic modulus of degree e for each q = p^e <= 81: the products of
+    # two monic factors are refused; otherwise g is the least nonzero vector,
+    # lexicographically, whose powers reach 1 only at q - 1 (brute force)
+    for q in range(2, 82):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        e = next(k for k in range(1, q) if p**k >= q)
+        if p**e != q:
+            continue
+        reducible = {
+            _polymul_p(f, g, p) for d in range(1, e) for f in _monic(p, d) for g in _monic(p, e - d)
+        }
+        one = (1,) + (0,) * (e - 1)
+        for modulus in _monic(p, e):
+            if modulus in reducible:
+                message = f"modulus {modulus} is reducible over F_{p}"
+                with pytest.raises(InvalidInputError, match=re.escape(message)):
+                    Field(p, e, modulus)
+                continue
+
+            def order(v):
+                k, x = 1, v
+                while x != one:
+                    k, x = k + 1, _mulmod_p(x, v, modulus, p)
+                return k
+
+            vectors = itertools.product(range(p), repeat=e)
+            least = next(v for v in vectors if any(v) and order(v) == q - 1)
+            F = Field(p, e, modulus)
+            assert F._exp[1].coeffs == least, (q, modulus)  # the antilog table is g^0, g^1, ...
