@@ -5,8 +5,8 @@ table-driven field arithmetic replaced series-based arithmetic in
 F_q[t]/(f); any change to the bytes printed by these commands fails here.
 Commands cover quotient (JSON and DOT), contract, covolume and cusps,
 with and without --truncation, over F_2, F_3, F_4 and F_9, for the full
-lattice and for congruence subgroups, and verify suites over F_2, F_3
-and F_4.
+lattice and for congruence subgroups, verify suites over F_2, F_3
+and F_4, and classify and probe over matrix and end literals.
 """
 
 import hashlib
@@ -77,6 +77,28 @@ GOLDEN = [
     # first has no certified ray and contracts to a copy of the quotient
     ("contract --lattice congruence --level t^3 --depth 4", 0, "e467b642b4d814ac0e16dec171d622a7a3bf3a66b5369efda385f72c317b7baa"),
     ("contract --lattice congruence --level t^2+t --depth 7 --format dot", 0, "acd4724b500ef0284cc4c1535ba1fcda830d4e6e3352131130db206a3a794ea6"),
+    # recorded while the literal parsers still scanned brackets four ways:
+    # classify over F_2, F_3, F_4 and F_9 (elliptic and hyperbolic, with and
+    # without axis ends, bracketed extension coefficients), and probe along
+    # up, rat and trunc ends for the full lattice and congruence levels; the
+    # exit-1 run trips --max-order, and both trunc probes report truncated_at
+    ("classify [[1,1],[0,1]]", 0, "22faf2decda858c614f0a392d11634d07e66c618679672879be91a1a4078a4db"),
+    ("classify [[1,1],[0,1]] --ends 6", 0, "22faf2decda858c614f0a392d11634d07e66c618679672879be91a1a4078a4db"),
+    ("classify [[t,1],[1,0]]", 0, "e4bfe1d84954bf6defafab914851d7cf598b54ecd9ab7b090fb88ffca7738ae7"),
+    ("classify [[t,1],[1,0]] --ends 6", 0, "0aaf97e7846a3467b3f2a0c3b42d73a49c2c499ed662a8f17f39ef6a65e485f9"),
+    ("classify [[2,t],[0,2]] --q 3", 0, "6d632e6f9b2719d8dc6ac7b8290b877d3bf942051ec8edc0cdb9e3cb582cc34a"),
+    ("classify [[2,t],[0,2]] --q 3 --ends 6", 0, "6d632e6f9b2719d8dc6ac7b8290b877d3bf942051ec8edc0cdb9e3cb582cc34a"),
+    ("classify [[1,t],[t,t^2+1]] --q 3", 0, "fe61249ffc9b2c617cad126dc6279178ba8c87a1f40bc31e221ea3bf43a28bc2"),
+    ("classify [[1,t],[t,t^2+1]] --q 3 --ends 6", 0, "d19aa0bd451e143a8541672c5225de7a948e1b17e141ddf9dc0cb48264653a52"),
+    ("classify [[[x+1]*t,1],[1,0]] --q 4 --modulus 1,1,1 --ends 6", 0, "864294df3f126af95a23f97e98771f0186a359d906e2b1ee5d27f39428962f5d"),
+    ("classify [[[x+1]*t+[2*x],1],[2,0]] --q 9 --ends 6", 0, "52453f185d6a4398689120f368444321843a0803a17b3e594d46ad2cd89aff56"),
+    ("probe up --depth 8", 0, "96dba26a436ab63c3cafe6d4264444c2235b56f50d8ad5d15d1096736a8cabaf"),
+    ("probe rat(1,t) --q 3 --depth 8", 0, "6f97bb0ae6f9625c5df0af58d62b08593db02c6c8ef4ec524dd9b47b11a414f0"),
+    ("probe trunc(t+p,3) --depth 8", 0, "a165db2a112ca43a8ae88cc9b70e92898b18cf82182e435d6efd4e0773279837"),
+    ("probe rat(t+1,t^2) --lattice congruence --level t^2 --depth 8", 0, "f666bbf24c61a86784c26638bdc686dc6ae8e8ecd3f0244ecb13506c4d44d69f"),
+    ("probe up --q 3 --lattice congruence --level t --depth 6", 0, "f07888d888ba821abc67ba579b4b700975292d0fc9586113c134e53ed6a2a5d6"),
+    ("probe up --depth 8 --max-order 10", 1, "cab564ea31f6fe16ab2e6512e857ab23012a7aebb3dc76dfdbc0383706e39ffe"),
+    ("probe trunc(p+p^2,2) --q 3 --depth 8 --max-order 24", 0, "c89b111552787ee15aa4a4efa1ca8e0f1ed2320a0239026fc56be6a6fc0a4bab"),
 ]
 
 
