@@ -7,12 +7,14 @@ and the test fixtures:
   and a series known mod pi^N: ``1+p mod p^3``
 * vertex     ``(n; series)``
 * end        ``up`` | ``rat(num, den)`` | ``trunc(series, N)``
-* matrix     ``[[a,b],[c,d]]`` with series entries
+* matrix     ``[[a,b],[c,d]]`` with series entries: two bracketed rows of
+  two entries, one comma between rows and between entries
 
 ``t`` is the degree -1 monomial (polynomial variable), ``p`` the degree +1
 monomial (uniformizer); ``t^k`` has degree ``-k`` and ``p^k`` degree ``+k``,
 with negative exponents allowed on either. Coefficients over an extension
-field are written in brackets as polynomials in ``x``, the field generator.
+field are written in brackets as polynomials in ``x``, the field generator;
+``x^k`` is reduced mod q - 1.
 Formatting goes through the classes' ``str`` forms, which stay inside this
 grammar and prefer ``t`` powers for negative degrees.
 """
@@ -29,55 +31,54 @@ _VAR_RE = re.compile(r"^(t|p)\s*(?:\^\s*(-?\d+))?$")
 _INT_RE = re.compile(r"^-?\d+$")
 _MOD_RE = re.compile(r"^(.*\S)\s+mod\s+p\s*\^\s*(-?\d+)$")
 _XTERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?x\s*(?:\^\s*(\d+))?$|^(\d+)$")
+_OPENER = {"]": "[", ")": "("}
 
 
-def _split_on_signs(text: str, what: str):
-    """Split an additive expression into (sign, chunk) pairs.
+def _split_top(text: str, seps: str, what: str) -> list[tuple[str, str]]:
+    """Cut text at the characters of seps that lie outside ``[]`` and ``()``.
 
-    Minus signs directly after ``^`` belong to an exponent and do not
-    split. Brackets suspend splitting so extension-field coefficients
-    survive intact.
+    Returns (separator, piece) pairs, the first separator being ``""``, with
+    each piece stripped. A ``+`` or ``-`` right after ``^`` belongs to an
+    exponent and never cuts. Unbalanced brackets are refused.
     """
-    terms = []
-    depth = 0
-    cur = []
-    sign = 1
-    prev = ""
-    pending = True  # a term is still owed (at the start and after every sign)
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise InvalidInputError(f"unbalanced ']' in {what} {text!r}")
-        if depth == 0 and ch in "+-" and prev != "^":
-            chunk = "".join(cur).strip()
-            if chunk:
-                terms.append((sign, chunk))
-                sign = 1
-            elif terms or prev in ("+", "-"):
-                raise InvalidInputError(f"dangling sign in {what} {text!r}")
-            if ch == "-":
-                sign = -sign
-            cur = []
-            pending = True
-        else:
-            cur.append(ch)
+    pieces = []
+    open_ = []
+    sep, start, prev = "", 0, ""
+    for i, ch in enumerate(text):
+        if ch in "[(":
+            open_.append(ch)
+        elif ch in _OPENER:
+            if not open_ or open_.pop() != _OPENER[ch]:
+                raise InvalidInputError(f"unbalanced {ch!r} in {what} {text!r}")
+        elif ch in seps and not open_ and not (ch in "+-" and prev == "^"):
+            pieces.append((sep, text[start:i].strip()))
+            sep, start = ch, i + 1
         if not ch.isspace():
             prev = ch
-    if depth != 0:
-        raise InvalidInputError(f"unbalanced '[' in {what} {text!r}")
-    chunk = "".join(cur).strip()
-    if chunk:
-        terms.append((sign, chunk))
-    elif pending:
+    if open_:
+        raise InvalidInputError(f"unbalanced {open_[-1]!r} in {what} {text!r}")
+    pieces.append((sep, text[start:].strip()))
+    return pieces
+
+
+def _split_on_signs(text: str, what: str) -> list[tuple[int, str]]:
+    """Split an additive expression into (sign, term) pairs.
+
+    One leading sign is allowed; an empty or dangling term is refused.
+    """
+    pieces = _split_top(text, "+-", what)
+    if len(pieces) > 1 and not pieces[0][1]:
+        del pieces[0]
+    if not all(term for _, term in pieces):
         raise InvalidInputError(f"empty or dangling term in {what} {text!r}")
-    return terms
+    return [(-1 if sep == "-" else 1, term) for sep, term in pieces]
 
 
 def _parse_ext_coeff(field: Field, body: str):
-    """A bracketed coefficient: a polynomial in x over the prime field."""
+    """A bracketed coefficient: a polynomial in x over the prime field.
+
+    The generator x is a unit, so x^k is x^(k mod (q - 1)).
+    """
     total = field.zero
     for sign, chunk in _split_on_signs(body, "coefficient"):
         m = _XTERM_RE.match(chunk)
@@ -89,14 +90,13 @@ def _parse_ext_coeff(field: Field, body: str):
             c = int(m.group(1)) if m.group(1) else 1
             k = int(m.group(2)) if m.group(2) else 1
             value = field.element(sign * c)
-            for _ in range(k):
+            for _ in range(k % (field.q - 1)):
                 value = value * field.gen
         total = total + value
     return total
 
 
 def _parse_coeff(field: Field, text: str):
-    text = text.strip()
     if text.startswith("[") and text.endswith("]"):
         return _parse_ext_coeff(field, text[1:-1])
     if _INT_RE.match(text):
@@ -105,19 +105,6 @@ def _parse_coeff(field: Field, text: str):
         # unbracketed generator term, e.g. a lone "x" constant
         return _parse_ext_coeff(field, text)
     raise InvalidInputError(f"bad coefficient {text!r}")
-
-
-def _split_star(text: str):
-    """Split at the single top-level ``*`` separating coefficient and power."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            return text[:i], text[i + 1 :]
-    return None
 
 
 def parse_series(field: Field, text: str) -> LaurentSeries:
@@ -130,24 +117,15 @@ def parse_series(field: Field, text: str) -> LaurentSeries:
     if known is not None:
         text, prec = known.group(1), int(known.group(2))
     coeffs: dict[int, object] = {}
-    for sign, chunk in _split_on_signs(text, "series literal"):
-        split = _split_star(chunk)
-        if split is not None:
-            coeff_text, power_text = split
-            coeff = _parse_coeff(field, coeff_text)
-            m = _VAR_RE.match(power_text.strip())
-            if m is None:
-                raise InvalidInputError(f"bad monomial {power_text.strip()!r}")
+    for sign, term in _split_on_signs(text, "series literal"):
+        parts = [part for _, part in _split_top(term, "*", "series term")]
+        m = _VAR_RE.match(parts[-1])
+        if len(parts) == 1 and m is None:
+            coeff, degree = _parse_coeff(field, term), 0
+        elif len(parts) > 2 or m is None:
+            raise InvalidInputError(f"bad monomial in {term!r}")
         else:
-            m = _VAR_RE.match(chunk)
-            if m is not None:
-                coeff = field.one
-            else:
-                coeff = _parse_coeff(field, chunk)
-                m = None
-        if m is None:
-            degree = 0
-        else:
+            coeff = _parse_coeff(field, parts[0]) if len(parts) == 2 else field.one
             k = int(m.group(2)) if m.group(2) is not None else 1
             degree = -k if m.group(1) == "t" else k
         if sign < 0:
@@ -181,23 +159,10 @@ def format_vertex(v: Vertex) -> str:
     return str(v)
 
 
-def _call_args(text: str, name: str, count: int):
-    """The comma-separated arguments of ``name(...)``, split at depth 0."""
+def _call_args(text: str, name: str, count: int) -> list[str]:
+    """The comma-separated arguments of ``name(...)``."""
     body = text[len(name) + 1 : -1]
-    args = []
-    depth = 0
-    cur = []
-    for ch in body:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            args.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    args.append("".join(cur).strip())
+    args = [arg for _, arg in _split_top(body, ",", f"{name}(...)")]
     if len(args) != count:
         raise InvalidInputError(
             f"{name}(...) takes {count} arguments, got {len(args)} in {text!r}"
@@ -234,49 +199,23 @@ def format_end(e: End) -> str:
     return str(e)
 
 
-def parse_matrix(field: Field, text: str) -> TreeAutomorphism:
-    """Parse a matrix literal ``[[a,b],[c,d]]`` with series entries.
+def _bracketed_pair(text: str, what: str) -> list[str]:
+    """The two comma-separated items of ``[a,b]``."""
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise InvalidInputError(f"{what} {text!r} is not bracketed")
+    items = [item for _, item in _split_top(text[1:-1], ",", what)]
+    if len(items) != 2:
+        raise InvalidInputError(f"{what} {text!r} needs 2 items, got {len(items)}")
+    return items
 
-    Bracket depth 1 is the matrix, depth 2 a row, depth 3 a bracketed
-    extension-field coefficient inside an entry.
-    """
-    stripped = text.strip()
-    rows: list[list[str]] = []
-    row: list[str] | None = None
-    depth = 0
-    cur: list[str] = []
-    for ch in stripped:
-        if ch == "[":
-            depth += 1
-            if depth == 2:
-                row = []
-                cur = []
-            elif depth == 3:
-                cur.append(ch)
-            elif depth > 3:
-                raise InvalidInputError(f"brackets nest too deep in {text!r}")
-        elif ch == "]":
-            if depth == 3:
-                cur.append(ch)
-            elif depth == 2:
-                row.append("".join(cur).strip())
-                rows.append(row)
-                row = None
-            elif depth < 1:
-                raise InvalidInputError(f"unbalanced brackets in matrix {text!r}")
-            depth -= 1
-        elif ch == "," and depth == 2:
-            row.append("".join(cur).strip())
-            cur = []
-        elif depth >= 2:
-            cur.append(ch)
-        elif not ch.isspace() and not (ch == "," and depth == 1):
-            raise InvalidInputError(f"unexpected {ch!r} in matrix literal {text!r}")
-    if depth != 0:
-        raise InvalidInputError(f"unbalanced brackets in matrix {text!r}")
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise InvalidInputError(f"matrix literal needs 2x2 entries: {text!r}")
-    entries = [parse_series(field, cell) for row in rows for cell in row]
+
+def parse_matrix(field: Field, text: str) -> TreeAutomorphism:
+    """Parse a matrix literal ``[[a,b],[c,d]]`` with series entries."""
+    rows = _bracketed_pair(text, "matrix literal")
+    entries = [
+        parse_series(field, cell) for row in rows for cell in _bracketed_pair(row, "matrix row")
+    ]
     return TreeAutomorphism(field, *entries)
 
 

@@ -278,12 +278,12 @@ def _first_three_steps(steps: int, step_ok) -> int | None:
 def _detect_rays(G: GraphOfGroups) -> None:
     """Find the chains going to the top depth and certify their tails.
 
-    A chain is walked down from each deepest vertex while the edges are
-    one-to-one; the base then slides up until three consecutive steps
-    multiply the stabilizer order by exactly q with the edge group equal
-    to the lower vertex group (the nested index-q condition). Once those
-    three steps certify, the rest of the enumerated chain is required to
-    continue the pattern.
+    A chain is walked down from each deepest vertex while the vertex has
+    one down-edge and the vertex below it one up-edge; the base then slides
+    up until three consecutive steps multiply the stabilizer order by
+    exactly q with the edge group equal to the lower vertex group (the
+    nested index-q condition). Once those three steps certify, the rest of
+    the enumerated chain is required to continue the pattern.
     """
     q = G.lattice.q
     down_edges: dict[str, list[int]] = {}
@@ -295,31 +295,18 @@ def _detect_rays(G: GraphOfGroups) -> None:
         (v.id for v in G.vertices.values() if v.level == G.depth),
     )
     for top in tops:
+        if len(down_edges.get(top, [])) != 1:
+            continue
         chain = [top]
         chain_edges: list[int] = []
-        cur = top
         while True:
-            dn = down_edges.get(cur, [])
-            if len(dn) != 1:
+            dn = down_edges.get(chain[-1], [])
+            if len(dn) != 1 or len(up_edges[G.edges[dn[0]].v_from]) != 1:
                 break
-            edge = G.edges[dn[0]]
-            lower = edge.v_from
-            if len(up_edges.get(lower, [])) != 1:
-                chain.append(lower)
-                chain_edges.append(dn[0])
-                break
-            chain.append(lower)
+            chain.append(G.edges[dn[0]].v_from)
             chain_edges.append(dn[0])
-            cur = lower
         chain.reverse()
         chain_edges.reverse()
-        # If the walk stopped because of branching below, the branch point
-        # itself cannot be part of the tail.
-        if chain and len(up_edges.get(chain[0], [])) != 1:
-            chain = chain[1:]
-            chain_edges = chain_edges[1:]
-        if not chain:
-            continue
 
         def step_ok(i: int) -> bool:
             lo = G.vertices[chain[i]]

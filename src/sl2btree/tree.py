@@ -389,39 +389,29 @@ class Tree:
             raise InvalidInputError("midpoint of an odd-length geodesic is an edge")
         return self.path(x, y)[d // 2]
 
+    def _layers(self, x: Vertex, radius: int) -> list[list[Vertex]]:
+        """The spheres of radius 0, ..., radius about x, each in BFS order."""
+        seen = {x}
+        layers = [[x]]
+        for _ in range(radius):
+            nxt = []
+            for v in layers[-1]:
+                for u in self.neighbors(v):
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            layers.append(nxt)
+        return layers
+
     def ball(self, x: Vertex, radius: int) -> list[Vertex]:
         """All vertices within the given distance, BFS order."""
         _require_nonnegative("ball radius", radius)
-        seen = {x}
-        out = [x]
-        frontier = [x]
-        for _ in range(radius):
-            nxt = []
-            for v in frontier:
-                for u in self.neighbors(v):
-                    if u not in seen:
-                        seen.add(u)
-                        out.append(u)
-                        nxt.append(u)
-            frontier = nxt
-        return out
+        return [v for layer in self._layers(x, radius) for v in layer]
 
     def sphere(self, x: Vertex, radius: int) -> list[Vertex]:
-        """All vertices at distance exactly `radius`."""
+        """All vertices at distance exactly `radius`, BFS order."""
         _require_nonnegative("sphere radius", radius)
-        if radius == 0:
-            return [x]
-        seen = {x}
-        frontier = [x]
-        for _ in range(radius):
-            nxt = []
-            for v in frontier:
-                for u in self.neighbors(v):
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        return frontier
+        return self._layers(x, radius)[-1]
 
     # -- ends and rays ---------------------------------------------------------
 

@@ -1,5 +1,9 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
+from sl2btree import cli
 from sl2btree.errors import InvalidInputError
 from sl2btree.field import field
 from sl2btree.literals import (
@@ -18,6 +22,22 @@ from sl2btree.tree import RationalEnd, TruncatedEnd, UpEnd
 
 F = field(2)
 F3 = field(3)
+
+
+@contextmanager
+def within_seconds(seconds):
+    """Fail the block, rather than wait on it, once it runs past `seconds`."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_series_grammar():
@@ -122,3 +142,44 @@ def test_matrix_literals():
         parse_matrix(F, "[[1,0],[0,1]")
     with pytest.raises(InvalidInputError):
         parse_matrix(F, "[[1,0,0],[0,1,0]]")
+
+
+# A matrix literal has exactly one comma between its rows.
+MALFORMED_MATRICES = ["[[1,0][0,1]]", "[[1,0],,,[0,1]]", "[,[1,0],[0,1]]", "[[1,0],[0,1],]"]
+
+
+@pytest.mark.parametrize("text", MALFORMED_MATRICES)
+def test_malformed_matrices_are_refused(text):
+    with pytest.raises(InvalidInputError):
+        parse_matrix(F, text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[text] for text in MALFORMED_MATRICES] + [["[[[[x]]*t,0],[0,1]]", "--q", "4"]],
+)
+def test_classify_refuses_malformed_matrices(capsys, argv):
+    rc = cli.main(["classify", *argv])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_bracketed_coefficients_inside_matrix_entries(q):
+    g = parse_matrix(field(q), "[[[x+1]*t,1],[0,[x]]]")
+    assert format_matrix(g) == "[[[1+x]*t,1],[0,[x]]]"
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_generator_powers_are_reduced_mod_q_minus_1(q):
+    Fq = field(q)
+    power = Fq.one
+    for k in range(3 * (q - 1)):
+        assert parse_series(Fq, f"[x^{k}]") == LaurentSeries.exact(Fq, {0: power})
+        power = power * Fq.gen
+    k = 99999999999
+    with within_seconds(1.0):
+        s = parse_series(Fq, f"[x^{k}]*t")
+    assert s == parse_series(Fq, f"[x^{k % (q - 1)}]*t")

@@ -4,11 +4,12 @@ Series (exact, and known only mod p^N), vertices, ends (up, rational and
 truncated) and matrices are drawn over F_2, F_3, F_4 and F_9, formatted,
 and parsed again; the result must equal the original, precision included.
 Truncated ends are drawn with horizons N from -8 to 8: the action builds
-ends known only modulo pi^N with N <= 0 too.
+ends known only modulo pi^N with N <= 0 too. Strings over the literal
+alphabet must parse or be refused with InvalidInputError within a second.
 """
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sl2btree.autom import TreeAutomorphism
 from sl2btree.errors import InvalidInputError
@@ -24,6 +25,7 @@ from sl2btree.literals import (
 )
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import TruncatedEnd
+from test_literals import within_seconds
 from test_series_properties import series
 from test_tree_properties import PROPERTY, QS, TREES, _series, rational_ends, vertices_near
 
@@ -72,3 +74,24 @@ def test_matrix_literals_round_trip(q, data):
     except InvalidInputError:
         assume(False)  # singular
     assert parse_matrix(F, format_matrix(g)) == g
+
+
+LITERAL_ALPHABET = [
+    *"[](),;+-*^ ", "t", "p", "x", *"0123456789", "99999999999", " mod p^", "rat(", "trunc(", "up",
+]
+LITERALS = st.lists(st.sampled_from(LITERAL_ALPHABET), max_size=24).map("".join)
+
+
+@pytest.mark.parametrize("q", QS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(text="x^99999999999")
+@example(text="[[[x^99999999999],0],[0,1]]")
+@given(text=LITERALS)
+def test_literal_parsers_answer_or_refuse_within_a_second(q, text):
+    F = TREES[q].field
+    for parse in (parse_series, parse_vertex, parse_end, parse_matrix):
+        with within_seconds(1.0):
+            try:
+                parse(F, text)
+            except InvalidInputError:
+                pass

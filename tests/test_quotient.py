@@ -69,6 +69,25 @@ def test_uncertified_tail_at_shallow_depth():
         covolume(quotient_graph(nagao2, 2))
 
 
+def test_ray_detection_on_a_hand_built_graph():
+    # C0-C1-C2-C3 is a chain whose steps all multiply the order by q = 2;
+    # T1 and T2 hang from the branch M, T3 has no down-edge and T4 two
+    G = quotient.GraphOfGroups(NagaoLattice(field(2)), 3)
+    for vid, level, order in [("C0", 0, 1), ("C1", 1, 2), ("C2", 2, 4), ("C3", 3, 8),
+                              ("B", 1, 1), ("M", 2, 1), ("T1", 3, 1), ("T2", 3, 1),
+                              ("T3", 3, 1), ("M2", 2, 1), ("M3", 2, 1), ("T4", 3, 1)]:
+        G.vertices[vid] = quotient.QuotientVertex(vid, level, 0, order)
+    for lo, hi, order in [("C0", "C1", 1), ("C1", "C2", 2), ("C2", "C3", 4), ("B", "M", 1),
+                          ("M", "T1", 1), ("M", "T2", 1), ("M2", "T4", 1), ("M3", "T4", 1)]:
+        G.edges.append(quotient.QuotientEdge(lo, hi, order))
+    quotient._detect_rays(G)
+    assert [(r.vertex_ids, r.edge_indices, r.base_level, r.certified) for r in G.rays] == [
+        (["C0", "C1", "C2", "C3"], [0, 1, 2], 0, True),
+        (["T1"], [], 3, False),
+        (["T2"], [], 3, False),
+    ]
+
+
 def test_level_t_quotient_is_a_tripod():
     lat = CongruenceLattice(F2, parse_series(F2, "t"))
     G = quotient_graph(lat, 8)

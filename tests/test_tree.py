@@ -167,6 +167,15 @@ def test_ball_rejects_a_negative_radius():
         tree.ball(v0, -1)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_sphere_is_the_last_layer_of_the_ball(q):
+    tree = Tree(field(q))
+    x = tree.vertex(2, parse_series(tree.field, "t+p"))
+    for r in range(1, 5):
+        assert tree.sphere(x, r) == tree.ball(x, r)[len(tree.ball(x, r - 1)):]
+    assert tree.sphere(x, 0) == tree.ball(x, 0) == [x]
+
+
 def test_sphere_rejects_a_negative_radius():
     with pytest.raises(InvalidInputError):
         tree.sphere(v0, -2)
