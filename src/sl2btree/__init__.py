@@ -60,7 +60,6 @@ _EXPORTS = {
     "CuspData": "lattice",
     "NagaoLattice": "lattice",
     "ReducedVertex": "lattice",
-    "stabilizer_bruteforce": "lattice",
     "CertifiedIndependent": "quotient",
     "CounterexamplePair": "quotient",
     "CovolumeResult": "quotient",

@@ -112,12 +112,43 @@ def _covolume_or_none(graph):
         return None
 
 
+_ENCODE = json.JSONEncoder(separators=(",\0", ": ")).encode
+_SCALARS = (str, int, float, type(None))
+
+
+def _only(values, kinds) -> bool:
+    return all(issubclass(t, kinds) for t in set(map(type, values)))
+
+
+def _json_text(obj, indent="\n") -> str:
+    """`json.dumps(obj, indent=2)` byte for byte, for string keys.
+
+    An indent selects json's pure-Python encoder. Here flat containers and
+    lists of non-empty flat dicts take one C-encoder call, whose ",\\0" item
+    separators become line breaks: json escapes every control character.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return _ENCODE(obj)
+    inner = indent + "  "
+    if _only(obj.values() if isinstance(obj, dict) else obj, _SCALARS):
+        text = _ENCODE(obj)
+        return text[0] + inner + text[1:-1].replace("\0", inner) + indent + text[-1]
+    if isinstance(obj, dict):
+        items = [_ENCODE(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if _only(obj, dict) and all(obj) and _only([v for r in obj for v in r.values()], _SCALARS):
+        deeper = inner + "  "
+        text = _ENCODE(obj)[2:-2].replace("},\0{", inner + "}," + inner + "{" + deeper)
+        return "[" + inner + "{" + deeper + text.replace("\0", deeper) + inner + "}" + indent + "]"
+    return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + indent + "]"
+
+
 def _graph_text(graph, fmt: str, cov) -> str:
     if fmt == "dot":
         return graph.to_dot()
     out = graph.to_json_dict()
     out["covolume"] = None if cov is None else str(cov)
-    return json.dumps(out, indent=2) + "\n"
+    return _json_text(out) + "\n"
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -195,7 +226,7 @@ def _cmd_cusps(args):
             out["certified"] = True
             out["pairs_checked"] = sum(s.pairs_checked for s in verdict.singles)
             out["cross_pairs_checked"] = verdict.cross_pairs_checked
-    return code, json.dumps(out, indent=2) + "\n"
+    return code, _json_text(out) + "\n"
 
 
 def _cmd_contract(args):
@@ -224,7 +255,7 @@ def _cmd_probe(args):
         out["bounded"] = all(o <= args.max_order for o in probe.orders)
         if not out["bounded"]:
             code = 1
-    return code, json.dumps(out, indent=2) + "\n"
+    return code, _json_text(out) + "\n"
 
 
 def _cmd_verify(args):

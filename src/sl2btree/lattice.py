@@ -14,8 +14,8 @@ Vertex stabilizers come in one closed form in d = deg f and the scalar
 units, the constants alpha = 1 mod f (all of F_q^x when d = 0, else only
 1): constant matrices at the origin of the full lattice, [[alpha, f*c],
 [0, alpha^-1]] with bounded deg c everywhere else on the ray. They are
-conjugated to arbitrary vertices through the reduction witness;
-`stabilizer_bruteforce` recomputes them by direct enumeration. Ends fixed
+conjugated to arbitrary vertices through the reduction witness; the
+tests recompute them by direct enumeration. Ends fixed
 by nontrivial translations of the lattice are recognized by `is_cuspidal`,
 which hands back the conjugator into standard position and the parameter
 module of the fixing translations.
@@ -26,11 +26,7 @@ import itertools
 import operator
 
 from .autom import TreeAutomorphism
-from .errors import (
-    InvalidInputError,
-    NonterminationGuard,
-    SizeGuardExceeded,
-)
+from .errors import InvalidInputError, NonterminationGuard, SizeGuardExceeded
 from .field import Field
 from .polys import (
     ResidueRing,
@@ -346,6 +342,7 @@ class CosetTable:
         self._constants = None
         self._constant_lifts = None
         self._partitions = {}
+        self._finer = {}  # image -> (smaller image H, x with image = union of x * H)
 
     def __repr__(self) -> str:
         return (
@@ -430,30 +427,36 @@ class CosetTable:
 
         At n = 0 that is the common stabilizer of (0, 0) and (1, 0). For
         n >= deg(f) - 1 this is the image of the full stabilizer of the
-        zero end and stops growing.
+        zero end and stops growing. At k >= 1 it is the upper shears by the
+        c*t^k (the first q of `low_degree(k)`) times the image at k - 1.
         """
         ring = self.ring
         k = min(n, ring.degree - 1)
         if k not in self._borel:
-            self._borel[k] = frozenset(
+            image = self._borel[k] = frozenset(
                 (ring.constant(alpha), b, ring.zero, ring.constant(alpha.inverse()))
                 for alpha in self.field.units()
                 for b in ring.low_degree(k)
             )
+            if k >= 1:
+                shears = [(ring.one, s, 0, ring.one) for s in ring.low_degree(k)[: self.field.q]]
+                self._finer[image] = (self.borel_image(k - 1), shears)
         return self._borel[k]
 
     def constants_image(self):
-        """Image of the constant-matrix stabilizer of the origin.
+        """Image of the constant-matrix stabilizer of the origin, SL2(F_q).
 
-        These are the members whose four entries are images of constants:
-        the constants embed in R (or all map to 0 in the zero ring), so the
-        determinant condition is the one over F_q.
+        It is the union of the cosets x * borel_image(0) over the q + 1
+        points x of P^1(F_q): the lower shears by constants and the half
+        turn. The constants embed in R (or all map to 0 in the zero ring).
         """
         if self._constants is None:
-            consts = {self.ring.constant(c) for c in self.field.elements()}
-            self._constants = frozenset(
-                m for m in self.elements if all(x in consts for x in m)
-            )
+            ring, one, borel = self.ring, self.ring.one, self.borel_image(0)
+            points = [(one, 0, ring.constant(c), one) for c in self.field.elements()]
+            points.append((0, one, ring.neg(one), 0))
+            self._constants = frozenset(self.matmul(x, b) for x in points for b in borel)
+            if ring.degree:
+                self._finer[self._constants] = (borel, points)
         return self._constants
 
     def constant_lifts(self) -> dict:
@@ -472,9 +475,7 @@ class CosetTable:
 
     def vertex_image(self, n: int):
         """Image of the stabilizer of the standard-ray vertex (n, 0)."""
-        if n == 0:
-            return self.constants_image()
-        return self.borel_image(n)
+        return self.constants_image() if n == 0 else self.borel_image(n)
 
     # -- coset bookkeeping -------------------------------------------------------
 
@@ -484,64 +485,31 @@ class CosetTable:
         Cosets are numbered in increasing order of least member. `subgroup`
         is a frozenset such as `vertex_image(n)`. The partition is computed
         once per subgroup; callers share the returned dict and list and must
-        not modify them. `elements` is sorted, so the first member not yet
-        numbered is the least member of its coset.
+        not modify them. An image that `borel_image` or `constants_image`
+        built as a union of cosets x * H of a smaller image H is partitioned
+        from H's partition, since g * subgroup is the union of the cosets of
+        g * x; other subgroups from the sorted `elements`. Either way the
+        members are walked in increasing order, so a coset is met first at
+        its least member.
         """
         part = self._partitions.get(subgroup)
         if part is None:
-            coset_of, least = {}, []
-            for g in self.elements:
-                if g in coset_of:
-                    continue
-                for s in subgroup:
-                    coset_of[self.matmul(g, s)] = len(least)
-                least.append(g)
+            matmul, finer, least = self.matmul, self._finer.get(subgroup), []
+            if finer is None:
+                coset_of = {}
+                for g in self.elements:
+                    if g not in coset_of:
+                        for s in subgroup:
+                            coset_of[matmul(g, s)] = len(least)
+                        least.append(g)
+            else:
+                fine_of, fine_least = self.coset_partition(finer[0])
+                number = [None] * len(fine_least)
+                for k, g in enumerate(fine_least):
+                    if number[k] is None:
+                        for x in finer[1]:
+                            number[fine_of[matmul(g, x)]] = len(least)
+                        least.append(g)
+                coset_of = {g: number[k] for g, k in fine_of.items()}
             part = self._partitions[subgroup] = (coset_of, least)
         return part
-
-
-def stabilizer_bruteforce(
-    lattice: NagaoLattice, v: Vertex, degree_bound: int
-) -> list[TreeAutomorphism]:
-    """All lattice members with entry t-degree <= degree_bound fixing v.
-
-    Independent of the closed forms: enumerates coprime first columns,
-    solves the determinant equation for the second column, and checks the
-    action literally. Exponential in the bound; keep it small.
-    """
-    if degree_bound > 6:
-        raise SizeGuardExceeded("brute-force stabilizers cap at degree 6")
-    F = lattice.field
-    polys = list(all_t_polys(F, degree_bound))
-    # images of v under the shear family, bucketed so each distinct image
-    # is pushed through a candidate only once
-    buckets: dict[Vertex, list[LaurentSeries]] = {}
-    for k in polys:
-        w = TreeAutomorphism.upper_shear(F, k).act_vertex(v)
-        buckets.setdefault(w, []).append(k)
-    out = []
-    for a in polys:
-        for c in polys:
-            if not a.has_terms() and not c.has_terms():
-                continue
-            g, u, w = xgcd_t(a, c)
-            if t_degree(g) != 0:
-                continue
-            d0, b0 = u, -w
-            base = TreeAutomorphism(F, a, b0, c, d0)
-            for image, ks in buckets.items():
-                if base.act_vertex(image) != v:
-                    continue
-                for k in ks:
-                    b, d = b0 + k * a, d0 + k * c
-                    if t_degree(b) > degree_bound or t_degree(d) > degree_bound:
-                        continue
-                    cand = TreeAutomorphism(F, a, b, c, d)
-                    if not lattice.contains(cand):
-                        continue
-                    if cand.act_vertex(v) != v:
-                        raise NonterminationGuard(
-                            "shear bucketing disagreed with the literal action"
-                        )
-                    out.append(cand)
-    return out

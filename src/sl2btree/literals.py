@@ -86,6 +86,8 @@ def _parse_ext_coeff(field: Field, body: str):
             raise InvalidInputError(f"bad extension coefficient term {chunk!r}")
         if m.group(3) is not None:
             value = field.element(sign * int(m.group(3)))
+        elif field.e == 1:
+            raise InvalidInputError(f"x names no generator of the prime field F_{field.q}")
         else:
             c = int(m.group(1)) if m.group(1) else 1
             k = int(m.group(2)) if m.group(2) else 1

@@ -1,0 +1,55 @@
+"""Brute-force oracles for the tests, sharing no code with the closed forms."""
+
+from sl2btree.autom import TreeAutomorphism
+from sl2btree.errors import NonterminationGuard, SizeGuardExceeded
+from sl2btree.lattice import NagaoLattice
+from sl2btree.polys import all_t_polys, t_degree, xgcd_t
+from sl2btree.series import LaurentSeries
+from sl2btree.tree import Vertex
+
+
+def stabilizer_bruteforce(
+    lattice: NagaoLattice, v: Vertex, degree_bound: int
+) -> list[TreeAutomorphism]:
+    """All lattice members with entry t-degree <= degree_bound fixing v.
+
+    Independent of the closed forms: enumerates coprime first columns,
+    solves the determinant equation for the second column, and checks the
+    action literally. Exponential in the bound; keep it small.
+    """
+    if degree_bound > 6:
+        raise SizeGuardExceeded("brute-force stabilizers cap at degree 6")
+    F = lattice.field
+    polys = list(all_t_polys(F, degree_bound))
+    # images of v under the shear family, bucketed so each distinct image
+    # is pushed through a candidate only once
+    buckets: dict[Vertex, list[LaurentSeries]] = {}
+    for k in polys:
+        w = TreeAutomorphism.upper_shear(F, k).act_vertex(v)
+        buckets.setdefault(w, []).append(k)
+    out = []
+    for a in polys:
+        for c in polys:
+            if not a.has_terms() and not c.has_terms():
+                continue
+            g, u, w = xgcd_t(a, c)
+            if t_degree(g) != 0:
+                continue
+            d0, b0 = u, -w
+            base = TreeAutomorphism(F, a, b0, c, d0)
+            for image, ks in buckets.items():
+                if base.act_vertex(image) != v:
+                    continue
+                for k in ks:
+                    b, d = b0 + k * a, d0 + k * c
+                    if t_degree(b) > degree_bound or t_degree(d) > degree_bound:
+                        continue
+                    cand = TreeAutomorphism(F, a, b, c, d)
+                    if not lattice.contains(cand):
+                        continue
+                    if cand.act_vertex(v) != v:
+                        raise NonterminationGuard(
+                            "shear bucketing disagreed with the literal action"
+                        )
+                    out.append(cand)
+    return out

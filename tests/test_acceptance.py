@@ -12,11 +12,7 @@ from fractions import Fraction
 
 from sl2btree.autom import TreeAutomorphism
 from sl2btree.field import field
-from sl2btree.lattice import (
-    CongruenceLattice,
-    NagaoLattice,
-    stabilizer_bruteforce,
-)
+from sl2btree.lattice import CongruenceLattice, NagaoLattice
 from sl2btree.literals import parse_end, parse_matrix, parse_series, parse_vertex
 from sl2btree.quotient import (
     CertifiedIndependent,
@@ -31,6 +27,8 @@ from sl2btree.quotient import (
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import Tree
 from sl2btree.verify import SUITES, run_all
+
+from brute_force import stabilizer_bruteforce
 
 
 @contextmanager

@@ -3,6 +3,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2btree import cli, errors
 from sl2btree.errors import InsufficientPrecision, NonterminationGuard
@@ -420,3 +421,22 @@ def test_level_without_congruence_exits_3(capsys, command, lattice):
     assert rc == 3
     assert out == ""
     assert "--level" in err
+
+
+# strings with the characters the writer's markers and brackets could clash with
+TEXT = st.text(st.sampled_from(["\0", ",", "{", "}", "[", "]", "\n", '"', "\\", "a", "\u00e9", "\u2028"]))
+SCALARS = st.none() | st.booleans() | st.integers() | TEXT | st.text(max_size=4)
+FLAT_RECORDS = st.lists(st.dictionaries(TEXT, SCALARS, min_size=1, max_size=4), max_size=4)
+JSON_VALUES = st.recursive(
+    SCALARS | FLAT_RECORDS,
+    lambda inner: st.lists(inner, max_size=4).map(tuple)
+    | st.lists(inner, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(obj=JSON_VALUES)
+def test_json_text_is_json_dumps_with_indent_2(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)

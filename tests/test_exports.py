@@ -23,6 +23,7 @@ DELETED = [
     "StabilizerGroup",
     "UnknownCusp",
     "free_product_report",
+    "stabilizer_bruteforce",  # a test oracle, now in tests/brute_force.py
 ]
 DELETED_METHODS = [
     (lattice.NagaoLattice, "stabilizer"),

@@ -12,7 +12,6 @@ from sl2btree.lattice import (
     CosetTable,
     CuspData,
     NagaoLattice,
-    stabilizer_bruteforce,
 )
 from sl2btree.literals import (
     format_end,
@@ -26,6 +25,8 @@ from sl2btree.polys import t_degree
 from sl2btree.quotient import growth_probe
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import Vertex
+
+from brute_force import stabilizer_bruteforce
 
 
 F = field(2)
@@ -303,21 +304,47 @@ def test_coset_table_subgroup_images():
     assert len(least) == 8
 
 
-@pytest.mark.parametrize("q,level", [(2, "t^2"), (2, "t^2+t"), (3, "t")])
+def _enumerated_partition(table, subgroup):
+    """The cosets g * subgroup numbered by walking every sorted member."""
+    coset_of, least = {}, []
+    for g in table.elements:
+        if g not in coset_of:
+            for s in subgroup:
+                coset_of[table.matmul(g, s)] = len(least)
+            least.append(g)
+    return coset_of, least
+
+
+@pytest.mark.parametrize(
+    "q,level",
+    [
+        (2, None), (2, "t"), (2, "t^2"), (2, "t^2+t"), (2, "t^3"), (2, "t^4+t+1"),
+        (2, "t^4+t^3+t^2+t"), (3, None), (3, "t"), (3, "t^2"), (4, "t"), (4, "t^2"), (9, "t"),
+    ],
+)
 def test_coset_partition_numbers_cosets_by_least_member(q, level):
+    # the partitions derived from finer ones against the enumeration of
+    # every member, at every level down to deg f + 1
     Fq = field(q)
-    table = CongruenceLattice(Fq, parse_series(Fq, level)).coset_table()
-    for n in (0, 1, 2):
-        subgroup = table.vertex_image(n)
-        coset_of, least = table.coset_partition(subgroup)
-        assert set(coset_of) == set(table.elements)
-        cosets = {}
-        for g in table.elements:
-            cosets.setdefault(frozenset(table.matmul(g, s) for s in subgroup), g)
+    lat = NagaoLattice(Fq) if level is None else CongruenceLattice(Fq, parse_series(Fq, level))
+    table = lat.coset_table()
+    for n in range(lat.level_degree + 2):
+        for subgroup in (table.vertex_image(n), table.borel_image(n)):
+            coset_of, least = table.coset_partition(subgroup)
+            assert (coset_of, least) == _enumerated_partition(table, subgroup)
+            assert len(least) * len(subgroup) == table.index
+    if table.index <= 1000:
         # least members in increasing order, one per coset g * subgroup
-        assert least == sorted(cosets.values())
-        for k, g in enumerate(least):
-            assert all(coset_of[table.matmul(g, s)] == k for s in subgroup)
+        for n in range(lat.level_degree + 2):
+            subgroup = table.vertex_image(n)
+            cosets = {}
+            for g in table.elements:
+                cosets.setdefault(frozenset(table.matmul(g, s) for s in subgroup), g)
+            assert table.coset_partition(subgroup)[1] == sorted(cosets.values())
+    constants = {table.ring.constant(c) for c in Fq.elements()}
+    assert table.constants_image() == {
+        m for m in table.elements if all(x in constants for x in m)
+    }
 
 
 def test_cusp_representatives_counts():

@@ -172,6 +172,34 @@ def test_bracketed_coefficients_inside_matrix_entries(q):
     assert format_matrix(g) == "[[[1+x]*t,1],[0,[x]]]"
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_x_over_a_prime_field_is_refused(q):
+    Fq = field(q)
+    for text in ("x", "t+x", "[x+1]*t", "[2*x^2]*p"):
+        with pytest.raises(InvalidInputError, match=f"no generator of the prime field F_{q}"):
+            parse_series(Fq, text)
+    with pytest.raises(InvalidInputError, match="no generator"):
+        parse_matrix(Fq, "[[x,0],[0,x]]")
+    # bracketed integers still name elements of the prime field
+    assert parse_series(Fq, "[2]*t+[1+1]") == parse_series(Fq, "2*t+2")
+    assert parse_matrix(Fq, "[[[1],0],[0,[1]]]") == parse_matrix(Fq, "[[1,0],[0,1]]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["covolume", "--q", "3", "--lattice", "congruence", "--level", "t+x"],
+        ["classify", "[[x,0],[0,x]]", "--q", "3"],
+        ["probe", "rat(1, t+[x])", "--q", "3"],
+    ],
+)
+def test_x_over_a_prime_field_exits_3(capsys, argv):
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "")
+    assert err == "error: x names no generator of the prime field F_3\n"
+
+
 @pytest.mark.parametrize("q", [4, 9])
 def test_generator_powers_are_reduced_mod_q_minus_1(q):
     Fq = field(q)

@@ -1,0 +1,80 @@
+"""Per-layer microbenchmark of congruence quotients: coset partitions,
+graph assembly and the graph's JSON text.
+
+For each lattice below it prints the minimum over repeats of four rows, in
+milliseconds. Run from the root of a checkout:
+
+    PYTHONPATH=src python3 tools/microbench_quotient.py
+
+- `partitions`: every `CosetTable.coset_partition` that a quotient to
+  depth 8 reads (the vertex images and the upper-triangular images of the
+  levels 0..8), subgroup images included, on a table built afresh before
+  each timed run; the table's own construction is not timed.
+- `quotient_graph`: `quotient_graph(lattice, 8)` on a lattice whose
+  table already holds those partitions, so the row is the graph's
+  assembly and ray detection.
+- `json.dumps`: `json.dumps(G.to_json_dict(), indent=2)` of that graph,
+  the reference text.
+- `_json_text`: `cli._json_text` of the same dict, which the command line
+  prints; it must equal the reference, and the tool checks that it does.
+
+The Nagao lattices over F_8 and F_9 have the zero ring as residue ring,
+so their rows measure the fixed cost of a table that has one member.
+"""
+
+import json
+import time
+
+from sl2btree import cli
+from sl2btree.field import field
+from sl2btree.lattice import CongruenceLattice, CosetTable, NagaoLattice
+from sl2btree.literals import parse_series
+from sl2btree.quotient import quotient_graph
+
+LATTICES = [(2, "t^3"), (2, "t^4+t+1"), (3, "t^2"), (9, "t"), (8, None), (9, None)]
+DEPTH = 8
+REPEAT = 15  # timed runs per row; the fastest is kept
+
+
+def _lattice(q, level):
+    F = field(q)
+    return NagaoLattice(F) if level is None else CongruenceLattice(F, parse_series(F, level))
+
+
+def _partitions_s(lattice):
+    table = CosetTable(lattice.field, lattice.level)
+    t0 = time.perf_counter()
+    for n in range(DEPTH + 1):
+        table.coset_partition(table.vertex_image(n))
+        table.coset_partition(table.borel_image(n))
+    return time.perf_counter() - t0
+
+
+def _min_ms(run):
+    best = float("inf")
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
+def main():
+    rows = ("partitions", "quotient_graph", "json.dumps", "_json_text")
+    print(f"{'ms':<22}" + "".join(f"{name:>16}" for name in rows))
+    for q, level in LATTICES:
+        lattice = _lattice(q, level)
+        partitions = min(_partitions_s(lattice) for _ in range(REPEAT)) * 1e3
+        quotient_graph(lattice, DEPTH)  # builds the table and its partitions
+        graph = _min_ms(lambda: quotient_graph(lattice, DEPTH))
+        out = quotient_graph(lattice, DEPTH).to_json_dict()
+        if cli._json_text(out) != json.dumps(out, indent=2):
+            raise SystemExit(f"_json_text differs from json.dumps at {lattice}")
+        dumps = _min_ms(lambda: json.dumps(out, indent=2))
+        text = _min_ms(lambda: cli._json_text(out))
+        name = f"F_{q} " + ("nagao" if level is None else level)
+        print(f"{name:<22}" + "".join(f"{t:16.3f}" for t in (partitions, graph, dumps, text)))
+
+
+if __name__ == "__main__":
+    main()
