@@ -262,7 +262,7 @@ class NagaoLattice:
         polynomial matrix and applied to the zero end.
         """
         table = self.coset_table()
-        _, reps = table.coset_partition(table.borel_image(self.level_degree))
+        _, reps = table.coset_partition(self.level_degree)
         zero_end = self.tree.end_zero()
         return [self.is_cuspidal(table.lift(rep).act_end(zero_end)) for rep in reps]
 
@@ -291,10 +291,10 @@ class CosetTable:
 
     Materializes all determinant-1 matrices over the residue ring (the
     image of the polynomial lattice, which reduction maps onto), provides
-    subgroup images of the standard stabilizers, deterministic coset
-    decompositions, and a constructive section: `lift` rebuilds a
-    determinant-1 polynomial matrix from any residue matrix by splitting
-    it into elementary shears.
+    the coset partitions by the images of the standard stabilizers, level
+    by level, and a constructive section: `lift` rebuilds a determinant-1
+    polynomial matrix from any residue matrix by splitting it into
+    elementary shears.
 
     Residue matrices are 4-tuples (a, b, c, d) of ring elements, which are
     integers (see `ResidueRing`); tuple order is the lexicographic order of
@@ -338,11 +338,9 @@ class CosetTable:
             members.extend(sorted((a, b, ra[mul[s][a]], rb[mul[s][b]]) for s in range(n)))
         self.elements = members
         self.index = len(members)
-        self._borel = {}
-        self._constants = None
         self._constant_lifts = None
-        self._partitions = {}
-        self._finer = {}  # image -> (smaller image H, x with image = union of x * H)
+        self._borel_cosets = {}  # k -> partition of B_k
+        self._origin_cosets = None  # partition of SL2(F_q)
 
     def __repr__(self) -> str:
         return (
@@ -420,45 +418,6 @@ class CosetTable:
             raise NonterminationGuard("constructive lift failed to check")
         return lifted
 
-    # -- images of the standard stabilizers -------------------------------------
-
-    def borel_image(self, n: int):
-        """Image of the upper-triangular stabilizer of (n, 0).
-
-        At n = 0 that is the common stabilizer of (0, 0) and (1, 0). For
-        n >= deg(f) - 1 this is the image of the full stabilizer of the
-        zero end and stops growing. At k >= 1 it is the upper shears by the
-        c*t^k (the first q of `low_degree(k)`) times the image at k - 1.
-        """
-        ring = self.ring
-        k = min(n, ring.degree - 1)
-        if k not in self._borel:
-            image = self._borel[k] = frozenset(
-                (ring.constant(alpha), b, ring.zero, ring.constant(alpha.inverse()))
-                for alpha in self.field.units()
-                for b in ring.low_degree(k)
-            )
-            if k >= 1:
-                shears = [(ring.one, s, 0, ring.one) for s in ring.low_degree(k)[: self.field.q]]
-                self._finer[image] = (self.borel_image(k - 1), shears)
-        return self._borel[k]
-
-    def constants_image(self):
-        """Image of the constant-matrix stabilizer of the origin, SL2(F_q).
-
-        It is the union of the cosets x * borel_image(0) over the q + 1
-        points x of P^1(F_q): the lower shears by constants and the half
-        turn. The constants embed in R (or all map to 0 in the zero ring).
-        """
-        if self._constants is None:
-            ring, one, borel = self.ring, self.ring.one, self.borel_image(0)
-            points = [(one, 0, ring.constant(c), one) for c in self.field.elements()]
-            points.append((0, one, ring.neg(one), 0))
-            self._constants = frozenset(self.matmul(x, b) for x in points for b in borel)
-            if ring.degree:
-                self._finer[self._constants] = (borel, points)
-        return self._constants
-
     def constant_lifts(self) -> dict:
         """Residue matrix -> the constant lattice members reducing to it.
 
@@ -473,43 +432,77 @@ class CosetTable:
             self._constant_lifts = mapping
         return self._constant_lifts
 
-    def vertex_image(self, n: int):
-        """Image of the stabilizer of the standard-ray vertex (n, 0)."""
-        return self.constants_image() if n == 0 else self.borel_image(n)
+    # -- coset partitions by level -------------------------------------------------
 
-    # -- coset bookkeeping -------------------------------------------------------
+    def coset_partition(self, n: int):
+        """The cosets g * B_k, k = min(n, deg f - 1), as ({member: coset number}, least members).
 
-    def coset_partition(self, subgroup):
-        """The cosets g * subgroup as ({member: coset number}, least members).
-
-        Cosets are numbered in increasing order of least member. `subgroup`
-        is a frozenset such as `vertex_image(n)`. The partition is computed
-        once per subgroup; callers share the returned dict and list and must
-        not modify them. An image that `borel_image` or `constants_image`
-        built as a union of cosets x * H of a smaller image H is partitioned
-        from H's partition, since g * subgroup is the union of the cosets of
-        g * x; other subgroups from the sorted `elements`. Either way the
-        members are walked in increasing order, so a coset is met first at
-        its least member.
+        B_k is the image of the upper-triangular stabilizer of (k, 0): at
+        k = 0 the common stabilizer of (0, 0) and (1, 0), from k = deg f - 1
+        on the full stabilizer of the zero end. Cosets are numbered in
+        increasing order of least member. B_0's cosets are walked over the
+        sorted `elements`; B_k for k >= 1 is the union of the cosets
+        x * B_{k-1} over the q upper shears x by c*t^k, so its partition is
+        coarsened from B_{k-1}'s. Each level is computed once; callers
+        share the returned dict and list and must not modify them.
         """
-        part = self._partitions.get(subgroup)
+        k = min(n, self.ring.degree - 1)
+        part = self._borel_cosets.get(k)
         if part is None:
-            matmul, finer, least = self.matmul, self._finer.get(subgroup), []
-            if finer is None:
-                coset_of = {}
-                for g in self.elements:
-                    if g not in coset_of:
-                        for s in subgroup:
-                            coset_of[matmul(g, s)] = len(least)
-                        least.append(g)
+            ring = self.ring
+            if k < 1:
+                borel = frozenset(
+                    (ring.constant(alpha), b, ring.zero, ring.constant(alpha.inverse()))
+                    for alpha in self.field.units()
+                    for b in ring.low_degree(k)
+                )
+                part = self._walk(borel)
             else:
-                fine_of, fine_least = self.coset_partition(finer[0])
-                number = [None] * len(fine_least)
-                for k, g in enumerate(fine_least):
-                    if number[k] is None:
-                        for x in finer[1]:
-                            number[fine_of[matmul(g, x)]] = len(least)
-                        least.append(g)
-                coset_of = {g: number[k] for g, k in fine_of.items()}
-            part = self._partitions[subgroup] = (coset_of, least)
+                shears = [(ring.one, s, 0, ring.one) for s in ring.low_degree(k)[: self.field.q]]
+                part = self._coarsen(self.coset_partition(k - 1), shears)
+            self._borel_cosets[k] = part
         return part
+
+    def vertex_partition(self, n: int):
+        """The cosets of the image of the stabilizer of (n, 0), as `coset_partition`.
+
+        Above the origin that stabilizer is upper-triangular. At the origin
+        its image is SL2(F_q), the union of the cosets x * B_0 over the
+        q + 1 points x of P^1(F_q): the lower shears by constants and the
+        half turn.
+        """
+        if n >= 1:
+            return self.coset_partition(n)
+        if self._origin_cosets is None:
+            ring, one = self.ring, self.ring.one
+            points = [(one, 0, ring.constant(c), one) for c in self.field.elements()]
+            points.append((0, one, ring.neg(one), 0))
+            self._origin_cosets = self._coarsen(self.coset_partition(0), points)
+        return self._origin_cosets
+
+    def _walk(self, subgroup):
+        """The cosets g * subgroup, met at their least members in sorted `elements`."""
+        matmul, coset_of, least = self.matmul, {}, []
+        for g in self.elements:
+            if g not in coset_of:
+                for s in subgroup:
+                    coset_of[matmul(g, s)] = len(least)
+                least.append(g)
+        return coset_of, least
+
+    def _coarsen(self, finer, xs):
+        """The cosets g * H' with H' the union of the x * H, from H's partition.
+
+        g * H' is the union of the cosets of g * x, and the least members
+        of H's cosets come in increasing order, so a coarse coset is met
+        first at its least member.
+        """
+        fine_of, fine_least = finer
+        matmul, least = self.matmul, []
+        number = [None] * len(fine_least)
+        for k, g in enumerate(fine_least):
+            if number[k] is None:
+                for x in xs:
+                    number[fine_of[matmul(g, x)]] = len(least)
+                least.append(g)
+        return {g: number[k] for g, k in fine_of.items()}, least

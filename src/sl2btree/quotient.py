@@ -104,7 +104,7 @@ class HoroballMember:
     `residue` is the image r of `reduced.witness` in the residue group.
     `quotient_vertex` is (n, k) for the vertex L{n}C{k} of the quotient
     graph that the vertex maps to: n is its reduced level and k the coset
-    number of r^{-1} in the partition of `vertex_image(n)`.
+    number of r^{-1} in `CosetTable.vertex_partition(n)`.
     """
 
     __slots__ = ("vertex", "reduced", "residue", "residue_inverse", "quotient_vertex")
@@ -169,11 +169,15 @@ class GraphOfGroups:
 
     # -- serialization -----------------------------------------------------------
 
+    def _sorted(self):
+        """Vertices and edges in the order both serializations print them."""
+        verts = sorted(self.vertices.values(), key=lambda v: (v.order is None, v.level, v.id))
+        edges = sorted(self.edges, key=lambda e: (e.v_from, e.v_to, e.order))
+        return verts, edges
+
     def to_json_dict(self) -> dict:
         q = self.lattice.q
-        verts = sorted(
-            self.vertices.values(), key=lambda v: (v.order is None, v.level, v.id)
-        )
+        verts, edges = self._sorted()
         vertex_list = [
             {
                 "id": v.id,
@@ -184,7 +188,7 @@ class GraphOfGroups:
             for v in verts
         ]
         edge_list = []
-        for e in sorted(self.edges, key=lambda e: (e.v_from, e.v_to, e.order)):
+        for e in edges:
             fro, to = self.vertices[e.v_from], self.vertices[e.v_to]
             edge_list.append(
                 {
@@ -220,13 +224,14 @@ class GraphOfGroups:
 
     def to_dot(self) -> str:
         lines = ["graph quotient {", "  node [shape=circle];"]
-        for v in sorted(self.vertices.values(), key=lambda v: (v.order is None, v.level, v.id)):
+        verts, edges = self._sorted()
+        for v in verts:
             if v.order is None:
                 label = f"{v.id}\\ninfinite"
                 lines.append(f'  "{v.id}" [shape=doublecircle, label="{label}"];')
             else:
                 lines.append(f'  "{v.id}" [label="{v.id}\\n{v.order}"];')
-        for e in sorted(self.edges, key=lambda e: (e.v_from, e.v_to, e.order)):
+        for e in edges:
             lines.append(f'  "{e.v_from}" -- "{e.v_to}" [label="{e.order}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -251,14 +256,14 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
     table = lattice.coset_table()
     levels = []  # per level, ({member: coset number}, [vertex id by coset number])
     for n in range(depth + 1):
-        numbering, least = table.coset_partition(table.vertex_image(n))
+        numbering, least = table.vertex_partition(n)
         ids = [_vertex_id(lattice, n, k) for k in range(len(least))]
         levels.append((numbering, ids))
         order = lattice.base_order(n)
         for k, vid in enumerate(ids):
             G.vertices[vid] = QuotientVertex(id=vid, level=n, coset=k, order=order)
     for n in range(depth):
-        _, least = table.coset_partition(table.borel_image(n))
+        _, least = table.coset_partition(n)
         (lower, lower_ids), (upper, upper_ids) = levels[n], levels[n + 1]
         order = lattice.edge_order(n)
         G.edges.extend(
@@ -268,11 +273,9 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
     return G
 
 
-def _first_three_steps(steps: int, step_ok) -> int | None:
-    """The least k with steps k, k + 1 and k + 2 all ok, among steps 0..steps-1."""
-    return next(
-        (k for k in range(steps - 2) if all(step_ok(k + j) for j in range(3))), None
-    )
+def _first_three_steps(ok: list[bool]) -> int | None:
+    """The least k with steps k, k + 1 and k + 2 all ok."""
+    return next((k for k in range(len(ok) - 2) if all(ok[k : k + 3])), None)
 
 
 def _detect_rays(G: GraphOfGroups) -> None:
@@ -286,48 +289,33 @@ def _detect_rays(G: GraphOfGroups) -> None:
     the enumerated chain is required to continue the pattern.
     """
     q = G.lattice.q
-    down_edges: dict[str, list[int]] = {}
-    up_edges: dict[str, list[int]] = {}
+    ups = Counter(e.v_from for e in G.edges)
+    down: dict[str, int | None] = {}  # vertex -> its one down-edge, None if several
     for i, e in enumerate(G.edges):
-        up_edges.setdefault(e.v_from, []).append(i)
-        down_edges.setdefault(e.v_to, []).append(i)
-    tops = sorted(
-        (v.id for v in G.vertices.values() if v.level == G.depth),
-    )
-    for top in tops:
-        if len(down_edges.get(top, [])) != 1:
+        down[e.v_to] = None if e.v_to in down else i
+    for top in sorted(v.id for v in G.vertices.values() if v.level == G.depth):
+        i = down.get(top)
+        if i is None:
             continue
-        chain = [top]
-        chain_edges: list[int] = []
-        while True:
-            dn = down_edges.get(chain[-1], [])
-            if len(dn) != 1 or len(up_edges[G.edges[dn[0]].v_from]) != 1:
-                break
-            chain.append(G.edges[dn[0]].v_from)
-            chain_edges.append(dn[0])
+        chain, chain_edges = [top], []
+        while i is not None and ups[G.edges[i].v_from] == 1:
+            chain.append(G.edges[i].v_from)
+            chain_edges.append(i)
+            i = down.get(chain[-1])
         chain.reverse()
         chain_edges.reverse()
-
-        def step_ok(i: int) -> bool:
-            lo = G.vertices[chain[i]]
-            hi = G.vertices[chain[i + 1]]
-            e = G.edges[chain_edges[i]]
-            return hi.order == q * lo.order and e.order == lo.order
-
-        base_idx = _first_three_steps(len(chain) - 1, step_ok)
-        certified = base_idx is not None
-        if certified:
-            for j in range(base_idx, len(chain) - 1):
-                if not step_ok(j):
-                    raise NonterminationGuard(
-                        "certified tail pattern broke inside the enumerated range"
-                    )
-            ids = chain[base_idx:]
-            eidx = chain_edges[base_idx:]
-        else:
-            ids = chain
-            eidx = chain_edges
-        G.rays.append(RayTail(ids, eidx, G.vertices[ids[0]].level, certified))
+        orders = [G.vertices[vid].order for vid in chain]
+        ok = [
+            hi == q * lo and G.edges[e].order == lo
+            for lo, hi, e in zip(orders, orders[1:], chain_edges)
+        ]
+        base = _first_three_steps(ok)
+        if base is not None and not all(ok[base:]):
+            raise NonterminationGuard("certified tail pattern broke inside the enumerated range")
+        start = base or 0
+        G.rays.append(RayTail(
+            chain[start:], chain_edges[start:], G.vertices[chain[start]].level, base is not None
+        ))
 
 
 # -- covolume ---------------------------------------------------------------------
@@ -339,7 +327,9 @@ def covolume(G: GraphOfGroups) -> CovolumeResult:
     Every edge contributes 1/|edge group|; a certified tail contributes
     the closed form q / (c (q - 1)) where c is the order at its first
     edge. Raises UncertifiedTail when some ray is not certified at this
-    depth.
+    depth, or when some vertex at the top depth heads no ray: at depths
+    below deg f no top vertex has a single down-edge, and the graph holds
+    no tail yet.
     """
     if G.contracted:
         raise InvalidInputError("covolume is computed on the uncontracted graph")
@@ -355,6 +345,12 @@ def covolume(G: GraphOfGroups) -> CovolumeResult:
         tail_edge_set.update(ray.edge_indices)
         c = G.edges[ray.edge_indices[0]].order
         tails.append(Fraction(q, c * (q - 1)))
+    heads = {ray.vertex_ids[-1] for ray in G.rays}
+    for v in G.vertices.values():
+        if v.level == G.depth and v.id not in heads:
+            raise UncertifiedTail(
+                f"vertex {v.id} at depth {G.depth} heads no ray; increase the depth"
+            )
     # one term per distinct edge order: count/order sums the same 1/order terms
     per_order = Counter(
         e.order for i, e in enumerate(G.edges) if i not in tail_edge_set
@@ -389,7 +385,7 @@ def _match_cusps_to_rays(
             if level - ray.base_level >= len(ray.vertex_ids):
                 continue
             vertex = G.vertices[ray.vertex_ids[level - ray.base_level]]
-            coset_of, _ = table.coset_partition(table.vertex_image(level))
+            coset_of, _ = table.vertex_partition(level)
             if coset_of[m] == vertex.coset:
                 hits.append(ri)
         if len(hits) == 1:
@@ -439,12 +435,11 @@ def growth_probe(lattice: NagaoLattice, end: End, depth: int) -> GrowthProbe:
         except EndPrecisionExhausted:
             truncated_at = k
             break
-
-    def step_ok(k: int) -> bool:
-        q_step = orders[k + 1] == lattice.q * orders[k]
-        return q_step and levels[k + 1] == levels[k] + 1
-
-    entry = _first_three_steps(len(orders) - 1, step_ok)
+    ok = [
+        hi == lattice.q * lo and up == down + 1
+        for lo, hi, down, up in zip(orders, orders[1:], levels, levels[1:])
+    ]
+    entry = _first_three_steps(ok)
     return GrowthProbe(orders, levels, entry_radius=entry, truncated_at=truncated_at)
 
 
@@ -495,7 +490,7 @@ class _TransporterAlgebra:
         # determinant is 1 and `CosetTable.reduce` need not check it again
         residue = tuple(map(self.ring.reduce, red.witness.entries()))
         inverse = self.table.inverse(residue)
-        coset_of, _ = self.table.coset_partition(self.table.vertex_image(red.level))
+        coset_of, _ = self.table.vertex_partition(red.level)
         return HoroballMember(y, red, residue, inverse, (red.level, coset_of[inverse]))
 
     def target_half(self, yp: HoroballMember, cusp: CuspData):

@@ -200,6 +200,27 @@ def test_uncertified_tail_exit(capsys):
     assert "lacks three nested index-q steps" in err
 
 
+@pytest.mark.parametrize(
+    "q,level,depth,top",
+    [(2, "t^2", 1, "L1C0"), (2, "t^3", 2, "L2C0"), (2, "t^4+t+1", 3, "L3C0"),
+     (3, "t^2", 1, "L1C0"), (4, "t^2", 1, "L1C0")],
+)
+def test_covolume_below_the_tails_exits_1(capsys, q, level, depth, top):
+    # below depth deg f no top vertex has a single down-edge: the tails are
+    # not in the graph, and the finite edge sum alone is too small
+    argv = ["covolume", "--q", str(q), "--lattice", "congruence", "--level", level]
+    rc, out, err = run(capsys, [*argv, "--depth", str(depth)])
+    assert (rc, out) == (1, "")
+    assert f"vertex {top} at depth {depth} heads no ray" in err
+
+
+def test_quotient_json_has_no_covolume_below_the_tails(capsys):
+    argv = ["quotient", "--lattice", "congruence", "--level", "t^2", "--depth", "1"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert json.loads(out)["covolume"] is None
+
+
 def test_size_guard_exit(capsys):
     rc, _, err = run(
         capsys, ["cusps", "--lattice", "congruence", "--level", "t^5"]

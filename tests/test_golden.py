@@ -99,6 +99,10 @@ GOLDEN = [
     ("probe up --q 3 --lattice congruence --level t --depth 6", 0, "f07888d888ba821abc67ba579b4b700975292d0fc9586113c134e53ed6a2a5d6"),
     ("probe up --depth 8 --max-order 10", 1, "cab564ea31f6fe16ab2e6512e857ab23012a7aebb3dc76dfdbc0383706e39ffe"),
     ("probe trunc(p+p^2,2) --q 3 --depth 8 --max-order 24", 0, "c89b111552787ee15aa4a4efa1ca8e0f1ed2320a0239026fc56be6a6fc0a4bab"),
+    # below depth deg f no top vertex heads a ray; covolume printed the
+    # finite edge sum alone (288/1, the covolume being 384) before it
+    # refused such a depth
+    ("covolume --lattice congruence --level t^3 --depth 2", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

@@ -292,15 +292,29 @@ def test_coset_table_reduce_refuses_non_members():
         table.reduce(m("[[1,t],[1,1]]"))
 
 
+def _images(table, n):
+    """The residue images of the stabilizers of (n, 0) and of the edge to (n + 1, 0).
+
+    Built from the full lattice's closed-form stabilizer, reduced member by
+    member: the edge stabilizer is its upper-triangular part.
+    """
+    members = list(NagaoLattice(table.field).base_stabilizer_elements(n))
+    vertex = frozenset(table.reduce(g) for g in members)
+    edge = frozenset(table.reduce(g) for g in members if not g.c.has_terms())
+    return vertex, edge
+
+
 def test_coset_table_subgroup_images():
     lat = CongruenceLattice(F, parse_series(F, "t^2"))
     table = lat.coset_table()
-    assert len(table.vertex_image(0)) == 6
-    assert table.index % len(table.vertex_image(0)) == 0
-    assert table.index // len(table.vertex_image(0)) == 8
-    assert len(table.borel_image(1)) == 4
-    assert table.index // len(table.borel_image(1)) == 12
-    _, least = table.coset_partition(table.vertex_image(0))
+    vertex0, _ = _images(table, 0)
+    _, edge1 = _images(table, 1)
+    assert len(vertex0) == 6
+    assert table.index % len(vertex0) == 0
+    assert table.index // len(vertex0) == 8
+    assert len(edge1) == 4
+    assert table.index // len(edge1) == 12
+    _, least = table.vertex_partition(0)
     assert len(least) == 8
 
 
@@ -328,23 +342,22 @@ def test_coset_partition_numbers_cosets_by_least_member(q, level):
     Fq = field(q)
     lat = NagaoLattice(Fq) if level is None else CongruenceLattice(Fq, parse_series(Fq, level))
     table = lat.coset_table()
-    for n in range(lat.level_degree + 2):
-        for subgroup in (table.vertex_image(n), table.borel_image(n)):
-            coset_of, least = table.coset_partition(subgroup)
+    images = [_images(table, n) for n in range(lat.level_degree + 2)]
+    for n, (vertex, edge) in enumerate(images):
+        for (coset_of, least), subgroup in (
+            (table.vertex_partition(n), vertex), (table.coset_partition(n), edge)
+        ):
             assert (coset_of, least) == _enumerated_partition(table, subgroup)
             assert len(least) * len(subgroup) == table.index
     if table.index <= 1000:
         # least members in increasing order, one per coset g * subgroup
-        for n in range(lat.level_degree + 2):
-            subgroup = table.vertex_image(n)
+        for n, (vertex, _) in enumerate(images):
             cosets = {}
             for g in table.elements:
-                cosets.setdefault(frozenset(table.matmul(g, s) for s in subgroup), g)
-            assert table.coset_partition(subgroup)[1] == sorted(cosets.values())
+                cosets.setdefault(frozenset(table.matmul(g, s) for s in vertex), g)
+            assert table.vertex_partition(n)[1] == sorted(cosets.values())
     constants = {table.ring.constant(c) for c in Fq.elements()}
-    assert table.constants_image() == {
-        m for m in table.elements if all(x in constants for x in m)
-    }
+    assert images[0][0] == {m for m in table.elements if all(x in constants for x in m)}
 
 
 def test_cusp_representatives_counts():
@@ -455,7 +468,8 @@ def test_full_lattice_is_the_level_one_case():
         assert table.ring.size == 1
         assert table.elements == [(0, 0, 0, 0)]
         assert table.lift(table.elements[0]) == TreeAutomorphism.identity(lat.field)
-        assert table.constants_image() == table.borel_image(1) == {(0, 0, 0, 0)}
+        assert _images(table, 0)[0] == _images(table, 1)[1] == {(0, 0, 0, 0)}
+        assert table.vertex_partition(0)[1] == table.coset_partition(1)[1] == [(0, 0, 0, 0)]
         assert format_series(lat.level) == "1"
         assert lat.scalar_units == tuple(lat.field.units())
         assert lat.contains(parse_matrix(lat.field, "[[1, t], [0, 1]]"))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sl2btree import cli, quotient
 from sl2btree.autom import TreeAutomorphism
-from sl2btree.errors import InvalidInputError, UncertifiedTail
+from sl2btree.errors import InvalidInputError, NonterminationGuard, UncertifiedTail
 from sl2btree.field import field
 from sl2btree.lattice import CongruenceLattice, CosetTable, NagaoLattice
 from sl2btree.literals import parse_end, parse_series, parse_vertex
@@ -85,6 +85,32 @@ def test_ray_detection_on_a_hand_built_graph():
         (["C0", "C1", "C2", "C3"], [0, 1, 2], 0, True),
         (["T1"], [], 3, False),
         (["T2"], [], 3, False),
+    ]
+
+
+def _chain_graph(orders, edge_orders):
+    """One chain C0-C1-... with the given vertex and edge orders, up to the top depth."""
+    G = quotient.GraphOfGroups(NagaoLattice(F2), len(orders) - 1)
+    for n, order in enumerate(orders):
+        G.vertices[f"C{n}"] = quotient.QuotientVertex(f"C{n}", n, 0, order)
+    for n, order in enumerate(edge_orders):
+        G.edges.append(quotient.QuotientEdge(f"C{n}", f"C{n + 1}", order))
+    return G
+
+
+def test_certified_ray_pattern_must_hold_above_its_base():
+    # three index-2 steps certify from C0, then C3-C4 keeps the order
+    G = _chain_graph([1, 2, 4, 8, 8], [1, 2, 4, 8])
+    with pytest.raises(NonterminationGuard, match="certified tail pattern broke"):
+        quotient._detect_rays(G)
+
+
+def test_ray_steps_need_the_edge_group_to_be_the_lower_vertex_group():
+    # the orders double at each step, but the middle edge group has order 1, not 2
+    G = _chain_graph([1, 2, 4, 8], [1, 1, 4])
+    quotient._detect_rays(G)
+    assert [(r.vertex_ids, r.edge_indices, r.certified) for r in G.rays] == [
+        (["C0", "C1", "C2", "C3"], [0, 1, 2], False)
     ]
 
 

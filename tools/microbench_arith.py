@@ -30,13 +30,20 @@ of SL_2(F_q[t]) at the radius vertex (1; 0), out to truncation 5, per
 member of the horoball (14, 26, 42 and 182 members). Each timed run is one
 call on a lattice that has certified the same horoball once before, so its
 residue tables are built and the row measures the check itself.
+
+A last table times the construction of large fields, `Field(p, e)`, in
+milliseconds: F_{2^13}, F_{2^14}, F_{3^8} and F_16381, each on its first
+irreducible modulus, the least when its coefficients are read as the base-p
+digits of an integer (x for the prime field). The search for that modulus
+is not timed.
 """
 
 import random
 import timeit
 
 from sl2btree.autom import TreeAutomorphism
-from sl2btree.field import field
+from sl2btree.errors import InvalidInputError
+from sl2btree.field import Field, field
 from sl2btree.lattice import NagaoLattice
 from sl2btree.literals import parse_vertex
 from sl2btree.quotient import certify_independent_horoball
@@ -46,6 +53,8 @@ from sl2btree.tree import Tree, Vertex, end_from_vector
 QS = (2, 3, 4, 9)
 PAIRS = 64
 REPEAT = 7  # timed runs per row; the fastest is kept
+LARGE_FIELDS = ((2, 13), (2, 14), (3, 8), (16381, 1))
+FIELD_REPEAT = 3  # F_{2^14} takes about a second per construction
 
 
 def _series(rng, F):
@@ -115,6 +124,23 @@ def _horoball_us_per_member(q):
     return min(runs) / members * 1e6
 
 
+def _first_irreducible(p, e):
+    """The least monic modulus of degree e over F_p that `Field` accepts."""
+    for low in range(p**e):
+        modulus = tuple(low // p**i % p for i in range(e)) + (1,)
+        try:
+            Field(p, e, modulus)
+        except InvalidInputError:
+            continue
+        return modulus
+
+
+def _field_ms(p, e):
+    modulus = _first_irreducible(p, e)
+    runs = timeit.repeat(lambda: Field(p, e, modulus), number=1, repeat=FIELD_REPEAT)
+    return min(runs) * 1e3
+
+
 def main():
     # row -> (operands from (rng, F, shared), operation); shared is one
     # tree, one end, one base vertex and one lattice per field
@@ -150,6 +176,10 @@ def main():
         print(f"{name:<16}" + "".join(f"{t:8.2f}" for t in row))
     row = [_horoball_us_per_member(q) for q in QS]
     print(f"{'horoball certify':<16}" + "".join(f"{t:8.2f}" for t in row))
+    names = [f"F_{p}" if e == 1 else f"F_{p}^{e}" for p, e in LARGE_FIELDS]
+    print(f"\n{'ms':<16}" + "".join(f"{name:>10}" for name in names))
+    row = [_field_ms(p, e) for p, e in LARGE_FIELDS]
+    print(f"{'Field(p, e)':<16}" + "".join(f"{t:10.1f}" for t in row))
 
 
 if __name__ == "__main__":

@@ -6,10 +6,10 @@ milliseconds. Run from the root of a checkout:
 
     PYTHONPATH=src python3 tools/microbench_quotient.py
 
-- `partitions`: every `CosetTable.coset_partition` that a quotient to
-  depth 8 reads (the vertex images and the upper-triangular images of the
-  levels 0..8), subgroup images included, on a table built afresh before
-  each timed run; the table's own construction is not timed.
+- `partitions`: every partition that a quotient to depth 8 reads, the
+  `CosetTable.vertex_partition(n)` and `coset_partition(n)` of the levels
+  0..8, on a table built afresh before each timed run; the table's own
+  construction is not timed.
 - `quotient_graph`: `quotient_graph(lattice, 8)` on a lattice whose
   table already holds those partitions, so the row is the graph's
   assembly and ray detection.
@@ -45,8 +45,8 @@ def _partitions_s(lattice):
     table = CosetTable(lattice.field, lattice.level)
     t0 = time.perf_counter()
     for n in range(DEPTH + 1):
-        table.coset_partition(table.vertex_image(n))
-        table.coset_partition(table.borel_image(n))
+        table.vertex_partition(n)
+        table.coset_partition(n)
     return time.perf_counter() - t0
 
 
