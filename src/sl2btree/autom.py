@@ -664,6 +664,21 @@ class TreeAutomorphism:
         return out
 
 
+def zero_end_conjugator(end: UpEnd | RationalEnd) -> TreeAutomorphism:
+    """[[u, w], [-y, x]] with u*x + w*y = gcd(x, y), for the end (x : y).
+
+    The up end is (0 : 1). When x and y are coprime the determinant is 1
+    and the matrix carries the end to the zero end.
+    """
+    F = end.field
+    if isinstance(end, UpEnd):
+        x, y = LaurentSeries.zero(F), LaurentSeries.one(F)
+    else:
+        x, y = end.x, end.y
+    _, u, w = xgcd_t(x, y)
+    return TreeAutomorphism(F, u, w, -y, x)
+
+
 def decompose_end_stabilizer(g: TreeAutomorphism, end: End) -> BorelDecomposition:
     """Factor an element fixing an exact end into diagonal, step power, shear.
 
@@ -674,13 +689,7 @@ def decompose_end_stabilizer(g: TreeAutomorphism, end: End) -> BorelDecompositio
     F = g.field
     if isinstance(end, TruncatedEnd):
         raise InvalidInputError("decomposition needs an exact end")
-    if isinstance(end, UpEnd):
-        conj = TreeAutomorphism.half_turn(F)
-    elif end.y.is_exact_zero():
-        conj = TreeAutomorphism.identity(F)
-    else:
-        _, u, v = xgcd_t(end.x, end.y)
-        conj = TreeAutomorphism(F, u, v, -end.y, end.x)
+    conj = zero_end_conjugator(end)
     gp = conj * g * conj.adjugate()
     if not gp.c.is_exact_zero():
         raise DoesNotFixEnd(f"element does not fix the end {end}")

@@ -40,8 +40,6 @@ from .quotient import (
     growth_probe,
     quotient_graph,
 )
-from .tree import Vertex
-from .series import LaurentSeries
 from .verify import SUITES, run_all
 
 
@@ -54,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _field_from_args(args):
     modulus = None
-    if getattr(args, "modulus", None):
+    if getattr(args, "modulus", None) is not None:
         try:
             modulus = tuple(int(p) for p in args.modulus.split(","))
         except ValueError:
@@ -201,18 +199,8 @@ def _cmd_cusps(args):
     }
     code = 0
     if args.truncation is not None:
-        entry = {ci: ri for ci, ri in report.matches}
-        radii = []
-        for i, cusp in enumerate(report.algebraic):
-            base = report.graph.rays[entry[i]].base_level if i in entry else 1
-            carrier = cusp.conjugator.adjugate()
-            radii.append(
-                carrier.act_vertex(
-                    Vertex(base, LaurentSeries.zero(lattice.field))
-                )
-            )
         verdict = certify_independent_family(
-            lattice, report.algebraic, radii, args.truncation
+            lattice, report.algebraic, report.radius_vertices(), args.truncation
         )
         if isinstance(verdict, CounterexamplePair):
             code = 1

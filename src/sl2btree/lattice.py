@@ -25,7 +25,7 @@ import functools
 import itertools
 import operator
 
-from .autom import TreeAutomorphism
+from .autom import TreeAutomorphism, zero_end_conjugator
 from .errors import InvalidInputError, NonterminationGuard, SizeGuardExceeded
 from .field import Field
 from .polys import (
@@ -35,10 +35,9 @@ from .polys import (
     mod_t,
     monic_t,
     t_degree,
-    xgcd_t,
 )
 from .series import LaurentSeries
-from .tree import End, RationalEnd, Tree, UpEnd, Vertex
+from .tree import End, Tree, TruncatedEnd, Vertex
 
 _REDUCE_CAP_BASE = 64
 
@@ -220,20 +219,15 @@ class NagaoLattice:
 
     def end_conjugator(self, end: End) -> TreeAutomorphism:
         """A member of the lattice carrying a non-truncated end to the zero end."""
-        F = self.field
-        if isinstance(end, UpEnd):
-            x, y = LaurentSeries.zero(F), LaurentSeries.one(F)
-        elif isinstance(end, RationalEnd):
-            x, y = end.x, end.y
-        else:
+        if isinstance(end, TruncatedEnd):
             raise InvalidInputError("truncated ends have no exact conjugator")
-        g, u, w = xgcd_t(x, y)
-        if t_degree(g) != 0:
+        conj = zero_end_conjugator(end)
+        # the determinant is gcd(x, y)
+        if t_degree(conj.det()) != 0:
             raise NonterminationGuard(
                 "end coordinates were not coprime; normalization is broken"
             )
         zero_end = self.tree.end_zero()
-        conj = TreeAutomorphism(F, u, w, -y, x)
         if conj.act_end(end) != zero_end:
             raise NonterminationGuard("end conjugator failed to check")
         return conj

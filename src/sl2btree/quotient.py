@@ -28,21 +28,11 @@ from .errors import (
 )
 from .lattice import CuspData, NagaoLattice, ReducedVertex, _upper
 from .polys import t_degree
+from .series import LaurentSeries
 from .tree import End, Vertex
 
 
-class _Compared:
-    """Equality field by field, for the records `contract` copies."""
-
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__
-        )
-
-
-class QuotientVertex(_Compared):
+class QuotientVertex:
     __slots__ = ("id", "level", "coset", "order")
 
     def __init__(self, id: str, level: int, coset: int | None, order: int | None):
@@ -52,10 +42,10 @@ class QuotientVertex(_Compared):
         self.order = order  # None marks a symbolic cusp vertex (infinite order)
 
 
-class QuotientEdge(_Compared):
+class QuotientEdge:
     __slots__ = ("v_from", "v_to", "order")
 
-    def __init__(self, v_from: str, v_to: str, order: int):
+    def __init__(self, v_from: QuotientVertex, v_to: QuotientVertex, order: int):
         self.v_from = v_from  # lower level
         self.v_to = v_to  # higher level (or a cusp vertex)
         self.order = order
@@ -64,12 +54,12 @@ class QuotientEdge(_Compared):
 class RayTail:
     """A certified-or-not chain of vertex classes heading to infinity."""
 
-    __slots__ = ("vertex_ids", "edge_indices", "base_level", "certified", "cusp_index")
+    __slots__ = ("vertices", "edges", "base_level", "certified", "cusp_index")
 
-    def __init__(self, vertex_ids: list[str], edge_indices: list[int], base_level: int,
-                 certified: bool, cusp_index: int | None = None):
-        self.vertex_ids = vertex_ids  # one per level, from base_level up
-        self.edge_indices = edge_indices  # edges between consecutive chain vertices
+    def __init__(self, vertices: list[QuotientVertex], edges: list[QuotientEdge],
+                 base_level: int, certified: bool, cusp_index: int | None = None):
+        self.vertices = vertices  # one per level, from base_level up
+        self.edges = edges  # edges between consecutive chain vertices
         self.base_level = base_level
         self.certified = certified
         self.cusp_index = cusp_index
@@ -155,6 +145,21 @@ class CuspsReport:
         self.bijective = bijective
         self.graph = graph  # the quotient graph the rays were read from
 
+    def radius_vertices(self) -> list[Vertex]:
+        """Per cusp, its horoball's radius vertex: the carrier applied to (b, 0).
+
+        The carrier is the adjugate of the cusp's end conjugator, and b is
+        the base level of the cusp's matched ray, or 1 when it has none.
+        """
+        ray_of = dict(self.matches)
+        zero = LaurentSeries.zero(self.graph.lattice.field)
+        return [
+            cusp.conjugator.adjugate().act_vertex(
+                Vertex(self.graph.rays[ray_of[i]].base_level if i in ray_of else 1, zero)
+            )
+            for i, cusp in enumerate(self.algebraic)
+        ]
+
 
 class GraphOfGroups:
     """Finite quotient data with ray tails; see the module docstring."""
@@ -172,7 +177,7 @@ class GraphOfGroups:
     def _sorted(self):
         """Vertices and edges in the order both serializations print them."""
         verts = sorted(self.vertices.values(), key=lambda v: (v.order is None, v.level, v.id))
-        edges = sorted(self.edges, key=lambda e: (e.v_from, e.v_to, e.order))
+        edges = sorted(self.edges, key=lambda e: (e.v_from.id, e.v_to.id, e.order))
         return verts, edges
 
     def to_json_dict(self) -> dict:
@@ -187,25 +192,19 @@ class GraphOfGroups:
             }
             for v in verts
         ]
-        edge_list = []
-        for e in edges:
-            fro, to = self.vertices[e.v_from], self.vertices[e.v_to]
-            edge_list.append(
-                {
-                    "from": e.v_from,
-                    "to": e.v_to,
-                    "edge_order": e.order,
-                    "idx_from": (
-                        fro.order // e.order if fro.order is not None else "infinite"
-                    ),
-                    "idx_to": (
-                        to.order // e.order if to.order is not None else "infinite"
-                    ),
-                }
-            )
+        edge_list = [
+            {
+                "from": e.v_from.id,
+                "to": e.v_to.id,
+                "edge_order": e.order,
+                "idx_from": e.v_from.order // e.order,
+                "idx_to": e.v_to.order // e.order if e.v_to.order is not None else "infinite",
+            }
+            for e in edges
+        ]
         ray_list = [
             {
-                "base": ray.vertex_ids[0],
+                "base": ray.vertices[0].id,
                 "base_level": ray.base_level,
                 "step_index": q,
                 "certified": ray.certified,
@@ -232,7 +231,7 @@ class GraphOfGroups:
             else:
                 lines.append(f'  "{v.id}" [label="{v.id}\\n{v.order}"];')
         for e in edges:
-            lines.append(f'  "{e.v_from}" -- "{e.v_to}" [label="{e.order}"];')
+            lines.append(f'  "{e.v_from.id}" -- "{e.v_to.id}" [label="{e.order}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -254,20 +253,21 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
         raise InvalidInputError("quotient depth must be at least 1")
     G = GraphOfGroups(lattice, depth)
     table = lattice.coset_table()
-    levels = []  # per level, ({member: coset number}, [vertex id by coset number])
+    levels = []  # per level, ({member: coset number}, [vertex by coset number])
     for n in range(depth + 1):
         numbering, least = table.vertex_partition(n)
-        ids = [_vertex_id(lattice, n, k) for k in range(len(least))]
-        levels.append((numbering, ids))
         order = lattice.base_order(n)
-        for k, vid in enumerate(ids):
-            G.vertices[vid] = QuotientVertex(id=vid, level=n, coset=k, order=order)
+        verts = [
+            QuotientVertex(_vertex_id(lattice, n, k), n, k, order) for k in range(len(least))
+        ]
+        levels.append((numbering, verts))
+        G.vertices.update((v.id, v) for v in verts)
     for n in range(depth):
         _, least = table.coset_partition(n)
-        (lower, lower_ids), (upper, upper_ids) = levels[n], levels[n + 1]
+        (lower, lower_verts), (upper, upper_verts) = levels[n], levels[n + 1]
         order = lattice.edge_order(n)
         G.edges.extend(
-            QuotientEdge(lower_ids[lower[m]], upper_ids[upper[m]], order) for m in least
+            QuotientEdge(lower_verts[lower[m]], upper_verts[upper[m]], order) for m in least
         )
     _detect_rays(G)
     return G
@@ -290,23 +290,24 @@ def _detect_rays(G: GraphOfGroups) -> None:
     """
     q = G.lattice.q
     ups = Counter(e.v_from for e in G.edges)
-    down: dict[str, int | None] = {}  # vertex -> its one down-edge, None if several
-    for i, e in enumerate(G.edges):
-        down[e.v_to] = None if e.v_to in down else i
-    for top in sorted(v.id for v in G.vertices.values() if v.level == G.depth):
-        i = down.get(top)
-        if i is None:
+    down: dict[QuotientVertex, QuotientEdge | None] = {}  # its one down-edge, None if several
+    for e in G.edges:
+        down[e.v_to] = None if e.v_to in down else e
+    tops = sorted((v for v in G.vertices.values() if v.level == G.depth), key=lambda v: v.id)
+    for top in tops:
+        e = down.get(top)
+        if e is None:
             continue
         chain, chain_edges = [top], []
-        while i is not None and ups[G.edges[i].v_from] == 1:
-            chain.append(G.edges[i].v_from)
-            chain_edges.append(i)
-            i = down.get(chain[-1])
+        while e is not None and ups[e.v_from] == 1:
+            chain.append(e.v_from)
+            chain_edges.append(e)
+            e = down.get(e.v_from)
         chain.reverse()
         chain_edges.reverse()
-        orders = [G.vertices[vid].order for vid in chain]
+        orders = [v.order for v in chain]
         ok = [
-            hi == q * lo and G.edges[e].order == lo
+            hi == q * lo and e.order == lo
             for lo, hi, e in zip(orders, orders[1:], chain_edges)
         ]
         base = _first_three_steps(ok)
@@ -314,7 +315,7 @@ def _detect_rays(G: GraphOfGroups) -> None:
             raise NonterminationGuard("certified tail pattern broke inside the enumerated range")
         start = base or 0
         G.rays.append(RayTail(
-            chain[start:], chain_edges[start:], G.vertices[chain[start]].level, base is not None
+            chain[start:], chain_edges[start:], chain[start].level, base is not None
         ))
 
 
@@ -334,27 +335,24 @@ def covolume(G: GraphOfGroups) -> CovolumeResult:
     if G.contracted:
         raise InvalidInputError("covolume is computed on the uncontracted graph")
     q = G.lattice.q
-    tail_edge_set = set()
+    tail_edges = set()
     tails = []
     for ray in G.rays:
         if not ray.certified:
             raise UncertifiedTail(
-                f"ray at {ray.vertex_ids[0]} lacks three nested index-q steps; "
+                f"ray at {ray.vertices[0].id} lacks three nested index-q steps; "
                 f"increase the depth"
             )
-        tail_edge_set.update(ray.edge_indices)
-        c = G.edges[ray.edge_indices[0]].order
-        tails.append(Fraction(q, c * (q - 1)))
-    heads = {ray.vertex_ids[-1] for ray in G.rays}
+        tail_edges.update(ray.edges)
+        tails.append(Fraction(q, ray.edges[0].order * (q - 1)))
+    heads = {ray.vertices[-1] for ray in G.rays}
     for v in G.vertices.values():
-        if v.level == G.depth and v.id not in heads:
+        if v.level == G.depth and v not in heads:
             raise UncertifiedTail(
                 f"vertex {v.id} at depth {G.depth} heads no ray; increase the depth"
             )
     # one term per distinct edge order: count/order sums the same 1/order terms
-    per_order = Counter(
-        e.order for i, e in enumerate(G.edges) if i not in tail_edge_set
-    )
+    per_order = Counter(e.order for e in G.edges if e not in tail_edges)
     core = sum(
         (Fraction(count, order) for order, count in per_order.items()), Fraction(0)
     )
@@ -370,24 +368,23 @@ def _match_cusps_to_rays(
 ) -> list[tuple[int, int]]:
     """(cusp index, ray index) for each cusp whose carrier lands in exactly one ray.
 
-    A ray is read at the first level where the vertex partition is the
-    one of the end stabilizer; the cusp belongs to the ray whose vertex
-    coset there holds the residue of the cusp's carrier.
+    A ray is read at the first of its levels where the vertex partition is
+    the one of the end stabilizer, `coset_partition(read)` for every level
+    from `read` = max(deg f - 1, 1) on; a ray that ends below `read` is not
+    read. The cusp belongs to the ray whose vertex coset there holds the
+    residue of the cusp's carrier, so each cusp costs one lookup.
     """
     table = G.lattice.coset_table()
-    stable = G.lattice.level_degree - 1
+    read = max(G.lattice.level_degree - 1, 1)
+    coset_of, _ = table.coset_partition(read)
+    rays_at: dict[int, list[int]] = {}  # coset number at the read level -> its rays
+    for ri, ray in enumerate(G.rays):
+        step = max(read - ray.base_level, 0)
+        if step < len(ray.vertices):
+            rays_at.setdefault(ray.vertices[step].coset, []).append(ri)
     matches = []
     for ci, cusp in enumerate(cusps):
-        m = table.reduce(cusp.conjugator.adjugate())
-        hits = []
-        for ri, ray in enumerate(G.rays):
-            level = max(ray.base_level, stable, 1)
-            if level - ray.base_level >= len(ray.vertex_ids):
-                continue
-            vertex = G.vertices[ray.vertex_ids[level - ray.base_level]]
-            coset_of, _ = table.vertex_partition(level)
-            if coset_of[m] == vertex.coset:
-                hits.append(ri)
+        hits = rays_at.get(coset_of[table.reduce(cusp.conjugator.adjugate())], [])
         if len(hits) == 1:
             matches.append((ci, hits[0]))
     return matches
@@ -718,35 +715,33 @@ def certify_independent_family(
 def contract(G: GraphOfGroups) -> GraphOfGroups:
     """Collapse every certified ray tail, from its base on, into a cusp vertex.
 
-    Uncertified rays survive unchanged, so a graph without a certified
-    ray contracts to an identical copy.
+    Uncertified rays survive on the copies of their vertices and edges, so
+    a graph without a certified ray contracts to an identical copy.
     """
-    certified = [i for i, ray in enumerate(G.rays) if ray.certified]
     out = GraphOfGroups(G.lattice, G.depth)
     out.contracted = True
-    ray_of: dict[str, int] = {}  # absorbed vertex -> its ray
-    for i in certified:
-        for vid in G.rays[i].vertex_ids:
-            ray_of[vid] = i
-    for vid, v in G.vertices.items():
-        if vid not in ray_of:
-            out.vertices[vid] = QuotientVertex(v.id, v.level, v.coset, v.order)
-    for i in certified:
-        cusp_id = f"cusp{i}"
-        out.vertices[cusp_id] = QuotientVertex(cusp_id, G.rays[i].base_level, None, None)
-    # every edge crossing into an absorbed tail is rerouted to its cusp;
-    # edges inside a tail disappear with it
+    image = {}  # old vertex -> its copy, or the cusp vertex of the certified tail holding it
+    for i, ray in enumerate(G.rays):
+        if ray.certified:
+            cusp = QuotientVertex(f"cusp{i}", ray.base_level, None, None)
+            out.vertices[cusp.id] = cusp
+            image.update(dict.fromkeys(ray.vertices, cusp))
+    for v in G.vertices.values():
+        if v not in image:
+            image[v] = out.vertices[v.id] = QuotientVertex(v.id, v.level, v.coset, v.order)
+    # an edge into a tail now ends at its cusp; edges inside a tail disappear with it
+    copies = {}  # old edge -> its copy
     for e in G.edges:
-        fa = e.v_from in ray_of
-        ta = e.v_to in ray_of
-        if fa and ta:
+        lo, hi = image[e.v_from], image[e.v_to]
+        if lo.order is None and hi.order is None:
             continue
-        if not fa and not ta:
-            out.edges.append(QuotientEdge(e.v_from, e.v_to, e.order))
-        elif ta:
-            out.edges.append(QuotientEdge(e.v_from, f"cusp{ray_of[e.v_to]}", e.order))
-        else:
-            out.edges.append(QuotientEdge(e.v_to, f"cusp{ray_of[e.v_from]}", e.order))
-    # rays that were not contracted survive
-    out.rays = [ray for ray in G.rays if not ray.certified]
+        if lo.order is None:
+            lo, hi = hi, lo  # the cusp goes at v_to
+        copies[e] = QuotientEdge(lo, hi, e.order)
+    out.edges = list(copies.values())
+    out.rays = [
+        RayTail([image[v] for v in ray.vertices], [copies[e] for e in ray.edges],
+                ray.base_level, False, ray.cusp_index)
+        for ray in G.rays if not ray.certified
+    ]
     return out

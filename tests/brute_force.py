@@ -53,3 +53,29 @@ def stabilizer_bruteforce(
                         )
                     out.append(cand)
     return out
+
+
+def cusp_ray_matches_by_scan(G, cusps) -> list[tuple[int, int]]:
+    """(cusp index, ray index) for each cusp whose carrier lands in exactly one ray.
+
+    Tests every cusp against every ray, reading each ray in the vertex
+    partition of its own read level, max(base level, deg f - 1, 1); a ray
+    that ends below that level is skipped.
+    """
+    table = G.lattice.coset_table()
+    stable = G.lattice.level_degree - 1
+    matches = []
+    for ci, cusp in enumerate(cusps):
+        m = table.reduce(cusp.conjugator.adjugate())
+        hits = []
+        for ri, ray in enumerate(G.rays):
+            level = max(ray.base_level, stable, 1)
+            if level - ray.base_level >= len(ray.vertices):
+                continue
+            vertex = ray.vertices[level - ray.base_level]
+            coset_of, _ = table.vertex_partition(level)
+            if coset_of[m] == vertex.coset:
+                hits.append(ri)
+        if len(hits) == 1:
+            matches.append((ci, hits[0]))
+    return matches

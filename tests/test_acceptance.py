@@ -77,17 +77,15 @@ def test_criterion_01_polynomial_quotient_is_a_ray_with_known_orders():
             assert G.vertices[f"L{n}"].order == (2 - 1) * 2 ** (n + 1)
         assert len(G.edges) == 12
         for i, e in enumerate(G.edges):
-            assert (e.v_from, e.v_to) == (f"L{i}", f"L{i+1}")
+            assert (e.v_from.id, e.v_to.id) == (f"L{i}", f"L{i+1}")
         assert [e.order for e in G.edges] == [2] + [2 ** (n + 1) for n in range(1, 12)]
 
         # one certified cusp ray; each step along it has index exactly q
         assert len(G.rays) == 1
         ray = G.rays[0]
         assert ray.certified and ray.base_level == 1
-        for pos in range(len(ray.vertex_ids) - 1):
-            lo = G.vertices[ray.vertex_ids[pos]]
-            hi = G.vertices[ray.vertex_ids[pos + 1]]
-            edge = G.edges[ray.edge_indices[pos]]
+        for lo, hi, edge in zip(ray.vertices, ray.vertices[1:], ray.edges):
+            assert (edge.v_from, edge.v_to) == (lo, hi)
             assert hi.order == 2 * lo.order
             assert hi.order // edge.order == 2
 
@@ -293,7 +291,7 @@ def test_criterion_10_level_t_cusps_star_and_free_product():
         assert len(centers) == 1 and centers[0].order == 1
         assert len(cusps) == 3
         assert len(C.edges) == 3
-        assert all(e.v_from == centers[0].id for e in C.edges)
+        assert all(e.v_from is centers[0] for e in C.edges)
         assert all(e.order == 1 for e in C.edges)
 
         # every finite group above is trivial, so the fundamental group is

@@ -7,6 +7,7 @@ from sl2btree.autom import (
     TreeAutomorphism,
     decompose_end_stabilizer,
     drift_along_end,
+    zero_end_conjugator,
 )
 from sl2btree.errors import (
     DoesNotFixEnd,
@@ -273,6 +274,23 @@ def test_decompose_end_stabilizer():
     assert drift_along_end(m("[[1,t^3],[0,1]]"), zero_end) == 0
     with pytest.raises(DoesNotFixEnd):
         decompose_end_stabilizer(m("[[0,1],[1,0]]"), zero_end)
+
+
+def test_decomposition_at_the_up_end_shares_the_lattice_conjugator():
+    # over F_3 the shared conjugator [[0,1],[-1,0]] is the negative of the
+    # half turn; conjugating by either gives the same matrix and the same parts
+    F3 = field(3)
+    up, zero_end = Tree(F3).end_up(), Tree(F3).end_zero()
+    conj = zero_end_conjugator(up)
+    assert conj == m("[[0,1],[-1,0]]", F3) != TreeAutomorphism.half_turn(F3)
+    assert conj.act_end(up) == zero_end
+    assert zero_end_conjugator(zero_end) == TreeAutomorphism.identity(F3)
+    step = m("[[p^-1,1+t],[0,p]]", F3)
+    half = TreeAutomorphism.half_turn(F3)
+    dec = decompose_end_stabilizer(half.adjugate() * step * half, up)
+    ref = decompose_end_stabilizer(step, zero_end)
+    assert dec.conjugator == conj
+    assert (dec.diagonal, dec.power, dec.shear) == (ref.diagonal, ref.power, ref.shear)
 
 
 def test_drift_is_additive_along_the_borel():

@@ -288,6 +288,16 @@ def test_bad_field_exits_3(capsys):
     assert "reducible" in err
 
 
+@pytest.mark.parametrize("modulus", ["", " ", ","])
+def test_malformed_modulus_exits_3(capsys, modulus):
+    # an empty modulus is malformed too, not a request for the default one
+    rc, out, err = run(capsys, ["covolume", "--q", "4", "--modulus", modulus])
+    assert (rc, out) == (3, "")
+    assert err == (
+        "error: --modulus takes comma-separated integer coefficients, constant term first\n"
+    )
+
+
 def test_usage_errors_exit_3():
     with pytest.raises(SystemExit) as info:
         cli.main([])

@@ -81,7 +81,7 @@ def _lattice(q, level):
 def test_euler_characteristic_matches_gauss_bonnet(q, level, degree, prime_degrees, depth):
     G = quotient_graph(_lattice(q, level), depth)
     assert G.rays and all(ray.certified for ray in G.rays)
-    tops = [G.vertices[ray.vertex_ids[-1]] for ray in G.rays]
+    tops = [ray.vertices[-1] for ray in G.rays]
     chi = sum((Fraction(1, v.order) for v in G.vertices.values()), Fraction(0))
     chi -= sum((Fraction(1, e.order) for e in G.edges), Fraction(0))
     chi -= sum((Fraction(1, top.order) for top in tops), Fraction(0))
@@ -101,12 +101,12 @@ def test_cusp_count_and_covolume_closed_forms(q, level, degree, prime_degrees, d
 @BY_CASE
 def test_covolume_equals_the_edge_by_edge_sum(q, level, degree, prime_degrees, depth):
     G = quotient_graph(_lattice(q, level), depth)
-    tail_edges = {i for ray in G.rays for i in ray.edge_indices}
+    tail_edges = {e for ray in G.rays for e in ray.edges}
     core = Fraction(0)
-    for i, e in enumerate(G.edges):
-        if i not in tail_edges:
+    for e in G.edges:
+        if e not in tail_edges:
             core += Fraction(1, e.order)
-    tails = [Fraction(q, G.edges[ray.edge_indices[0]].order * (q - 1)) for ray in G.rays]
+    tails = [Fraction(q, ray.edges[0].order * (q - 1)) for ray in G.rays]
     result = covolume(G)
     assert result.core_part == core
     assert result.tail_parts == tails
@@ -134,7 +134,7 @@ def _cycle_rank(G):
         return vid
 
     for e in G.edges:
-        parent[root(e.v_from)] = root(e.v_to)
+        parent[root(e.v_from.id)] = root(e.v_to.id)
     assert len({root(vid) for vid in G.vertices}) == 1
     return len(G.edges) - len(G.vertices) + 1
 
@@ -144,8 +144,8 @@ def test_star_sums_are_q_plus_one(q, level, degree, prime_degrees, depth):
     G = quotient_graph(_lattice(q, level), depth)
     star = {vid: Fraction(0) for vid in G.vertices}
     for e in G.edges:
-        for vid in (e.v_from, e.v_to):
-            star[vid] += Fraction(G.vertices[vid].order, e.order)
+        for v in (e.v_from, e.v_to):
+            star[v.id] += Fraction(v.order, e.order)
     bad = {
         vid: total
         for vid, total in star.items()

@@ -26,7 +26,8 @@ from sl2btree.quotient import (
 )
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import Tree, Vertex
-from test_euler_characteristic import _index
+from brute_force import cusp_ray_matches_by_scan
+from test_euler_characteristic import CASES, _index, _lattice
 
 
 F2 = field(2)
@@ -48,7 +49,7 @@ def test_nagao_quotient_is_a_half_line():
     assert len(G.rays) == 1
     ray = G.rays[0]
     assert ray.certified and ray.base_level == 1
-    assert ray.vertex_ids[0] == "L1" and [G.vertices[v].level for v in ray.vertex_ids] == list(range(1, 9))
+    assert ray.vertices[0].id == "L1" and [v.level for v in ray.vertices] == list(range(1, 9))
 
 
 def test_nagao_covolume_both_routes():
@@ -79,13 +80,18 @@ def test_ray_detection_on_a_hand_built_graph():
         G.vertices[vid] = quotient.QuotientVertex(vid, level, 0, order)
     for lo, hi, order in [("C0", "C1", 1), ("C1", "C2", 2), ("C2", "C3", 4), ("B", "M", 1),
                           ("M", "T1", 1), ("M", "T2", 1), ("M2", "T4", 1), ("M3", "T4", 1)]:
-        G.edges.append(quotient.QuotientEdge(lo, hi, order))
+        G.edges.append(quotient.QuotientEdge(G.vertices[lo], G.vertices[hi], order))
     quotient._detect_rays(G)
-    assert [(r.vertex_ids, r.edge_indices, r.base_level, r.certified) for r in G.rays] == [
+    assert [_ray_links(G, r) + (r.base_level, r.certified) for r in G.rays] == [
         (["C0", "C1", "C2", "C3"], [0, 1, 2], 0, True),
         (["T1"], [], 3, False),
         (["T2"], [], 3, False),
     ]
+
+
+def _ray_links(G, ray):
+    """The ray's vertex ids and the positions of its edges in G.edges."""
+    return [v.id for v in ray.vertices], [G.edges.index(e) for e in ray.edges]
 
 
 def _chain_graph(orders, edge_orders):
@@ -94,7 +100,8 @@ def _chain_graph(orders, edge_orders):
     for n, order in enumerate(orders):
         G.vertices[f"C{n}"] = quotient.QuotientVertex(f"C{n}", n, 0, order)
     for n, order in enumerate(edge_orders):
-        G.edges.append(quotient.QuotientEdge(f"C{n}", f"C{n + 1}", order))
+        lo, hi = G.vertices[f"C{n}"], G.vertices[f"C{n + 1}"]
+        G.edges.append(quotient.QuotientEdge(lo, hi, order))
     return G
 
 
@@ -109,7 +116,7 @@ def test_ray_steps_need_the_edge_group_to_be_the_lower_vertex_group():
     # the orders double at each step, but the middle edge group has order 1, not 2
     G = _chain_graph([1, 2, 4, 8], [1, 1, 4])
     quotient._detect_rays(G)
-    assert [(r.vertex_ids, r.edge_indices, r.certified) for r in G.rays] == [
+    assert [_ray_links(G, r) + (r.certified,) for r in G.rays] == [
         (["C0", "C1", "C2", "C3"], [0, 1, 2], False)
     ]
 
@@ -139,7 +146,7 @@ def test_level_t_squared_quotient():
     assert len(by_level[0]) == 8 and all(vert.order == 1 for vert in by_level[0])
     for n in range(1, 8):
         assert len(by_level[n]) == 12
-    bottom = [e for e in G.edges if e.v_from.startswith("L0")]
+    bottom = [e for e in G.edges if e.v_from.id.startswith("L0")]
     assert len(bottom) == 24 and all(e.order == 1 for e in bottom)
     assert len(G.rays) == 12
     assert covolume(G).total == Fraction(48) == _closed_form_covolume(2, 2, [1])
@@ -162,6 +169,29 @@ def test_cusps_report_bijections():
 
     rep3 = cusps_report(CongruenceLattice(F3, parse_series(F3, "t")), 6)
     assert rep3.bijective and len(rep3.algebraic) == 4 and len(rep3.graph.rays) == 4
+
+
+@pytest.mark.parametrize(
+    "q,level,degree",
+    [case[:3] for case in CASES],
+    ids=[f"F{q}-{level or 'full'}" for q, level, *_ in CASES],
+)
+def test_cusp_lookup_agrees_with_the_scan_over_every_ray(q, level, degree):
+    # the depths cover graphs without rays, with uncertified rays and with certified ones
+    lattice = _lattice(q, level)
+    for depth in range(1, degree + 3):
+        report = cusps_report(lattice, depth)
+        assert report.matches == cusp_ray_matches_by_scan(report.graph, report.algebraic)
+
+
+def test_cusp_lookup_skips_a_ray_that_ends_below_the_read_level():
+    # the full lattice's ray at depth 2 starts at L0 and is read at level 1
+    report = cusps_report(nagao2, 2)
+    assert report.matches == [(0, 0)]
+    ray = report.graph.rays[0]
+    ray.vertices, ray.edges = ray.vertices[:1], []
+    assert quotient._match_cusps_to_rays(report.graph, report.algebraic) == []
+    assert cusp_ray_matches_by_scan(report.graph, report.algebraic) == []
 
 
 def test_growth_probe_along_cusp_directions():
@@ -283,17 +313,6 @@ def test_family_counterexample_where_horoballs_meet(q, level):
     assert res.gamma == TreeAutomorphism.identity(F)
 
 
-def _base_level_radii(report):
-    entry = dict(report.matches)
-    F = report.graph.lattice.field
-    return [
-        c.conjugator.adjugate().act_vertex(
-            parse_vertex(F, f"({report.graph.rays[entry[i]].base_level}; 0)")
-        )
-        for i, c in enumerate(report.algebraic)
-    ]
-
-
 def test_family_cross_check_reads_quotient_vertices(monkeypatch):
     """The cross check looks members up by quotient vertex: no residue
     product and no transporter when the horoballs never meet."""
@@ -313,7 +332,7 @@ def test_family_cross_check_reads_quotient_vertices(monkeypatch):
         return result
 
     monkeypatch.setattr(quotient, "certify_independent_horoball", certify_then_reset)
-    fam = certify_independent_family(lat, report.algebraic, _base_level_radii(report), 4)
+    fam = certify_independent_family(lat, report.algebraic, report.radius_vertices(), 4)
     assert isinstance(fam, FamilyCertificate)
     assert fam.cross_pairs_checked == 3432
     assert products == [] and transporters == []
@@ -348,6 +367,18 @@ def test_contract_tripod_to_a_star(capsys):
     assert _cli_json(capsys, argv)["covolume"] == "6/1"
 
 
+def _vertex_rows(vertices):
+    return sorted((v.id, v.level, v.coset, v.order) for v in vertices)
+
+
+def _edge_rows(edges):
+    return [(e.v_from.id, e.v_to.id, e.order) for e in edges]
+
+
+def _ray_rows(G):
+    return [_ray_links(G, r) + (r.base_level, r.certified, r.cusp_index) for r in G.rays]
+
+
 def test_contracting_without_a_certified_ray_copies_the_graph():
     graphs = [(nagao2, 2), (CongruenceLattice(F2, parse_series(F2, "t^3")), 4)]
     for lattice, depth in graphs:
@@ -355,10 +386,12 @@ def test_contracting_without_a_certified_ray_copies_the_graph():
         assert G.rays and not any(ray.certified for ray in G.rays)
         C = contract(G)
         assert C.contracted and not G.contracted
-        assert C.vertices == G.vertices
+        assert _vertex_rows(C.vertices.values()) == _vertex_rows(G.vertices.values())
         assert all(C.vertices[vid] is not v for vid, v in G.vertices.items())
-        assert C.edges == G.edges
-        assert C.rays == G.rays
+        assert _edge_rows(C.edges) == _edge_rows(G.edges)
+        assert not set(C.edges) & set(G.edges)
+        assert _ray_rows(C) == _ray_rows(G)
+        assert all(set(r.vertices) <= set(C.vertices.values()) for r in C.rays)
         C.contracted = False
         assert C.to_json_dict() == G.to_json_dict()
 
@@ -451,7 +484,7 @@ def test_contract_reads_no_cusp_data(monkeypatch, lattice, depth):
 def test_family_certification_enumerates_each_horoball_once(monkeypatch):
     lat = CongruenceLattice(F2, parse_series(F2, "t^2"))
     report = cusps_report(lat, 8)
-    radii = _base_level_radii(report)
+    radii = report.radius_vertices()
     horoballs = _count_calls(monkeypatch, Tree, "horoellipse_vertices")
     balls = _count_calls(monkeypatch, Tree, "ball")
     fam = certify_independent_family(lat, report.algebraic, radii, 4)

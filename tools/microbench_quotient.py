@@ -1,7 +1,7 @@
 """Per-layer microbenchmark of congruence quotients: coset partitions,
-graph assembly and the graph's JSON text.
+graph assembly, the graph's JSON text, cusp matching and contraction.
 
-For each lattice below it prints the minimum over repeats of four rows, in
+For each lattice below it prints the minimum over repeats of six rows, in
 milliseconds. Run from the root of a checkout:
 
     PYTHONPATH=src python3 tools/microbench_quotient.py
@@ -17,6 +17,9 @@ milliseconds. Run from the root of a checkout:
   the reference text.
 - `_json_text`: `cli._json_text` of the same dict, which the command line
   prints; it must equal the reference, and the tool checks that it does.
+- `cusps_report`: `cusps_report(lattice, 8)`, the graph's assembly again
+  plus the cusp representatives and their matching to the rays.
+- `contract`: `contract(G)` of the graph above.
 
 The Nagao lattices over F_8 and F_9 have the zero ring as residue ring,
 so their rows measure the fixed cost of a table that has one member.
@@ -29,7 +32,7 @@ from sl2btree import cli
 from sl2btree.field import field
 from sl2btree.lattice import CongruenceLattice, CosetTable, NagaoLattice
 from sl2btree.literals import parse_series
-from sl2btree.quotient import quotient_graph
+from sl2btree.quotient import contract, cusps_report, quotient_graph
 
 LATTICES = [(2, "t^3"), (2, "t^4+t+1"), (3, "t^2"), (9, "t"), (8, None), (9, None)]
 DEPTH = 8
@@ -60,20 +63,24 @@ def _min_ms(run):
 
 
 def main():
-    rows = ("partitions", "quotient_graph", "json.dumps", "_json_text")
+    rows = ("partitions", "quotient_graph", "json.dumps", "_json_text", "cusps_report", "contract")
     print(f"{'ms':<22}" + "".join(f"{name:>16}" for name in rows))
     for q, level in LATTICES:
         lattice = _lattice(q, level)
         partitions = min(_partitions_s(lattice) for _ in range(REPEAT)) * 1e3
         quotient_graph(lattice, DEPTH)  # builds the table and its partitions
         graph = _min_ms(lambda: quotient_graph(lattice, DEPTH))
-        out = quotient_graph(lattice, DEPTH).to_json_dict()
+        G = quotient_graph(lattice, DEPTH)
+        out = G.to_json_dict()
         if cli._json_text(out) != json.dumps(out, indent=2):
             raise SystemExit(f"_json_text differs from json.dumps at {lattice}")
         dumps = _min_ms(lambda: json.dumps(out, indent=2))
         text = _min_ms(lambda: cli._json_text(out))
+        cusps = _min_ms(lambda: cusps_report(lattice, DEPTH))
+        contraction = _min_ms(lambda: contract(G))
         name = f"F_{q} " + ("nagao" if level is None else level)
-        print(f"{name:<22}" + "".join(f"{t:16.3f}" for t in (partitions, graph, dumps, text)))
+        times = (partitions, graph, dumps, text, cusps, contraction)
+        print(f"{name:<22}" + "".join(f"{t:16.3f}" for t in times))
 
 
 if __name__ == "__main__":
