@@ -41,7 +41,7 @@ from .errors import (
 )
 from .field import Field
 from .polys import xgcd_t
-from .series import INFINITY, LaurentSeries
+from .series import INFINITY, LaurentSeries, _fused
 from .tree import (
     End,
     RationalEnd,
@@ -229,7 +229,7 @@ class TreeAutomorphism:
 
     def det(self) -> LaurentSeries:
         if self._det is None:
-            self._det = self.a * self.d - self.b * self.c
+            self._det = _fused(self.a, self.d, self.b, self.c, minus=True)
         return self._det
 
     def trace(self) -> LaurentSeries:
@@ -247,23 +247,20 @@ class TreeAutomorphism:
         exact = all(e.prec is INFINITY for e in (*self.entries(), *other.entries()))
         return (TreeAutomorphism._product if exact else TreeAutomorphism)(
             self.field,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            _fused(self.a, other.a, self.b, other.c),
+            _fused(self.a, other.b, self.b, other.d),
+            _fused(self.c, other.a, self.d, other.c),
+            _fused(self.c, other.b, self.d, other.d),
         )
 
     def __pow__(self, k: int) -> "TreeAutomorphism":
+        """Square and multiply: bit_length(|k|) + popcount(|k|) - 2 products, k != 0."""
         if k < 0:
             return self.adjugate() ** (-k)
-        out = TreeAutomorphism.identity(self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if k <= 1:
+            return self if k else TreeAutomorphism.identity(self.field)
+        half = self ** (k >> 1)
+        return half * half * self if k & 1 else half * half
 
     def scaled(self, s: LaurentSeries) -> "TreeAutomorphism":
         """s * self; an exact nonzero s scales the determinant by s^2."""
@@ -287,7 +284,7 @@ class TreeAutomorphism:
         e1, e2 = self.entries(), other.entries()
         for i in range(4):
             for j in range(i + 1, 4):
-                if not (e1[i] * e2[j] - e1[j] * e2[i]).is_exact_zero():
+                if not _fused(e1[i], e2[j], e1[j], e2[i], minus=True).is_exact_zero():
                     return False
         return True
 
@@ -311,16 +308,10 @@ class TreeAutomorphism:
         pivot column's entries.
         """
         n, res = v.level, v.residue
-        A = self.a + self.b * res
+        A = _fused(self.b, res, self.a)
         B = self.b.shift(n)
-        C = self.c + self.d * res
-        D = self.d.shift(n)
         det_val = self.det().valuation() + n
-
-        def visible_val(s):
-            return s.valuation() if s.has_terms() else None
-
-        vA, vB = visible_val(A), visible_val(B)
+        vA, vB = (s.valuation() if s.has_terms() else None for s in (A, B))
         if vA is None and vB is None:
             raise InsufficientPrecision(
                 "top row of the transformed basis has no visible pivot"
@@ -337,10 +328,10 @@ class TreeAutomorphism:
                 raise InsufficientPrecision("cannot compare pivot valuations")
         if use_A:
             new_level = det_val - 2 * vA
-            residue = _ratio_mod(C, A, new_level)
+            residue = _ratio_mod(_fused(self.d, res, self.c), A, new_level)
         else:
             new_level = det_val - 2 * vB
-            residue = _ratio_mod(D, B, new_level)
+            residue = _ratio_mod(self.d.shift(n), B, new_level)
         return Vertex(new_level, residue)
 
     def act_end(self, end: End) -> End:
@@ -352,8 +343,8 @@ class TreeAutomorphism:
                 return end_from_vector(F, self.b, self.d)
             return TruncatedEnd(F, _divide_available(self.d, self.b))
         if isinstance(end, RationalEnd) and exact:
-            x = self.a * end.x + self.b * end.y
-            y = self.c * end.x + self.d * end.y
+            x = _fused(self.a, end.x, self.b, end.y)
+            y = _fused(self.c, end.x, self.d, end.y)
             return end_from_vector(F, x, y)
         if isinstance(end, TruncatedEnd):
             w = end.coordinate
@@ -362,8 +353,8 @@ class TreeAutomorphism:
             # usable digits of the coordinate anyway
             depth = min(e.prec for e in self.entries() if not e.is_exact())
             w = end.coordinate_mod(depth)
-        num = self.c + self.d * w
-        den = self.a + self.b * w
+        num = _fused(self.d, w, self.c)
+        den = _fused(self.b, w, self.a)
         return TruncatedEnd(F, _divide_available(num, den))
 
     def fixes_vertex(self, v: Vertex) -> bool:
@@ -478,10 +469,9 @@ class TreeAutomorphism:
     def _attracting_end_iterated(self, depth: int) -> End:
         F = self.field
         tree = Tree(F)
-        x = LaurentSeries.zero(F)
-        y = LaurentSeries.one(F)
+        x, y = LaurentSeries.zero(F), LaurentSeries.one(F)
         for _ in range(_ITERATION_CAP):
-            x, y = self.a * x + self.b * y, self.c * x + self.d * y
+            x, y = _fused(self.a, x, self.b, y), _fused(self.c, x, self.d, y)
             if x.is_exact_zero():
                 continue
             candidate = end_from_vector(F, x, y)

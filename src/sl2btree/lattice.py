@@ -227,8 +227,7 @@ class NagaoLattice:
             raise NonterminationGuard(
                 "end coordinates were not coprime; normalization is broken"
             )
-        zero_end = self.tree.end_zero()
-        if conj.act_end(end) != zero_end:
+        if conj.act_end(end) != self.tree.end_zero():
             raise NonterminationGuard("end conjugator failed to check")
         return conj
 

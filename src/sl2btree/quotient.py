@@ -28,7 +28,7 @@ from .errors import (
 )
 from .lattice import CuspData, NagaoLattice, ReducedVertex, _upper
 from .polys import t_degree
-from .series import LaurentSeries
+from .series import LaurentSeries, _fused
 from .tree import End, Vertex
 
 
@@ -496,7 +496,7 @@ class _TransporterAlgebra:
         w' is the target's witness and conj the cusp's end conjugator.
         """
         g, w = cusp.conjugator, yp.reduced.witness
-        return g.c * w.d - g.d * w.c, g.d * w.a - g.c * w.b
+        return _fused(g.c, w.d, g.d, w.c, minus=True), _fused(g.d, w.a, g.c, w.b, minus=True)
 
     def source_half(self, y: HoroballMember, cusp: CuspData):
         """(Q.a, Q.c) for Q = w conj^{-1}: the half a pair reads of its source.
@@ -504,7 +504,7 @@ class _TransporterAlgebra:
         w is the source's witness; a pair reads no other entry of P or Q.
         """
         g, w = cusp.conjugator, y.reduced.witness
-        return w.a * g.d - w.b * g.c, w.c * g.d - w.d * g.c
+        return _fused(w.a, g.d, w.b, g.c, minus=True), _fused(w.c, g.d, w.d, g.c, minus=True)
 
     def moving_transporter(self, end: End, y, Q, yp, P):
         """A transporter from y to y' that moves the end, or None if all fix it.
@@ -520,18 +520,18 @@ class _TransporterAlgebra:
         (Pc, Pd), (Qa, Qc) = P, Q
         if y.reduced.level == 0:
             for u in family:
-                if (Pc * (u.a * Qa + u.b * Qc) + Pd * (u.c * Qa + u.d * Qc)).has_terms():
+                if _fused(Pc, _fused(u.a, Qa, u.b, Qc), Pd, _fused(u.c, Qa, u.d, Qc)).has_terms():
                     return self._finish(end, y, yp, u)
             return None
-        # for u = [[alpha, b], [0, alpha^-1]] the entry is
-        # alpha*A + b*B + alpha^{-1}*C, linear in b: if some b = b0 + f*c
-        # exposes it, b0 or b0 + f does, with the unit `_upper_family` picks
-        A = Pc * Qa
-        B = Pc * Qc
-        C = Pd * Qc
+        # for u = [[alpha, b], [0, alpha^-1]] the entry is alpha*A + b*B +
+        # alpha^{-1}*C with A = Pc*Qa, B = Pc*Qc, C = Pd*Qc, linear in b: if
+        # some b = b0 + f*c exposes it, b0 or b0 + f does, with the unit
+        # `_upper_family` picks
         alpha, offsets = family
+        rest = _fused(Pc.scale(alpha), Qa, Pd.scale(alpha.inverse()), Qc)
+        B = Pc * Qc
         for b in offsets:
-            if (A.scale(alpha) + b * B + C.scale(alpha.inverse())).has_terms():
+            if _fused(b, B, rest).has_terms():
                 return self._finish(end, y, yp, _upper(self.F, alpha, b))
         return None
 

@@ -177,24 +177,11 @@ class LaurentSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _combine(self, other: "LaurentSeries", sign: FieldElement) -> "LaurentSeries":
-        """self + sign * other, for sign 1 or -1."""
-        F = self.field
-        if not isinstance(other, LaurentSeries) or other.field is not F:
-            raise InvalidInputError("series over different fields")
-        prec = min(self.prec, other.prec)
-        out = dict(self.coeffs)
-        F._add_products(out, {0: sign}, other.coeffs, None)
-        if self.prec != other.prec:
-            # the more precise operand's terms at or past prec are unknown
-            out = {d: c for d, c in out.items() if d < prec}
-        return LaurentSeries._canonical(F, out, prec)
-
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self._combine(other, self.field.one)
+        return _fused(self, None, other)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self._combine(other, -self.field.one)
+        return _fused(self, None, other, minus=True)
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries._canonical(
@@ -202,29 +189,12 @@ class LaurentSeries:
         )
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        F = self.field
-        if not isinstance(other, LaurentSeries) or other.field is not F:
-            raise InvalidInputError("series over different fields")
-        x, y = self.coeffs, other.coeffs
-        if (not x and self.prec is INFINITY) or (not y and other.prec is INFINITY):
-            return LaurentSeries._canonical(F, {})
-        prec = INFINITY
-        if self.prec is not INFINITY:
-            prec = min(prec, self.prec + other.valuation_lower_bound())
-        if other.prec is not INFINITY:
-            prec = min(prec, other.prec + self.valuation_lower_bound())
-        out = {}
-        F._add_products(out, x, y, None if prec is INFINITY else prec)
-        return LaurentSeries._canonical(F, out, prec)
+        return _fused(self, other)
 
     def scale(self, coeff) -> "LaurentSeries":
         """Multiply by a field element (exact scalar)."""
         c = self.field.element(coeff)
-        if not c:
-            return LaurentSeries._canonical(self.field, {})
-        out = {}
-        self.field._add_products(out, {0: c}, self.coeffs, None)
-        return LaurentSeries._canonical(self.field, out, self.prec)
+        return _fused(LaurentSeries._canonical(self.field, {0: c} if c else {}), self)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by pi^k (degree shift)."""
@@ -345,6 +315,53 @@ class LaurentSeries:
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self})"
+
+
+def _fused(x: LaurentSeries, y=None, u=None, v=None, minus=False) -> LaurentSeries:
+    """x*y + u*v, or x*y - u*v when `minus`, as one series.
+
+    A missing y or v stands for 1 and a missing u for no second term, so
+    this is also the sum, difference and product of two series. The terms
+    go into one digit dict through `Field._add_products`, and no series is
+    built for a term. A term's precision is given by `_term_prec`; the
+    result is known mod the least of them.
+    """
+    F = x.field
+    prec = _term_prec(F, x, y)
+    if u is not None:
+        prec = min(prec, _term_prec(F, u, v))
+    cap = None if prec is INFINITY else prec
+    if y is not None:
+        out = {}
+        F._add_products(out, x.coeffs, y.coeffs, cap)
+    elif prec == x.prec:
+        out = dict(x.coeffs)
+    else:
+        # the more precise operand's terms at or past prec are unknown
+        out = {d: c for d, c in x.coeffs.items() if d < prec}
+    if v is not None:
+        F._add_products(out, F._negated(u.coeffs) if minus else u.coeffs, v.coeffs, cap)
+    elif u is not None:
+        F._add_products(out, {0: -F.one if minus else F.one}, u.coeffs, cap)
+    return LaurentSeries._canonical(F, out, prec)
+
+
+def _term_prec(F: Field, a, b):
+    """The precision of a*b over F, b None standing for 1.
+
+    An exact-zero factor makes the product exact zero; otherwise
+    (a mod pi^M) * b is known mod M + v(b), v(b) the valuation's lower
+    bound. A factor that is no series over F is refused.
+    """
+    if not isinstance(a, LaurentSeries) or a.field is not F or not (
+        b is None or isinstance(b, LaurentSeries) and b.field is F
+    ):
+        raise InvalidInputError("series over different fields")
+    if b is None or (a.prec is INFINITY and b.prec is INFINITY):
+        return a.prec
+    if (not a.coeffs and a.prec is INFINITY) or (not b.coeffs and b.prec is INFINITY):
+        return INFINITY
+    return min(a.prec + b.valuation_lower_bound(), b.prec + a.valuation_lower_bound())
 
 
 def _element_str(c: FieldElement) -> str:

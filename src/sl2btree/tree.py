@@ -27,7 +27,7 @@ its j-th vertex and goes k steps off it has busemann j - k; the horosphere
 members at distance 2j have k = j.
 
 On top of the vertex combinatorics this module provides distances, geodesic
-paths, balls and spheres, the step-toward-an-end map, Busemann relative
+paths, spheres, the step-toward-an-end map, Busemann relative
 position, and the horoellipse/horoball/horosphere membership tests.
 Everything is decided by exact arithmetic on the stored coefficients;
 nothing is sampled or approximated.
@@ -56,7 +56,10 @@ class Vertex:
 
     An immutable value, equal to no tuple. The residue is exact with digits
     below the level only, so neighbors share it where they can. The hash is
-    computed once; `_meet` keeps m(v) for the last end asked about.
+    computed once; `_meet` keeps (end, m(v)) for the last end asked about.
+    A child or parent built from v inherits it where v's value settles
+    theirs: a child when m(v) < v.level, since it adds a digit at v.level
+    only, and the parent always, as min(m(v), v.level - 1).
     """
 
     __slots__ = ("level", "residue", "_hash", "_meet")
@@ -263,7 +266,10 @@ def _child(v: Vertex, c) -> Vertex:
     residue = v.residue
     if c:
         residue = LaurentSeries._canonical(residue.field, {**residue.coeffs, v.level: c})
-    return Vertex(v.level + 1, residue)
+    child = Vertex(v.level + 1, residue)
+    if v._meet is not None and v._meet[1] < v.level:
+        child._meet = v._meet
+    return child
 
 
 def _guard_walk(x: Vertex, mx: int, horizon: int, steps: int) -> None:
@@ -321,8 +327,8 @@ class Tree:
 
     def __init__(self, field: Field):
         self.field = field
-        self.q = field.q
         self.base = Vertex(0, LaurentSeries.zero(field))
+        self._zero_end = None
 
     # -- vertex bookkeeping --------------------------------------------------
 
@@ -336,21 +342,22 @@ class Tree:
         return UpEnd(self.field)
 
     def end_zero(self) -> RationalEnd:
-        """The end with boundary coordinate w = 0."""
-        return RationalEnd(self.field, LaurentSeries.one(self.field), LaurentSeries.zero(self.field))
+        """The end with boundary coordinate w = 0, built on first use."""
+        if self._zero_end is None:
+            F = self.field
+            self._zero_end = RationalEnd(F, LaurentSeries.one(F), LaurentSeries.zero(F))
+        return self._zero_end
 
     def parent(self, v: Vertex) -> Vertex:
         """v without its top digit; v's residue itself when that digit is zero."""
         n, residue = v.level - 1, v.residue
-        return Vertex(n, residue.truncate(n) if n in residue.coeffs else residue)
+        up = Vertex(n, residue.truncate(n) if n in residue.coeffs else residue)
+        if v._meet is not None:
+            up._meet = (v._meet[0], min(v._meet[1], n))
+        return up
 
     def children(self, v: Vertex) -> list[Vertex]:
-        """The q vertices below v, one per digit c at pi^level.
-
-        A vertex residue has no digit at or above its level, so each child's
-        residue is v's coefficients with c added at degree `level`; the zero
-        digit adds nothing.
-        """
+        """The q vertices below v, one per digit c at pi^level (see `_child`)."""
         return [_child(v, c) for c in self.field.elements()]
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
@@ -389,29 +396,13 @@ class Tree:
             raise InvalidInputError("midpoint of an odd-length geodesic is an edge")
         return self.path(x, y)[d // 2]
 
-    def _layers(self, x: Vertex, radius: int) -> list[list[Vertex]]:
-        """The spheres of radius 0, ..., radius about x, each in BFS order."""
-        seen = {x}
-        layers = [[x]]
-        for _ in range(radius):
-            nxt = []
-            for v in layers[-1]:
-                for u in self.neighbors(v):
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            layers.append(nxt)
-        return layers
-
-    def ball(self, x: Vertex, radius: int) -> list[Vertex]:
-        """All vertices within the given distance, BFS order."""
-        _require_nonnegative("ball radius", radius)
-        return [v for layer in self._layers(x, radius) for v in layer]
-
     def sphere(self, x: Vertex, radius: int) -> list[Vertex]:
-        """All vertices at distance exactly `radius`, BFS order."""
+        """All vertices at distance exactly `radius`, BFS order, without a seen set."""
         _require_nonnegative("sphere radius", radius)
-        return self._layers(x, radius)[-1]
+        layer = [(x, None)]
+        for _ in range(radius):
+            layer = [(u, v) for v, back in layer for u in self.neighbors(v) if u != back]
+        return [v for v, _ in layer]
 
     # -- ends and rays ---------------------------------------------------------
 
@@ -421,8 +412,7 @@ class Tree:
             return self.parent(x)
         n = x.level
         limit = end.known_depth()
-        bound = min(n, limit)
-        if _first_difference(x.residue.coeffs, end.digits(bound), bound) < bound:
+        if self._end_meeting(x, end) < min(n, limit):
             return self.parent(x)
         if limit < n:
             raise _steer_error(limit, n)

@@ -492,7 +492,7 @@ def _union_of_balls(tree, x, walk, radius):
     breadth-first search from x that sees the tree only through
     `tree.neighbors`, the walk and vertex equality; in a tree the neighbors
     of a vertex other than its predecessor are new, so it meets the
-    vertices in `Tree.ball`'s order. Each vertex y
+    vertices in breadth-first order. Each vertex y
     carries s(y) = max_k (k - d(walk[k], y)) and is in the union exactly
     when s(y) >= 0. The walk vertex walk[j] has s = j. Any other vertex is
     one step farther than its predecessor from every walk vertex, since the

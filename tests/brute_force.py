@@ -1,11 +1,31 @@
 """Brute-force oracles for the tests, sharing no code with the closed forms."""
 
 from sl2btree.autom import TreeAutomorphism
-from sl2btree.errors import NonterminationGuard, SizeGuardExceeded
+from sl2btree.errors import InvalidInputError, NonterminationGuard, SizeGuardExceeded
 from sl2btree.lattice import NagaoLattice
 from sl2btree.polys import all_t_polys, t_degree, xgcd_t
 from sl2btree.series import LaurentSeries
-from sl2btree.tree import Vertex
+from sl2btree.tree import Tree, Vertex
+
+
+def ball(tree: Tree, x: Vertex, radius: int) -> list[Vertex]:
+    """All vertices within `radius` of x, in breadth-first order.
+
+    A search over `tree.neighbors` with a set of seen vertices.
+    """
+    if radius < 0:
+        raise InvalidInputError(f"ball radius must be >= 0, got {radius}")
+    seen, layer, out = {x}, [x], [x]
+    for _ in range(radius):
+        nxt = []
+        for v in layer:
+            for u in tree.neighbors(v):
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        out += nxt
+        layer = nxt
+    return out
 
 
 def stabilizer_bruteforce(

@@ -21,6 +21,7 @@ from sl2btree.field import field
 from sl2btree.literals import format_end, parse_end, parse_matrix, parse_vertex
 from sl2btree.series import INFINITY, LaurentSeries
 from sl2btree.tree import Tree, TruncatedEnd, UpEnd, Vertex
+from brute_force import ball
 
 
 F = field(2)
@@ -65,7 +66,7 @@ def test_constructor_rejects_singular():
 def test_adjugate_inverts():
     g = m("[[1+t^2,t],[t,1]]")
     assert (g * g.adjugate()).is_scalar()
-    for x in tree.ball(tree.base, 2):
+    for x in ball(tree, tree.base, 2):
         assert g.adjugate().act_vertex(g.act_vertex(x)) == x
 
 
@@ -95,7 +96,7 @@ def test_action_composes_over_every_field(q, rng):
 
 def test_action_preserves_distances():
     rng = random.Random("autom:isometry")
-    box = tree.ball(tree.base, 2)
+    box = ball(tree, tree.base, 2)
     for _ in range(10):
         g = _random_matrix(rng, F)
         for x in box[:5]:
@@ -108,7 +109,7 @@ def test_action_preserves_distances():
 def test_scalars_act_trivially():
     pi = LaurentSeries.pi_power(F, 1)
     g = TreeAutomorphism.diagonal(F, pi, pi)
-    for x in tree.ball(tree.base, 2):
+    for x in ball(tree, tree.base, 2):
         assert g.act_vertex(x) == x
     assert g.is_scalar()
 
@@ -225,7 +226,7 @@ def test_fixing_depth_matches_literal_ball_fixing():
         x = g.classify().fixed_vertex
         depth = g.fixing_depth(x)
         for r in range(4):
-            fixed = all(g.fixes_vertex(w) for w in tree.ball(x, r))
+            fixed = all(g.fixes_vertex(w) for w in ball(tree, x, r))
             assert fixed == (depth >= r)
 
 
@@ -257,8 +258,8 @@ def test_unipotent_class_in_odd_characteristic():
 
 def test_unipotent_class_over_f9_needs_no_ball(monkeypatch):
     # a radius-6 ball over F_9 has 664 301 vertices; the horoellipse is
-    # built from the ray instead
-    monkeypatch.setattr(Tree, "ball", None)
+    # built from the ray instead, and the tree lists no ball or sphere
+    monkeypatch.setattr(Tree, "sphere", None)
     F9 = field(9)
     info = TreeAutomorphism.upper_shear(F9, LaurentSeries.one(F9)).unipotent_class()
     assert info.kind == "good" and info.checked_depth == 6
@@ -393,6 +394,34 @@ def test_step_powers_in_closed_form(q):
             LaurentSeries.pi_power(Fq, k),
         )
         assert decompose_end_stabilizer(step**k, zero_end).power == k
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_powers_are_repeated_products_by_square_and_multiply(q, monkeypatch):
+    """g**k equals k products of g (of its adjugate for k < 0), built with
+    at most bit_length(|k|) - 1 squarings and popcount(|k|) - 1 products."""
+    Fq = field(q)
+    g = m("[[1+t,t],[t^2,1+t+t^3]]", Fq)
+    expected = {}
+    for k in range(-3, 6):
+        base = g if k >= 0 else g.adjugate()
+        power = TreeAutomorphism.identity(Fq)
+        for _ in range(abs(k)):
+            power = power * base
+        expected[k] = power
+    products = []
+    multiply = TreeAutomorphism.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(TreeAutomorphism, "__mul__", counting)
+    for k in range(-3, 6):
+        products.clear()
+        assert g**k == expected[k]
+        n = abs(k)
+        assert len(products) <= max(0, n.bit_length() - 1 + bin(n).count("1") - 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

@@ -8,18 +8,20 @@ elements of another field: the two must agree on an identical dict. The
 precision of each result is checked against the laws of the module
 docstring, over F_2, F_3, F_4 and F_9, on exact and inexact operands.
 
-The coefficients of sums, differences, negatives, scalings and products
-are compared with an oracle that works on the coefficient tuples of the
-digits alone: componentwise sums modulo p and schoolbook products reduced
-by the field's monic modulus, written out here, not read from the field's
-tables.
+The one kernel behind them, x*y + u*v or x*y - u*v in one digit dict, is
+compared with the sum and difference of the two products. The coefficients
+of sums, differences, negatives, scalings, products and the kernel's
+results are compared with an oracle that works on the coefficient tuples
+of the digits alone: componentwise sums modulo p and schoolbook products
+reduced by the field's monic modulus, written out here, not read from the
+field's tables.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sl2btree.errors import IndeterminateValuation, InsufficientPrecision
-from sl2btree.series import INFINITY, LaurentSeries
+from sl2btree.series import INFINITY, LaurentSeries, _fused
 from sl2btree.tree import UpEnd
 from test_tree_properties import PROPERTY, QS, TREES, rational_ends, vertices_near
 
@@ -209,3 +211,46 @@ def test_arithmetic_values_match_the_digit_oracle(q, data):
     assert _digits(scaled) == _known(_oracle_product(x, {0: c.coeffs}, *field_def), scaled.prec)
     product = a * b
     assert _digits(product) == _known(_oracle_product(x, y, *field_def), product.prec)
+
+
+@st.composite
+def kernel_operands(draw, F):
+    """A factor of x*y +- u*v: drawn by `series` (exact or not, at mixed
+    precisions), the exact zero, or "0 mod pi^N"."""
+    kind = draw(st.sampled_from(["series", "series", "exact zero", "zero mod"]))
+    if kind == "exact zero":
+        return LaurentSeries.zero(F)
+    if kind == "zero mod":
+        return LaurentSeries(F, {}, draw(st.integers(-4, 8)))
+    return draw(series(F))
+
+
+def _product_precision(a, b):
+    if a.is_exact_zero() or b.is_exact_zero():
+        return INFINITY
+    return min(a.prec + _lower_bound(b), b.prec + _lower_bound(a))
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_fused_kernel_is_the_sum_of_two_products(q, data):
+    F = TREES[q].field
+    field_def = FIELDS[q]
+    x, y, u, v = (data.draw(kernel_operands(F)) for _ in range(4))
+    products = (x * y, u * v)
+    prec = min(_product_precision(x, y), _product_precision(u, v))
+    for sign, expected in ((1, products[0] + products[1]), (-1, products[0] - products[1])):
+        fused = _canonical(_fused(x, y, u, v, minus=sign < 0))
+        assert fused.prec == expected.prec == prec
+        assert _digits(fused) == _digits(expected)
+        oracle = _oracle_sum(
+            _oracle_product(_digits(x), _digits(y), *field_def),
+            _oracle_product(_digits(u), _digits(v), *field_def),
+            sign,
+            *field_def,
+        )
+        assert _digits(fused) == _known(oracle, prec)
+        # without v the second term is u itself
+        alone = _canonical(_fused(x, y, u, minus=sign < 0))
+        assert alone == (products[0] + u if sign > 0 else products[0] - u)

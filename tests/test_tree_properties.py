@@ -24,6 +24,7 @@ from sl2btree.lattice import NagaoLattice
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import Tree, TruncatedEnd, UpEnd, Vertex, end_from_vector
 from sl2btree.verify import _walking_busemann
+from brute_force import ball
 from test_tree import _meeting_level_by_walking
 
 QS = [2, 3, 4, 9]
@@ -153,7 +154,7 @@ def test_horosphere_from_the_ray_is_the_filtered_ball(q, data):
     depth = data.draw(st.integers(0, HORO_DEPTH[q]))
 
     def filtered():
-        return [y for y in tree.ball(x, depth) if _walking_busemann(tree, x, y, end) == 0]
+        return [y for y in ball(tree, x, depth) if _walking_busemann(tree, x, y, end) == 0]
 
     assert _outcome(tree.horosphere_vertices, end, x, depth) == _outcome(filtered)
 
@@ -171,7 +172,7 @@ def test_horoellipse_from_the_ray_is_the_filtered_ball(q, data):
 
     def filtered():
         out = []
-        for y in tree.ball(x, depth):
+        for y in ball(tree, x, depth):
             b = _walking_busemann(_StepsOnly(tree), x, y, end)
             d = tree.distance(x, y)
             if lam.denominator * (d - b) <= lam.numerator * (d + b):
@@ -295,3 +296,30 @@ def test_a_truncated_end_that_raises_raises_again(q):
             assert str(again.value) == str(first.value)
     # one step from the level-1 vertex is still determined
     assert tree.busemann(far, tree.base, end) == -1
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_inherited_end_meetings_are_the_fresh_ones(q, data):
+    """Along a walk of parents, children and steps toward an end, a vertex
+    built from one whose m(v) is kept takes it over where the rule says so,
+    and every kept m(v) is the one read off the digits of a copy without a
+    cache. The walk goes toward up, zero, rational or truncated ends."""
+    tree = TREES[q]
+    F = tree.field
+    end, toward = data.draw(ends(tree)), data.draw(ends(tree))
+    v = data.draw(vertices_near(tree, end))
+    if not isinstance(end, UpEnd):
+        tree._end_meeting(v, end)
+    for move in data.draw(st.lists(st.integers(-1, F.q), max_size=12)):
+        w = v
+        try:
+            v = tree.step_to_end(w, toward) if move < 0 else tree.neighbors(w)[move]
+        except EndPrecisionExhausted:
+            break
+        if w._meet is not None and (v.level < w.level or w._meet[1] < w.level):
+            assert v._meet is not None
+        if v._meet is not None:
+            kept_end, m = v._meet
+            assert m == tree._end_meeting(_fresh(v), kept_end)

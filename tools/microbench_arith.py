@@ -2,16 +2,22 @@
 vertex reduction and horoball certification.
 
 Times series `+`, `-`, `*`, the product of two matrices
-(`TreeAutomorphism.__mul__`), the tree's vertex operations, vertex
-reduction and the certification of one horoball over F_2, F_3, F_4 and F_9
-on fixed operands, and prints the minimum over repeats of the time per
-operation, in microseconds. Run from the root of a checkout:
+(`TreeAutomorphism.__mul__`) and the matrix formulas on top of it, the
+tree's vertex operations, vertex reduction and the certification of one
+horoball over F_2, F_3, F_4 and F_9 on fixed operands, and prints the
+minimum over repeats of the time per operation, in microseconds. Run from
+the root of a checkout:
 
     PYTHONPATH=src python3 tools/microbench_arith.py
 
 Series operands are exact, with nonzero digits at 1 to 4 of the degrees
 -3..3; the matrices are products of one upper and one lower shear by such
-series, so they are exact and of determinant 1. Vertices have a level in
+series, so they are exact and of determinant 1. The matrix rows are: the
+product; `det` of a matrix built afresh from the same entries for each
+call, since the determinant is kept once computed; `act_vertex` on a
+random vertex; `act_end` on a random end; and `drift_along_end` toward the
+zero end of diag(a, 1/a) * step^k * an upper shear, k in -2..2, the
+elements the drift suite draws. Vertices have a level in
 -3..5 and random digits at the four degrees below it; ends are y/x for
 random polynomials of degree at most 2 in t. The vertex rows are:
 construction from a level and a residue (`vertex new`); `==` between a
@@ -19,7 +25,10 @@ vertex and an equal one built from a copy of its residue (`vertex ==`);
 `hash` of a vertex hashed before, as in a set that is probed again
 (`vertex hash`); `Tree.neighbors`; `Tree.step_to_end` toward an end; and
 `Tree.busemann` from one base vertex toward one end, to a vertex built
-afresh for each call, so that the row includes that construction.
+afresh for each call, so that the row includes that construction. The
+`busemann bfs` row is a breadth-first search of radius 5 from a freshly
+built vertex (0; 0), one `Tree.busemann` value toward one end per vertex
+reached (94, 485, 1 706 and 73 811 vertices), per vertex.
 
 The `reduce_vertex` row is `NagaoLattice.reduce_vertex` on vertices of
 level -3..12 with random digits (zero included) at 0 to 12 of the degrees
@@ -41,7 +50,7 @@ is not timed.
 import random
 import timeit
 
-from sl2btree.autom import TreeAutomorphism
+from sl2btree.autom import TreeAutomorphism, drift_along_end
 from sl2btree.errors import InvalidInputError
 from sl2btree.field import Field, field
 from sl2btree.lattice import NagaoLattice
@@ -66,6 +75,15 @@ def _matrix(rng, F):
     return TreeAutomorphism.upper_shear(F, _series(rng, F)) * TreeAutomorphism.lower_shear(
         F, _series(rng, F)
     )
+
+
+def _zero_end_fixer(rng, F):
+    alpha = rng.choice(list(F.units()))
+    diag = TreeAutomorphism.diagonal(
+        F, LaurentSeries.exact(F, {0: alpha}), LaurentSeries.exact(F, {0: alpha.inverse()})
+    )
+    step = TreeAutomorphism.standard_step_power(F, rng.randrange(-2, 3))
+    return diag * step * TreeAutomorphism.upper_shear(F, _series(rng, F))
 
 
 def _vertex(rng, F):
@@ -124,6 +142,24 @@ def _horoball_us_per_member(q):
     return min(runs) / members * 1e6
 
 
+def _busemann_bfs_us_per_vertex(q):
+    F = field(q)
+    tree = Tree(F)
+    end = _end(random.Random(f"microbench:tree:{q}"), F)
+
+    def search():
+        x = Vertex(0, LaurentSeries.zero(F))
+        layer = [(x, None)]
+        for _ in range(5):
+            layer = [(u, v) for v, back in layer for u in tree.neighbors(v) if u != back]
+            for u, _ in layer:
+                tree.busemann(x, u, end)
+
+    vertices = 1 + (q + 1) * (q**5 - 1) // (q - 1)
+    runs = timeit.repeat(search, number=1, repeat=REPEAT)
+    return min(runs) / vertices * 1e6
+
+
 def _first_irreducible(p, e):
     """The least monic modulus of degree e over F_p that `Field` accepts."""
     for low in range(p**e):
@@ -149,6 +185,19 @@ def main():
         "series -": (_pair(_series), lambda x, y: x - y),
         "series *": (_pair(_series), lambda x, y: x * y),
         "matrix *": (_pair(_matrix), lambda x, y: x * y),
+        "det": (
+            lambda r, F, T: (_matrix(r, F),),
+            lambda g: TreeAutomorphism._product(g.field, *g.entries()).det(),
+        ),
+        "act_vertex": (
+            lambda r, F, T: (_matrix(r, F), _vertex(r, F)),
+            TreeAutomorphism.act_vertex,
+        ),
+        "act_end": (lambda r, F, T: (_matrix(r, F), _end(r, F)), TreeAutomorphism.act_end),
+        "drift_along_end": (
+            lambda r, F, T: (_zero_end_fixer(r, F), T[0].end_zero()),
+            drift_along_end,
+        ),
         "vertex new": (lambda r, F, T: _level_residue(r, F), Vertex),
         "vertex ==": (lambda r, F, T: _twins(r, F), lambda x, y: x == y),
         "vertex hash": (lambda r, F, T: _hashed(r, F), hash),
@@ -174,6 +223,8 @@ def main():
             operands = [make(rng, F, shared) for _ in range(PAIRS)]
             row.append(_per_op_us(op, operands))
         print(f"{name:<16}" + "".join(f"{t:8.2f}" for t in row))
+    row = [_busemann_bfs_us_per_vertex(q) for q in QS]
+    print(f"{'busemann bfs':<16}" + "".join(f"{t:8.2f}" for t in row))
     row = [_horoball_us_per_member(q) for q in QS]
     print(f"{'horoball certify':<16}" + "".join(f"{t:8.2f}" for t in row))
     names = [f"F_{p}" if e == 1 else f"F_{p}^{e}" for p, e in LARGE_FIELDS]
