@@ -69,6 +69,18 @@ def _divide_available(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
     return num * den.inverse(budget)
 
 
+def _end_of(field: Field, x: LaurentSeries, y: LaurentSeries) -> End:
+    """The end (x : y): exact when x and y are exact or either is an exact zero.
+
+    Otherwise a truncated end, y/x to the precision the two support.
+    """
+    if y.is_exact_zero():
+        x = LaurentSeries.one(field)  # the zero end, however x is known
+    if x.is_exact_zero() or (x.is_exact() and y.is_exact()):
+        return end_from_vector(field, x, y)
+    return TruncatedEnd(field, _divide_available(y, x))
+
+
 def _ratio_mod(num: LaurentSeries, den: LaurentSeries, n: int) -> LaurentSeries:
     """The exact truncation (num/den) mod pi^n."""
     zero = LaurentSeries.zero(num.field)
@@ -339,9 +351,7 @@ class TreeAutomorphism:
         F = self.field
         exact = all(e.is_exact() for e in self.entries())
         if isinstance(end, UpEnd):
-            if self.b.is_exact() and self.d.is_exact():
-                return end_from_vector(F, self.b, self.d)
-            return TruncatedEnd(F, _divide_available(self.d, self.b))
+            return _end_of(F, self.b, self.d)
         if isinstance(end, RationalEnd) and exact:
             x = _fused(self.a, end.x, self.b, end.y)
             y = _fused(self.c, end.x, self.d, end.y)
@@ -425,23 +435,18 @@ class TreeAutomorphism:
         return tree.midpoint(tree.base, self.act_vertex(tree.base))
 
     def _triangular_fixed_ends(self):
-        """(end, eigenvalue) pairs for an exactly triangular matrix, else None."""
+        """(end, eigenvalue) pairs when an off-diagonal entry is an exact zero, else None."""
         F = self.field
-        exact = all(e.is_exact() for e in self.entries())
-        if not exact:
-            return None
         if self.c.is_exact_zero():
             first = (
                 RationalEnd(F, LaurentSeries.one(F), LaurentSeries.zero(F)),
                 self.a,
             )
-            if self.b.is_exact_zero():
-                return [first, (UpEnd(F), self.d)]
-            return [first, (end_from_vector(F, self.b, self.d - self.a), self.d)]
+            return [first, (_end_of(F, self.b, self.d - self.a), self.d)]
         if self.b.is_exact_zero():
             return [
                 (UpEnd(F), self.d),
-                (end_from_vector(F, self.a - self.d, self.c), self.a),
+                (_end_of(F, self.a - self.d, self.c), self.a),
             ]
         return None
 
@@ -469,16 +474,18 @@ class TreeAutomorphism:
     def _attracting_end_iterated(self, depth: int) -> End:
         F = self.field
         tree = Tree(F)
+        # The fixed ends w solve b w^2 + (a - d) w - c = 0, so (w+ - w-)^2 is
+        # (tr^2 - 4 det) / b^2, of valuation 2 v(tr) - 2 v(b) when hyperbolic.
+        # Only a branch below the level where they part holds w+ without w-.
+        level = max(depth, self.trace().valuation() - self.b.valuation() + 1)
         x, y = LaurentSeries.zero(F), LaurentSeries.one(F)
         for _ in range(_ITERATION_CAP):
             x, y = _fused(self.a, x, self.b, y), _fused(self.c, x, self.d, y)
-            if x.is_exact_zero():
-                continue
-            candidate = end_from_vector(F, x, y)
+            candidate = _end_of(F, x, y)
             if isinstance(candidate, UpEnd):
                 continue
-            res = candidate.coordinate_mod(depth)
-            branch = Vertex(depth, res)
+            res = candidate.coordinate_mod(level)
+            branch = Vertex(level, res)
             image = self.act_vertex(branch)
             if not tree.is_descendant(image, branch):
                 continue

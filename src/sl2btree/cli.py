@@ -183,13 +183,15 @@ def _cmd_classify(args):
 def _cmd_cusps(args):
     lattice = _lattice_from_args(args)
     report = cusps_report(lattice, args.depth)
+    # every cusp of a principal congruence lattice has the same translation module and index
+    level, index = str(lattice.level), len(lattice.scalar_units)
     out = {
         "count": len(report.algebraic),
         "cusps": [
             {
                 "end": format_end(c.end),
-                "parameter_multiple": str(c.parameter_multiple),
-                "stabilizer_index": c.stabilizer_index,
+                "parameter_multiple": level,
+                "stabilizer_index": index,
             }
             for c in report.algebraic
         ],

@@ -15,17 +15,17 @@ units, the constants alpha = 1 mod f (all of F_q^x when d = 0, else only
 1): constant matrices at the origin of the full lattice, [[alpha, f*c],
 [0, alpha^-1]] with bounded deg c everywhere else on the ray. They are
 conjugated to arbitrary vertices through the reduction witness; the
-tests recompute them by direct enumeration. Ends fixed
-by nontrivial translations of the lattice are recognized by `is_cuspidal`,
-which hands back the conjugator into standard position and the parameter
-module of the fixing translations.
+tests recompute them by direct enumeration. The cusps are
+the cosets of the image of the zero end's stabilizer in `CosetTable`:
+`cusp_representatives` carries the zero end by the lift of each coset's
+least member, and the adjugate of that lift carries the cusp back.
 """
 
 import functools
 import itertools
 import operator
 
-from .autom import TreeAutomorphism, zero_end_conjugator
+from .autom import TreeAutomorphism
 from .errors import InvalidInputError, NonterminationGuard, SizeGuardExceeded
 from .field import Field
 from .polys import (
@@ -37,7 +37,7 @@ from .polys import (
     t_degree,
 )
 from .series import LaurentSeries
-from .tree import End, Tree, TruncatedEnd, Vertex
+from .tree import End, Tree, Vertex
 
 _REDUCE_CAP_BASE = 64
 
@@ -72,18 +72,15 @@ class CuspData:
 
     `conjugator` is a determinant-1 polynomial matrix carrying the end to
     the zero end. The translations fixing the end are the conjugates of
-    [[1, b], [0, 1]] for b in parameter_multiple * F_q[t], sitting inside
-    the full end stabilizer with the given finite index.
+    [[1, b], [0, 1]] for b in `NagaoLattice.level` * F_q[t], sitting inside
+    the full end stabilizer with index len(`NagaoLattice.scalar_units`).
     """
 
-    __slots__ = ("end", "conjugator", "parameter_multiple", "stabilizer_index")
+    __slots__ = ("end", "conjugator")
 
-    def __init__(self, end: End, conjugator: TreeAutomorphism, parameter_multiple: LaurentSeries,
-                 stabilizer_index: int):
+    def __init__(self, end: End, conjugator: TreeAutomorphism):
         self.end = end
         self.conjugator = conjugator
-        self.parameter_multiple = parameter_multiple
-        self.stabilizer_index = stabilizer_index
 
 
 class NagaoLattice:
@@ -217,47 +214,21 @@ class NagaoLattice:
 
     # -- cusps ----------------------------------------------------------------
 
-    def end_conjugator(self, end: End) -> TreeAutomorphism:
-        """A member of the lattice carrying a non-truncated end to the zero end."""
-        if isinstance(end, TruncatedEnd):
-            raise InvalidInputError("truncated ends have no exact conjugator")
-        conj = zero_end_conjugator(end)
-        # the determinant is gcd(x, y)
-        if t_degree(conj.det()) != 0:
-            raise NonterminationGuard(
-                "end coordinates were not coprime; normalization is broken"
-            )
-        if conj.act_end(end) != self.tree.end_zero():
-            raise NonterminationGuard("end conjugator failed to check")
-        return conj
-
-    def is_cuspidal(self, end: End) -> CuspData:
-        """CuspData for a rational or up end; truncated ends are refused.
-
-        An end known only to finite depth never determines whether it is
-        rational: `quotient.growth_probe` reports the stabilizer orders
-        along its known branch instead.
-        """
-        conj = self.end_conjugator(end)
-        return CuspData(
-            end=end,
-            conjugator=conj,
-            parameter_multiple=self.level,
-            stabilizer_index=len(self.scalar_units),
-        )
-
     def cusp_representatives(self) -> list[CuspData]:
         """One cusp per orbit, via the finite residue group.
 
         Orbits of ends correspond to cosets g*B in the residue group,
         where B is the image of the full upper-triangular stabilizer of
-        the zero end; each representative is lifted to a determinant-1
-        polynomial matrix and applied to the zero end.
+        the zero end; cusp i is coset number i. Its carrier, the lift of
+        the coset's least member, is a determinant-1 polynomial matrix
+        that reduces to it: the carrier takes the zero end to the cusp,
+        and its adjugate takes the cusp back.
         """
         table = self.coset_table()
         _, reps = table.coset_partition(self.level_degree)
         zero_end = self.tree.end_zero()
-        return [self.is_cuspidal(table.lift(rep).act_end(zero_end)) for rep in reps]
+        carriers = map(table.lift, reps)
+        return [CuspData(end=c.act_end(zero_end), conjugator=c.adjugate()) for c in carriers]
 
 
 class CongruenceLattice(NagaoLattice):

@@ -54,15 +54,14 @@ class QuotientEdge:
 class RayTail:
     """A certified-or-not chain of vertex classes heading to infinity."""
 
-    __slots__ = ("vertices", "edges", "base_level", "certified", "cusp_index")
+    __slots__ = ("vertices", "edges", "base_level", "certified")
 
     def __init__(self, vertices: list[QuotientVertex], edges: list[QuotientEdge],
-                 base_level: int, certified: bool, cusp_index: int | None = None):
+                 base_level: int, certified: bool):
         self.vertices = vertices  # one per level, from base_level up
         self.edges = edges  # edges between consecutive chain vertices
         self.base_level = base_level
         self.certified = certified
-        self.cusp_index = cusp_index
 
 
 class CovolumeResult:
@@ -208,7 +207,8 @@ class GraphOfGroups:
                 "base_level": ray.base_level,
                 "step_index": q,
                 "certified": ray.certified,
-                "cusp": ray.cusp_index,
+                # a graph holds no cusps; `CuspsReport.matches` pairs them with rays
+                "cusp": None,
             }
             for ray in self.rays
         ]
@@ -363,40 +363,30 @@ def covolume(G: GraphOfGroups) -> CovolumeResult:
 # -- cusp reporting ------------------------------------------------------------------
 
 
-def _match_cusps_to_rays(
-    G: GraphOfGroups, cusps: list[CuspData]
-) -> list[tuple[int, int]]:
-    """(cusp index, ray index) for each cusp whose carrier lands in exactly one ray.
+def _match_cusps_to_rays(G: GraphOfGroups) -> list[tuple[int, int]]:
+    """(cusp index, ray index) for each cusp that lands in exactly one ray.
 
     A ray is read at the first of its levels where the vertex partition is
     the one of the end stabilizer, `coset_partition(read)` for every level
     from `read` = max(deg f - 1, 1) on; a ray that ends below `read` is not
-    read. The cusp belongs to the ray whose vertex coset there holds the
-    residue of the cusp's carrier, so each cusp costs one lookup.
+    read. That partition numbers the cusps too (both are the cosets of
+    B_(deg f - 1)), so cusp i belongs to the ray whose vertex there has
+    coset number i.
     """
-    table = G.lattice.coset_table()
     read = max(G.lattice.level_degree - 1, 1)
-    coset_of, _ = table.coset_partition(read)
     rays_at: dict[int, list[int]] = {}  # coset number at the read level -> its rays
     for ri, ray in enumerate(G.rays):
         step = max(read - ray.base_level, 0)
         if step < len(ray.vertices):
             rays_at.setdefault(ray.vertices[step].coset, []).append(ri)
-    matches = []
-    for ci, cusp in enumerate(cusps):
-        hits = rays_at.get(coset_of[table.reduce(cusp.conjugator.adjugate())], [])
-        if len(hits) == 1:
-            matches.append((ci, hits[0]))
-    return matches
+    return [(ci, hits[0]) for ci, hits in sorted(rays_at.items()) if len(hits) == 1]
 
 
 def cusps_report(lattice: NagaoLattice, depth: int) -> CuspsReport:
     """Match the algebraic cusp list against the geometric ray tails."""
     G = quotient_graph(lattice, depth)
     cusps = lattice.cusp_representatives()
-    matches = _match_cusps_to_rays(G, cusps)
-    for ci, ri in matches:
-        G.rays[ri].cusp_index = ci
+    matches = _match_cusps_to_rays(G)
     bijective = (
         len(matches) == len(cusps) == len(G.rays)
         and len({ci for ci, _ in matches}) == len(cusps)
@@ -741,7 +731,7 @@ def contract(G: GraphOfGroups) -> GraphOfGroups:
     out.edges = list(copies.values())
     out.rays = [
         RayTail([image[v] for v in ray.vertices], [copies[e] for e in ray.edges],
-                ray.base_level, False, ray.cusp_index)
+                ray.base_level, False)
         for ray in G.rays if not ray.certified
     ]
     return out

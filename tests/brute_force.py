@@ -1,6 +1,6 @@
 """Brute-force oracles for the tests, sharing no code with the closed forms."""
 
-from sl2btree.autom import TreeAutomorphism
+from sl2btree.autom import TreeAutomorphism, zero_end_conjugator
 from sl2btree.errors import InvalidInputError, NonterminationGuard, SizeGuardExceeded
 from sl2btree.lattice import NagaoLattice
 from sl2btree.polys import all_t_polys, t_degree, xgcd_t
@@ -99,3 +99,20 @@ def cusp_ray_matches_by_scan(G, cusps) -> list[tuple[int, int]]:
         if len(hits) == 1:
             matches.append((ci, hits[0]))
     return matches
+
+
+def radius_vertices_by_bezout(report) -> list[Vertex]:
+    """`CuspsReport.radius_vertices` through a Bezout conjugator of each cusp's end.
+
+    zero_end_conjugator(end) = [[u, w], [-y, x]] with u*x + w*y = 1 carries
+    the end (x : y) to the zero end; its adjugate is applied to (b, 0), b the
+    base level of the cusp's matched ray, or 1 when it has none.
+    """
+    ray_of = dict(report.matches)
+    zero = LaurentSeries.zero(report.graph.lattice.field)
+    return [
+        zero_end_conjugator(cusp.end).adjugate().act_vertex(
+            Vertex(report.graph.rays[ray_of[i]].base_level if i in ray_of else 1, zero)
+        )
+        for i, cusp in enumerate(report.algebraic)
+    ]

@@ -16,6 +16,7 @@ from sl2btree.errors import (
     NotFixingError,
     NotOnAxisError,
     NotTypePreserving,
+    Sl2BTreeError,
 )
 from sl2btree.field import field
 from sl2btree.literals import format_end, parse_end, parse_matrix, parse_vertex
@@ -190,6 +191,65 @@ def test_attracting_end_of_non_triangular_element():
     # the repelling end of the inverse is the same direction
     e2 = g.adjugate().repelling_end(depth=8)
     assert e.coordinate_mod(6) == e2.coordinate_mod(6)
+
+
+def test_act_end_of_the_up_end_under_an_inexact_matrix():
+    # the image of the up end is (b : d); an exact-zero b gives the up end and
+    # an exact-zero d the zero end, however well the other entry is known
+    up = UpEnd(F)
+    assert m("[[t,0],[1,p mod p^3]]").act_end(up) == up
+    assert m("[[1,t mod p^3],[p,0]]").act_end(up) == tree.end_zero()
+    # otherwise d/b to the digits the two entries determine
+    assert format_end(m("[[1,t mod p^3],[0,1]]").act_end(up)) == "trunc(p, 5)"
+    assert format_end(m("[[1,t],[0,1 mod p^3]]").act_end(up)) == "trunc(p, 4)"
+
+
+def _ends_agree(end, exact_end):
+    """Whether two ends agree as far as both are known."""
+    if not (isinstance(end, TruncatedEnd) or isinstance(exact_end, TruncatedEnd)):
+        return end == exact_end
+    if isinstance(end, UpEnd) or isinstance(exact_end, UpEnd):
+        return False  # a branch of ends never holds the up end
+    depth = min(end.known_depth(), exact_end.known_depth())
+    return end.coordinate_mod(depth) == exact_end.coordinate_mod(depth)
+
+
+# hyperbolic: a non-triangular one, a diagonal one and two triangular ones
+HYPERBOLIC = ["[[t,1],[1,0]]", "[[t,0],[0,p]]", "[[t,1],[0,p]]", "[[t,0],[1,p]]"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_ends_of_a_matrix_with_one_inexact_entry(q, rng):
+    """A precision error, or the exact matrix's ends as far as they are known."""
+    Fq = field(q)
+    h = _random_matrix(rng, Fq)
+    g = h * m(rng.choice(HYPERBOLIC), Fq) * h.adjugate()
+    entries = list(g.entries())
+    i = rng.randrange(4)
+    low = entries[i].valuation() if entries[i].has_terms() else 0
+    entries[i] = entries[i].reduce_precision(low + rng.randrange(1, 10))
+    depth = rng.randrange(1, 6)
+    exact = g.classify(ends_depth=depth)
+    try:
+        got = TreeAutomorphism(Fq, *entries).classify(ends_depth=depth)
+    except Sl2BTreeError as exc:
+        assert exc.exit_code == 2, exc
+        return
+    assert (got.kind, got.length) == (exact.kind, exact.length)
+    assert _ends_agree(got.attracting, exact.attracting)
+    assert _ends_agree(got.repelling, exact.repelling)
+
+
+def test_ends_of_a_matrix_whose_ends_part_below_the_asked_depth():
+    # the ends 1 + p + p^2 + p^4 + ... and 1 part at level 1 = v(tr) - v(b):
+    # the level-1 branch holds both, so they are certified a level deeper
+    g = m("[[t^2+t,t^2+t+p],[t^2,t^2+p]]")
+    c = g.classify(ends_depth=1)
+    assert (format_end(c.attracting), format_end(c.repelling)) == ("trunc(1, 1)", "trunc(1, 1)")
+    c = g.classify(ends_depth=3)
+    assert (format_end(c.attracting), format_end(c.repelling)) == ("trunc(1+p+p^2, 3)", "trunc(1, 3)")
 
 
 def test_axis_vertex_is_displaced_by_the_length():

@@ -48,6 +48,31 @@ def test_classify_with_ends(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "matrix,ends",
+    [
+        # an exact-zero off-diagonal entry keeps an end exact
+        ("[[t mod p^3,0],[0,p]]", ("rat(0, 1)", "up")),
+        ("[[t,1],[0,p mod p^3]]", ("rat(0, 1)", "trunc(t+p, 3)")),
+        ("[[t,0],[1,p mod p^3]]", ("trunc(p+p^3, 5)", "up")),
+        # the iteration's end is known to fewer digits than asked for
+        ("[[t,1 mod p^4],[1,0]]", None),
+        ("[[t,1 mod p^9],[1,0]]", ("trunc(p, 3)", "trunc(t+p, 3)")),
+    ],
+)
+def test_classify_ends_of_a_matrix_with_an_inexact_entry(capsys, matrix, ends):
+    rc, out, err = run(capsys, ["classify", matrix, "--ends", "3"])
+    if ends is None:
+        assert (rc, out) == (2, "") and "needs the input mod pi^5" in err
+        return
+    assert (rc, err) == (0, "")
+    attracting, repelling = ends
+    assert out == (
+        '{"kind":"hyperbolic","length":2,'
+        f'"attracting":"{attracting}","repelling":"{repelling}"}}\n'
+    )
+
+
 def test_classify_elliptic(capsys):
     rc, out, _ = run(capsys, ["classify", "[[1,1],[0,1]]"])
     assert rc == 0

@@ -26,7 +26,7 @@ from sl2btree.quotient import (
 )
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import Tree, Vertex
-from brute_force import ball, cusp_ray_matches_by_scan
+from brute_force import ball, cusp_ray_matches_by_scan, radius_vertices_by_bezout
 from test_euler_characteristic import CASES, _index, _lattice
 
 
@@ -190,8 +190,34 @@ def test_cusp_lookup_skips_a_ray_that_ends_below_the_read_level():
     assert report.matches == [(0, 0)]
     ray = report.graph.rays[0]
     ray.vertices, ray.edges = ray.vertices[:1], []
-    assert quotient._match_cusps_to_rays(report.graph, report.algebraic) == []
+    assert quotient._match_cusps_to_rays(report.graph) == []
     assert cusp_ray_matches_by_scan(report.graph, report.algebraic) == []
+
+
+# every monic level of degree 1 to 3 over F_2
+F2_LEVELS = ["t", "t+1", "t^2", "t^2+1", "t^2+t", "t^2+t+1"]
+F2_LEVELS += ["t^3", "t^3+1", "t^3+t", "t^3+t+1", "t^3+t^2", "t^3+t^2+1", "t^3+t^2+t", "t^3+t^2+t+1"]
+
+
+RADIUS_CASES = [(q, level, depth) for q, level, *_, depth in CASES]
+RADIUS_CASES += [(2, f, 8) for f in F2_LEVELS]
+
+
+@pytest.mark.parametrize(
+    "q,level,depth",
+    RADIUS_CASES,
+    ids=[f"F{q}-{level or 'full'}-depth{depth}" for q, level, depth in RADIUS_CASES],
+)
+def test_radius_vertices_agree_with_the_bezout_route(q, level, depth):
+    # a cusp's conjugator is the adjugate of its coset's lift, not a Bezout
+    # matrix; both carry its end to the zero end, and the horoballs they give agree
+    lattice = _lattice(q, level)
+    report = cusps_report(lattice, depth)
+    assert report.radius_vertices() == radius_vertices_by_bezout(report)
+    full = NagaoLattice(lattice.field)
+    for cusp in report.algebraic:
+        assert full.contains(cusp.conjugator)
+        assert cusp.conjugator.act_end(cusp.end) == lattice.tree.end_zero()
 
 
 def test_growth_probe_along_cusp_directions():
@@ -376,7 +402,7 @@ def _edge_rows(edges):
 
 
 def _ray_rows(G):
-    return [_ray_links(G, r) + (r.base_level, r.certified, r.cusp_index) for r in G.rays]
+    return [_ray_links(G, r) + (r.base_level, r.certified) for r in G.rays]
 
 
 def test_contracting_without_a_certified_ray_copies_the_graph():
@@ -471,12 +497,11 @@ def test_contract_reads_no_cusp_data(monkeypatch, lattice, depth):
     G = quotient_graph(lattice, depth)
     counted = [
         (NagaoLattice, "cusp_representatives"),
-        (NagaoLattice, "end_conjugator"),
         (CosetTable, "lift"),
     ]
     calls = [_count_calls(monkeypatch, cls, name) for cls, name in counted]
     C = contract(G)
-    assert calls == [[], [], []]
+    assert calls == [[], []]
     cusps = {v.id for v in C.vertices.values() if v.order is None}
     assert cusps == {f"cusp{i}" for i in range(len(G.rays))}
 

@@ -1,7 +1,8 @@
 """Per-layer microbenchmark of congruence quotients: coset partitions,
-graph assembly, the graph's JSON text, cusp matching and contraction.
+graph assembly, the graph's JSON text, cusp representatives, cusp
+matching and contraction.
 
-For each lattice below it prints the minimum over repeats of six rows, in
+For each lattice below it prints the minimum over repeats of seven rows, in
 milliseconds. Run from the root of a checkout:
 
     PYTHONPATH=src python3 tools/microbench_quotient.py
@@ -17,6 +18,8 @@ milliseconds. Run from the root of a checkout:
   the reference text.
 - `_json_text`: `cli._json_text` of the same dict, which the command line
   prints; it must equal the reference, and the tool checks that it does.
+- `cusp_representatives`: `lattice.cusp_representatives()` on the same
+  table, one lift and one end image per cusp.
 - `cusps_report`: `cusps_report(lattice, 8)`, the graph's assembly again
   plus the cusp representatives and their matching to the rays.
 - `contract`: `contract(G)` of the graph above.
@@ -63,8 +66,9 @@ def _min_ms(run):
 
 
 def main():
-    rows = ("partitions", "quotient_graph", "json.dumps", "_json_text", "cusps_report", "contract")
-    print(f"{'ms':<22}" + "".join(f"{name:>16}" for name in rows))
+    rows = ("partitions", "quotient_graph", "json.dumps", "_json_text", "cusp_representatives",
+            "cusps_report", "contract")
+    print(f"{'ms':<22}" + "".join(f"{name:>22}" for name in rows))
     for q, level in LATTICES:
         lattice = _lattice(q, level)
         partitions = min(_partitions_s(lattice) for _ in range(REPEAT)) * 1e3
@@ -76,11 +80,12 @@ def main():
             raise SystemExit(f"_json_text differs from json.dumps at {lattice}")
         dumps = _min_ms(lambda: json.dumps(out, indent=2))
         text = _min_ms(lambda: cli._json_text(out))
+        representatives = _min_ms(lattice.cusp_representatives)
         cusps = _min_ms(lambda: cusps_report(lattice, DEPTH))
         contraction = _min_ms(lambda: contract(G))
         name = f"F_{q} " + ("nagao" if level is None else level)
-        times = (partitions, graph, dumps, text, cusps, contraction)
-        print(f"{name:<22}" + "".join(f"{t:16.3f}" for t in times))
+        times = (partitions, graph, dumps, text, representatives, cusps, contraction)
+        print(f"{name:<22}" + "".join(f"{t:22.3f}" for t in times))
 
 
 if __name__ == "__main__":
