@@ -347,22 +347,21 @@ class TreeAutomorphism:
         return Vertex(new_level, residue)
 
     def act_end(self, end: End) -> End:
-        """Image of a boundary end under the projective action."""
+        """Image of a boundary end under the projective action.
+
+        The end (x : y), the up end being (0 : 1), goes to
+        (a*x + b*y : c*x + d*y) through `_end_of`, so an exact vector keeps
+        its exact coordinates whatever the matrix's precision. A truncated
+        end w goes to (c + d*w) / (a + b*w), to the digits that determine.
+        """
         F = self.field
-        exact = all(e.is_exact() for e in self.entries())
         if isinstance(end, UpEnd):
             return _end_of(F, self.b, self.d)
-        if isinstance(end, RationalEnd) and exact:
-            x = _fused(self.a, end.x, self.b, end.y)
-            y = _fused(self.c, end.x, self.d, end.y)
-            return end_from_vector(F, x, y)
-        if isinstance(end, TruncatedEnd):
-            w = end.coordinate
-        else:
-            # rational end, inexact matrix: the matrix precision caps the
-            # usable digits of the coordinate anyway
-            depth = min(e.prec for e in self.entries() if not e.is_exact())
-            w = end.coordinate_mod(depth)
+        if isinstance(end, RationalEnd):
+            return _end_of(
+                F, _fused(self.a, end.x, self.b, end.y), _fused(self.c, end.x, self.d, end.y)
+            )
+        w = end.coordinate
         num = _fused(self.d, w, self.c)
         den = _fused(self.b, w, self.a)
         return TruncatedEnd(F, _divide_available(num, den))

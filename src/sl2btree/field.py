@@ -15,13 +15,15 @@ primitive element. For the small extension sizes used on the tree
 Prime fields take e = 1 with modulus x. Everything is immutable and
 hashable. Each field holds its q elements once; sums, products and
 inverses are looked up in log/antilog tables of O(q) entries built at
-construction, so no arithmetic allocates.
+construction, so no arithmetic allocates. The tables are built on
+coefficient vectors packed into integers (see `_primitive_powers`).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from .errors import InvalidInputError, SizeGuardExceeded
 
@@ -30,7 +32,7 @@ CANONICAL_MODULI = {
     8: (1, 1, 0, 1),
     9: (1, 0, 1),
 }
-# the largest q that `Field` builds: Field(16381) takes 0.14 s, F_{2^14} 1 s (its power table)
+# the largest q that `Field` builds: Field(16381) and F_{2^14} take about 0.03 s
 MAX_Q = 1 << 14
 
 
@@ -45,42 +47,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _mul_mod(
-    a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int
-) -> tuple[int, ...]:
-    """a * b for coefficient vectors, modulo the monic modulus over F_p."""
-    out = (0,) * len(a)
-    for c in b:
-        out = tuple((o + c * y) % p for o, y in zip(out, a))
-        # a *= x: shift up, then cancel the x^e term with the modulus
-        a = tuple((y - a[-1] * m) % p for y, m in zip((0,) + a[:-1], modulus))
-    return out
+def _primitive_powers(modulus: tuple[int, ...], p: int) -> list[int]:
+    """The positions of g^0, ..., g^(q-2) for the least g of multiplicative order q - 1.
 
+    Positions are those of `Field.elements()`. Such a g exists exactly when
+    the quotient ring is a field, that is when the modulus is irreducible;
+    that is tested first, since a reducible modulus has a monic factor of
+    degree at most e/2. In the field, g has order q - 1 exactly when
+    g^((q-1)/r) != 1 for each prime r dividing q - 1.
 
-def _pow_mod(g: tuple[int, ...], n: int, modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """g^n for a coefficient vector, by repeated squaring."""
-    out = (1,) + (0,) * (len(g) - 1)
-    while n:
-        if n & 1:
-            out = _mul_mod(out, g, modulus, p)
-        g = _mul_mod(g, g, modulus, p)
-        n >>= 1
-    return out
-
-
-def _primitive_powers(
-    vectors: list[tuple[int, ...]], modulus: tuple[int, ...], p: int
-) -> list[tuple[int, ...]]:
-    """g^0, ..., g^(q-2) for the first g in `vectors` of multiplicative order q - 1.
-
-    `vectors` lists all q coefficient vectors in lexicographic order. Such
-    a g exists exactly when the quotient ring is a field, that is when the
-    modulus is irreducible; that is tested first, since a reducible modulus
-    has a monic factor of degree at most e/2. In the field, g has order
-    q - 1 exactly when g^((q-1)/r) != 1 for each prime r dividing q - 1,
-    and only the powers of that g are built.
+    Over F_p, e = 1, a vector is its one coefficient and products are taken
+    mod p. Otherwise a vector is packed into an integer, w bits per
+    coefficient and c_0 the most significant, as in a position. A sum adds
+    the integers and takes p off each digit that reached p, XOR for p = 2;
+    times x shifts down a digit and adds the multiple of -m that the
+    shifted-out top coefficient c_(e-1) stands for. A product by b sums the
+    multiples of b x^i picked by each digit of the other factor.
     """
-    e, q = len(modulus) - 1, len(vectors)
+    e, q = len(modulus) - 1, p ** (len(modulus) - 1)
     for d in range(1, e // 2 + 1):
         for factor in itertools.product(range(p), repeat=d):
             rest = list(modulus)  # modulus mod x^d + factor, by long division
@@ -88,13 +72,79 @@ def _primitive_powers(
                 rest[i - d : i] = [(r - rest[i] * c) % p for r, c in zip(rest[i - d : i], factor)]
             if not any(rest[:d]):
                 raise InvalidInputError(f"modulus {modulus} is reducible over F_{p}")
-    one = vectors[q // p]
+    w = 1 if p == 2 else (2 * p).bit_length() + 1  # a digit and a sum of two, below the top bit
+    mask = (1 << w) - 1
+
+    def pack(position):
+        out = 0
+        for i in range(e):
+            position, c = divmod(position, p)
+            out |= c << (w * i)
+        return out
+
+    def position(packed):
+        out, place = 0, 1
+        for _ in range(e):
+            out += (packed & mask) * place
+            packed >>= w
+            place *= p
+        return out
+
+    if e == 1:
+        def multiplier(b):
+            return lambda a: a * b % p
+    else:
+        if p == 2:
+            add = operator.xor
+        else:
+            high = sum(1 << (w * i + w - 1) for i in range(e))
+            bias = high - sum(p << (w * i) for i in range(e))
+
+            def add(a, b):
+                s = a + b
+                return s - (((s + bias) & high) >> (w - 1)) * p
+
+        # c * x^e = -c * (m_0 + ... + m_(e-1) x^(e-1)), packed with c_0 on top
+        reduce = [sum((-c * m) % p << (w * (e - 1 - i)) for i, m in enumerate(modulus[:e]))
+                  for c in range(p)]
+
+        def multiplier(b):
+            rows = []  # rows[i][c] = c * b * x^i, reversed below: a's lowest digit is c_(e-1)
+            for _ in range(e):
+                row = [0]
+                for _ in range(p - 1):
+                    row.append(add(row[-1], b))
+                rows.append(row)
+                b = add(b >> w, reduce[b & mask])
+            rows.reverse()
+
+            def times(a):
+                out = 0
+                for row in rows:
+                    out = add(out, row[a & mask])
+                    a >>= w
+                return out
+
+            return times
+
+    one = 1 << (w * (e - 1))
+
+    def power(a, n):
+        out = one
+        while n:
+            if n & 1:
+                out = multiplier(a)(out)
+            a = multiplier(a)(a)
+            n >>= 1
+        return out
+
     cofactors = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and _is_prime(r)]
-    g = next(g for g in vectors[1:] if all(_pow_mod(g, k, modulus, p) != one for k in cofactors))
-    powers = [one]
+    g = next(g for g in map(pack, range(1, q)) if all(power(g, k) != one for k in cofactors))
+    times_g, powers = multiplier(g), [one]
     for _ in range(q - 2):
-        powers.append(_mul_mod(powers[-1], g, modulus, p))
-    return powers
+        powers.append(times_g(powers[-1]))
+    # with one bit or one digit per vector, the packed vector is its position
+    return powers if p == 2 or e == 1 else list(map(position, powers))
 
 
 class FieldElement:
@@ -103,26 +153,20 @@ class FieldElement:
     Every field owns exactly one instance per element (see `Field`):
     `index` is its position in `Field.elements()`; `_log` is its discrete
     logarithm to the field's primitive element (None for zero). Arithmetic
-    returns those shared instances by table lookup.
+    returns those shared instances by table lookup, so elements compare and
+    hash by identity, in C.
     """
 
-    __slots__ = ("field", "coeffs", "index", "_log", "_hash")
+    __slots__ = ("field", "coeffs", "index", "_log")
 
     def __init__(self, field: "Field", coeffs: tuple[int, ...], index: int, log: int | None):
         self.field = field
         self.coeffs = coeffs
         self.index = index
         self._log = log
-        self._hash = hash((id(field), coeffs))
 
     def __bool__(self) -> bool:
         return self.index != 0
-
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         m = self._log
@@ -215,16 +259,20 @@ class Field:
         self.e = e
         self.q = q = p**e
         self.modulus = modulus
-        vectors = list(itertools.product(range(p), repeat=e))
-        powers = _primitive_powers(vectors, modulus, p)
-        log = {v: k for k, v in enumerate(powers)}
-        self._elements = [FieldElement(self, v, i, log.get(v)) for i, v in enumerate(vectors)]
+        powers = _primitive_powers(modulus, p)
+        log = [None] * q
+        for k, i in enumerate(powers):
+            log[i] = k
+        vectors = itertools.product(range(p), repeat=e)
+        self._elements = [FieldElement(self, v, i, log[i]) for i, v in enumerate(vectors)]
         self.zero = self._elements[0]
         self.one = self._elements[q // p]
         self.gen = self.element((0, 1)) if e > 1 else self.one
         # two periods, so that log sums and -log index without reduction
-        self._exp = [self._elements[self._position(v)] for v in powers] * 2
-        self._zech = [log.get(((v[0] + 1) % p,) + v[1:]) for v in powers]
+        self._exp = [self._elements[i] for i in powers] * 2
+        # adding 1 adds 1 mod p to c_0, the leading base-p digit of a position
+        top = q - q // p
+        self._zech = [log[i + q // p if i < top else i - top] for i in powers]
         self._minus_one_log = 0 if p == 2 else (q - 1) // 2
 
     def _add_products(self, out: dict, x: dict, y: dict, cap) -> None:

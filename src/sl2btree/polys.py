@@ -5,8 +5,9 @@ degrees <= 0. This module provides the Euclidean toolkit for that subring
 (division, gcd, extended gcd, deterministic enumeration) plus the finite
 quotient rings F_q[t]/(f) used for congruence-subgroup bookkeeping.
 
-Internally a t-polynomial is a list of coefficients indexed by t-degree;
-conversion to and from series just flips the sign of the exponent.
+A t-polynomial is its series' digit dict: t-degree k is pi-degree -k.
+Division works on that dict through the field's log tables; `t_coeffs`
+and `from_t_coeffs` convert to and from lists indexed by t-degree.
 """
 
 from __future__ import annotations
@@ -41,28 +42,39 @@ def from_t_coeffs(field: Field, coeffs) -> LaurentSeries:
 
 def t_degree(s: LaurentSeries) -> int:
     """Degree in t; the zero polynomial gets -1 by convention."""
-    cs = t_coeffs(s)
-    return len(cs) - 1
+    if not is_t_poly(s):
+        raise InvalidInputError(f"not a polynomial in t: {s}")
+    return -min(s.coeffs) if s.coeffs else -1
 
 
 def divmod_t(a: LaurentSeries, b: LaurentSeries) -> tuple[LaurentSeries, LaurentSeries]:
-    """Euclidean division a = q*b + r in F_q[t] with deg r < deg b."""
-    F = a.field
-    bc = t_coeffs(b)
-    if not bc:
+    """Euclidean division a = q*b + r in F_q[t] with deg r < deg b.
+
+    Runs on the digit dicts, t-degree k being pi-degree -k: the remainder's
+    lead at pi-degree k >= -deg a is cancelled by subtracting
+    (r_k / b_lead) pi^(k - lb) * b, lb = -deg b, through `Field._add_products`,
+    which deletes the cancelled digit.
+    """
+    if not is_t_poly(b):
+        raise InvalidInputError(f"not a polynomial in t: {b}")
+    if not b.coeffs:
         raise ZeroDivisionError("division by the zero polynomial")
-    rc = t_coeffs(a)
-    inv_lead = bc[-1].inverse()
-    qc = [F.zero] * max(0, len(rc) - len(bc) + 1)
-    while len(rc) >= len(bc):
-        factor = rc[-1] * inv_lead
-        shift = len(rc) - len(bc)
-        qc[shift] = factor
-        for i, c in enumerate(bc):
-            rc[shift + i] = rc[shift + i] - factor * c
-        while rc and not rc[-1]:
-            rc.pop()
-    return from_t_coeffs(F, qc), from_t_coeffs(F, rc)
+    if not is_t_poly(a):
+        raise InvalidInputError(f"not a polynomial in t: {a}")
+    F = a.field
+    if b.field is not F:
+        raise InvalidInputError("series over different fields")
+    rc, qc = dict(a.coeffs), {}
+    if rc:
+        exp, period, lb = F._exp, F.q - 1, min(b.coeffs)
+        lead, half = b.coeffs[lb]._log, F._minus_one_log
+        for k in range(min(rc), lb + 1):
+            c = rc.get(k)
+            if c is not None:
+                n = c._log - lead
+                qc[k - lb] = exp[n % period]
+                F._add_products(rc, {k - lb: exp[(n + half) % period]}, b.coeffs, None)
+    return LaurentSeries._canonical(F, qc), LaurentSeries._canonical(F, rc)
 
 
 def gcd_t(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -84,18 +96,16 @@ def xgcd_t(a: LaurentSeries, b: LaurentSeries):
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
         v0, v1 = v1, v0 - q * v1
-    if r0.has_terms():
-        lead = t_coeffs(r0)[-1]
-        c = lead.inverse()
+    d = t_degree(r0)
+    if d >= 0:
+        c = r0.coeffs[-d].inverse()
         r0, u0, v0 = r0.scale(c), u0.scale(c), v0.scale(c)
     return r0, u0, v0
 
 
 def monic_t(a: LaurentSeries) -> LaurentSeries:
-    cs = t_coeffs(a)
-    if not cs:
-        return a
-    return a.scale(cs[-1].inverse())
+    d = t_degree(a)
+    return a if d < 0 else a.scale(a.coeffs[-d].inverse())
 
 
 def mod_t(a: LaurentSeries, f: LaurentSeries) -> LaurentSeries:

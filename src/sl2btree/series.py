@@ -22,6 +22,14 @@ takes an explicit term budget and returns a series known to exactly that
 many coefficients (exact only when the input is a monomial, whose inverse
 terminates).
 
+All of it runs on the field's discrete-log tables: sums, differences,
+scalings and products go through one kernel, `_fused` (x*y +- u*v into one
+digit dict), and the inverse runs its convolution recurrence on the digits'
+logs. The kernel decides the result's precision first by one test per
+operand: exact operands give an exact result, and only an inexact one
+brings in the rules above. A series hashes its digit dict as a frozenset,
+so equal series hash equal in any insertion order, without a sort.
+
 Negative degrees are first-class: the coordinate t = pi^{-1} gives the
 polynomial ring F_q[t] inside F_q((pi)) as the exact series supported in
 degrees <= 0.
@@ -248,23 +256,33 @@ class LaurentSeries:
                 f"have mod pi^{self.prec}",
                 needed=v + terms,
             )
+        F = self.field
         if len(self.coeffs) == 1 and self.prec is INFINITY:
-            c = self.coeffs[v]
-            return LaurentSeries._canonical(self.field, {-v: c.inverse()})
-        # Unit part u = pi^{-v} * self; invert by the convolution recurrence.
-        u = {d - v: c for d, c in self.coeffs.items() if d - v < terms}
-        inv0 = u[0].inverse()
-        b: dict[int, FieldElement] = {0: inv0}
+            return LaurentSeries._canonical(F, {-v: self.coeffs[v].inverse()})
+        # The unit part u = pi^-v * self has the inverse b = sum b_k pi^k with
+        # b_0 = 1/u_0 and b_k = -(1/u_0) * sum_{1 <= j <= k} u_j b_(k-j), run on
+        # discrete logs: g^m + g^n = g^(m + zech[n - m]), None for zero.
+        exp, zech, period = F._exp, F._zech, F.q - 1
+        lead = self.coeffs[v]._log
+        scale = (F._minus_one_log - lead) % period  # the log of -1/u_0
+        unit = sorted((d - v, c._log) for d, c in self.coeffs.items() if v < d < v + terms)
+        b = [-lead % period]
         for k in range(1, terms):
-            acc = self.field.zero
-            for j, uj in u.items():
-                if 1 <= j <= k and (k - j) in b:
-                    acc = acc + uj * b[k - j]
-            ck = -(inv0 * acc)
-            if ck:
-                b[k] = ck
+            acc = None
+            for j, m in unit:
+                if j > k:
+                    break
+                n = b[k - j]
+                if n is None:
+                    continue
+                if acc is None:
+                    acc = m + n
+                else:
+                    z = zech[(m + n - acc) % period]
+                    acc = None if z is None else acc + z
+            b.append(None if acc is None else (acc + scale) % period)
         return LaurentSeries._canonical(
-            self.field, {d - v: c for d, c in b.items()}, terms - v
+            F, {k - v: exp[n] for k, n in enumerate(b) if n is not None}, terms - v
         )
 
     # -- comparison / hashing ------------------------------------------------
@@ -280,7 +298,7 @@ class LaurentSeries:
     def __hash__(self) -> int:
         if self._hash is None:
             key = (id(self.field), self.prec if self.prec is INFINITY else int(self.prec))
-            self._hash = hash((key, tuple(sorted((d, c.coeffs) for d, c in self.coeffs.items()))))
+            self._hash = hash((key, frozenset(self.coeffs.items())))
         return self._hash
 
     # -- printing ------------------------------------------------------------
@@ -323,13 +341,10 @@ def _fused(x: LaurentSeries, y=None, u=None, v=None, minus=False) -> LaurentSeri
     A missing y or v stands for 1 and a missing u for no second term, so
     this is also the sum, difference and product of two series. The terms
     go into one digit dict through `Field._add_products`, and no series is
-    built for a term. A term's precision is given by `_term_prec`; the
-    result is known mod the least of them.
+    built for a term. The result's precision is given by `_term_prec`.
     """
     F = x.field
-    prec = _term_prec(F, x, y)
-    if u is not None:
-        prec = min(prec, _term_prec(F, u, v))
+    prec = _term_prec(F, x, y, u, v)
     cap = None if prec is INFINITY else prec
     if y is not None:
         out = {}
@@ -346,22 +361,36 @@ def _fused(x: LaurentSeries, y=None, u=None, v=None, minus=False) -> LaurentSeri
     return LaurentSeries._canonical(F, out, prec)
 
 
-def _term_prec(F: Field, a, b):
-    """The precision of a*b over F, b None standing for 1.
+def _term_prec(F: Field, x, y, u, v):
+    """The precision of x*y +- u*v over F, with `_fused`'s missing operands.
 
-    An exact-zero factor makes the product exact zero; otherwise
-    (a mod pi^M) * b is known mod M + v(b), v(b) the valuation's lower
-    bound. A factor that is no series over F is refused.
+    Exact operands give an exact result, so that case is decided first, by
+    one test per operand. Otherwise the result is known mod the least
+    precision of its two terms: an exact-zero factor makes a product exact
+    zero, and (a mod pi^M) * b is known mod M + v(b), v(b) the valuation's
+    lower bound. An operand that is no series over F is refused.
     """
-    if not isinstance(a, LaurentSeries) or a.field is not F or not (
-        b is None or isinstance(b, LaurentSeries) and b.field is F
+    S = LaurentSeries
+    if (
+        isinstance(x, S) and x.prec is INFINITY
+        and (y is None or isinstance(y, S) and y.field is F and y.prec is INFINITY)
+        and (u is None or isinstance(u, S) and u.field is F and u.prec is INFINITY)
+        and (v is None or isinstance(v, S) and v.field is F and v.prec is INFINITY)
     ):
-        raise InvalidInputError("series over different fields")
-    if b is None or (a.prec is INFINITY and b.prec is INFINITY):
-        return a.prec
-    if (not a.coeffs and a.prec is INFINITY) or (not b.coeffs and b.prec is INFINITY):
         return INFINITY
-    return min(a.prec + b.valuation_lower_bound(), b.prec + a.valuation_lower_bound())
+    prec = INFINITY
+    for a, b in ((x, y), (u, v)):
+        if a is None:
+            continue
+        if not all(s is None or isinstance(s, S) and s.field is F for s in (a, b)):
+            raise InvalidInputError("series over different fields")
+        if b is None or a.prec is INFINITY and b.prec is INFINITY:
+            prec = min(prec, a.prec)
+        elif not (a.is_exact_zero() or b.is_exact_zero()):
+            prec = min(
+                prec, a.prec + b.valuation_lower_bound(), b.prec + a.valuation_lower_bound()
+            )
+    return prec
 
 
 def _element_str(c: FieldElement) -> str:

@@ -44,7 +44,7 @@ from .errors import (
     SizeGuardExceeded,
 )
 from .field import Field
-from .polys import gcd_t, divmod_t, t_coeffs
+from .polys import gcd_t, divmod_t
 from .series import INFINITY, LaurentSeries
 
 # the most members `Tree.horoellipse_vertices` lists before refusing
@@ -155,8 +155,7 @@ class RationalEnd(End):
             y, _ = divmod_t(y, g)
         else:
             x = LaurentSeries.one(field)
-        lead = t_coeffs(x)[-1]
-        inv = lead.inverse()
+        inv = x.coeffs[min(x.coeffs)].inverse()
         self.field = field
         self.x = x.scale(inv)
         self.y = y.scale(inv)

@@ -1,9 +1,17 @@
 """Brute-force oracles for the tests, sharing no code with the closed forms."""
 
+import itertools
+
 from sl2btree.autom import TreeAutomorphism, zero_end_conjugator
-from sl2btree.errors import InvalidInputError, NonterminationGuard, SizeGuardExceeded
+from sl2btree.errors import (
+    IndeterminateValuation,
+    InsufficientPrecision,
+    InvalidInputError,
+    NonterminationGuard,
+    SizeGuardExceeded,
+)
 from sl2btree.lattice import NagaoLattice
-from sl2btree.polys import all_t_polys, t_degree, xgcd_t
+from sl2btree.polys import all_t_polys, from_t_coeffs, t_coeffs, t_degree
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import Tree, Vertex
 
@@ -116,3 +124,113 @@ def radius_vertices_by_bezout(report) -> list[Vertex]:
         )
         for i, cusp in enumerate(report.algebraic)
     ]
+
+
+def mul_mod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
+    """a * b for coefficient vectors, modulo the monic modulus over F_p."""
+    out = (0,) * len(a)
+    for c in b:
+        out = tuple((o + c * y) % p for o, y in zip(out, a))
+        # a *= x: shift up, then cancel the x^e term with the modulus
+        a = tuple((y - a[-1] * m) % p for y, m in zip((0,) + a[:-1], modulus))
+    return out
+
+
+def pow_mod(g: tuple, n: int, modulus: tuple, p: int) -> tuple:
+    """g^n for a coefficient vector, by repeated squaring."""
+    out = (1,) + (0,) * (len(g) - 1)
+    while n:
+        if n & 1:
+            out = mul_mod(out, g, modulus, p)
+        g = mul_mod(g, g, modulus, p)
+        n >>= 1
+    return out
+
+
+def power_tables(p: int, modulus: tuple) -> tuple[list, list]:
+    """The coefficient tuples of g^0, ..., g^(q-2) and the Zech logarithms,
+    zech[k] the log of 1 + g^k (None for zero), for the least g of order
+    q - 1, from products of coefficient tuples. The modulus is taken to be
+    irreducible."""
+    e = len(modulus) - 1
+    q = p**e
+    vectors = list(itertools.product(range(p), repeat=e))
+    one = vectors[q // p]
+    cofactors = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and _is_prime(r)]
+    g = next(g for g in vectors[1:] if all(pow_mod(g, k, modulus, p) != one for k in cofactors))
+    powers = [one]
+    for _ in range(q - 2):
+        powers.append(mul_mod(powers[-1], g, modulus, p))
+    log = {v: k for k, v in enumerate(powers)}
+    return powers, [log.get(((v[0] + 1) % p,) + v[1:]) for v in powers]
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def series_inverse(s: LaurentSeries, terms: int) -> LaurentSeries:
+    """`LaurentSeries.inverse` by the convolution recurrence on field
+    elements, through their `*`, `+` and `inverse`, with the same refusals."""
+    if terms < 1:
+        raise InvalidInputError("term budget must be positive")
+    if not s.coeffs:
+        if s.is_exact():
+            raise ZeroDivisionError("inverse of the zero series")
+        raise IndeterminateValuation("the series vanishes to its precision")
+    v = min(s.coeffs)
+    if not s.is_exact() and s.prec < v + terms:
+        raise InsufficientPrecision("input not known to enough digits", needed=v + terms)
+    if len(s.coeffs) == 1 and s.is_exact():
+        return LaurentSeries(s.field, {-v: s.coeffs[v].inverse()})
+    u = {d - v: c for d, c in s.coeffs.items() if d - v < terms}
+    inv0 = u[0].inverse()
+    b = {0: inv0}
+    for k in range(1, terms):
+        acc = s.field.zero
+        for j, uj in u.items():
+            if 1 <= j <= k and (k - j) in b:
+                acc = acc + uj * b[k - j]
+        ck = -(inv0 * acc)
+        if ck:
+            b[k] = ck
+    return LaurentSeries(s.field, {d - v: c for d, c in b.items()}, terms - v)
+
+
+def divmod_t(a: LaurentSeries, b: LaurentSeries):
+    """Euclidean division in F_q[t] on lists of coefficients by t-degree,
+    through field-element arithmetic; b is checked before a."""
+    F = a.field
+    bc = t_coeffs(b)
+    if not bc:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rc = t_coeffs(a)
+    inv_lead = bc[-1].inverse()
+    qc = [F.zero] * max(0, len(rc) - len(bc) + 1)
+    while len(rc) >= len(bc):
+        factor = rc[-1] * inv_lead
+        shift = len(rc) - len(bc)
+        qc[shift] = factor
+        for i, c in enumerate(bc):
+            rc[shift + i] = rc[shift + i] - factor * c
+        while rc and not rc[-1]:
+            rc.pop()
+    return from_t_coeffs(F, qc), from_t_coeffs(F, rc)
+
+
+def xgcd_t(a: LaurentSeries, b: LaurentSeries):
+    """(g, u, v) with u*a + v*b = g monic, by Euclid over the list division."""
+    F = a.field
+    r0, r1 = a, b
+    u0, u1 = LaurentSeries.one(F), LaurentSeries.zero(F)
+    v0, v1 = LaurentSeries.zero(F), LaurentSeries.one(F)
+    while r1.has_terms():
+        q, r = divmod_t(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    cs = t_coeffs(r0)
+    if cs:
+        c = cs[-1].inverse()
+        r0, u0, v0 = r0.scale(c), u0.scale(c), v0.scale(c)
+    return r0, u0, v0

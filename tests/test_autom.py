@@ -204,6 +204,18 @@ def test_act_end_of_the_up_end_under_an_inexact_matrix():
     assert format_end(m("[[1,t],[0,1 mod p^3]]").act_end(up)) == "trunc(p, 4)"
 
 
+def test_act_end_of_a_rational_end_under_an_inexact_matrix():
+    # the end (x : y) goes to (a*x + b*y : c*x + d*y); with c an exact zero,
+    # the zero end's image has the exact-zero coordinate c*1 + d*0
+    g = m("[[t mod p^3,1],[0,1]]")
+    assert g.act_end(parse_end(F, "rat(0, 1)")) == tree.end_zero()
+    # p^5 / (t + p^5 mod p^3): the denominator holds four digits from t on
+    assert format_end(g.act_end(parse_end(F, "rat(p^5, 1)"))) == "trunc(p^6, 10)"
+    # agreeing with the exact matrix's image as far as the image is known
+    exact = m("[[t,1],[0,1]]").act_end(parse_end(F, "rat(p^5, 1)"))
+    assert _ends_agree(g.act_end(parse_end(F, "rat(p^5, 1)")), exact)
+
+
 def _ends_agree(end, exact_end):
     """Whether two ends agree as far as both are known."""
     if not (isinstance(end, TruncatedEnd) or isinstance(exact_end, TruncatedEnd)):

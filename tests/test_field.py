@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import brute_force
 from sl2btree.errors import InvalidInputError, SizeGuardExceeded
 from sl2btree.field import MAX_Q, Field, field
 
@@ -191,3 +192,33 @@ def test_the_primitive_element_is_the_least_of_order_q_minus_1():
             least = next(v for v in vectors if any(v) and order(v) == q - 1)
             F = Field(p, e, modulus)
             assert F._exp[1].coeffs == least, (q, modulus)  # the antilog table is g^0, g^1, ...
+
+
+def _first_irreducible(p, e):
+    """The least monic modulus of degree e that `Field` accepts, its
+    coefficients read as the base-p digits of an integer."""
+    for low in range(p**e):
+        modulus = tuple(low // p**i % p for i in range(e)) + (1,)
+        try:
+            return modulus, Field(p, e, modulus)
+        except InvalidInputError:
+            continue
+
+
+def _prime_power(q):
+    """(p, e) with q = p^e, or None."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = 0
+    while q % p == 0:
+        q, e = q // p, e + 1
+    return (p, e) if q == 1 else None
+
+
+@pytest.mark.parametrize("p, e", [pe for pe in map(_prime_power, range(2, 257)) if pe])
+def test_power_tables_match_the_coefficient_tuple_construction(p, e):
+    # the generator, its powers and the Zech logarithms, against products of
+    # coefficient tuples
+    modulus, F = _first_irreducible(p, e)
+    powers, zech = brute_force.power_tables(p, modulus)
+    assert [c.coeffs for c in F._exp] == powers * 2
+    assert F._zech == zech

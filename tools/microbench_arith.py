@@ -17,10 +17,20 @@ product; `det` of a matrix built afresh from the same entries for each
 call, since the determinant is kept once computed; `act_vertex` on a
 random vertex; `act_end` on a random end; and `drift_along_end` toward the
 zero end of diag(a, 1/a) * step^k * an upper shear, k in -2..2, the
-elements the drift suite draws. Vertices have a level in
--3..5 and random digits at the four degrees below it; ends are y/x for
-random polynomials of degree at most 2 in t. The vertex rows are:
-construction from a level and a residue (`vertex new`); `==` between a
+elements the drift suite draws.
+
+The Euclidean rows: `inverse` to 8, 16 and 32 terms of an exact series
+with nonzero digits at 2 to 4 of the degrees -3..3; `divmod_t` of a
+polynomial of t-degree 6 by one of degree 3; `gcd_t` of two of degree 4;
+`RationalEnd` construction from two of degree 0 to 2, which takes their gcd
+and divides it out; and `series hash`, the hash of a series of the
+`inverse` rows whose cached hash is cleared first. These rows draw their
+digits from all of the field.
+
+Vertices have a level in -3..5 and random digits at the four degrees below
+it; ends are y/x for random polynomials of degree at most 2 in t. The
+vertex rows are: construction from a level and a residue (`vertex new`);
+`==` between a
 vertex and an equal one built from a copy of its residue (`vertex ==`);
 `hash` of a vertex hashed before, as in a set that is probed again
 (`vertex hash`); `Tree.neighbors`; `Tree.step_to_end` toward an end; and
@@ -55,15 +65,16 @@ from sl2btree.errors import InvalidInputError
 from sl2btree.field import Field, field
 from sl2btree.lattice import NagaoLattice
 from sl2btree.literals import parse_vertex
+from sl2btree.polys import divmod_t, gcd_t
 from sl2btree.quotient import certify_independent_horoball
 from sl2btree.series import LaurentSeries
-from sl2btree.tree import Tree, Vertex, end_from_vector
+from sl2btree.tree import RationalEnd, Tree, Vertex, end_from_vector
 
 QS = (2, 3, 4, 9)
 PAIRS = 64
 REPEAT = 7  # timed runs per row; the fastest is kept
 LARGE_FIELDS = ((2, 13), (2, 14), (3, 8), (16381, 1))
-FIELD_REPEAT = 3  # F_{2^14} takes about a second per construction
+FIELD_REPEAT = 3
 
 
 def _series(rng, F):
@@ -84,6 +95,24 @@ def _zero_end_fixer(rng, F):
     )
     step = TreeAutomorphism.standard_step_power(F, rng.randrange(-2, 3))
     return diag * step * TreeAutomorphism.upper_shear(F, _series(rng, F))
+
+
+def _unit_series(rng, F):
+    units = list(F.units())
+    degrees = rng.sample(range(-3, 4), rng.randint(2, 4))
+    return LaurentSeries(F, {d: rng.choice(units) for d in degrees})
+
+
+def _t_poly(rng, F, degree):
+    """A polynomial in t of exactly the given degree, random lower digits."""
+    elems = list(F.elements())
+    digits = {-d: rng.choice(elems) for d in range(degree)}
+    return LaurentSeries(F, {**digits, -degree: rng.choice(elems[1:])})
+
+
+def _fresh_hash(s):
+    s._hash = None
+    return hash(s)
 
 
 def _vertex(rng, F):
@@ -198,6 +227,16 @@ def main():
             lambda r, F, T: (_zero_end_fixer(r, F), T[0].end_zero()),
             drift_along_end,
         ),
+        "inverse 8": (lambda r, F, T: (_unit_series(r, F), 8), LaurentSeries.inverse),
+        "inverse 16": (lambda r, F, T: (_unit_series(r, F), 16), LaurentSeries.inverse),
+        "inverse 32": (lambda r, F, T: (_unit_series(r, F), 32), LaurentSeries.inverse),
+        "divmod_t": (lambda r, F, T: (_t_poly(r, F, 6), _t_poly(r, F, 3)), divmod_t),
+        "gcd_t": (lambda r, F, T: (_t_poly(r, F, 4), _t_poly(r, F, 4)), gcd_t),
+        "RationalEnd": (
+            lambda r, F, T: (F, _t_poly(r, F, r.randrange(3)), _t_poly(r, F, r.randrange(3))),
+            RationalEnd,
+        ),
+        "series hash": (lambda r, F, T: (_unit_series(r, F),), _fresh_hash),
         "vertex new": (lambda r, F, T: _level_residue(r, F), Vertex),
         "vertex ==": (lambda r, F, T: _twins(r, F), lambda x, y: x == y),
         "vertex hash": (lambda r, F, T: _hashed(r, F), hash),
