@@ -355,16 +355,12 @@ class TreeAutomorphism:
         end w goes to (c + d*w) / (a + b*w), to the digits that determine.
         """
         F = self.field
-        if isinstance(end, UpEnd):
-            return _end_of(F, self.b, self.d)
-        if isinstance(end, RationalEnd):
-            return _end_of(
-                F, _fused(self.a, end.x, self.b, end.y), _fused(self.c, end.x, self.d, end.y)
-            )
-        w = end.coordinate
-        num = _fused(self.d, w, self.c)
-        den = _fused(self.b, w, self.a)
-        return TruncatedEnd(F, _divide_available(num, den))
+        if isinstance(end, TruncatedEnd):
+            w = end.coordinate
+            num, den = _fused(self.d, w, self.c), _fused(self.b, w, self.a)
+            return TruncatedEnd(F, _divide_available(num, den))
+        x, y = end.x, end.y
+        return _end_of(F, _fused(self.a, x, self.b, y), _fused(self.c, x, self.d, y))
 
     def fixes_vertex(self, v: Vertex) -> bool:
         return self.act_vertex(v) == v
@@ -666,13 +662,9 @@ def zero_end_conjugator(end: UpEnd | RationalEnd) -> TreeAutomorphism:
     The up end is (0 : 1). When x and y are coprime the determinant is 1
     and the matrix carries the end to the zero end.
     """
-    F = end.field
-    if isinstance(end, UpEnd):
-        x, y = LaurentSeries.zero(F), LaurentSeries.one(F)
-    else:
-        x, y = end.x, end.y
+    x, y = end.x, end.y
     _, u, w = xgcd_t(x, y)
-    return TreeAutomorphism(F, u, w, -y, x)
+    return TreeAutomorphism(end.field, u, w, -y, x)
 
 
 def decompose_end_stabilizer(g: TreeAutomorphism, end: End) -> BorelDecomposition:

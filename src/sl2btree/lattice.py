@@ -17,8 +17,8 @@ units, the constants alpha = 1 mod f (all of F_q^x when d = 0, else only
 conjugated to arbitrary vertices through the reduction witness; the
 tests recompute them by direct enumeration. The cusps are
 the cosets of the image of the zero end's stabilizer in `CosetTable`:
-`cusp_representatives` carries the zero end by the lift of each coset's
-least member, and the adjugate of that lift carries the cusp back.
+each cusp is carried by the lift of its coset's least member, and its end
+is that lift's first column, the image of the zero end (1 : 0).
 """
 
 import functools
@@ -37,7 +37,7 @@ from .polys import (
     t_degree,
 )
 from .series import LaurentSeries
-from .tree import End, Tree, Vertex
+from .tree import End, Tree, Vertex, end_from_vector
 
 _REDUCE_CAP_BASE = 64
 
@@ -70,17 +70,18 @@ class ReducedVertex:
 class CuspData:
     """A boundary end fixed by nontrivial translations of the lattice.
 
-    `conjugator` is a determinant-1 polynomial matrix carrying the end to
-    the zero end. The translations fixing the end are the conjugates of
-    [[1, b], [0, 1]] for b in `NagaoLattice.level` * F_q[t], sitting inside
-    the full end stabilizer with index len(`NagaoLattice.scalar_units`).
+    `carrier` is a determinant-1 polynomial matrix carrying the zero end to
+    the end, which is the vector of its first column. The translations
+    fixing the end are the conjugates carrier [[1, b], [0, 1]] carrier^-1
+    for b in `NagaoLattice.level` * F_q[t], sitting inside the full end
+    stabilizer with index len(`NagaoLattice.scalar_units`).
     """
 
-    __slots__ = ("end", "conjugator")
+    __slots__ = ("end", "carrier")
 
-    def __init__(self, end: End, conjugator: TreeAutomorphism):
+    def __init__(self, end: End, carrier: TreeAutomorphism):
         self.end = end
-        self.conjugator = conjugator
+        self.carrier = carrier
 
 
 class NagaoLattice:
@@ -221,14 +222,13 @@ class NagaoLattice:
         where B is the image of the full upper-triangular stabilizer of
         the zero end; cusp i is coset number i. Its carrier, the lift of
         the coset's least member, is a determinant-1 polynomial matrix
-        that reduces to it: the carrier takes the zero end to the cusp,
-        and its adjugate takes the cusp back.
+        that reduces to it, and the cusp's end is the carrier's image of
+        the zero end (1 : 0), the vector (carrier.a : carrier.c).
         """
-        table = self.coset_table()
+        F, table = self.field, self.coset_table()
         _, reps = table.coset_partition(self.level_degree)
-        zero_end = self.tree.end_zero()
         carriers = map(table.lift, reps)
-        return [CuspData(end=c.act_end(zero_end), conjugator=c.adjugate()) for c in carriers]
+        return [CuspData(end_from_vector(F, c.a, c.c), c) for c in carriers]
 
 
 class CongruenceLattice(NagaoLattice):

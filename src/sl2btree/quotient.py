@@ -54,13 +54,12 @@ class QuotientEdge:
 class RayTail:
     """A certified-or-not chain of vertex classes heading to infinity."""
 
-    __slots__ = ("vertices", "edges", "base_level", "certified")
+    __slots__ = ("vertices", "edges", "certified")
 
     def __init__(self, vertices: list[QuotientVertex], edges: list[QuotientEdge],
-                 base_level: int, certified: bool):
-        self.vertices = vertices  # one per level, from base_level up
+                 certified: bool):
+        self.vertices = vertices  # one per level, from the base level vertices[0].level up
         self.edges = edges  # edges between consecutive chain vertices
-        self.base_level = base_level
         self.certified = certified
 
 
@@ -88,22 +87,24 @@ class GrowthProbe:
 
 
 class HoroballMember:
-    """A horoball vertex with its normal form, witness residue and quotient vertex.
+    """A horoball vertex with its normal form, witness residue, cusp image and quotient vertex.
 
     `residue` is the image r of `reduced.witness` in the residue group.
+    `image` is the witness applied to the cusp's vector, w v with v the
+    first column of the cusp's carrier, as a pair of series.
     `quotient_vertex` is (n, k) for the vertex L{n}C{k} of the quotient
     graph that the vertex maps to: n is its reduced level and k the coset
     number of r^{-1} in `CosetTable.vertex_partition(n)`.
     """
 
-    __slots__ = ("vertex", "reduced", "residue", "residue_inverse", "quotient_vertex")
+    __slots__ = ("vertex", "reduced", "residue", "image", "quotient_vertex")
 
     def __init__(self, vertex: Vertex, reduced: ReducedVertex, residue: tuple,
-                 residue_inverse: tuple, quotient_vertex: tuple[int, int]):
+                 image: tuple, quotient_vertex: tuple[int, int]):
         self.vertex = vertex
         self.reduced = reduced
         self.residue = residue
-        self.residue_inverse = residue_inverse
+        self.image = image
         self.quotient_vertex = quotient_vertex
 
 
@@ -147,14 +148,13 @@ class CuspsReport:
     def radius_vertices(self) -> list[Vertex]:
         """Per cusp, its horoball's radius vertex: the carrier applied to (b, 0).
 
-        The carrier is the adjugate of the cusp's end conjugator, and b is
-        the base level of the cusp's matched ray, or 1 when it has none.
+        b is the base level of the cusp's matched ray, or 1 when it has none.
         """
         ray_of = dict(self.matches)
         zero = LaurentSeries.zero(self.graph.lattice.field)
         return [
-            cusp.conjugator.adjugate().act_vertex(
-                Vertex(self.graph.rays[ray_of[i]].base_level if i in ray_of else 1, zero)
+            cusp.carrier.act_vertex(
+                Vertex(self.graph.rays[ray_of[i]].vertices[0].level if i in ray_of else 1, zero)
             )
             for i, cusp in enumerate(self.algebraic)
         ]
@@ -204,7 +204,7 @@ class GraphOfGroups:
         ray_list = [
             {
                 "base": ray.vertices[0].id,
-                "base_level": ray.base_level,
+                "base_level": ray.vertices[0].level,
                 "step_index": q,
                 "certified": ray.certified,
                 # a graph holds no cusps; `CuspsReport.matches` pairs them with rays
@@ -314,9 +314,7 @@ def _detect_rays(G: GraphOfGroups) -> None:
         if base is not None and not all(ok[base:]):
             raise NonterminationGuard("certified tail pattern broke inside the enumerated range")
         start = base or 0
-        G.rays.append(RayTail(
-            chain[start:], chain_edges[start:], chain[start].level, base is not None
-        ))
+        G.rays.append(RayTail(chain[start:], chain_edges[start:], base is not None))
 
 
 # -- covolume ---------------------------------------------------------------------
@@ -376,7 +374,7 @@ def _match_cusps_to_rays(G: GraphOfGroups) -> list[tuple[int, int]]:
     read = max(G.lattice.level_degree - 1, 1)
     rays_at: dict[int, list[int]] = {}  # coset number at the read level -> its rays
     for ri, ray in enumerate(G.rays):
-        step = max(read - ray.base_level, 0)
+        step = max(read - ray.vertices[0].level, 0)
         if step < len(ray.vertices):
             rays_at.setdefault(ray.vertices[step].coset, []).append(ri)
     return [(ci, hits[0]) for ci, hits in sorted(rays_at.items()) if len(hits) == 1]
@@ -444,18 +442,18 @@ class _TransporterAlgebra:
     can occur in S; over the zero ring (the full lattice) all of them can.
     Some member occurs exactly when h0 lies in the image V of that
     stabilizer, that is when r^{-1} V = r'^{-1} V: y and y' share a vertex
-    of the quotient graph. Whether every member fixes a cusp end reduces,
-    for n >= 1, to linear conditions on three series A, B, C built from
-    the witnesses and the end conjugator.
+    of the quotient graph.
+
+    The cusp end is the vector v, the first column of the cusp's carrier.
+    A transporter w'^{-1} u w fixes it exactly when u w v is proportional
+    to w' v, that is when det(w' v, u w v) = 0; for n >= 1 that
+    determinant is linear in the offset of u.
 
     Everything that depends on one vertex is computed once per vertex:
-    `member` reduces it and takes its residue, the residue's inverse and
-    its quotient vertex, `target_half` and `source_half` take the entries
-    of its witness times the end conjugator that a pair reads of its
-    target and of its source. A pair within a
-    quotient vertex then costs one product in the residue group and a few
-    series products; a pair across two quotient vertices has no
-    transporter and costs nothing.
+    `member` reduces it and takes its residue, its quotient vertex and its
+    image w v of the cusp's vector. A pair within a quotient vertex then
+    costs one product in the residue group and a few series products; a
+    pair across two quotient vertices has no transporter and costs nothing.
 
     Transporter sets compose: with T(y, y') the lattice elements carrying
     y to y', T(y, y') = T(y1, y') T(y1, y)^{-1} for any y1 of the same
@@ -471,57 +469,44 @@ class _TransporterAlgebra:
         self.table = lattice.coset_table()
         self.ring = self.table.ring
 
-    def member(self, y: Vertex) -> HoroballMember:
+    def member(self, y: Vertex, cusp: CuspData) -> HoroballMember:
         red = self.lattice.reduce_vertex(y)
+        w, c = red.witness, cusp.carrier
         # the witness is a product of polynomial shears and half turns, so its
         # determinant is 1 and `CosetTable.reduce` need not check it again
-        residue = tuple(map(self.ring.reduce, red.witness.entries()))
-        inverse = self.table.inverse(residue)
+        residue = tuple(map(self.ring.reduce, w.entries()))
         coset_of, _ = self.table.vertex_partition(red.level)
-        return HoroballMember(y, red, residue, inverse, (red.level, coset_of[inverse]))
+        image = _fused(w.a, c.a, w.b, c.c), _fused(w.c, c.a, w.d, c.c)
+        quotient_vertex = (red.level, coset_of[self.table.inverse(residue)])
+        return HoroballMember(y, red, residue, image, quotient_vertex)
 
-    def target_half(self, yp: HoroballMember, cusp: CuspData):
-        """(P.c, P.d) for P = conj w'^{-1}: the half a pair reads of its target.
-
-        w' is the target's witness and conj the cusp's end conjugator.
-        """
-        g, w = cusp.conjugator, yp.reduced.witness
-        return _fused(g.c, w.d, g.d, w.c, minus=True), _fused(g.d, w.a, g.c, w.b, minus=True)
-
-    def source_half(self, y: HoroballMember, cusp: CuspData):
-        """(Q.a, Q.c) for Q = w conj^{-1}: the half a pair reads of its source.
-
-        w is the source's witness; a pair reads no other entry of P or Q.
-        """
-        g, w = cusp.conjugator, y.reduced.witness
-        return _fused(w.a, g.d, w.b, g.c, minus=True), _fused(w.c, g.d, w.d, g.c, minus=True)
-
-    def moving_transporter(self, end: End, y, Q, yp, P):
+    def moving_transporter(self, end: End, y: HoroballMember, yp: HoroballMember):
         """A transporter from y to y' that moves the end, or None if all fix it.
 
-        Q is the source's half and P the target's half. A
-        transporter w'^{-1} u w moves the end exactly when the bottom-left
-        entry of P u Q, P.c (u.a Q.a + u.b Q.c) + P.d (u.c Q.a + u.d Q.c),
-        is nonzero.
+        With (s1, s2) the source's image w v and (t1, t2) the target's
+        w' v, a transporter w'^{-1} u w moves the end exactly when
+        det(w' v, u w v) = t1 (u.c s1 + u.d s2) - t2 (u.a s1 + u.b s2) is
+        nonzero.
         """
         family = self._family(y, yp)
         if family is None:
             return None
-        (Pc, Pd), (Qa, Qc) = P, Q
+        (s1, s2), (t1, t2) = y.image, yp.image
         if y.reduced.level == 0:
             for u in family:
-                if _fused(Pc, _fused(u.a, Qa, u.b, Qc), Pd, _fused(u.c, Qa, u.d, Qc)).has_terms():
+                top, bottom = _fused(u.a, s1, u.b, s2), _fused(u.c, s1, u.d, s2)
+                if _fused(t1, bottom, t2, top, minus=True).has_terms():
                     return self._finish(end, y, yp, u)
             return None
-        # for u = [[alpha, b], [0, alpha^-1]] the entry is alpha*A + b*B +
-        # alpha^{-1}*C with A = Pc*Qa, B = Pc*Qc, C = Pd*Qc, linear in b: if
-        # some b = b0 + f*c exposes it, b0 or b0 + f does, with the unit
+        # for u = [[alpha, b], [0, alpha^-1]] the determinant is rest - b*t2*s2
+        # with rest = alpha^{-1}*t1*s2 - alpha*t2*s1, linear in b: if some
+        # b = b0 + f*c exposes it, b0 or b0 + f does, with the unit
         # `_upper_family` picks
         alpha, offsets = family
-        rest = _fused(Pc.scale(alpha), Qa, Pd.scale(alpha.inverse()), Qc)
-        B = Pc * Qc
+        rest = _fused(t1.scale(alpha.inverse()), s2, t2.scale(alpha), s1, minus=True)
+        B = t2 * s2
         for b in offsets:
-            if _fused(b, B, rest).has_terms():
+            if _fused(rest, None, b, B, minus=True).has_terms():
                 return self._finish(end, y, yp, _upper(self.F, alpha, b))
         return None
 
@@ -545,7 +530,7 @@ class _TransporterAlgebra:
         At level 0 the list of constant matrices with image h0, above it
         the `_upper_family` of h0.
         """
-        h0 = self.table.matmul(yp.residue, y.residue_inverse)
+        h0 = self.table.matmul(yp.residue, self.table.inverse(y.residue))
         n = y.reduced.level
         if n == 0:
             return self.table.constant_lifts().get(h0)
@@ -571,10 +556,11 @@ class _TransporterAlgebra:
         are [[alpha, b0 + f*c], [0, alpha^-1]] with alpha a constant unit of
         matching image and deg(b0 + f*c) <= n. The offsets are b0, and
         b0 + f when n >= deg f. Only the first matching unit is returned:
-        over the zero ring all q - 1 match, but if the bottom-left entry
-        vanishes at both offsets for one alpha then B = 0, which forces
-        A = 0 or C = 0, and the entry vanishes for every alpha; with one
-        offset (n < deg f) constants inject into R and one alpha matches.
+        over the zero ring all q - 1 match, but if the determinant
+        rest - b*t2*s2 vanishes at both offsets for one alpha then
+        t2*s2 = 0, so rest is alpha^{-1}*t1*s2 or -alpha*t2*s1 and vanishes
+        for every alpha; with one offset (n < deg f) constants inject into
+        R and one alpha matches.
         """
         ring = self.ring
         a_bar, b_bar, c_bar, d_bar = h0
@@ -631,16 +617,13 @@ def certify_independent_horoball(
     algebra = _TransporterAlgebra(lattice)
     # the horoellipse of eccentricity 1 is the horoball, busemann >= 0
     horoball = tree.horoellipse_vertices(cusp.end, radius_vertex, Fraction(1), truncation)
-    members = [algebra.member(y) for y in horoball]
+    members = [algebra.member(y, cusp) for y in horoball]
     levels = _grouped(members, lambda m: m.reduced.level)
     for group in levels.values():
         for cls in _grouped(group, lambda m: m.quotient_vertex).values():
-            # the star reads the source half of its root only
             y = cls[0]
-            Q = algebra.source_half(y, cusp)
             for yp in cls:
-                P = algebra.target_half(yp, cusp)
-                gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
+                gamma = algebra.moving_transporter(cusp.end, y, yp)
                 if gamma is not None:
                     return CounterexamplePair(y=y.vertex, y_prime=yp.vertex, gamma=gamma)
     return CertifiedIndependent(
@@ -713,7 +696,7 @@ def contract(G: GraphOfGroups) -> GraphOfGroups:
     image = {}  # old vertex -> its copy, or the cusp vertex of the certified tail holding it
     for i, ray in enumerate(G.rays):
         if ray.certified:
-            cusp = QuotientVertex(f"cusp{i}", ray.base_level, None, None)
+            cusp = QuotientVertex(f"cusp{i}", ray.vertices[0].level, None, None)
             out.vertices[cusp.id] = cusp
             image.update(dict.fromkeys(ray.vertices, cusp))
     for v in G.vertices.values():
@@ -730,8 +713,7 @@ def contract(G: GraphOfGroups) -> GraphOfGroups:
         copies[e] = QuotientEdge(lo, hi, e.order)
     out.edges = list(copies.values())
     out.rays = [
-        RayTail([image[v] for v in ray.vertices], [copies[e] for e in ray.edges],
-                ray.base_level, False)
+        RayTail([image[v] for v in ray.vertices], [copies[e] for e in ray.edges], False)
         for ray in G.rays if not ray.certified
     ]
     return out

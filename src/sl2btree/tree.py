@@ -5,16 +5,20 @@ pi^n; the vertex one level up forgets the top residue digit, and the q
 children refine it. Level is unbounded in both directions, so the tree is
 homogeneous of degree q+1.
 
-Boundary ends come in three flavours:
+Boundary ends are exact or truncated. An exact end is a point of
+P^1(F_q(t)), kept as its projective vector (x : y) with boundary
+coordinate w = y/x, and the matrix action reads only that vector:
 
-* the single "up" end reached by passing to coarser and coarser residues;
-* rational ends, stored as a projective pair (x, y) of coprime polynomials
-  in t = pi^{-1} with boundary coordinate w = y/x (the zero end w = 0 is
-  (1, 0)). The digits of w are expanded once and the expansion is doubled
-  only when a deeper digit is asked for;
-* truncated ends, a branch specified by w modulo pi^N only. Any geometry
-  that would need digits of w beyond N raises EndPrecisionExhausted instead
-  of guessing.
+* the single "up" end, reached by passing to coarser and coarser
+  residues, is (0 : 1), w = infinity;
+* a rational end is a pair (x, y) of coprime polynomials in t = pi^{-1}
+  with x nonzero (the zero end w = 0 is (1 : 0)). The digits of w are
+  expanded once and the expansion is doubled only when a deeper digit is
+  asked for.
+
+A truncated end is a branch specified by w modulo pi^N only. Any geometry
+that would need digits of w beyond N raises EndPrecisionExhausted instead
+of guessing.
 
 A finite end w is reached from the up end along the line of vertices
 (n; w mod pi^n). A vertex v leaves that line at level m(v), the lowest
@@ -112,10 +116,11 @@ class End:
 
 
 class UpEnd(End):
-    """The unique end in the direction of coarser lattices (w = infinity)."""
+    """The unique end in the direction of coarser lattices: (0 : 1), w = infinity."""
 
     def __init__(self, field: Field):
         self.field = field
+        self.x, self.y = LaurentSeries.zero(field), LaurentSeries.one(field)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UpEnd) and other.field is self.field

@@ -254,9 +254,8 @@ def _suite_unipotent_transitivity(F, rng):
         w2 = TreeAutomorphism.upper_shear(F, b).act_end(w1)
         # solve back: the shear carrying w1 to w2 has offset
         # (x2 y1 - x1 y2) / (y1 y2), which here must be exactly b
-        x2, y2 = _end_vector(F, w2)
-        num = x2 * w1.y - w1.x * y2
-        den = w1.y * y2
+        num = w2.x * w1.y - w1.x * w2.y
+        den = w1.y * w2.y
         checks += 1
         if num != b * den:
             fails.append(f"exact shear solve failed: w1={w1}, b={b}")
@@ -300,13 +299,6 @@ def _agreement(e1, e2) -> int:
         return end_difference_valuation(e1, e2)
     except EqualEndsError:
         return 10**9
-
-
-def _end_vector(F, end):
-    """Projective coordinates of an exact end; the one above is (0, 1)."""
-    if isinstance(end, UpEnd):
-        return LaurentSeries.zero(F), LaurentSeries.one(F)
-    return end.x, end.y
 
 
 def _suite_horosphere_transitivity(F, rng):

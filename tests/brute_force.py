@@ -94,13 +94,14 @@ def cusp_ray_matches_by_scan(G, cusps) -> list[tuple[int, int]]:
     stable = G.lattice.level_degree - 1
     matches = []
     for ci, cusp in enumerate(cusps):
-        m = table.reduce(cusp.conjugator.adjugate())
+        m = table.reduce(cusp.carrier)
         hits = []
         for ri, ray in enumerate(G.rays):
-            level = max(ray.base_level, stable, 1)
-            if level - ray.base_level >= len(ray.vertices):
+            base = ray.vertices[0].level
+            level = max(base, stable, 1)
+            if level - base >= len(ray.vertices):
                 continue
-            vertex = ray.vertices[level - ray.base_level]
+            vertex = ray.vertices[level - base]
             coset_of, _ = table.vertex_partition(level)
             if coset_of[m] == vertex.coset:
                 hits.append(ri)
@@ -120,7 +121,7 @@ def radius_vertices_by_bezout(report) -> list[Vertex]:
     zero = LaurentSeries.zero(report.graph.lattice.field)
     return [
         zero_end_conjugator(cusp.end).adjugate().act_vertex(
-            Vertex(report.graph.rays[ray_of[i]].base_level if i in ray_of else 1, zero)
+            Vertex(report.graph.rays[ray_of[i]].vertices[0].level if i in ray_of else 1, zero)
         )
         for i, cusp in enumerate(report.algebraic)
     ]

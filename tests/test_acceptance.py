@@ -83,7 +83,7 @@ def test_criterion_01_polynomial_quotient_is_a_ray_with_known_orders():
         # one certified cusp ray; each step along it has index exactly q
         assert len(G.rays) == 1
         ray = G.rays[0]
-        assert ray.certified and ray.base_level == 1
+        assert ray.certified and ray.vertices[0].level == 1
         for lo, hi, edge in zip(ray.vertices, ray.vertices[1:], ray.edges):
             assert (edge.v_from, edge.v_to) == (lo, hi)
             assert hi.order == 2 * lo.order

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sl2btree.autom import (
     TreeAutomorphism,
+    _end_of,
     decompose_end_stabilizer,
     drift_along_end,
     zero_end_conjugator,
@@ -23,6 +24,7 @@ from sl2btree.literals import format_end, parse_end, parse_matrix, parse_vertex
 from sl2btree.series import INFINITY, LaurentSeries
 from sl2btree.tree import Tree, TruncatedEnd, UpEnd, Vertex
 from brute_force import ball
+from test_series_properties import kernel_operands
 
 
 F = field(2)
@@ -214,6 +216,33 @@ def test_act_end_of_a_rational_end_under_an_inexact_matrix():
     # agreeing with the exact matrix's image as far as the image is known
     exact = m("[[t,1],[0,1]]").act_end(parse_end(F, "rat(p^5, 1)"))
     assert _ends_agree(g.act_end(parse_end(F, "rat(p^5, 1)")), exact)
+
+
+def _image_or_error(f, *args):
+    """The end f returns, or the type of the package error it raises."""
+    try:
+        return f(*args)
+    except Sl2BTreeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_exact_ends_act_through_their_vectors(q, data):
+    """One branch for exact ends: the up end (0 : 1) goes to (b : d) and the
+    zero end (1 : 0) to (a : c), for exact and inexact entries alike."""
+    Fq = field(q)
+    up = UpEnd(Fq)
+    assert up.x.is_exact_zero() and up.y == LaurentSeries.one(Fq)
+    entries = [data.draw(kernel_operands(Fq)) for _ in range(4)]
+    try:
+        g = TreeAutomorphism(Fq, *entries)
+    except InvalidInputError:
+        return  # singular
+    zero_end = Tree(Fq).end_zero()
+    assert _image_or_error(g.act_end, up) == _image_or_error(_end_of, Fq, g.b, g.d)
+    assert _image_or_error(g.act_end, zero_end) == _image_or_error(_end_of, Fq, g.a, g.c)
 
 
 def _ends_agree(end, exact_end):

@@ -48,6 +48,9 @@ DELETED_METHODS = [
     (lattice.CuspData, "parameter_multiple"),  # lattice.level
     (lattice.CuspData, "stabilizer_index"),  # len(lattice.scalar_units)
     (quotient.RayTail, "cusp_index"),  # CuspsReport.matches
+    (quotient.RayTail, "base_level"),  # vertices[0].level
+    (quotient.HoroballMember, "residue_inverse"),  # CosetTable.inverse(residue)
+    (lattice.CuspData, "conjugator"),  # carrier.adjugate()
 ]
 
 

@@ -9,7 +9,7 @@ from sl2btree import cli, quotient
 from sl2btree.autom import TreeAutomorphism
 from sl2btree.errors import InvalidInputError, NonterminationGuard, UncertifiedTail
 from sl2btree.field import field
-from sl2btree.lattice import CongruenceLattice, CosetTable, NagaoLattice
+from sl2btree.lattice import CongruenceLattice, CosetTable, NagaoLattice, _upper
 from sl2btree.literals import parse_end, parse_series, parse_vertex
 from sl2btree.quotient import (
     CertifiedIndependent,
@@ -48,7 +48,7 @@ def test_nagao_quotient_is_a_half_line():
     assert [e.order for e in G.edges] == [2, 4, 8, 16, 32, 64, 128, 256]
     assert len(G.rays) == 1
     ray = G.rays[0]
-    assert ray.certified and ray.base_level == 1
+    assert ray.certified and ray.vertices[0].level == 1
     assert ray.vertices[0].id == "L1" and [v.level for v in ray.vertices] == list(range(1, 9))
 
 
@@ -82,7 +82,7 @@ def test_ray_detection_on_a_hand_built_graph():
                           ("M", "T1", 1), ("M", "T2", 1), ("M2", "T4", 1), ("M3", "T4", 1)]:
         G.edges.append(quotient.QuotientEdge(G.vertices[lo], G.vertices[hi], order))
     quotient._detect_rays(G)
-    assert [_ray_links(G, r) + (r.base_level, r.certified) for r in G.rays] == [
+    assert [_ray_links(G, r) + (r.vertices[0].level, r.certified) for r in G.rays] == [
         (["C0", "C1", "C2", "C3"], [0, 1, 2], 0, True),
         (["T1"], [], 3, False),
         (["T2"], [], 3, False),
@@ -132,7 +132,7 @@ def test_level_t_quotient_is_a_tripod():
         assert len(by_level[n]) == 3
         assert all(vert.order == 2**n for vert in by_level[n])
     assert len(G.rays) == 3
-    assert all(r.certified and r.base_level == 1 for r in G.rays)
+    assert all(r.certified and r.vertices[0].level == 1 for r in G.rays)
     cov = covolume(G)
     assert cov.total == Fraction(6) == _closed_form_covolume(2, 1, [1])
 
@@ -209,15 +209,18 @@ RADIUS_CASES += [(2, f, 8) for f in F2_LEVELS]
     ids=[f"F{q}-{level or 'full'}-depth{depth}" for q, level, depth in RADIUS_CASES],
 )
 def test_radius_vertices_agree_with_the_bezout_route(q, level, depth):
-    # a cusp's conjugator is the adjugate of its coset's lift, not a Bezout
-    # matrix; both carry its end to the zero end, and the horoballs they give agree
+    # a cusp's carrier is its coset's lift, not the adjugate of a Bezout
+    # matrix; both carry the zero end to its end, and the horoballs they give agree
     lattice = _lattice(q, level)
     report = cusps_report(lattice, depth)
     assert report.radius_vertices() == radius_vertices_by_bezout(report)
     full = NagaoLattice(lattice.field)
+    zero_end = lattice.tree.end_zero()
     for cusp in report.algebraic:
-        assert full.contains(cusp.conjugator)
-        assert cusp.conjugator.act_end(cusp.end) == lattice.tree.end_zero()
+        assert full.contains(cusp.carrier)
+        # the end read off the carrier's first column is the image of the zero end
+        assert cusp.carrier.act_end(zero_end) == cusp.end
+        assert cusp.carrier.adjugate().act_end(cusp.end) == zero_end
 
 
 def test_growth_probe_along_cusp_directions():
@@ -269,7 +272,7 @@ def test_family_certification():
     lat = CongruenceLattice(F2, parse_series(F2, "t"))
     cusps = lat.cusp_representatives()
     radii = [
-        c.conjugator.adjugate().act_vertex(parse_vertex(F2, "(1; 0)")) for c in cusps
+        c.carrier.act_vertex(parse_vertex(F2, "(1; 0)")) for c in cusps
     ]
     fam = certify_independent_family(lat, cusps, radii, 5)
     assert isinstance(fam, FamilyCertificate)
@@ -295,26 +298,25 @@ def test_family_certification():
 
 
 def test_family_certification_pays_per_member(monkeypatch):
-    """Residues, target halves and transporter checks are computed once per
-    horoball member, not once per pair (here 42 members, 126 + 252 pairs),
-    and source halves once per quotient vertex of each horoball."""
+    """Residues, images of the cusp's vector and transporter checks are
+    computed once per horoball member, not once per pair (here 42 members,
+    126 + 252 pairs); a star's root reads nothing more than its image."""
     lat = CongruenceLattice(F2, parse_series(F2, "t"))
     cusps = lat.cusp_representatives()
     radii = [
-        c.conjugator.adjugate().act_vertex(parse_vertex(F2, "(1; 0)")) for c in cusps
+        c.carrier.act_vertex(parse_vertex(F2, "(1; 0)")) for c in cusps
     ]
     reductions = _count_calls(monkeypatch, CosetTable, "reduce")
     products = _count_calls(monkeypatch, TreeAutomorphism, "__mul__")
     checks = _count_calls(monkeypatch, _TransporterAlgebra, "moving_transporter")
-    targets = _count_calls(monkeypatch, _TransporterAlgebra, "target_half")
-    sources = _count_calls(monkeypatch, _TransporterAlgebra, "source_half")
+    images = _count_calls(monkeypatch, _TransporterAlgebra, "member")
     fam = certify_independent_family(lat, cusps, radii, 5)
     assert isinstance(fam, FamilyCertificate)
     members = sum(len(s.members) for s in fam.singles)
     roots = sum(len({m.quotient_vertex for m in s.members}) for s in fam.singles)
     assert roots < members
-    assert len(sources) == roots
-    assert len(targets) == members
+    assert len(images) == members
+    assert not any(hasattr(_TransporterAlgebra, half) for half in ("target_half", "source_half"))
     constants = 2**3 - 2  # the constants map reduces each member of SL2(F_2) once
     assert len(reductions) <= members + constants
     assert len(products) <= 3 * members
@@ -328,7 +330,7 @@ def test_family_counterexample_where_horoballs_meet(q, level):
     F = field(q)
     lat = CongruenceLattice(F, parse_series(F, level))
     cusps = lat.cusp_representatives()
-    radii = [c.conjugator.adjugate().act_vertex(lat.tree.base) for c in cusps]
+    radii = [c.carrier.act_vertex(lat.tree.base) for c in cusps]
     for c, x in zip(cusps, radii):
         assert isinstance(
             certify_independent_horoball(lat, c, x, 2), CertifiedIndependent
@@ -402,7 +404,7 @@ def _edge_rows(edges):
 
 
 def _ray_rows(G):
-    return [_ray_links(G, r) + (r.base_level, r.certified) for r in G.rays]
+    return [_ray_links(G, r) + (r.vertices[0].level, r.certified) for r in G.rays]
 
 
 def test_contracting_without_a_certified_ray_copies_the_graph():
@@ -605,18 +607,16 @@ def test_transporter_algebra_matches_brute_force_on_horoballs(lat, radius, trunc
     tree = lat.tree
     algebra = _TransporterAlgebra(lat)
     members = [
-        algebra.member(y)
+        algebra.member(y, cusp)
         for y in ball(tree, x, truncation)
         if tree.horoball_contains(cusp.end, x, y)
     ]
     verdicts = set()
     for y in members:
-        Q = algebra.source_half(y, cusp)
         for yp in members:
             if y.reduced.level != yp.reduced.level:
                 continue
-            P = algebra.target_half(yp, cusp)
-            gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
+            gamma = algebra.moving_transporter(cusp.end, y, yp)
             ok = gamma is None
             assert ok == _transporters_fix_end(
                 lat, cusp.end, y.vertex, y.reduced, yp.vertex, yp.reduced
@@ -632,19 +632,17 @@ def test_transporter_algebra_matches_brute_force_on_horoballs(lat, radius, trunc
 def test_level_zero_transporters_match_brute_force(q):
     # away from the full lattice the constant family over h0 is a coset
     # of SL2(F_q), not closed under transposition, so this pins which
-    # entries of u the bottom-left entry of P u Q reads
+    # entries of u the determinant det(w' v, u w v) reads
     F = field(q)
     lat = CongruenceLattice(F, parse_series(F, "t"))
     algebra = _TransporterAlgebra(lat)
-    members = [algebra.member(y) for y in ball(lat.tree, lat.tree.base, 2)]
-    origin = [m for m in members if m.reduced.level == 0]
+    origin = [y for y in ball(lat.tree, lat.tree.base, 2) if lat.reduce_vertex(y).level == 0]
     verdicts = set()
     for cusp in lat.cusp_representatives()[:2]:
-        for y in origin:
-            Q = algebra.source_half(y, cusp)
-            for yp in origin:
-                P = algebra.target_half(yp, cusp)
-                ok = algebra.moving_transporter(cusp.end, y, Q, yp, P) is None
+        members = [algebra.member(y, cusp) for y in origin]
+        for y in members:
+            for yp in members:
+                ok = algebra.moving_transporter(cusp.end, y, yp) is None
                 assert ok == _transporters_fix_end(
                     lat, cusp.end, y.vertex, y.reduced, yp.vertex, yp.reduced
                 )
@@ -659,9 +657,8 @@ def test_transporter_algebra_matches_the_stabilizer(q, y):
     lat = NagaoLattice(F)
     cusp = lat.cusp_representatives()[0]
     algebra = _TransporterAlgebra(lat)
-    m = algebra.member(parse_vertex(F, y))
-    P, Q = algebra.target_half(m, cusp), algebra.source_half(m, cusp)
-    ok = algebra.moving_transporter(cusp.end, m, Q, m, P) is None
+    m = algebra.member(parse_vertex(F, y), cusp)
+    ok = algebra.moving_transporter(cusp.end, m, m) is None
     w = m.reduced.witness
     stabilizer = [
         w.adjugate() * s * w for s in lat.base_stabilizer_elements(m.reduced.level)
@@ -679,18 +676,49 @@ CONJUGATION_LATTICES = {
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_conjugated_entries_are_those_of_the_full_products(q, data):
+    """A member's image is the first column of witness * carrier, and the
+    pair determinant det(w' v, u w v) is the bottom-left entry of the
+    conjugated transporter carrier^-1 w'^-1 u w carrier, for each u of the
+    family; y' is a lattice translate of y, so the family is never empty."""
     lat = CONJUGATION_LATTICES[q]
     Fq = lat.field
     cusp = data.draw(st.sampled_from(lat.cusp_representatives()))
+    carrier = cusp.carrier
     n = data.draw(st.integers(-3, 6))
-    digits = data.draw(st.lists(st.sampled_from(list(Fq.elements())), min_size=6, max_size=6))
+    elems = list(Fq.elements())
+    digits = data.draw(st.lists(st.sampled_from(elems), min_size=6, max_size=6))
+    k1, k2 = (
+        LaurentSeries(Fq, {-d: data.draw(st.sampled_from(elems)) for d in range(3)})
+        for _ in range(2)
+    )
+    shear = TreeAutomorphism.upper_shear(Fq, lat.level * k1)
+    if data.draw(st.booleans()):
+        # on the line to the cusp's end, moved by a translation fixing it:
+        # there some families fix the end
+        y = carrier.act_vertex(Vertex(n, LaurentSeries.zero(Fq)))
+        gamma = carrier * shear * carrier.adjugate()
+    else:
+        y = Vertex(n, LaurentSeries(Fq, dict(zip(range(n - 6, n), digits))))
+        gamma = shear * TreeAutomorphism.lower_shear(Fq, lat.level * k2)
     algebra = _TransporterAlgebra(lat)
-    m = algebra.member(Vertex(n, LaurentSeries(Fq, dict(zip(range(n - 6, n), digits)))))
-    P, Q = algebra.target_half(m, cusp), algebra.source_half(m, cusp)
-    w, conj = m.reduced.witness, cusp.conjugator
-    full_P, full_Q = conj * w.adjugate(), w * conj.adjugate()
-    assert P == (full_P.c, full_P.d)
-    assert Q == (full_Q.a, full_Q.c)
+    m, mp = algebra.member(y, cusp), algebra.member(gamma.act_vertex(y), cusp)
+    w, wp = m.reduced.witness, mp.reduced.witness
+    for member, witness in ((m, w), (mp, wp)):
+        full = witness * carrier
+        assert member.image == (full.a, full.c)
+    family = algebra._family(m, mp)
+    if m.reduced.level >= 1:
+        alpha, offsets = family
+        family = [_upper(Fq, alpha, b) for b in offsets]
+    assert family
+    (s1, s2), (t1, t2) = m.image, mp.image
+    moves = False
+    for u in family:
+        det = t1 * (u.c * s1 + u.d * s2) - t2 * (u.a * s1 + u.b * s2)
+        full = carrier.adjugate() * wp.adjugate() * u * w * carrier
+        assert det == full.c
+        moves = moves or det.has_terms()
+    assert (algebra.moving_transporter(cusp.end, m, mp) is not None) == moves
 
 
 def _first_moving_pair(lattice, cusp, x, truncation):
@@ -699,16 +727,14 @@ def _first_moving_pair(lattice, cusp, x, truncation):
     violating (y, y', str(gamma)), or the member count."""
     algebra = _TransporterAlgebra(lattice)
     horoball = lattice.tree.horoellipse_vertices(cusp.end, x, Fraction(1), truncation)
-    members = [algebra.member(y) for y in horoball]
+    members = [algebra.member(y, cusp) for y in horoball]
     levels = {}
     for m in members:
         levels.setdefault(m.reduced.level, []).append(m)
     for group in levels.values():
         for y in group:
-            Q = algebra.source_half(y, cusp)
             for yp in group:
-                P = algebra.target_half(yp, cusp)
-                gamma = algebra.moving_transporter(cusp.end, y, Q, yp, P)
+                gamma = algebra.moving_transporter(cusp.end, y, yp)
                 if gamma is not None:
                     return y.vertex, yp.vertex, str(gamma)
     return len(members)
@@ -724,7 +750,7 @@ def test_star_check_matches_all_pairs(q, level):
     one = parse_vertex(F, "(1; 0)")
     verdicts = Counter()
     for cusp in lat.cusp_representatives():
-        for x in (lat.tree.base, one, cusp.conjugator.adjugate().act_vertex(one)):
+        for x in (lat.tree.base, one, cusp.carrier.act_vertex(one)):
             for truncation in range(1, 5):
                 expected = _first_moving_pair(lat, cusp, x, truncation)
                 got = certify_independent_horoball(lat, cusp, x, truncation)
@@ -757,10 +783,10 @@ def test_cross_transporters_match_brute_force(q, level):
     algebra = _TransporterAlgebra(lat)
     horoballs = []
     for c in lat.cusp_representatives():
-        x = c.conjugator.adjugate().act_vertex(tree.base)
+        x = c.carrier.act_vertex(tree.base)
         horoballs.append(
             [
-                algebra.member(y)
+                algebra.member(y, c)
                 for y in ball(tree, x, 2)
                 if tree.horoball_contains(c.end, x, y)
             ]

@@ -24,8 +24,11 @@ with nonzero digits at 2 to 4 of the degrees -3..3; `divmod_t` of a
 polynomial of t-degree 6 by one of degree 3; `gcd_t` of two of degree 4;
 `RationalEnd` construction from two of degree 0 to 2, which takes their gcd
 and divides it out; and `series hash`, the hash of a series of the
-`inverse` rows whose cached hash is cleared first. These rows draw their
-digits from all of the field.
+`inverse` rows whose cached hash is cleared first.
+
+Every row draws its digits as `Field` elements from all of the field (the
+units where a digit must be nonzero), so over F_4 and F_9 they are not
+confined to the prime field.
 
 Vertices have a level in -3..5 and random digits at the four degrees below
 it; ends are y/x for random polynomials of degree at most 2 in t. The
@@ -78,8 +81,9 @@ FIELD_REPEAT = 3
 
 
 def _series(rng, F):
+    units = list(F.units())
     degrees = rng.sample(range(-3, 4), rng.randint(1, 4))
-    return LaurentSeries.exact(F, {d: rng.randrange(1, F.q) for d in degrees})
+    return LaurentSeries.exact(F, {d: rng.choice(units) for d in degrees})
 
 
 def _matrix(rng, F):
@@ -116,22 +120,27 @@ def _fresh_hash(s):
 
 
 def _vertex(rng, F):
+    elems = list(F.elements())
     n = rng.randrange(-3, 6)
-    return Tree(F).vertex(n, LaurentSeries.exact(F, {d: rng.randrange(F.q) for d in range(n - 4, n)}))
+    coeffs = {d: rng.choice(elems) for d in range(n - 4, n)}
+    return Tree(F).vertex(n, LaurentSeries.exact(F, coeffs))
 
 
 def _end(rng, F):
+    elems = list(F.elements())
+
     def poly():
-        return LaurentSeries.exact(F, {-d: rng.randrange(F.q) for d in range(3)})
+        return LaurentSeries.exact(F, {-d: rng.choice(elems) for d in range(3)})
 
     x = poly()
     return end_from_vector(F, x if x.has_terms() else LaurentSeries.one(F), poly())
 
 
 def _deep_vertex(rng, F):
+    elems = list(F.elements())
     n = rng.randrange(-3, 13)
     digits = range(n - rng.randint(0, 12), n)
-    return Vertex(n, LaurentSeries.exact(F, {d: rng.randrange(F.q) for d in digits}))
+    return Vertex(n, LaurentSeries.exact(F, {d: rng.choice(elems) for d in digits}))
 
 
 def _level_residue(rng, F):

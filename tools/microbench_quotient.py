@@ -19,7 +19,7 @@ milliseconds. Run from the root of a checkout:
 - `_json_text`: `cli._json_text` of the same dict, which the command line
   prints; it must equal the reference, and the tool checks that it does.
 - `cusp_representatives`: `lattice.cusp_representatives()` on the same
-  table, one lift and one end image per cusp.
+  table, one lift per cusp and the end of its first column.
 - `cusps_report`: `cusps_report(lattice, 8)`, the graph's assembly again
   plus the cusp representatives and their matching to the rays.
 - `contract`: `contract(G)` of the graph above.
