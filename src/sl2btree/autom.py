@@ -24,6 +24,10 @@ detection of quasi-unipotent elements with their fixed end and a certified
 horoball-type witness, conjugation-contraction depth sequences, the
 expansion count of a hyperbolic element across its horospheres, and the
 diagonal-times-translation-times-shear factorization of an end stabilizer.
+The drift of an end stabilizer along its end (the Busemann character of
+the Borel subgroup, Serre, Trees II.2) needs no factorization: for the
+end's vector v and g*v = lam*v it is v(det g) - 2 v(lam), twice the
+factorization's step power.
 """
 
 from __future__ import annotations
@@ -79,26 +83,6 @@ def _end_of(field: Field, x: LaurentSeries, y: LaurentSeries) -> End:
     if x.is_exact_zero() or (x.is_exact() and y.is_exact()):
         return end_from_vector(field, x, y)
     return TruncatedEnd(field, _divide_available(y, x))
-
-
-def _ratio_mod(num: LaurentSeries, den: LaurentSeries, n: int) -> LaurentSeries:
-    """The exact truncation (num/den) mod pi^n."""
-    zero = LaurentSeries.zero(num.field)
-    if num.is_exact_zero():
-        return zero
-    vd = den.valuation()
-    if not num.has_terms():
-        # num vanishes to its precision; the ratio vanishes mod pi^(prec - vd)
-        if num.prec - vd >= n:
-            return zero
-        raise InsufficientPrecision(
-            f"ratio needed mod pi^{n}, numerator only vanishes mod pi^{num.prec}",
-            needed=n + vd,
-        )
-    v = num.valuation()
-    if v - vd >= n:
-        return zero
-    return (num * den.inverse(n - v + vd)).truncate(n)
 
 
 class Classification:
@@ -340,10 +324,10 @@ class TreeAutomorphism:
                 raise InsufficientPrecision("cannot compare pivot valuations")
         if use_A:
             new_level = det_val - 2 * vA
-            residue = _ratio_mod(_fused(self.d, res, self.c), A, new_level)
+            residue = _fused(self.d, res, self.c).quotient(A, new_level)
         else:
             new_level = det_val - 2 * vB
-            residue = _ratio_mod(self.d.shift(n), B, new_level)
+            residue = self.d.shift(n).quotient(B, new_level)
         return Vertex(new_level, residue)
 
     def act_end(self, end: End) -> End:
@@ -635,8 +619,7 @@ class TreeAutomorphism:
         if isinstance(end, TruncatedEnd):
             raise InvalidInputError("fixed end must be exact")
         inv = shrink.adjugate()
-        decomposition = decompose_end_stabilizer(inv, end)
-        if decomposition.power <= 0:
+        if drift_along_end(inv, end) <= 0:
             raise InvalidInputError(
                 "the contracting element must repel from the fixed end"
             )
@@ -698,6 +681,29 @@ def drift_along_end(g: TreeAutomorphism, end: End) -> int:
     """Signed distance the element translates along the given fixed end.
 
     Positive values move toward the end; the map is additive on the end's
-    stabilizer and vanishes exactly on its elliptic part.
+    stabilizer and vanishes exactly on its elliptic part. It is the
+    Busemann character read off the eigenvalue: g*v = lam*v for the end's
+    vector v = (x : y), and the drift is v(det g) - 2 v(lam), with v(lam)
+    = v((g*v)_i) - v(v_i) at the first nonzero coordinate i of v.
+
+    This is 2 * decompose_end_stabilizer(g, end).power. There a
+    determinant-1 conjugator c with c*v = (1, 0) makes h = c*g*adj(c)
+    upper triangular with diagonal (lam, det g / lam); h scaled by
+    pi^(-v(det g)/2) has a unit determinant, and power is the valuation of
+    its bottom-right entry, v(det g) - v(lam) - v(det g)/2. The refusals
+    come in the decomposition's order: a truncated end, then
+    det(v, g*v) != 0 (DoesNotFixEnd, that determinant being h's
+    bottom-left entry), then an odd v(det g) (NotTypePreserving).
     """
-    return 2 * decompose_end_stabilizer(g, end).power
+    if isinstance(end, TruncatedEnd):
+        raise InvalidInputError("the drift needs an exact end")
+    x, y = end.x, end.y
+    gx, gy = _fused(g.a, x, g.b, y), _fused(g.c, x, g.d, y)
+    # det(v, g*v), the bottom-left entry of c*g*adj(c)
+    if not _fused(x, gy, y, gx, minus=True).is_exact_zero():
+        raise DoesNotFixEnd(f"element does not fix the end {end}")
+    det_val = g.det().valuation()
+    if det_val % 2:
+        raise NotTypePreserving("odd determinant valuation swaps the vertex types")
+    image, coordinate = (gx, x) if x.coeffs else (gy, y)
+    return det_val - 2 * (image.valuation() - coordinate.valuation())

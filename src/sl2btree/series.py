@@ -24,8 +24,12 @@ terminates).
 
 All of it runs on the field's discrete-log tables: sums, differences,
 scalings and products go through one kernel, `_fused` (x*y +- u*v into one
-digit dict), and the inverse runs its convolution recurrence on the digits'
-logs. The kernel decides the result's precision first by one test per
+digit dict), and division runs its convolution recurrence on the digits'
+logs: `quotient(den, n)` gives the exact digits of self/den below degree
+n, with no inverse series built, no product and no digits past n thrown
+away. The inverse is the same recurrence with the numerator one, and the
+vertex action and a rational end's expansion divide through `quotient`.
+The kernel `_fused` decides the result's precision first by one test per
 operand: exact operands give an exact result, and only an inexact one
 brings in the rules above. A series hashes its digit dict as a frozenset,
 so equal series hash equal in any insertion order, without a sort.
@@ -216,11 +220,7 @@ class LaurentSeries:
 
         Requires every coefficient below n to be determined, i.e. prec >= n.
         """
-        if self.prec is not INFINITY and self.prec < n:
-            raise InsufficientPrecision(
-                f"truncation at pi^{n} of a series known only mod pi^{self.prec}",
-                needed=n,
-            )
+        _known_to(self.prec, n)
         return LaurentSeries._canonical(
             self.field, {d: c for d, c in self.coeffs.items() if d < n}
         )
@@ -243,47 +243,47 @@ class LaurentSeries:
         """
         if terms < 1:
             raise InvalidInputError("term budget must be positive")
-        if not self.coeffs:
-            if self.prec is INFINITY:
-                raise ZeroDivisionError("inverse of the zero series")
-            raise IndeterminateValuation(
-                f"cannot invert a series that vanishes mod pi^{self.prec}"
-            )
-        v = min(self.coeffs)
-        if self.prec is not INFINITY and self.prec < v + terms:
-            raise InsufficientPrecision(
-                f"inverse to {terms} terms needs the input mod pi^{v + terms}, "
-                f"have mod pi^{self.prec}",
-                needed=v + terms,
-            )
+        v = _divisor_valuation(self)
         F = self.field
         if len(self.coeffs) == 1 and self.prec is INFINITY:
             return LaurentSeries._canonical(F, {-v: self.coeffs[v].inverse()})
-        # The unit part u = pi^-v * self has the inverse b = sum b_k pi^k with
-        # b_0 = 1/u_0 and b_k = -(1/u_0) * sum_{1 <= j <= k} u_j b_(k-j), run on
-        # discrete logs: g^m + g^n = g^(m + zech[n - m]), None for zero.
-        exp, zech, period = F._exp, F._zech, F.q - 1
-        lead = self.coeffs[v]._log
-        scale = (F._minus_one_log - lead) % period  # the log of -1/u_0
-        unit = sorted((d - v, c._log) for d, c in self.coeffs.items() if v < d < v + terms)
-        b = [-lead % period]
-        for k in range(1, terms):
-            acc = None
-            for j, m in unit:
-                if j > k:
-                    break
-                n = b[k - j]
-                if n is None:
-                    continue
-                if acc is None:
-                    acc = m + n
-                else:
-                    z = zech[(m + n - acc) % period]
-                    acc = None if z is None else acc + z
-            b.append(None if acc is None else (acc + scale) % period)
-        return LaurentSeries._canonical(
-            F, {k - v: exp[n] for k, n in enumerate(b) if n is not None}, terms - v
-        )
+        start = [None] * terms
+        start[0] = F._minus_one_log  # the numerator 1
+        return LaurentSeries._canonical(F, _divided(start, self, v, -v), terms - v)
+
+    def quotient(self, den: "LaurentSeries", n: int) -> "LaurentSeries":
+        """The exact series of the digits of self/den below degree n.
+
+        With v = v(self) and vd = v(den), these are the digits of
+        (self * den.inverse(k)).truncate(n), k = n - v + vd the count of
+        degrees from v(self/den) = v - vd up to n, with that route's
+        refusals in its order: den with no visible digit, den known mod
+        pi^(vd + k), then self mod pi^(n + vd). A numerator that vanishes
+        to its precision divides to zero where that vanishing reaches n.
+        """
+        F = self.field
+        vd = _divisor_valuation(den)
+        if not self.coeffs:
+            if self.prec is INFINITY or self.prec - vd >= n:
+                return LaurentSeries._canonical(F, {})
+            raise InsufficientPrecision(
+                f"ratio needed mod pi^{n}, numerator only vanishes mod pi^{self.prec}",
+                needed=n + vd,
+            )
+        v = min(self.coeffs)
+        terms = n - v + vd
+        if terms < 1:
+            return LaurentSeries._canonical(F, {})
+        start, minus = [None] * terms, F._minus_one_log
+        for d, c in self.coeffs.items():
+            if d < v + terms:
+                start[d - v] = c._log + minus
+        # _divided refuses a divisor known to too few digits, and only then
+        # is a numerator known to too few refused, as in the route
+        # (self * den.inverse(k)).truncate(n); INFINITY absorbs the shift
+        digits = _divided(start, den, vd, v - vd)
+        _known_to(self.prec + -vd, n)
+        return LaurentSeries._canonical(F, digits)
 
     # -- comparison / hashing ------------------------------------------------
 
@@ -359,6 +359,61 @@ def _fused(x: LaurentSeries, y=None, u=None, v=None, minus=False) -> LaurentSeri
     elif u is not None:
         F._add_products(out, {0: -F.one if minus else F.one}, u.coeffs, cap)
     return LaurentSeries._canonical(F, out, prec)
+
+
+def _divisor_valuation(den: LaurentSeries) -> int:
+    """v(den), refusing a divisor that shows no digit."""
+    if not den.coeffs:
+        if den.prec is INFINITY:
+            raise ZeroDivisionError("inverse of the zero series")
+        raise IndeterminateValuation(f"cannot invert a series that vanishes mod pi^{den.prec}")
+    return min(den.coeffs)
+
+
+def _known_to(prec, n: int) -> None:
+    """Refuse a truncation at pi^n of a series known only mod pi^prec."""
+    if prec is not INFINITY and prec < n:
+        raise InsufficientPrecision(
+            f"truncation at pi^{n} of a series known only mod pi^{prec}", needed=n
+        )
+
+
+def _divided(start: list, den: LaurentSeries, vd: int, shift: int) -> dict:
+    """The digits of num/den at the len(start) degrees from shift, as a dict.
+
+    den has its lead at vd, and start[j] is the log of -r_j, None for zero,
+    r_j the digit of num at shift + vd + j. With u = pi^-vd * den the digit
+    q_j at shift + j is (r_j - sum_{1 <= i <= j} u_i q_(j-i)) / u_0. It runs
+    on discrete logs, g^m + g^n = g^(m + zech[n - m]) with None for zero,
+    and acc holds the log of that sum minus r_j. den must be known mod
+    pi^(vd + len(start)), as an inverse to that many terms needs.
+    """
+    terms = len(start)
+    if den.prec is not INFINITY and den.prec < vd + terms:
+        raise InsufficientPrecision(
+            f"inverse to {terms} terms needs the input mod pi^{vd + terms}, "
+            f"have mod pi^{den.prec}",
+            needed=vd + terms,
+        )
+    F = den.field
+    exp, zech, period = F._exp, F._zech, F.q - 1
+    scale = (F._minus_one_log - den.coeffs[vd]._log) % period  # the log of -1/u_0
+    unit = sorted((d - vd, c._log) for d, c in den.coeffs.items() if vd < d < vd + terms)
+    q = []
+    for j, acc in enumerate(start):
+        for i, m in unit:
+            if i > j:
+                break
+            k = q[j - i]
+            if k is None:
+                continue
+            if acc is None:
+                acc = m + k
+            else:
+                z = zech[(m + k - acc) % period]
+                acc = None if z is None else acc + z
+        q.append(None if acc is None else (acc + scale) % period)
+    return {j + shift: exp[k] for j, k in enumerate(q) if k is not None}
 
 
 def _term_prec(F: Field, x, y, u, v):

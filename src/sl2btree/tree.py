@@ -188,7 +188,7 @@ class RationalEnd(End):
         if n > self._depth:
             v = self.valuation()
             terms = max(n - v, 2 * (self._depth - v))
-            self._digits = (self.y * self.x.inverse(terms)).truncate(v + terms).coeffs
+            self._digits = self.y.quotient(self.x, v + terms).coeffs
             self._depth = v + terms
         return self._digits
 

@@ -181,7 +181,10 @@ def series_inverse(s: LaurentSeries, terms: int) -> LaurentSeries:
         raise IndeterminateValuation("the series vanishes to its precision")
     v = min(s.coeffs)
     if not s.is_exact() and s.prec < v + terms:
-        raise InsufficientPrecision("input not known to enough digits", needed=v + terms)
+        raise InsufficientPrecision(
+            f"inverse to {terms} terms needs the input mod pi^{v + terms}, have mod pi^{s.prec}",
+            needed=v + terms,
+        )
     if len(s.coeffs) == 1 and s.is_exact():
         return LaurentSeries(s.field, {-v: s.coeffs[v].inverse()})
     u = {d - v: c for d, c in s.coeffs.items() if d - v < terms}
@@ -196,6 +199,29 @@ def series_inverse(s: LaurentSeries, terms: int) -> LaurentSeries:
         if ck:
             b[k] = ck
     return LaurentSeries(s.field, {d - v: c for d, c in b.items()}, terms - v)
+
+
+def series_quotient(num: LaurentSeries, den: LaurentSeries, n: int) -> LaurentSeries:
+    """`LaurentSeries.quotient` as (num * series_inverse(den, k)).truncate(n),
+    k the count of degrees from v(num/den) up to n, so with the refusals of
+    that inverse and that truncation; a divisor with no visible digit is
+    refused first, and a numerator that vanishes to its precision gives
+    zero as far as its vanishing reaches."""
+    zero = LaurentSeries.zero(num.field)
+    if not den.coeffs:
+        return series_inverse(den, 1)  # raises
+    vd = min(den.coeffs)
+    if not num.coeffs:
+        if num.is_exact() or num.prec - vd >= n:
+            return zero
+        raise InsufficientPrecision(
+            f"ratio needed mod pi^{n}, numerator only vanishes mod pi^{num.prec}",
+            needed=n + vd,
+        )
+    k = n - min(num.coeffs) + vd
+    if k < 1:
+        return zero
+    return (num * series_inverse(den, k)).truncate(n)
 
 
 def divmod_t(a: LaurentSeries, b: LaurentSeries):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,8 +13,10 @@ from sl2btree.autom import (
 )
 from sl2btree.errors import (
     DoesNotFixEnd,
+    IndeterminateValuation,
     InsufficientPrecision,
     InvalidInputError,
+    NonterminationGuard,
     NotFixingError,
     NotOnAxisError,
     NotTypePreserving,
@@ -24,7 +27,8 @@ from sl2btree.literals import format_end, parse_end, parse_matrix, parse_vertex
 from sl2btree.series import INFINITY, LaurentSeries
 from sl2btree.tree import Tree, TruncatedEnd, UpEnd, Vertex
 from brute_force import ball
-from test_series_properties import kernel_operands
+from test_series_properties import kernel_operands, series
+from test_tree_properties import TREES, ends
 
 
 F = field(2)
@@ -412,6 +416,96 @@ def test_drift_is_additive_along_the_borel():
         assert drift_along_end(g1 * g2, zero_end) == 2 * k1 + 2 * k2
 
 
+def _decomposition_drift(g, end):
+    return 2 * decompose_end_stabilizer(g, end).power
+
+
+def _completions(g):
+    """The exact matrices that extend each inexact entry of g by one digit
+    at its precision or one degree past it, every combination."""
+    Fq = g.field
+    options = [
+        [e] if e.is_exact() else
+        [LaurentSeries(Fq, {**e.coeffs, e.prec + s: Fq.one}) for s in (0, 1)]
+        for e in g.entries()
+    ]
+    return [TreeAutomorphism(Fq, *entries) for entries in itertools.product(*options)]
+
+
+@st.composite
+def _entries(draw, Fq, exact):
+    """An operand of `kernel_operands`; when `exact`, the exact series of its digits."""
+    s = draw(kernel_operands(Fq))
+    return LaurentSeries(Fq, s.coeffs) if exact else s
+
+
+@st.composite
+def _exact_conjugators(draw, Fq):
+    """The identity, the half turn, or a product of an upper and a lower
+    shear by exact series, possibly followed by the half turn."""
+    kind = draw(st.sampled_from(["identity", "half turn", "shears", "shears, half turn"]))
+    if kind == "identity":
+        return TreeAutomorphism.identity(Fq)
+    if kind == "half turn":
+        return TreeAutomorphism.half_turn(Fq)
+    b, c = (LaurentSeries(Fq, draw(series(Fq)).coeffs) for _ in range(2))
+    shears = TreeAutomorphism.upper_shear(Fq, b) * TreeAutomorphism.lower_shear(Fq, c)
+    return shears * TreeAutomorphism.half_turn(Fq) if kind == "shears, half turn" else shears
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_drift_is_twice_the_decomposition_power(q, data):
+    """The eigenvalue drift v(det g) - 2 v(lam) equals twice the power of
+    the Borel decomposition, or both refuse with the same error class.
+
+    Elements c * (diag * step^k * shear) * adj(c), times diag(1, pi) for an
+    odd determinant, fix c's image of the zero end; random matrices and
+    the zero, up, rational and truncated ends cover the refusals. The
+    decomposition recomposes by exact minors, so it cannot check inexact
+    entries; where it refuses them, each exact completion of g must give
+    the drift, and a precision refusal of the drift must be one that the
+    completions disagree on."""
+    Fq = field(q)
+    zero_end = Tree(Fq).end_zero()
+    exact = data.draw(st.booleans())
+    try:
+        if data.draw(st.booleans()):
+            conj = data.draw(_exact_conjugators(Fq))
+            top, bottom = (
+                data.draw(_entries(Fq, exact).filter(lambda s: not s.is_exact_zero())) for _ in range(2)
+            )
+            b = data.draw(_entries(Fq, exact))
+            k = data.draw(st.integers(-3, 3))
+            fixer = (
+                TreeAutomorphism.diagonal(Fq, top, bottom)
+                * TreeAutomorphism.standard_step_power(Fq, k)
+                * TreeAutomorphism.upper_shear(Fq, b)
+            )
+            if data.draw(st.booleans()):
+                fixer = fixer * TreeAutomorphism.diagonal(
+                    Fq, LaurentSeries.one(Fq), LaurentSeries.pi_power(Fq, 1)
+                )
+            g = conj * fixer * conj.adjugate()
+            end = conj.act_end(zero_end)
+        else:
+            g = TreeAutomorphism(Fq, *(data.draw(_entries(Fq, exact)) for _ in range(4)))
+            end = data.draw(ends(TREES[q]))
+    except InvalidInputError:
+        return  # singular
+    drift = _image_or_error(drift_along_end, g, end)
+    expected = _image_or_error(_decomposition_drift, g, end)
+    if expected is NonterminationGuard and not all(e.is_exact() for e in g.entries()):
+        answers = {_image_or_error(_decomposition_drift, h, end) for h in _completions(g)}
+        if isinstance(drift, int):
+            assert answers == {drift}
+        else:
+            assert drift is IndeterminateValuation and len(answers) > 1
+    else:
+        assert drift == expected
+
+
 def test_modular_expansion_count():
     step = TreeAutomorphism.standard_step(F)
     assert step.modular_expansion_count(tree.base) == 4
@@ -429,6 +523,8 @@ def test_contraction_depths():
     assert depths == [0, 2, 4, 6]
     with pytest.raises(InvalidInputError):
         u.contraction_depths(TreeAutomorphism.standard_step(F), 2)
+    with pytest.raises(InvalidInputError, match="repel"):  # drift zero
+        u.contraction_depths(TreeAutomorphism.identity(F), 2)
 
 
 def _random_exact_matrix(rng, Fq):

@@ -18,7 +18,7 @@ from sl2btree.field import field
 from sl2btree.polys import divmod_t, gcd_t, t_degree, xgcd_t
 from sl2btree.series import LaurentSeries, _fused
 from sl2btree.tree import Tree, Vertex
-from test_series_properties import series
+from test_series_properties import kernel_operands, series
 from test_tree_properties import PROPERTY
 
 FIELDS = {q: field(q) for q in (2, 3, 4, 9)}
@@ -50,6 +50,51 @@ def test_inverse_is_the_element_recurrence(q, data):
     a = data.draw(series(F))
     terms = data.draw(st.integers(1, 12))
     assert _outcome(a.inverse, terms) == _outcome(brute_force.series_inverse, a, terms)
+
+
+@st.composite
+def divisors(draw, F):
+    """Mostly a series with a visible leading digit, exact or known past it;
+    now and then one drawn by `series`, which may show no digit at all."""
+    if draw(st.sampled_from(["any"] + ["lead"] * 7)) == "any":
+        return draw(series(F))
+    lo = draw(st.integers(-4, 4))
+    elems = list(F.elements())
+    coeffs = {d: draw(st.sampled_from(elems)) for d in range(lo + 1, lo + draw(st.integers(1, 6)))}
+    coeffs[lo] = draw(st.sampled_from(elems[1:]))
+    if draw(st.booleans()):
+        return LaurentSeries(F, coeffs)
+    return LaurentSeries(F, coeffs, draw(st.integers(lo + 1, lo + 8)))
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_quotient_is_the_product_with_the_element_inverse(q, data):
+    """num.quotient(den, n) is (num * series_inverse(den, k)).truncate(n): the
+    same exact series, or the same refusal, with an InsufficientPrecision's
+    message and horizon `needed` as well."""
+    F = FIELDS[q]
+    num = data.draw(st.one_of(kernel_operands(F), divisors(F)))
+    den = data.draw(divisors(F))
+    # n from just below the quotient's valuation to well past it
+    v = min(num.coeffs) if num.coeffs else 0 if num.is_exact() else num.prec
+    n = v - (min(den.coeffs) if den.coeffs else 0) + data.draw(st.integers(-2, 8))
+    try:
+        expected = brute_force.series_quotient(num, den, n)
+    except (ZeroDivisionError, IndeterminateValuation) as exc:
+        with pytest.raises(type(exc)):
+            num.quotient(den, n)
+        return
+    except InsufficientPrecision as exc:
+        with pytest.raises(InsufficientPrecision) as refusal:
+            num.quotient(den, n)
+        assert (str(refusal.value), refusal.value.needed) == (str(exc), exc.needed)
+        return
+    quotient = num.quotient(den, n)
+    assert quotient.is_exact() and all(d < n for d in quotient.coeffs)
+    assert quotient == expected
+    assert LaurentSeries(F, dict(quotient.coeffs)) == quotient  # canonical digits
 
 
 @pytest.mark.parametrize("q", QS)

@@ -5,8 +5,11 @@ Times series `+`, `-`, `*`, the product of two matrices
 (`TreeAutomorphism.__mul__`) and the matrix formulas on top of it, the
 tree's vertex operations, vertex reduction and the certification of one
 horoball over F_2, F_3, F_4 and F_9 on fixed operands, and prints the
-minimum over repeats of the time per operation, in microseconds. Run from
-the root of a checkout:
+minimum over repeats of the time per operation, in microseconds. The
+repeats are interleaved: each one times every row at every field once, so
+a slow phase of a shared machine falls on all rows alike instead of
+shifting the rows that happen to run during it. Run from the root of a
+checkout:
 
     PYTHONPATH=src python3 tools/microbench_arith.py
 
@@ -15,12 +18,15 @@ Series operands are exact, with nonzero digits at 1 to 4 of the degrees
 series, so they are exact and of determinant 1. The matrix rows are: the
 product; `det` of a matrix built afresh from the same entries for each
 call, since the determinant is kept once computed; `act_vertex` on a
-random vertex; `act_end` on a random end; and `drift_along_end` toward the
-zero end of diag(a, 1/a) * step^k * an upper shear, k in -2..2, the
-elements the drift suite draws.
+random vertex, whose residue is one `LaurentSeries.quotient`; `act_end` on
+a random end; and `drift_along_end` toward the zero end of
+diag(a, 1/a) * step^k * an upper shear, k in -2..2, the elements the drift
+suite draws, which reads the eigenvalue on the end's vector.
 
 The Euclidean rows: `inverse` to 8, 16 and 32 terms of an exact series
-with nonzero digits at 2 to 4 of the degrees -3..3; `divmod_t` of a
+with nonzero digits at 2 to 4 of the degrees -3..3; `quotient 16`, the
+quotient of two such series to 16 digits from its valuation, the same
+count of digits as `inverse 16` followed by a product; `divmod_t` of a
 polynomial of t-degree 6 by one of degree 3; `gcd_t` of two of degree 4;
 `RationalEnd` construction from two of degree 0 to 2, which takes their gcd
 and divides it out; and `series hash`, the hash of a series of the
@@ -163,24 +169,33 @@ def _pair(make):
     return lambda rng, F, shared: (make(rng, F), make(rng, F))
 
 
-def _per_op_us(op, operands):
+def _quotient_operands(rng, F, digits):
+    """(num, den, n) for which num.quotient(den, n) computes `digits` digits."""
+    num, den = _unit_series(rng, F), _unit_series(rng, F)
+    return num, den, min(num.coeffs) - min(den.coeffs) + digits
+
+
+def _per_op_cell(op, operands):
+    """A timed run of 20 passes over the operands, and its count of operations."""
     def run():
         for args in operands:
             op(*args)
 
-    runs = timeit.repeat(run, number=20, repeat=REPEAT)
-    return min(runs) / (20 * len(operands)) * 1e6
+    timer = timeit.Timer(run)
+    return (lambda: timer.timeit(20)), 20 * len(operands)
 
 
-def _horoball_us_per_member(q):
+def _horoball_cell(q):
+    """One certification of a horoball certified once before, and its member count."""
     lattice = NagaoLattice(field(q))
     args = (lattice, lattice.cusp_representatives()[0], parse_vertex(lattice.field, "(1; 0)"), 5)
     members = len(certify_independent_horoball(*args).members)
-    runs = timeit.repeat(lambda: certify_independent_horoball(*args), number=1, repeat=REPEAT)
-    return min(runs) / members * 1e6
+    timer = timeit.Timer(lambda: certify_independent_horoball(*args))
+    return (lambda: timer.timeit(1)), members
 
 
-def _busemann_bfs_us_per_vertex(q):
+def _busemann_bfs_cell(q):
+    """One radius-5 search with a Busemann value per vertex, and its vertex count."""
     F = field(q)
     tree = Tree(F)
     end = _end(random.Random(f"microbench:tree:{q}"), F)
@@ -193,9 +208,19 @@ def _busemann_bfs_us_per_vertex(q):
             for u, _ in layer:
                 tree.busemann(x, u, end)
 
-    vertices = 1 + (q + 1) * (q**5 - 1) // (q - 1)
-    runs = timeit.repeat(search, number=1, repeat=REPEAT)
-    return min(runs) / vertices * 1e6
+    timer = timeit.Timer(search)
+    return (lambda: timer.timeit(1)), 1 + (q + 1) * (q**5 - 1) // (q - 1)
+
+
+def interleaved_min(cells, repeat):
+    """The fastest of `repeat` runs of each cell, a callable giving its own
+    time in seconds. Each repeat runs every cell once, so a slow phase of
+    the machine falls on all cells alike rather than on one row."""
+    best = [float("inf")] * len(cells)
+    for _ in range(repeat):
+        for i, cell in enumerate(cells):
+            best[i] = min(best[i], cell())
+    return best
 
 
 def _first_irreducible(p, e):
@@ -209,10 +234,10 @@ def _first_irreducible(p, e):
         return modulus
 
 
-def _field_ms(p, e):
+def _field_cell(p, e):
     modulus = _first_irreducible(p, e)
-    runs = timeit.repeat(lambda: Field(p, e, modulus), number=1, repeat=FIELD_REPEAT)
-    return min(runs) * 1e3
+    timer = timeit.Timer(lambda: Field(p, e, modulus))
+    return lambda: timer.timeit(1)
 
 
 def main():
@@ -238,6 +263,7 @@ def main():
         ),
         "inverse 8": (lambda r, F, T: (_unit_series(r, F), 8), LaurentSeries.inverse),
         "inverse 16": (lambda r, F, T: (_unit_series(r, F), 16), LaurentSeries.inverse),
+        "quotient 16": (lambda r, F, T: _quotient_operands(r, F, 16), LaurentSeries.quotient),
         "inverse 32": (lambda r, F, T: (_unit_series(r, F), 32), LaurentSeries.inverse),
         "divmod_t": (lambda r, F, T: (_t_poly(r, F, 6), _t_poly(r, F, 3)), divmod_t),
         "gcd_t": (lambda r, F, T: (_t_poly(r, F, 4), _t_poly(r, F, 4)), gcd_t),
@@ -260,25 +286,30 @@ def main():
             NagaoLattice.reduce_vertex,
         ),
     }
-    print(f"{'us/op':<16}" + "".join(f"{f'F_{q}':>8}" for q in QS))
+    rows, cells = [], []  # rows: (name, per-op counts of its cells by field)
     for name, (make, op) in ops.items():
-        row = []
+        counts = []
         for q in QS:
             F = field(q)
             rng = random.Random(f"microbench:{name}:{q}")
             fixed = random.Random(f"microbench:tree:{q}")
             shared = (Tree(F), _end(fixed, F), _vertex(fixed, F), NagaoLattice(F))
-            operands = [make(rng, F, shared) for _ in range(PAIRS)]
-            row.append(_per_op_us(op, operands))
-        print(f"{name:<16}" + "".join(f"{t:8.2f}" for t in row))
-    row = [_busemann_bfs_us_per_vertex(q) for q in QS]
-    print(f"{'busemann bfs':<16}" + "".join(f"{t:8.2f}" for t in row))
-    row = [_horoball_us_per_member(q) for q in QS]
-    print(f"{'horoball certify':<16}" + "".join(f"{t:8.2f}" for t in row))
+            cell, count = _per_op_cell(op, [make(rng, F, shared) for _ in range(PAIRS)])
+            cells.append(cell)
+            counts.append(count)
+        rows.append((name, counts))
+    for name, make_cell in (("busemann bfs", _busemann_bfs_cell), ("horoball certify", _horoball_cell)):
+        made = [make_cell(q) for q in QS]
+        cells += [cell for cell, _ in made]
+        rows.append((name, [count for _, count in made]))
+    times = iter(interleaved_min(cells, REPEAT))
+    print(f"{'us/op':<16}" + "".join(f"{f'F_{q}':>8}" for q in QS))
+    for name, counts in rows:
+        print(f"{name:<16}" + "".join(f"{next(times) / n * 1e6:8.2f}" for n in counts))
     names = [f"F_{p}" if e == 1 else f"F_{p}^{e}" for p, e in LARGE_FIELDS]
     print(f"\n{'ms':<16}" + "".join(f"{name:>10}" for name in names))
-    row = [_field_ms(p, e) for p, e in LARGE_FIELDS]
-    print(f"{'Field(p, e)':<16}" + "".join(f"{t:10.1f}" for t in row))
+    row = interleaved_min([_field_cell(p, e) for p, e in LARGE_FIELDS], FIELD_REPEAT)
+    print(f"{'Field(p, e)':<16}" + "".join(f"{t * 1e3:10.1f}" for t in row))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@ graph assembly, the graph's JSON text, cusp representatives, cusp
 matching and contraction.
 
 For each lattice below it prints the minimum over repeats of seven rows, in
-milliseconds. Run from the root of a checkout:
+milliseconds. The repeats are interleaved: each one times every row of
+every lattice once, so a slow phase of a shared machine falls on all rows
+alike. Run from the root of a checkout:
 
     PYTHONPATH=src python3 tools/microbench_quotient.py
 
@@ -31,6 +33,7 @@ so their rows measure the fixed cost of a table that has one member.
 import json
 import time
 
+from microbench_arith import interleaved_min
 from sl2btree import cli
 from sl2btree.field import field
 from sl2btree.lattice import CongruenceLattice, CosetTable, NagaoLattice
@@ -56,36 +59,44 @@ def _partitions_s(lattice):
     return time.perf_counter() - t0
 
 
-def _min_ms(run):
-    best = float("inf")
-    for _ in range(REPEAT):
+def _timed(run):
+    """A cell: run once, give the seconds taken."""
+    def cell():
         t0 = time.perf_counter()
         run()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e3
+        return time.perf_counter() - t0
+
+    return cell
+
+
+def _cells(lattice):
+    """The seven rows' cells of one lattice, in the order of the header."""
+    quotient_graph(lattice, DEPTH)  # builds the table and its partitions
+    G = quotient_graph(lattice, DEPTH)
+    out = G.to_json_dict()
+    if cli._json_text(out) != json.dumps(out, indent=2):
+        raise SystemExit(f"_json_text differs from json.dumps at {lattice}")
+    return [
+        lambda: _partitions_s(lattice),
+        _timed(lambda: quotient_graph(lattice, DEPTH)),
+        _timed(lambda: json.dumps(out, indent=2)),
+        _timed(lambda: cli._json_text(out)),
+        _timed(lattice.cusp_representatives),
+        _timed(lambda: cusps_report(lattice, DEPTH)),
+        _timed(lambda: contract(G)),
+    ]
 
 
 def main():
     rows = ("partitions", "quotient_graph", "json.dumps", "_json_text", "cusp_representatives",
             "cusps_report", "contract")
+    cells = [cell for q, level in LATTICES for cell in _cells(_lattice(q, level))]
+    best = interleaved_min(cells, REPEAT)
     print(f"{'ms':<22}" + "".join(f"{name:>22}" for name in rows))
-    for q, level in LATTICES:
-        lattice = _lattice(q, level)
-        partitions = min(_partitions_s(lattice) for _ in range(REPEAT)) * 1e3
-        quotient_graph(lattice, DEPTH)  # builds the table and its partitions
-        graph = _min_ms(lambda: quotient_graph(lattice, DEPTH))
-        G = quotient_graph(lattice, DEPTH)
-        out = G.to_json_dict()
-        if cli._json_text(out) != json.dumps(out, indent=2):
-            raise SystemExit(f"_json_text differs from json.dumps at {lattice}")
-        dumps = _min_ms(lambda: json.dumps(out, indent=2))
-        text = _min_ms(lambda: cli._json_text(out))
-        representatives = _min_ms(lattice.cusp_representatives)
-        cusps = _min_ms(lambda: cusps_report(lattice, DEPTH))
-        contraction = _min_ms(lambda: contract(G))
+    for k, (q, level) in enumerate(LATTICES):
         name = f"F_{q} " + ("nagao" if level is None else level)
-        times = (partitions, graph, dumps, text, representatives, cusps, contraction)
-        print(f"{name:<22}" + "".join(f"{t:22.3f}" for t in times))
+        times = best[k * len(rows):(k + 1) * len(rows)]
+        print(f"{name:<22}" + "".join(f"{t * 1e3:22.3f}" for t in times))
 
 
 if __name__ == "__main__":
