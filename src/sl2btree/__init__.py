@@ -41,11 +41,9 @@ _EXPORTS = {
     "UpEnd": "tree",
     "Vertex": "tree",
     "end_from_vector": "tree",
-    "BorelDecomposition": "autom",
     "Classification": "autom",
     "TreeAutomorphism": "autom",
     "UnipotentInfo": "autom",
-    "decompose_end_stabilizer": "autom",
     "drift_along_end": "autom",
     "format_end": "literals",
     "format_matrix": "literals",

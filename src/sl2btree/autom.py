@@ -23,11 +23,9 @@ Also here: the depth to which an element fixes the subtree below a vertex,
 detection of quasi-unipotent elements with their fixed end and a certified
 horoball-type witness, conjugation-contraction depth sequences, the
 expansion count of a hyperbolic element across its horospheres, and the
-diagonal-times-translation-times-shear factorization of an end stabilizer.
-The drift of an end stabilizer along its end (the Busemann character of
-the Borel subgroup, Serre, Trees II.2) needs no factorization: for the
-end's vector v and g*v = lam*v it is v(det g) - 2 v(lam), twice the
-factorization's step power.
+drift of an end stabilizer along its end (the Busemann character of the
+Borel subgroup, Serre, Trees II.2), read off the eigenvalue: for the end's
+vector v and g*v = lam*v it is v(det g) - 2 v(lam).
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from .errors import (
     NotTypePreserving,
 )
 from .field import Field
-from .polys import xgcd_t
 from .series import INFINITY, LaurentSeries, _fused
 from .tree import (
     End,
@@ -128,25 +125,6 @@ class UnipotentInfo:
         self.witness = witness
         self.checked_depth = checked_depth
         self.eccentricity = eccentricity
-
-
-class BorelDecomposition:
-    """g = conjugator^{-1} * (diagonal * step^power * shear) * conjugator.
-
-    `diagonal` has unit diagonal entries (elliptic), `step` is the standard
-    distance-2 translation toward the fixed end, and `shear` is a projective
-    representative of a unipotent fixing the end. The product of the three
-    parts equals the conjugated matrix up to a scalar.
-    """
-
-    __slots__ = ("diagonal", "power", "shear", "conjugator")
-
-    def __init__(self, diagonal: "TreeAutomorphism", power: int, shear: "TreeAutomorphism",
-                 conjugator: "TreeAutomorphism"):
-        self.diagonal = diagonal
-        self.power = power
-        self.shear = shear
-        self.conjugator = conjugator
 
 
 class TreeAutomorphism:
@@ -639,44 +617,6 @@ class TreeAutomorphism:
         return out
 
 
-def zero_end_conjugator(end: UpEnd | RationalEnd) -> TreeAutomorphism:
-    """[[u, w], [-y, x]] with u*x + w*y = gcd(x, y), for the end (x : y).
-
-    The up end is (0 : 1). When x and y are coprime the determinant is 1
-    and the matrix carries the end to the zero end.
-    """
-    x, y = end.x, end.y
-    _, u, w = xgcd_t(x, y)
-    return TreeAutomorphism(end.field, u, w, -y, x)
-
-
-def decompose_end_stabilizer(g: TreeAutomorphism, end: End) -> BorelDecomposition:
-    """Factor an element fixing an exact end into diagonal, step power, shear.
-
-    Conjugates the end to the zero end, checks the conjugate is upper
-    triangular (else DoesNotFixEnd), and splits it as
-    unit-diagonal * standard-step^power * unipotent-shear, all projectively.
-    """
-    F = g.field
-    if isinstance(end, TruncatedEnd):
-        raise InvalidInputError("decomposition needs an exact end")
-    conj = zero_end_conjugator(end)
-    gp = conj * g * conj.adjugate()
-    if not gp.c.is_exact_zero():
-        raise DoesNotFixEnd(f"element does not fix the end {end}")
-    det_val = gp.det().valuation()
-    if det_val % 2:
-        raise NotTypePreserving("odd determinant valuation swaps the vertex types")
-    gp = gp.scaled(LaurentSeries.pi_power(F, -(det_val // 2)))
-    m = gp.d.valuation()
-    diag = TreeAutomorphism.diagonal(F, gp.a.shift(m), gp.d.shift(-m))
-    shear = TreeAutomorphism(F, gp.a, gp.b, LaurentSeries.zero(F), gp.a)
-    recomposed = diag * TreeAutomorphism.standard_step_power(F, m) * shear
-    if not recomposed.proportional_to(gp):
-        raise NonterminationGuard("decomposition failed to recompose projectively")
-    return BorelDecomposition(diagonal=diag, power=m, shear=shear, conjugator=conj)
-
-
 def drift_along_end(g: TreeAutomorphism, end: End) -> int:
     """Signed distance the element translates along the given fixed end.
 
@@ -686,14 +626,15 @@ def drift_along_end(g: TreeAutomorphism, end: End) -> int:
     vector v = (x : y), and the drift is v(det g) - 2 v(lam), with v(lam)
     = v((g*v)_i) - v(v_i) at the first nonzero coordinate i of v.
 
-    This is 2 * decompose_end_stabilizer(g, end).power. There a
-    determinant-1 conjugator c with c*v = (1, 0) makes h = c*g*adj(c)
-    upper triangular with diagonal (lam, det g / lam); h scaled by
-    pi^(-v(det g)/2) has a unit determinant, and power is the valuation of
-    its bottom-right entry, v(det g) - v(lam) - v(det g)/2. The refusals
-    come in the decomposition's order: a truncated end, then
-    det(v, g*v) != 0 (DoesNotFixEnd, that determinant being h's
-    bottom-left entry), then an odd v(det g) (NotTypePreserving).
+    This is twice the step power m of the factorization diagonal *
+    step^m * shear of g at the end. There a determinant-1 conjugator c
+    with c*v = (1, 0) makes h = c*g*adj(c) upper triangular with diagonal
+    (lam, det g / lam); h scaled by pi^(-v(det g)/2) has a unit
+    determinant, and m is the valuation of its bottom-right entry,
+    v(det g) - v(lam) - v(det g)/2. The refusals come in the
+    factorization's order: a truncated end, then det(v, g*v) != 0
+    (DoesNotFixEnd, that determinant being h's bottom-left entry), then an
+    odd v(det g) (NotTypePreserving).
     """
     if isinstance(end, TruncatedEnd):
         raise InvalidInputError("the drift needs an exact end")

@@ -23,7 +23,6 @@ is that lift's first column, the image of the zero end (1 : 0).
 
 import functools
 import itertools
-import operator
 
 from .autom import TreeAutomorphism
 from .errors import InvalidInputError, NonterminationGuard, SizeGuardExceeded
@@ -349,8 +348,12 @@ class CosetTable:
         Shifts m by a lower shear until the bottom-left entry is a unit,
         splits the result into three elementary shears, and lifts each
         shear through the canonical polynomial representatives; the
-        product has determinant exactly 1. Shears by 0 are left out, so
-        the identity of the zero ring lifts to the identity at no cost.
+        product has determinant exactly 1. The product is built as row
+        operations on the four entries' digit dicts, as in
+        `NagaoLattice.reduce_vertex`: an upper shear by s adds s times the
+        second row to the first, a lower shear the first to the second.
+        Shears by 0 are left out, so the identity of the zero ring lifts to
+        the identity with no digit arithmetic.
         """
         ring = self.ring
         F = self.field
@@ -363,21 +366,18 @@ class CosetTable:
         inv_c1 = ring.inverse(c1)
         u = ring.mul(ring.sub(a, ring.one), inv_c1)
         w = ring.mul(ring.sub(d1, ring.one), inv_c1)
-        factors = [
-            shear(F, ring.lift(x))
-            for shear, x in (
-                (TreeAutomorphism.lower_shear, ring.neg(shift)),
-                (TreeAutomorphism.upper_shear, u),
-                (TreeAutomorphism.lower_shear, c1),
-                (TreeAutomorphism.upper_shear, w),
-            )
-            if x != ring.zero
-        ]
-        lifted = (
-            functools.reduce(operator.mul, factors)
-            if factors
-            else TreeAutomorphism.identity(F)
-        )
+        top, bottom = [{0: F.one}, {}], [{}, {0: F.one}]  # the rows (a, b) and (c, d)
+        # lower(-shift) * upper(u) * lower(c1) * upper(w), rightmost factor first
+        for x, target, source in (
+            (w, top, bottom), (c1, bottom, top), (u, top, bottom), (ring.neg(shift), bottom, top)
+        ):
+            if x == ring.zero:
+                continue
+            s = ring.lift(x).coeffs
+            for out, entry in zip(target, source):
+                F._add_products(out, s, entry, None)
+        entries = (LaurentSeries._canonical(F, x) for x in (*top, *bottom))
+        lifted = TreeAutomorphism._product(F, *entries, LaurentSeries.one(F))
         if self.reduce(lifted) != m:
             raise NonterminationGuard("constructive lift failed to check")
         return lifted

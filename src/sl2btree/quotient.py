@@ -16,6 +16,7 @@ fixing the end (`certify_independent_horoball`), and collapsing certified
 tails into symbolic cusp vertices (`contract`).
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -128,6 +129,13 @@ class CounterexamplePair:
 
 
 class FamilyCertificate:
+    """Per cusp, the certificate that decides it, and the cross pair count.
+
+    `singles[i]` is the certificate of the first cusp k of cusp i's group
+    in `certify_independent_family`, whose horoball is conjugate to i's.
+    The cusps of a group share it, and its members are k's horoball.
+    """
+
     __slots__ = ("singles", "cross_pairs_checked")
 
     def __init__(self, singles: list[CertifiedIndependent], cross_pairs_checked: int):
@@ -588,6 +596,13 @@ def _grouped(items, key) -> dict:
     return groups
 
 
+def _members(lattice, algebra, cusp, radius_vertex, truncation) -> list[HoroballMember]:
+    """The truncated horoball at the cusp's end through `radius_vertex`, as members."""
+    # the horoellipse of eccentricity 1 is the horoball, busemann >= 0
+    horoball = lattice.tree.horoellipse_vertices(cusp.end, radius_vertex, Fraction(1), truncation)
+    return [algebra.member(y, cusp) for y in horoball]
+
+
 def certify_independent_horoball(
     lattice: NagaoLattice,
     cusp: CuspData,
@@ -613,11 +628,8 @@ def certify_independent_horoball(
     """
     if truncation < 0:
         raise InvalidInputError(f"horoball truncation must be >= 0, got {truncation}")
-    tree = lattice.tree
     algebra = _TransporterAlgebra(lattice)
-    # the horoellipse of eccentricity 1 is the horoball, busemann >= 0
-    horoball = tree.horoellipse_vertices(cusp.end, radius_vertex, Fraction(1), truncation)
-    members = [algebra.member(y, cusp) for y in horoball]
+    members = _members(lattice, algebra, cusp, radius_vertex, truncation)
     levels = _grouped(members, lambda m: m.reduced.level)
     for group in levels.values():
         for cls in _grouped(group, lambda m: m.quotient_vertex).values():
@@ -640,46 +652,86 @@ def certify_independent_family(
 ):
     """Certify each cusp's horoball and their pairwise disjointness.
 
+    Certifies one horoball per orbit and derives the rest by conjugation.
+    The lattice is normal in SL2(F_q[t]): the full lattice is the whole
+    group and a congruence lattice is the kernel of reduction mod its
+    level. So for g in SL2(F_q[t]) the lattice elements carrying g y to
+    g y' are g T(y, y') g^{-1}, and they fix g e exactly when T(y, y')
+    fixes e. Cusp i's horoball is c_i applied to the horoball at the zero
+    end through adj(c_i) x_i, c_i its carrier and x_i its radius vertex,
+    so cusps with the same adj(c_i) x_i form a group whose horoballs are
+    g = c_i c_k^{-1} applied to the horoball of its first cusp k. Only k
+    is certified; every cusp of the group passes or fails with it, so the
+    first failing cusp is the first cusp of a group and its counterexample
+    the first one. Nagao levels are SL2(F_q[t])-invariant, so cusp i has
+    the pairs and level counts of cusp k, and `singles[i]` is the
+    certificate of k. The quotient vertex of g y is (n, coset of
+    gbar r^{-1}), n and r the level and residue of y and gbar the residue
+    of g. Multiplying by gbar on the left permutes the cosets of a level,
+    so cusp i's quotient vertices are k's moved by gbar: one residue
+    product per quotient vertex, and no vertex reduction.
+
     On top of the per-cusp check, distinct horoballs must not meet under
     the lattice: any member carrying a vertex of one truncated horoball
     to a vertex of another is a violation. Such a member exists exactly
     when the two vertices share a quotient vertex, so the cross check
-    looks each member up among the quotient vertices of the other
-    horoballs, and builds a transporter only for the first hit. Every
-    ordered same-level pair across two horoballs counts as checked.
+    compares the horoballs' sets of quotient vertices. For the first
+    ordered pair (i, j) whose sets meet it enumerates both horoballs and
+    builds a transporter from the first member of i at a quotient vertex
+    of j to the first member of j there. Every ordered same-level pair
+    across two horoballs counts as checked.
     """
     if len(cusps) != len(radius_vertices):
         raise InvalidInputError("one radius vertex per cusp is required")
-    singles = []
-    for cusp, x in zip(cusps, radius_vertices):
-        result = certify_independent_horoball(lattice, cusp, x, truncation)
-        if isinstance(result, CounterexamplePair):
-            return result
-        singles.append(result)
-    firsts = []  # per horoball, quotient vertex -> its first member there
-    for single in singles:
-        first = {}
-        for m in single.members:
-            first.setdefault(m.quotient_vertex, m)
-        firsts.append(first)
-    for i, single in enumerate(singles):
-        for j, first in enumerate(firsts):
-            if i == j:
-                continue
-            for y in single.members:
-                yp = first.get(y.quotient_vertex)
-                if yp is None:
-                    continue
-                gamma = _TransporterAlgebra(lattice).transporter(y, yp)
-                if gamma is None or gamma.act_vertex(y.vertex) != yp.vertex:
-                    raise NonterminationGuard("cross transporter failed to check")
-                return CounterexamplePair(y=y.vertex, y_prime=yp.vertex, gamma=gamma)
+    table = lattice.coset_table()
+    groups = _grouped(
+        range(len(cusps)),
+        lambda i: cusps[i].carrier.adjugate().act_vertex(radius_vertices[i]),
+    )
+    singles = [None] * len(cusps)
+    reached = [None] * len(cusps)  # per cusp, the quotient vertices of its horoball
+    for k, *others in groups.values():
+        single = certify_independent_horoball(lattice, cusps[k], radius_vertices[k], truncation)
+        if isinstance(single, CounterexamplePair):
+            return single
+        singles[k] = single
+        reached[k] = {m.quotient_vertex for m in single.members}
+        back = table.inverse(table.reduce(cusps[k].carrier))
+        for i in others:
+            g = table.matmul(table.reduce(cusps[i].carrier), back)
+            singles[i], reached[i] = single, set()
+            for n, coset in reached[k]:
+                coset_of, least = table.vertex_partition(n)
+                reached[i].add((n, coset_of[table.matmul(g, least[coset])]))
+    for i, j in itertools.permutations(range(len(cusps)), 2):
+        if not reached[i].isdisjoint(reached[j]):
+            return _cross_counterexample(lattice, cusps, radius_vertices, truncation, i, j)
     counts = [Counter(m.reduced.level for m in single.members) for single in singles]
     same_level = sum(counts, Counter())
     cross = sum(c * c for c in same_level.values()) - sum(
         c * c for count in counts for c in count.values()
     )
     return FamilyCertificate(singles=singles, cross_pairs_checked=cross)
+
+
+def _cross_counterexample(lattice, cusps, radius_vertices, truncation, i, j):
+    """The lattice element carrying the first member of horoball i at a
+    quotient vertex of horoball j to the first member of j there."""
+    algebra = _TransporterAlgebra(lattice)
+    mine, theirs = (
+        _members(lattice, algebra, cusps[h], radius_vertices[h], truncation) for h in (i, j)
+    )
+    first = {}
+    for m in theirs:
+        first.setdefault(m.quotient_vertex, m)
+    y = next((m for m in mine if m.quotient_vertex in first), None)
+    if y is None:
+        raise NonterminationGuard("conjugated quotient vertices missed the horoball")
+    yp = first[y.quotient_vertex]
+    gamma = algebra.transporter(y, yp)
+    if gamma is None or gamma.act_vertex(y.vertex) != yp.vertex:
+        raise NonterminationGuard("cross transporter failed to check")
+    return CounterexamplePair(y=y.vertex, y_prime=yp.vertex, gamma=gamma)
 
 
 # -- contraction ------------------------------------------------------------------------

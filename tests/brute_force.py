@@ -1,19 +1,27 @@
 """Brute-force oracles for the tests, sharing no code with the closed forms."""
 
 import itertools
+from collections import Counter
 
-from sl2btree.autom import TreeAutomorphism, zero_end_conjugator
+from sl2btree.autom import TreeAutomorphism
 from sl2btree.errors import (
+    DoesNotFixEnd,
     IndeterminateValuation,
     InsufficientPrecision,
     InvalidInputError,
     NonterminationGuard,
+    NotTypePreserving,
     SizeGuardExceeded,
 )
 from sl2btree.lattice import NagaoLattice
 from sl2btree.polys import all_t_polys, from_t_coeffs, t_coeffs, t_degree
+from sl2btree.quotient import (
+    CounterexamplePair,
+    _TransporterAlgebra,
+    certify_independent_horoball,
+)
 from sl2btree.series import LaurentSeries
-from sl2btree.tree import Tree, Vertex
+from sl2btree.tree import End, Tree, TruncatedEnd, Vertex
 
 
 def ball(tree: Tree, x: Vertex, radius: int) -> list[Vertex]:
@@ -125,6 +133,107 @@ def radius_vertices_by_bezout(report) -> list[Vertex]:
         )
         for i, cusp in enumerate(report.algebraic)
     ]
+
+
+class BorelDecomposition:
+    """g = conjugator^{-1} * (diagonal * step^power * shear) * conjugator.
+
+    `diagonal` has unit diagonal entries (elliptic), `step` is the standard
+    distance-2 translation toward the fixed end, and `shear` is a projective
+    representative of a unipotent fixing the end. The product of the three
+    parts equals the conjugated matrix up to a scalar.
+    """
+
+    __slots__ = ("diagonal", "power", "shear", "conjugator")
+
+    def __init__(self, diagonal: "TreeAutomorphism", power: int, shear: "TreeAutomorphism",
+                 conjugator: "TreeAutomorphism"):
+        self.diagonal = diagonal
+        self.power = power
+        self.shear = shear
+        self.conjugator = conjugator
+
+
+def zero_end_conjugator(end: End) -> TreeAutomorphism:
+    """[[u, w], [-y, x]] with u*x + w*y = gcd(x, y), for the end (x : y).
+
+    The up end is (0 : 1). When x and y are coprime the determinant is 1
+    and the matrix carries the end to the zero end. The gcd is this
+    module's `xgcd_t`.
+    """
+    x, y = end.x, end.y
+    _, u, w = xgcd_t(x, y)
+    return TreeAutomorphism(end.field, u, w, -y, x)
+
+
+def decompose_end_stabilizer(g: TreeAutomorphism, end: End) -> BorelDecomposition:
+    """Factor an element fixing an exact end into diagonal, step power, shear.
+
+    Conjugates the end to the zero end, checks the conjugate is upper
+    triangular (else DoesNotFixEnd), and splits it as
+    unit-diagonal * standard-step^power * unipotent-shear, all projectively.
+    The drift along the end is twice the power: the oracle of
+    `autom.drift_along_end`, which reads the end's eigenvalue instead.
+    """
+    F = g.field
+    if isinstance(end, TruncatedEnd):
+        raise InvalidInputError("decomposition needs an exact end")
+    conj = zero_end_conjugator(end)
+    gp = conj * g * conj.adjugate()
+    if not gp.c.is_exact_zero():
+        raise DoesNotFixEnd(f"element does not fix the end {end}")
+    det_val = gp.det().valuation()
+    if det_val % 2:
+        raise NotTypePreserving("odd determinant valuation swaps the vertex types")
+    gp = gp.scaled(LaurentSeries.pi_power(F, -(det_val // 2)))
+    m = gp.d.valuation()
+    diag = TreeAutomorphism.diagonal(F, gp.a.shift(m), gp.d.shift(-m))
+    shear = TreeAutomorphism(F, gp.a, gp.b, LaurentSeries.zero(F), gp.a)
+    recomposed = diag * TreeAutomorphism.standard_step_power(F, m) * shear
+    if not recomposed.proportional_to(gp):
+        raise NonterminationGuard("decomposition failed to recompose projectively")
+    return BorelDecomposition(diagonal=diag, power=m, shear=shear, conjugator=conj)
+
+def family_by_enumeration(lattice, cusps, radius_vertices, truncation):
+    """`certify_independent_family` with every horoball enumerated.
+
+    `certify_independent_horoball` on every cusp in order, then each member
+    of every horoball looked up among the first members per quotient vertex
+    of every other horoball, ordered pairs (i, j) in order. Returns the
+    first CounterexamplePair, or the per-cusp `pairs_checked` with the
+    count of same-level pairs across distinct horoballs, summed pair by
+    pair.
+    """
+    singles = []
+    for cusp, x in zip(cusps, radius_vertices):
+        result = certify_independent_horoball(lattice, cusp, x, truncation)
+        if isinstance(result, CounterexamplePair):
+            return result
+        singles.append(result)
+    firsts = []
+    for single in singles:
+        first = {}
+        for m in single.members:
+            first.setdefault(m.quotient_vertex, m)
+        firsts.append(first)
+    for i, single in enumerate(singles):
+        for j, first in enumerate(firsts):
+            if i == j:
+                continue
+            for y in single.members:
+                yp = first.get(y.quotient_vertex)
+                if yp is not None:
+                    gamma = _TransporterAlgebra(lattice).transporter(y, yp)
+                    return CounterexamplePair(y=y.vertex, y_prime=yp.vertex, gamma=gamma)
+    counts = [Counter(m.reduced.level for m in single.members) for single in singles]
+    cross = sum(
+        mine[n] * theirs[n]
+        for i, mine in enumerate(counts)
+        for j, theirs in enumerate(counts)
+        if i != j
+        for n in mine
+    )
+    return [single.pairs_checked for single in singles], cross
 
 
 def mul_mod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:

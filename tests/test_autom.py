@@ -4,13 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl2btree.autom import (
-    TreeAutomorphism,
-    _end_of,
-    decompose_end_stabilizer,
-    drift_along_end,
-    zero_end_conjugator,
-)
+from sl2btree.autom import TreeAutomorphism, _end_of, drift_along_end
 from sl2btree.errors import (
     DoesNotFixEnd,
     IndeterminateValuation,
@@ -26,7 +20,7 @@ from sl2btree.field import field
 from sl2btree.literals import format_end, parse_end, parse_matrix, parse_vertex
 from sl2btree.series import INFINITY, LaurentSeries
 from sl2btree.tree import Tree, TruncatedEnd, UpEnd, Vertex
-from brute_force import ball
+from brute_force import ball, decompose_end_stabilizer, zero_end_conjugator
 from test_series_properties import kernel_operands, series
 from test_tree_properties import TREES, ends
 

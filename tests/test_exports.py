@@ -24,6 +24,10 @@ DELETED = [
     "UnknownCusp",
     "free_product_report",
     "stabilizer_bruteforce",  # a test oracle, now in tests/brute_force.py
+    # the drift's oracle, now in tests/brute_force.py: no package path factors an end stabilizer
+    "BorelDecomposition",
+    "decompose_end_stabilizer",
+    "zero_end_conjugator",
 ]
 DELETED_METHODS = [
     (lattice.NagaoLattice, "stabilizer"),
@@ -119,7 +123,7 @@ def test_deleted_members_are_gone(cls, name):
     assert name not in getattr(cls, "__slots__", ())
 
 
-RECORDS = [autom.Classification, autom.UnipotentInfo, autom.BorelDecomposition]
+RECORDS = [autom.Classification, autom.UnipotentInfo]
 RECORDS += [lattice.ReducedVertex, lattice.CuspData, verify.SuiteResult]
 RECORDS += [quotient.QuotientVertex, quotient.QuotientEdge, quotient.RayTail]
 RECORDS += [quotient.CovolumeResult, quotient.GrowthProbe, quotient.HoroballMember]

@@ -26,6 +26,7 @@ from sl2btree.quotient import (
 )
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import Tree, Vertex
+import brute_force
 from brute_force import ball, cusp_ray_matches_by_scan, radius_vertices_by_bezout
 from test_euler_characteristic import CASES, _index, _lattice
 
@@ -299,8 +300,11 @@ def test_family_certification():
 
 def test_family_certification_pays_per_member(monkeypatch):
     """Residues, images of the cusp's vector and transporter checks are
-    computed once per horoball member, not once per pair (here 42 members,
-    126 + 252 pairs); a star's root reads nothing more than its image."""
+    computed once per member of a certified horoball, not once per pair.
+    Here the three horoballs are conjugate (42 members, 126 + 252 pairs),
+    so only the first cusp's 14 members are computed; the other two cusps
+    cost one reduction of their carrier each. A star's root reads nothing
+    more than its image."""
     lat = CongruenceLattice(F2, parse_series(F2, "t"))
     cusps = lat.cusp_representatives()
     radii = [
@@ -312,13 +316,15 @@ def test_family_certification_pays_per_member(monkeypatch):
     images = _count_calls(monkeypatch, _TransporterAlgebra, "member")
     fam = certify_independent_family(lat, cusps, radii, 5)
     assert isinstance(fam, FamilyCertificate)
-    members = sum(len(s.members) for s in fam.singles)
-    roots = sum(len({m.quotient_vertex for m in s.members}) for s in fam.singles)
-    assert roots < members
+    base = fam.singles[0]
+    assert all(single is base for single in fam.singles)
+    members = len(base.members)
+    roots = len({m.quotient_vertex for m in base.members})
+    assert roots < members == 14
     assert len(images) == members
     assert not any(hasattr(_TransporterAlgebra, half) for half in ("target_half", "source_half"))
     constants = 2**3 - 2  # the constants map reduces each member of SL2(F_2) once
-    assert len(reductions) <= members + constants
+    assert len(reductions) <= len(cusps) + constants
     assert len(products) <= 3 * members
     assert len(checks) == members
 
@@ -342,28 +348,40 @@ def test_family_counterexample_where_horoballs_meet(q, level):
 
 
 def test_family_cross_check_reads_quotient_vertices(monkeypatch):
-    """The cross check looks members up by quotient vertex: no residue
-    product and no transporter when the horoballs never meet."""
+    """The twelve horoballs are conjugate: the first is certified, each
+    other one costs one residue product for its carrier and one per
+    quotient vertex of the first, and the cross check compares sets of
+    quotient vertices: no transporter and no further vertex reduction
+    when the horoballs never meet."""
     import sl2btree.quotient as quotient
 
     lat = CongruenceLattice(F2, parse_series(F2, "t^2"))
     report = cusps_report(lat, 8)
     products = _count_calls(monkeypatch, CosetTable, "matmul")
     transporters = _count_calls(monkeypatch, _TransporterAlgebra, "transporter")
+    reductions = _count_calls(monkeypatch, NagaoLattice, "reduce_vertex")
     single = quotient.certify_independent_horoball
+    certified = []
 
     def certify_then_reset(*args):
         # only the calls made after the last single certificate remain
         result = single(*args)
+        certified.append((result, len(products), len(reductions)))
         products.clear()
-        transporters.clear()
+        reductions.clear()
         return result
 
     monkeypatch.setattr(quotient, "certify_independent_horoball", certify_then_reset)
     fam = certify_independent_family(lat, report.algebraic, report.radius_vertices(), 4)
     assert isinstance(fam, FamilyCertificate)
     assert fam.cross_pairs_checked == 3432
-    assert products == [] and transporters == []
+    [(base, star_checks, base_reductions)] = certified
+    members = len(base.members)
+    reached = len({m.quotient_vertex for m in base.members})
+    assert (members, reached) == (10, 5)
+    assert star_checks == base_reductions == members
+    assert len(products) == (len(report.algebraic) - 1) * (reached + 1)
+    assert reductions == [] and transporters == []
 
 
 def _cli_json(capsys, argv):
@@ -518,7 +536,8 @@ def test_family_certification_enumerates_each_horoball_once(monkeypatch):
     fam = certify_independent_family(lat, report.algebraic, radii, 4)
     assert isinstance(fam, FamilyCertificate)
     assert len(fam.singles) == 12
-    assert len(horoballs) == 12
+    # the twelve horoballs are conjugate: one is enumerated, the rest derived
+    assert len(horoballs) == 1
     # horoballs are built from the ray, not filtered out of a ball
     assert balls == []
 
@@ -762,6 +781,55 @@ def test_star_check_matches_all_pairs(q, level):
                     assert len(got.members) == expected
                 verdicts[type(got)] += 1
     assert verdicts[CertifiedIndependent] > 0 and verdicts[CounterexamplePair] > 0
+
+
+FAMILY_ORACLE_LATTICES = [(2, "t"), (2, "t^2"), (2, "t^2+t"), (3, "t"), (4, "t"), (9, "t")]
+
+
+def _family_radii(lat, kind):
+    """Radius vertices per cusp: carried from one vertex, so that every
+    cusp shares adj(c) x ("shared", "origin"); from two alternating ones
+    ("alternating"); from one each ("distinct"); or one vertex for all."""
+    F = lat.field
+    cusps = lat.cusp_representatives()
+    zero = LaurentSeries.zero(F)
+    if kind == "fixed":
+        return [parse_vertex(F, "(1; 0)")] * len(cusps)
+    level = {
+        "shared": lambda i: 1, "origin": lambda i: 0,
+        "alternating": lambda i: i % 2, "distinct": lambda i: i,
+    }[kind]
+    return [c.carrier.act_vertex(Vertex(level(i), zero)) for i, c in enumerate(cusps)]
+
+
+@pytest.mark.parametrize("q,level", FAMILY_ORACLE_LATTICES)
+def test_family_certification_matches_per_cusp_enumeration(q, level):
+    """Conjugation gives the verdict, the per-cusp and cross pair counts
+    and the counterexample of certifying every horoball in full."""
+    F = field(q)
+    lat = CongruenceLattice(F, parse_series(F, level))
+    cusps = lat.cusp_representatives()
+    verdicts = Counter()
+    for kind in ("shared", "origin", "alternating", "distinct", "fixed"):
+        radii = _family_radii(lat, kind)
+        for truncation in range(6):
+            expected = brute_force.family_by_enumeration(lat, cusps, radii, truncation)
+            got = certify_independent_family(lat, cusps, radii, truncation)
+            if isinstance(expected, CounterexamplePair):
+                assert isinstance(got, CounterexamplePair)
+                assert (got.y, got.y_prime, got.gamma) == (
+                    expected.y, expected.y_prime, expected.gamma
+                )
+                assert str(got.gamma) == str(expected.gamma)
+            else:
+                assert isinstance(got, FamilyCertificate)
+                pairs, cross = expected
+                assert [s.pairs_checked for s in got.singles] == pairs
+                assert got.cross_pairs_checked == cross
+            verdicts[kind, type(got)] += 1
+    assert verdicts["origin", CounterexamplePair] > 0
+    assert verdicts["shared", FamilyCertificate] > 0
+    assert verdicts["distinct", FamilyCertificate] > 0
 
 
 def _transporter_exists(lattice, red_y, red_yp):
