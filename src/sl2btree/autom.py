@@ -82,6 +82,12 @@ def _end_of(field: Field, x: LaurentSeries, y: LaurentSeries) -> End:
     return TruncatedEnd(field, _divide_available(y, x))
 
 
+def _check_entries(field: Field, entries) -> None:
+    for entry in entries:
+        if not isinstance(entry, LaurentSeries) or entry.field is not field:
+            raise InvalidInputError("matrix entries must be series over the field")
+
+
 class Classification:
     """Outcome of the elliptic/hyperbolic dichotomy.
 
@@ -133,9 +139,7 @@ class TreeAutomorphism:
     __slots__ = ("field", "a", "b", "c", "d", "_det")
 
     def __init__(self, field: Field, a, b, c, d):
-        for entry in (a, b, c, d):
-            if not isinstance(entry, LaurentSeries) or entry.field is not field:
-                raise InvalidInputError("matrix entries must be series over the field")
+        _check_entries(field, (a, b, c, d))
         self.field = field
         self.a, self.b, self.c, self.d = a, b, c, d
         self._det = None
@@ -160,9 +164,7 @@ class TreeAutomorphism:
     @classmethod
     def diagonal(cls, field: Field, top: LaurentSeries, bottom: LaurentSeries):
         """diag(top, bottom), with determinant top * bottom."""
-        for entry in (top, bottom):
-            if not isinstance(entry, LaurentSeries) or entry.field is not field:
-                raise InvalidInputError("matrix entries must be series over the field")
+        _check_entries(field, (top, bottom))
         if top.is_exact_zero() or bottom.is_exact_zero():
             raise InvalidInputError("matrix is singular")
         zero = LaurentSeries.zero(field)
@@ -170,15 +172,18 @@ class TreeAutomorphism:
 
     @classmethod
     def upper_shear(cls, field: Field, b: LaurentSeries) -> "TreeAutomorphism":
-        """[[1, b], [0, 1]]: fixes the zero end."""
+        """[[1, b], [0, 1]]: fixes the zero end. The determinant is exactly 1,
+        since the entry under b is an exact zero."""
+        _check_entries(field, (b,))
         one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
-        return cls(field, one, b, zero, one)
+        return cls._product(field, one, b, zero, one, one)
 
     @classmethod
     def lower_shear(cls, field: Field, c: LaurentSeries) -> "TreeAutomorphism":
-        """[[1, 0], [c, 1]]: translates residues by c."""
+        """[[1, 0], [c, 1]]: translates residues by c; determinant exactly 1."""
+        _check_entries(field, (c,))
         one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
-        return cls(field, one, zero, c, one)
+        return cls._product(field, one, zero, c, one, one)
 
     @classmethod
     def standard_step(cls, field: Field) -> "TreeAutomorphism":
@@ -196,7 +201,7 @@ class TreeAutomorphism:
     def half_turn(cls, field: Field) -> "TreeAutomorphism":
         """[[0,-1],[1,0]]: swaps the zero end and the up end."""
         one, zero = LaurentSeries.one(field), LaurentSeries.zero(field)
-        return cls(field, zero, -one, one, zero)
+        return cls._product(field, zero, -one, one, zero, one)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)

@@ -302,6 +302,7 @@ class CosetTable:
         self.elements = members
         self.index = len(members)
         self._constant_lifts = None
+        self._diagonal_units = None
         self._borel_cosets = {}  # k -> partition of B_k
         self._origin_cosets = None  # partition of SL2(F_q)
 
@@ -395,6 +396,17 @@ class CosetTable:
                 mapping.setdefault(self.reduce(g), []).append(g)
             self._constant_lifts = mapping
         return self._constant_lifts
+
+    def diagonal_units(self) -> dict:
+        """(a, d) -> the first unit alpha of `Field.units` whose constants
+        alpha and alpha^-1 reduce to a and d; built once per table."""
+        if self._diagonal_units is None:
+            ring, mapping = self.ring, {}
+            for alpha in self.field.units():
+                key = (ring.constant(alpha), ring.constant(alpha.inverse()))
+                mapping.setdefault(key, alpha)
+            self._diagonal_units = mapping
+        return self._diagonal_units
 
     # -- coset partitions by level -------------------------------------------------
 

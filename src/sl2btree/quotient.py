@@ -563,23 +563,18 @@ class _TransporterAlgebra:
         The members of the stabilizer of (n, 0) inside the residue coset h0
         are [[alpha, b0 + f*c], [0, alpha^-1]] with alpha a constant unit of
         matching image and deg(b0 + f*c) <= n. The offsets are b0, and
-        b0 + f when n >= deg f. Only the first matching unit is returned:
-        over the zero ring all q - 1 match, but if the determinant
-        rest - b*t2*s2 vanishes at both offsets for one alpha then
-        t2*s2 = 0, so rest is alpha^{-1}*t1*s2 or -alpha*t2*s1 and vanishes
-        for every alpha; with one offset (n < deg f) constants inject into
-        R and one alpha matches.
+        b0 + f when n >= deg f. Only the first matching unit of `F.units()`
+        is returned (`CosetTable.diagonal_units`): over the zero ring all
+        q - 1 match, but if the determinant rest - b*t2*s2 vanishes at both
+        offsets for one alpha then t2*s2 = 0, so rest is alpha^{-1}*t1*s2
+        or -alpha*t2*s1 and vanishes for every alpha; with one offset
+        (n < deg f) constants inject into R and one alpha matches.
         """
         ring = self.ring
         a_bar, b_bar, c_bar, d_bar = h0
         if c_bar != ring.zero:
             return None
-        units = (
-            a
-            for a in self.F.units()
-            if ring.constant(a) == a_bar and ring.constant(a.inverse()) == d_bar
-        )
-        alpha = next(units, None)
+        alpha = self.table.diagonal_units().get((a_bar, d_bar))
         b0 = ring.lift(b_bar)
         if alpha is None or t_degree(b0) > n:
             return None

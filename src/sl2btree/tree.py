@@ -3,7 +3,10 @@
 Vertices are pairs (level n, residue a) with a an exact series taken modulo
 pi^n; the vertex one level up forgets the top residue digit, and the q
 children refine it. Level is unbounded in both directions, so the tree is
-homogeneous of degree q+1.
+homogeneous of degree q+1. A child remembers the vertex it was built from,
+and its parent is that very object; the link is a cache, neither compared
+nor hashed, and it keeps the source vertex alive, as the search that built
+the child does anyway.
 
 Boundary ends are exact or truncated. An exact end is a point of
 P^1(F_q(t)), kept as its projective vector (x : y) with boundary
@@ -64,21 +67,33 @@ class Vertex:
     A child or parent built from v inherits it where v's value settles
     theirs: a child when m(v) < v.level, since it adds a digit at v.level
     only, and the parent always, as min(m(v), v.level - 1).
+
+    A child keeps the vertex it was built from in `_up`, and `Tree.parent`
+    returns that object, so a search that steps back to where it came from
+    meets the vertex it holds and equality answers by identity. `_up` is a
+    cache like `_meet`: neither takes part in equality or hashing. It keeps
+    the source vertex alive, as the search that built the child does.
     """
 
-    __slots__ = ("level", "residue", "_hash", "_meet")
+    __slots__ = ("level", "residue", "_hash", "_meet", "_up")
 
     def __init__(self, level: int, residue: LaurentSeries):
         self.level = level
         self.residue = residue
         self._hash = None
         self._meet = None
+        self._up = None
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Vertex or self.level != other.level:
+            return False
+        mine, theirs = self.residue, other.residue
         return (
-            other.__class__ is Vertex
-            and self.level == other.level
-            and (self.residue is other.residue or self.residue == other.residue)
+            mine.coeffs == theirs.coeffs
+            and mine.field is theirs.field
+            and mine.prec == theirs.prec
         )
 
     def __hash__(self) -> int:
@@ -260,20 +275,34 @@ def _first_difference(a: dict, b: dict, bound: int) -> int:
     return w
 
 
-def _child(v: Vertex, c) -> Vertex:
-    """The child of v with digit c at pi^level; None or zero is the zero digit.
+def _children(v: Vertex, digits) -> list[Vertex]:
+    """The children of v with the given digits at pi^level, each keeping v.
 
-    v's residue is canonical with every degree below its level, so appending
-    a nonzero digit keeps it canonical. A zero digit adds nothing, and the
-    child shares v's residue: no series changes after construction.
+    None or zero is the zero digit, whose child shares v's residue: no
+    series changes after construction. v's residue is canonical with every
+    degree below its level, so a nonzero digit appended to one copy of its
+    digits keeps it canonical. Each child keeps v as `_up`, and v's m(v)
+    when m(v) < v.level. A child is built by setting every slot of
+    `Vertex`, without a call of its `__init__`.
     """
-    residue = v.residue
-    if c:
-        residue = LaurentSeries._canonical(residue.field, {**residue.coeffs, v.level: c})
-    child = Vertex(v.level + 1, residue)
-    if v._meet is not None and v._meet[1] < v.level:
-        child._meet = v._meet
-    return child
+    level, residue = v.level, v.residue
+    F, coeffs = residue.field, residue.coeffs
+    meet = v._meet
+    if meet is not None and meet[1] >= level:
+        meet = None
+    new, below = object.__new__, level + 1
+    out = []
+    for c in digits:
+        child = new(Vertex)
+        if c:
+            grown = dict(coeffs)
+            grown[level] = c
+            child.residue = LaurentSeries._canonical(F, grown)
+        else:
+            child.residue = residue
+        child.level, child._hash, child._meet, child._up = below, None, meet, v
+        out.append(child)
+    return out
 
 
 def _guard_walk(x: Vertex, mx: int, horizon: int, steps: int) -> None:
@@ -353,19 +382,30 @@ class Tree:
         return self._zero_end
 
     def parent(self, v: Vertex) -> Vertex:
-        """v without its top digit; v's residue itself when that digit is zero."""
-        n, residue = v.level - 1, v.residue
-        up = Vertex(n, residue.truncate(n) if n in residue.coeffs else residue)
+        """v without its top digit, handed v's kept m(v).
+
+        The vertex v was built from when v is a child; otherwise a new
+        vertex on v's residue itself when the top digit is zero, else on one
+        copy of its digits without it.
+        """
+        n, up = v.level - 1, v._up
+        if up is None:
+            residue = v.residue
+            if n in residue.coeffs:
+                coeffs = dict(residue.coeffs)
+                del coeffs[n]
+                residue = LaurentSeries._canonical(residue.field, coeffs)
+            up = Vertex(n, residue)
         if v._meet is not None:
             up._meet = (v._meet[0], min(v._meet[1], n))
         return up
 
     def children(self, v: Vertex) -> list[Vertex]:
-        """The q vertices below v, one per digit c at pi^level (see `_child`)."""
-        return [_child(v, c) for c in self.field.elements()]
+        """The q vertices below v, one per digit at pi^level (see `_children`)."""
+        return _children(v, self.field.elements())
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
-        return [self.parent(v)] + self.children(v)
+        return [self.parent(v)] + _children(v, self.field.elements())
 
     def is_descendant(self, y: Vertex, x: Vertex) -> bool:
         """Whether y lies in the subtree hanging below x (y = x counts)."""
@@ -420,7 +460,7 @@ class Tree:
             return self.parent(x)
         if limit < n:
             raise _steer_error(limit, n)
-        return _child(x, end.digits(n + 1).get(n))
+        return _children(x, (end.digits(n + 1).get(n),))[0]
 
     def ray(self, x: Vertex, end: End, steps: int) -> list[Vertex]:
         """x and its first `steps` successors toward the end."""

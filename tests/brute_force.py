@@ -24,6 +24,20 @@ from sl2btree.series import LaurentSeries
 from sl2btree.tree import End, Tree, TruncatedEnd, Vertex
 
 
+def neighbors_by_definition(tree: Tree, v: Vertex) -> list[Vertex]:
+    """The parent of v, then its q children by digit in `Field.elements` order.
+
+    Each is `Tree.vertex` of a series that the validating `LaurentSeries`
+    constructor builds from v's digits: the parent truncates them below
+    level - 1, a child adds its digit at the level.
+    """
+    F, n = tree.field, v.level
+    digits = dict(v.residue.coeffs)
+    parent = tree.vertex(n - 1, LaurentSeries(F, digits))
+    children = [tree.vertex(n + 1, LaurentSeries(F, {**digits, n: c})) for c in F.elements()]
+    return [parent, *children]
+
+
 def ball(tree: Tree, x: Vertex, radius: int) -> list[Vertex]:
     """All vertices within `radius` of x, in breadth-first order.
 

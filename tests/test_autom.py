@@ -18,7 +18,7 @@ from sl2btree.errors import (
 )
 from sl2btree.field import field
 from sl2btree.literals import format_end, parse_end, parse_matrix, parse_vertex
-from sl2btree.series import INFINITY, LaurentSeries
+from sl2btree.series import INFINITY, LaurentSeries, _fused
 from sl2btree.tree import Tree, TruncatedEnd, UpEnd, Vertex
 from brute_force import ball, decompose_end_stabilizer, zero_end_conjugator
 from test_series_properties import kernel_operands, series
@@ -656,3 +656,25 @@ def test_known_determinants_are_a_d_minus_b_c(q):
         TreeAutomorphism.diagonal(field(5), LaurentSeries.one(Fq), LaurentSeries.one(Fq))
     with pytest.raises(InvalidInputError, match="matrix is singular"):
         g.scaled(zero)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_shears_and_the_half_turn_carry_determinant_one(q, data):
+    """upper_shear, lower_shear and half_turn attach det 1 without computing
+    it; a*d - b*c recomputed by the fused kernel is that exact 1 for exact and
+    inexact entries alike, and an entry that is no series over the field is
+    refused."""
+    Fq = field(q)
+    s = data.draw(_entries(Fq, data.draw(st.booleans())))
+    for g in (
+        TreeAutomorphism.upper_shear(Fq, s),
+        TreeAutomorphism.lower_shear(Fq, s),
+        TreeAutomorphism.half_turn(Fq),
+    ):
+        assert g.det() == _fused(g.a, g.d, g.b, g.c, minus=True) == LaurentSeries.one(Fq)
+    for bad in (1, Fq.one, LaurentSeries.zero(field(5)), LaurentSeries.one(field(5))):
+        for shear in (TreeAutomorphism.upper_shear, TreeAutomorphism.lower_shear):
+            with pytest.raises(InvalidInputError, match="matrix entries must be series"):
+                shear(Fq, bad)

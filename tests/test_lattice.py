@@ -360,6 +360,31 @@ def test_coset_partition_numbers_cosets_by_least_member(q, level):
     assert images[0][0] == {m for m in table.elements if all(x in constants for x in m)}
 
 
+@pytest.mark.parametrize(
+    "q,level",
+    [(2, None), (2, "t"), (2, "t^2"), (2, "t^2+t"), (3, "t"), (4, "t"), (9, "t")],
+)
+def test_diagonal_units_are_the_first_unit_of_a_scan(q, level):
+    """At every residue diagonal (a, d), the map gives the unit a scan of
+    `Field.units` finds first, or nothing when none matches; over the zero
+    ring of the full lattice every diagonal is (0, 0) and gives the first unit."""
+    Fq = field(q)
+    lat = NagaoLattice(Fq) if level is None else CongruenceLattice(Fq, parse_series(Fq, level))
+    table = lat.coset_table()
+    ring = table.ring
+    diagonal_units = table.diagonal_units()
+    for a, d in itertools.product(range(ring.size), repeat=2):
+        scan = (
+            alpha
+            for alpha in Fq.units()
+            if ring.constant(alpha) == a and ring.constant(alpha.inverse()) == d
+        )
+        assert diagonal_units.get((a, d)) is next(scan, None)
+    if level is None:
+        assert diagonal_units == {(0, 0): next(Fq.units())}
+    assert table.diagonal_units() is diagonal_units
+
+
 def test_cusp_representatives_counts():
     assert len(nagao.cusp_representatives()) == 1
     assert len(CongruenceLattice(F, parse_series(F, "t")).cusp_representatives()) == 3

@@ -10,6 +10,8 @@ horizon, is reached.
 Vertices are values: the same vertex reached by different routes is equal
 and hashes equal, whichever residue object it shares, and the meeting level
 a vertex keeps for its last end never leaks into the answer for another.
+`neighbors` is checked against vertices built from their definition, and
+the parent a child remembers against a fresh one.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ from sl2btree.lattice import NagaoLattice
 from sl2btree.series import LaurentSeries
 from sl2btree.tree import Tree, TruncatedEnd, UpEnd, Vertex, end_from_vector
 from sl2btree.verify import _walking_busemann
-from brute_force import ball
+from brute_force import ball, neighbors_by_definition
 from test_tree import _meeting_level_by_walking
 
 QS = [2, 3, 4, 9]
@@ -323,3 +325,58 @@ def test_inherited_end_meetings_are_the_fresh_ones(q, data):
         if v._meet is not None:
             kept_end, m = v._meet
             assert m == tree._end_meeting(_fresh(v), kept_end)
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_neighbors_are_the_definition(q, data):
+    """Along a walk of parents and children from a level in -3..5, `neighbors`
+    lists the oracle's parent and children in order; each child's parent is
+    the very vertex it was built from and the oracle's parent of the child;
+    the zero digit's child shares the residue; and each neighbor equals and
+    hashes like a fresh copy of itself and of no other neighbor."""
+    tree = TREES[q]
+    F = tree.field
+    n = data.draw(st.integers(-3, 5))
+    v = Vertex(n, LaurentSeries(F, _series(data.draw, F, n - 4, n)))
+    for move in data.draw(st.lists(st.integers(0, q), min_size=1, max_size=6)):
+        found = tree.neighbors(v)
+        assert found == neighbors_by_definition(tree, v)
+        assert found[1].residue is v.residue
+        for child in found[1:]:
+            assert tree.parent(child) is v
+            assert tree.parent(child) == neighbors_by_definition(tree, child)[0]
+        fresh = [_fresh(u) for u in found]
+        for i, u in enumerate(found):
+            assert hash(u) == hash(fresh[i])
+            assert [u == w for w in fresh] == [w == u for w in fresh] == [j == i for j in range(q + 1)]
+        v = found[move]
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_busemann_on_kept_vertices_after_walks_toward_two_ends(q, data):
+    """A walk that steps toward two ends in turn, and to neighbors, keeps its
+    vertices with the parents and meeting levels they remember; a parent
+    takes over the meeting level of the vertex it is reached from, and
+    `busemann` on the kept vertices gives the values, or the precision
+    errors, of fresh copies."""
+    tree = TREES[q]
+    pair = (data.draw(ends(tree)), data.draw(ends(tree)))
+    walk = [data.draw(vertices_near(tree, pair[0]))]
+    for i, move in enumerate(data.draw(st.lists(st.integers(-1, q), max_size=12))):
+        w, end = walk[-1], pair[i % 2]
+        try:
+            u = tree.step_to_end(w, end) if move < 0 else tree.neighbors(w)[move]
+        except EndPrecisionExhausted:
+            break
+        if u.level < w.level and w._meet is not None:
+            assert u._meet[0] is w._meet[0] and u._meet[1] == min(w._meet[1], u.level)
+        walk.append(u)
+        _outcome(tree.busemann, walk[0], u, end)
+    for y in walk:
+        for end in pair:
+            expected = _outcome(tree.busemann, _fresh(walk[0]), _fresh(y), end)
+            assert _outcome(tree.busemann, walk[0], y, end) == expected

@@ -47,7 +47,11 @@ vertex and an equal one built from a copy of its residue (`vertex ==`);
 afresh for each call, so that the row includes that construction. The
 `busemann bfs` row is a breadth-first search of radius 5 from a freshly
 built vertex (0; 0), one `Tree.busemann` value toward one end per vertex
-reached (94, 485, 1 706 and 73 811 vertices), per vertex.
+reached (94, 485, 1 706 and 73 811 vertices), per vertex. The `sphere 4`
+row is `Tree.sphere` of radius 4 from a freshly built vertex (0; 0), per
+vertex reached ((q + 1) q^3: 24, 108, 320 and 7 290 vertices); its search
+steps back through parents that children remember, a path the `neighbors`
+row on fresh vertices never takes.
 
 The `reduce_vertex` row is `NagaoLattice.reduce_vertex` on vertices of
 level -3..12 with random digits (zero included) at 0 to 12 of the degrees
@@ -212,6 +216,14 @@ def _busemann_bfs_cell(q):
     return (lambda: timer.timeit(1)), 1 + (q + 1) * (q**5 - 1) // (q - 1)
 
 
+def _sphere_cell(q):
+    """One radius-4 sphere from a fresh vertex, and its vertex count."""
+    F = field(q)
+    tree = Tree(F)
+    timer = timeit.Timer(lambda: tree.sphere(Vertex(0, LaurentSeries.zero(F)), 4))
+    return (lambda: timer.timeit(1)), (q + 1) * q**3
+
+
 def interleaved_min(cells, repeat):
     """The fastest of `repeat` runs of each cell, a callable giving its own
     time in seconds. Each repeat runs every cell once, so a slow phase of
@@ -298,7 +310,11 @@ def main():
             cells.append(cell)
             counts.append(count)
         rows.append((name, counts))
-    for name, make_cell in (("busemann bfs", _busemann_bfs_cell), ("horoball certify", _horoball_cell)):
+    for name, make_cell in (
+        ("busemann bfs", _busemann_bfs_cell),
+        ("sphere 4", _sphere_cell),
+        ("horoball certify", _horoball_cell),
+    ):
         made = [make_cell(q) for q in QS]
         cells += [cell for cell, _ in made]
         rows.append((name, [count for _, count in made]))
