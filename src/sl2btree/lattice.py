@@ -137,8 +137,10 @@ class NagaoLattice:
         shear by s adds s times the first row to the second, the half turn
         maps rows (r1, r2) to (-r2, r1). The residue and the entries are
         digit dicts {degree: nonzero element} until the loop ends, so a
-        step builds no series but the half turn's inverse. The witness is
-        verified before returning.
+        step builds no series but the half turn's inverse, whose digits all
+        lie below n - 2m. The witness is a product of determinant-1 steps,
+        so it is built with determinant 1, as `CosetTable.lift` builds its
+        product; its action is verified before returning.
         """
         F = self.field
         a, b, c, d = {0: F.one}, {}, {}, {0: F.one}
@@ -158,14 +160,15 @@ class NagaoLattice:
                 m = min(res)
                 inverse = LaurentSeries._canonical(F, res).inverse(n - m)
                 n -= 2 * m
-                res = F._negated({k: x for k, x in inverse.coeffs.items() if k < n})
+                res = F._negated(inverse.coeffs)
             else:
                 n = -n
             a, b, c, d = F._negated(c), F._negated(d), a, b
         else:
             raise NonterminationGuard(f"vertex reduction did not settle for {v}")
         cur = Vertex(n, LaurentSeries._canonical(F, res))
-        g = TreeAutomorphism(F, *(LaurentSeries._canonical(F, x) for x in (a, b, c, d)))
+        entries = (LaurentSeries._canonical(F, x) for x in (a, b, c, d))
+        g = TreeAutomorphism._product(F, *entries, LaurentSeries.one(F))
         if g.act_vertex(v) != cur:
             raise NonterminationGuard(f"reduction witness failed to check for {v}")
         return ReducedVertex(level=cur.level, witness=g)

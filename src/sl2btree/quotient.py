@@ -469,6 +469,9 @@ class _TransporterAlgebra:
     fix it. So every transporter within a quotient vertex fixes the end
     exactly when every transporter from one of its members does, and a
     quotient vertex is decided by one `moving_transporter` call per member.
+    Asked with no end, the same search returns the first transporter of the
+    family; the cross check of two horoballs builds its counterexample so,
+    and every transporter returned passes the checks of `_finish`.
     """
 
     def __init__(self, lattice: NagaoLattice):
@@ -488,13 +491,14 @@ class _TransporterAlgebra:
         quotient_vertex = (red.level, coset_of[self.table.inverse(residue)])
         return HoroballMember(y, red, residue, image, quotient_vertex)
 
-    def moving_transporter(self, end: End, y: HoroballMember, yp: HoroballMember):
+    def moving_transporter(self, end: End | None, y: HoroballMember, yp: HoroballMember):
         """A transporter from y to y' that moves the end, or None if all fix it.
 
         With (s1, s2) the source's image w v and (t1, t2) the target's
         w' v, a transporter w'^{-1} u w moves the end exactly when
         det(w' v, u w v) = t1 (u.c s1 + u.d s2) - t2 (u.a s1 + u.b s2) is
-        nonzero.
+        nonzero. With no end, the first transporter of the family, or None
+        when y and y' share no quotient vertex.
         """
         family = self._family(y, yp)
         if family is None:
@@ -503,7 +507,7 @@ class _TransporterAlgebra:
         if y.reduced.level == 0:
             for u in family:
                 top, bottom = _fused(u.a, s1, u.b, s2), _fused(u.c, s1, u.d, s2)
-                if _fused(t1, bottom, t2, top, minus=True).has_terms():
+                if end is None or _fused(t1, bottom, t2, top, minus=True).has_terms():
                     return self._finish(end, y, yp, u)
             return None
         # for u = [[alpha, b], [0, alpha^-1]] the determinant is rest - b*t2*s2
@@ -514,21 +518,9 @@ class _TransporterAlgebra:
         rest = _fused(t1.scale(alpha.inverse()), s2, t2.scale(alpha), s1, minus=True)
         B = t2 * s2
         for b in offsets:
-            if _fused(rest, None, b, B, minus=True).has_terms():
+            if end is None or _fused(rest, None, b, B, minus=True).has_terms():
                 return self._finish(end, y, yp, _upper(self.F, alpha, b))
         return None
-
-    def transporter(self, y: HoroballMember, yp: HoroballMember):
-        """Some lattice element carrying y to y', if one exists."""
-        family = self._family(y, yp)
-        if family is None:
-            return None
-        if y.reduced.level == 0:
-            u = family[0]
-        else:
-            alpha, (b, *_) = family
-            u = _upper(self.F, alpha, b)
-        return self._carrier(y, yp, u)
 
     # -- internals ------------------------------------------------------------
 
@@ -544,14 +536,11 @@ class _TransporterAlgebra:
             return self.table.constant_lifts().get(h0)
         return self._upper_family(h0, n)
 
-    def _carrier(self, y, yp, u):
-        return yp.reduced.witness.adjugate() * u * y.reduced.witness
-
     def _finish(self, end, y, yp, u):
-        gamma = self._carrier(y, yp, u)
+        gamma = yp.reduced.witness.adjugate() * u * y.reduced.witness
         if gamma.act_vertex(y.vertex) != yp.vertex:
             raise NonterminationGuard("transporter algebra produced a non-transporter")
-        if gamma.fixes_end(end):
+        if end is not None and gamma.fixes_end(end):
             raise NonterminationGuard("counterexample construction fixed the end")
         if not self.lattice.contains(gamma):
             raise NonterminationGuard("counterexample fell outside the lattice")
@@ -723,8 +712,8 @@ def _cross_counterexample(lattice, cusps, radius_vertices, truncation, i, j):
     if y is None:
         raise NonterminationGuard("conjugated quotient vertices missed the horoball")
     yp = first[y.quotient_vertex]
-    gamma = algebra.transporter(y, yp)
-    if gamma is None or gamma.act_vertex(y.vertex) != yp.vertex:
+    gamma = algebra.moving_transporter(None, y, yp)
+    if gamma is None:
         raise NonterminationGuard("cross transporter failed to check")
     return CounterexamplePair(y=y.vertex, y_prime=yp.vertex, gamma=gamma)
 

@@ -28,10 +28,12 @@ A finite end w is reached from the up end along the line of vertices
 degree below its level at which its residue differs from w (its level if
 there is none), so its height toward the end is h(v) = level - 2 m(v); for
 the up end h(v) = level. The Busemann function is busemann(x, y) =
-h(x) - h(y), read off digits without walking. Horospheres and
-horoellipses are built from the ray: a vertex that leaves the ray from x at
-its j-th vertex and goes k steps off it has busemann j - k; the horosphere
-members at distance 2j have k = j.
+h(x) - h(y), read off digits; toward a truncated end it first walks
+d(x, y) steps along the ray from x, the one place where the known digits
+run out. One walk from the ray lists every horo-region: a vertex that
+leaves the ray from x at its j-th vertex and goes k steps off it has
+busemann j - k, the horoellipse of eccentricity lam admits it when
+k <= lam j, and the horosphere is the horoball's (lam = 1) layer k = j.
 
 On top of the vertex combinatorics this module provides distances, geodesic
 paths, spheres, the step-toward-an-end map, Busemann relative
@@ -212,19 +214,6 @@ class RationalEnd(End):
         return f"rat({self.y}, {self.x})"
 
 
-def _steer_error(horizon: int, level: int) -> EndPrecisionExhausted:
-    return EndPrecisionExhausted(
-        f"end known mod pi^{horizon} cannot steer below a level-{level} vertex "
-        f"it agrees with"
-    )
-
-
-def _digit_error(horizon: int, degree: int) -> EndPrecisionExhausted:
-    return EndPrecisionExhausted(
-        f"end known mod pi^{horizon}, digit at pi^{degree} requested"
-    )
-
-
 class TruncatedEnd(End):
     """A branch of ends: the boundary coordinate known modulo pi^N only."""
 
@@ -242,7 +231,9 @@ class TruncatedEnd(End):
 
     def digits(self, n: int) -> dict:
         if n > self.coordinate.prec:
-            raise _digit_error(self.coordinate.prec, n - 1)
+            raise EndPrecisionExhausted(
+                f"end known mod pi^{self.coordinate.prec}, digit at pi^{n - 1} requested"
+            )
         return self.coordinate.coeffs
 
     def __eq__(self, other) -> bool:
@@ -303,22 +294,6 @@ def _children(v: Vertex, digits) -> list[Vertex]:
         child.level, child._hash, child._meet, child._up = below, None, meet, v
         out.append(child)
     return out
-
-
-def _guard_walk(x: Vertex, mx: int, horizon: int, steps: int) -> None:
-    """Raise where `steps` >= 1 calls of step_to_end from x would.
-
-    x meets the line of an end known mod pi^horizon at level mx. The
-    walk climbs to level mx and descends the line to the horizon; one
-    step further needs an unknown digit. When x agrees with the end
-    as far as it is known, not even the first step is determined.
-    """
-    if mx == horizon:
-        if x.level > horizon:
-            raise _steer_error(horizon, x.level)
-        raise _digit_error(horizon, horizon)
-    if steps > x.level + horizon - 2 * mx:
-        raise _digit_error(horizon, horizon)
 
 
 def _require_nonnegative(what: str, value: int) -> None:
@@ -459,7 +434,10 @@ class Tree:
         if self._end_meeting(x, end) < min(n, limit):
             return self.parent(x)
         if limit < n:
-            raise _steer_error(limit, n)
+            raise EndPrecisionExhausted(
+                f"end known mod pi^{limit} cannot steer below a level-{n} vertex "
+                f"it agrees with"
+            )
         return _children(x, (end.digits(n + 1).get(n),))[0]
 
     def ray(self, x: Vertex, end: End, steps: int) -> list[Vertex]:
@@ -493,19 +471,18 @@ class Tree:
         Equals d(x, y) when y lies on the ray from x to the end, is negated
         when the ray to y points away, and interpolates additively: moving y
         one step toward the end raises the value by one. Vanishes exactly on
-        the horosphere through x. For a truncated end this raises exactly
-        where walking d(x, y) steps from x toward it would; otherwise every
-        completion of the end gives the same value, so the height of y reads
-        only the known digits.
+        the horosphere through x. For a truncated end it first walks d(x, y)
+        steps from x toward the end and raises where that walk does; past
+        it every completion of the end gives the same value, so the height
+        of y reads only the known digits.
         """
         if x == y:
             return 0
         if isinstance(end, UpEnd):
             return x.level - y.level
-        mx = self._end_meeting(x, end)
         if isinstance(end, TruncatedEnd):
-            _guard_walk(x, mx, end.known_depth(), self.distance(x, y))
-        my = self._end_meeting(y, end)
+            self.ray(x, end, self.distance(x, y))
+        mx, my = self._end_meeting(x, end), self._end_meeting(y, end)
         return (x.level - 2 * mx) - (y.level - 2 * my)
 
     def horoellipse_contains(
@@ -535,6 +512,28 @@ class Tree:
     ) -> list[Vertex]:
         """Members of the horoellipse within distance `depth` of x (BFS order).
 
+        See `_horoellipse_walk`; the horoball's member count grows like
+        q^(depth/2).
+        """
+        lam = Fraction(lam)
+        if not 0 <= lam <= 1:
+            raise InvalidInputError("horoellipse eccentricity must lie in [0, 1]")
+        _require_nonnegative("horoellipse depth", depth)
+        return [v for v, *_ in self._horoellipse_walk(end, x, lam, depth)]
+
+    def horosphere_vertices(self, end: End, x: Vertex, depth: int) -> list[Vertex]:
+        """Members of the horosphere within distance `depth` of x (BFS order).
+
+        The horoball's members with k = j (see `_horoellipse_walk`): they
+        leave the ray from x at its j-th vertex and lie j steps from it.
+        """
+        _require_nonnegative("horosphere depth", depth)
+        walk = self._horoellipse_walk(end, x, Fraction(1), depth)
+        return [v for v, _, j, k in walk if j == k]
+
+    def _horoellipse_walk(self, end, x, lam, depth):
+        """(vertex, its predecessor toward x, j, k) per horoellipse member.
+
         A vertex j steps along the ray from x and then k steps off it has
         busemann j - k and distance j + k, so it is a member exactly when
         lam.den * k <= lam.num * j. The search from x expands members only;
@@ -544,14 +543,8 @@ class Tree:
         raises exactly when some vertex of the ball would. More members
         than `_HOROELLIPSE_MEMBER_BOUND` raise SizeGuardExceeded as soon as
         they are listed; the ray alone has depth + 1, so a depth past the
-        bound is refused before the first step. The horoball's member count
-        grows like q^(depth/2).
+        bound is refused before the first step.
         """
-        lam = Fraction(lam)
-        if not 0 <= lam <= 1:
-            raise InvalidInputError("horoellipse eccentricity must lie in [0, 1]")
-        _require_nonnegative("horoellipse depth", depth)
-
         bound = _HOROELLIPSE_MEMBER_BOUND
 
         def refuse(count):
@@ -564,9 +557,8 @@ class Tree:
             raise refuse(depth + 1)
         num, den = lam.numerator, lam.denominator
         ray = self.ray(x, end, depth)
-        out = [x]
-        # (vertex, its predecessor toward x, j, k)
         frontier = [(x, None, 0, 0)]
+        out = list(frontier)
         for _ in range(depth):
             nxt = []
             for v, back, j, k in frontier:
@@ -583,28 +575,6 @@ class Tree:
                             nxt.append((u, v, j, k + 1))
                 if len(out) + len(nxt) > bound:
                     raise refuse(len(out) + len(nxt))
-            out += [v for v, *_ in nxt]
+            out += nxt
             frontier = nxt
-        return out
-
-    def horosphere_vertices(self, end: End, x: Vertex, depth: int) -> list[Vertex]:
-        """Members of the horosphere within distance `depth` of x (BFS order).
-
-        The members at distance 2j branch off the ray from x at its j-th
-        vertex r_j and lie j steps from it. Expanding neighbors in order
-        lists them as a breadth-first search from x meets them. A truncated
-        end raises exactly when some vertex of the ball would.
-        """
-        _require_nonnegative("horosphere depth", depth)
-        if depth >= 1 and isinstance(end, TruncatedEnd):
-            _guard_walk(x, self._end_meeting(x, end), end.known_depth(), depth)
-        half = depth // 2
-        ray = self.ray(x, end, half + 1) if half else [x]
-        out = [x]
-        for j in range(1, half + 1):
-            on_ray = (ray[j - 1], ray[j + 1])
-            layer = [(u, ray[j]) for u in self.neighbors(ray[j]) if u not in on_ray]
-            for _ in range(j - 1):
-                layer = [(w, u) for u, came in layer for w in self.neighbors(u) if w != came]
-            out += [u for u, _ in layer]
         return out

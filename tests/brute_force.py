@@ -237,7 +237,7 @@ def family_by_enumeration(lattice, cusps, radius_vertices, truncation):
             for y in single.members:
                 yp = first.get(y.quotient_vertex)
                 if yp is not None:
-                    gamma = _TransporterAlgebra(lattice).transporter(y, yp)
+                    gamma = _TransporterAlgebra(lattice).moving_transporter(None, y, yp)
                     return CounterexamplePair(y=y.vertex, y_prime=yp.vertex, gamma=gamma)
     counts = [Counter(m.reduced.level for m in single.members) for single in singles]
     cross = sum(

@@ -55,6 +55,7 @@ DELETED_METHODS = [
     (quotient.RayTail, "base_level"),  # vertices[0].level
     (quotient.HoroballMember, "residue_inverse"),  # CosetTable.inverse(residue)
     (lattice.CuspData, "conjugator"),  # carrier.adjugate()
+    (quotient._TransporterAlgebra, "transporter"),  # moving_transporter with no end
 ]
 
 

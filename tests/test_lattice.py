@@ -23,7 +23,7 @@ from sl2btree.literals import (
 )
 from sl2btree.polys import t_degree
 from sl2btree.quotient import growth_probe
-from sl2btree.series import LaurentSeries
+from sl2btree.series import LaurentSeries, _fused
 from sl2btree.tree import Vertex
 
 from brute_force import stabilizer_bruteforce
@@ -188,6 +188,9 @@ def test_reduction_witness_is_the_product_of_its_steps(q, data):
     witness, normal_form = _reduction_by_products(lattice, x)
     assert red.witness == witness
     assert normal_form == Vertex(red.level, LaurentSeries.zero(Fq))
+    # the witness carries det 1 unchecked; a*d - b*c recomputed is exactly 1
+    g = red.witness
+    assert g.det() == _fused(g.a, g.d, g.b, g.c, minus=True) == LaurentSeries.one(Fq)
 
 
 def test_congruence_orders():

@@ -358,7 +358,7 @@ def test_family_cross_check_reads_quotient_vertices(monkeypatch):
     lat = CongruenceLattice(F2, parse_series(F2, "t^2"))
     report = cusps_report(lat, 8)
     products = _count_calls(monkeypatch, CosetTable, "matmul")
-    transporters = _count_calls(monkeypatch, _TransporterAlgebra, "transporter")
+    transporters = _count_calls(monkeypatch, _TransporterAlgebra, "moving_transporter")
     reductions = _count_calls(monkeypatch, NagaoLattice, "reduce_vertex")
     single = quotient.certify_independent_horoball
     certified = []
@@ -366,20 +366,21 @@ def test_family_cross_check_reads_quotient_vertices(monkeypatch):
     def certify_then_reset(*args):
         # only the calls made after the last single certificate remain
         result = single(*args)
-        certified.append((result, len(products), len(reductions)))
+        certified.append((result, len(products), len(reductions), len(transporters)))
         products.clear()
         reductions.clear()
+        transporters.clear()
         return result
 
     monkeypatch.setattr(quotient, "certify_independent_horoball", certify_then_reset)
     fam = certify_independent_family(lat, report.algebraic, report.radius_vertices(), 4)
     assert isinstance(fam, FamilyCertificate)
     assert fam.cross_pairs_checked == 3432
-    [(base, star_checks, base_reductions)] = certified
+    [(base, star_products, base_reductions, star_checks)] = certified
     members = len(base.members)
     reached = len({m.quotient_vertex for m in base.members})
     assert (members, reached) == (10, 5)
-    assert star_checks == base_reductions == members
+    assert star_products == base_reductions == star_checks == members
     assert len(products) == (len(report.algebraic) - 1) * (reached + 1)
     assert reductions == [] and transporters == []
 
@@ -868,7 +869,7 @@ def test_cross_transporters_match_brute_force(q, level):
                 for yp in theirs:
                     if y.reduced.level != yp.reduced.level:
                         continue
-                    gamma = algebra.transporter(y, yp)
+                    gamma = algebra.moving_transporter(None, y, yp)
                     exists = _transporter_exists(lat, y.reduced, yp.reduced)
                     assert (gamma is not None) == exists
                     assert (y.quotient_vertex == yp.quotient_vertex) == exists

@@ -190,7 +190,7 @@ def test_horoellipse_rejects_a_negative_depth(monkeypatch):
 
 def test_horosphere_rejects_a_negative_depth(monkeypatch):
     fresh = _walks_no_ray(monkeypatch)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="horosphere depth must be >= 0"):
         fresh.horosphere_vertices(zero_end, v0, -4)
 
 
@@ -292,6 +292,18 @@ def test_horoellipse_member_bound(monkeypatch):
     # the ray alone exceeds the bound: refused before walking it
     with pytest.raises(SizeGuardExceeded, match="at least 10001 members"):
         tree.horoellipse_vertices(zero_end, v0, Fraction(0), 10_000)
+
+
+def test_horosphere_member_bound(monkeypatch):
+    # the horosphere is listed through the horoball, whose 22 members within
+    # distance 6 the bound counts, though only 8 of them are listed
+    monkeypatch.setattr(tree_module, "_HOROELLIPSE_MEMBER_BOUND", 22)
+    assert len(tree.horosphere_vertices(zero_end, v0, 6)) == 1 + 1 + 2 + 4
+    monkeypatch.setattr(tree_module, "_HOROELLIPSE_MEMBER_BOUND", 21)
+    with pytest.raises(SizeGuardExceeded, match="at least 22 members \\(bound 21\\)"):
+        tree.horosphere_vertices(zero_end, v0, 6)
+    with pytest.raises(SizeGuardExceeded, match="at least 10001 members"):
+        tree.horosphere_vertices(zero_end, v0, 10_000)
 
 
 def test_end_difference_valuation():

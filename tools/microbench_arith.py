@@ -42,9 +42,12 @@ vertex rows are: construction from a level and a residue (`vertex new`);
 `==` between a
 vertex and an equal one built from a copy of its residue (`vertex ==`);
 `hash` of a vertex hashed before, as in a set that is probed again
-(`vertex hash`); `Tree.neighbors`; `Tree.step_to_end` toward an end; and
+(`vertex hash`); `Tree.neighbors`; `Tree.step_to_end` toward an end;
 `Tree.busemann` from one base vertex toward one end, to a vertex built
-afresh for each call, so that the row includes that construction. The
+afresh for each call, so that the row includes that construction; and
+`busemann trunc`, the same toward one truncated end of horizon 14 drawn as
+`verify` draws one (each digit of degree 1..13 random with probability
+1/2), where `busemann` walks d(x, y) steps toward the end first. The
 `busemann bfs` row is a breadth-first search of radius 5 from a freshly
 built vertex (0; 0), one `Tree.busemann` value toward one end per vertex
 reached (94, 485, 1 706 and 73 811 vertices), per vertex. The `sphere 4`
@@ -81,7 +84,7 @@ from sl2btree.literals import parse_vertex
 from sl2btree.polys import divmod_t, gcd_t
 from sl2btree.quotient import certify_independent_horoball
 from sl2btree.series import LaurentSeries
-from sl2btree.tree import RationalEnd, Tree, Vertex, end_from_vector
+from sl2btree.tree import RationalEnd, Tree, TruncatedEnd, Vertex, end_from_vector
 
 QS = (2, 3, 4, 9)
 PAIRS = 64
@@ -144,6 +147,16 @@ def _end(rng, F):
 
     x = poly()
     return end_from_vector(F, x if x.has_terms() else LaurentSeries.one(F), poly())
+
+
+def _truncated_end(rng, F, horizon=14):
+    elems = list(F.elements())
+    digits = {d: rng.choice(elems) for d in range(1, horizon) if rng.random() < 0.5}
+    return TruncatedEnd(F, LaurentSeries(F, digits, horizon))
+
+
+def _busemann_to_fresh(tree, x, n, residue, end):
+    return tree.busemann(x, Vertex(n, residue), end)
 
 
 def _deep_vertex(rng, F):
@@ -254,7 +267,7 @@ def _field_cell(p, e):
 
 def main():
     # row -> (operands from (rng, F, shared), operation); shared is one
-    # tree, one end, one base vertex and one lattice per field
+    # tree, one end, one base vertex, one lattice and one truncated end per field
     ops = {
         "series +": (_pair(_series), lambda x, y: x + y),
         "series -": (_pair(_series), lambda x, y: x - y),
@@ -291,7 +304,11 @@ def main():
         "step_to_end": (lambda r, F, T: (T[0], _vertex(r, F), _end(r, F)), Tree.step_to_end),
         "busemann": (
             lambda r, F, T: (T[0], T[2], *_level_residue(r, F), T[1]),
-            lambda tree, x, n, residue, end: tree.busemann(x, Vertex(n, residue), end),
+            _busemann_to_fresh,
+        ),
+        "busemann trunc": (
+            lambda r, F, T: (T[0], T[2], *_level_residue(r, F), T[4]),
+            _busemann_to_fresh,
         ),
         "reduce_vertex": (
             lambda r, F, T: (T[3], _deep_vertex(r, F)),
@@ -305,7 +322,9 @@ def main():
             F = field(q)
             rng = random.Random(f"microbench:{name}:{q}")
             fixed = random.Random(f"microbench:tree:{q}")
-            shared = (Tree(F), _end(fixed, F), _vertex(fixed, F), NagaoLattice(F))
+            shared = (
+                Tree(F), _end(fixed, F), _vertex(fixed, F), NagaoLattice(F), _truncated_end(fixed, F)
+            )
             cell, count = _per_op_cell(op, [make(rng, F, shared) for _ in range(PAIRS)])
             cells.append(cell)
             counts.append(count)
