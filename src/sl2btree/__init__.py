@@ -24,7 +24,6 @@ _EXPORTS = {
     "InvalidInputError": "errors",
     "NonterminationGuard": "errors",
     "NotFixingError": "errors",
-    "NotOnAxisError": "errors",
     "NotTypePreserving": "errors",
     "SizeGuardExceeded": "errors",
     "Sl2BTreeError": "errors",
@@ -43,7 +42,6 @@ _EXPORTS = {
     "end_from_vector": "tree",
     "Classification": "autom",
     "TreeAutomorphism": "autom",
-    "UnipotentInfo": "autom",
     "drift_along_end": "autom",
     "format_end": "literals",
     "format_matrix": "literals",

@@ -13,24 +13,19 @@ off valuations alone:
 
 Elliptic elements come with a certified fixed vertex (the midpoint of a
 displacement geodesic, which the element is checked to fix). Hyperbolic
-elements come with their translation length, an axis vertex, and their
-attracting/repelling ends: exact rational ends for triangular matrices,
-and for full matrices a truncated end certified to the requested depth by
-an explicit subtree-trapping test (the candidate branch is mapped into
-itself strictly, which pins every computed digit of the attracting end).
+elements come with their translation length and their attracting/repelling
+ends: exact rational ends for triangular matrices, and for full matrices a
+truncated end certified to the requested depth by an explicit
+subtree-trapping test (the candidate branch is mapped into itself
+strictly, which pins every computed digit of the attracting end).
 
 Also here: the depth to which an element fixes the subtree below a vertex,
-detection of quasi-unipotent elements with their fixed end and a certified
-horoball-type witness, conjugation-contraction depth sequences, the
-expansion count of a hyperbolic element across its horospheres, and the
-drift of an end stabilizer along its end (the Busemann character of the
-Borel subgroup, Serre, Trees II.2), read off the eigenvalue: for the end's
-vector v and g*v = lam*v it is v(det g) - 2 v(lam).
+and the drift of an end stabilizer along its end (the Busemann character
+of the Borel subgroup, Serre, Trees II.2), read off the eigenvalue: for
+the end's vector v and g*v = lam*v it is v(det g) - 2 v(lam).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import (
     DoesNotFixEnd,
@@ -38,7 +33,6 @@ from .errors import (
     InvalidInputError,
     NonterminationGuard,
     NotFixingError,
-    NotOnAxisError,
     NotTypePreserving,
 )
 from .field import Field
@@ -53,7 +47,13 @@ from .tree import (
     end_from_vector,
 )
 
-_ITERATION_CAP = 512
+# Caps of `_attracting_end_iterated`. Squarings of an exact element: round r
+# certifies about 2^(r-1) times the translation length digits, and the
+# entries of its power span 2^r times the element's degrees, so the guard
+# fires before they can exhaust memory. Steps of an inexact element: each
+# gains about half the translation length, until the precision runs out.
+_SQUARING_CAP = 20
+_STEP_CAP = 512
 
 
 def _divide_available(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
@@ -110,27 +110,6 @@ class Classification:
         # printed in the failure messages of the drift and classification suites
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"Classification({fields})"
-
-
-class UnipotentInfo:
-    """Certified local data for the quasi-unipotent dichotomy.
-
-    kind "good": the element fixes its end's horoballs to unbounded depth,
-    witnessed by a fixed vertex whose eccentricity-1/3 horoellipse is
-    checked (to `checked_depth`) to be carried into itself. kind
-    "not_unipotent" reports that the element has no square-zero shift at
-    all; it carries no witness.
-    """
-
-    __slots__ = ("kind", "fixed_end", "witness", "checked_depth", "eccentricity")
-
-    def __init__(self, kind: str, fixed_end: End | None = None, witness: Vertex | None = None,
-                 checked_depth: int = 0, eccentricity: Fraction | None = None):
-        self.kind = kind
-        self.fixed_end = fixed_end
-        self.witness = witness
-        self.checked_depth = checked_depth
-        self.eccentricity = eccentricity
 
 
 class TreeAutomorphism:
@@ -389,13 +368,6 @@ class TreeAutomorphism:
             )
         return Classification(kind="elliptic", fixed_vertex=mid)
 
-    def axis_vertex(self) -> Vertex:
-        """A vertex on the translation axis of a hyperbolic element."""
-        if self.translation_length() == 0:
-            raise InvalidInputError("elliptic elements have no translation axis")
-        tree = Tree(self.field)
-        return tree.midpoint(tree.base, self.act_vertex(tree.base))
-
     def _triangular_fixed_ends(self):
         """(end, eigenvalue) pairs when an off-diagonal entry is an exact zero, else None."""
         F = self.field
@@ -440,10 +412,18 @@ class TreeAutomorphism:
         # (tr^2 - 4 det) / b^2, of valuation 2 v(tr) - 2 v(b) when hyperbolic.
         # Only a branch below the level where they part holds w+ without w-.
         level = max(depth, self.trace().valuation() - self.b.valuation() + 1)
-        x, y = LaurentSeries.zero(F), LaurentSeries.one(F)
-        for _ in range(_ITERATION_CAP):
-            x, y = _fused(self.a, x, self.b, y), _fused(self.c, x, self.d, y)
-            candidate = _end_of(F, x, y)
+        # The candidate is (h.b : h.d), the image of the up end. An exact
+        # element is squared, h = g^(2^r) in round r, which doubles the
+        # candidate's agreement with w+ each round. An inexact one steps,
+        # h = g^k: a square can skip the few powers whose candidate still
+        # has the digits to certify.
+        exact = all(e.prec is INFINITY for e in self.entries())
+        cap = _SQUARING_CAP if exact else _STEP_CAP
+        h = self
+        for round_ in range(cap):
+            if round_:
+                h = h * h if exact else self * h
+            candidate = _end_of(F, h.b, h.d)
             if isinstance(candidate, UpEnd):
                 continue
             res = candidate.coordinate_mod(level)
@@ -457,7 +437,7 @@ class TreeAutomorphism:
                 continue
             return TruncatedEnd(F, res.reduce_precision(depth))
         raise NonterminationGuard(
-            f"no certified attracting branch within {_ITERATION_CAP} iterations"
+            f"no certified attracting branch within {cap} iterations"
         )
 
     # -- fixing depth --------------------------------------------------------------
@@ -500,126 +480,6 @@ class TreeAutomorphism:
         if not depths:
             return INFINITY
         return min(depths)
-
-    # -- quasi-unipotent elements -----------------------------------------------
-
-    def quasi_unipotent_scalar(self) -> LaurentSeries | None:
-        """The scalar lam with (g - lam)^2 = 0, or None; needs exact entries."""
-        if not all(e.is_exact() for e in self.entries()):
-            raise InvalidInputError("unipotence certification needs exact entries")
-        if self.is_scalar():
-            return None
-        F = self.field
-        tr = self.trace()
-        det = self.det()
-        if F.p == 2:
-            if not tr.is_exact_zero():
-                return None
-            if any(deg % 2 for deg in det.coeffs):
-                return None
-            lam = LaurentSeries(
-                F, {deg // 2: c.sqrt() for deg, c in det.coeffs.items()}
-            )
-            return lam
-        half = F.element(2).inverse()
-        lam = tr.scale(half)
-        if (lam * lam - det).is_exact_zero():
-            return lam
-        return None
-
-    def unipotent_fixed_end(self) -> End:
-        """The unique fixed end of a nontrivial quasi-unipotent element."""
-        lam = self.quasi_unipotent_scalar()
-        if lam is None:
-            raise InvalidInputError("element is not a nontrivial quasi-unipotent")
-        F = self.field
-        if self.b.has_terms():
-            return end_from_vector(F, self.b, lam - self.a)
-        if self.c.has_terms():
-            return end_from_vector(F, lam - self.d, self.c)
-        raise InvalidInputError("element is scalar")  # unreachable after the check
-
-    def unipotent_class(self, check_depth: int = 6) -> UnipotentInfo:
-        """Certify the horoball-fixing behaviour of a quasi-unipotent element.
-
-        Returns kind "not_unipotent" when the element has no square-zero
-        shift. Otherwise walks down the ray toward the fixed end until a
-        fixed vertex is found whose eccentricity-1/3 horoellipse (listed to
-        `check_depth`) is carried into the same horoellipse, and returns it
-        as the witness of kind "good".
-        """
-        if self.quasi_unipotent_scalar() is None:
-            return UnipotentInfo(kind="not_unipotent")
-        end = self.unipotent_fixed_end()
-        tree = Tree(self.field)
-        x = tree.base
-        lam = Fraction(1, 3)
-        for _ in range(_ITERATION_CAP):
-            if self.fixes_vertex(x):
-                members = tree.horoellipse_vertices(end, x, lam, check_depth)
-                if all(
-                    tree.horoellipse_contains(end, x, lam, self.act_vertex(y))
-                    for y in members
-                ):
-                    return UnipotentInfo("good", end, x, check_depth, lam)
-            x = tree.step_to_end(x, end)
-        raise NonterminationGuard(
-            "no certified horoellipse witness along the fixed-end ray"
-        )
-
-    # -- hyperbolic bookkeeping -----------------------------------------------------
-
-    def modular_expansion_count(self, x: Vertex) -> int:
-        """Count of same-horosphere vertices at axis distance from the image.
-
-        x must lie on the axis. Counts the vertices y with d(h x, y) equal to
-        the translation length that sit on the horosphere through x toward
-        the attracting end; the count is the expansion factor of the element
-        across horospheres.
-        """
-        length = self.translation_length()
-        if length == 0:
-            raise InvalidInputError("expansion counting needs a hyperbolic element")
-        tree = Tree(self.field)
-        image = self.act_vertex(x)
-        if tree.distance(x, image) != length:
-            raise NotOnAxisError(f"{x} is displaced by more than the axis length")
-        end = self.attracting_end(depth=abs(x.level) + 2 * length + 8)
-        return sum(
-            1
-            for y in tree.sphere(image, length)
-            if tree.busemann(x, y, end) == 0
-        )
-
-    def contraction_depths(self, shrink: "TreeAutomorphism", steps: int) -> list:
-        """Fixing depths of the conjugates shrink^i * self * shrink^{-i}.
-
-        self must be quasi-unipotent with fixed end equal to the repelling
-        end of the hyperbolic element `shrink`; the depths are measured at a
-        common fixed vertex and grow by the translation length per step.
-        """
-        end = self.unipotent_fixed_end()
-        if isinstance(end, TruncatedEnd):
-            raise InvalidInputError("fixed end must be exact")
-        inv = shrink.adjugate()
-        if drift_along_end(inv, end) <= 0:
-            raise InvalidInputError(
-                "the contracting element must repel from the fixed end"
-            )
-        tree = Tree(self.field)
-        x = shrink.axis_vertex()
-        for _ in range(_ITERATION_CAP):
-            if self.fixes_vertex(x):
-                break
-            x = tree.step_to_end(x, end)
-        else:
-            raise NonterminationGuard("no common fixed vertex found along the axis")
-        out = []
-        g = self
-        for _ in range(steps + 1):
-            out.append(g.fixing_depth(x))
-            g = shrink * g * inv
-        return out
 
 
 def drift_along_end(g: TreeAutomorphism, end: End) -> int:

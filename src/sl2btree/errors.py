@@ -62,12 +62,6 @@ class NotFixingError(Sl2BTreeError, ValueError):
     exit_code = 3
 
 
-class NotOnAxisError(Sl2BTreeError, ValueError):
-    """The base vertex does not lie on the translation axis."""
-
-    exit_code = 3
-
-
 class NotTypePreserving(Sl2BTreeError, ValueError):
     """The automorphism swaps vertex types (odd determinant valuation)."""
 

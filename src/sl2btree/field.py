@@ -203,23 +203,6 @@ class FieldElement:
         # _exp holds two periods, so index -m is g^(2(q-1) - m) = g^-m
         return self.field._exp[-m]
 
-    def sqrt(self) -> "FieldElement":
-        """Square root; unique in characteristic 2, checked otherwise."""
-        f = self.field
-        if f.p == 2:
-            # Frobenius is bijective: a^(q/2) squares to a^q = a.
-            out, base, n = f.one, self, f.q // 2
-            while n:
-                if n & 1:
-                    out = out * base
-                base = base * base
-                n >>= 1
-            return out
-        for cand in f.elements():
-            if cand * cand == self:
-                return cand
-        raise InvalidInputError("element has no square root")
-
     def __repr__(self) -> str:
         return f"FieldElement({self.field.q}, {self.coeffs})"
 

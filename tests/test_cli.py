@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sl2btree import cli, errors
 from sl2btree.errors import InsufficientPrecision, NonterminationGuard
-from sl2btree.field import MAX_Q
+from sl2btree.field import MAX_Q, field
+from sl2btree.literals import parse_end, parse_matrix
 
 
 def run(capsys, argv):
@@ -392,7 +393,6 @@ DOCUMENTED_EXIT_CODES = {
     "EqualEndsError": 3,
     "DoesNotFixEnd": 3,
     "NotFixingError": 3,
-    "NotOnAxisError": 3,
     "NotTypePreserving": 3,
     "SizeGuardExceeded": 4,
     "NonterminationGuard": 5,
@@ -452,6 +452,27 @@ def test_nonpositive_end_depth_exits_3(capsys):
             rc, out, err = run(capsys, ["classify", matrix, "--ends", ends])
             assert (rc, out) == (3, "")
             assert "end depth must be >= 1" in err
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_classify_certifies_deep_ends(capsys, q):
+    # each squaring of an exact matrix doubles the digits its candidate
+    # shares with the end, so depth 1 100 takes ten squarings
+    F = field(q)
+    g = parse_matrix(F, "[[t,1],[1,0]]")
+    ends = {}
+    for depth in ("6", "1100"):
+        rc, out, err = run(capsys, ["classify", "[[t,1],[1,0]]", "--q", str(q), "--ends", depth])
+        assert (rc, err) == (0, "")
+        answer = json.loads(out)
+        ends[depth] = [parse_end(F, answer[key]) for key in ("attracting", "repelling")]
+    for shallow, deep in zip(ends["6"], ends["1100"]):
+        w = deep.coordinate
+        assert w.prec == 1100
+        # a fixed end w of g solves b w^2 + (a - d) w - c = 0
+        residual = g.b * w * w + (g.a - g.d) * w - g.c
+        assert not residual.has_terms() and residual.prec >= 1099
+        assert w.reduce_precision(6) == shallow.coordinate
 
 
 def test_out_writes_a_file(tmp_path, capsys):

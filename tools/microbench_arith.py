@@ -56,6 +56,12 @@ vertex reached ((q + 1) q^3: 24, 108, 320 and 7 290 vertices); its search
 steps back through parents that children remember, a path the `neighbors`
 row on fresh vertices never takes.
 
+The `attracting_end 64` row is `TreeAutomorphism.attracting_end` to depth
+64 of eight matrices drawn as the matrix rows draw them, kept when they are
+hyperbolic; neither off-diagonal entry is zero, so each end is certified
+from the powers of the matrix. It is the time per matrix, each call on a
+fresh copy, which has no determinant kept.
+
 The `reduce_vertex` row is `NagaoLattice.reduce_vertex` on vertices of
 level -3..12 with random digits (zero included) at 0 to 12 of the degrees
 just below the level, the range that horoball members reach.
@@ -229,6 +235,24 @@ def _busemann_bfs_cell(q):
     return (lambda: timer.timeit(1)), 1 + (q + 1) * (q**5 - 1) // (q - 1)
 
 
+def _attracting_end_cell(q):
+    """Ends to depth 64 of eight hyperbolic full matrices, and their count."""
+    F = field(q)
+    rng = random.Random(f"microbench:attracting_end:{q}")
+    matrices = []
+    while len(matrices) < 8:
+        g = _matrix(rng, F)
+        if g.translation_length():
+            matrices.append(g)
+
+    def run():
+        for g in matrices:
+            TreeAutomorphism._product(F, *g.entries()).attracting_end(64)
+
+    timer = timeit.Timer(run)
+    return (lambda: timer.timeit(1)), len(matrices)
+
+
 def _sphere_cell(q):
     """One radius-4 sphere from a fresh vertex, and its vertex count."""
     F = field(q)
@@ -330,6 +354,7 @@ def main():
             counts.append(count)
         rows.append((name, counts))
     for name, make_cell in (
+        ("attracting_end 64", _attracting_end_cell),
         ("busemann bfs", _busemann_bfs_cell),
         ("sphere 4", _sphere_cell),
         ("horoball certify", _horoball_cell),
@@ -338,13 +363,13 @@ def main():
         cells += [cell for cell, _ in made]
         rows.append((name, [count for _, count in made]))
     times = iter(interleaved_min(cells, REPEAT))
-    print(f"{'us/op':<16}" + "".join(f"{f'F_{q}':>8}" for q in QS))
+    print(f"{'us/op':<18}" + "".join(f"{f'F_{q}':>8}" for q in QS))
     for name, counts in rows:
-        print(f"{name:<16}" + "".join(f"{next(times) / n * 1e6:8.2f}" for n in counts))
+        print(f"{name:<18}" + "".join(f"{next(times) / n * 1e6:8.2f}" for n in counts))
     names = [f"F_{p}" if e == 1 else f"F_{p}^{e}" for p, e in LARGE_FIELDS]
-    print(f"\n{'ms':<16}" + "".join(f"{name:>10}" for name in names))
+    print(f"\n{'ms':<18}" + "".join(f"{name:>10}" for name in names))
     row = interleaved_min([_field_cell(p, e) for p, e in LARGE_FIELDS], FIELD_REPEAT)
-    print(f"{'Field(p, e)':<16}" + "".join(f"{t * 1e3:10.1f}" for t in row))
+    print(f"{'Field(p, e)':<18}" + "".join(f"{t * 1e3:10.1f}" for t in row))
 
 
 if __name__ == "__main__":
