@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,6 +321,68 @@ def test_fixing_depth_matches_literal_ball_fixing():
             assert fixed == (depth >= r)
 
 
+def _shift_squares_to_zero(g, lam):
+    """Whether (g - lam)^2 = 0, from the entries of the square."""
+    a, b, c, d = g.entries()
+    a, d = a - lam, d - lam
+    return all(e.is_exact_zero() for e in (a * a + b * c, b * (a + d), c * (a + d), d * d + b * c))
+
+
+def _carries_its_horoellipse(g, tq, end, x, depth=6):
+    members = tq.horoellipse_vertices(end, x, Fraction(1, 3), depth)
+    return members, {g.act_vertex(y) for y in members} == set(members)
+
+
+def test_quasi_unipotent_certificates():
+    u = m("[[1,1],[0,1]]")
+    assert _shift_squares_to_zero(u, LaurentSeries.one(F))
+    end = parse_end(F, "rat(0, 1)")
+    assert u.fixes_end(end) and u.fixes_vertex(tree.base)
+    members, carried = _carries_its_horoellipse(u, tree, end, tree.base)
+    assert members and carried
+
+    # in characteristic 2 a square-zero shift by lam forces trace 2 lam = 0
+    hyper = m("[[1,t],[0,1]]") * m("[[1,0],[t,1]]")
+    assert not hyper.trace().is_exact_zero()
+    assert hyper.translation_length() > 0
+
+    # over F_3 the only candidate is lam = trace / 2 = 0, and rot^2 = -1
+    F3 = field(3)
+    rot = parse_matrix(F3, "[[0,1],[2,0]]")
+    assert rot.trace().is_exact_zero()
+    assert not _shift_squares_to_zero(rot, LaurentSeries.zero(F3))
+
+
+def test_unipotent_class_in_odd_characteristic():
+    F3 = field(3)
+    t3 = Tree(F3)
+    u3 = parse_matrix(F3, "[[1,t],[0,1]]")
+    lam = u3.trace().scale(F3.element(2).inverse())
+    assert lam == LaurentSeries.one(F3)
+    assert _shift_squares_to_zero(u3, lam)
+    zero = t3.end_zero()
+    assert u3.fixes_end(zero)
+    x = t3.base
+    while not u3.fixes_vertex(x):
+        x = t3.step_to_end(x, zero)
+    assert x == v("(1; 0)", F3)
+    members, carried = _carries_its_horoellipse(u3, t3, zero, x)
+    assert len(members) == 13 and carried
+
+
+def test_unipotent_class_over_f9_needs_no_ball(monkeypatch):
+    # a radius-6 ball over F_9 has 664 301 vertices; the horoellipse is
+    # built from the ray instead, and the tree lists no ball or sphere
+    monkeypatch.setattr(Tree, "sphere", None)
+    F9 = field(9)
+    t9 = Tree(F9)
+    u9 = TreeAutomorphism.upper_shear(F9, LaurentSeries.one(F9))
+    assert _shift_squares_to_zero(u9, LaurentSeries.one(F9))
+    assert u9.fixes_vertex(t9.base)
+    members, carried = _carries_its_horoellipse(u9, t9, t9.end_zero(), t9.base, depth=6)
+    assert len(members) == 31 and carried
+
+
 def test_decompose_end_stabilizer():
     zero_end = tree.end_zero()
     step = TreeAutomorphism.standard_step(F)
@@ -454,6 +517,39 @@ def test_drift_is_twice_the_decomposition_power(q, data):
             assert drift is IndeterminateValuation and len(answers) > 1
     else:
         assert drift == expected
+
+
+def test_modular_expansion_count():
+    # the base lies on the standard step's axis, and the image's sphere of
+    # the translation length meets the base's horosphere in q^2 vertices
+    step = TreeAutomorphism.standard_step(F)
+    length = step.translation_length()
+    image = step.act_vertex(tree.base)
+    assert tree.distance(tree.base, image) == length == 2
+    end = step.attracting_end(depth=2 * length + 8)
+    count = sum(1 for y in tree.sphere(image, length) if tree.busemann(tree.base, y, end) == 0)
+    assert count == 4
+    off_axis = v("(1; 1)")
+    assert tree.distance(off_axis, step.act_vertex(off_axis)) > length
+    assert m("[[1,1],[0,1]]").translation_length() == 0
+
+
+def test_contraction_depths():
+    u = m("[[1,1],[0,1]]")
+    end = parse_end(F, "rat(0, 1)")
+    pi = LaurentSeries.pi_power(F, 1)
+    shrink = TreeAutomorphism.diagonal(F, pi, LaurentSeries.pi_power(F, -1))
+    inv = shrink.adjugate()
+    assert drift_along_end(inv, end) > 0  # shrink repels from u's fixed end
+    depths = []
+    g = u
+    for _ in range(4):
+        depths.append(g.fixing_depth(tree.base))
+        g = shrink * g * inv
+    assert depths == [0, 2, 4, 6]
+    # the standard step moves toward the end, the identity not at all
+    assert drift_along_end(TreeAutomorphism.standard_step(F).adjugate(), end) < 0
+    assert drift_along_end(TreeAutomorphism.identity(F), end) == 0
 
 
 def _random_exact_matrix(rng, Fq):
