@@ -37,15 +37,7 @@ from .errors import (
 )
 from .field import Field
 from .series import INFINITY, LaurentSeries, _fused
-from .tree import (
-    End,
-    RationalEnd,
-    Tree,
-    TruncatedEnd,
-    UpEnd,
-    Vertex,
-    end_from_vector,
-)
+from .tree import End, Tree, TruncatedEnd, Vertex, end_from_vector
 
 # Caps of `_attracting_end_iterated`. Squarings of an exact element: round r
 # certifies about 2^(r-1) times the translation length digits, and the
@@ -63,8 +55,6 @@ def _divide_available(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
         budget = min(budget, den.prec - den.valuation())
     if num.prec is not INFINITY:
         budget = min(budget, num.prec - num.valuation_lower_bound())
-    if budget is INFINITY:
-        raise InvalidInputError("unbounded exact division has no term budget")
     if budget < 1:
         raise InsufficientPrecision("no determined digits survive the division")
     return num * den.inverse(budget)
@@ -275,38 +265,30 @@ class TreeAutomorphism:
                 "top row of the transformed basis has no visible pivot"
             )
         use_A = vB is None or (vA is not None and vA <= vB)
-        if use_A and not A.is_exact() and (vA is None or vA >= A.prec):
-            raise InsufficientPrecision("pivot valuation beyond stored precision")
-        if use_A and vB is None and not B.is_exact():
-            # B invisible but inexact: it could still undercut A.
-            if B.prec <= vA:
-                raise InsufficientPrecision("cannot compare pivot valuations")
-        if not use_A and vA is None and not A.is_exact():
-            if A.prec <= vB:
-                raise InsufficientPrecision("cannot compare pivot valuations")
+        pivot, other = (vA, B) if use_A else (vB, A)
+        if not other.coeffs and other.prec <= pivot:
+            # the other entry vanishes to its precision only: it could undercut the pivot
+            raise InsufficientPrecision("cannot compare pivot valuations")
+        new_level = det_val - 2 * pivot
         if use_A:
-            new_level = det_val - 2 * vA
             residue = _fused(self.d, res, self.c).quotient(A, new_level)
         else:
-            new_level = det_val - 2 * vB
             residue = self.d.shift(n).quotient(B, new_level)
         return Vertex(new_level, residue)
 
     def act_end(self, end: End) -> End:
         """Image of a boundary end under the projective action.
 
-        The end (x : y), the up end being (0 : 1), goes to
-        (a*x + b*y : c*x + d*y) through `_end_of`, so an exact vector keeps
-        its exact coordinates whatever the matrix's precision. A truncated
-        end w goes to (c + d*w) / (a + b*w), to the digits that determine.
+        Every end is its vector (x : y): the up end (0 : 1), a rational end
+        its coprime pair and a truncated end (1 : w). It goes to
+        (a*x + b*y : c*x + d*y), and `_end_of` decides the image's kind, so
+        an exact vector keeps its exact coordinates whatever the matrix's
+        precision. The image of (1 : w) under a nonsingular matrix has no
+        exact-zero and no all-exact coordinates, so it is the truncated end
+        (c + d*w) / (a + b*w), to the digits that determine.
         """
-        F = self.field
-        if isinstance(end, TruncatedEnd):
-            w = end.coordinate
-            num, den = _fused(self.d, w, self.c), _fused(self.b, w, self.a)
-            return TruncatedEnd(F, _divide_available(num, den))
         x, y = end.x, end.y
-        return _end_of(F, _fused(self.a, x, self.b, y), _fused(self.c, x, self.d, y))
+        return _end_of(self.field, _fused(self.a, x, self.b, y), _fused(self.c, x, self.d, y))
 
     def fixes_vertex(self, v: Vertex) -> bool:
         return self.act_vertex(v) == v
@@ -371,17 +353,11 @@ class TreeAutomorphism:
     def _triangular_fixed_ends(self):
         """(end, eigenvalue) pairs when an off-diagonal entry is an exact zero, else None."""
         F = self.field
+        one, zero = LaurentSeries.one(F), LaurentSeries.zero(F)
         if self.c.is_exact_zero():
-            first = (
-                RationalEnd(F, LaurentSeries.one(F), LaurentSeries.zero(F)),
-                self.a,
-            )
-            return [first, (_end_of(F, self.b, self.d - self.a), self.d)]
+            return [(_end_of(F, one, zero), self.a), (_end_of(F, self.b, self.d - self.a), self.d)]
         if self.b.is_exact_zero():
-            return [
-                (UpEnd(F), self.d),
-                (_end_of(F, self.a - self.d, self.c), self.a),
-            ]
+            return [(_end_of(F, zero, one), self.d), (_end_of(F, self.a - self.d, self.c), self.a)]
         return None
 
     def attracting_end(self, depth: int = 12) -> End:
@@ -412,21 +388,21 @@ class TreeAutomorphism:
         # (tr^2 - 4 det) / b^2, of valuation 2 v(tr) - 2 v(b) when hyperbolic.
         # Only a branch below the level where they part holds w+ without w-.
         level = max(depth, self.trace().valuation() - self.b.valuation() + 1)
-        # The candidate is (h.b : h.d), the image of the up end. An exact
+        # The candidate is (h.b : h.d), the image of the up end. h.b is no
+        # exact zero: a power of a hyperbolic element fixes only its two ends,
+        # and b is no exact zero, so the up end is not one of them. An exact
         # element is squared, h = g^(2^r) in round r, which doubles the
-        # candidate's agreement with w+ each round. An inexact one steps,
-        # h = g^k: a square can skip the few powers whose candidate still
-        # has the digits to certify.
+        # candidate's agreement with w+ each round, and its digits are read
+        # by one division, with no end built. An inexact one steps, h = g^k:
+        # a square can skip the few powers whose candidate still has the
+        # digits to certify.
         exact = all(e.prec is INFINITY for e in self.entries())
         cap = _SQUARING_CAP if exact else _STEP_CAP
         h = self
         for round_ in range(cap):
             if round_:
                 h = h * h if exact else self * h
-            candidate = _end_of(F, h.b, h.d)
-            if isinstance(candidate, UpEnd):
-                continue
-            res = candidate.coordinate_mod(level)
+            res = h.d.quotient(h.b, level) if exact else _end_of(F, h.b, h.d).coordinate_mod(level)
             branch = Vertex(level, res)
             image = self.act_vertex(branch)
             if not tree.is_descendant(image, branch):

@@ -8,32 +8,33 @@ and its parent is that very object; the link is a cache, neither compared
 nor hashed, and it keeps the source vertex alive, as the search that built
 the child does anyway.
 
-Boundary ends are exact or truncated. An exact end is a point of
-P^1(F_q(t)), kept as its projective vector (x : y) with boundary
-coordinate w = y/x, and the matrix action reads only that vector:
+Every boundary end is a projective vector (x : y) with boundary
+coordinate w = y/x, and every question about an end reads that vector:
+the matrix action and the separation of two ends alike.
 
 * the single "up" end, reached by passing to coarser and coarser
   residues, is (0 : 1), w = infinity;
 * a rational end is a pair (x, y) of coprime polynomials in t = pi^{-1}
   with x nonzero (the zero end w = 0 is (1 : 0)). The digits of w are
   expanded once and the expansion is doubled only when a deeper digit is
-  asked for.
-
-A truncated end is a branch specified by w modulo pi^N only. Any geometry
-that would need digits of w beyond N raises EndPrecisionExhausted instead
-of guessing.
+  asked for;
+* a truncated end is (1 : w) with w known modulo pi^N only, its horizon.
+  Any geometry that would need digits of w beyond N raises
+  EndPrecisionExhausted instead of guessing.
 
 A finite end w is reached from the up end along the line of vertices
 (n; w mod pi^n). A vertex v leaves that line at level m(v), the lowest
 degree below its level at which its residue differs from w (its level if
 there is none), so its height toward the end is h(v) = level - 2 m(v); for
 the up end h(v) = level. The Busemann function is busemann(x, y) =
-h(x) - h(y), read off digits; toward a truncated end it first walks
-d(x, y) steps along the ray from x, the one place where the known digits
-run out. One walk from the ray lists every horo-region: a vertex that
-leaves the ray from x at its j-th vertex and goes k steps off it has
-busemann j - k, the horoellipse of eccentricity lam admits it when
-k <= lam j, and the horosphere is the horoball's (lam = 1) layer k = j.
+h(x) - h(y), read off digits. It means walking d(x, y) steps along the
+ray from x, and toward a truncated end that walk runs out of digits
+exactly when m(x) reaches the horizon or d(x, y) exceeds
+level(x) + N - 2 m(x), which is checked without walking. One walk from
+the ray lists every horo-region: a vertex that leaves the ray from x at
+its j-th vertex and goes k steps off it has busemann j - k, the
+horoellipse of eccentricity lam admits it when k <= lam j, and the
+horosphere is the horoball's (lam = 1) layer k = j.
 
 On top of the vertex combinatorics this module provides distances, geodesic
 paths, spheres, the step-toward-an-end map, Busemann relative
@@ -54,7 +55,7 @@ from .errors import (
 )
 from .field import Field
 from .polys import gcd_t, divmod_t
-from .series import INFINITY, LaurentSeries
+from .series import INFINITY, LaurentSeries, _fused
 
 # the most members `Tree.horoellipse_vertices` lists before refusing
 _HOROELLIPSE_MEMBER_BOUND = 20_000
@@ -111,9 +112,11 @@ class Vertex:
 
 
 class End:
-    """Common base for boundary ends; see the module docstring."""
+    """Common base for boundary ends, each its vector (x : y); see the module docstring."""
 
     field: Field
+    x: LaurentSeries
+    y: LaurentSeries
 
     def digits(self, n: int) -> dict:
         """The digits of w below degree n, as a {degree: coefficient} dict.
@@ -215,39 +218,39 @@ class RationalEnd(End):
 
 
 class TruncatedEnd(End):
-    """A branch of ends: the boundary coordinate known modulo pi^N only."""
+    """A branch of ends: the vector (1 : w), w = y known modulo pi^N only."""
 
-    def __init__(self, field: Field, coordinate: LaurentSeries):
-        if coordinate.prec is INFINITY:
+    def __init__(self, field: Field, y: LaurentSeries):
+        if y.prec is INFINITY:
             raise InvalidInputError(
                 "a truncated end needs a finite-precision coordinate; "
                 "exact coordinates define a rational end"
             )
         self.field = field
-        self.coordinate = coordinate
+        self.x, self.y = LaurentSeries.one(field), y
 
     def known_depth(self):
-        return self.coordinate.prec
+        return self.y.prec
 
     def digits(self, n: int) -> dict:
-        if n > self.coordinate.prec:
+        if n > self.y.prec:
             raise EndPrecisionExhausted(
-                f"end known mod pi^{self.coordinate.prec}, digit at pi^{n - 1} requested"
+                f"end known mod pi^{self.y.prec}, digit at pi^{n - 1} requested"
             )
-        return self.coordinate.coeffs
+        return self.y.coeffs
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncatedEnd)
             and other.field is self.field
-            and other.coordinate == self.coordinate
+            and other.y == self.y
         )
 
     def __hash__(self) -> int:
-        return hash(("trunc", self.coordinate))
+        return hash(("trunc", self.y))
 
     def __str__(self) -> str:
-        return f"trunc({self.coordinate.truncate(self.coordinate.prec)}, {self.coordinate.prec})"
+        return f"trunc({self.y.truncate(self.y.prec)}, {self.y.prec})"
 
 
 def _first_difference(a: dict, b: dict, bound: int) -> int:
@@ -309,24 +312,24 @@ def end_from_vector(field: Field, x: LaurentSeries, y: LaurentSeries) -> End:
 
 
 def end_difference_valuation(e1: End, e2: End) -> int:
-    """v(w1 - w2) for two non-up ends.
+    """v(w1 - w2) for two non-up ends, from the cross product of their vectors.
 
-    Raises EqualEndsError when the ends provably coincide and
-    EndPrecisionExhausted when they agree up to every digit both know.
+    y1 x2 - y2 x1 = x1 x2 (w1 - w2), so v(w1 - w2) is its valuation less
+    v(x1) + v(x2); a truncated end's x is 1. Raises EqualEndsError when
+    the product is an exact zero (two equal rational ends) and
+    EndPrecisionExhausted when it vanishes to its precision, which less
+    v(x1) + v(x2) is the shared horizon of the two ends.
     """
     if isinstance(e1, UpEnd) or isinstance(e2, UpEnd):
         raise InvalidInputError("difference valuation needs two finite-coordinate ends")
-    if isinstance(e1, RationalEnd) and isinstance(e2, RationalEnd):
-        cross = e1.y * e2.x - e2.y * e1.x
-        if cross.is_exact_zero():
-            raise EqualEndsError("the two rational ends coincide")
-        return cross.valuation() - e1.x.valuation() - e2.x.valuation()
-    m = min(e1.known_depth(), e2.known_depth())
-    diff = e1.coordinate_mod(m) - e2.coordinate_mod(m)
-    if diff.has_terms():
-        return diff.valuation()
+    cross = _fused(e1.y, e2.x, e2.y, e1.x, minus=True)
+    if cross.is_exact_zero():
+        raise EqualEndsError("the two rational ends coincide")
+    shift = e1.x.valuation() + e2.x.valuation()
+    if cross.has_terms():
+        return cross.valuation() - shift
     raise EndPrecisionExhausted(
-        f"ends agree modulo pi^{m}, the shared horizon; cannot separate them"
+        f"ends agree modulo pi^{cross.prec - shift}, the shared horizon; cannot separate them"
     )
 
 
@@ -471,19 +474,25 @@ class Tree:
         Equals d(x, y) when y lies on the ray from x to the end, is negated
         when the ray to y points away, and interpolates additively: moving y
         one step toward the end raises the value by one. Vanishes exactly on
-        the horosphere through x. For a truncated end it first walks d(x, y)
-        steps from x toward the end and raises where that walk does; past
-        it every completion of the end gives the same value, so the height
-        of y reads only the known digits.
+        the horosphere through x. Toward a truncated end of horizon N it is
+        the value of walking d(x, y) steps from x toward the end, and that
+        walk climbs to level m(x) and descends the end's line to level N:
+        it runs out of digits exactly when m(x) = N or d(x, y) > level(x) +
+        N - 2 m(x). Only then is the walk taken, to raise where it does;
+        otherwise every completion of the end gives the same value, so the
+        height of y reads only the known digits.
         """
         if x == y:
             return 0
         if isinstance(end, UpEnd):
             return x.level - y.level
-        if isinstance(end, TruncatedEnd):
-            self.ray(x, end, self.distance(x, y))
-        mx, my = self._end_meeting(x, end), self._end_meeting(y, end)
-        return (x.level - 2 * mx) - (y.level - 2 * my)
+        mx = self._end_meeting(x, end)
+        limit = end.known_depth()
+        if limit is not INFINITY:
+            steps = self.distance(x, y)
+            if mx >= limit or steps > x.level + limit - 2 * mx:
+                self.ray(x, end, steps)
+        return (x.level - 2 * mx) - (y.level - 2 * self._end_meeting(y, end))
 
     def horoball_contains(self, end: End, x: Vertex, y: Vertex) -> bool:
         return self.busemann(x, y, end) >= 0

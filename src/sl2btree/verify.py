@@ -12,6 +12,7 @@ failure reports the offending sample; sampling is deterministic in the
 seed.
 """
 
+import itertools
 import random
 
 from .autom import TreeAutomorphism, drift_along_end
@@ -335,24 +336,11 @@ def _suite_horosphere_transitivity(F, rng):
 
 def _all_series_supported(F, val, mod):
     """All residues mod pi^mod with valuation exactly val."""
-    out = []
-    units = list(F.units())
     elems = list(F.elements())
-    spots = list(range(val + 1, mod))
-
-    def rec(i, coeffs):
-        if i == len(spots):
-            out.append(LaurentSeries.exact(F, dict(coeffs)))
-            return
-        for c in elems:
-            if c == F.zero:
-                rec(i + 1, coeffs)
-            else:
-                rec(i + 1, coeffs + [(spots[i], c)])
-
-    for lead in units:
-        rec(0, [(val, lead)])
-    return out
+    return [
+        LaurentSeries.exact(F, dict(zip(itertools.count(val), digits)))
+        for digits in itertools.product(F.units(), *[elems] * (mod - val - 1))
+    ]
 
 
 def _suite_action_compatibility(F, rng):

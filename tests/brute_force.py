@@ -6,6 +6,8 @@ from collections import Counter
 from sl2btree.autom import TreeAutomorphism
 from sl2btree.errors import (
     DoesNotFixEnd,
+    EndPrecisionExhausted,
+    EqualEndsError,
     IndeterminateValuation,
     InsufficientPrecision,
     InvalidInputError,
@@ -20,8 +22,8 @@ from sl2btree.quotient import (
     _TransporterAlgebra,
     certify_independent_horoball,
 )
-from sl2btree.series import LaurentSeries
-from sl2btree.tree import End, Tree, TruncatedEnd, Vertex
+from sl2btree.series import INFINITY, LaurentSeries
+from sl2btree.tree import End, RationalEnd, Tree, TruncatedEnd, UpEnd, Vertex
 
 
 def neighbors_by_definition(tree: Tree, v: Vertex) -> list[Vertex]:
@@ -384,3 +386,64 @@ def xgcd_t(a: LaurentSeries, b: LaurentSeries):
         c = cs[-1].inverse()
         r0, u0, v0 = r0.scale(c), u0.scale(c), v0.scale(c)
     return r0, u0, v0
+
+
+# -- the routes for truncated ends that their vector (1 : w) replaced -----------------
+
+
+def act_truncated_end_by_division(g: TreeAutomorphism, end: TruncatedEnd) -> TruncatedEnd:
+    """The image (c + d*w) / (a + b*w) of a truncated end w, as numerator
+    times an inverse of the denominator to as many terms as the two
+    support, with the refusals of that route in its order."""
+    w = end.y
+    num, den = g.d * w + g.c, g.b * w + g.a
+    budget = INFINITY
+    if not den.is_exact():
+        budget = min(budget, den.prec - den.valuation())
+    if not num.is_exact():
+        budget = min(budget, num.prec - (min(num.coeffs) if num.coeffs else num.prec))
+    if budget < 1:
+        raise InsufficientPrecision("no determined digits survive the division")
+    return TruncatedEnd(g.field, num * series_inverse(den, budget))
+
+
+def difference_valuation_by_expansion(e1: End, e2: End) -> int:
+    """v(w1 - w2) from the two expansions to the shared horizon, where a
+    truncated end takes part; two rational ends compare by cross product."""
+    if isinstance(e1, UpEnd) or isinstance(e2, UpEnd):
+        raise InvalidInputError("difference valuation needs two finite-coordinate ends")
+    if isinstance(e1, RationalEnd) and isinstance(e2, RationalEnd):
+        cross = e1.y * e2.x - e2.y * e1.x
+        if cross.is_exact_zero():
+            raise EqualEndsError("the two rational ends coincide")
+        return cross.valuation() - e1.x.valuation() - e2.x.valuation()
+    m = min(e1.known_depth(), e2.known_depth())
+    diff = e1.coordinate_mod(m) - e2.coordinate_mod(m)
+    if diff.has_terms():
+        return diff.valuation()
+    raise EndPrecisionExhausted(
+        f"ends agree modulo pi^{m}, the shared horizon; cannot separate them"
+    )
+
+
+def _height(v: Vertex, end: End) -> int:
+    """level - 2 m(v), m(v) the first degree below the level (and the
+    horizon) where v's residue and the end's digits differ."""
+    bound = min(v.level, end.known_depth())
+    digits, residue = end.digits(bound), v.residue.coeffs
+    differ = [d for d in {*digits, *residue} if d < bound and digits.get(d) is not residue.get(d)]
+    return v.level - 2 * min(differ, default=bound)
+
+
+def busemann_after_walk(tree: Tree, x: Vertex, y: Vertex, end: End) -> int:
+    """`Tree.busemann` toward a truncated end as a walk of d(x, y) steps
+    from x, which raises where `step_to_end` does, then h(x) - h(y)."""
+    if x == y:
+        return 0
+    if isinstance(end, UpEnd):
+        return x.level - y.level
+    if isinstance(end, TruncatedEnd):
+        z = x
+        for _ in range(tree.distance(x, y)):
+            z = tree.step_to_end(z, end)
+    return _height(x, end) - _height(y, end)

@@ -709,3 +709,14 @@ def test_shears_and_the_half_turn_carry_determinant_one(q, data):
         for shear in (TreeAutomorphism.upper_shear, TreeAutomorphism.lower_shear):
             with pytest.raises(InvalidInputError, match="matrix entries must be series"):
                 shear(Fq, bad)
+
+
+def test_act_vertex_refuses_an_entry_that_could_undercut_the_pivot():
+    # at the base vertex the top row of the basis is (a, b); an entry that
+    # vanishes mod p^3 may have valuation 3, the pivot's, in either place
+    for text in ("[[0 mod p^3,p^3],[t^3,1]]", "[[p^3,0 mod p^3],[1,t^3]]"):
+        with pytest.raises(InsufficientPrecision, match="^cannot compare pivot valuations$"):
+            m(text).act_vertex(tree.base)
+    # known one digit further, it cannot: the pivot p^3 gives level -6
+    for text in ("[[0 mod p^4,p^3],[t^3,1]]", "[[p^3,0 mod p^4],[1,t^3]]"):
+        assert m(text).act_vertex(tree.base) == v("(-6; 0)")

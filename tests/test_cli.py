@@ -467,12 +467,12 @@ def test_classify_certifies_deep_ends(capsys, q):
         answer = json.loads(out)
         ends[depth] = [parse_end(F, answer[key]) for key in ("attracting", "repelling")]
     for shallow, deep in zip(ends["6"], ends["1100"]):
-        w = deep.coordinate
+        w = deep.y
         assert w.prec == 1100
         # a fixed end w of g solves b w^2 + (a - d) w - c = 0
         residual = g.b * w * w + (g.a - g.d) * w - g.c
         assert not residual.has_terms() and residual.prec >= 1099
-        assert w.reduce_precision(6) == shallow.coordinate
+        assert w.reduce_precision(6) == shallow.y
 
 
 def test_out_writes_a_file(tmp_path, capsys):

@@ -282,7 +282,7 @@ def test_busemann_over_one_base_and_two_ends(q, data):
 
 @pytest.mark.parametrize("q", QS)
 def test_a_truncated_end_that_raises_raises_again(q):
-    """The walk guard runs on every call, not only when m(x) is computed."""
+    """The horizon check runs on every call, also when m(x) is kept on the vertex."""
     tree = TREES[q]
     F = tree.field
     end = TruncatedEnd(F, LaurentSeries(F, {}, 2))

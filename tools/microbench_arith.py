@@ -47,7 +47,8 @@ vertex and an equal one built from a copy of its residue (`vertex ==`);
 afresh for each call, so that the row includes that construction; and
 `busemann trunc`, the same toward one truncated end of horizon 14 drawn as
 `verify` draws one (each digit of degree 1..13 random with probability
-1/2), where `busemann` walks d(x, y) steps toward the end first. The
+1/2), where `busemann` checks the end's horizon against m(x) and d(x, y)
+and walks toward the end only when that walk would be refused. The
 `busemann bfs` row is a breadth-first search of radius 5 from a freshly
 built vertex (0; 0), one `Tree.busemann` value toward one end per vertex
 reached (94, 485, 1 706 and 73 811 vertices), per vertex. The `sphere 4`
@@ -56,11 +57,18 @@ vertex reached ((q + 1) q^3: 24, 108, 320 and 7 290 vertices); its search
 steps back through parents that children remember, a path the `neighbors`
 row on fresh vertices never takes.
 
+The `end separation` row is `end_difference_valuation` of a rational or
+a truncated end, one each with probability 1/2, and a truncated end, both
+drawn as above, so half its pairs are rational-truncated and half
+truncated-truncated.
+
 The `attracting_end 64` row is `TreeAutomorphism.attracting_end` to depth
 64 of eight matrices drawn as the matrix rows draw them, kept when they are
 hyperbolic; neither off-diagonal entry is zero, so each end is certified
 from the powers of the matrix. It is the time per matrix, each call on a
-fresh copy, which has no determinant kept.
+fresh copy, which has no determinant kept. The `attracting_end 2048` row
+is one call to depth 2048 for [[t,1],[1,0]], on a fresh copy, whose
+powers are squared about ten times before a candidate certifies.
 
 The `reduce_vertex` row is `NagaoLattice.reduce_vertex` on vertices of
 level -3..12 with random digits (zero included) at 0 to 12 of the degrees
@@ -86,11 +94,18 @@ from sl2btree.autom import TreeAutomorphism, drift_along_end
 from sl2btree.errors import InvalidInputError
 from sl2btree.field import Field, field
 from sl2btree.lattice import NagaoLattice
-from sl2btree.literals import parse_vertex
+from sl2btree.literals import parse_matrix, parse_vertex
 from sl2btree.polys import divmod_t, gcd_t
 from sl2btree.quotient import certify_independent_horoball
 from sl2btree.series import LaurentSeries
-from sl2btree.tree import RationalEnd, Tree, TruncatedEnd, Vertex, end_from_vector
+from sl2btree.tree import (
+    RationalEnd,
+    Tree,
+    TruncatedEnd,
+    Vertex,
+    end_difference_valuation,
+    end_from_vector,
+)
 
 QS = (2, 3, 4, 9)
 PAIRS = 64
@@ -253,6 +268,16 @@ def _attracting_end_cell(q):
     return (lambda: timer.timeit(1)), len(matrices)
 
 
+def _deep_end_cell(q):
+    """One end of [[t,1],[1,0]] to depth 2048, on a fresh copy of the matrix."""
+    F = field(q)
+    g = parse_matrix(F, "[[t,1],[1,0]]")
+    timer = timeit.Timer(
+        lambda: TreeAutomorphism._product(F, *g.entries()).attracting_end(2048)
+    )
+    return (lambda: timer.timeit(1)), 1
+
+
 def _sphere_cell(q):
     """One radius-4 sphere from a fresh vertex, and its vertex count."""
     F = field(q)
@@ -334,6 +359,12 @@ def main():
             lambda r, F, T: (T[0], T[2], *_level_residue(r, F), T[4]),
             _busemann_to_fresh,
         ),
+        "end separation": (
+            lambda r, F, T: (
+                _end(r, F) if r.random() < 0.5 else _truncated_end(r, F), _truncated_end(r, F)
+            ),
+            end_difference_valuation,
+        ),
         "reduce_vertex": (
             lambda r, F, T: (T[3], _deep_vertex(r, F)),
             NagaoLattice.reduce_vertex,
@@ -355,6 +386,7 @@ def main():
         rows.append((name, counts))
     for name, make_cell in (
         ("attracting_end 64", _attracting_end_cell),
+        ("attracting_end 2048", _deep_end_cell),
         ("busemann bfs", _busemann_bfs_cell),
         ("sphere 4", _sphere_cell),
         ("horoball certify", _horoball_cell),
@@ -363,13 +395,13 @@ def main():
         cells += [cell for cell, _ in made]
         rows.append((name, [count for _, count in made]))
     times = iter(interleaved_min(cells, REPEAT))
-    print(f"{'us/op':<18}" + "".join(f"{f'F_{q}':>8}" for q in QS))
+    print(f"{'us/op':<20}" + "".join(f"{f'F_{q}':>10}" for q in QS))
     for name, counts in rows:
-        print(f"{name:<18}" + "".join(f"{next(times) / n * 1e6:8.2f}" for n in counts))
+        print(f"{name:<20}" + "".join(f"{next(times) / n * 1e6:10.2f}" for n in counts))
     names = [f"F_{p}" if e == 1 else f"F_{p}^{e}" for p, e in LARGE_FIELDS]
-    print(f"\n{'ms':<18}" + "".join(f"{name:>10}" for name in names))
+    print(f"\n{'ms':<20}" + "".join(f"{name:>10}" for name in names))
     row = interleaved_min([_field_cell(p, e) for p, e in LARGE_FIELDS], FIELD_REPEAT)
-    print(f"{'Field(p, e)':<18}" + "".join(f"{t * 1e3:10.1f}" for t in row))
+    print(f"{'Field(p, e)':<20}" + "".join(f"{t * 1e3:10.1f}" for t in row))
 
 
 if __name__ == "__main__":
