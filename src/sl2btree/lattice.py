@@ -228,8 +228,7 @@ class NagaoLattice:
         the zero end (1 : 0), the vector (carrier.a : carrier.c).
         """
         F, table = self.field, self.coset_table()
-        _, reps = table.coset_partition(self.level_degree)
-        carriers = map(table.lift, reps)
+        carriers = map(table.lift, table.coset_partition(self.level_degree)[1])
         return [CuspData(end_from_vector(F, c.a, c.c), c) for c in carriers]
 
 
@@ -260,7 +259,8 @@ class CosetTable:
     the coset partitions by the images of the standard stabilizers, level
     by level, and a constructive section: `lift` rebuilds a determinant-1
     polynomial matrix from any residue matrix by splitting it into
-    elementary shears.
+    elementary shears. One dict keyed by members numbers the cosets of
+    B_0; a coarser partition is its least members and lists of numbers.
 
     Residue matrices are 4-tuples (a, b, c, d) of ring elements, which are
     integers (see `ResidueRing`); tuple order is the lexicographic order of
@@ -306,7 +306,8 @@ class CosetTable:
         self.index = len(members)
         self._constant_lifts = None
         self._diagonal_units = None
-        self._borel_cosets = {}  # k -> partition of B_k
+        self._coset_of = {}  # member -> its coset of B_0, the one dict keyed by members
+        self._borel_cosets = {}  # k -> `_borel(k)`
         self._origin_cosets = None  # partition of SL2(F_q)
 
     def __repr__(self) -> str:
@@ -394,10 +395,9 @@ class CosetTable:
         the map is built once per table.
         """
         if self._constant_lifts is None:
-            mapping = {}
+            self._constant_lifts = mapping = {}
             for g in NagaoLattice(self.field).base_stabilizer_elements(0):
                 mapping.setdefault(self.reduce(g), []).append(g)
-            self._constant_lifts = mapping
         return self._constant_lifts
 
     def diagonal_units(self) -> dict:
@@ -414,74 +414,77 @@ class CosetTable:
     # -- coset partitions by level -------------------------------------------------
 
     def coset_partition(self, n: int):
-        """The cosets g * B_k, k = min(n, deg f - 1), as ({member: coset number}, least members).
+        """The cosets g * B_k, k = min(n, deg f - 1), as (numbers, least members).
 
         B_k is the image of the upper-triangular stabilizer of (k, 0): at
         k = 0 the common stabilizer of (0, 0) and (1, 0), from k = deg f - 1
         on the full stabilizer of the zero end. Cosets are numbered in
         increasing order of least member. B_0's cosets are walked over the
-        sorted `elements`; B_k for k >= 1 is the union of the cosets
-        x * B_{k-1} over the q upper shears x by c*t^k, so its partition is
-        coarsened from B_{k-1}'s. Each level is computed once; callers
-        share the returned dict and list and must not modify them.
+        sorted `elements` into the one dict keyed by members; B_k, k >= 1, is
+        the union of the cosets x * B_{k-1} over the q upper shears x by c*t^k
+        and is coarsened from B_{k-1}'s. numbers[j] is the coset holding coset
+        j of `coset_partition(n - 1)`: the identity `range` at n = 0 and where
+        the two are equal. Built once per level; callers must not modify it.
         """
         k = min(n, self.ring.degree - 1)
-        part = self._borel_cosets.get(k)
-        if part is None:
-            ring = self.ring
-            if k < 1:
-                borel = frozenset(
-                    (ring.constant(alpha), b, ring.zero, ring.constant(alpha.inverse()))
-                    for alpha in self.field.units()
-                    for b in ring.low_degree(k)
-                )
-                part = self._walk(borel)
-            else:
-                shears = [(ring.one, s, 0, ring.one) for s in ring.low_degree(k)[: self.field.q]]
-                part = self._coarsen(self.coset_partition(k - 1), shears)
-            self._borel_cosets[k] = part
-        return part
+        numbers, least, _ = self._borel(k)
+        return (numbers if n == k else range(len(least))), least
 
     def vertex_partition(self, n: int):
         """The cosets of the image of the stabilizer of (n, 0), as `coset_partition`.
 
-        Above the origin that stabilizer is upper-triangular. At the origin
-        its image is SL2(F_q), the union of the cosets x * B_0 over the
-        q + 1 points x of P^1(F_q): the lower shears by constants and the
-        half turn.
+        numbers[j] is the coset holding coset j of `coset_partition(n)`, and
+        the two are equal above the origin. At the origin the image is SL2(F_q),
+        the union of the cosets x * B_0 over the q + 1 points x of P^1(F_q).
         """
         if n >= 1:
-            return self.coset_partition(n)
+            _, least = self.coset_partition(n)
+            return range(len(least)), least
         if self._origin_cosets is None:
             ring, one = self.ring, self.ring.one
             points = [(one, 0, ring.constant(c), one) for c in self.field.elements()]
             points.append((0, one, ring.neg(one), 0))
-            self._origin_cosets = self._coarsen(self.coset_partition(0), points)
+            self._origin_cosets = self._coarsen(self._borel(min(0, ring.degree - 1)), points)[:2]
         return self._origin_cosets
 
-    def _walk(self, subgroup):
-        """The cosets g * subgroup, met at their least members in sorted `elements`."""
-        matmul, coset_of, least = self.matmul, {}, []
-        for g in self.elements:
-            if g not in coset_of:
-                for s in subgroup:
-                    coset_of[matmul(g, s)] = len(least)
-                least.append(g)
-        return coset_of, least
+    def coset_number(self, m, n: int) -> int:
+        """The coset of `coset_partition(n)` holding m, by the member dict and a list."""
+        return self._borel(min(n, self.ring.degree - 1))[2][self._coset_of[m]]
+
+    def _borel(self, k: int):
+        """B_k's numbers, least members, and coset holding each coset of B_0."""
+        part = self._borel_cosets.get(k)
+        if part is None:
+            ring, matmul = self.ring, self.matmul
+            if k < 1:
+                low = ring.low_degree(k)
+                borel = {(a, b, ring.zero, d) for a, d in self.diagonal_units() for b in low}
+                coset_of, least = self._coset_of, []
+                for g in self.elements:
+                    if g not in coset_of:
+                        for s in borel:
+                            coset_of[matmul(g, s)] = len(least)
+                        least.append(g)
+                part = range(len(least)), least, range(len(least))
+            else:
+                shears = [(ring.one, s, 0, ring.one) for s in ring.low_degree(k)[: self.field.q]]
+                part = self._coarsen(self._borel(k - 1), shears)
+            self._borel_cosets[k] = part
+        return part
 
     def _coarsen(self, finer, xs):
-        """The cosets g * H' with H' the union of the x * H, from H's partition.
+        """The cosets g * H' with H' the union of the x * H, from H's `_borel` entry.
 
-        g * H' is the union of the cosets of g * x, and the least members
-        of H's cosets come in increasing order, so a coarse coset is met
-        first at its least member.
+        g * H' is the union of the cosets of g * x, and the least members of
+        H's cosets come in increasing order, so a coarse coset is met first at
+        its least member. Returns the `_borel` entry of H', numbering H's cosets.
         """
-        fine_of, fine_least = finer
-        matmul, least = self.matmul, []
+        _, fine_least, fine = finer
+        coset_of, matmul, least = self._coset_of, self.matmul, []
         number = [None] * len(fine_least)
         for k, g in enumerate(fine_least):
             if number[k] is None:
                 for x in xs:
-                    number[fine_of[matmul(g, x)]] = len(least)
+                    number[fine[coset_of[matmul(g, x)]]] = len(least)
                 least.append(g)
-        return {g: number[k] for g, k in fine_of.items()}, least
+        return number, least, [number[j] for j in fine]

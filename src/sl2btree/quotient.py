@@ -253,31 +253,31 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
     """The quotient graph of groups down to the given level depth.
 
     The vertex classes at level n are the cosets of the residue image of
-    the stabilizer of (n, 0), and the edge classes below them the cosets
-    of the edge stabilizer's image; an edge joins the classes holding its
-    coset's least member.
+    the stabilizer of (n, 0), and the edge classes below them the cosets k
+    of the edge stabilizer's image; edge k joins the classes holding it at
+    levels n and n + 1, read off the partitions' number lists.
     """
     if depth < 1:
         raise InvalidInputError("quotient depth must be at least 1")
     G = GraphOfGroups(lattice, depth)
     table = lattice.coset_table()
-    levels = []  # per level, ({member: coset number}, [vertex by coset number])
+    levels = []  # per level, (the vertex holding each coset of B_n, vertices by coset number)
     for n in range(depth + 1):
-        numbering, least = table.vertex_partition(n)
-        order = lattice.base_order(n)
-        verts = [
-            QuotientVertex(_vertex_id(lattice, n, k), n, k, order) for k in range(len(least))
-        ]
-        levels.append((numbering, verts))
+        order, (numbers, least) = lattice.base_order(n), table.vertex_partition(n)
+        verts = [QuotientVertex(_vertex_id(lattice, n, k), n, k, order) for k in range(len(least))]
+        levels.append((numbers, verts))
         G.vertices.update((v.id, v) for v in verts)
+    down = [[None] * len(verts) for _, verts in levels]  # per vertex its one down-edge
+    ups = [[0] * len(verts) for _, verts in levels]  # per vertex its number of up-edges
     for n in range(depth):
-        _, least = table.coset_partition(n)
-        (lower, lower_verts), (upper, upper_verts) = levels[n], levels[n + 1]
-        order = lattice.edge_order(n)
-        G.edges.extend(
-            QuotientEdge(lower_verts[lower[m]], upper_verts[upper[m]], order) for m in least
-        )
-    _detect_rays(G)
+        (lower, lower_verts), (_, upper_verts) = levels[n], levels[n + 1]
+        order, (upper, _), below = lattice.edge_order(n), table.coset_partition(n + 1), down[n + 1]
+        for lo, hi in zip(lower, upper):
+            e = QuotientEdge(lower_verts[lo], upper_verts[hi], order)
+            G.edges.append(e)
+            ups[n][lo] += 1
+            below[hi] = e if below[hi] is None else False  # False once it has several
+    _detect_rays(G, down, ups)
     return G
 
 
@@ -286,31 +286,27 @@ def _first_three_steps(ok: list[bool]) -> int | None:
     return next((k for k in range(len(ok) - 2) if all(ok[k : k + 3])), None)
 
 
-def _detect_rays(G: GraphOfGroups) -> None:
+def _detect_rays(G: GraphOfGroups, down: list[list], ups: list[list[int]]) -> None:
     """Find the chains going to the top depth and certify their tails.
 
     A chain is walked down from each deepest vertex while the vertex has
-    one down-edge and the vertex below it one up-edge; the base then slides
-    up until three consecutive steps multiply the stabilizer order by
-    exactly q with the edge group equal to the lower vertex group (the
-    nested index-q condition). Once those three steps certify, the rest of
-    the enumerated chain is required to continue the pattern.
+    one down-edge, `down[n][k]` for vertex k at level n (None for none,
+    False for several), and the vertex below it one up-edge, `ups[n][k]`
+    counting them; the base then slides up until three consecutive steps
+    multiply the stabilizer order by exactly q with the edge group equal to
+    the lower vertex group (the nested index-q condition). Once those three
+    steps certify, the rest of the enumerated chain must continue the pattern.
     """
     q = G.lattice.q
-    ups = Counter(e.v_from for e in G.edges)
-    down: dict[QuotientVertex, QuotientEdge | None] = {}  # its one down-edge, None if several
-    for e in G.edges:
-        down[e.v_to] = None if e.v_to in down else e
-    tops = sorted((v for v in G.vertices.values() if v.level == G.depth), key=lambda v: v.id)
-    for top in tops:
-        e = down.get(top)
-        if e is None:
+    for top in sorted((v for v in G.vertices.values() if v.level == G.depth), key=lambda v: v.id):
+        e = down[top.level][top.coset]
+        if not e:
             continue
         chain, chain_edges = [top], []
-        while e is not None and ups[e.v_from] == 1:
+        while e and ups[e.v_from.level][e.v_from.coset] == 1:
             chain.append(e.v_from)
             chain_edges.append(e)
-            e = down.get(e.v_from)
+            e = down[e.v_from.level][e.v_from.coset]
         chain.reverse()
         chain_edges.reverse()
         orders = [v.order for v in chain]
@@ -486,10 +482,10 @@ class _TransporterAlgebra:
         # the witness is a product of polynomial shears and half turns, so its
         # determinant is 1 and `CosetTable.reduce` need not check it again
         residue = tuple(map(self.ring.reduce, w.entries()))
-        coset_of, _ = self.table.vertex_partition(red.level)
+        numbers, _ = self.table.vertex_partition(red.level)
         image = _fused(w.a, c.a, w.b, c.c), _fused(w.c, c.a, w.d, c.c)
-        quotient_vertex = (red.level, coset_of[self.table.inverse(residue)])
-        return HoroballMember(y, red, residue, image, quotient_vertex)
+        coset = numbers[self.table.coset_number(self.table.inverse(residue), red.level)]
+        return HoroballMember(y, red, residue, image, (red.level, coset))
 
     def moving_transporter(self, end: End | None, y: HoroballMember, yp: HoroballMember):
         """A transporter from y to y' that moves the end, or None if all fix it.
@@ -685,8 +681,8 @@ def certify_independent_family(
             g = table.matmul(table.reduce(cusps[i].carrier), back)
             singles[i], reached[i] = single, set()
             for n, coset in reached[k]:
-                coset_of, least = table.vertex_partition(n)
-                reached[i].add((n, coset_of[table.matmul(g, least[coset])]))
+                numbers, least = table.vertex_partition(n)
+                reached[i].add((n, numbers[table.coset_number(table.matmul(g, least[coset]), n)]))
     for i, j in itertools.permutations(range(len(cusps)), 2):
         if not reached[i].isdisjoint(reached[j]):
             return _cross_counterexample(lattice, cusps, radius_vertices, truncation, i, j)

@@ -315,14 +315,15 @@ def end_difference_valuation(e1: End, e2: End) -> int:
     """v(w1 - w2) for two non-up ends, from the cross product of their vectors.
 
     y1 x2 - y2 x1 = x1 x2 (w1 - w2), so v(w1 - w2) is its valuation less
-    v(x1) + v(x2); a truncated end's x is 1. Raises EqualEndsError when
-    the product is an exact zero (two equal rational ends) and
-    EndPrecisionExhausted when it vanishes to its precision, which less
-    v(x1) + v(x2) is the shared horizon of the two ends.
+    v(x1) + v(x2); a truncated end's x is the exact 1, passed as a missing
+    factor. Raises EqualEndsError when the product is an exact zero (two
+    equal rational ends) and EndPrecisionExhausted when it vanishes to its
+    precision, which less v(x1) + v(x2) is the shared horizon of the ends.
     """
     if isinstance(e1, UpEnd) or isinstance(e2, UpEnd):
         raise InvalidInputError("difference valuation needs two finite-coordinate ends")
-    cross = _fused(e1.y, e2.x, e2.y, e1.x, minus=True)
+    x1, x2 = (None if isinstance(e, TruncatedEnd) else e.x for e in (e1, e2))
+    cross = _fused(e1.y, x2, e2.y, x1, minus=True)
     if cross.is_exact_zero():
         raise EqualEndsError("the two rational ends coincide")
     shift = e1.x.valuation() + e2.x.valuation()

@@ -19,7 +19,12 @@ from sl2btree.lattice import NagaoLattice
 from sl2btree.polys import all_t_polys, from_t_coeffs, t_coeffs, t_degree
 from sl2btree.quotient import (
     CounterexamplePair,
+    GraphOfGroups,
+    QuotientEdge,
+    QuotientVertex,
+    RayTail,
     _TransporterAlgebra,
+    _vertex_id,
     certify_independent_horoball,
 )
 from sl2btree.series import INFINITY, LaurentSeries
@@ -126,12 +131,107 @@ def cusp_ray_matches_by_scan(G, cusps) -> list[tuple[int, int]]:
             if level - base >= len(ray.vertices):
                 continue
             vertex = ray.vertices[level - base]
-            coset_of, _ = table.vertex_partition(level)
-            if coset_of[m] == vertex.coset:
+            numbers, _ = table.vertex_partition(level)
+            if numbers[table.coset_number(m, level)] == vertex.coset:
                 hits.append(ri)
         if len(hits) == 1:
             matches.append((ci, hits[0]))
     return matches
+
+
+def stabilizer_images(table, n: int) -> tuple[frozenset, frozenset]:
+    """The residue images of the stabilizers of (n, 0) and of the edge to (n + 1, 0).
+
+    From their definitions over F_q[t]: the edge stabilizer is the
+    matrices [[alpha, b], [0, alpha^-1]] with alpha in F_q^x and
+    deg b <= n, reduced entry by entry through `ResidueRing.reduce` (b of
+    degree at least deg f reduces like b mod f, so the degrees stop
+    there); the vertex stabilizer is SL2(F_q) at the origin and the edge
+    stabilizer above it.
+    """
+    F, ring = table.field, table.ring
+    const = {x: ring.reduce(LaurentSeries.exact(F, {0: x} if x else {})) for x in F.elements()}
+    offsets = {ring.reduce(b) for b in all_t_polys(F, min(n, ring.degree - 1))}
+    units = [x for x in F.elements() if x]
+    edge = frozenset(
+        (const[a], b, const[F.zero], const[a.inverse()]) for a in units for b in offsets
+    )
+    if n >= 1:
+        return edge, edge
+    vertex = frozenset(
+        tuple(const[x] for x in m)
+        for m in itertools.product(F.elements(), repeat=4)
+        if m[0] * m[3] - m[1] * m[2] == F.one
+    )
+    return vertex, edge
+
+
+def enumerated_partition(table, subgroup) -> tuple[dict, list]:
+    """The cosets g * subgroup numbered by walking every sorted member."""
+    coset_of, least = {}, []
+    for g in table.elements:
+        if g not in coset_of:
+            for s in subgroup:
+                coset_of[table.matmul(g, s)] = len(least)
+            least.append(g)
+    return coset_of, least
+
+
+def rays_by_chain_walk(G) -> list:
+    """`quotient._detect_rays` as a walk over G.edges: the up-edge count of
+    each vertex by a Counter, its one down-edge (or None) by a dict."""
+    q = G.lattice.q
+    ups = Counter(e.v_from for e in G.edges)
+    down = {}
+    for e in G.edges:
+        down[e.v_to] = None if e.v_to in down else e
+    rays = []
+    for top in sorted((v for v in G.vertices.values() if v.level == G.depth), key=lambda v: v.id):
+        e, chain, chain_edges = down.get(top), [top], []
+        if e is None:
+            continue
+        while e is not None and ups[e.v_from] == 1:
+            chain.append(e.v_from)
+            chain_edges.append(e)
+            e = down.get(e.v_from)
+        chain.reverse()
+        chain_edges.reverse()
+        orders = [v.order for v in chain]
+        ok = [hi == q * lo and e.order == lo for lo, hi, e in zip(orders, orders[1:], chain_edges)]
+        base = next((k for k in range(len(ok) - 2) if all(ok[k : k + 3])), None)
+        if base is not None and not all(ok[base:]):
+            raise NonterminationGuard("certified tail pattern broke inside the enumerated range")
+        start = base or 0
+        rays.append(RayTail(chain[start:], chain_edges[start:], base is not None))
+    return rays
+
+
+def quotient_graph_by_lookup(lattice, depth: int):
+    """`quotient_graph` by member lookups.
+
+    Per level, {member: coset number} dicts of the vertex and edge
+    partitions from `enumerated_partition` of `stabilizer_images`; each
+    edge class, the coset of its least member m, joins the vertex classes
+    holding m at its two levels; the rays come from `rays_by_chain_walk`.
+    Vertex ids and orders are the lattice's.
+    """
+    table = lattice.coset_table()
+    G = GraphOfGroups(lattice, depth)
+    levels = []  # per level, (vertex dict, edge partition, vertices by coset number)
+    for n in range(depth + 1):
+        vertex, edge = stabilizer_images(table, n)
+        vertex_of, least = enumerated_partition(table, vertex)
+        order = lattice.base_order(n)
+        verts = [QuotientVertex(_vertex_id(lattice, n, k), n, k, order) for k in range(len(least))]
+        G.vertices.update((v.id, v) for v in verts)
+        levels.append((vertex_of, enumerated_partition(table, edge), verts))
+    for (lower, (_, least), lower_verts), (upper, _, upper_verts) in zip(levels, levels[1:]):
+        order = lattice.edge_order(lower_verts[0].level)
+        G.edges.extend(
+            QuotientEdge(lower_verts[lower[m]], upper_verts[upper[m]], order) for m in least
+        )
+    G.rays = rays_by_chain_walk(G)
+    return G
 
 
 def radius_vertices_by_bezout(report) -> list[Vertex]:

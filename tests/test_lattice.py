@@ -26,7 +26,7 @@ from sl2btree.quotient import growth_probe
 from sl2btree.series import LaurentSeries, _fused
 from sl2btree.tree import Vertex
 
-from brute_force import stabilizer_bruteforce
+from brute_force import enumerated_partition, stabilizer_bruteforce, stabilizer_images
 
 
 F = field(2)
@@ -321,17 +321,6 @@ def test_coset_table_subgroup_images():
     assert len(least) == 8
 
 
-def _enumerated_partition(table, subgroup):
-    """The cosets g * subgroup numbered by walking every sorted member."""
-    coset_of, least = {}, []
-    for g in table.elements:
-        if g not in coset_of:
-            for s in subgroup:
-                coset_of[table.matmul(g, s)] = len(least)
-            least.append(g)
-    return coset_of, least
-
-
 @pytest.mark.parametrize(
     "q,level",
     [
@@ -341,17 +330,29 @@ def _enumerated_partition(table, subgroup):
 )
 def test_coset_partition_numbers_cosets_by_least_member(q, level):
     # the partitions derived from finer ones against the enumeration of
-    # every member, at every level down to deg f + 1
+    # every member, at every level down to deg f + 1: their least members,
+    # `coset_number` of every member, and the number lists that carry the
+    # cosets of one level to the next and to the vertex classes
     Fq = field(q)
     lat = NagaoLattice(Fq) if level is None else CongruenceLattice(Fq, parse_series(Fq, level))
     table = lat.coset_table()
     images = [_images(table, n) for n in range(lat.level_degree + 2)]
+    finer = None
     for n, (vertex, edge) in enumerate(images):
-        for (coset_of, least), subgroup in (
-            (table.vertex_partition(n), vertex), (table.coset_partition(n), edge)
-        ):
-            assert (coset_of, least) == _enumerated_partition(table, subgroup)
-            assert len(least) * len(subgroup) == table.index
+        assert stabilizer_images(table, n) == (vertex, edge)
+        edge_of, edge_least = enumerated_partition(table, edge)
+        vertex_of, vertex_least = enumerated_partition(table, vertex)
+        numbers, least = table.coset_partition(n)
+        to_vertex, least_vertex = table.vertex_partition(n)
+        assert (least, least_vertex) == (edge_least, vertex_least)
+        assert {m: table.coset_number(m, n) for m in table.elements} == edge_of
+        assert {m: to_vertex[k] for m, k in edge_of.items()} == vertex_of
+        if finer is None:
+            assert list(numbers) == list(range(len(least)))
+        else:
+            assert {m: numbers[k] for m, k in finer.items()} == edge_of
+        assert len(least) * len(edge) == len(least_vertex) * len(vertex) == table.index
+        finer = edge_of
     if table.index <= 1000:
         # least members in increasing order, one per coset g * subgroup
         for n, (vertex, _) in enumerate(images):

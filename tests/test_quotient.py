@@ -71,18 +71,38 @@ def test_uncertified_tail_at_shallow_depth():
         covolume(quotient_graph(nagao2, 2))
 
 
+def _detect_rays(G):
+    """`quotient._detect_rays` on a hand-built graph, with the down-edge
+    and up-count lists that `quotient_graph` fills, built from G.edges.
+
+    Vertices are numbered within their level by their `coset` field.
+    """
+    sizes = Counter(v.level for v in G.vertices.values())
+    down = [[None] * sizes[n] for n in range(G.depth + 1)]
+    ups = [[0] * sizes[n] for n in range(G.depth + 1)]
+    below = {}
+    for e in G.edges:
+        ups[e.v_from.level][e.v_from.coset] += 1
+        below.setdefault(e.v_to, []).append(e)
+    for v, edges in below.items():
+        down[v.level][v.coset] = edges[0] if len(edges) == 1 else False
+    quotient._detect_rays(G, down, ups)
+
+
 def test_ray_detection_on_a_hand_built_graph():
     # C0-C1-C2-C3 is a chain whose steps all multiply the order by q = 2;
     # T1 and T2 hang from the branch M, T3 has no down-edge and T4 two
     G = quotient.GraphOfGroups(NagaoLattice(field(2)), 3)
+    per_level = Counter()
     for vid, level, order in [("C0", 0, 1), ("C1", 1, 2), ("C2", 2, 4), ("C3", 3, 8),
                               ("B", 1, 1), ("M", 2, 1), ("T1", 3, 1), ("T2", 3, 1),
                               ("T3", 3, 1), ("M2", 2, 1), ("M3", 2, 1), ("T4", 3, 1)]:
-        G.vertices[vid] = quotient.QuotientVertex(vid, level, 0, order)
+        G.vertices[vid] = quotient.QuotientVertex(vid, level, per_level[level], order)
+        per_level[level] += 1
     for lo, hi, order in [("C0", "C1", 1), ("C1", "C2", 2), ("C2", "C3", 4), ("B", "M", 1),
                           ("M", "T1", 1), ("M", "T2", 1), ("M2", "T4", 1), ("M3", "T4", 1)]:
         G.edges.append(quotient.QuotientEdge(G.vertices[lo], G.vertices[hi], order))
-    quotient._detect_rays(G)
+    _detect_rays(G)
     assert [_ray_links(G, r) + (r.vertices[0].level, r.certified) for r in G.rays] == [
         (["C0", "C1", "C2", "C3"], [0, 1, 2], 0, True),
         (["T1"], [], 3, False),
@@ -110,16 +130,46 @@ def test_certified_ray_pattern_must_hold_above_its_base():
     # three index-2 steps certify from C0, then C3-C4 keeps the order
     G = _chain_graph([1, 2, 4, 8, 8], [1, 2, 4, 8])
     with pytest.raises(NonterminationGuard, match="certified tail pattern broke"):
-        quotient._detect_rays(G)
+        _detect_rays(G)
 
 
 def test_ray_steps_need_the_edge_group_to_be_the_lower_vertex_group():
     # the orders double at each step, but the middle edge group has order 1, not 2
     G = _chain_graph([1, 2, 4, 8], [1, 1, 4])
-    quotient._detect_rays(G)
+    _detect_rays(G)
     assert [_ray_links(G, r) + (r.certified,) for r in G.rays] == [
         (["C0", "C1", "C2", "C3"], [0, 1, 2], False)
     ]
+
+
+ORACLE_LATTICES = [(2, None), (9, None), (4, "t"), (9, "t"), (3, "t^2"), (2, "t^3"),
+                   (2, "t^4+t^3+t^2+t")]
+
+
+@pytest.mark.parametrize(
+    "q,level", ORACLE_LATTICES, ids=[f"F{q}-{lv or 'full'}" for q, lv in ORACLE_LATTICES]
+)
+def test_quotient_graph_agrees_with_the_member_lookup_route(q, level):
+    # vertices, edges in printed order and rays against per-level member
+    # dicts, one lookup per edge end and the chain walk over G.edges
+    lattice = _lattice(q, level)
+    d = lattice.level_degree
+    for depth in sorted({1, max(d, 1), d + 1, 8}):
+        G, H = quotient_graph(lattice, depth), brute_force.quotient_graph_by_lookup(lattice, depth)
+        (verts, edges), (their_verts, their_edges) = G._sorted(), H._sorted()
+        assert [(v.id, v.level, v.coset, v.order) for v in verts] == [
+            (v.id, v.level, v.coset, v.order) for v in their_verts
+        ]
+        assert [(e.v_from.id, e.v_to.id, e.order) for e in edges] == [
+            (e.v_from.id, e.v_to.id, e.order) for e in their_edges
+        ]
+        assert [
+            ([v.id for v in r.vertices], [(e.v_from.id, e.v_to.id) for e in r.edges], r.certified)
+            for r in G.rays
+        ] == [
+            ([v.id for v in r.vertices], [(e.v_from.id, e.v_to.id) for e in r.edges], r.certified)
+            for r in H.rays
+        ]
 
 
 def test_level_t_quotient_is_a_tripod():

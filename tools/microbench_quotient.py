@@ -11,11 +11,12 @@ alike. Run from the root of a checkout:
 
 - `partitions`: every partition that a quotient to depth 8 reads, the
   `CosetTable.vertex_partition(n)` and `coset_partition(n)` of the levels
-  0..8, on a table built afresh before each timed run; the table's own
-  construction is not timed.
+  0..8, on a table built afresh before each timed run: B_0's walk into the
+  table's one member dict, and each coarser level's least members and
+  lists of coset numbers. The table's own construction is not timed.
 - `quotient_graph`: `quotient_graph(lattice, 8)` on a lattice whose
   table already holds those partitions, so the row is the graph's
-  assembly and ray detection.
+  assembly from the number lists and ray detection.
 - `json.dumps`: `json.dumps(G.to_json_dict(), indent=2)` of that graph,
   the reference text.
 - `_json_text`: `cli._json_text` of the same dict, which the command line
