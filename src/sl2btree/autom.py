@@ -15,7 +15,8 @@ Elliptic elements come with a certified fixed vertex (the midpoint of a
 displacement geodesic, which the element is checked to fix). Hyperbolic
 elements come with their translation length and their attracting/repelling
 ends: exact rational ends for triangular matrices, and for full matrices a
-truncated end certified to the requested depth by an explicit
+truncated end to the requested depth, read off the image of the up end
+under the one power that carries it there and certified by an explicit
 subtree-trapping test (the candidate branch is mapped into itself
 strictly, which pins every computed digit of the attracting end).
 
@@ -34,18 +35,15 @@ from .errors import (
     NonterminationGuard,
     NotFixingError,
     NotTypePreserving,
+    SizeGuardExceeded,
 )
 from .field import Field
 from .series import INFINITY, LaurentSeries, _fused
 from .tree import End, Tree, TruncatedEnd, Vertex, end_from_vector
 
-# Caps of `_attracting_end_iterated`. Squarings of an exact element: round r
-# certifies about 2^(r-1) times the translation length digits, and the
-# entries of its power span 2^r times the element's degrees, so the guard
-# fires before they can exhaust memory. Steps of an inexact element: each
-# gains about half the translation length, until the precision runs out.
-_SQUARING_CAP = 20
-_STEP_CAP = 512
+# The largest power g^k formed for an attracting end, checked before any
+# product: 2^19, the power that twenty squarings reach.
+_MAX_END_POWER = 2**19
 
 
 def _divide_available(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
@@ -57,7 +55,8 @@ def _divide_available(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
         budget = min(budget, num.prec - num.valuation_lower_bound())
     if budget < 1:
         raise InsufficientPrecision("no determined digits survive the division")
-    return num * den.inverse(budget)
+    n = num.valuation() - den.valuation() + budget
+    return num.quotient(den, n).reduce_precision(n)
 
 
 def _end_of(field: Field, x: LaurentSeries, y: LaurentSeries) -> End:
@@ -376,45 +375,42 @@ class TreeAutomorphism:
         if pairs is not None:
             (e1, l1), (e2, l2) = pairs
             return e1 if l1.valuation() < l2.valuation() else e2
-        return self._attracting_end_iterated(depth)
+        return self._attracting_end_iterated(depth, length)
 
     def repelling_end(self, depth: int = 12) -> End:
         return self.adjugate().attracting_end(depth)
 
-    def _attracting_end_iterated(self, depth: int) -> End:
+    def _attracting_end_iterated(self, depth: int, length: int) -> End:
         F = self.field
         tree = Tree(F)
         # The fixed ends w solve b w^2 + (a - d) w - c = 0, so (w+ - w-)^2 is
-        # (tr^2 - 4 det) / b^2, of valuation 2 v(tr) - 2 v(b) when hyperbolic.
-        # Only a branch below the level where they part holds w+ without w-.
-        level = max(depth, self.trace().valuation() - self.b.valuation() + 1)
-        # The candidate is (h.b : h.d), the image of the up end. h.b is no
-        # exact zero: a power of a hyperbolic element fixes only its two ends,
-        # and b is no exact zero, so the up end is not one of them. An exact
-        # element is squared, h = g^(2^r) in round r, which doubles the
-        # candidate's agreement with w+ each round, and its digits are read
-        # by one division, with no end built. An inexact one steps, h = g^k:
-        # a square can skip the few powers whose candidate still has the
-        # digits to certify.
-        exact = all(e.prec is INFINITY for e in self.entries())
-        cap = _SQUARING_CAP if exact else _STEP_CAP
-        h = self
-        for round_ in range(cap):
-            if round_:
-                h = h * h if exact else self * h
-            res = h.d.quotient(h.b, level) if exact else _end_of(F, h.b, h.d).coordinate_mod(level)
-            branch = Vertex(level, res)
-            image = self.act_vertex(branch)
-            if not tree.is_descendant(image, branch):
-                continue
+        # (tr^2 - 4 det) / b^2, of valuation 2 v(tr) - 2 v(b) when hyperbolic:
+        # they part at level m0 = v(tr) - v(b), where the up end's geodesic
+        # meets the axis, and only a branch below it holds w+ without w-.
+        parting = self.trace().valuation() - self.b.valuation()
+        level = max(depth, parting + 1)
+        # g^k carries that meeting point k * length toward w+, so the image
+        # (h.b : h.d) of the up end under h = g^k shares m0 + k * length
+        # digits with w+; h.b is no exact zero, as h does not fix the up end.
+        k = -((parting - level) // length)  # ceil((level - m0) / length)
+        if k > _MAX_END_POWER:
+            raise SizeGuardExceeded(
+                f"attracting end to depth {depth} needs g^{k}, above the bound g^{_MAX_END_POWER}"
+            )
+        h = self ** k
+        # an exact candidate's digits are one division, with no end built
+        if h.b.is_exact() and h.d.is_exact():
+            res = h.d.quotient(h.b, level)
+        else:
+            res = _end_of(F, h.b, h.d).coordinate_mod(level)
+        branch = Vertex(level, res)
+        image = self.act_vertex(branch)
+        if tree.is_descendant(image, branch):
             parent_image = self.act_vertex(tree.parent(branch))
-            if tree.distance(branch, parent_image) == tree.distance(branch, image) + 1:
-                # the branch is carried inward from the outside: wrong side
-                continue
-            return TruncatedEnd(F, res.reduce_precision(depth))
-        raise NonterminationGuard(
-            f"no certified attracting branch within {cap} iterations"
-        )
+            # a branch carried inward from the outside is the wrong side
+            if tree.distance(branch, parent_image) != tree.distance(branch, image) + 1:
+                return TruncatedEnd(F, res.reduce_precision(depth))
+        raise NonterminationGuard(f"the branch at level {level} read off g^{k} is not certified")
 
     # -- fixing depth --------------------------------------------------------------
 

@@ -547,3 +547,34 @@ def busemann_after_walk(tree: Tree, x: Vertex, y: Vertex, end: End) -> int:
         for _ in range(tree.distance(x, y)):
             z = tree.step_to_end(z, end)
     return _height(x, end) - _height(y, end)
+
+
+# -- the search for an attracting end that its closed-form power replaced -------------
+
+
+def attracting_end_by_stepping(g: TreeAutomorphism, depth: int, cap: int = 4096):
+    """The attracting end of a hyperbolic full matrix to `depth`, and the
+    power that certified it, by one power of g at a time.
+
+    The candidate of g^k is its image of the up end, read to the level
+    max(depth, v(tr) - v(b) + 1); it is certified when g carries the
+    branch at that level strictly into itself, from the inside. Errors of
+    each step propagate, and `cap` powers without a certified branch raise
+    `NonterminationGuard`.
+    """
+    F = g.field
+    tree = Tree(F)
+    level = max(depth, g.trace().valuation() - g.b.valuation() + 1)
+    h = g
+    for k in range(1, cap + 1):
+        if k > 1:
+            h = g * h
+        res = h.act_end(UpEnd(F)).coordinate_mod(level)
+        branch = Vertex(level, res)
+        image = g.act_vertex(branch)
+        if not tree.is_descendant(image, branch):
+            continue
+        parent_image = g.act_vertex(tree.parent(branch))
+        if tree.distance(branch, parent_image) != tree.distance(branch, image) + 1:
+            return TruncatedEnd(F, res.reduce_precision(depth)), k
+    raise NonterminationGuard(f"no certified attracting branch within {cap} powers")

@@ -56,7 +56,7 @@ def test_classify_with_ends(capsys):
         ("[[t mod p^3,0],[0,p]]", ("rat(0, 1)", "up")),
         ("[[t,1],[0,p mod p^3]]", ("rat(0, 1)", "trunc(t+p, 3)")),
         ("[[t,0],[1,p mod p^3]]", ("trunc(p+p^3, 5)", "up")),
-        # the iteration's end is known to fewer digits than asked for
+        # the power's candidate end is known to fewer digits than asked for
         ("[[t,1 mod p^4],[1,0]]", None),
         ("[[t,1 mod p^9],[1,0]]", ("trunc(p, 3)", "trunc(t+p, 3)")),
     ],
@@ -456,8 +456,8 @@ def test_nonpositive_end_depth_exits_3(capsys):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_classify_certifies_deep_ends(capsys, q):
-    # each squaring of an exact matrix doubles the digits its candidate
-    # shares with the end, so depth 1 100 takes ten squarings
+    # the candidate read off g^k shares k times the length 2 digits with the
+    # end, less one, so depth 1 100 is read off the one power g^551
     F = field(q)
     g = parse_matrix(F, "[[t,1],[1,0]]")
     ends = {}
@@ -473,6 +473,24 @@ def test_classify_certifies_deep_ends(capsys, q):
         residual = g.b * w * w + (g.a - g.d) * w - g.c
         assert not residual.has_terms() and residual.prec >= 1099
         assert w.reduce_precision(6) == shallow.y
+
+
+def test_classify_reads_a_deep_end_of_a_precise_inexact_matrix(capsys):
+    # depth 1 100 is read off g^551, and the entry's 3 000 digits leave that
+    # power the digits it needs, so the ends are those of the exact matrix
+    _, exact, _ = run(capsys, ["classify", "[[t,1],[1,0]]", "--ends", "1100"])
+    rc, out, err = run(capsys, ["classify", "[[t,1 mod p^3000],[1,0]]", "--ends", "1100"])
+    assert (rc, err) == (0, "")
+    assert out == exact
+
+
+def test_classify_refuses_an_end_beyond_the_power_bound(capsys):
+    # depth 2 000 000 needs g^1000001, past the bound 2^19, refused before any product
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["classify", "[[t,1],[1,0]]", "--ends", "2000000"])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (4, "")
+    assert "g^1000001" in err and f"g^{2**19}" in err
 
 
 def test_out_writes_a_file(tmp_path, capsys):

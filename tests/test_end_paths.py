@@ -9,6 +9,12 @@ the shared horizon, and a walk of d(x, y) steps before the closed form.
 Each call gives the oracle's value, or its error class and message, over
 F_2, F_3, F_4 and F_9, for matrices with inexact entries and truncated
 ends of horizon 1 to 12.
+
+The attracting end of a full matrix is read off the one power g^k that
+carries the up end's candidate to the requested level, k = ceil((level -
+m0) / length) with m0 = v(tr) - v(b) the level where the fixed ends part.
+`attracting_end_by_stepping` keeps the search it replaced, one power at a
+time, and reports the power that certified.
 """
 
 import time
@@ -18,13 +24,19 @@ from hypothesis import given, settings, strategies as st
 
 import sl2btree.tree
 from sl2btree.autom import TreeAutomorphism
-from sl2btree.errors import EndPrecisionExhausted, InvalidInputError, Sl2BTreeError
+from sl2btree.errors import (
+    EndPrecisionExhausted,
+    InsufficientPrecision,
+    InvalidInputError,
+    Sl2BTreeError,
+)
 from sl2btree.field import field
 from sl2btree.literals import parse_matrix
 from sl2btree.series import LaurentSeries
-from sl2btree.tree import Tree, TruncatedEnd, Vertex, end_difference_valuation
+from sl2btree.tree import Tree, TruncatedEnd, Vertex, end_difference_valuation, end_from_vector
 from brute_force import (
     act_truncated_end_by_division,
+    attracting_end_by_stepping,
     busemann_after_walk,
     difference_valuation_by_expansion,
 )
@@ -100,6 +112,29 @@ def matrices(draw, F):
         return TreeAutomorphism(F, *(draw(entries(F)) for _ in range(4)))
     except InvalidInputError:
         return None
+
+
+@st.composite
+def hyperbolic_matrices(draw, F, exact=False):
+    """[[1 + s*u, s*pi^m], [u*pi^-m, 1]]: the product of the shears by s and
+    u, conjugated by diag(pi^m, 1), m in -3..3. With v(s) + v(u) = -j,
+    j in 1..3, its trace has valuation -j, so it is hyperbolic of length 2j,
+    and full. Unless `exact`, each entry is known mod pi^N with probability
+    1/2, N 1 to 120 past its valuation."""
+
+    def led(v):
+        lead = draw(st.sampled_from(list(F.units())))
+        return LaurentSeries(F, {**_series(draw, F, v + 1, v + 3), v: lead})
+
+    vs, j, m = draw(st.integers(-3, 1)), draw(st.integers(1, 3)), draw(st.integers(-3, 3))
+    g = TreeAutomorphism.upper_shear(F, led(vs)) * TreeAutomorphism.lower_shear(F, led(-vs - j))
+    entries = [g.a, g.b.shift(m), g.c.shift(-m), g.d]
+    if not exact:
+        entries = [
+            e.reduce_precision(e.valuation() + draw(st.integers(1, 120))) if draw(st.booleans()) else e
+            for e in entries
+        ]
+    return TreeAutomorphism(F, *entries)
 
 
 @st.composite
@@ -195,8 +230,8 @@ def test_busemann_refuses_exactly_where_the_walk_runs_out(q, monkeypatch):
 
 
 def test_deep_attracting_end_reads_its_candidates_by_division(monkeypatch):
-    """An exact element's candidate ends are read by one division each: no
-    rational end is built, so no gcd is taken."""
+    """An exact element's candidate end is read by one division: no rational
+    end is built, so no gcd is taken."""
 
     def no_gcd(*args):
         raise AssertionError("gcd_t called")
@@ -220,3 +255,75 @@ def test_truncated_ends_are_read_as_their_vector():
     # the half turn sends (1 : w) to (-w : 1): -1/w = -p, known mod p^6
     image = TreeAutomorphism.half_turn(F).act_end(end)
     assert image == TruncatedEnd(F, LaurentSeries(F, {1: -F.one}, 6))
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_attracting_end_is_the_first_power_that_certifies(q, data):
+    """Where the search answers, the one power answers the same end, and the
+    search's certifying power is ceil((level - m0) / length). Where only the
+    power answers, the end's digits solve b w^2 + (a - d) w - c = 0."""
+    F = field(q)
+    g = data.draw(st.one_of(matrices(F), hyperbolic_matrices(F), hyperbolic_matrices(F, True)))
+    if g is None or g.b.is_exact_zero() or g.c.is_exact_zero():
+        return
+    length = _outcome(g.translation_length)
+    if length[0] != "value" or length[1] == 0:
+        return
+    parting = _outcome(lambda: g.trace().valuation() - g.b.valuation())
+    if parting[0] != "value":
+        return
+    length, parting = length[1], parting[1]
+    # a depth that the power k in 1..16 reaches and k - 1 does not
+    k = data.draw(st.integers(1, 16))
+    depth = max(1, parting + (k - 1) * length + data.draw(st.integers(1, length)))
+    got = _outcome(g.attracting_end, depth)
+    oracle = _outcome(attracting_end_by_stepping, g, depth)
+    if oracle[0] == "value":
+        end, power = oracle[1]
+        assert got == ("value", end)
+        level = max(depth, parting + 1)
+        assert power == -(-(level - parting) // length)
+    elif got[0] == "value":
+        w = got[1].y
+        assert w.prec == depth
+        residual = g.b * w * w + (g.a - g.d) * w - g.c
+        assert not residual.has_terms()
+
+
+@pytest.mark.parametrize("q", QS)
+@PROPERTY
+@given(data=st.data())
+def test_each_power_carries_the_up_end_one_length_down_the_axis(q, data):
+    """The up end's geodesic meets the axis at level m0 = v(tr) - v(b), and
+    g^k moves that vertex k * length toward the attracting end, so the image
+    of the up end under g^k shares exactly m0 + k * length digits with it."""
+    F = field(q)
+    g = data.draw(hyperbolic_matrices(F, exact=True))
+    length = g.translation_length()
+    parting = g.trace().valuation() - g.b.valuation()
+    deep = g.attracting_end(max(1, parting + 6 * length + 1))
+    for k in range(1, 7):
+        h = g**k
+        assert end_difference_valuation(end_from_vector(F, h.b, h.d), deep) == parting + k * length
+
+
+def test_one_power_answers_where_an_earlier_power_runs_out(monkeypatch):
+    """Over F_3, [[2t^2 + t, 1], [2t^2, 0 mod p^4]] has length 2 and m0 = -2,
+    so depth 1 is read off g^2, the one power formed. The search first reads
+    g's own candidate (1 : 0 mod p^4), which `act_end` refuses to divide,
+    and stops there."""
+    F = field(3)
+    g = parse_matrix(F, "[[2*t^2+t,1],[2*t^2,0 mod p^4]]")
+    refused = _outcome(attracting_end_by_stepping, g, 1)
+    assert refused == (InsufficientPrecision, "no determined digits survive the division")
+    powers = []
+    power = TreeAutomorphism.__pow__
+    monkeypatch.setattr(TreeAutomorphism, "__pow__", lambda h, k: powers.append(k) or power(h, k))
+    end = g.attracting_end(1)
+    assert powers[0] == 2
+    assert end == TruncatedEnd(F, LaurentSeries(F, {0: F.one}, 1))
+    w = end.y
+    residual = g.b * w * w + (g.a - g.d) * w - g.c
+    assert not residual.has_terms()
