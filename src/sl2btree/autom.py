@@ -47,15 +47,19 @@ _MAX_END_POWER = 2**19
 
 
 def _divide_available(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
-    """num/den to the precision the operands support (at least one inexact)."""
-    budget = INFINITY
+    """num/den to the precision the operands support (at least one inexact).
+
+    The quotient is known mod pi^n: n = num.prec - v(den) as far as the
+    numerator goes, and v(num) - v(den) plus den's relative precision
+    den.prec - v(den) as far as the denominator goes. A numerator that
+    vanishes to its precision divides to zero mod pi^n.
+    """
+    vd = den.valuation()
+    n = INFINITY
     if den.prec is not INFINITY:
-        budget = min(budget, den.prec - den.valuation())
+        n = num.valuation_lower_bound() + den.prec - 2 * vd
     if num.prec is not INFINITY:
-        budget = min(budget, num.prec - num.valuation_lower_bound())
-    if budget < 1:
-        raise InsufficientPrecision("no determined digits survive the division")
-    n = num.valuation() - den.valuation() + budget
+        n = min(n, num.prec - vd)
     return num.quotient(den, n).reduce_precision(n)
 
 

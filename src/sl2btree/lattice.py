@@ -8,7 +8,7 @@ only checks and names a nonconstant level. Every vertex is equivalent under
 SL2(F_q[t]) to exactly one vertex (n, 0) with n >= 0, and `reduce_vertex`
 computes that normal form together with a witnessing group element. The
 global structure is driven by the finite matrix group over F_q[t]/(f),
-materialized in `CosetTable`.
+whose cosets `CosetTable` numbers.
 
 Vertex stabilizers come in one closed form in d = deg f and the scalar
 units, the constants alpha = 1 mod f (all of F_q^x when d = 0, else only
@@ -254,13 +254,15 @@ class CongruenceLattice(NagaoLattice):
 class CosetTable:
     """The finite matrix group over F_q[t]/(f) with lifts back to F_q[t].
 
-    Materializes all determinant-1 matrices over the residue ring (the
-    image of the polynomial lattice, which reduction maps onto), provides
-    the coset partitions by the images of the standard stabilizers, level
-    by level, and a constructive section: `lift` rebuilds a determinant-1
-    polynomial matrix from any residue matrix by splitting it into
-    elementary shears. One dict keyed by members numbers the cosets of
-    B_0; a coarser partition is its least members and lists of numbers.
+    Counts the determinant-1 matrices over the residue ring (the image of
+    the polynomial lattice, which reduction maps onto) by their first rows,
+    provides the coset partitions by the images of the standard
+    stabilizers, level by level, and a constructive section: `lift`
+    rebuilds a determinant-1 polynomial matrix from any residue matrix by
+    splitting it into elementary shears. Cosets are numbered from column
+    data: B_0's by a digit test on their least members, the coarser levels
+    by a key of the first column (see `_b0_number` and `_borel`). No table
+    holds every member; `elements` lists them only when read.
 
     Residue matrices are 4-tuples (a, b, c, d) of ring elements, which are
     integers (see `ResidueRing`); tuple order is the lexicographic order of
@@ -297,24 +299,34 @@ class CosetTable:
             raise SizeGuardExceeded(
                 f"residue group SL2(R) has {size} elements (bound {max_candidates})"
             )
-        # the second rows of a first row (a, b) are (c0, d0) + s*(a, b), s in R
-        members = []
-        for a, b, c0, d0 in rows:
-            ra, rb = add[c0], add[d0]
-            members.extend(sorted((a, b, ra[mul[s][a]], rb[mul[s][b]]) for s in range(n)))
-        self.elements = members
-        self.index = len(members)
+        self._rows = rows
+        self.index = size
         self._constant_lifts = None
         self._diagonal_units = None
-        self._coset_of = {}  # member -> its coset of B_0, the one dict keyed by members
-        self._borel_cosets = {}  # k -> `_borel(k)`
-        self._origin_cosets = None  # partition of SL2(F_q)
+        self._borel_cosets = {}  # n -> `_borel(n)`
+        self._vertex_cosets = {}  # n -> `vertex_partition(n)`
 
     def __repr__(self) -> str:
         return (
             f"CosetTable(q={self.field.q}, modulus={self.ring.modulus}, "
             f"size={self.index})"
         )
+
+    @functools.cached_property
+    def elements(self) -> list:
+        """Every member in increasing order, listed when first read."""
+        members = []
+        for row in self._rows:
+            members += self._row_members(*row)
+        return members
+
+    def _row_members(self, a, b, c0, d0) -> list:
+        """The members with first row (a, b) in increasing order: their second
+        rows are (c0, d0) + s*(a, b), s in R, and s*a is row a of the
+        (symmetric) multiplication table."""
+        cs = map(self._add[c0].__getitem__, self._mul[a])
+        ds = map(self._add[d0].__getitem__, self._mul[b])
+        return sorted(zip(itertools.repeat(a), itertools.repeat(b), cs, ds))
 
     # -- group operations on residue matrices --------------------------------
 
@@ -416,75 +428,154 @@ class CosetTable:
     def coset_partition(self, n: int):
         """The cosets g * B_k, k = min(n, deg f - 1), as (numbers, least members).
 
-        B_k is the image of the upper-triangular stabilizer of (k, 0): at
-        k = 0 the common stabilizer of (0, 0) and (1, 0), from k = deg f - 1
-        on the full stabilizer of the zero end. Cosets are numbered in
-        increasing order of least member. B_0's cosets are walked over the
-        sorted `elements` into the one dict keyed by members; B_k, k >= 1, is
-        the union of the cosets x * B_{k-1} over the q upper shears x by c*t^k
-        and is coarsened from B_{k-1}'s. numbers[j] is the coset holding coset
-        j of `coset_partition(n - 1)`: the identity `range` at n = 0 and where
-        the two are equal. Built once per level; callers must not modify it.
+        B_k is the image of the upper-triangular stabilizer of (k, 0), the
+        [[alpha, beta], [0, alpha^-1]] with alpha in F_q^x and deg beta <= k:
+        at k = 0 the common stabilizer of (0, 0) and (1, 0), from
+        k = deg f - 1 on the full stabilizer of the zero end. Cosets are
+        numbered in increasing order of least member. numbers[j] is the coset
+        holding coset j of `coset_partition(n - 1)`: the identity `range` at
+        n = 0 and where the two are equal. Built once per level; callers must
+        not modify it.
         """
-        k = min(n, self.ring.degree - 1)
-        numbers, least, _ = self._borel(k)
-        return (numbers if n == k else range(len(least))), least
+        numbers, least, _ = self._borel(n)
+        return numbers, least
 
     def vertex_partition(self, n: int):
         """The cosets of the image of the stabilizer of (n, 0), as `coset_partition`.
 
         numbers[j] is the coset holding coset j of `coset_partition(n)`, and
         the two are equal above the origin. At the origin the image is SL2(F_q),
-        the union of the cosets x * B_0 over the q + 1 points x of P^1(F_q).
+        the union of the cosets x * B_0 over the q + 1 points x of P^1(F_q),
+        the lower shears [[1, 0], [gamma, 1]] and the half turn: the coset
+        g * SL2(F_q) of a least member g of B_0's cosets, met in increasing
+        order, is numbered at the cosets of B_0 holding the products g * x.
         """
-        if n >= 1:
-            _, least = self.coset_partition(n)
-            return range(len(least)), least
-        if self._origin_cosets is None:
-            ring, one = self.ring, self.ring.one
-            points = [(one, 0, ring.constant(c), one) for c in self.field.elements()]
-            points.append((0, one, ring.neg(one), 0))
-            self._origin_cosets = self._coarsen(self._borel(min(0, ring.degree - 1)), points)[:2]
-        return self._origin_cosets
-
-    def coset_number(self, m, n: int) -> int:
-        """The coset of `coset_partition(n)` holding m, by the member dict and a list."""
-        return self._borel(min(n, self.ring.degree - 1))[2][self._coset_of[m]]
-
-    def _borel(self, k: int):
-        """B_k's numbers, least members, and coset holding each coset of B_0."""
-        part = self._borel_cosets.get(k)
+        part = self._vertex_cosets.get(n)
         if part is None:
-            ring, matmul = self.ring, self.matmul
-            if k < 1:
-                low = ring.low_degree(k)
-                borel = {(a, b, ring.zero, d) for a, d in self.diagonal_units() for b in low}
-                coset_of, least = self._coset_of, []
-                for g in self.elements:
-                    if g not in coset_of:
-                        for s in borel:
-                            coset_of[matmul(g, s)] = len(least)
+            _, fine_least, _ = self._borel(n)
+            number, least = range(len(fine_least)), fine_least
+            if n < 1:
+                add, neg, number_of = self._add, self._neg, self._b0_number
+                shears = [self._mul[self.ring.constant(gamma)] for gamma in self.field.units()]
+                number, least = [None] * len(fine_least), []
+                for k, g in enumerate(fine_least):
+                    if number[k] is None:
+                        a, b, c, d = g
+                        number[k] = number[number_of((neg[b], a, neg[d], c))] = len(least)
+                        # g * [[1, 0], [gamma, 1]] adds gamma times the second column to the first
+                        for s in shears:
+                            number[number_of((add[a][s[b]], b, add[c][s[d]], d))] = len(least)
                         least.append(g)
-                part = range(len(least)), least, range(len(least))
-            else:
-                shears = [(ring.one, s, 0, ring.one) for s in ring.low_degree(k)[: self.field.q]]
-                part = self._coarsen(self._borel(k - 1), shears)
-            self._borel_cosets[k] = part
+            part = self._vertex_cosets[n] = number, least
         return part
 
-    def _coarsen(self, finer, xs):
-        """The cosets g * H' with H' the union of the x * H, from H's `_borel` entry.
+    def coset_number(self, m, n: int) -> int:
+        """The coset of `coset_partition(n)` holding m: B_0's, carried up by a list."""
+        return self._borel(n)[2][self._b0_number(m)]
 
-        g * H' is the union of the cosets of g * x, and the least members of
-        H's cosets come in increasing order, so a coarse coset is met first at
-        its least member. Returns the `_borel` entry of H', numbering H's cosets.
+    def _b0_number(self, m) -> int:
+        """The coset of B_0 holding m, numbered by its least member.
+
+        m * [[alpha, beta], [0, alpha^-1]] scales the first column (a, c)
+        by alpha and the second (b, d) by alpha^-1, then adds beta times the
+        first to it. So the least member of m * B_0 is one digit zeroed and
+        one scaling away from m. With a != 0 it has e_1 as a's first nonzero
+        digit and 0 as b's digit at that place; with a = 0, e_1 as b's first
+        nonzero digit and 0 as d's digit at c's first nonzero place.
         """
-        _, fine_least, fine = finer
-        coset_of, matmul, least = self._coset_of, self.matmul, []
-        number = [None] * len(fine_least)
-        for k, g in enumerate(fine_least):
-            if number[k] is None:
-                for x in xs:
-                    number[fine[coset_of[matmul(g, x)]]] = len(least)
-                least.append(g)
-        return number, least, [number[j] for j in fine]
+        a, b, c, d = m
+        if a or b:  # not the zero ring's one member
+            add, q, normalizers = self._add, self.field.q, self._normalizers
+            if a:
+                w, shifts, scale, unscale = normalizers[a]
+                s = shifts[b // w % q]
+                if s:
+                    b, d = add[b][s[a]], add[d][s[c]]
+                m = scale[a], unscale[b], scale[c], unscale[d]
+            else:
+                w, shifts, _, _ = normalizers[c]
+                s = shifts[d // w % q]
+                if s:
+                    d = add[d][s[c]]
+                _, _, scale, unscale = normalizers[b]
+                m = 0, scale[b], unscale[c], scale[d]
+        return self._b0_numbers[m]
+
+    @functools.cached_property
+    def _b0_numbers(self) -> dict:
+        """B_0's least member -> its coset number, one entry per coset."""
+        least = self._borel(0)[1]
+        return dict(zip(least, range(len(least))))
+
+    @functools.cached_property
+    def _normalizers(self) -> list:
+        """Per residue x != 0, (w, shifts, scale, unscale) for the digit test.
+
+        A residue's base-q digits, most significant first, are its
+        coefficients from t^0 up. w is the place of x's first nonzero digit
+        e_i, i = x // w; scale and unscale are the multiplication rows of
+        e_1 / e_i and e_i / e_1, and shifts[j] that of -e_j / e_i (None for
+        j = 0). Built when a partition of a nonzero ring first reads it.
+        """
+        q, ring, mul, neg = self.field.q, self.ring, self._mul, self._neg
+        e = list(map(ring.constant, self.field.elements()))
+        inverse = [None] + list(map(ring.inverse, e[1:]))
+        normalizers = [None]
+        for k in range(ring.degree):
+            for i in range(1, q):
+                shifts = [None] + [mul[neg[mul[x][inverse[i]]]] for x in e[1:]]
+                scale, unscale = mul[mul[e[1]][inverse[i]]], mul[mul[e[i]][inverse[1]]]
+                normalizers += [(q**k, shifts, scale, unscale)] * q**k
+        return normalizers
+
+    def _borel(self, n: int):
+        """`coset_partition(n)` and the coset holding each coset of B_0.
+
+        B_0's least members pass the digit test of `_b0_number`: a row
+        (a, b) with a != 0 with all its second rows or with none, a row
+        (0, b) with the second rows whose d has a zero digit at c's first
+        nonzero place. For k >= 1, the members with first column (a, c) have
+        second column (b0, d0) + s*(a, c), s in R, and if x*a + y*c = 1 then
+        x*b + y*d is s up to a constant of the column. g * [[1, beta], [0, 1]]
+        adds beta to s, so a coset of B_k is keyed by its first column and
+        the last deg f - 1 - k digits of x*b + y*d, and is met first at its
+        least member among the least members of B_{k-1}'s cosets.
+        """
+        part = self._borel_cosets.get(n)
+        if part is None:
+            ring, q, add, mul = self.ring, self.field.q, self._add, self._mul
+            top = ring.degree - 1
+            if n > top:
+                _, least, fine = self._borel(top)
+                part = range(len(least)), least, fine
+            elif n < 0:  # only in the zero ring, whose one member is its own coset
+                part = range(1), [(0, 0, 0, 0)], range(1)
+            elif n == 0:
+                normalizers, least = self._normalizers, []
+                for row in self._rows:
+                    a, b, c0, _ = row
+                    if a:
+                        w = normalizers[a][0]
+                        if a // w == 1 and not b // w % q:
+                            least += self._row_members(*row)
+                    elif b // normalizers[b][0] == 1:
+                        w = normalizers[c0][0]
+                        least += [g for g in self._row_members(*row) if not g[3] // w % q]
+                part = range(len(least)), least, range(len(least))
+            else:
+                _, finer, fine = self._borel(n - 1)
+                inverse, place = ring.inverse_table, q ** (top - n)
+                keys, least, numbers = {}, [], []
+                for g in finer:
+                    a, b, c, d = g
+                    x = inverse[a]
+                    if x is None:  # x*b + y*d = u^-1 * (b + r*d), u = a + r*c a unit
+                        r = ring.unit_shift(a, c)
+                        x, b = inverse[add[a][mul[r][c]]], add[b][mul[r][d]]
+                    number = keys.setdefault((a, c, mul[x][b] % place), len(least))
+                    if number == len(least):
+                        least.append(g)
+                    numbers.append(number)
+                part = numbers, least, [numbers[j] for j in fine]
+            self._borel_cosets[n] = part
+        return part

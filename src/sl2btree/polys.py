@@ -168,10 +168,6 @@ class ResidueRing:
         """Image of a constant polynomial."""
         return c.index * self._unit_place
 
-    def low_degree(self, k: int) -> range:
-        """The residues of the polynomials of t-degree <= k, for -1 <= k < deg(f)."""
-        return range(0, self.size, self.field.q ** (self.degree - 1 - k))
-
     def reduce(self, s: LaurentSeries) -> int:
         """Image of a polynomial in R."""
         if not is_t_poly(s):

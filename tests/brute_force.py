@@ -177,6 +177,28 @@ def enumerated_partition(table, subgroup) -> tuple[dict, list]:
     return coset_of, least
 
 
+def passes_digit_test(table, m) -> bool:
+    """The digit test for the least member of a coset m * B_0, read off the
+    entries' polynomial coefficients: with a != 0, a's lowest-degree nonzero
+    coefficient is the field element of position 1 and b's coefficient at
+    that degree is 0; with a = 0, b's lowest-degree nonzero coefficient is
+    that element and d's coefficient at c's lowest nonzero degree is 0. The
+    zero ring's one member passes."""
+    a, b, c, d = (t_coeffs(table.ring.lift(x)) for x in m)
+
+    def low(x):
+        return next(k for k, e in enumerate(x) if e)
+
+    def zero_at(x, k):
+        return k >= len(x) or not x[k]
+
+    if a:
+        return a[low(a)].index == 1 and zero_at(b, low(a))
+    if not b:
+        return True
+    return b[low(b)].index == 1 and zero_at(d, low(c))
+
+
 def rays_by_chain_walk(G) -> list:
     """`quotient._detect_rays` as a walk over G.edges: the up-edge count of
     each vertex by a Counter, its one down-edge (or None) by a dict."""
@@ -494,16 +516,18 @@ def xgcd_t(a: LaurentSeries, b: LaurentSeries):
 def act_truncated_end_by_division(g: TreeAutomorphism, end: TruncatedEnd) -> TruncatedEnd:
     """The image (c + d*w) / (a + b*w) of a truncated end w, as numerator
     times an inverse of the denominator to as many terms as the two
-    support, with the refusals of that route in its order."""
+    support, with the refusals of that route in its order. A numerator
+    that vanishes mod pi^N, with no visible digit, gives the end zero mod
+    pi^(N - v(den))."""
     w = end.y
     num, den = g.d * w + g.c, g.b * w + g.a
     budget = INFINITY
     if not den.is_exact():
         budget = min(budget, den.prec - den.valuation())
     if not num.is_exact():
-        budget = min(budget, num.prec - (min(num.coeffs) if num.coeffs else num.prec))
-    if budget < 1:
-        raise InsufficientPrecision("no determined digits survive the division")
+        if not num.coeffs:
+            return TruncatedEnd(g.field, LaurentSeries(g.field, {}, num.prec - den.valuation()))
+        budget = min(budget, num.prec - min(num.coeffs))
     return TruncatedEnd(g.field, num * series_inverse(den, budget))
 
 

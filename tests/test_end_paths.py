@@ -26,14 +26,20 @@ import sl2btree.tree
 from sl2btree.autom import TreeAutomorphism
 from sl2btree.errors import (
     EndPrecisionExhausted,
-    InsufficientPrecision,
     InvalidInputError,
     Sl2BTreeError,
 )
 from sl2btree.field import field
-from sl2btree.literals import parse_matrix
+from sl2btree.literals import parse_end, parse_matrix
 from sl2btree.series import LaurentSeries
-from sl2btree.tree import Tree, TruncatedEnd, Vertex, end_difference_valuation, end_from_vector
+from sl2btree.tree import (
+    Tree,
+    TruncatedEnd,
+    UpEnd,
+    Vertex,
+    end_difference_valuation,
+    end_from_vector,
+)
 from brute_force import (
     act_truncated_end_by_division,
     attracting_end_by_stepping,
@@ -312,18 +318,34 @@ def test_each_power_carries_the_up_end_one_length_down_the_axis(q, data):
 def test_one_power_answers_where_an_earlier_power_runs_out(monkeypatch):
     """Over F_3, [[2t^2 + t, 1], [2t^2, 0 mod p^4]] has length 2 and m0 = -2,
     so depth 1 is read off g^2, the one power formed. The search first reads
-    g's own candidate (1 : 0 mod p^4), which `act_end` refuses to divide,
-    and stops there."""
+    g's own candidate (1 : 0 mod p^4), the end trunc(0, 4), which does not
+    certify, and certifies at g^2 the same end."""
     F = field(3)
     g = parse_matrix(F, "[[2*t^2+t,1],[2*t^2,0 mod p^4]]")
-    refused = _outcome(attracting_end_by_stepping, g, 1)
-    assert refused == (InsufficientPrecision, "no determined digits survive the division")
+    assert g.act_end(UpEnd(F)) == TruncatedEnd(F, LaurentSeries(F, {}, 4))
+    stepped = _outcome(attracting_end_by_stepping, g, 1)
     powers = []
     power = TreeAutomorphism.__pow__
     monkeypatch.setattr(TreeAutomorphism, "__pow__", lambda h, k: powers.append(k) or power(h, k))
     end = g.attracting_end(1)
     assert powers[0] == 2
     assert end == TruncatedEnd(F, LaurentSeries(F, {0: F.one}, 1))
+    assert stepped == ("value", (end, 2))
     w = end.y
     residual = g.b * w * w + (g.a - g.d) * w - g.c
     assert not residual.has_terms()
+
+
+def test_a_numerator_vanishing_to_its_precision_divides_to_zero():
+    """[[t, 1], [1, 0 mod p^4]] over F_2 sends the up end to (1 : 0 mod p^4):
+    the numerator vanishes mod pi^4 and the denominator is 1, so the image is
+    the end trunc(0, 4); a denominator of valuation 2 takes two digits off.
+    On a truncated end the division route agrees."""
+    F = field(2)
+    g = parse_matrix(F, "[[t,1],[1,0 mod p^4]]")
+    assert g.act_end(UpEnd(F)) == parse_end(F, "trunc(0, 4)")
+    h = parse_matrix(F, "[[t,p^2],[1,0 mod p^4]]")
+    assert h.act_end(UpEnd(F)) == parse_end(F, "trunc(0, 2)")
+    shear, end = parse_matrix(F, "[[1,0],[0 mod p^3,1]]"), parse_end(F, "trunc(0, 5)")
+    assert shear.act_end(end) == parse_end(F, "trunc(0, 3)")
+    assert act_truncated_end_by_division(shear, end) == parse_end(F, "trunc(0, 3)")

@@ -21,12 +21,17 @@ from sl2btree.literals import (
     parse_series,
     parse_vertex,
 )
-from sl2btree.polys import t_degree
+from sl2btree.polys import all_t_polys, t_degree
 from sl2btree.quotient import growth_probe
 from sl2btree.series import LaurentSeries, _fused
 from sl2btree.tree import Vertex
 
-from brute_force import enumerated_partition, stabilizer_bruteforce, stabilizer_images
+from brute_force import (
+    enumerated_partition,
+    passes_digit_test,
+    stabilizer_bruteforce,
+    stabilizer_images,
+)
 
 
 F = field(2)
@@ -321,22 +326,46 @@ def test_coset_table_subgroup_images():
     assert len(least) == 8
 
 
-@pytest.mark.parametrize(
-    "q,level",
-    [
-        (2, None), (2, "t"), (2, "t^2"), (2, "t^2+t"), (2, "t^3"), (2, "t^4+t+1"),
-        (2, "t^4+t^3+t^2+t"), (3, None), (3, "t"), (3, "t^2"), (4, "t"), (4, "t^2"), (9, "t"),
-    ],
-)
+def _monic_levels(q, max_degree):
+    """Every monic level of degree <= max_degree over F_q, None for the level 1."""
+    Fq = field(q)
+    return [
+        (q, format_series(low + LaurentSeries.exact(Fq, {-k: Fq.one})) if k else None)
+        for k in range(max_degree + 1)
+        for low in all_t_polys(Fq, k - 1)
+    ]
+
+
+PARTITION_LEVELS = [
+    (2, None), (2, "t"), (2, "t^2"), (2, "t^2+t"), (2, "t^3"), (2, "t^4+t+1"),
+    (2, "t^4+t^3+t^2+t"), (3, None), (3, "t"), (3, "t^2"), (4, "t"), (4, "t^2"), (9, "t"),
+]
+PARTITION_LEVELS += [
+    level
+    for level in [
+        *_monic_levels(2, 3), (2, "t^4"), *_monic_levels(3, 2), (4, "t^2+t+[x]"), (8, "t"),
+    ]
+    if level not in PARTITION_LEVELS
+]
+
+
+@pytest.mark.parametrize("q,level", PARTITION_LEVELS)
 def test_coset_partition_numbers_cosets_by_least_member(q, level):
     # the partitions derived from finer ones against the enumeration of
     # every member, at every level down to deg f + 1: their least members,
     # `coset_number` of every member, and the number lists that carry the
-    # cosets of one level to the next and to the vertex classes
+    # cosets of one level to the next and to the vertex classes; B_0's least
+    # members, found by one scaling and one zeroed digit, against the
+    # minimum of m * B_0 over B_0's members and against the digit test
     Fq = field(q)
     lat = NagaoLattice(Fq) if level is None else CongruenceLattice(Fq, parse_series(Fq, level))
     table = lat.coset_table()
     images = [_images(table, n) for n in range(lat.level_degree + 2)]
+    minima = {g: min(table.matmul(g, s) for s in images[0][1]) for g in table.elements}
+    least = table.coset_partition(0)[1]
+    assert least == sorted(set(minima.values()))
+    assert all(least[table.coset_number(g, 0)] == low for g, low in minima.items())
+    assert [g for g in table.elements if passes_digit_test(table, g)] == least
     finer = None
     for n, (vertex, edge) in enumerate(images):
         assert stabilizer_images(table, n) == (vertex, edge)

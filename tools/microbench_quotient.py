@@ -9,11 +9,12 @@ alike. Run from the root of a checkout:
 
     PYTHONPATH=src python3 tools/microbench_quotient.py
 
-- `partitions`: every partition that a quotient to depth 8 reads, the
-  `CosetTable.vertex_partition(n)` and `coset_partition(n)` of the levels
-  0..8, on a table built afresh before each timed run: B_0's walk into the
-  table's one member dict, and each coarser level's least members and
-  lists of coset numbers. The table's own construction is not timed.
+- `partitions`: a table's construction and every partition that a
+  quotient to depth 8 reads, the `CosetTable.vertex_partition(n)` and
+  `coset_partition(n)` of the levels 0..8: the count of first rows, B_0's
+  least members by the digit test, each coarser level's least members by
+  their first-column keys, the origin's cosets, and the lists of coset
+  numbers.
 - `quotient_graph`: `quotient_graph(lattice, 8)` on a lattice whose
   table already holds those partitions, so the row is the graph's
   assembly from the number lists and ray detection.
@@ -30,8 +31,9 @@ alike. Run from the root of a checkout:
   that report at truncation 4, through its `radius_vertices()`, as
   `cusps --truncation 4` runs it.
 
-The Nagao lattices over F_8 and F_9 have the zero ring as residue ring,
-so their rows measure the fixed cost of a table that has one member.
+Gamma(t^3) over F_3 has 17 496 members, near the size guard's bound of
+20 000. The Nagao lattices over F_8 and F_9 have the zero ring as residue
+ring, so their rows measure the fixed cost of a table that has one member.
 """
 
 import json
@@ -44,7 +46,9 @@ from sl2btree.lattice import CongruenceLattice, CosetTable, NagaoLattice
 from sl2btree.literals import parse_series
 from sl2btree.quotient import certify_independent_family, contract, cusps_report, quotient_graph
 
-LATTICES = [(2, "t^3"), (2, "t^4+t+1"), (3, "t^2"), (9, "t"), (8, None), (9, None)]
+LATTICES = [
+    (2, "t^3"), (2, "t^4+t+1"), (3, "t^2"), (4, "t^2"), (3, "t^3"), (9, "t"), (8, None), (9, None),
+]
 DEPTH = 8
 TRUNCATION = 4
 REPEAT = 15  # timed runs per row; the fastest is kept
@@ -56,8 +60,8 @@ def _lattice(q, level):
 
 
 def _partitions_s(lattice):
-    table = CosetTable(lattice.field, lattice.level)
     t0 = time.perf_counter()
+    table = CosetTable(lattice.field, lattice.level)
     for n in range(DEPTH + 1):
         table.vertex_partition(n)
         table.coset_partition(n)
