@@ -195,7 +195,7 @@ def _cmd_cusps(args):
             }
             for c in report.algebraic
         ],
-        "ray_count": len(report.graph.rays),
+        "ray_count": len(report.graph.tails),
         "matches": [list(m) for m in report.matches],
         "bijective": report.bijective,
     }

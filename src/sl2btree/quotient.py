@@ -1,12 +1,13 @@
 """Quotient graphs of groups, covolumes, and cusp geometry.
 
-`quotient_graph` materializes the quotient of the tree by a lattice down
-to a chosen depth: finitely many vertex and edge classes, each carrying
-the order of its stabilizer, plus the detected ray tails going off to
-infinity. Tails whose stabilizer towers are verified to grow by a factor
-of q for three consecutive nested steps are *certified*: beyond that the
-tower provably continues, which turns the infinite part of the covolume
-sum into the exact closed form q / (c (q - 1)).
+`quotient_graph` gives the quotient of the tree by a lattice down to a
+chosen depth on coset numbers: finitely many vertex and edge classes,
+whose stabilizer orders depend on the level alone, plus the detected ray
+tails going off to infinity. Tails whose stabilizer towers are verified
+to grow by a factor of q for three consecutive nested steps are
+*certified*: beyond that the tower provably continues, which turns the
+infinite part of the covolume sum into the exact closed form
+q / (c (q - 1)). Vertex, edge and ray records are built only when read.
 
 The rest of the module covers the cusp side: matching algebraic cusp
 representatives to geometric rays (`cusps_report`), probing stabilizer
@@ -162,22 +163,52 @@ class CuspsReport:
         zero = LaurentSeries.zero(self.graph.lattice.field)
         return [
             cusp.carrier.act_vertex(
-                Vertex(self.graph.rays[ray_of[i]].vertices[0].level if i in ray_of else 1, zero)
+                Vertex(self.graph.tails[ray_of[i]][0] if i in ray_of else 1, zero)
             )
             for i, cusp in enumerate(self.algebraic)
         ]
 
 
 class GraphOfGroups:
-    """Finite quotient data with ray tails; see the module docstring."""
+    """Finite quotient data with ray tails; see the module docstring.
 
-    def __init__(self, lattice: NagaoLattice, depth: int):
+    Level n holds `sizes[n]` vertex classes, numbered as the cosets of
+    `CosetTable.vertex_partition(n)`, and with (lower, upper) = `edge_ends[n]`
+    edge class j of level n joins vertex lower[j] at level n to vertex
+    upper[j] at level n + 1; an identity list is a `range`. `tails` holds per
+    ray (base level, its vertex and edge numbers from the base up, certified).
+    The records `vertices`, `edges` and `rays` are built from these when one
+    is first read; a graph assigned them, as `contract`'s, builds none.
+    """
+
+    def __init__(self, lattice: NagaoLattice, depth: int, sizes=(), edge_ends=(), tails=()):
         self.lattice = lattice
         self.depth = depth
-        self.vertices: dict[str, QuotientVertex] = {}
-        self.edges: list[QuotientEdge] = []
-        self.rays: list[RayTail] = []
+        self.sizes: list[int] = sizes
+        self.edge_ends: list[tuple] = edge_ends
+        self.tails: list[tuple] = tails
         self.contracted = False
+
+    def __getattr__(self, name):
+        if name not in ("vertices", "edges", "rays") or "vertices" in vars(self):
+            raise AttributeError(name)
+        lattice, verts, edges = self.lattice, [], []  # per level, records by number
+        for n, size in enumerate(self.sizes):
+            order = lattice.base_order(n)
+            verts.append(
+                [QuotientVertex(_vertex_id(lattice, n, k), n, k, order) for k in range(size)]
+            )
+        for n, (lower, upper) in enumerate(self.edge_ends):
+            order, below, above = lattice.edge_order(n), verts[n], verts[n + 1]
+            edges.append([QuotientEdge(below[k], above[h], order) for k, h in zip(lower, upper)])
+        self.vertices = {v.id: v for level in verts for v in level}
+        self.edges = [e for level in edges for e in level]
+        self.rays = [
+            RayTail([verts[b + i][k] for i, k in enumerate(ks)],
+                    [edges[b + i][j] for i, j in enumerate(js)], certified)
+            for b, ks, js, certified in self.tails
+        ]
+        return getattr(self, name)
 
     # -- serialization -----------------------------------------------------------
 
@@ -259,26 +290,12 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
     """
     if depth < 1:
         raise InvalidInputError("quotient depth must be at least 1")
-    G = GraphOfGroups(lattice, depth)
     table = lattice.coset_table()
-    levels = []  # per level, (the vertex holding each coset of B_n, vertices by coset number)
-    for n in range(depth + 1):
-        order, (numbers, least) = lattice.base_order(n), table.vertex_partition(n)
-        verts = [QuotientVertex(_vertex_id(lattice, n, k), n, k, order) for k in range(len(least))]
-        levels.append((numbers, verts))
-        G.vertices.update((v.id, v) for v in verts)
-    down = [[None] * len(verts) for _, verts in levels]  # per vertex its one down-edge
-    ups = [[0] * len(verts) for _, verts in levels]  # per vertex its number of up-edges
-    for n in range(depth):
-        (lower, lower_verts), (_, upper_verts) = levels[n], levels[n + 1]
-        order, (upper, _), below = lattice.edge_order(n), table.coset_partition(n + 1), down[n + 1]
-        for lo, hi in zip(lower, upper):
-            e = QuotientEdge(lower_verts[lo], upper_verts[hi], order)
-            G.edges.append(e)
-            ups[n][lo] += 1
-            below[hi] = e if below[hi] is None else False  # False once it has several
-    _detect_rays(G, down, ups)
-    return G
+    sizes = [len(table.vertex_partition(n)[1]) for n in range(depth + 1)]
+    edge_ends = [
+        (table.vertex_partition(n)[0], table.coset_partition(n + 1)[0]) for n in range(depth)
+    ]
+    return GraphOfGroups(lattice, depth, sizes, edge_ends, _find_tails(lattice, sizes, edge_ends))
 
 
 def _first_three_steps(ok: list[bool]) -> int | None:
@@ -286,39 +303,59 @@ def _first_three_steps(ok: list[bool]) -> int | None:
     return next((k for k in range(len(ok) - 2) if all(ok[k : k + 3])), None)
 
 
-def _detect_rays(G: GraphOfGroups, down: list[list], ups: list[list[int]]) -> None:
-    """Find the chains going to the top depth and certify their tails.
+def _lone(numbers, size: int):
+    """Per vertex k < size, the one j with numbers[j] == k, or None for none or several."""
+    if type(numbers) is range:  # the identity: j = k alone
+        return numbers
+    count, last = Counter(numbers), dict(zip(numbers, range(len(numbers))))
+    return [last[k] if count[k] == 1 else None for k in range(size)]
 
-    A chain is walked down from each deepest vertex while the vertex has
-    one down-edge, `down[n][k]` for vertex k at level n (None for none,
-    False for several), and the vertex below it one up-edge, `ups[n][k]`
-    counting them; the base then slides up until three consecutive steps
-    multiply the stabilizer order by exactly q with the edge group equal to
-    the lower vertex group (the nested index-q condition). Once those three
-    steps certify, the rest of the enumerated chain must continue the pattern.
+
+def _find_tails(lattice: NagaoLattice, sizes: list[int], edge_ends: list[tuple]) -> list[tuple]:
+    """The `GraphOfGroups.tails` of the graph given by these numbers.
+
+    A chain goes down from each top vertex, all chains a level at a time,
+    while the vertex has one down-edge and the vertex below it one up-edge.
+    It is certified from the first of three consecutive steps that multiply
+    the stabilizer order by exactly q with the edge group equal to the lower
+    vertex group (the nested index-q condition), and every step above must
+    pass too. Steps depend on the level alone, so each is tested once, from
+    the lowest chain's level up: that chain's base b certifies every chain
+    from max(b, its lowest level) on, if three steps remain.
     """
-    q = G.lattice.q
-    for top in sorted((v for v in G.vertices.values() if v.level == G.depth), key=lambda v: v.id):
-        e = down[top.level][top.coset]
-        if not e:
-            continue
-        chain, chain_edges = [top], []
-        while e and ups[e.v_from.level][e.v_from.coset] == 1:
-            chain.append(e.v_from)
-            chain_edges.append(e)
-            e = down[e.v_from.level][e.v_from.coset]
-        chain.reverse()
-        chain_edges.reverse()
-        orders = [v.order for v in chain]
-        ok = [
-            hi == q * lo and e.order == lo
-            for lo, hi, e in zip(orders, orders[1:], chain_edges)
-        ]
-        base = _first_three_steps(ok)
-        if base is not None and not all(ok[base:]):
-            raise NonterminationGuard("certified tail pattern broke inside the enumerated range")
-        start = base or 0
-        G.rays.append(RayTail(chain[start:], chain_edges[start:], base is not None))
+    depth = len(edge_ends)
+    tops = sorted(range(sizes[depth]), key=lambda k: _vertex_id(lattice, depth, k))
+    down = _lone(edge_ends[-1][1], sizes[depth])
+    chains = [([k], []) for k in tops if down[k] is not None]  # numbers from the top down
+    walking, n = chains, depth
+    while walking and n:
+        lower, still = edge_ends[n - 1][0], []
+        up = _lone(lower, sizes[n - 1])
+        for ks, js in walking:
+            j = down[ks[-1]]
+            if j is not None and up[lower[j]] is not None:
+                ks.append(lower[j])
+                js.append(j)
+                still.append((ks, js))
+        walking, n = still, n - 1
+        if walking and n:
+            down = _lone(edge_ends[n - 1][1], sizes[n])
+    low = depth - max((len(js) for _, js in chains), default=0)
+    ok, lo = [], lattice.base_order(low)
+    for m in range(low, depth):
+        hi = lattice.base_order(m + 1)
+        ok.append(hi == lattice.q * lo and lattice.edge_order(m) == lo)
+        lo = hi
+    first = _first_three_steps(ok)
+    if first is not None and not all(ok[first:]):
+        raise NonterminationGuard("certified tail pattern broke inside the enumerated range")
+    tails = []
+    for ks, js in chains:
+        n = depth - len(js)
+        base = n if first is None else max(n, low + first)
+        certified = first is not None and depth - base >= 3
+        tails.append((base, ks[::-1][base - n :], js[::-1][base - n :], certified))
+    return tails
 
 
 # -- covolume ---------------------------------------------------------------------
@@ -329,37 +366,37 @@ def covolume(G: GraphOfGroups) -> CovolumeResult:
 
     Every edge contributes 1/|edge group|; a certified tail contributes
     the closed form q / (c (q - 1)) where c is the order at its first
-    edge. Raises UncertifiedTail when some ray is not certified at this
-    depth, or when some vertex at the top depth heads no ray: at depths
-    below deg f no top vertex has a single down-edge, and the graph holds
-    no tail yet.
+    edge. Edge orders depend on the level alone, so the edges outside the
+    tails count once per level. Raises UncertifiedTail when some ray is
+    not certified at this depth, or when some vertex at the top depth
+    heads no ray: at depths below deg f no top vertex has a single
+    down-edge, and the graph holds no tail yet.
     """
     if G.contracted:
         raise InvalidInputError("covolume is computed on the uncontracted graph")
-    q = G.lattice.q
-    tail_edges = set()
-    tails = []
-    for ray in G.rays:
-        if not ray.certified:
+    lattice, depth, q = G.lattice, G.depth, G.lattice.q
+    for base, ks, _, certified in G.tails:
+        if not certified:
             raise UncertifiedTail(
-                f"ray at {ray.vertices[0].id} lacks three nested index-q steps; "
+                f"ray at {_vertex_id(lattice, base, ks[0])} lacks three nested index-q steps; "
                 f"increase the depth"
             )
-        tail_edges.update(ray.edges)
-        tails.append(Fraction(q, ray.edges[0].order * (q - 1)))
-    heads = {ray.vertices[-1] for ray in G.rays}
-    for v in G.vertices.values():
-        if v.level == G.depth and v not in heads:
+    heads = {ks[-1] for _, ks, _, _ in G.tails}
+    for k in range(G.sizes[depth]):
+        if k not in heads:
             raise UncertifiedTail(
-                f"vertex {v.id} at depth {G.depth} heads no ray; increase the depth"
+                f"vertex {_vertex_id(lattice, depth, k)} at depth {depth} heads no ray; "
+                f"increase the depth"
             )
-    # one term per distinct edge order: count/order sums the same 1/order terms
-    per_order = Counter(e.order for e in G.edges if e not in tail_edges)
-    core = sum(
-        (Fraction(count, order) for order, count in per_order.items()), Fraction(0)
-    )
-    total = core + sum(tails, Fraction(0))
-    return CovolumeResult(total=total, core_part=core, tail_parts=tails)
+    # a tail holds one edge of each level from its base up
+    bases, in_tails, core = Counter(base for base, *_ in G.tails), 0, Fraction(0)
+    for n, (lower, _) in enumerate(G.edge_ends):
+        in_tails += bases[n]
+        if len(lower) > in_tails:
+            core += Fraction(len(lower) - in_tails, lattice.edge_order(n))
+    parts = {base: Fraction(q, lattice.edge_order(base) * (q - 1)) for base in bases}
+    total = sum((count * parts[base] for base, count in bases.items()), core)
+    return CovolumeResult(total=total, core_part=core, tail_parts=[parts[b] for b, *_ in G.tails])
 
 
 # -- cusp reporting ------------------------------------------------------------------
@@ -377,10 +414,10 @@ def _match_cusps_to_rays(G: GraphOfGroups) -> list[tuple[int, int]]:
     """
     read = max(G.lattice.level_degree - 1, 1)
     rays_at: dict[int, list[int]] = {}  # coset number at the read level -> its rays
-    for ri, ray in enumerate(G.rays):
-        step = max(read - ray.vertices[0].level, 0)
-        if step < len(ray.vertices):
-            rays_at.setdefault(ray.vertices[step].coset, []).append(ri)
+    for ri, (base, cosets, _, _) in enumerate(G.tails):
+        step = max(read - base, 0)
+        if step < len(cosets):
+            rays_at.setdefault(cosets[step], []).append(ri)
     return [(ci, hits[0]) for ci, hits in sorted(rays_at.items()) if len(hits) == 1]
 
 
@@ -389,12 +426,8 @@ def cusps_report(lattice: NagaoLattice, depth: int) -> CuspsReport:
     G = quotient_graph(lattice, depth)
     cusps = lattice.cusp_representatives()
     matches = _match_cusps_to_rays(G)
-    bijective = (
-        len(matches) == len(cusps) == len(G.rays)
-        and len({ci for ci, _ in matches}) == len(cusps)
-        and len({ri for _, ri in matches}) == len(G.rays)
-        and all(ray.certified for ray in G.rays)
-    )
+    # the matches pair distinct cusps with distinct rays
+    bijective = len(matches) == len(cusps) == len(G.tails) and all(c for *_, c in G.tails)
     return CuspsReport(algebraic=cusps, matches=matches, bijective=bijective, graph=G)
 
 
@@ -724,7 +757,7 @@ def contract(G: GraphOfGroups) -> GraphOfGroups:
     a graph without a certified ray contracts to an identical copy.
     """
     out = GraphOfGroups(G.lattice, G.depth)
-    out.contracted = True
+    out.contracted, out.vertices = True, {}
     image = {}  # old vertex -> its copy, or the cusp vertex of the certified tail holding it
     for i, ray in enumerate(G.rays):
         if ray.certified:

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 from sl2btree.autom import TreeAutomorphism
 from sl2btree.errors import (
@@ -14,6 +15,7 @@ from sl2btree.errors import (
     NonterminationGuard,
     NotTypePreserving,
     SizeGuardExceeded,
+    UncertifiedTail,
 )
 from sl2btree.lattice import NagaoLattice
 from sl2btree.polys import all_t_polys, from_t_coeffs, t_coeffs, t_degree
@@ -200,8 +202,9 @@ def passes_digit_test(table, m) -> bool:
 
 
 def rays_by_chain_walk(G) -> list:
-    """`quotient._detect_rays` as a walk over G.edges: the up-edge count of
-    each vertex by a Counter, its one down-edge (or None) by a dict."""
+    """The rays of `quotient_graph` as a walk over the records G.edges: the
+    up-edge count of each vertex by a Counter, its one down-edge (or None)
+    by a dict, and the orders of its vertex and edge records."""
     q = G.lattice.q
     ups = Counter(e.v_from for e in G.edges)
     down = {}
@@ -228,6 +231,31 @@ def rays_by_chain_walk(G) -> list:
     return rays
 
 
+def covolume_by_edge_sum(G) -> tuple[Fraction, list[Fraction]]:
+    """(core, tails) of the covolume, summed over the records G.edges and G.rays.
+
+    Each edge outside the rays' tails adds 1/order, each ray q / (c (q - 1))
+    with c the order of its first edge. Raises UncertifiedTail, with the
+    message `quotient.covolume` gives, at the first uncertified ray, or else
+    at the first top vertex, in the order of G.vertices, that heads no ray.
+    """
+    q = G.lattice.q
+    for ray in G.rays:
+        if not ray.certified:
+            raise UncertifiedTail(
+                f"ray at {ray.vertices[0].id} lacks three nested index-q steps; increase the depth"
+            )
+    heads = {ray.vertices[-1] for ray in G.rays}
+    for v in G.vertices.values():
+        if v.level == G.depth and v not in heads:
+            raise UncertifiedTail(
+                f"vertex {v.id} at depth {G.depth} heads no ray; increase the depth"
+            )
+    tail_edges = {e for ray in G.rays for e in ray.edges}
+    core = sum((Fraction(1, e.order) for e in G.edges if e not in tail_edges), Fraction(0))
+    return core, [Fraction(q, ray.edges[0].order * (q - 1)) for ray in G.rays]
+
+
 def quotient_graph_by_lookup(lattice, depth: int):
     """`quotient_graph` by member lookups.
 
@@ -239,6 +267,7 @@ def quotient_graph_by_lookup(lattice, depth: int):
     """
     table = lattice.coset_table()
     G = GraphOfGroups(lattice, depth)
+    G.vertices, G.edges = {}, []
     levels = []  # per level, (vertex dict, edge partition, vertices by coset number)
     for n in range(depth + 1):
         vertex, edge = stabilizer_images(table, n)

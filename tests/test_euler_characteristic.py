@@ -38,6 +38,7 @@ from sl2btree.field import field
 from sl2btree.lattice import CongruenceLattice, NagaoLattice
 from sl2btree.literals import parse_series
 from sl2btree.quotient import contract, covolume, cusps_report, quotient_graph
+from brute_force import covolume_by_edge_sum
 
 
 def _index(q, degree, prime_degrees):
@@ -101,12 +102,7 @@ def test_cusp_count_and_covolume_closed_forms(q, level, degree, prime_degrees, d
 @BY_CASE
 def test_covolume_equals_the_edge_by_edge_sum(q, level, degree, prime_degrees, depth):
     G = quotient_graph(_lattice(q, level), depth)
-    tail_edges = {e for ray in G.rays for e in ray.edges}
-    core = Fraction(0)
-    for e in G.edges:
-        if e not in tail_edges:
-            core += Fraction(1, e.order)
-    tails = [Fraction(q, ray.edges[0].order * (q - 1)) for ray in G.rays]
+    core, tails = covolume_by_edge_sum(G)
     result = covolume(G)
     assert result.core_part == core
     assert result.tail_parts == tails

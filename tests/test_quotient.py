@@ -71,74 +71,59 @@ def test_uncertified_tail_at_shallow_depth():
         covolume(quotient_graph(nagao2, 2))
 
 
-def _detect_rays(G):
-    """`quotient._detect_rays` on a hand-built graph, with the down-edge
-    and up-count lists that `quotient_graph` fills, built from G.edges.
+class _LevelOrders:
+    """A stand-in lattice over F_2 with the given vertex and edge orders per level."""
 
-    Vertices are numbered within their level by their `coset` field.
-    """
-    sizes = Counter(v.level for v in G.vertices.values())
-    down = [[None] * sizes[n] for n in range(G.depth + 1)]
-    ups = [[0] * sizes[n] for n in range(G.depth + 1)]
-    below = {}
-    for e in G.edges:
-        ups[e.v_from.level][e.v_from.coset] += 1
-        below.setdefault(e.v_to, []).append(e)
-    for v, edges in below.items():
-        down[v.level][v.coset] = edges[0] if len(edges) == 1 else False
-    quotient._detect_rays(G, down, ups)
+    q, level_degree = 2, 1
+
+    def __init__(self, vertex_orders, edge_orders):
+        self.base_order, self.edge_order = vertex_orders.__getitem__, edge_orders.__getitem__
+
+
+def _find_tails(vertex_orders, edge_orders, sizes, edge_ends):
+    """`quotient._find_tails` on a graph given on numbers, with per-level orders."""
+    return quotient._find_tails(_LevelOrders(vertex_orders, edge_orders), sizes, edge_ends)
 
 
 def test_ray_detection_on_a_hand_built_graph():
-    # C0-C1-C2-C3 is a chain whose steps all multiply the order by q = 2;
-    # T1 and T2 hang from the branch M, T3 has no down-edge and T4 two
-    G = quotient.GraphOfGroups(NagaoLattice(field(2)), 3)
-    per_level = Counter()
-    for vid, level, order in [("C0", 0, 1), ("C1", 1, 2), ("C2", 2, 4), ("C3", 3, 8),
-                              ("B", 1, 1), ("M", 2, 1), ("T1", 3, 1), ("T2", 3, 1),
-                              ("T3", 3, 1), ("M2", 2, 1), ("M3", 2, 1), ("T4", 3, 1)]:
-        G.vertices[vid] = quotient.QuotientVertex(vid, level, per_level[level], order)
-        per_level[level] += 1
-    for lo, hi, order in [("C0", "C1", 1), ("C1", "C2", 2), ("C2", "C3", 4), ("B", "M", 1),
-                          ("M", "T1", 1), ("M", "T2", 1), ("M2", "T4", 1), ("M3", "T4", 1)]:
-        G.edges.append(quotient.QuotientEdge(G.vertices[lo], G.vertices[hi], order))
-    _detect_rays(G)
-    assert [_ray_links(G, r) + (r.vertices[0].level, r.certified) for r in G.rays] == [
-        (["C0", "C1", "C2", "C3"], [0, 1, 2], 0, True),
-        (["T1"], [], 3, False),
-        (["T2"], [], 3, False),
+    # C0-C1-C2-C3 (coset 0 of each level) is a chain whose steps all multiply
+    # the order by q = 2; T1 and T2 (1 and 2 at level 3) hang from the branch
+    # M (1 at level 2, below it B, 1 at level 1), T3 (3) has no down-edge and
+    # T4 (4) two, from M2 and M3 (2 and 3 at level 2)
+    edge_ends = [([0], [0]), ([0, 1], [0, 1]), ([0, 1, 1, 2, 3], [0, 1, 2, 4, 4])]
+    assert _find_tails([1, 2, 4, 8], [1, 2, 4], [1, 2, 4, 5], edge_ends) == [
+        (0, [0, 0, 0, 0], [0, 0, 0], True),
+        (3, [1], [], False),
+        (3, [2], [], False),
     ]
 
 
-def _ray_links(G, ray):
-    """The ray's vertex ids and the positions of its edges in G.edges."""
-    return [v.id for v in ray.vertices], [G.edges.index(e) for e in ray.edges]
-
-
-def _chain_graph(orders, edge_orders):
-    """One chain C0-C1-... with the given vertex and edge orders, up to the top depth."""
-    G = quotient.GraphOfGroups(NagaoLattice(F2), len(orders) - 1)
-    for n, order in enumerate(orders):
-        G.vertices[f"C{n}"] = quotient.QuotientVertex(f"C{n}", n, 0, order)
-    for n, order in enumerate(edge_orders):
-        lo, hi = G.vertices[f"C{n}"], G.vertices[f"C{n + 1}"]
-        G.edges.append(quotient.QuotientEdge(lo, hi, order))
-    return G
+def _chain(vertex_orders, edge_orders):
+    """`_find_tails` of one chain C0-C1-... with the given orders, its levels identity ranges."""
+    depth = len(vertex_orders) - 1
+    ends = [(range(1), range(1))] * depth
+    return _find_tails(vertex_orders, edge_orders, [1] * (depth + 1), ends)
 
 
 def test_certified_ray_pattern_must_hold_above_its_base():
     # three index-2 steps certify from C0, then C3-C4 keeps the order
-    G = _chain_graph([1, 2, 4, 8, 8], [1, 2, 4, 8])
     with pytest.raises(NonterminationGuard, match="certified tail pattern broke"):
-        _detect_rays(G)
+        _chain([1, 2, 4, 8, 8], [1, 2, 4, 8])
 
 
 def test_ray_steps_need_the_edge_group_to_be_the_lower_vertex_group():
     # the orders double at each step, but the middle edge group has order 1, not 2
-    G = _chain_graph([1, 2, 4, 8], [1, 1, 4])
-    _detect_rays(G)
-    assert [_ray_links(G, r) + (r.certified,) for r in G.rays] == [
-        (["C0", "C1", "C2", "C3"], [0, 1, 2], False)
+    assert _chain([1, 2, 4, 8], [1, 1, 4]) == [(0, [0, 0, 0, 0], [0, 0, 0], False)]
+
+
+def test_chains_above_the_lowest_share_its_certificate():
+    # A runs from level 0, B from level 2 and C from level 3 up to depth 5;
+    # the step from level 0 keeps the order, every step above doubles it
+    edge_ends = [([0], [0]), ([0], [0]), ([0, 1], [0, 1])] + [(range(3), range(3))] * 2
+    assert _find_tails([1, 1, 2, 4, 8, 16], [1, 1, 2, 4, 8], [1, 1, 2, 3, 3, 3], edge_ends) == [
+        (1, [0, 0, 0, 0, 0], [0, 0, 0, 0], True),
+        (2, [1, 1, 1, 1], [1, 1, 1], True),
+        (3, [2, 2, 2], [2, 2], False),
     ]
 
 
@@ -170,6 +155,47 @@ def test_quotient_graph_agrees_with_the_member_lookup_route(q, level):
             ([v.id for v in r.vertices], [(e.v_from.id, e.v_to.id) for e in r.edges], r.certified)
             for r in H.rays
         ]
+
+
+@pytest.mark.parametrize(
+    "q,level", ORACLE_LATTICES, ids=[f"F{q}-{lv or 'full'}" for q, lv in ORACLE_LATTICES]
+)
+def test_tails_and_covolume_agree_with_the_record_walk(q, level):
+    # rays and covolume found on coset numbers against the chain walk and the
+    # edge sum over the member lookup route's records, refusals included
+    lattice = _lattice(q, level)
+    d = lattice.level_degree
+    for depth in sorted({1, max(d, 1), d + 1, d + 2, 8}):
+        G, H = quotient_graph(lattice, depth), brute_force.quotient_graph_by_lookup(lattice, depth)
+        assert [(base, cosets, certified) for base, cosets, _, certified in G.tails] == [
+            (r.vertices[0].level, [v.coset for v in r.vertices], r.certified) for r in H.rays
+        ]
+        try:
+            core, tails = brute_force.covolume_by_edge_sum(H)
+        except UncertifiedTail as refusal:
+            with pytest.raises(UncertifiedTail) as caught:
+                covolume(G)
+            assert str(caught.value) == str(refusal)
+        else:
+            result = covolume(G)
+            assert (result.core_part, result.tail_parts) == (core, tails)
+            assert result.total == core + sum(tails)
+
+
+def test_covolume_and_cusps_build_no_records(monkeypatch, capsys):
+    def refuse(self, *args):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    for record in (quotient.QuotientVertex, quotient.QuotientEdge, quotient.RayTail):
+        monkeypatch.setattr(record, "__init__", refuse)
+    for q, level in ORACLE_LATTICES:
+        lattice = _lattice(q, level)
+        covolume(quotient_graph(lattice, 8))
+        cusps_report(lattice, 8).radius_vertices()
+    argv = ["--lattice", "congruence", "--level", "t^2", "--depth", "8"]
+    assert cli.main(["covolume", *argv]) == 0
+    assert cli.main(["cusps", *argv, "--truncation", "2"]) == 0
+    assert capsys.readouterr().out.startswith("48/1\n{")
 
 
 def test_level_t_quotient_is_a_tripod():
@@ -239,8 +265,8 @@ def test_cusp_lookup_skips_a_ray_that_ends_below_the_read_level():
     # the full lattice's ray at depth 2 starts at L0 and is read at level 1
     report = cusps_report(nagao2, 2)
     assert report.matches == [(0, 0)]
-    ray = report.graph.rays[0]
-    ray.vertices, ray.edges = ray.vertices[:1], []
+    base, cosets, _, certified = report.graph.tails[0]
+    report.graph.tails[0] = base, cosets[:1], [], certified
     assert quotient._match_cusps_to_rays(report.graph) == []
     assert cusp_ray_matches_by_scan(report.graph, report.algebraic) == []
 
@@ -472,6 +498,11 @@ def _edge_rows(edges):
     return [(e.v_from.id, e.v_to.id, e.order) for e in edges]
 
 
+def _ray_links(G, ray):
+    """The ray's vertex ids and the positions of its edges in G.edges."""
+    return [v.id for v in ray.vertices], [G.edges.index(e) for e in ray.edges]
+
+
 def _ray_rows(G):
     return [_ray_links(G, r) + (r.vertices[0].level, r.certified) for r in G.rays]
 
@@ -612,7 +643,13 @@ def test_quotient_graph_reads_orders_once_per_level(monkeypatch):
     for name in ("base_order", "edge_order"):
         monkeypatch.setattr(lat, name, counting(name, getattr(lat, name)))
     G = quotient_graph(lat, 8)
-    assert len(G.vertices) > 9 and len(G.edges) > 8
+    # the tails' certificate tests each step once, from their lowest level deg f - 1 = 2 up
+    expected = Counter({("base_order", n): 1 for n in range(2, 9)})
+    expected.update({("edge_order", n): 1 for n in range(2, 8)})
+    assert calls == expected
+    calls.clear()
+    # the records, built when first read, read each level's orders once more
+    assert len(G.vertices) > 9 and len(G.edges) > 8 and len(G.rays) == 48
     expected = Counter({("base_order", n): 1 for n in range(9)})
     expected.update({("edge_order", n): 1 for n in range(8)})
     assert calls == expected

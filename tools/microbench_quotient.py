@@ -1,8 +1,9 @@
 """Per-layer microbenchmark of congruence quotients: coset partitions,
-graph assembly, the graph's JSON text, cusp representatives, cusp
-matching, contraction and horoball certification.
+graph assembly on coset numbers and as records, the covolume, the graph's
+JSON text, cusp representatives, cusp matching, contraction and horoball
+certification.
 
-For each lattice below it prints the minimum over repeats of eight rows, in
+For each lattice below it prints the minimum over repeats of nine rows, in
 milliseconds. The repeats are interleaved: each one times every row of
 every lattice once, so a slow phase of a shared machine falls on all rows
 alike. Run from the root of a checkout:
@@ -16,15 +17,19 @@ alike. Run from the root of a checkout:
   their first-column keys, the origin's cosets, and the lists of coset
   numbers.
 - `quotient_graph`: `quotient_graph(lattice, 8)` on a lattice whose
-  table already holds those partitions, so the row is the graph's
-  assembly from the number lists and ray detection.
+  table already holds those partitions, and a read of its `vertices` and
+  `edges`: the ray tails found on the number lists, then the vertex and
+  edge records, which the graph builds when first read.
+- `covolume`: `covolume(quotient_graph(lattice, 8))` on the same table,
+  the tails and the per-level edge counts with no records, as the
+  `covolume` command runs it.
 - `json.dumps`: `json.dumps(G.to_json_dict(), indent=2)` of that graph,
   the reference text.
 - `_json_text`: `cli._json_text` of the same dict, which the command line
   prints; it must equal the reference, and the tool checks that it does.
 - `cusp_representatives`: `lattice.cusp_representatives()` on the same
   table, one lift per cusp and the end of its first column.
-- `cusps_report`: `cusps_report(lattice, 8)`, the graph's assembly again
+- `cusps_report`: `cusps_report(lattice, 8)`, the graph's tails again
   plus the cusp representatives and their matching to the rays.
 - `contract`: `contract(G)` of the graph above.
 - `certify_independent_family`: the family certificate of the cusps of
@@ -44,7 +49,9 @@ from sl2btree import cli
 from sl2btree.field import field
 from sl2btree.lattice import CongruenceLattice, CosetTable, NagaoLattice
 from sl2btree.literals import parse_series
-from sl2btree.quotient import certify_independent_family, contract, cusps_report, quotient_graph
+from sl2btree.quotient import (
+    certify_independent_family, contract, covolume, cusps_report, quotient_graph,
+)
 
 LATTICES = [
     (2, "t^3"), (2, "t^4+t+1"), (3, "t^2"), (4, "t^2"), (3, "t^3"), (9, "t"), (8, None), (9, None),
@@ -78,8 +85,13 @@ def _timed(run):
     return cell
 
 
+def _records(lattice):
+    G = quotient_graph(lattice, DEPTH)
+    return G.vertices, G.edges
+
+
 def _cells(lattice):
-    """The eight rows' cells of one lattice, in the order of the header."""
+    """The nine rows' cells of one lattice, in the order of the header."""
     quotient_graph(lattice, DEPTH)  # builds the table and its partitions
     G = quotient_graph(lattice, DEPTH)
     out = G.to_json_dict()
@@ -89,7 +101,8 @@ def _cells(lattice):
     radii = report.radius_vertices()
     return [
         lambda: _partitions_s(lattice),
-        _timed(lambda: quotient_graph(lattice, DEPTH)),
+        _timed(lambda: _records(lattice)),
+        _timed(lambda: covolume(quotient_graph(lattice, DEPTH))),
         _timed(lambda: json.dumps(out, indent=2)),
         _timed(lambda: cli._json_text(out)),
         _timed(lattice.cusp_representatives),
@@ -100,8 +113,8 @@ def _cells(lattice):
 
 
 def main():
-    rows = ("partitions", "quotient_graph", "json.dumps", "_json_text", "cusp_representatives",
-            "cusps_report", "contract", "certify_independent_family")
+    rows = ("partitions", "quotient_graph", "covolume", "json.dumps", "_json_text",
+            "cusp_representatives", "cusps_report", "contract", "certify_independent_family")
     cells = [cell for q, level in LATTICES for cell in _cells(_lattice(q, level))]
     best = interleaved_min(cells, REPEAT)
     print(f"{'ms':<22}" + "".join(f"{name:>28}" for name in rows))
