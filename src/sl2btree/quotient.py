@@ -173,33 +173,45 @@ class GraphOfGroups:
     """Finite quotient data with ray tails; see the module docstring.
 
     Level n holds `sizes[n]` vertex classes, numbered as the cosets of
-    `CosetTable.vertex_partition(n)`, and with (lower, upper) = `edge_ends[n]`
-    edge class j of level n joins vertex lower[j] at level n to vertex
-    upper[j] at level n + 1; an identity list is a `range`. `tails` holds per
-    ray (base level, its vertex and edge numbers from the base up, certified).
-    The records `vertices`, `edges` and `rays` are built from these when one
-    is first read; a graph assigned them, as `contract`'s, builds none.
+    `CosetTable.vertex_partition(n)`; edge class j of level n joins vertex
+    lower[j] at level n to upper[j] at level n + 1, (lower, upper) =
+    `edge_ends[n]`, a `range` for the identity. `orders` reads the orders
+    off `origin` and `steps` (see `_steps`). `tails` holds per ray (base
+    level, vertex and edge numbers from the base up, certified). The records
+    `vertices`, `edges` and `rays` are built when first read; a graph
+    assigned them, as `contract`'s, holds no numbers, which `covolume` and
+    the cusp readers need.
     """
 
-    def __init__(self, lattice: NagaoLattice, depth: int, sizes=(), edge_ends=(), tails=()):
+    def __init__(self, lattice: NagaoLattice, depth: int, sizes=(), edge_ends=(), steps=(0, ())):
         self.lattice = lattice
         self.depth = depth
         self.sizes: list[int] = sizes
         self.edge_ends: list[tuple] = edge_ends
-        self.tails: list[tuple] = tails
+        self.origin, self.steps = steps
+        self.tails: list[tuple] = []
         self.contracted = False
+
+    def orders(self):
+        """Per level, its vertex order and the order of the edges up from it (None at the top)."""
+        order, q = self.origin, self.lattice.q
+        for step in self.steps:
+            edge, up = step or (order, q * order)
+            yield order, edge
+            order = up
+        yield order, None
 
     def __getattr__(self, name):
         if name not in ("vertices", "edges", "rays") or "vertices" in vars(self):
             raise AttributeError(name)
         lattice, verts, edges = self.lattice, [], []  # per level, records by number
-        for n, size in enumerate(self.sizes):
-            order = lattice.base_order(n)
+        orders = list(self.orders())
+        for n, (size, (order, _)) in enumerate(zip(self.sizes, orders)):
             verts.append(
                 [QuotientVertex(_vertex_id(lattice, n, k), n, k, order) for k in range(size)]
             )
-        for n, (lower, upper) in enumerate(self.edge_ends):
-            order, below, above = lattice.edge_order(n), verts[n], verts[n + 1]
+        for n, ((lower, upper), (_, order)) in enumerate(zip(self.edge_ends, orders)):
+            below, above = verts[n], verts[n + 1]
             edges.append([QuotientEdge(below[k], above[h], order) for k, h in zip(lower, upper)])
         self.vertices = {v.id: v for level in verts for v in level}
         self.edges = [e for level in edges for e in level]
@@ -295,7 +307,25 @@ def quotient_graph(lattice: NagaoLattice, depth: int) -> GraphOfGroups:
     edge_ends = [
         (table.vertex_partition(n)[0], table.coset_partition(n + 1)[0]) for n in range(depth)
     ]
-    return GraphOfGroups(lattice, depth, sizes, edge_ends, _find_tails(lattice, sizes, edge_ends))
+    G = GraphOfGroups(lattice, depth, sizes, edge_ends, _steps(lattice, depth))
+    G.tails = _find_tails(G)
+    return G
+
+
+def _steps(lattice: NagaoLattice, depth: int) -> tuple[int, list]:
+    """The vertex order at level 0 and per level n < depth its step up, reading each order once.
+
+    A step is None where it passes the nested index-q test (the edge order is
+    the vertex order, the next vertex order q times it), else the pair (edge
+    order, next vertex order).
+    """
+    q, order = lattice.q, lattice.base_order(0)
+    origin, steps = order, []
+    for n in range(depth):
+        up, edge = lattice.base_order(n + 1), lattice.edge_order(n)
+        steps.append(None if up == q * order and edge == order else (edge, up))
+        order = up
+    return origin, steps
 
 
 def _first_three_steps(ok: list[bool]) -> int | None:
@@ -304,36 +334,36 @@ def _first_three_steps(ok: list[bool]) -> int | None:
 
 
 def _lone(numbers, size: int):
-    """Per vertex k < size, the one j with numbers[j] == k, or None for none or several."""
+    """Per vertex k < size, the one j with numbers[j] == k, or -1 for none and -2 for several."""
     if type(numbers) is range:  # the identity: j = k alone
         return numbers
-    count, last = Counter(numbers), dict(zip(numbers, range(len(numbers))))
-    return [last[k] if count[k] == 1 else None for k in range(size)]
+    lone = [-1] * size
+    for j, k in enumerate(numbers):
+        lone[k] = j if lone[k] == -1 else -2
+    return lone
 
 
-def _find_tails(lattice: NagaoLattice, sizes: list[int], edge_ends: list[tuple]) -> list[tuple]:
-    """The `GraphOfGroups.tails` of the graph given by these numbers.
+def _find_tails(G: GraphOfGroups) -> list[tuple]:
+    """The `GraphOfGroups.tails` of a graph given by its numbers and steps.
 
     A chain goes down from each top vertex, all chains a level at a time,
     while the vertex has one down-edge and the vertex below it one up-edge.
-    It is certified from the first of three consecutive steps that multiply
-    the stabilizer order by exactly q with the edge group equal to the lower
-    vertex group (the nested index-q condition), and every step above must
-    pass too. Steps depend on the level alone, so each is tested once, from
-    the lowest chain's level up: that chain's base b certifies every chain
-    from max(b, its lowest level) on, if three steps remain.
+    It is certified from the first of three consecutive passing steps, and
+    every step above must pass too. Steps depend on the level alone, so the
+    lowest chain's base b certifies every chain from max(b, its lowest
+    level) on, if three steps remain.
     """
-    depth = len(edge_ends)
-    tops = sorted(range(sizes[depth]), key=lambda k: _vertex_id(lattice, depth, k))
+    sizes, edge_ends, depth = G.sizes, G.edge_ends, G.depth
+    tops = sorted(range(sizes[depth]), key=lambda k: _vertex_id(G.lattice, depth, k))
     down = _lone(edge_ends[-1][1], sizes[depth])
-    chains = [([k], []) for k in tops if down[k] is not None]  # numbers from the top down
+    chains = [([k], []) for k in tops if down[k] >= 0]  # numbers from the top down
     walking, n = chains, depth
     while walking and n:
         lower, still = edge_ends[n - 1][0], []
         up = _lone(lower, sizes[n - 1])
         for ks, js in walking:
             j = down[ks[-1]]
-            if j is not None and up[lower[j]] is not None:
+            if j >= 0 and up[lower[j]] >= 0:
                 ks.append(lower[j])
                 js.append(j)
                 still.append((ks, js))
@@ -341,11 +371,7 @@ def _find_tails(lattice: NagaoLattice, sizes: list[int], edge_ends: list[tuple])
         if walking and n:
             down = _lone(edge_ends[n - 1][1], sizes[n])
     low = depth - max((len(js) for _, js in chains), default=0)
-    ok, lo = [], lattice.base_order(low)
-    for m in range(low, depth):
-        hi = lattice.base_order(m + 1)
-        ok.append(hi == lattice.q * lo and lattice.edge_order(m) == lo)
-        lo = hi
+    ok = [step is None for step in G.steps[low:]]
     first = _first_three_steps(ok)
     if first is not None and not all(ok[first:]):
         raise NonterminationGuard("certified tail pattern broke inside the enumerated range")
@@ -381,20 +407,21 @@ def covolume(G: GraphOfGroups) -> CovolumeResult:
                 f"ray at {_vertex_id(lattice, base, ks[0])} lacks three nested index-q steps; "
                 f"increase the depth"
             )
-    heads = {ks[-1] for _, ks, _, _ in G.tails}
-    for k in range(G.sizes[depth]):
-        if k not in heads:
-            raise UncertifiedTail(
-                f"vertex {_vertex_id(lattice, depth, k)} at depth {depth} heads no ray; "
-                f"increase the depth"
-            )
+    if len(G.tails) < G.sizes[depth]:  # each top vertex heads at most one ray
+        heads = {ks[-1] for _, ks, _, _ in G.tails}
+        k = next(k for k in range(G.sizes[depth]) if k not in heads)
+        raise UncertifiedTail(
+            f"vertex {_vertex_id(lattice, depth, k)} at depth {depth} heads no ray; "
+            f"increase the depth"
+        )
     # a tail holds one edge of each level from its base up
-    bases, in_tails, core = Counter(base for base, *_ in G.tails), 0, Fraction(0)
-    for n, (lower, _) in enumerate(G.edge_ends):
+    bases, in_tails, core, parts = Counter(base for base, *_ in G.tails), 0, Fraction(0), {}
+    for n, ((lower, _), (_, edge)) in enumerate(zip(G.edge_ends, G.orders())):
         in_tails += bases[n]
-        if len(lower) > in_tails:
-            core += Fraction(len(lower) - in_tails, lattice.edge_order(n))
-    parts = {base: Fraction(q, lattice.edge_order(base) * (q - 1)) for base in bases}
+        if len(lower) > in_tails:  # a Fraction per level costs more than the rest of the loop
+            core += Fraction(len(lower) - in_tails, edge)
+        if n in bases:
+            parts[n] = Fraction(q, edge * (q - 1))
     total = sum((count * parts[base] for base, count in bases.items()), core)
     return CovolumeResult(total=total, core_part=core, tail_parts=[parts[b] for b, *_ in G.tails])
 
